@@ -6,6 +6,8 @@
 //!
 //! Rows are matched by their stable identity fields; every compared
 //! metric present on both sides is checked (see `bench::regression`).
+//! The summary line says how many baseline rows a fresh row matched: a
+//! diff that matched none compared nothing.
 //! The exit code is 0 by default — CI machines vary too much to gate on
 //! wall-clock throughput — but regressions are printed loudly so a
 //! slowdown is visible in the log the moment it lands. `--strict` turns
@@ -64,13 +66,15 @@ fn main() {
         return;
     }
 
-    let regressions = diff(&baseline, &fresh, factor);
+    let d = diff(&baseline, &fresh, factor);
     println!(
-        "bench_diff: {} ({} baseline rows, {} fresh rows, factor {factor}x)",
+        "bench_diff: {} ({} of {} baseline rows matched by {} fresh rows, factor {factor}x)",
         fresh.bench,
+        d.matched,
         baseline.results.len(),
         fresh.results.len()
     );
+    let regressions = d.regressions;
     if regressions.is_empty() {
         println!("bench_diff: no regressions beyond {factor}x");
         return;

@@ -1,41 +1,46 @@
-//! EXP-CHECKER — throughput of the linearizability checkers on
-//! synthetic large counter histories, in two modes:
+//! EXP-CHECKER — throughput of the linearizability checker on synthetic
+//! large histories.
 //!
-//! * **offline** — the post-hoc `O(R log R + I log I)` sweep engine vs
-//!   the retained `O(R² log I)` pairwise reference;
-//! * **online** — the streaming [`lincheck::OnlineChecker`] consuming
-//!   the same history as a pre-sorted record stream, one push per
-//!   announcement/completion, with retained state bounded by the
-//!   history's maximum concurrency rather than its length.
+//! The crate has one engine, [`lincheck::OnlineChecker`]; the timed
+//! calls are its post-hoc entry points, `lincheck::monotone::check_counter`
+//! and `check_maxreg`, which sort a finished history into the engine's
+//! stream. Rows:
 //!
-//! The north star is checking **million-op histories** as they are
-//! produced; this experiment tracks both the asymptotic win that makes
-//! post-hoc checking feasible and the streaming overhead + footprint
-//! that make *inline* checking feasible. Histories are synthesized from
-//! a valid execution (every read returns its forced-before count, which
-//! always linearizes), with heavily overlapping windows, pending
-//! operations and multi-unit increment batches, so the sweep's monotone
-//! stack and the online checker's watermark retirement both do real
-//! work. On each size where several engines run, their verdicts are
-//! cross-checked; the online engine's peak retained state is asserted
-//! against the history's measured concurrency, and at the 10⁶-record
-//! config its throughput is asserted to be at least the offline
-//! sweep's.
+//! * **counter / monotone** at 10⁴–10⁶ records, with the engine's peak
+//!   retained state when the same history is streamed record by record,
+//!   as inline checking feeds it;
+//! * **counter / naive** — the retained `O(R² log I)` pairwise reference
+//!   at the small sizes, whose verdict must match;
+//! * **maxreg / monotone** on one wide-witness history: 2¹⁶ writes all
+//!   concurrent with 2¹⁶ sequential reads, each of which needs a witness
+//!   write. A per-read witness scan makes this quadratic (seconds, not
+//!   milliseconds), so the row keeps such a path from coming back unseen.
+//!
+//! Counter histories are synthesized from a valid execution (every read
+//! returns its forced-before count, which always linearizes), with
+//! heavily overlapping windows, pending operations and multi-unit
+//! increment batches, so the monotone stack and the watermark
+//! retirement both do real work. The streamed peak retained state is
+//! asserted against the history's measured concurrency.
 //!
 //! Results land in `BENCH_checker.json` (cwd) for regression tracking.
-//! Each row carries a `mode` field (`offline` / `online`) that joins
-//! the row identity, and online rows add `peak_retained_entries` — a
-//! memory-direction metric `bench_diff` checks for growth.
+//! Rows key on `object`, `engine` and `records`;
+//! `peak_retained_entries` is a memory-direction metric `bench_diff`
+//! checks for growth.
 //!
 //! Run: `cargo run --release -p bench --bin exp_checker`
 //! CI:  `cargo run --release -p bench --bin exp_checker -- --smoke`
-//! (`--smoke` shrinks the sizes to keep the bin exercised without
-//! costing CI minutes; `REPRO_SCALE` multiplies the full sizes.)
+//! (`--smoke` shrinks the counter sizes to keep the bin exercised
+//! without costing CI minutes; `REPRO_SCALE` multiplies the full
+//! sizes. The wide-witness row is the same size in both runs.)
 
 use bench::emit::{mode_str, Report, Row};
 use bench::tables::{f2, Table};
-use lincheck::monotone::{check_counter, prefix_sums, weighted_lt};
-use lincheck::{naive, CounterHistory, Interval, OnlineChecker, TimedInc, TimedRead};
+use lincheck::monotone::{check_counter, check_maxreg};
+use lincheck::naive::{self, prefix_sums, weighted_lt};
+use lincheck::{
+    CounterHistory, Interval, MaxRegHistory, OnlineChecker, TimedInc, TimedRead, TimedWrite,
+};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use smr::{OpKind, OpRecord};
@@ -44,7 +49,7 @@ use std::time::Instant;
 /// Synthesize a linearizable counter history of `n_incs` increment
 /// records and `n_reads` reads with overlapping windows. Reads return
 /// their forced-before weight `A_r` — always a valid assignment (the
-/// greedy's own lower bound), so the sweep runs to completion over the
+/// greedy's own lower bound), so the check runs to completion over the
 /// whole history instead of bailing at the first read.
 fn synth_history(n_incs: usize, n_reads: usize, seed: u64) -> CounterHistory {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -64,8 +69,8 @@ fn synth_history(n_incs: usize, n_reads: usize, seed: u64) -> CounterHistory {
         });
     }
     // Forced-before table: completed increments by response, using the
-    // checker's own weighted-count primitives so the generator can never
-    // drift from the engine's boundary semantics.
+    // reference checker's weighted-count primitives so the generator
+    // can never drift from the spec's boundary semantics.
     let mut by_resp: Vec<(u64, u64)> = incs
         .iter()
         .filter_map(|i| i.window.resp.map(|r| (r, i.amount)))
@@ -85,124 +90,123 @@ fn synth_history(n_incs: usize, n_reads: usize, seed: u64) -> CounterHistory {
     CounterHistory { incs, reads }
 }
 
-/// Flatten a history into the record stream a live run would emit:
-/// one announcement per operation at its invocation, one completion at
-/// its response (pending operations never complete), sorted by
-/// timestamp with announcements first at ties. Built *outside* the
-/// timed region — in the streaming scenario the stream arrives in
-/// order for free.
-fn online_stream(h: &CounterHistory) -> Vec<OpRecord> {
-    let mut events: Vec<(u64, u8, OpRecord)> =
-        Vec::with_capacity(2 * (h.reads.len() + h.incs.len()));
-    let rec = |pid: usize, kind: OpKind, inv: u64, resp: Option<u64>| OpRecord {
-        pid,
-        kind,
-        inv,
-        resp,
-        steps: 0,
-    };
-    for (j, r) in h.reads.iter().enumerate() {
-        let kind = OpKind::Read { returned: r.value };
-        events.push((r.inv, 0, rec(j, kind, r.inv, None)));
-        events.push((r.resp, 1, rec(j, kind, r.inv, Some(r.resp))));
+/// Writes per wide-witness history (and as many reads).
+const WIDE_WRITES: u64 = 1 << 16;
+
+/// The wide-witness max-register history: write `i` (value `i + 1`)
+/// invokes at `i` and responds after every read; read `j` runs alone
+/// after all invocations and returns `j + 1`, which only write `j`
+/// witnesses (k = 1).
+fn wide_witness_history() -> MaxRegHistory {
+    let w = WIDE_WRITES;
+    let last_read = w + 2 * w;
+    MaxRegHistory {
+        writes: (0..w)
+            .map(|i| TimedWrite {
+                window: Interval::done(i, last_read + 1 + i),
+                value: i + 1,
+            })
+            .collect(),
+        reads: (0..w)
+            .map(|j| TimedRead {
+                inv: w + 2 * j,
+                resp: w + 2 * j + 1,
+                value: u128::from(j + 1),
+            })
+            .collect(),
     }
-    for (i, inc) in h.incs.iter().enumerate() {
-        let pid = h.reads.len() + i;
-        let kind = OpKind::Inc { amount: inc.amount };
-        let inv = inc.window.inv;
-        events.push((inv, 0, rec(pid, kind, inv, None)));
-        if let Some(resp) = inc.window.resp {
-            events.push((resp, 1, rec(pid, kind, inv, Some(resp))));
+}
+
+/// The record stream a live run would emit for `ops` (`(kind, inv,
+/// resp)`): one announcement per operation at its invocation, one
+/// completion at its response (pending operations never complete),
+/// sorted by timestamp with announcements first at ties.
+fn live_stream(ops: impl Iterator<Item = (OpKind, u64, Option<u64>)>) -> Vec<OpRecord> {
+    let mut events: Vec<(u64, u8, OpRecord)> = Vec::new();
+    for (pid, (kind, inv, resp)) in ops.enumerate() {
+        let rec = |resp| OpRecord {
+            pid,
+            kind,
+            inv,
+            resp,
+            steps: 0,
+        };
+        events.push((inv, 0, rec(None)));
+        if let Some(t) = resp {
+            events.push((t, 1, rec(resp)));
         }
     }
-    events.sort_by_key(|&(t, tie, _)| (t, tie));
+    events.sort_by_key(|&(t, phase, _)| (t, phase));
     events.into_iter().map(|(_, _, r)| r).collect()
 }
 
-/// Maximum number of simultaneously open operations in the history:
-/// +1 at each invocation, −1 at each response, pending operations open
-/// forever. Arrivals count before departures at equal timestamps, so
-/// the measure upper-bounds what the online checker can have open.
-fn max_concurrency(h: &CounterHistory) -> usize {
-    let mut deltas: Vec<(u64, u8, i64)> = Vec::new();
-    let op = |inv: u64, resp: Option<u64>, deltas: &mut Vec<(u64, u8, i64)>| {
-        deltas.push((inv, 0, 1));
-        if let Some(r) = resp {
-            deltas.push((r, 1, -1));
-        }
-    };
-    for r in &h.reads {
-        op(r.inv, Some(r.resp), &mut deltas);
-    }
-    for i in &h.incs {
-        op(i.window.inv, i.window.resp, &mut deltas);
-    }
-    deltas.sort_unstable_by_key(|&(t, tie, _)| (t, tie));
-    let mut open = 0i64;
-    let mut peak = 0i64;
-    for (_, _, d) in deltas {
-        open += d;
-        peak = peak.max(open);
-    }
-    peak as usize
-}
-
-struct Sample {
-    mode: &'static str,
-    engine: &'static str,
-    total_ops: usize,
-    millis: f64,
-    verdict: bool,
-    peak_retained: Option<usize>,
-}
-
-fn time_engine<F: Fn(&CounterHistory) -> bool>(
-    engine: &'static str,
-    h: &CounterHistory,
-    f: F,
-) -> Sample {
-    let start = Instant::now();
-    let verdict = f(h);
-    let millis = start.elapsed().as_secs_f64() * 1e3;
-    Sample {
-        mode: "offline",
-        engine,
-        total_ops: h.incs.len() + h.reads.len(),
-        millis,
-        verdict,
-        peak_retained: None,
-    }
-}
-
-/// Time the streaming checker over a pre-sorted record stream.
-fn time_online(h: &CounterHistory) -> Sample {
-    let stream = online_stream(h);
-    let start = Instant::now();
+/// Stream a counter history through the engine record by record and
+/// return its peak retained state, asserted against the stream's
+/// maximum concurrency (announcements count before completions at
+/// equal timestamps, so the measure upper-bounds what the checker can
+/// have open).
+fn streamed_peak(h: &CounterHistory) -> usize {
+    let reads = h.reads.iter().map(|r| {
+        let kind = OpKind::Read { returned: r.value };
+        (kind, r.inv, Some(r.resp))
+    });
+    let incs = h.incs.iter().map(|i| {
+        let kind = OpKind::Inc { amount: i.amount };
+        (kind, i.window.inv, i.window.resp)
+    });
+    let stream = live_stream(reads.chain(incs));
     let mut checker = OnlineChecker::counter(1);
-    let mut verdict = true;
+    let (mut open, mut conc) = (0usize, 0usize);
     for r in &stream {
-        if checker.push(r).is_err() {
-            verdict = false;
-            break;
+        checker
+            .push(r)
+            .expect("a linearizable history streams cleanly");
+        if r.resp.is_none() {
+            open += 1;
+            conc = conc.max(open);
+        } else {
+            open -= 1;
         }
     }
-    verdict = verdict && checker.finish().is_ok();
-    let millis = start.elapsed().as_secs_f64() * 1e3;
-
     let peak = checker.peak_retained();
-    let conc = max_concurrency(h);
     assert!(
         peak <= 4 * conc + 64,
         "online checker retained {peak} entries against a measured \
          max concurrency of {conc}: the watermark is not retiring"
     );
-    Sample {
-        mode: "online",
-        engine: "online",
-        total_ops: h.incs.len() + h.reads.len(),
-        millis,
-        verdict,
-        peak_retained: Some(peak),
+    peak
+}
+
+struct Sample {
+    object: &'static str,
+    engine: &'static str,
+    records: usize,
+    millis: f64,
+    verdict: bool,
+    peak_retained: Option<usize>,
+}
+
+impl Sample {
+    fn timed(
+        object: &'static str,
+        engine: &'static str,
+        records: usize,
+        check: impl FnOnce() -> bool,
+    ) -> Sample {
+        let start = Instant::now();
+        let verdict = check();
+        Sample {
+            object,
+            engine,
+            records,
+            millis: start.elapsed().as_secs_f64() * 1e3,
+            verdict,
+            peak_retained: None,
+        }
+    }
+
+    fn records_per_sec(&self) -> f64 {
+        self.records as f64 / (self.millis / 1e3).max(1e-9)
     }
 }
 
@@ -223,72 +227,60 @@ fn main() {
         ]
     };
 
+    let mut samples: Vec<Sample> = Vec::new();
+    for (idx, &(total, with_naive)) in sizes.iter().enumerate() {
+        // 2/3 increments, 1/3 reads — roughly the stress-test mix.
+        let h = synth_history(total * 2 / 3, total - total * 2 / 3, 0xC0DE + idx as u64);
+        let mut engine = Sample::timed("counter", "monotone", total, || {
+            check_counter(&h, 1).is_ok()
+        });
+        assert!(engine.verdict, "synthetic history must linearize");
+        engine.peak_retained = Some(streamed_peak(&h));
+        samples.push(engine);
+
+        if with_naive {
+            let reference = Sample::timed("counter", "naive", total, || {
+                naive::check_counter(&h, 1).is_ok()
+            });
+            assert!(
+                reference.verdict,
+                "engines disagree on a {total}-record history"
+            );
+            samples.push(reference);
+        }
+    }
+
+    let wide = wide_witness_history();
+    let records = wide.writes.len() + wide.reads.len();
+    let sample = Sample::timed("maxreg", "monotone", records, || {
+        check_maxreg(&wide, 1).is_ok()
+    });
+    assert!(sample.verdict, "the wide-witness history must linearize");
+    samples.push(sample);
+
+    println!("EXP-CHECKER — linearizability checker throughput on synthetic histories");
+    println!("monotone = the engine's sorted feed (peak: the same history streamed);");
+    println!("naive    = retained O(R² log I) pairwise reference (small sizes only);");
+    println!("maxreg   = 2^16 concurrent writes, each read needs its own witness.");
     let mut table = Table::new([
-        "records",
-        "mode",
+        "object",
         "engine",
+        "records",
         "ms",
         "records/s",
         "peak",
         "verdict",
     ]);
-    let mut samples: Vec<Sample> = Vec::new();
-
-    for (idx, &(total, with_naive)) in sizes.iter().enumerate() {
-        // 2/3 increments, 1/3 reads — roughly the stress-test mix.
-        let h = synth_history(total * 2 / 3, total - total * 2 / 3, 0xC0DE + idx as u64);
-
-        let sweep = time_engine("sweep", &h, |h| check_counter(h, 1).is_ok());
-        assert!(sweep.verdict, "synthetic history must linearize");
-        let sweep_millis = sweep.millis;
-        samples.push(sweep);
-
-        if with_naive {
-            let reference = time_engine("naive", &h, |h| naive::check_counter(h, 1).is_ok());
-            let s = samples.last().unwrap();
-            assert_eq!(
-                s.verdict, reference.verdict,
-                "engines disagree on a {total}-record history"
-            );
-            samples.push(reference);
-        }
-
-        let online = time_online(&h);
-        assert!(
-            online.verdict,
-            "online checker rejected a linearizable {total}-record history"
-        );
-        if total >= 1_000_000 {
-            // The acceptance bar for inline checking: at serving scale
-            // the stream must not check slower than the post-hoc sweep.
-            assert!(
-                online.millis <= sweep_millis,
-                "online checking ({:.1}ms) slower than the offline sweep \
-                 ({sweep_millis:.1}ms) at {total} records",
-                online.millis
-            );
-        }
-        samples.push(online);
-    }
-
-    println!("EXP-CHECKER — monotone checker throughput on synthetic histories");
-    println!("offline/sweep  = O(R log R + I log I) post-hoc engine;");
-    println!("offline/naive  = retained O(R² log I) pairwise reference (small sizes only);");
-    println!("online/online  = streaming checker, watermark-bounded retained state.");
     for s in &samples {
         table.row([
-            s.total_ops.to_string(),
-            s.mode.to_string(),
+            s.object.to_string(),
             s.engine.to_string(),
+            s.records.to_string(),
             f2(s.millis),
-            format!("{:.0}", s.total_ops as f64 / (s.millis / 1e3).max(1e-9)),
+            format!("{:.0}", s.records_per_sec()),
             s.peak_retained
                 .map_or_else(|| "-".into(), |p| p.to_string()),
-            if s.verdict {
-                "ok".into()
-            } else {
-                "VIOLATION".to_string()
-            },
+            if s.verdict { "ok" } else { "VIOLATION" }.to_string(),
         ]);
     }
     table.print(if smoke {
@@ -297,21 +289,16 @@ fn main() {
         "checker throughput"
     });
 
-    // Machine-readable results for regression tracking. The per-row
-    // `mode` joins row identity (an online row never diffs against an
-    // offline one); `peak_retained_entries` is a memory-direction
-    // metric.
+    // Machine-readable results for regression tracking;
+    // `peak_retained_entries` is a memory-direction metric.
     let mut report = Report::new("checker_throughput", mode_str(smoke));
     for s in &samples {
         let mut row = Row::new()
+            .str("object", s.object)
             .str("engine", s.engine)
-            .str("mode", s.mode)
-            .int("records", s.total_ops as u64)
+            .int("records", s.records as u64)
             .float3("millis", s.millis)
-            .float0(
-                "records_per_sec",
-                s.total_ops as f64 / (s.millis / 1e3).max(1e-9),
-            );
+            .float0("records_per_sec", s.records_per_sec());
         if let Some(p) = s.peak_retained {
             row = row.int("peak_retained_entries", p as u64);
         }

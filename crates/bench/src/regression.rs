@@ -26,7 +26,7 @@
 //! The `bench_diff` binary wraps this as a CI step that *warns* (CI
 //! machines vary too much to gate on wall-clock throughput).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A scalar cell of a result row.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,23 +150,36 @@ impl Regression {
     }
 }
 
+/// The outcome of [`diff`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Diff {
+    /// Baseline rows some fresh row matched by identity. Zero means the
+    /// diff compared nothing, whatever `regressions` says.
+    pub matched: usize,
+    /// Every compared metric that got worse beyond the factor.
+    pub regressions: Vec<Regression>,
+}
+
 /// Compare `fresh` against `baseline`: every compared metric present in
 /// both versions of a row that got more than `factor` times worse —
 /// throughput below `baseline / factor`, memory above
 /// `baseline × factor` — is reported. Rows present on only one side are
-/// ignored (configs come and go).
-pub fn diff(baseline: &BenchFile, fresh: &BenchFile, factor: f64) -> Vec<Regression> {
+/// skipped (configs come and go); [`Diff::matched`] says how many
+/// baseline rows were compared.
+pub fn diff(baseline: &BenchFile, fresh: &BenchFile, factor: f64) -> Diff {
     assert!(factor >= 1.0, "a regression factor below 1 is meaningless");
     let mut by_id: BTreeMap<String, &Row> = BTreeMap::new();
     for row in &baseline.results {
         by_id.insert(identity(row), row);
     }
+    let mut matched = BTreeSet::new();
     let mut out = Vec::new();
     for row in &fresh.results {
         let id = identity(row);
         let Some(base) = by_id.get(&id) else {
             continue;
         };
+        matched.insert(id.clone());
         for (name, cell) in row.iter() {
             let Some(kind) = metric_kind(name) else {
                 continue;
@@ -189,7 +202,10 @@ pub fn diff(baseline: &BenchFile, fresh: &BenchFile, factor: f64) -> Vec<Regress
             }
         }
     }
-    out
+    Diff {
+        matched: matched.len(),
+        regressions: out,
+    }
 }
 
 /// Parse a `BENCH_*.json` file (the flat shape our binaries write).
@@ -405,7 +421,7 @@ mod tests {
             .replace("\"adds_per_sec\": 1000000", "\"adds_per_sec\": 400000")
             .replace("\"adds_per_sec\": 500000", "\"adds_per_sec\": 300000");
         let new = parse_bench_json(&new_text).unwrap();
-        let regs = diff(&old, &new, 2.0);
+        let regs = diff(&old, &new, 2.0).regressions;
         // 1M → 400k is a 2.5× drop (reported); 500k → 300k is 1.67×
         // (within tolerance).
         assert_eq!(regs.len(), 1);
@@ -431,7 +447,7 @@ mod tests {
                 "\"peak_rss_bytes\": 5000000",
             );
         let fresh = parse_bench_json(&new_text).unwrap();
-        let regs = diff(&old, &fresh, 2.0);
+        let regs = diff(&old, &fresh, 2.0).regressions;
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].metric, "peak_rss_bytes");
         assert_eq!(regs[0].kind, MetricKind::Memory);
@@ -448,7 +464,7 @@ mod tests {
         );
         let fresh = parse_bench_json(&new_text).unwrap();
         assert!(
-            diff(&old, &fresh, 2.0).is_empty(),
+            diff(&old, &fresh, 2.0).regressions.is_empty(),
             "1.8x growth is within 2x"
         );
     }
@@ -457,14 +473,28 @@ mod tests {
     fn unmatched_rows_are_ignored() {
         let old = parse_bench_json(OLD).unwrap();
         let new_text = OLD.replace("\"n\": 8", "\"n\": 16");
-        let new = parse_bench_json(&new_text).unwrap();
-        let regs = diff(
+        let d = diff(
             &old,
             &parse_bench_json(&new_text.replace("1000000", "1")).unwrap(),
             2.0,
         );
-        let _ = new;
-        assert!(regs.is_empty(), "different n: different identity");
+        assert!(d.regressions.is_empty(), "different n: different identity");
+        assert_eq!(d.matched, 1, "only the thread row still matches");
+    }
+
+    #[test]
+    fn diff_counts_matched_baseline_rows() {
+        let old = parse_bench_json(OLD).unwrap();
+        assert_eq!(diff(&old, &old, 2.0).matched, 2);
+        // A fresh row matching the same baseline row twice counts it
+        // once; a fresh file matching nothing reports zero.
+        let mut twice = old.clone();
+        twice.results.push(old.results[0].clone());
+        assert_eq!(diff(&old, &twice, 2.0).matched, 2);
+        let renamed = parse_bench_json(&OLD.replace("\"backend\"", "\"executor\"")).unwrap();
+        let d = diff(&old, &renamed, 2.0);
+        assert_eq!(d.matched, 0);
+        assert!(d.regressions.is_empty(), "a vacuous diff reports nothing");
     }
 
     #[test]
@@ -474,7 +504,9 @@ mod tests {
         let old = parse_bench_json(OLD).unwrap();
         let new_text = OLD.replace("\"mode\": \"full\"", "\"mode\": \"smoke\"");
         let fresh = parse_bench_json(&new_text).unwrap();
-        assert!(diff(&old, &fresh, 2.0).is_empty());
+        let d = diff(&old, &fresh, 2.0);
+        assert!(d.regressions.is_empty());
+        assert_eq!(d.matched, 2);
     }
 
     #[test]
@@ -497,25 +529,38 @@ mod tests {
 
     #[test]
     fn checker_rows_key_on_mode() {
-        // exp_checker emits offline and online rows for the same
-        // record count; the per-row mode tag must enter identity so an
-        // online row is never diffed against the offline sweep, while
-        // peak_retained_entries is a compared memory metric, not
-        // identity.
+        // exp_checker rows key on object, engine and record count; the
+        // per-row `mode` tag (offline / online) that rows carried while
+        // two engines existed is gone, so such a legacy row matches no
+        // fresh row, and the diff's matched count shows it. The
+        // retained-state metric is compared, not matched.
         let text = r#"{
   "bench": "checker_throughput",
   "results": [
-    {"engine": "sweep", "mode": "offline", "records": 10000, "millis": 5.0, "records_per_sec": 2000000},
-    {"engine": "online", "mode": "online", "records": 10000, "millis": 4.0, "records_per_sec": 2500000, "peak_retained_entries": 120}
+    {"object": "counter", "engine": "monotone", "records": 10000, "millis": 4.0, "records_per_sec": 2500000, "peak_retained_entries": 120},
+    {"object": "counter", "engine": "naive", "records": 10000, "millis": 200.0, "records_per_sec": 50000},
+    {"object": "maxreg", "engine": "monotone", "records": 131072, "millis": 60.0, "records_per_sec": 2000000}
   ]
 }"#;
         let f = parse_bench_json(text).unwrap();
         let ids: Vec<String> = f.results.iter().map(identity).collect();
-        assert!(ids[0].contains("mode=offline") && ids[1].contains("mode=online"));
-        assert_ne!(ids[0], ids[1], "mode distinguishes the rows");
+        assert!(ids[0].contains("engine=monotone") && ids[0].contains("object=counter"));
+        assert_ne!(ids[0], ids[1], "engine distinguishes the rows");
+        assert_ne!(ids[0], ids[2], "object distinguishes the rows");
         assert!(
-            !ids[1].contains("peak_retained_entries"),
+            !ids[0].contains("peak_retained_entries"),
             "retained-state metrics compared, not matched"
+        );
+        let legacy = parse_bench_json(&text.replacen(
+            "\"engine\": \"monotone\",",
+            "\"engine\": \"monotone\", \"mode\": \"online\",",
+            1,
+        ))
+        .unwrap();
+        assert_eq!(
+            diff(&legacy, &f, 2.0).matched,
+            2,
+            "the moded row matches nothing"
         );
         // Retained state growing beyond the factor is a reported memory
         // regression, in the growth direction only.
@@ -523,10 +568,11 @@ mod tests {
             "\"peak_retained_entries\": 120",
             "\"peak_retained_entries\": 500",
         );
-        let regs = diff(&f, &parse_bench_json(&grown).unwrap(), 2.0);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].metric, "peak_retained_entries");
-        assert_eq!(regs[0].kind, MetricKind::Memory);
+        let d = diff(&f, &parse_bench_json(&grown).unwrap(), 2.0);
+        assert_eq!(d.matched, 3);
+        assert_eq!(d.regressions.len(), 1);
+        assert_eq!(d.regressions[0].metric, "peak_retained_entries");
+        assert_eq!(d.regressions[0].kind, MetricKind::Memory);
     }
 
     #[test]

@@ -8,21 +8,23 @@
 //!   any `x` with `v/k ≤ x ≤ v·k` for the exact value `v` at its
 //!   linearization point (`k = 1` recovers the exact specs).
 //!
-//! Three engines:
+//! One engine and two oracles:
 //!
-//! * [`monotone`] — the production decision procedure exploiting
-//!   monotonicity: each read constrains the object value over its
-//!   real-time window to an interval; a greedy minimal assignment that
-//!   respects real-time read ordering exists iff the history is
-//!   linearizable. The counter checker evaluates the cross-read
-//!   constraints with a timestamp sweep over a monotone stack in
-//!   `O(R log R + I log I)`; this is the engine used by the stress tests
-//!   and sized for million-op histories.
+//! * [`online`] — the decision procedure exploiting monotonicity (each
+//!   read constrains the object value over its real-time window to an
+//!   interval; a greedy minimal assignment that respects real-time read
+//!   ordering exists iff the history is linearizable), run as one
+//!   timestamp-ordered sweep over a monotone stack. [`OnlineChecker`]
+//!   consumes records as a stream with retained state bounded by the
+//!   concurrency; [`LinearizabilityPass`] runs it inline on live runs.
+//!   The post-hoc entry points in [`monotone`] (derivation and
+//!   complexity there) and [`records`] sort a finished history into the
+//!   same stream; they are sized for million-op histories.
 //! * [`naive`] — the retired quadratic transcriptions of the same
 //!   predicates, retained as cross-validation references.
 //! * [`wg`] — an exhaustive Wing&ndash;Gong search (with memoization),
 //!   exponential but spec-agnostic; used on small randomized histories to
-//!   cross-validate the polynomial engines (see this crate's tests).
+//!   cross-validate the engine (see this crate's tests).
 //!
 //! Beyond the per-object specs, [`sketchlog`] checks the `sketch`
 //! crate's *composed* aggregation reads (top-k digests, quantile/rank
@@ -34,8 +36,8 @@
 //! (pattern-matching on [`smr::OpKind`] — no label strings, and records
 //! outside the object vocabulary are rejected with [`UnsupportedOp`],
 //! not a panic), or can be built by hand. For `smr::explore`'s checker
-//! closures, [`records`] bundles extraction and checking into one call
-//! returning the explorer's `Result<(), String>` shape.
+//! closures, [`records`] checks the driver's records directly, in one
+//! call returning the explorer's `Result<(), String>` shape.
 
 mod history;
 pub mod monotone;

@@ -1,5 +1,11 @@
-//! Polynomial-time linearizability checking for monotone objects with
-//! (possibly) relaxed reads.
+//! The post-hoc linearizability checkers for monotone objects with
+//! (possibly) relaxed reads, and the decision procedure behind them.
+//!
+//! Every entry point here is a thin sorted feed: it splits each
+//! operation of a finished history into an announcement and a
+//! completion, sorts them, and pushes them through
+//! [`OnlineChecker`], the crate's one engine (see [`crate::online`]
+//! for how the sweep below runs as a stream).
 //!
 //! ## Counter
 //!
@@ -33,7 +39,7 @@
 //!
 //! Constraint 3 is the hot loop. Evaluating it pairwise is `O(R²)`
 //! ([`naive`](crate::naive) keeps that transcription as the
-//! cross-validation reference); this engine instead sweeps all events in
+//! cross-validation reference); the engine instead walks the events in
 //! timestamp order and maintains, in a monotone stack, the running
 //! quantity
 //!
@@ -41,20 +47,18 @@
 //! M(t) = max over reads p with p.resp < t of  ( v_p + D(p, t) )
 //! ```
 //!
-//! so a read invoked at `t` needs just `v_r ≥ max(lo_r, M(t))`. Three
-//! event types drive the sweep: a read *query* at `r.inv` (assign
-//! `v_r`), a read *insert* at `r.resp` (add the term `v_r`, with
-//! `D(r, t) = 0` at that instant), and an increment *arrival* at
-//! `i.resp` (add its amount to the term of every read with
-//! `p.resp < i.inv` — exactly the reads whose `D` the increment enters).
-//! Terms only grow, prefixes (in `resp` order) grow fastest, so the set
-//! of reads that can ever realize the maximum is a stack of strictly
-//! increasing terms; each read enters and leaves it at most once.
+//! so a read invoked at `t` needs just `v_r ≥ max(lo_r, M(t))`. A
+//! read's invocation reads `M`, its response inserts the term `v_r`
+//! (with `D(r, t) = 0` at that instant), and an increment's response
+//! adds its amount to the term of every read with `p.resp < i.inv` —
+//! exactly the reads whose `D` the increment enters. Terms only grow,
+//! prefixes (in `resp` order) grow fastest, so the set of reads that
+//! can ever realize the maximum is a stack of strictly increasing
+//! terms; each read enters and leaves it at most once.
 //!
-//! **Complexity: `O(R log R + I log I)`** for `R` reads and `I`
-//! increment records — each event costs one `O(log)` ordered-map
-//! operation plus amortized-constant stack pops, and the only other
-//! work is sorting. (The previous pairwise engine was `O(R² log I)`.)
+//! **Complexity: `O((R + I) log(R + I))`** for `R` reads and `I`
+//! increment records: sorting the announcements and completions, then
+//! amortized `O(log)` per event in the stack.
 //! Cross-validated against [`naive`](crate::naive) and the exhaustive
 //! [`wg`](crate::wg) checker on randomized histories (see `tests/`).
 //!
@@ -77,13 +81,29 @@
 //! ```
 //!
 //! and the greedy picks the smallest admissible `ev(w)`. All quantities
-//! depend only on strictly earlier timestamps, so a single event-ordered
-//! sweep (write invocations before read responses at equal times)
-//! computes everything: `O((R + W) log (R + W))` for `R` reads and `W`
-//! writes.
+//! depend only on strictly earlier timestamps, so one timestamp-ordered
+//! pass (write invocations before read responses at equal times)
+//! computes everything. The engine keeps the effective values in an
+//! ordered set and picks the smallest admissible one with a range
+//! query: `O((R + W) log(R + W))` for `R` reads and `W` writes.
+//!
+//! ## Violations
+//!
+//! A violation names the first read the engine cannot linearize by its
+//! window `[inv, resp]`. Its `read #N` counts reads in completion order,
+//! the order the engine decides them, so `N` is not an index into
+//! `h.reads` (nor does it match [`naive`](crate::naive)'s numbering).
+//!
+//! ## Malformed windows
+//!
+//! [`TimedRead`](crate::TimedRead)'s fields are public, so a hand-built
+//! read can claim `inv ≥ resp`. Every entry point panics on such a
+//! window, for both objects, rather than checking a history no
+//! execution can produce.
 
 use crate::history::{CounterHistory, MaxRegHistory, Violation};
-use crate::sweep::MonotoneStack;
+use crate::online::OnlineChecker;
+use smr::OpKind;
 
 /// Check a counter history against the k-multiplicative-accurate counter
 /// specification (`k = 1` for the exact counter).
@@ -95,10 +115,11 @@ use crate::sweep::MonotoneStack;
 /// `u128::MAX`, so clamping the upper bound there loses nothing. At
 /// `x = 0` the window is `[0, 0]` for every `k` — a zero read always
 /// claims the counter has never been incremented.
+///
+/// # Panics
+/// If `k = 0`, or on a malformed window (see the [module docs](self)).
 pub fn check_counter(h: &CounterHistory, k: u64) -> Result<(), Violation> {
-    assert!(k >= 1);
-    let kk = u128::from(k);
-    check_counter_with(h, |x| (x.div_ceil(kk), x.saturating_mul(kk)))
+    feed_counter(h, OnlineChecker::counter(k))
 }
 
 /// Check a counter history against the **k-additive**-accurate counter
@@ -109,289 +130,41 @@ pub fn check_counter(h: &CounterHistory, k: u64) -> Result<(), Violation> {
 /// (counts are nonnegative) and `x + k` clamps to `u128::MAX` (counts
 /// cannot exceed it), so both clamps are exact rather than lossy.
 /// `k = 0` degenerates to the exact counter.
-pub fn check_counter_additive(h: &CounterHistory, k: u64) -> Result<(), Violation> {
-    let kk = u128::from(k);
-    check_counter_with(h, move |x| (x.saturating_sub(kk), x.saturating_add(kk)))
-}
-
-/// The sweep's three event types. Tie-breaking at equal timestamps:
-/// queries first (a read's constraints come from *strictly* earlier
-/// responses), then inserts and increment arrivals (their relative order
-/// is immaterial — an increment's `inv` is strictly below its `resp`, so
-/// it never targets a read inserted at the same instant).
-#[derive(Clone, Copy)]
-enum Event {
-    /// Assign `v_r` for read `j` (at `r.inv`).
-    Query(usize),
-    /// Add read `j`'s term to the stack (at `r.resp`).
-    Insert(usize),
-    /// Completed increment `i` arrives (at `i.resp`).
-    IncArrival(usize),
-}
-
-/// Check a counter history against an arbitrary relaxed read
-/// specification: `window(x)` maps a returned value to the inclusive
-/// interval of exact counts that may have produced it.
-///
-/// Complexity `O(R log R + I log I)` — see the [module docs](self).
 ///
 /// # Panics
-/// If a hand-built read has `inv ≥ resp` — a malformed window
-/// ([`Interval::done`](crate::Interval::done) enforces the same
-/// invariant, and driver-recorded histories satisfy it by
-/// construction).
-pub fn check_counter_with<W>(h: &CounterHistory, window: W) -> Result<(), Violation>
-where
-    W: Fn(u128) -> (u128, u128),
-{
-    // Weighted timestamp tables for the per-read window bounds.
-    // A_r = sum over completed increments with resp < r.inv;
-    // B_r = sum over all increments with inv ≤ r.resp.
-    let mut by_resp: Vec<(u64, u64)> = h
-        .incs
-        .iter()
-        .filter_map(|i| i.window.resp.map(|r| (r, i.amount)))
-        .collect();
-    by_resp.sort_unstable();
-    let resp_prefix = prefix_sums(&by_resp);
-    let mut by_inv: Vec<(u64, u64)> = h.incs.iter().map(|i| (i.window.inv, i.amount)).collect();
-    by_inv.sort_unstable();
-    let inv_prefix = prefix_sums(&by_inv);
+/// On a malformed window (see the [module docs](self)).
+pub fn check_counter_additive(h: &CounterHistory, k: u64) -> Result<(), Violation> {
+    feed_counter(h, OnlineChecker::counter_additive(k))
+}
 
-    // Completed increments as (inv, amount), indexed by the arrival
-    // events (which fire at the increment's resp).
-    let arrivals: Vec<(u64, u64)> = h
-        .incs
-        .iter()
-        .filter(|i| i.window.resp.is_some())
-        .map(|i| (i.window.inv, i.amount))
-        .collect();
-
-    let mut events: Vec<(u64, u8, Event)> = Vec::with_capacity(2 * h.reads.len() + arrivals.len());
-    for (j, r) in h.reads.iter().enumerate() {
-        assert!(r.inv < r.resp, "read window must satisfy inv < resp");
-        events.push((r.inv, 0, Event::Query(j)));
-        events.push((r.resp, 1, Event::Insert(j)));
-    }
-    {
-        let mut idx = 0;
-        for i in &h.incs {
-            if let Some(resp) = i.window.resp {
-                events.push((resp, 1, Event::IncArrival(idx)));
-                idx += 1;
-            }
+/// Reads are operations `0..R` (and their own pids), increments follow.
+fn feed_counter(h: &CounterHistory, checker: OnlineChecker) -> Result<(), Violation> {
+    let reads = h.reads.len();
+    checker.check_sorted(reads + h.incs.len(), |i| match h.reads.get(i) {
+        Some(r) => (i, OpKind::Read { returned: r.value }, r.inv, Some(r.resp)),
+        None => {
+            let inc = &h.incs[i - reads];
+            let kind = OpKind::Inc { amount: inc.amount };
+            (i, kind, inc.window.inv, inc.window.resp)
         }
-    }
-    events.sort_by_key(|&(t, tie, _)| (t, tie));
-
-    let mut assigned: Vec<u128> = vec![0; h.reads.len()];
-    let mut stack = MonotoneStack::with_capacity(h.reads.len());
-
-    for &(_, _, ev) in &events {
-        match ev {
-            Event::Query(j) => {
-                let r = &h.reads[j];
-                let a = weighted_lt(&by_resp, &resp_prefix, r.inv);
-                let b = weighted_leq(&by_inv, &inv_prefix, r.resp);
-                let (spec_lo, spec_hi) = window(r.value);
-                let mut lo = spec_lo.max(a);
-                if let Some(m) = stack.max() {
-                    lo = lo.max(m);
-                }
-                let hi = spec_hi.min(b);
-                if lo > hi {
-                    return Err(Violation {
-                        message: format!(
-                            "read #{j} (window [{}, {}]) returned {} but the exact \
-                             count is confined to an empty window: need ≥ {lo}, ≤ {hi} \
-                             (forced-before A = {a}, possible-before B = {b})",
-                            r.inv, r.resp, r.value
-                        ),
-                    });
-                }
-                assigned[j] = lo;
-            }
-            Event::Insert(j) => {
-                stack.insert(h.reads[j].resp, assigned[j]);
-            }
-            Event::IncArrival(i) => {
-                let (inv, amount) = arrivals[i];
-                stack.raise_before(inv, u128::from(amount));
-            }
-        }
-    }
-    Ok(())
+    })
 }
 
 /// Check a max-register history against the k-multiplicative-accurate max
 /// register specification (`k = 1` for the exact max register).
-pub fn check_maxreg(h: &MaxRegHistory, k: u64) -> Result<(), Violation> {
-    assert!(k >= 1);
-    let kk = u128::from(k);
-
-    // Completed writes as (resp, value), with prefix maxima in resp order.
-    let mut by_resp: Vec<(u64, u64)> = h
-        .writes
-        .iter()
-        .filter_map(|w| w.window.resp.map(|t| (t, w.value)))
-        .collect();
-    by_resp.sort_unstable();
-    let mut resp_prefix_max: Vec<u64> = Vec::with_capacity(by_resp.len());
-    let mut run = 0;
-    for &(_, v) in &by_resp {
-        run = run.max(v);
-        resp_prefix_max.push(run);
-    }
-    // Largest completed write strictly before time t.
-    let max_completed_before = |t: u64| -> u128 {
-        let cnt = count_lt_key(&by_resp, t);
-        if cnt == 0 {
-            0
-        } else {
-            u128::from(resp_prefix_max[cnt - 1])
-        }
-    };
-
-    // Event-ordered sweep: write invocations (computing ev) interleaved
-    // with read responses (finalizing minimal maxima). At equal times a
-    // write invocation is processed first, so `w.inv <= r.resp` witnesses
-    // are available, while `r'.resp < w.inv` reads are strictly earlier.
-    #[derive(Clone, Copy)]
-    enum Event {
-        WriteInv(usize),
-        ReadResp(usize),
-    }
-    let mut events: Vec<(u64, u8, Event)> = Vec::new();
-    for (i, w) in h.writes.iter().enumerate() {
-        events.push((w.window.inv, 0, Event::WriteInv(i)));
-    }
-    for (i, r) in h.reads.iter().enumerate() {
-        events.push((r.resp, 1, Event::ReadResp(i)));
-    }
-    events.sort_by_key(|&(t, tie, _)| (t, tie));
-
-    // Finalized reads as (resp, running max of minimal maxima), in
-    // response order.
-    let mut read_chain: Vec<(u64, u128)> = Vec::new();
-    let max_read_before = |chain: &[(u64, u128)], t: u64| -> u128 {
-        let cnt = chain.partition_point(|&(resp, _)| resp < t);
-        if cnt == 0 {
-            0
-        } else {
-            chain[cnt - 1].1
-        }
-    };
-    // Effective values of writes whose invocation the sweep has passed.
-    let mut witnesses: Vec<u128> = Vec::new();
-
-    for &(_, _, ev) in &events {
-        match ev {
-            Event::WriteInv(i) => {
-                let w = &h.writes[i];
-                let forced = max_completed_before(w.window.inv)
-                    .max(max_read_before(&read_chain, w.window.inv));
-                witnesses.push(u128::from(w.value).max(forced));
-            }
-            Event::ReadResp(i) => {
-                let r = &h.reads[i];
-                let spec_lo = r.value.div_ceil(kk.max(1)).min(r.value);
-                let spec_hi = r.value.saturating_mul(kk);
-                let base = max_completed_before(r.inv).max(max_read_before(&read_chain, r.inv));
-                let m = if base >= spec_lo {
-                    // The forced maximum alone is admissible (and
-                    // realized) -- no extra witness needed.
-                    (base <= spec_hi).then_some(base)
-                } else {
-                    // Need a witness write (invoked at or before r.resp --
-                    // a write w may precede r iff r does not strictly
-                    // precede w) whose effective value is admissible.
-                    witnesses
-                        .iter()
-                        .copied()
-                        .filter(|&ev| ev >= spec_lo && ev <= spec_hi)
-                        .min()
-                };
-                match m {
-                    Some(m) => {
-                        let running = read_chain.last().map_or(0, |&(_, x)| x).max(m);
-                        read_chain.push((r.resp, running));
-                    }
-                    None => {
-                        return Err(Violation {
-                            message: format!(
-                                "read #{i} (window [{}, {}]) returned {} but \
-                                 no admissible maximum exists: forced maximum \
-                                 {base}, admissible value window [{spec_lo}, \
-                                 {spec_hi}], and no write invoked at or before \
-                                 the response timestamp {} has an effective \
-                                 value in that window (k = {k})",
-                                r.inv, r.resp, r.value, r.resp
-                            ),
-                        })
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Prefix sums of the weights of a time-sorted `(time, weight)` slice.
-/// With [`weighted_lt`]/[`weighted_leq`], the weighted-count primitive
-/// shared by both checker engines and by history generators that must
-/// agree with their boundary semantics (e.g. `exp_checker`).
 ///
-/// The slice **must** be sorted by time: the companion lookups run
-/// `partition_point`, which silently returns garbage on unsorted
-/// input. All three functions `debug_assert!` the contract, so a
-/// violation panics in debug builds instead of corrupting verdicts.
-pub fn prefix_sums(sorted: &[(u64, u64)]) -> Vec<u128> {
-    debug_assert!(
-        sorted.windows(2).all(|w| w[0].0 <= w[1].0),
-        "prefix_sums requires a time-sorted slice"
-    );
-    let mut out = Vec::with_capacity(sorted.len());
-    let mut run: u128 = 0;
-    for &(_, w) in sorted {
-        run += u128::from(w);
-        out.push(run);
-    }
-    out
-}
-
-/// Total weight of entries with time strictly less than `t`.
-/// `sorted` must be time-sorted (see [`prefix_sums`]).
-pub fn weighted_lt(sorted: &[(u64, u64)], prefix: &[u128], t: u64) -> u128 {
-    debug_assert!(
-        sorted.windows(2).all(|w| w[0].0 <= w[1].0),
-        "weighted_lt requires a time-sorted slice"
-    );
-    let cnt = sorted.partition_point(|&(x, _)| x < t);
-    if cnt == 0 {
-        0
-    } else {
-        prefix[cnt - 1]
-    }
-}
-
-/// Total weight of entries with time less than or equal to `t`.
-/// `sorted` must be time-sorted (see [`prefix_sums`]).
-pub fn weighted_leq(sorted: &[(u64, u64)], prefix: &[u128], t: u64) -> u128 {
-    debug_assert!(
-        sorted.windows(2).all(|w| w[0].0 <= w[1].0),
-        "weighted_leq requires a time-sorted slice"
-    );
-    let cnt = sorted.partition_point(|&(x, _)| x <= t);
-    if cnt == 0 {
-        0
-    } else {
-        prefix[cnt - 1]
-    }
-}
-
-/// Elements of a key-sorted slice with key strictly less than `t`.
-fn count_lt_key(sorted: &[(u64, u64)], t: u64) -> usize {
-    sorted.partition_point(|&(x, _)| x < t)
+/// # Panics
+/// If `k = 0`, or on a malformed window (see the [module docs](self)).
+pub fn check_maxreg(h: &MaxRegHistory, k: u64) -> Result<(), Violation> {
+    let reads = h.reads.len();
+    OnlineChecker::maxreg(k).check_sorted(reads + h.writes.len(), |i| match h.reads.get(i) {
+        Some(r) => (i, OpKind::Read { returned: r.value }, r.inv, Some(r.resp)),
+        None => {
+            let w = &h.writes[i - reads];
+            let kind = OpKind::Write { value: w.value };
+            (i, kind, w.window.inv, w.window.resp)
+        }
+    })
 }
 
 #[cfg(test)]
@@ -568,17 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_window_checker() {
-        // A "never below half" spec via the generic entry point.
-        let h = CounterHistory {
-            incs: vec![inc(0, 1), inc(2, 3)],
-            reads: vec![read(4, 5, 1)],
-        };
-        assert!(check_counter_with(&h, |x| (x, x * 2)).is_ok());
-        assert!(check_counter_with(&h, |x| (x, x)).is_err());
-    }
-
-    #[test]
     fn pending_increment_is_optional() {
         for ret in [0u128, 1] {
             let h = CounterHistory {
@@ -682,24 +444,23 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "time-sorted")]
-    fn prefix_sums_panics_on_unsorted_slice_in_debug() {
-        let _ = prefix_sums(&[(5, 1), (2, 1)]);
+    #[should_panic(expected = "window must satisfy inv < resp")]
+    fn malformed_counter_read_window_panics() {
+        let h = CounterHistory {
+            incs: vec![inc(0, 1)],
+            reads: vec![read(3, 3, 1)],
+        };
+        let _ = check_counter(&h, 1);
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "time-sorted")]
-    fn weighted_lt_panics_on_unsorted_slice_in_debug() {
-        let _ = weighted_lt(&[(5, 1), (2, 1)], &[1, 2], 3);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "time-sorted")]
-    fn weighted_leq_panics_on_unsorted_slice_in_debug() {
-        let _ = weighted_leq(&[(5, 1), (2, 1)], &[1, 2], 3);
+    #[should_panic(expected = "window must satisfy inv < resp")]
+    fn malformed_maxreg_read_window_panics() {
+        let h = MaxRegHistory {
+            writes: vec![write(0, 1, 5)],
+            reads: vec![read(4, 2, 5)],
+        };
+        let _ = check_maxreg(&h, 1);
     }
 
     #[test]

@@ -8,16 +8,16 @@
 //! * [`check_maxreg`] evaluates the max-register greedy with plain
 //!   quadratic scans instead of the event sweep — `O(R·W + W²)`.
 //!
-//! Both decide the same predicates as their [`monotone`] counterparts;
-//! their sole purpose is cross-validation (`tests/cross_validation.rs`
-//! compares the engines on thousands of randomized histories, and
-//! `exp_checker` measures the asymptotic gap). Do not use them on large
-//! histories.
+//! Both decide the same predicates as the engine behind their
+//! [`monotone`] counterparts; their sole purpose is cross-validation
+//! (`tests/cross_validation.rs` and `tests/online_differential.rs`
+//! compare them with the engine on thousands of randomized histories,
+//! and `exp_checker` measures the asymptotic gap). Do not use them on
+//! large histories.
 //!
 //! [`monotone`]: crate::monotone
 
 use crate::history::{CounterHistory, MaxRegHistory, Violation};
-use crate::monotone::{prefix_sums, weighted_leq, weighted_lt};
 
 /// Pairwise-reference check of a counter history against the
 /// k-multiplicative spec (`k = 1` for the exact counter).
@@ -186,6 +186,59 @@ pub fn check_maxreg(h: &MaxRegHistory, k: u64) -> Result<(), Violation> {
     Ok(())
 }
 
+/// Prefix sums of the weights of a time-sorted `(time, weight)` slice.
+/// With [`weighted_lt`]/[`weighted_leq`], the weighted-count primitive
+/// of the pairwise reference, shared with history generators that must
+/// agree with its boundary semantics (e.g. `exp_checker`).
+///
+/// The slice **must** be sorted by time: the companion lookups run
+/// `partition_point`, which silently returns garbage on unsorted
+/// input. All three functions `debug_assert!` the contract, so a
+/// violation panics in debug builds instead of corrupting verdicts.
+pub fn prefix_sums(sorted: &[(u64, u64)]) -> Vec<u128> {
+    debug_assert!(
+        sorted.windows(2).all(|w| w[0].0 <= w[1].0),
+        "prefix_sums requires a time-sorted slice"
+    );
+    let mut out = Vec::with_capacity(sorted.len());
+    let mut run: u128 = 0;
+    for &(_, w) in sorted {
+        run += u128::from(w);
+        out.push(run);
+    }
+    out
+}
+
+/// Total weight of entries with time strictly less than `t`.
+/// `sorted` must be time-sorted (see [`prefix_sums`]).
+pub fn weighted_lt(sorted: &[(u64, u64)], prefix: &[u128], t: u64) -> u128 {
+    debug_assert!(
+        sorted.windows(2).all(|w| w[0].0 <= w[1].0),
+        "weighted_lt requires a time-sorted slice"
+    );
+    let cnt = sorted.partition_point(|&(x, _)| x < t);
+    if cnt == 0 {
+        0
+    } else {
+        prefix[cnt - 1]
+    }
+}
+
+/// Total weight of entries with time less than or equal to `t`.
+/// `sorted` must be time-sorted (see [`prefix_sums`]).
+pub fn weighted_leq(sorted: &[(u64, u64)], prefix: &[u128], t: u64) -> u128 {
+    debug_assert!(
+        sorted.windows(2).all(|w| w[0].0 <= w[1].0),
+        "weighted_leq requires a time-sorted slice"
+    );
+    let cnt = sorted.partition_point(|&(x, _)| x <= t);
+    if cnt == 0 {
+        0
+    } else {
+        prefix[cnt - 1]
+    }
+}
+
 /// A Fenwick (binary indexed) tree over `len` slots, counting weighted
 /// points.
 struct Fenwick {
@@ -259,6 +312,27 @@ mod tests {
         assert_eq!(f.prefix(8), 4);
         assert_eq!(f.count_suffix(4), 1);
         assert_eq!(f.count_suffix(0), 4);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "time-sorted")]
+    fn prefix_sums_panics_on_unsorted_slice_in_debug() {
+        let _ = prefix_sums(&[(5, 1), (2, 1)]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "time-sorted")]
+    fn weighted_lt_panics_on_unsorted_slice_in_debug() {
+        let _ = weighted_lt(&[(5, 1), (2, 1)], &[1, 2], 3);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "time-sorted")]
+    fn weighted_leq_panics_on_unsorted_slice_in_debug() {
+        let _ = weighted_leq(&[(5, 1), (2, 1)], &[1, 2], 3);
     }
 
     #[test]

@@ -1,35 +1,35 @@
-//! Streaming (online) linearizability checking: the monotone sweep of
-//! [`crate::monotone`], re-expressed as a push-driven state machine
-//! that consumes [`OpRecord`]s one at a time and keeps retained state
-//! proportional to the number of *concurrently open* operations, not
-//! to the length of the history.
+//! The crate's linearizability engine: the greedy monotone sweep for the
+//! counter and max-register specifications (derived in
+//! [`crate::monotone`]), as a push-driven state machine that consumes
+//! [`OpRecord`]s one at a time and keeps retained state proportional to
+//! the number of *concurrently open* operations, not to the length of
+//! the history.
 //!
-//! # How the offline sweep becomes incremental
+//! It runs in two ways. Inline, [`LinearizabilityPass`] pushes a live
+//! run's records as they happen. Post hoc, the entry points in
+//! [`crate::monotone`] and [`crate::records`] sort a finished history
+//! into the same stream and push it through (`check_sorted`).
 //!
-//! The offline counter sweep processes three event types in timestamp
-//! order — a read's *query* at its invocation, its *insert* at its
-//! response, and a completed increment's *arrival* at its response —
-//! and resolves each query against two global weighted tables
-//! (`A` = completed-before weight, `B` = possibly-before weight) plus
-//! the monotone stack of earlier read assignments. All three inputs
-//! are prefix quantities of the very stream the sweep walks, so a
-//! push-driven checker needs no tables at all:
+//! [`LinearizabilityPass`]: crate::LinearizabilityPass
 //!
-//! * `A` at a read's invocation is the running sum of completed
-//!   increment amounts — *captured when the read is announced*;
-//! * `B` at a read's response is the running sum of announced
-//!   increment amounts — read when the read completes;
-//! * the stack maximum a query observes is the stack's state at the
-//!   read's invocation — also captured at announcement.
+//! # The sweep as a stream
 //!
-//! Both engines therefore split every operation into an
-//! **announcement** (at `inv`, before any same-timestamp completion)
-//! and a **completion** (at `resp`); the per-operation capture lives
-//! in a small per-process map while the operation is open and dies
-//! with its completion (or crash). Verdicts are identical to the
-//! offline sweep — only the *detection point* moves, from a read's
-//! invocation (where the offline sweep evaluates its query) to its
-//! response (where the online checker has finally seen `B`).
+//! Every operation splits into an **announcement** (at `inv`, before
+//! any same-timestamp completion) and a **completion** (at `resp`). A
+//! counter read's window needs three quantities, and each is a prefix
+//! quantity of that stream:
+//!
+//! * `A` (completed-before weight) is the running sum of completed
+//!   increment amounts, *captured when the read is announced*;
+//! * `B` (possibly-before weight) is the running sum of announced
+//!   increment amounts, read when the read completes;
+//! * the cross-read bound is the maximum of the monotone stack of
+//!   earlier read assignments, also captured at announcement.
+//!
+//! The per-operation capture lives in a slot indexed by pid while the
+//! operation is open and dies with its completion (or crash). A read
+//! is judged at its response, where `B` is finally known; reads are
+//! numbered in completion order in violation messages.
 //!
 //! # Watermark retirement: why retained state stays bounded
 //!
@@ -39,14 +39,17 @@
 //! boundary — and those boundaries are exactly the invocation
 //! timestamps of the increments currently in flight (a not-yet-seen
 //! increment invokes in the future, above every stack key). The
-//! checker keeps that boundary set as a multiset of open-increment
-//! invocations and periodically folds every adjacent pair of stack
-//! entries whose gap contains no boundary
-//! ([`MonotoneStack::fold_and_compact`]); after a fold the live stack
-//! has at most `open increments + 1` entries. Folding is triggered
-//! when the live count has doubled since the last fold, so its `O(live)`
-//! cost amortizes to `O(1)` per record. The max-register engine's
-//! analogue prunes its witness set below
+//! checker keeps those invocations in announcement order, which the
+//! push contract makes nondecreasing, so the list is sorted without
+//! ever being sorted; a finished increment leaves a tombstone that a
+//! later compaction sweeps out. The checker periodically folds every
+//! adjacent pair of stack entries whose gap contains no live boundary
+//! ([`MonotoneStack::fold_and_compact`], walking the boundaries with a
+//! single cursor); after a fold the live stack has at most
+//! `open increments + 1` entries. Folding is triggered when the live
+//! count has doubled since the last fold, so its `O(live)` cost
+//! amortizes to `O(1)` per record. The max-register engine's analogue
+//! prunes its witness set below
 //! `min(max(completed write, finalized read), min open-read base)` —
 //! values at or below that floor can never again be selected.
 //!
@@ -63,20 +66,24 @@
 //! contract is *detected*, not undefined: the checker returns a
 //! violation, which is what lets tests feed it deliberately reordered
 //! streams and watch it object.
+//!
+//! Pids are dense process indices (a driver's `0..n`): open operations
+//! live in a table indexed by pid, which grows to the largest pid seen.
 
-use crate::history::{CounterHistory, MaxRegHistory, Violation};
+use crate::history::{UnsupportedOp, Violation};
 use crate::sweep::MonotoneStack;
 use smr::{OpKind, OpRecord};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::ops::Bound::{Excluded, Included};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 /// Shared metric handles, resolved once per process. Pushes and folds
 /// are the checker's two cost centers (per-record work and the
 /// amortized compaction that keeps retained state bounded); the
-/// retained gauge mirrors the peak so a snapshot shows how far the
-/// streaming bound was stressed without calling
-/// [`OnlineChecker::peak_retained`] on a live checker.
+/// retained gauge mirrors the peak of every checker fed record by
+/// record, so a snapshot shows how far the streaming bound was stressed
+/// without calling [`OnlineChecker::peak_retained`] on a live checker.
+/// Post-hoc checks ([`OnlineChecker::check_sorted`]) exercise no
+/// streaming bound and leave the gauge alone.
 struct CheckerMetrics {
     pushes: &'static obs::Counter,
     folds: &'static obs::Counter,
@@ -106,9 +113,7 @@ pub enum CounterSpec {
 }
 
 impl CounterSpec {
-    /// The inclusive window of exact counts admitting a read of `x` —
-    /// identical to the closures the offline entry points pass to
-    /// `check_counter_with`.
+    /// The inclusive window of exact counts admitting a read of `x`.
     pub fn window(self, x: u128) -> (u128, u128) {
         match self {
             CounterSpec::Multiplicative(k) => {
@@ -123,20 +128,60 @@ impl CounterSpec {
     }
 }
 
+/// Open operations, indexed by pid.
+struct OpenOps<T> {
+    slots: Vec<Option<T>>,
+    len: usize,
+}
+
+impl<T> OpenOps<T> {
+    fn new() -> Self {
+        OpenOps {
+            slots: Vec::new(),
+            len: 0,
+        }
+    }
+
+    fn contains(&self, pid: usize) -> bool {
+        matches!(self.slots.get(pid), Some(Some(_)))
+    }
+
+    /// Open `op` for `pid`, which must have no open operation.
+    fn open(&mut self, pid: usize, op: T) {
+        if pid >= self.slots.len() {
+            self.slots.resize_with(pid + 1, || None);
+        }
+        debug_assert!(self.slots[pid].is_none());
+        self.slots[pid] = Some(op);
+        self.len += 1;
+    }
+
+    fn close(&mut self, pid: usize) -> Option<T> {
+        let op = self.slots.get_mut(pid)?.take();
+        self.len -= usize::from(op.is_some());
+        op
+    }
+}
+
 /// What a process's open operation captured at announcement time.
 enum OpenCounterOp {
     Read {
         inv: u64,
         /// `A`: completed-increment weight at the read's invocation.
         a: u128,
-        /// Stack maximum at the read's invocation.
-        m: Option<u128>,
+        /// Stack maximum at the read's invocation (0 while empty).
+        m: u128,
     },
     Inc {
         inv: u64,
         amount: u64,
+        /// Index of this increment's entry in `CounterState::in_flight`.
+        entry: usize,
     },
 }
+
+/// Marks a finished increment's entry in `CounterState::in_flight`.
+const TOMBSTONE: usize = usize::MAX;
 
 struct CounterState {
     spec: CounterSpec,
@@ -145,10 +190,15 @@ struct CounterState {
     /// Running weight of *announced* increments (`B` source).
     announced: u128,
     stack: MonotoneStack,
-    open: HashMap<usize, OpenCounterOp>,
-    /// Multiset of in-flight increment invocations — the only possible
-    /// future `raise_before` boundaries at or below current stack keys.
-    seps: BTreeMap<u64, u32>,
+    open: OpenOps<OpenCounterOp>,
+    /// `(inv, pid)` of every increment announced since the last
+    /// compaction, in announcement (hence nondecreasing `inv`) order;
+    /// `pid` is [`TOMBSTONE`] once the increment completed or crashed.
+    /// The live entries are the only possible future `raise_before`
+    /// boundaries at or below current stack keys.
+    in_flight: Vec<(u64, usize)>,
+    /// Live (non-tombstone) entries of `in_flight`.
+    in_flight_live: usize,
     /// Live stack size right after the last fold; the next fold fires
     /// when the live count has (roughly) doubled past it.
     fold_floor: usize,
@@ -173,7 +223,7 @@ struct MaxRegState {
     /// suffices: reads only ever take the *minimum* admissible witness
     /// in a value range, so multiplicity is irrelevant.
     witnesses: BTreeSet<u128>,
-    open: HashMap<usize, OpenMaxRegOp>,
+    open: OpenOps<OpenMaxRegOp>,
     /// Multiset of open-read bases, for the witness retirement floor.
     bases: BTreeMap<u128, u32>,
 }
@@ -212,13 +262,17 @@ impl OnlineChecker {
 
     /// Checker for an arbitrary [`CounterSpec`].
     pub fn counter_with(spec: CounterSpec) -> Self {
+        // Sized so that checking an explorer cut (a handful of records)
+        // allocates each buffer once instead of regrowing it.
+        const SMALL: usize = 16;
         OnlineChecker::new(Inner::Counter(CounterState {
             spec,
             completed: 0,
             announced: 0,
-            stack: MonotoneStack::with_capacity(64),
-            open: HashMap::new(),
-            seps: BTreeMap::new(),
+            stack: MonotoneStack::with_capacity(SMALL),
+            open: OpenOps::new(),
+            in_flight: Vec::with_capacity(SMALL),
+            in_flight_live: 0,
             fold_floor: 0,
         }))
     }
@@ -231,7 +285,7 @@ impl OnlineChecker {
             cwm: 0,
             frm: 0,
             witnesses: BTreeSet::new(),
-            open: HashMap::new(),
+            open: OpenOps::new(),
             bases: BTreeMap::new(),
         }))
     }
@@ -252,8 +306,8 @@ impl OnlineChecker {
     /// of concurrently open operations.
     pub fn retained(&self) -> usize {
         match &self.inner {
-            Inner::Counter(c) => c.open.len() + c.stack.live_len(),
-            Inner::MaxReg(m) => m.open.len() + m.witnesses.len(),
+            Inner::Counter(c) => c.open.len + c.stack.live_len(),
+            Inner::MaxReg(m) => m.open.len + m.witnesses.len(),
         }
     }
 
@@ -277,14 +331,10 @@ impl OnlineChecker {
         }
         let result = match rec.resp {
             None => self.announce(rec.pid, rec.kind, rec.inv),
-            Some(resp) => {
-                if self.has_open(rec.pid) {
-                    self.complete(rec.pid, rec.kind, resp)
-                } else {
-                    self.announce(rec.pid, rec.kind, rec.inv)
-                        .and_then(|()| self.complete(rec.pid, rec.kind, resp))
-                }
-            }
+            Some(resp) if self.has_open(rec.pid) => self.complete(rec.pid, rec.kind, resp),
+            Some(resp) => self
+                .announce(rec.pid, rec.kind, rec.inv)
+                .and_then(|()| self.complete(rec.pid, rec.kind, resp)),
         };
         if let Err(v) = &result {
             self.failed = Some(v.clone());
@@ -302,6 +352,47 @@ impl OnlineChecker {
         result
     }
 
+    /// Check a finished history of `n` operations in one pass: the
+    /// sorted feed behind every post-hoc entry point. `op(i)` describes
+    /// operation `i` as `(pid, kind, inv, resp)`.
+    ///
+    /// Each operation is announced at `inv` and, if it completed,
+    /// completes at `resp`. A pending operation (`resp: None`) is
+    /// announced and then [crashed](Self::crash): its effect stays
+    /// optional and it never completes. The events are pushed in
+    /// [`push_order`], so the push-order contract holds by construction.
+    ///
+    /// # Panics
+    /// If a completed operation has `inv ≥ resp` — a malformed window
+    /// ([`Interval::done`](crate::Interval::done) enforces the same
+    /// invariant, and driver records satisfy it by construction).
+    pub(crate) fn check_sorted<F>(mut self, n: usize, op: F) -> Result<(), Violation>
+    where
+        F: Fn(usize) -> (usize, OpKind, u64, Option<u64>),
+    {
+        let mut pushed = 0;
+        let mut result = Ok(());
+        for (_, tag) in push_order(n, &op) {
+            let (pid, kind, inv, resp) = op((tag & !COMPLETION) as usize);
+            pushed += 1;
+            result = if tag & COMPLETION != 0 {
+                let resp = resp.expect("only completed operations have a completion");
+                self.complete(pid, kind, resp)
+            } else {
+                let announced = self.announce(pid, kind, inv);
+                if resp.is_none() {
+                    self.crash(pid);
+                }
+                announced
+            };
+            if result.is_err() {
+                break;
+            }
+        }
+        metrics().pushes.add(pushed);
+        result
+    }
+
     /// The process crashed: its open operation (if any) never
     /// completes. A crashed read imposes no constraint and is dropped;
     /// a crashed increment keeps its announced weight (it may have
@@ -310,11 +401,11 @@ impl OnlineChecker {
     /// (it may have taken effect).
     pub fn crash(&mut self, pid: usize) {
         match &mut self.inner {
-            Inner::Counter(c) => match c.open.remove(&pid) {
-                Some(OpenCounterOp::Inc { inv, .. }) => remove_sep(&mut c.seps, inv),
+            Inner::Counter(c) => match c.open.close(pid) {
+                Some(OpenCounterOp::Inc { entry, .. }) => c.retire_in_flight(entry),
                 Some(OpenCounterOp::Read { .. }) | None => {}
             },
-            Inner::MaxReg(m) => match m.open.remove(&pid) {
+            Inner::MaxReg(m) => match m.open.close(pid) {
                 Some(OpenMaxRegOp::Read { base, .. }) => {
                     remove_base(&mut m.bases, base);
                     m.prune_witnesses();
@@ -325,9 +416,8 @@ impl OnlineChecker {
     }
 
     /// Finish the stream. Operations still open are pending records:
-    /// they impose no further constraints (exactly as the offline
-    /// extractors treat them), so this only re-reports a sticky
-    /// violation, if any.
+    /// they impose no further constraints, so this only re-reports a
+    /// sticky violation, if any.
     pub fn finish(&mut self) -> Result<(), Violation> {
         match &self.failed {
             Some(v) => Err(v.clone()),
@@ -337,8 +427,8 @@ impl OnlineChecker {
 
     pub(crate) fn has_open(&self, pid: usize) -> bool {
         match &self.inner {
-            Inner::Counter(c) => c.open.contains_key(&pid),
-            Inner::MaxReg(m) => m.open.contains_key(&pid),
+            Inner::Counter(c) => c.open.contains(pid),
+            Inner::MaxReg(m) => m.open.contains(pid),
         }
     }
 
@@ -362,24 +452,30 @@ impl OnlineChecker {
 
     fn announce(&mut self, pid: usize, kind: OpKind, inv: u64) -> Result<(), Violation> {
         self.advance((inv, 0), "announcement")?;
+        if self.has_open(pid) {
+            return Err(overlap_violation(pid, inv));
+        }
         match &mut self.inner {
             Inner::Counter(c) => {
                 let op = match kind {
                     OpKind::Inc { amount } => {
                         c.announced += u128::from(amount);
-                        *c.seps.entry(inv).or_insert(0) += 1;
-                        OpenCounterOp::Inc { inv, amount }
+                        c.in_flight.push((inv, pid));
+                        c.in_flight_live += 1;
+                        OpenCounterOp::Inc {
+                            inv,
+                            amount,
+                            entry: c.in_flight.len() - 1,
+                        }
                     }
                     OpKind::Read { .. } => OpenCounterOp::Read {
                         inv,
                         a: c.completed,
-                        m: c.stack.max(),
+                        m: c.stack.max().unwrap_or(0),
                     },
                     other => return Err(vocabulary_violation(pid, other, "counter")),
                 };
-                if c.open.insert(pid, op).is_some() {
-                    return Err(overlap_violation(pid, inv));
-                }
+                c.open.open(pid, op);
             }
             Inner::MaxReg(m) => {
                 let op = match kind {
@@ -393,11 +489,9 @@ impl OnlineChecker {
                         *m.bases.entry(base).or_insert(0) += 1;
                         OpenMaxRegOp::Read { inv, base }
                     }
-                    other => return Err(vocabulary_violation(pid, other, "max register")),
+                    other => return Err(vocabulary_violation(pid, other, "max-register")),
                 };
-                if m.open.insert(pid, op).is_some() {
-                    return Err(overlap_violation(pid, inv));
-                }
+                m.open.open(pid, op);
             }
         }
         Ok(())
@@ -405,19 +499,18 @@ impl OnlineChecker {
 
     fn complete(&mut self, pid: usize, kind: OpKind, resp: u64) -> Result<(), Violation> {
         self.advance((resp, 1), "completion")?;
-        let now = self.frontier.0;
         match &mut self.inner {
-            Inner::Counter(c) => match (c.open.remove(&pid), kind) {
-                (Some(OpenCounterOp::Inc { inv, amount }), _) => {
+            Inner::Counter(c) => match (c.open.close(pid), kind) {
+                (Some(OpenCounterOp::Inc { inv, amount, entry }), _) => {
                     c.completed += u128::from(amount);
-                    remove_sep(&mut c.seps, inv);
+                    c.retire_in_flight(entry);
                     c.stack.raise_before(inv, u128::from(amount));
-                    c.maybe_fold(now);
+                    c.maybe_fold(resp);
                 }
                 (Some(OpenCounterOp::Read { inv, a, m }), OpKind::Read { returned }) => {
                     let b = c.announced;
                     let (spec_lo, spec_hi) = c.spec.window(returned);
-                    let lo = spec_lo.max(a).max(m.unwrap_or(0));
+                    let lo = spec_lo.max(a).max(m);
                     let hi = spec_hi.min(b);
                     let j = self.reads_checked;
                     if lo > hi {
@@ -432,14 +525,14 @@ impl OnlineChecker {
                     }
                     self.reads_checked += 1;
                     c.stack.insert(resp, lo);
-                    c.maybe_fold(now);
+                    c.maybe_fold(resp);
                 }
                 (Some(OpenCounterOp::Read { .. }), other) => {
                     return Err(vocabulary_violation(pid, other, "counter"));
                 }
-                (None, _) => unreachable!("push() announces before completing"),
+                (None, _) => unreachable!("announce precedes every completion"),
             },
-            Inner::MaxReg(m) => match (m.open.remove(&pid), kind) {
+            Inner::MaxReg(m) => match (m.open.close(pid), kind) {
                 (Some(OpenMaxRegOp::Write), _) => {
                     if let OpKind::Write { value } = kind {
                         m.cwm = m.cwm.max(u128::from(value));
@@ -448,8 +541,9 @@ impl OnlineChecker {
                 }
                 (Some(OpenMaxRegOp::Read { inv, base }), OpKind::Read { returned }) => {
                     remove_base(&mut m.bases, base);
-                    let spec_lo = returned.div_ceil(m.k.max(1)).min(returned);
-                    let spec_hi = returned.saturating_mul(m.k);
+                    let k = m.k;
+                    let spec_lo = returned.div_ceil(k).min(returned);
+                    let spec_hi = returned.saturating_mul(k);
                     let chosen = if base >= spec_lo {
                         (base <= spec_hi).then_some(base)
                     } else {
@@ -470,92 +564,47 @@ impl OnlineChecker {
                                      forced maximum {base}, admissible value window \
                                      [{spec_lo}, {spec_hi}], and no write invoked at \
                                      or before the response timestamp {resp} has an \
-                                     effective value in that window"
+                                     effective value in that window (k = {k})"
                                 ),
                             });
                         }
                     }
                 }
                 (Some(OpenMaxRegOp::Read { .. }), other) => {
-                    return Err(vocabulary_violation(pid, other, "max register"));
+                    return Err(vocabulary_violation(pid, other, "max-register"));
                 }
-                (None, _) => unreachable!("push() announces before completing"),
+                (None, _) => unreachable!("announce precedes every completion"),
             },
         }
         Ok(())
     }
-
-    /// Feed a whole counter history (the offline input type) through
-    /// the checker, splitting each operation into announcement and
-    /// completion events and delivering them in the offline sweep's
-    /// exact order. Convenience for differential tests and benches;
-    /// the checker must have been built by a `counter*` constructor.
-    pub fn feed_counter_history(&mut self, h: &CounterHistory) -> Result<(), Violation> {
-        assert!(
-            matches!(self.inner, Inner::Counter(_)),
-            "feed_counter_history on a max-register checker"
-        );
-        // (timestamp, phase, record). Reads first, then increments,
-        // stably sorted — the same relative order the offline sweep's
-        // event vector ends up in, so equal-timestamp processing
-        // matches it operation for operation.
-        let mut events: Vec<(u64, u8, OpRecord)> =
-            Vec::with_capacity(2 * (h.reads.len() + h.incs.len()));
-        for (j, r) in h.reads.iter().enumerate() {
-            let pid = j;
-            let kind = OpKind::Read { returned: r.value };
-            events.push((r.inv, 0, announce_rec(pid, kind, r.inv)));
-            events.push((r.resp, 1, complete_rec(pid, kind, r.inv, r.resp)));
-        }
-        for (i, inc) in h.incs.iter().enumerate() {
-            let pid = h.reads.len() + i;
-            let kind = OpKind::Inc { amount: inc.amount };
-            let inv = inc.window.inv;
-            events.push((inv, 0, announce_rec(pid, kind, inv)));
-            if let Some(resp) = inc.window.resp {
-                events.push((resp, 1, complete_rec(pid, kind, inv, resp)));
-            }
-        }
-        events.sort_by_key(|&(t, tie, _)| (t, tie));
-        for (_, _, rec) in &events {
-            self.push(rec)?;
-        }
-        self.finish()
-    }
-
-    /// Max-register analogue of
-    /// [`feed_counter_history`](Self::feed_counter_history).
-    pub fn feed_maxreg_history(&mut self, h: &MaxRegHistory) -> Result<(), Violation> {
-        assert!(
-            matches!(self.inner, Inner::MaxReg(_)),
-            "feed_maxreg_history on a counter checker"
-        );
-        let mut events: Vec<(u64, u8, OpRecord)> =
-            Vec::with_capacity(2 * (h.reads.len() + h.writes.len()));
-        for (j, r) in h.reads.iter().enumerate() {
-            let pid = j;
-            let kind = OpKind::Read { returned: r.value };
-            events.push((r.inv, 0, announce_rec(pid, kind, r.inv)));
-            events.push((r.resp, 1, complete_rec(pid, kind, r.inv, r.resp)));
-        }
-        for (i, w) in h.writes.iter().enumerate() {
-            let pid = h.reads.len() + i;
-            let kind = OpKind::Write { value: w.value };
-            let inv = w.window.inv;
-            events.push((inv, 0, announce_rec(pid, kind, inv)));
-            if let Some(resp) = w.window.resp {
-                events.push((resp, 1, complete_rec(pid, kind, inv, resp)));
-            }
-        }
-        events.sort_by_key(|&(t, tie, _)| (t, tie));
-        for (_, _, rec) in &events {
-            self.push(rec)?;
-        }
-        self.finish()
-    }
 }
 
 impl CounterState {
+    /// Tombstone a finished increment's `in_flight` entry; compact once
+    /// tombstones outnumber live entries, so the list stays within a
+    /// constant factor of the increments in flight.
+    fn retire_in_flight(&mut self, entry: usize) {
+        self.in_flight[entry].1 = TOMBSTONE;
+        self.in_flight_live -= 1;
+        if self.in_flight.len() < 2 * self.in_flight_live + 32 {
+            return;
+        }
+        let mut kept = 0;
+        for i in 0..self.in_flight.len() {
+            let (inv, pid) = self.in_flight[i];
+            if pid == TOMBSTONE {
+                continue;
+            }
+            if let Some(Some(OpenCounterOp::Inc { entry, .. })) = self.open.slots.get_mut(pid) {
+                *entry = kept;
+            }
+            self.in_flight[kept] = (inv, pid);
+            kept += 1;
+        }
+        self.in_flight.truncate(kept);
+    }
+
     /// Fold + compact when the live stack has doubled since the last
     /// fold. A gap `(lo, hi]` is protected while an in-flight
     /// increment's invocation lies in it — or while `hi` is still at
@@ -567,9 +616,18 @@ impl CounterState {
             return;
         }
         metrics().folds.inc();
-        let seps = &self.seps;
+        // The fold asks about consecutive gaps left to right, so one
+        // cursor walks the sorted invocations: everything at or below
+        // a gap's `lo`, and every tombstone, is behind all later gaps.
+        let in_flight = &self.in_flight;
+        let mut cursor = 0;
         self.stack.fold_and_compact(|lo, hi| {
-            hi >= now || seps.range((Excluded(lo), Included(hi))).next().is_some()
+            while cursor < in_flight.len()
+                && (in_flight[cursor].0 <= lo || in_flight[cursor].1 == TOMBSTONE)
+            {
+                cursor += 1;
+            }
+            hi >= now || in_flight.get(cursor).is_some_and(|&(inv, _)| inv <= hi)
         });
         self.fold_floor = self.stack.live_len();
     }
@@ -592,13 +650,34 @@ impl MaxRegState {
     }
 }
 
-fn remove_sep(seps: &mut BTreeMap<u64, u32>, inv: u64) {
-    if let Some(n) = seps.get_mut(&inv) {
-        *n -= 1;
-        if *n == 0 {
-            seps.remove(&inv);
+/// Tags a completion in [`push_order`]; the low bits are the
+/// operation index.
+const COMPLETION: u64 = 1 << 63;
+
+/// The events of the `n` operations `op` describes, as
+/// `(timestamp, tag)` keys in push order: each operation's announcement
+/// at `inv` (tagged with its index) and, if it completed, its completion
+/// at `resp` (the index plus [`COMPLETION`]). Sorting the keys puts
+/// announcements before same-timestamp completions, because the
+/// completion bit is the tag's top bit.
+///
+/// # Panics
+/// If a completed operation has `inv ≥ resp`.
+fn push_order<F>(n: usize, op: &F) -> Vec<(u64, u64)>
+where
+    F: Fn(usize) -> (usize, OpKind, u64, Option<u64>),
+{
+    let mut keys = Vec::with_capacity(2 * n);
+    for i in 0..n {
+        let (_, _, inv, resp) = op(i);
+        keys.push((inv, i as u64));
+        if let Some(resp) = resp {
+            assert!(inv < resp, "operation window must satisfy inv < resp");
+            keys.push((resp, i as u64 | COMPLETION));
         }
     }
+    keys.sort_unstable();
+    keys
 }
 
 fn remove_base(bases: &mut BTreeMap<u128, u32>, base: u128) {
@@ -610,13 +689,14 @@ fn remove_base(bases: &mut BTreeMap<u128, u32>, base: u128) {
     }
 }
 
-fn vocabulary_violation(pid: usize, kind: OpKind, expected: &str) -> Violation {
+fn vocabulary_violation(pid: usize, kind: OpKind, expected: &'static str) -> Violation {
     Violation {
-        message: format!(
-            "operation \"{}\" (pid {pid}) is not part of the {expected} \
-             vocabulary the online checker was configured for",
-            kind.label()
-        ),
+        message: UnsupportedOp {
+            pid,
+            label: kind.label(),
+            expected,
+        }
+        .to_string(),
     }
 }
 
@@ -630,49 +710,43 @@ fn overlap_violation(pid: usize, inv: u64) -> Violation {
     }
 }
 
-fn announce_rec(pid: usize, kind: OpKind, inv: u64) -> OpRecord {
-    OpRecord {
-        pid,
-        kind,
-        inv,
-        resp: None,
-        steps: 0,
-    }
-}
-
-fn complete_rec(pid: usize, kind: OpKind, inv: u64, resp: u64) -> OpRecord {
-    OpRecord {
-        pid,
-        kind,
-        inv,
-        resp: Some(resp),
-        steps: 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::{Interval, TimedInc, TimedRead, TimedWrite};
-    use crate::monotone::{check_counter, check_counter_additive, check_maxreg};
+    use crate::naive;
+    use crate::{CounterHistory, Interval, MaxRegHistory, TimedInc, TimedRead, TimedWrite};
 
-    fn inc(inv: u64, resp: u64) -> TimedInc {
-        TimedInc::unit(Interval::done(inv, resp))
-    }
-
-    fn read(inv: u64, resp: u64, value: u128) -> TimedRead {
-        TimedRead { inv, resp, value }
-    }
-
-    fn write(inv: u64, resp: u64, value: u64) -> TimedWrite {
-        TimedWrite {
-            window: Interval::done(inv, resp),
-            value,
+    /// Push every operation of `ops` as `(kind, inv, resp)` — operation
+    /// `i` on pid `i` — in stream order, the way a live run would.
+    fn stream(mut checker: OnlineChecker, ops: &[(OpKind, u64, u64)]) -> Result<(), Violation> {
+        let mut events: Vec<(u64, u8, OpRecord)> = Vec::new();
+        for (pid, &(kind, inv, resp)) in ops.iter().enumerate() {
+            events.push((inv, 0, announce_rec(pid, kind, inv)));
+            events.push((resp, 1, complete_rec(pid, kind, inv, resp)));
         }
+        events.sort_by_key(|&(t, phase, _)| (t, phase));
+        for (_, _, rec) in &events {
+            checker.push(rec)?;
+        }
+        checker.finish()
+    }
+
+    fn counter_ops(h: &CounterHistory) -> Vec<(OpKind, u64, u64)> {
+        let reads = h.reads.iter().map(|r| {
+            let kind = OpKind::Read { returned: r.value };
+            (kind, r.inv, r.resp)
+        });
+        let incs = h.incs.iter().map(|i| {
+            let kind = OpKind::Inc { amount: i.amount };
+            (kind, i.window.inv, i.window.resp.expect("completed"))
+        });
+        reads.chain(incs).collect()
     }
 
     #[test]
     fn counter_matches_offline_on_simple_histories() {
+        let inc = |inv, resp| TimedInc::unit(Interval::done(inv, resp));
+        let read = |inv, resp, value| TimedRead { inv, resp, value };
         let good = CounterHistory {
             incs: vec![inc(0, 1), inc(2, 3)],
             reads: vec![read(4, 5, 2)],
@@ -682,17 +756,22 @@ mod tests {
             reads: vec![read(2, 3, 0)],
         };
         for (h, k) in [(&good, 1), (&bad, 1), (&bad, 2)] {
-            let offline = check_counter(h, k);
-            let online = OnlineChecker::counter(k).feed_counter_history(h);
+            let offline = naive::check_counter(h, k);
+            let online = stream(OnlineChecker::counter(k), &counter_ops(h));
             assert_eq!(offline.is_ok(), online.is_ok(), "k = {k}");
-            let offline = check_counter_additive(h, k - 1);
-            let online = OnlineChecker::counter_additive(k - 1).feed_counter_history(h);
+            let offline = naive::check_counter_additive(h, k - 1);
+            let online = stream(OnlineChecker::counter_additive(k - 1), &counter_ops(h));
             assert_eq!(offline.is_ok(), online.is_ok(), "additive k = {k}");
         }
     }
 
     #[test]
     fn maxreg_matches_offline_on_simple_histories() {
+        let write = |inv, resp, value| TimedWrite {
+            window: Interval::done(inv, resp),
+            value,
+        };
+        let read = |inv, resp, value| TimedRead { inv, resp, value };
         let good = MaxRegHistory {
             writes: vec![write(0, 1, 5), write(2, 3, 3)],
             reads: vec![read(4, 5, 5)],
@@ -702,9 +781,38 @@ mod tests {
             reads: vec![read(2, 3, 3)],
         };
         for (h, k) in [(&good, 1), (&bad, 1), (&bad, 2)] {
-            let offline = check_maxreg(h, k);
-            let online = OnlineChecker::maxreg(k).feed_maxreg_history(h);
+            let ops: Vec<(OpKind, u64, u64)> = h
+                .reads
+                .iter()
+                .map(|r| (OpKind::Read { returned: r.value }, r.inv, r.resp))
+                .chain(h.writes.iter().map(|w| {
+                    let kind = OpKind::Write { value: w.value };
+                    (kind, w.window.inv, w.window.resp.expect("completed"))
+                }))
+                .collect();
+            let offline = naive::check_maxreg(h, k);
+            let online = stream(OnlineChecker::maxreg(k), &ops);
             assert_eq!(offline.is_ok(), online.is_ok(), "k = {k}");
+        }
+    }
+
+    fn announce_rec(pid: usize, kind: OpKind, inv: u64) -> OpRecord {
+        OpRecord {
+            pid,
+            kind,
+            inv,
+            resp: None,
+            steps: 0,
+        }
+    }
+
+    fn complete_rec(pid: usize, kind: OpKind, inv: u64, resp: u64) -> OpRecord {
+        OpRecord {
+            pid,
+            kind,
+            inv,
+            resp: Some(resp),
+            steps: 0,
         }
     }
 
@@ -714,12 +822,12 @@ mod tests {
         // effect) and, separately, a read of 0 (it may not have) — but
         // never forces anything.
         for value in [0u128, 1] {
-            let h = CounterHistory {
-                incs: vec![TimedInc::unit(Interval::pending(0))],
-                reads: vec![read(1, 2, value)],
-            };
-            assert!(check_counter(&h, 1).is_ok());
-            assert!(OnlineChecker::counter(1).feed_counter_history(&h).is_ok());
+            let mut c = OnlineChecker::counter(1);
+            c.push(&announce_rec(0, OpKind::Inc { amount: 1 }, 0))
+                .unwrap();
+            c.push(&complete_rec(1, OpKind::Read { returned: value }, 1, 2))
+                .unwrap();
+            assert!(c.finish().is_ok());
         }
     }
 
@@ -730,23 +838,14 @@ mod tests {
             .unwrap();
         c.crash(0);
         // The crashed increment may still have taken effect: a read of
-        // 1 is admissible...
+        // 1 is admissible. It linearizes at count ≥ 1, so a later read
+        // of 0 (hi = min(0, B = 1) = 0) must fail.
         c.push(&complete_rec(1, OpKind::Read { returned: 1 }, 1, 2))
             .unwrap();
-        // ...and so is a later read of 0 (it may not have).
-        // (Monotonicity: the read of 1 linearized at count >= ... no —
-        // lo for the read of 1 is max(spec_lo=1, A=0, m=none) = 1, so a
-        // later read of 0 with hi = min(0, B=1) = 0 must fail.)
         let err = c
             .push(&complete_rec(2, OpKind::Read { returned: 0 }, 3, 4))
             .unwrap_err();
         assert!(err.message.contains("empty window"), "{}", err.message);
-        // Offline agrees.
-        let h = CounterHistory {
-            incs: vec![TimedInc::unit(Interval::pending(0))],
-            reads: vec![read(1, 2, 1), read(3, 4, 0)],
-        };
-        assert!(check_counter(&h, 1).is_err());
     }
 
     #[test]
@@ -816,6 +915,62 @@ mod tests {
             "peak retained {} on a sequential stream",
             c.peak_retained()
         );
+    }
+
+    #[test]
+    fn in_flight_list_compacts_around_a_long_lived_increment() {
+        // One increment stays open for the whole stream while 10k short
+        // ones come and go: the in-flight list must compact around it
+        // (and keep its entry index valid) instead of growing.
+        let mut c = OnlineChecker::counter(1);
+        c.push(&announce_rec(0, OpKind::Inc { amount: 1 }, 0))
+            .unwrap();
+        let mut t = 1;
+        for _ in 0..10_000u64 {
+            c.push(&complete_rec(1, OpKind::Inc { amount: 1 }, t, t + 1))
+                .unwrap();
+            t += 2;
+        }
+        let Inner::Counter(state) = &c.inner else {
+            unreachable!()
+        };
+        assert!(state.in_flight.len() <= 34, "{}", state.in_flight.len());
+        c.push(&complete_rec(0, OpKind::Inc { amount: 1 }, 0, t))
+            .unwrap();
+        c.push(&complete_rec(
+            1,
+            OpKind::Read { returned: 10_001 },
+            t + 1,
+            t + 2,
+        ))
+        .unwrap();
+    }
+
+    #[test]
+    fn fold_keeps_apart_a_gap_holding_an_in_flight_invocation() {
+        // Read 0 returns 50 out of a long 100-unit batch. A 40-unit
+        // increment invokes right after it and completes only once 16
+        // more reads have pushed the live stack past the fold threshold,
+        // so the fold must keep read 0's entry apart: the increment's
+        // completion raises it to 90, and the final read of 70 must fail.
+        // Folding read 0 into its successor would accept that read.
+        let read = |inv, value| TimedRead {
+            inv,
+            resp: inv + 1,
+            value,
+        };
+        let batch = |inv, resp, amount| TimedInc::batch(Interval::done(inv, resp), amount);
+        let mut h = CounterHistory {
+            incs: vec![batch(0, 100, 100), batch(3, 40, 40)],
+            reads: vec![read(1, 50)],
+        };
+        h.reads
+            .extend((1..=16).map(|j| read(2 + 2 * j, 50 + u128::from(j))));
+        h.reads.push(read(41, 70));
+        assert!(naive::check_counter(&h, 1).is_err());
+        assert!(crate::monotone::check_counter(&h, 1).is_err());
+        let err = stream(OnlineChecker::counter(1), &counter_ops(&h)).unwrap_err();
+        assert!(err.message.contains("empty window"), "{}", err.message);
     }
 
     #[test]

@@ -2,30 +2,43 @@
 //! `smr::explore` hands its checker closure.
 //!
 //! The explorer's contract is `Fn(&smr::History) -> Result<(), String>`;
-//! these helpers bundle the typed extraction
-//! ([`CounterHistory::from_records`] / [`MaxRegHistory::from_records`])
-//! with the monotone decision procedures and flatten both failure kinds
-//! (a record outside the object vocabulary, a genuine linearizability
-//! violation) into the explorer's error string. `k = 1` checks the
-//! exact specification.
+//! these helpers sort the driver's records straight into the
+//! [`OnlineChecker`] — real pids, no intermediate
+//! [`CounterHistory`](crate::CounterHistory) — and flatten both failure
+//! kinds (a record outside the object vocabulary, a genuine
+//! linearizability violation) into the explorer's error string. `k = 1`
+//! checks the exact specification.
+//!
+//! Pending records are announced and then crashed: a pending increment
+//! or write keeps its optional effect, a pending read constrains
+//! nothing. Each process's operations must have disjoint windows, as a
+//! driver's do; an overlap is reported as a violation. Violations
+//! number reads in completion order, as in [`crate::monotone`].
 
-use crate::history::{CounterHistory, MaxRegHistory};
-use crate::monotone;
+use crate::online::OnlineChecker;
 use smr::History;
 
 /// Check a driver history against the k-multiplicative counter
 /// specification (`k = 1`: the exact counter). Pending increments are
 /// honoured as optional effects; pending reads constrain nothing.
 pub fn check_counter_records(h: &History, k: u64) -> Result<(), String> {
-    let ch = CounterHistory::from_records(h).map_err(|e| e.to_string())?;
-    monotone::check_counter(&ch, k).map_err(|v| v.to_string())
+    feed_records(h, OnlineChecker::counter(k))
 }
 
 /// Check a driver history against the k-multiplicative max-register
 /// specification (`k = 1`: the exact max register).
 pub fn check_maxreg_records(h: &History, k: u64) -> Result<(), String> {
-    let mh = MaxRegHistory::from_records(h).map_err(|e| e.to_string())?;
-    monotone::check_maxreg(&mh, k).map_err(|v| v.to_string())
+    feed_records(h, OnlineChecker::maxreg(k))
+}
+
+fn feed_records(h: &History, checker: OnlineChecker) -> Result<(), String> {
+    let ops = h.ops();
+    checker
+        .check_sorted(ops.len(), |i| {
+            let r = &ops[i];
+            (r.pid, r.kind, r.inv, r.resp)
+        })
+        .map_err(|v| v.to_string())
 }
 
 #[cfg(test)]

@@ -1,7 +1,6 @@
-//! The monotone stack shared by the offline counter sweep
-//! ([`crate::monotone::check_counter_with`]) and the streaming checker
-//! ([`crate::online`]): entries `(resp, term)` inserted in
-//! nondecreasing `resp` order, supporting
+//! The monotone stack behind the counter engine ([`crate::online`]):
+//! entries `(resp, term)` inserted in nondecreasing `resp` order,
+//! supporting
 //!
 //! * `raise_before(t, w)` — add `w` to the term of every entry with
 //!   `resp < t` (a *prefix* of the stack);
@@ -18,16 +17,14 @@
 //! difference it exhausts. Retired entries keep a zero diff in place —
 //! prefix sums are unaffected — and are hopped over with union-find
 //! "next live" pointers that compress on traversal, so the walk costs
-//! `O(α)` amortized per retired entry and nothing is allocated after
-//! construction. (The previous `BTreeMap` encoding hit an allocator +
-//! pointer-chasing knee near 10⁶ records.)
+//! `O(α)` amortized per retired entry. (The previous `BTreeMap`
+//! encoding hit an allocator + pointer-chasing knee near 10⁶ records.)
 //!
-//! The offline sweep only appends; the streaming checker additionally
-//! needs the state to stay *small* on unbounded histories, which
-//! [`MonotoneStack::fold_and_compact`] provides: any two adjacent live
-//! entries whose gap can no longer contain a future raise boundary are
-//! observationally identical and fold into one (see the method docs for
-//! the argument).
+//! The engine also needs the state to stay *small* on unbounded
+//! histories, which [`MonotoneStack::fold_and_compact`] provides: any
+//! two adjacent live entries whose gap can no longer contain a future
+//! raise boundary are observationally identical and fold into one (see
+//! the method docs for the argument).
 
 pub(crate) struct MonotoneStack {
     /// `(resp, diff)` in nondecreasing `resp` order; the term of a live
@@ -48,7 +45,7 @@ pub(crate) struct MonotoneStack {
 
 impl MonotoneStack {
     /// An empty stack pre-sized for `cap` inserts (each `insert` appends
-    /// at most one entry, so a sweep over `R` reads never reallocates).
+    /// at most one entry).
     pub(crate) fn with_capacity(cap: usize) -> Self {
         MonotoneStack {
             entries: Vec::with_capacity(cap),
@@ -164,7 +161,9 @@ impl MonotoneStack {
     ///
     /// Costs `O(live + dead)`; callers amortize it by invoking only
     /// when `live_len` has roughly doubled since the previous call.
-    pub(crate) fn fold_and_compact(&mut self, protected: impl Fn(u64, u64) -> bool) {
+    /// `protected` is asked about consecutive gaps from the bottom of
+    /// the stack up, so both arguments increase from call to call.
+    pub(crate) fn fold_and_compact(&mut self, mut protected: impl FnMut(u64, u64) -> bool) {
         let mut kept: Vec<(u64, u128)> = Vec::with_capacity(self.live);
         let mut i = self.first_live(0);
         while i < self.entries.len() {

@@ -1,25 +1,29 @@
-//! Cross-validation of the polynomial checkers against independent
-//! engines on randomized histories.
+//! Cross-validation of the post-hoc checkers — the `monotone` entry
+//! points, sorted feeds into the one engine — against independent
+//! oracles on randomized histories.
 //!
 //! Two layers of evidence:
 //!
-//! * **vs Wing–Gong** — the sweep engines must agree exactly with the
-//!   exhaustive checker on thousands of small random histories, dense
-//!   with both linearizable and non-linearizable cases (batched
-//!   increments are expanded into unit `Inc` events for the exhaustive
-//!   side).
+//! * **vs Wing–Gong** — the counter and max-register checkers must
+//!   agree exactly with the exhaustive checker on thousands of small
+//!   random histories, dense with both linearizable and
+//!   non-linearizable cases (batched increments are expanded into unit
+//!   `Inc` events for the exhaustive side).
 //! * **vs the `naive` references** (property tests) — on larger random
-//!   histories, beyond what Wing–Gong can explore, the `O(R log R)`
-//!   sweep counter checker and the sweep max-register checker must
-//!   agree with the retained quadratic transcriptions, including
-//!   pending operations and multi-unit increment batches.
+//!   histories, beyond what Wing–Gong can explore, they must agree with
+//!   the retained quadratic transcriptions, including pending
+//!   operations and multi-unit increment batches. The driver-record
+//!   feeds (`check_*_records`, which key open operations by real pid)
+//!   are held to the same references on driver-shaped histories.
 
 use lincheck::monotone::{check_counter, check_counter_additive, check_maxreg};
 use lincheck::wg::{wg_check, WgEvent, WgOp};
+use lincheck::{check_counter_records, check_maxreg_records};
 use lincheck::{naive, CounterHistory, Interval, MaxRegHistory, TimedInc, TimedRead, TimedWrite};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use smr::{History, OpKind, OpRecord};
 
 /// Random operation windows over a small timestamp range so that
 /// concurrency (and constraint violations) are frequent.
@@ -211,8 +215,124 @@ fn counter_history(incs: &[OpTuple], reads: &[(u64, u64, u64)]) -> CounterHistor
     }
 }
 
+/// Per-process operation tuples `(gap, duration, payload, read-die)`;
+/// a read-die of 0 makes the operation a read.
+type ProcOps = Vec<(u64, u64, u64, u8)>;
+
+/// A driver-shaped history: each process runs its operations one after
+/// another (windows disjoint, separated by `gap + 1`), processes overlap
+/// freely, and a process whose pending-die is 0 never completes its
+/// last operation. Updates are `update(payload)`. A read whose payload
+/// is a multiple of 6 returns the payload; every other read returns
+/// what the updates completed before its invocation force
+/// (`forced(updates, inv)`), which always linearizes — so both verdicts
+/// are common.
+fn driver_history(
+    procs: &[(ProcOps, u8)],
+    update: impl Fn(u64) -> OpKind,
+    forced: impl Fn(&[OpRecord], u64) -> u128,
+) -> History {
+    let mut ops = Vec::new();
+    for (pid, (proc_ops, pending)) in procs.iter().enumerate() {
+        let mut t = 0;
+        for (j, &(gap, dur, payload, read_die)) in proc_ops.iter().enumerate() {
+            let inv = t + gap;
+            let resp = inv + dur;
+            let kind = match read_die {
+                0 => OpKind::Read {
+                    returned: u128::from(payload),
+                },
+                _ => update(payload),
+            };
+            let last = j + 1 == proc_ops.len();
+            ops.push(OpRecord {
+                pid,
+                kind,
+                inv,
+                resp: (!(last && *pending == 0)).then_some(resp),
+                steps: 0,
+            });
+            t = resp + 1;
+        }
+    }
+    let updates: Vec<OpRecord> = ops
+        .iter()
+        .filter(|r| !matches!(r.kind, OpKind::Read { .. }))
+        .cloned()
+        .collect();
+    for r in &mut ops {
+        if let OpKind::Read { returned } = &mut r.kind {
+            if *returned % 6 != 0 {
+                *returned = forced(&updates, r.inv);
+            }
+        }
+    }
+    ops.into_iter().collect()
+}
+
+/// Updates completed strictly before `t`.
+fn completed_before(updates: &[OpRecord], t: u64) -> impl Iterator<Item = OpKind> + '_ {
+    updates
+        .iter()
+        .filter(move |r| r.resp.is_some_and(|resp| resp < t))
+        .map(|r| r.kind)
+}
+
+fn procs_strategy() -> impl Strategy<Value = Vec<(ProcOps, u8)>> {
+    let op = (0u64..6, 1u64..10, 0u64..12, 0u8..2);
+    prop::collection::vec((prop::collection::vec(op, 1..12), 0u8..3), 1..6)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// The counter record feed (real pids, several operations per pid,
+    /// pending last operations) agrees with the pairwise reference on
+    /// the typed extraction of the same records.
+    #[test]
+    fn counter_records_agree_with_naive_reference(k in 1u64..4, procs in procs_strategy()) {
+        let h = driver_history(
+            &procs,
+            |payload| OpKind::Inc { amount: 1 + payload % 3 },
+            |updates, t| completed_before(updates, t).map(|kind| u128::from(kind.multiplicity())).sum(),
+        );
+        let typed = CounterHistory::from_records(&h).expect("counter vocabulary");
+        let feed = check_counter_records(&h, k);
+        prop_assert_eq!(
+            feed.is_ok(),
+            naive::check_counter(&typed, k).is_ok(),
+            "k={} feed={:?} records={:?}",
+            k,
+            feed,
+            h.ops()
+        );
+    }
+
+    /// Same for the max-register record feed.
+    #[test]
+    fn maxreg_records_agree_with_naive_reference(k in 1u64..4, procs in procs_strategy()) {
+        let h = driver_history(
+            &procs,
+            |payload| OpKind::Write { value: payload },
+            |updates, t| {
+                let values = completed_before(updates, t).map(|kind| match kind {
+                    OpKind::Write { value } => u128::from(value),
+                    _ => 0,
+                });
+                values.max().unwrap_or(0)
+            },
+        );
+        let typed = MaxRegHistory::from_records(&h).expect("max-register vocabulary");
+        let feed = check_maxreg_records(&h, k);
+        prop_assert_eq!(
+            feed.is_ok(),
+            naive::check_maxreg(&typed, k).is_ok(),
+            "k={} feed={:?} records={:?}",
+            k,
+            feed,
+            h.ops()
+        );
+    }
 
     /// The sweep counter checker agrees with the retained pairwise
     /// reference on histories an exhaustive search could never cover:

@@ -1,12 +1,14 @@
 //! Differential validation of the streaming checker: on any history —
 //! pending records, batched increments, crash-truncated runs — the
-//! [`OnlineChecker`] must accept or reject exactly when the offline
-//! monotone sweep does. A deliberately reordered push stream (the
-//! seeded mutant) must be *caught*, not silently mis-checked.
+//! [`OnlineChecker`], fed record by record as a live run feeds it, must
+//! accept or reject exactly when the offline `naive` reference does.
+//! (`cross_validation.rs` pins the post-hoc sorted feeds in `monotone`
+//! the same way.) A deliberately reordered push stream (the seeded
+//! mutant) must be *caught*, not silently mis-checked.
 
-use lincheck::monotone::{check_counter, check_counter_additive, check_maxreg};
 use lincheck::{
-    CounterHistory, Interval, MaxRegHistory, OnlineChecker, TimedInc, TimedRead, TimedWrite,
+    naive, CounterHistory, Interval, MaxRegHistory, OnlineChecker, TimedInc, TimedRead, TimedWrite,
+    Violation,
 };
 use proptest::prelude::*;
 use smr::{OpKind, OpRecord};
@@ -15,16 +17,20 @@ use smr::{OpKind, OpRecord};
 /// windows overlap heavily; a die of 0 makes the operation pending.
 type OpTuple = (u64, u64, u64, u8);
 
+fn window(inv: u64, dur: u64, die: u8) -> Interval {
+    if die == 0 {
+        Interval::pending(inv)
+    } else {
+        Interval::done(inv, inv + dur)
+    }
+}
+
 fn counter_history(incs: &[OpTuple], reads: &[(u64, u64, u64)]) -> CounterHistory {
     CounterHistory {
         incs: incs
             .iter()
             .map(|&(inv, dur, amount, die)| TimedInc {
-                window: if die == 0 {
-                    Interval::pending(inv)
-                } else {
-                    Interval::done(inv, inv + dur)
-                },
+                window: window(inv, dur, die),
                 amount,
             })
             .collect(),
@@ -59,10 +65,63 @@ fn complete(pid: usize, kind: OpKind, inv: u64, resp: u64) -> OpRecord {
     }
 }
 
+/// One operation of a live run: what it did, its window, and whether
+/// its process crashed mid-operation (only meaningful while pending).
+#[derive(Clone, Copy)]
+struct LiveOp {
+    kind: OpKind,
+    window: Interval,
+    crashed: bool,
+}
+
+/// Stream `ops` into `checker` as a live run would: operation `i` runs
+/// on pid `i`, announces at its invocation and completes at its
+/// response, both in timestamp order (announcements first at ties). A
+/// pending operation stays open to the end of the stream, unless its
+/// process crashed, which the checker hears right after the
+/// announcement.
+fn stream(mut checker: OnlineChecker, ops: &[LiveOp]) -> Result<(), Violation> {
+    let mut events: Vec<(u64, u8, usize)> = Vec::new();
+    for (pid, op) in ops.iter().enumerate() {
+        events.push((op.window.inv, 0, pid));
+        if let Some(resp) = op.window.resp {
+            events.push((resp, 1, pid));
+        }
+    }
+    events.sort_by_key(|&(t, phase, _)| (t, phase));
+    for (_, phase, pid) in events {
+        let op = ops[pid];
+        if phase == 0 {
+            checker.push(&announce(pid, op.kind, op.window.inv))?;
+            if op.crashed {
+                checker.crash(pid);
+            }
+        } else {
+            let resp = op.window.resp.expect("completions have a response");
+            checker.push(&complete(pid, op.kind, op.window.inv, resp))?;
+        }
+    }
+    checker.finish()
+}
+
+fn live_counter(h: &CounterHistory) -> Vec<LiveOp> {
+    let reads = h.reads.iter().map(|r| LiveOp {
+        kind: OpKind::Read { returned: r.value },
+        window: Interval::done(r.inv, r.resp),
+        crashed: false,
+    });
+    let incs = h.incs.iter().map(|i| LiveOp {
+        kind: OpKind::Inc { amount: i.amount },
+        window: i.window,
+        crashed: false,
+    });
+    reads.chain(incs).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
-    /// Online ≡ offline for the multiplicative counter on random
+    /// Online ≡ naive for the multiplicative counter on random
     /// histories with pending increments and batches.
     #[test]
     fn online_counter_matches_offline(
@@ -71,12 +130,12 @@ proptest! {
         reads in prop::collection::vec((0u64..40, 1u64..15, 0u64..40), 1..30),
     ) {
         let h = counter_history(&incs, &reads);
-        let offline = check_counter(&h, k);
-        let online = OnlineChecker::counter(k).feed_counter_history(&h);
+        let offline = naive::check_counter(&h, k);
+        let online = stream(OnlineChecker::counter(k), &live_counter(&h));
         prop_assert_eq!(
             offline.is_ok(),
             online.is_ok(),
-            "k={} offline={:?} online={:?} history={:?}",
+            "k={} naive={:?} online={:?} history={:?}",
             k, offline, online, h
         );
     }
@@ -90,14 +149,14 @@ proptest! {
     ) {
         let h = counter_history(&incs, &reads);
         prop_assert_eq!(
-            check_counter_additive(&h, k).is_ok(),
-            OnlineChecker::counter_additive(k).feed_counter_history(&h).is_ok(),
+            naive::check_counter_additive(&h, k).is_ok(),
+            stream(OnlineChecker::counter_additive(k), &live_counter(&h)).is_ok(),
             "k={} history={:?}",
             k, h
         );
     }
 
-    /// Online ≡ offline for the max register, pending writes included.
+    /// Online ≡ naive for the max register, pending writes included.
     #[test]
     fn online_maxreg_matches_offline(
         k in 1u64..4,
@@ -108,11 +167,7 @@ proptest! {
             writes: writes
                 .iter()
                 .map(|&(inv, dur, value, die)| TimedWrite {
-                    window: if die == 0 {
-                        Interval::pending(inv)
-                    } else {
-                        Interval::done(inv, inv + dur)
-                    },
+                    window: window(inv, dur, die),
                     value,
                 })
                 .collect(),
@@ -125,9 +180,23 @@ proptest! {
                 })
                 .collect(),
         };
+        let live: Vec<LiveOp> = h
+            .reads
+            .iter()
+            .map(|r| LiveOp {
+                kind: OpKind::Read { returned: r.value },
+                window: Interval::done(r.inv, r.resp),
+                crashed: false,
+            })
+            .chain(h.writes.iter().map(|w| LiveOp {
+                kind: OpKind::Write { value: w.value },
+                window: w.window,
+                crashed: false,
+            }))
+            .collect();
         prop_assert_eq!(
-            check_maxreg(&h, k).is_ok(),
-            OnlineChecker::maxreg(k).feed_maxreg_history(&h).is_ok(),
+            naive::check_maxreg(&h, k).is_ok(),
+            stream(OnlineChecker::maxreg(k), &live).is_ok(),
             "k={} history={:?}",
             k, h
         );
@@ -135,7 +204,7 @@ proptest! {
 
     /// Crash-truncated runs: ops whose process crashes mid-flight are
     /// fed to the online checker as announce-then-`crash(pid)`, and to
-    /// the offline sweep in its native encoding — a pending increment
+    /// the naive reference in its native encoding — a pending increment
     /// (kept, may have taken effect) or a dropped read (imposes no
     /// constraint). Verdicts must agree.
     #[test]
@@ -144,17 +213,11 @@ proptest! {
         incs in prop::collection::vec((0u64..40, 1u64..15, 1u64..6, 0u8..6), 0..20),
         reads in prop::collection::vec((0u64..40, 1u64..15, 0u64..40, 0u8..6), 1..20),
     ) {
-        // Offline encoding: crashed increment -> pending; crashed read
-        // -> dropped.
         let offline_h = CounterHistory {
             incs: incs
                 .iter()
                 .map(|&(inv, dur, amount, die)| TimedInc {
-                    window: if die == 0 {
-                        Interval::pending(inv)
-                    } else {
-                        Interval::done(inv, inv + dur)
-                    },
+                    window: window(inv, dur, die),
                     amount,
                 })
                 .collect(),
@@ -168,57 +231,22 @@ proptest! {
                 })
                 .collect(),
         };
-        let offline = check_counter(&offline_h, k).is_ok();
+        let offline = naive::check_counter(&offline_h, k).is_ok();
 
-        // Online encoding: every op is announced; crashed ops get
-        // `crash(pid)` right after their announcement instead of a
-        // completion. Reads first, then increments, stably sorted —
-        // matching the offline sweep's event order at equal keys.
-        #[derive(Clone, Copy)]
-        enum Ev {
-            Announce { pid: usize, kind: OpKind, inv: u64, crashed: bool },
-            Complete { pid: usize, kind: OpKind, inv: u64, resp: u64 },
-        }
-        let mut events: Vec<(u64, u8, Ev)> = Vec::new();
-        for (j, &(inv, dur, value, die)) in reads.iter().enumerate() {
-            let kind = OpKind::Read { returned: u128::from(value) };
-            let crashed = die == 0;
-            events.push((inv, 0, Ev::Announce { pid: j, kind, inv, crashed }));
-            if !crashed {
-                events.push((inv + dur, 1, Ev::Complete { pid: j, kind, inv, resp: inv + dur }));
-            }
-        }
-        for (i, &(inv, dur, amount, die)) in incs.iter().enumerate() {
-            let pid = reads.len() + i;
-            let kind = OpKind::Inc { amount };
-            let crashed = die == 0;
-            events.push((inv, 0, Ev::Announce { pid, kind, inv, crashed }));
-            if !crashed {
-                events.push((inv + dur, 1, Ev::Complete { pid, kind, inv, resp: inv + dur }));
-            }
-        }
-        events.sort_by_key(|&(t, tie, _)| (t, tie));
-
-        let mut checker = OnlineChecker::counter(k);
-        let mut online = Ok(());
-        'feed: for &(_, _, ev) in &events {
-            let step = match ev {
-                Ev::Announce { pid, kind, inv, crashed } => {
-                    let r = checker.push(&announce(pid, kind, inv));
-                    if r.is_ok() && crashed {
-                        checker.crash(pid);
-                    }
-                    r
-                }
-                Ev::Complete { pid, kind, inv, resp } => {
-                    checker.push(&complete(pid, kind, inv, resp))
-                }
-            };
-            if step.is_err() {
-                online = step;
-                break 'feed;
-            }
-        }
+        let live: Vec<LiveOp> = reads
+            .iter()
+            .map(|&(inv, dur, value, die)| LiveOp {
+                kind: OpKind::Read { returned: u128::from(value) },
+                window: window(inv, dur, die),
+                crashed: die == 0,
+            })
+            .chain(incs.iter().map(|&(inv, dur, amount, die)| LiveOp {
+                kind: OpKind::Inc { amount },
+                window: window(inv, dur, die),
+                crashed: die == 0,
+            }))
+            .collect();
+        let online = stream(OnlineChecker::counter(k), &live);
         prop_assert_eq!(
             offline,
             online.is_ok(),
