@@ -22,9 +22,9 @@
 //! * **kmult** — Algorithm 1 increments/reads at `k = ⌈√n⌉`. Every
 //!   process funnels through the same `switch` bits, so every causal
 //!   past legitimately densifies to all `n` processes and each
-//!   happens-before join pays Θ(new information). No encoding beats
-//!   that floor; the configs stay at bounded `n` and the table shows
-//!   the density cost honestly instead of hiding it.
+//!   happens-before join is Θ(n) whatever the clock encoding; the
+//!   configs stay at bounded `n` and the table shows the density cost
+//!   honestly instead of hiding it.
 //!
 //! The passes must also come back *clean* — a violation on either
 //! workload would be a runtime-contract bug, and the run fails loudly.

@@ -6,22 +6,29 @@
 //!
 //! # Event-order robustness
 //!
-//! The checker consumes operations in timestamp order. On the coop
-//! backend the trace stream already *is* timestamp-ordered (one
-//! controller thread emits every event), but on the thread backend a
-//! worker can draw its ticket and lose the CPU before emitting, so
-//! nearby events may appear slightly out of order in the stream. The
-//! pass therefore runs every event through a small bounded reorder
-//! buffer (a min-heap on `(timestamp, phase, seq)`), only releasing
-//! an event to the checker once [`WINDOW`] newer events are buffered
-//! behind it. If the stream raced further than that — a released
-//! event still lands behind the checker's watermark, or a completion
-//! arrives whose announcement was lost beyond the window — the pass
-//! goes *inert* for the rest of the run instead of risking a false
-//! report: linearizability checking on the thread backend is
-//! best-effort by nature, and a silent skip is strictly better than a
-//! spurious violation. On gated coop runs the buffer is invisible and
-//! the check is exact.
+//! The checker consumes operations in timestamp order. Every event runs
+//! through a bounded reorder buffer (a min-heap on `(timestamp, phase,
+//! seq)`) and is released to the checker once the buffer holds more
+//! than the run's *reorder depth* of events. The depth comes from the
+//! [`RunMeta`] the pass is attached with:
+//!
+//! * **coop runs: depth 0.** The trace stream already *is*
+//!   timestamp-ordered — one controller emits every event, and the
+//!   happens-before pass's ticket audit checks that order — so each
+//!   event is released the moment it arrives, and the check is exact.
+//! * **thread runs: depth [`WINDOW`].** A worker can draw its ticket and
+//!   lose the CPU before emitting, so nearby events may appear slightly
+//!   out of order in the stream; an event is released only once
+//!   [`WINDOW`] newer events are buffered behind it.
+//!
+//! If the stream raced further than the depth — a released event still
+//! lands behind the checker's watermark, or a completion arrives whose
+//! announcement was lost — the pass goes *inert* for the rest of the
+//! run instead of risking a false report, and says so in its
+//! [`summary`](AnalysisPass::summary). Linearizability checking on the
+//! thread backend is best-effort by nature, and a silent skip is
+//! strictly better than a spurious violation; on a coop run, going
+//! inert means the stream broke its own ticket order.
 //!
 //! `Custom` operations are outside both checkable vocabularies and
 //! are skipped silently; a `Write` in counter mode (or an `Inc` in
@@ -34,10 +41,12 @@ use smr::{OpKind, OpRecord, TraceEvent};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// How many newer events must pile up behind a buffered event before
-/// it is released to the checker. Large enough to cover the thread
-/// backend's ticket-draw-to-emit race window many times over; small
-/// enough that the buffer's memory footprint is negligible.
+/// The reorder depth on thread runs (and before any attach): how many
+/// newer events must pile up behind a buffered event before it is
+/// released to the checker. Large enough to cover the thread backend's
+/// ticket-draw-to-emit race window many times over; small enough that
+/// the buffer's memory footprint is negligible. Coop runs use depth 0
+/// (see the [module docs](self)).
 const WINDOW: usize = 256;
 
 /// One buffered trace event, ordered by `(ts, phase, seq)`. Phase 0 =
@@ -95,6 +104,9 @@ pub struct LinearizabilityPass {
     mode: Mode,
     checker: OnlineChecker,
     heap: BinaryHeap<Reverse<Buffered>>,
+    /// Events held back before release: 0 on coop runs, [`WINDOW`]
+    /// otherwise.
+    depth: usize,
     /// `(ts, phase)` of the last event released to the checker.
     released: (u64, u8),
     /// Largest timestamp seen on any buffered event (crash key).
@@ -110,9 +122,9 @@ pub struct LinearizabilityPass {
     /// Counts inert *transitions* (at most one per attach), so a batch
     /// of explorer replays shows how many silently dropped coverage.
     inert_transitions: &'static obs::Counter,
-    /// Reorder-buffer depth sampled at every buffered event: p99 near
-    /// [`WINDOW`] means the stream is racing the buffer and inertness
-    /// is close.
+    /// Reorder-buffer occupancy sampled at every buffered event: p99
+    /// near [`WINDOW`] on a thread run means the stream is racing the
+    /// buffer and inertness is close; on a coop run it stays at 1.
     occupancy: &'static obs::Histogram,
 }
 
@@ -143,6 +155,7 @@ impl LinearizabilityPass {
             mode,
             checker,
             heap: BinaryHeap::with_capacity(WINDOW + 1),
+            depth: WINDOW,
             released: (0, 0),
             max_ts: 0,
             found: None,
@@ -235,9 +248,10 @@ impl AnalysisPass for LinearizabilityPass {
         "linearizability"
     }
 
-    fn on_attach(&mut self, _meta: &RunMeta) {
+    fn on_attach(&mut self, meta: &RunMeta) {
         self.checker = self.mode.build();
         self.heap.clear();
+        self.depth = if meta.coop { 0 } else { WINDOW };
         self.released = (0, 0);
         self.max_ts = 0;
         self.found = None;
@@ -299,7 +313,7 @@ impl AnalysisPass for LinearizabilityPass {
         }
         self.events_seen += 1;
         self.occupancy.record(self.heap.len() as u64);
-        while self.heap.len() > WINDOW {
+        while self.heap.len() > self.depth {
             self.release_one();
         }
     }
@@ -370,9 +384,18 @@ mod tests {
         assert!(found[0].message.contains("empty window"));
     }
 
+    fn meta(coop: bool) -> RunMeta {
+        RunMeta {
+            n: 2,
+            gated: true,
+            coop,
+        }
+    }
+
     #[test]
     fn small_reorders_inside_the_window_are_absorbed() {
         let mut p = LinearizabilityPass::counter(1);
+        p.on_attach(&meta(false));
         // Invoke/complete pairs delivered slightly shuffled, as a
         // thread-backend stream might: the heap restores ticket order.
         p.on_event(&complete(0, 0, OpKind::Inc { amount: 1 }, 1));
@@ -380,6 +403,21 @@ mod tests {
         p.on_event(&complete(2, 1, OpKind::Read { returned: 1 }, 3));
         p.on_event(&invoke(3, 1, OpKind::Read { returned: 0 }, 2));
         assert!(p.finish().is_empty());
+        assert!(p.summary().is_none());
+    }
+
+    #[test]
+    fn a_coop_stream_out_of_ticket_order_goes_inert() {
+        // A coop stream is ticket-ordered by construction, so the pass
+        // holds nothing back: the late announcement is not absorbed but
+        // lands behind the released watermark and stops the check.
+        let mut p = LinearizabilityPass::counter(1);
+        p.on_attach(&meta(true));
+        p.on_event(&invoke(0, 1, OpKind::Read { returned: 0 }, 2));
+        p.on_event(&invoke(1, 0, OpKind::Inc { amount: 1 }, 0));
+        let s = p.summary().expect("inert pass reports a summary");
+        assert!(s.contains("inert after 2 events"), "got: {s}");
+        assert!(p.finish().is_empty(), "inert, not a false positive");
     }
 
     #[test]
@@ -426,11 +464,7 @@ mod tests {
         let s = p.summary().expect("inert pass reports a summary");
         assert!(s.contains("inert after 1 events"), "got: {s}");
         // A fresh attach clears the degraded state.
-        p.on_attach(&RunMeta {
-            n: 1,
-            gated: true,
-            coop: true,
-        });
+        p.on_attach(&meta(true));
         assert!(p.summary().is_none());
     }
 }

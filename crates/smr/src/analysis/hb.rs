@@ -23,28 +23,35 @@
 //! don't forbid them).
 //!
 //! Clocks are FastTrack-style: one epoch `(pid, clock)` per access, full
-//! (sparse) vector clocks only where joins demand them. Three properties
-//! keep the pass viable on 10⁵-process coop runs:
+//! vector clocks only where joins demand them. Four properties keep the
+//! pass viable on 10⁵-process coop runs:
 //!
 //! * **epoch-guarded joins** — a process absorbs a write's clock only if
 //!   the write's epoch is outside its causal past. Components circulate
 //!   solely through publishes and later publishes carry supersets, so
 //!   "heard the writer's component at ≥ the write's epoch" already
 //!   implies the whole snapshot is absorbed; the common ordered case is
-//!   one `HashMap` probe.
+//!   one binary search in the reader's clock.
 //! * **O(1) publishes** — a write stores the write's epoch plus an `Arc`
 //!   alias of the writer's accumulated clock; nothing is cloned until
 //!   the writer next *learns* something (copy-on-write).
-//! * **sparse vectors** — memory stays proportional to communication,
-//!   not to `n`.
+//! * **pid-sorted vectors** — a clock lists only the processes it has
+//!   heard from, sorted by pid (`Vc`): memory stays proportional to
+//!   communication, not to `n`, and a join is one linear merge with no
+//!   hashing — in place once the clock already holds every pid the
+//!   other carries, the usual case once clocks are dense.
+//! * **pid-indexed tables** — per-process clocks and operation windows
+//!   are vectors indexed by pid; only per-object state, keyed by object
+//!   address, lives in a map.
 //!
 //! The cost floor is the workload's *communication density*: a process
-//! that reads an object pays for exactly the components it has not heard
-//! about yet. Cluster-local workloads stay O(1) amortized per event at
-//! any `n`; a single globally-shared object (kmult's `switch` bits)
-//! legitimately densifies every causal past to all `n` processes, and no
-//! encoding beats Θ(new information) per join — see EXP-ANALYSIS for
-//! both regimes measured.
+//! joins only when it observes a write it has not heard about yet, and
+//! the join walks the two clocks — the processes each has heard from.
+//! Cluster-local workloads stay O(1) amortized per event at any `n`; a
+//! single globally-shared object (kmult's `switch` bits) legitimately
+//! densifies every causal past to all `n` processes, so a join there is
+//! Θ(n) whatever the encoding — see EXP-ANALYSIS for both regimes
+//! measured.
 //!
 //! ## Ticket cross-audit
 //!
@@ -63,26 +70,74 @@ use crate::trace::{Access, AccessKind, TraceEvent};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A sparse vector clock: missing entries are zero. Shared with the
-/// explorer's DPOR engine (`crate::explore`), which uses the same
-/// clocks over replayed decision sequences to decide which dependent
-/// step pairs are concurrent (reversible races) rather than ordered.
+/// A vector clock: missing entries are zero. Entries are kept sorted by
+/// pid, so a lookup is a binary search and a join is one linear merge
+/// without hashing, while memory stays proportional to the processes
+/// this clock has heard from (not to `n`). Shared with the explorer's
+/// DPOR engine (`crate::explore`), which uses the same clocks over
+/// replayed decision sequences to decide which dependent step pairs are
+/// concurrent (reversible races) rather than ordered.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct Vc(HashMap<usize, u64>);
+pub(crate) struct Vc(Vec<(usize, u64)>);
 
 impl Vc {
+    fn find(&self, pid: usize) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&pid, |&(p, _)| p)
+    }
+
     pub(crate) fn get(&self, pid: usize) -> u64 {
-        self.0.get(&pid).copied().unwrap_or(0)
+        self.find(pid).map_or(0, |i| self.0[i].1)
     }
 
     pub(crate) fn set(&mut self, pid: usize, clock: u64) {
-        self.0.insert(pid, clock);
+        match self.find(pid) {
+            Ok(i) => self.0[i].1 = clock,
+            Err(i) => self.0.insert(i, (pid, clock)),
+        }
     }
 
+    /// Component-wise maximum with `other`, as one linear merge. The
+    /// first pass raises every pid the two clocks share, in place, and
+    /// counts the pids only `other` has; when there are none — the usual
+    /// case once clocks are dense — that is all. Otherwise the clock
+    /// grows once and a second pass, back to front, moves its entries
+    /// up to interleave the new pids, stopping below the lowest one.
     pub(crate) fn join(&mut self, other: &Vc) {
-        for (&pid, &clock) in &other.0 {
-            let e = self.0.entry(pid).or_insert(0);
-            *e = (*e).max(clock);
+        let a = &mut self.0;
+        let (mut i, mut missing) = (0, 0);
+        for &(pid, clock) in &other.0 {
+            while i < a.len() && a[i].0 < pid {
+                i += 1;
+            }
+            if i < a.len() && a[i].0 == pid {
+                a[i].1 = a[i].1.max(clock);
+                i += 1;
+            } else {
+                missing += 1;
+            }
+        }
+        if missing == 0 {
+            return;
+        }
+        let old = a.len();
+        a.resize(old + missing, (0, 0));
+        let (mut i, mut w) = (old, old + missing);
+        for &(pid, clock) in other.0.iter().rev() {
+            while i > 0 && a[i - 1].0 > pid {
+                i -= 1;
+                w -= 1;
+                a[w] = a[i];
+            }
+            w -= 1;
+            if i > 0 && a[i - 1].0 == pid {
+                i -= 1;
+                a[w] = a[i];
+            } else {
+                a[w] = (pid, clock);
+            }
+            if w == i {
+                break;
+            }
         }
     }
 }
@@ -171,10 +226,12 @@ struct OpWindow {
 
 /// The happens-before pass. See the [module docs](self).
 pub struct HappensBefore {
-    /// Per-process vector clocks.
-    clocks: HashMap<usize, ProcClock>,
+    /// Per-process vector clocks, indexed by pid (grown on demand).
+    clocks: Vec<ProcClock>,
+    /// Per-object state, keyed by object address.
     objects: HashMap<usize, ObjState>,
-    windows: HashMap<usize, OpWindow>,
+    /// Per-process operation windows, indexed by pid (grown on demand).
+    windows: Vec<OpWindow>,
     racy: Vec<RacyPair>,
     racy_total: u64,
     max_racy: usize,
@@ -189,9 +246,9 @@ impl HappensBefore {
     /// A fresh pass.
     pub fn new() -> Self {
         HappensBefore {
-            clocks: HashMap::new(),
+            clocks: Vec::new(),
             objects: HashMap::new(),
-            windows: HashMap::new(),
+            windows: Vec::new(),
             racy: Vec::new(),
             racy_total: 0,
             max_racy: 64,
@@ -212,6 +269,14 @@ impl HappensBefore {
     /// retention cap.
     pub fn racy_total(&self) -> u64 {
         self.racy_total
+    }
+
+    /// `pid`'s operation window, growing the table on first sight.
+    fn window(&mut self, pid: usize) -> &mut OpWindow {
+        if pid >= self.windows.len() {
+            self.windows.resize(pid + 1, OpWindow::default());
+        }
+        &mut self.windows[pid]
     }
 
     fn violate(&mut self, pid: usize, seq: u64, message: String) {
@@ -241,8 +306,11 @@ impl HappensBefore {
         // Disjoint field borrows: the object entry and the clock entry
         // are mutated together; racy pairs are collected locally and
         // flagged after both borrows end.
+        if a.pid >= self.clocks.len() {
+            self.clocks.resize_with(a.pid + 1, ProcClock::default);
+        }
         let obj = self.objects.entry(a.obj).or_default();
-        let vc = self.clocks.entry(a.pid).or_default();
+        let vc = &mut self.clocks[a.pid];
 
         // Is the last write outside this process's causal past? One
         // epoch probe decides: components circulate solely through
@@ -361,8 +429,7 @@ impl AnalysisPass for HappensBefore {
             } => {
                 let label = kind.label();
                 self.check_ticket(pid, seq, inv, "invocation");
-                let w = self.windows.entry(pid).or_default();
-                if let Some(open) = w.open_inv {
+                if let Some(open) = self.window(pid).open_inv {
                     self.violate(
                         pid,
                         seq,
@@ -373,7 +440,7 @@ impl AnalysisPass for HappensBefore {
                         ),
                     );
                 }
-                let w = self.windows.entry(pid).or_default();
+                let w = self.window(pid);
                 w.open_inv = Some(inv);
                 if let Some(last) = w.last_resp {
                     if inv <= last {
@@ -396,7 +463,7 @@ impl AnalysisPass for HappensBefore {
             } => {
                 let label = kind.label();
                 self.check_ticket(pid, seq, resp, "response");
-                let w = self.windows.entry(pid).or_default();
+                let w = self.window(pid);
                 let open = w.open_inv.take();
                 w.last_resp = Some(resp);
                 match open {
@@ -426,7 +493,7 @@ impl AnalysisPass for HappensBefore {
             TraceEvent::Crash { pid, .. } => {
                 // The in-flight operation never completes; close the
                 // window so later (impossible) events are flagged.
-                self.windows.entry(pid).or_default().open_inv = None;
+                self.window(pid).open_inv = None;
             }
             TraceEvent::Grant { .. } => {}
         }
@@ -459,6 +526,74 @@ mod tests {
             before: 0,
             after: 0,
         })
+    }
+
+    /// `Vc` against a `BTreeMap` model (missing entries read as zero;
+    /// `set` keeps an entry even at zero; `join` is the key union with
+    /// component-wise max): random `get`/`set`/`join` sequences on two
+    /// clocks whose pid pools are empty, disjoint, interleaved, or one
+    /// a subset of the other. Pids stay strictly sorted, and a join
+    /// whose pids are a subset of the target's runs in place.
+    #[test]
+    fn vc_agrees_with_a_btreemap_model() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        use std::collections::BTreeMap;
+
+        fn agree(vc: &Vc, model: &BTreeMap<usize, u64>) {
+            assert!(
+                vc.0.windows(2).all(|w| w[0].0 < w[1].0),
+                "pids not strictly sorted: {vc:?}"
+            );
+            let entries: Vec<(usize, u64)> = model.iter().map(|(&p, &c)| (p, c)).collect();
+            assert_eq!(vc.0, entries);
+        }
+
+        let pools: [[Vec<usize>; 2]; 4] = [
+            [vec![], (0..8).collect()],
+            [(0..16).step_by(2).collect(), (1..16).step_by(2).collect()],
+            [(0..32).collect(), (0..32).collect()],
+            [(0..24).collect(), (0..24).step_by(3).collect()],
+        ];
+        let mut in_place = 0;
+        for seed in 0..400u64 {
+            let pool = &pools[(seed % 4) as usize];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut vcs = [Vc::default(), Vc::default()];
+            let mut models = [BTreeMap::new(), BTreeMap::new()];
+            for _ in 0..80 {
+                let x = rng.random_range(0..2usize);
+                match rng.random_range(0..4u32) {
+                    0 => {
+                        let pid = rng.random_range(0..40usize);
+                        let want = models[x].get(&pid).copied().unwrap_or(0);
+                        assert_eq!(vcs[x].get(pid), want, "seed {seed}: get({pid})");
+                    }
+                    1 | 2 if !pool[x].is_empty() => {
+                        let pid = pool[x][rng.random_range(0..pool[x].len())];
+                        let clock = rng.random_range(0..50u64);
+                        vcs[x].set(pid, clock);
+                        models[x].insert(pid, clock);
+                    }
+                    _ => {
+                        let src = vcs[1 - x].clone();
+                        let subset = src.0.iter().all(|(p, _)| models[x].contains_key(p));
+                        let before = (vcs[x].0.as_ptr(), vcs[x].0.capacity());
+                        vcs[x].join(&src);
+                        if subset {
+                            assert_eq!((vcs[x].0.as_ptr(), vcs[x].0.capacity()), before);
+                            in_place += 1;
+                        }
+                        for &(p, c) in &src.0 {
+                            let e = models[x].entry(p).or_insert(0);
+                            *e = (*e).max(c);
+                        }
+                    }
+                }
+                agree(&vcs[x], &models[x]);
+            }
+        }
+        assert!(in_place > 0, "no join took the in-place path");
     }
 
     #[test]

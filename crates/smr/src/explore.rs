@@ -60,7 +60,7 @@
 //! preemption budget is set), the explorer runs **dynamic partial-order
 //! reduction** in the style of Flanagan–Godefroid, with sleep sets: as
 //! each interleaving executes, every step is stamped with a vector
-//! clock (the same sparse clocks as `smr::analysis::hb`) joining the
+//! clock (the same pid-sorted clocks as `smr::analysis::hb`) joining the
 //! clocks of its happens-before predecessors — its process's previous
 //! step plus every earlier *dependent* step not already ordered before
 //! it. A dependent-but-concurrent pair is a race: its reversal may be a
@@ -956,14 +956,20 @@ fn race_scan(
         }
     };
     let total = pre.len() + stack.len();
-    // Program order: start from the clock of `pid`'s latest event.
-    let mut cause = (0..total)
-        .rev()
-        .find_map(|g| {
-            let (p, _, _, c) = event(g);
-            (p == pid).then(|| c.clone())
-        })
-        .unwrap_or_default();
+    // Program order: start from the clock of `pid`'s latest event. Join
+    // it into an empty clock rather than cloning it: a clone is sized
+    // exactly to its source, so every clock width from one entry up
+    // gets allocations of its own size, which fragments the heap (with
+    // glibc malloc on `perfbench`'s `explore_dpor`: about +100 KiB of
+    // `[heap]` RSS); a join grows through `Vec`'s amortized
+    // capacities, four entries at least.
+    let mut cause = Vc::default();
+    if let Some(c) = (0..total).rev().find_map(|g| {
+        let (p, _, _, c) = event(g);
+        (p == pid).then_some(c)
+    }) {
+        cause.join(c);
+    }
     let local = cause.get(pid) + 1;
     let mut races = Vec::new();
     for g in (0..total).rev() {

@@ -7,10 +7,11 @@
 
 use counter::{CollectCounter, CollectIncTask, CollectReadTask, Counter};
 use parking_lot::Mutex;
-use smr::analysis::Analyzer;
+use smr::analysis::{AnalysisPass, Analyzer, HappensBefore, RunMeta, Violation};
 use smr::explore::{explore, ExploreConfig};
-use smr::sched::{RoundRobin, SeededRandom};
-use smr::{Driver, OpSpec, OpTask, Poll, ProcCtx, Register, Runtime};
+use smr::sched::{RoundRobin, Scheduler, SeededRandom};
+use smr::{AccessKind, Driver, OpSpec, OpTask, Poll, ProcCtx, Register, Runtime, TraceEvent};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use approx_objects::{KmultCounter, KmultIncTask, KmultReadTask, SharedKmultHandle};
@@ -87,6 +88,100 @@ fn standard_passes_run_clean_under_crashes() {
     drop(d);
     let violations = rt.analysis().unwrap().finish();
     assert!(violations.is_empty(), "crash run flagged: {violations:?}");
+}
+
+/// Forwards the stream to a shared [`HappensBefore`], so its racy-pair
+/// tallies stay readable after the analyzer has consumed the run.
+struct SharedHb(Arc<Mutex<HappensBefore>>);
+
+impl AnalysisPass for SharedHb {
+    fn name(&self) -> &'static str {
+        "happens-before"
+    }
+    fn on_attach(&mut self, meta: &RunMeta) {
+        self.0.lock().on_attach(meta);
+    }
+    fn on_event(&mut self, ev: &TraceEvent) {
+        self.0.lock().on_event(ev);
+    }
+    fn finish(&mut self) -> Vec<Violation> {
+        self.0.lock().finish()
+    }
+}
+
+/// The happens-before audit's racy pairs over one gated coop
+/// Algorithm 1 run (n = 16, k = 4): the total, the retained pairs as
+/// `(first_seq, second_seq, kinds)`, and how many distinct objects they
+/// touch (object ids are addresses, so only their grouping repeats).
+type RacyTally = (u64, Vec<(u64, u64, AccessKind, AccessKind)>, usize);
+
+fn racy_tally(sched: &mut impl Scheduler) -> RacyTally {
+    let (n, k) = (16, 4);
+    let hb = Arc::new(Mutex::new(HappensBefore::new()));
+    let rt = Runtime::coop(n);
+    rt.attach_analysis(Analyzer::new(vec![Box::new(SharedHb(hb.clone()))]));
+    let mut d = Driver::coop(rt.clone());
+    let c = KmultCounter::new(n, k);
+    for pid in 0..n {
+        let h: SharedKmultHandle = Arc::new(Mutex::new(c.handle(pid)));
+        for i in 0..12u64 {
+            if i % 4 == 3 {
+                d.submit_task(pid, OpSpec::read(), KmultReadTask::new(h.clone()));
+            } else {
+                d.submit_task(pid, OpSpec::inc(), KmultIncTask::new(h.clone()));
+            }
+        }
+    }
+    d.run_schedule(sched);
+    drop(d);
+    let violations = rt.analysis().unwrap().finish();
+    assert!(violations.is_empty(), "clean run flagged: {violations:?}");
+    let hb = hb.lock();
+    let objs = hb
+        .racy_pairs()
+        .iter()
+        .map(|p| p.obj)
+        .collect::<HashSet<_>>();
+    let pairs = hb
+        .racy_pairs()
+        .iter()
+        .map(|p| (p.first_seq, p.second_seq, p.kinds.0, p.kinds.1))
+        .collect();
+    (hb.racy_total(), pairs, objs.len())
+}
+
+/// FNV-1a over the retained pairs, so a test can pin all 64 at once.
+fn digest(pairs: &[(u64, u64, AccessKind, AccessKind)]) -> u64 {
+    let code = |k: AccessKind| match k {
+        AccessKind::Read => 0,
+        AccessKind::Write => 1,
+        AccessKind::TestAndSet => 2,
+        AccessKind::FetchAdd => 3,
+    };
+    pairs
+        .iter()
+        .flat_map(|&(a, b, ka, kb)| [a, b, code(ka), code(kb)])
+        .fold(0xcbf2_9ce4_8422_2325, |h, x| {
+            (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+#[test]
+fn racy_pairs_of_seeded_kmult_runs_are_pinned() {
+    use AccessKind::{Read, TestAndSet, Write};
+    // Values the audit produced with hash-map clocks: how clocks are
+    // stored must not move a single pair.
+    let (total, pairs, objs) = racy_tally(&mut RoundRobin::new());
+    assert_eq!((total, pairs.len(), objs), (151, 64, 3));
+    assert_eq!(pairs[0], (17, 25, Write, TestAndSet));
+    assert_eq!(pairs[15], (137, 145, Write, Read));
+    assert_eq!(digest(&pairs), 0x8ccb_9c41_3609_23f6);
+
+    let (total, pairs, objs) = racy_tally(&mut SeededRandom::new(7));
+    assert_eq!((total, pairs.len(), objs), (167, 64, 4));
+    assert_eq!(pairs[4], (49, 57, Write, Read));
+    assert_eq!(pairs[6], (57, 59, Read, TestAndSet));
+    assert_eq!(digest(&pairs), 0x76d6_6eaf_d15b_300c);
 }
 
 /// Mutant: the granted poll applies *two* primitives.

@@ -3,8 +3,10 @@
 //! and the explorer surfacing (and minimizing) a racy counter that the
 //! pass refutes inline — no `history_snapshot()` anywhere.
 
+use approx_objects::{KmultCounter, KmultCounterHandle};
 use counter::{CollectCounter, CollectIncTask, CollectReadTask};
 use lincheck::LinearizabilityPass;
+use parking_lot::Mutex;
 use smr::analysis::Analyzer;
 use smr::explore::{explore, ExploreConfig};
 use smr::sched::{RoundRobin, SeededRandom};
@@ -57,6 +59,58 @@ fn pass_runs_clean_under_a_mid_operation_crash() {
     drop(d);
     let violations = rt.analysis().unwrap().finish();
     assert!(violations.is_empty(), "crash run flagged: {violations:?}");
+}
+
+#[test]
+fn pass_checks_a_thread_gated_kmult_run_through_its_reorder_window() {
+    // On the thread backend workers emit their own announcements, so
+    // the stream may trail ticket order and the pass holds events back
+    // in its reorder window. Algorithm 1 with k ≥ n stays k-accurate
+    // over the whole run: the k-pass must finish clean without going
+    // inert, and the exact pass, fed the same stream, must still reject
+    // the run's inexact reads.
+    let (n, k) = (4, 4);
+    for seed in [5u64, 17, 29, 41, 53, 65] {
+        let rt = Runtime::gated(n);
+        rt.attach_analysis(Analyzer::new(vec![
+            Box::new(LinearizabilityPass::counter(k)),
+            Box::new(LinearizabilityPass::counter(1)),
+        ]));
+        let counter = KmultCounter::new(n, k);
+        let handles: Arc<Vec<Mutex<KmultCounterHandle>>> =
+            Arc::new((0..n).map(|p| Mutex::new(counter.handle(p))).collect());
+        let mut d = Driver::new(rt.clone());
+        for pid in 0..n {
+            for i in 1..=60u64 {
+                let handles = Arc::clone(&handles);
+                if i % 6 == 0 {
+                    d.submit(pid, OpSpec::read(), move |ctx| {
+                        handles[pid].lock().read(ctx)
+                    });
+                } else {
+                    d.submit(pid, OpSpec::inc(), move |ctx| {
+                        handles[pid].lock().increment(ctx);
+                        0
+                    });
+                }
+            }
+        }
+        d.run_schedule(&mut SeededRandom::new(seed));
+        drop(d);
+        let analyzer = rt.analysis().unwrap();
+        let violations = analyzer.finish();
+        let notices = analyzer.summaries();
+        assert!(
+            notices.is_empty(),
+            "seed {seed}: pass went inert: {notices:?}"
+        );
+        assert_eq!(violations.len(), 1, "seed {seed}: {violations:?}");
+        assert!(
+            violations[0].message.contains("empty window"),
+            "seed {seed}: only the exact pass rejects: {}",
+            violations[0]
+        );
+    }
 }
 
 /// The racy mutant from `tests/explore.rs`: increments read-modify-write
