@@ -8,11 +8,15 @@
 //! metric present on both sides is checked (see `bench::regression`).
 //! The summary line says how many baseline rows a fresh row matched: a
 //! diff that matched none compared nothing.
-//! The exit code is 0 by default — CI machines vary too much to gate on
-//! wall-clock throughput — but regressions are printed loudly so a
-//! slowdown is visible in the log the moment it lands. `--strict` turns
-//! regressions beyond the factor into exit 1, for local gating runs
-//! (pre-release sweeps on a quiet box); CI stays warn-only.
+//! Exact counts (the explorer's `interleavings`, `pruned_subtrees` and
+//! `steps_replayed`) are deterministic: any difference on a matched row
+//! is printed as a mismatch and exits 1, with or without `--strict`.
+//! Otherwise the exit code is 0 by default — CI machines vary too much
+//! to gate on wall-clock throughput — but regressions are printed
+//! loudly so a slowdown is visible in the log the moment it lands.
+//! `--strict` turns regressions beyond the factor into exit 1, for
+//! local gating runs (pre-release sweeps on a quiet box); CI stays
+//! warn-only.
 //!
 //! CI: after an experiment rewrites its JSON in place, diff against the
 //! previously-committed copy:
@@ -74,12 +78,7 @@ fn main() {
         baseline.results.len(),
         fresh.results.len()
     );
-    let regressions = d.regressions;
-    if regressions.is_empty() {
-        println!("bench_diff: no regressions beyond {factor}x");
-        return;
-    }
-    for r in &regressions {
+    for r in &d.regressions {
         let verb = match r.kind {
             bench::regression::MetricKind::Throughput => "slowed down",
             bench::regression::MetricKind::Memory => "grew",
@@ -93,16 +92,31 @@ fn main() {
             r.fresh
         );
     }
-    if strict {
+    for m in &d.mismatches {
         println!(
-            "bench_diff: {} regression(s) beyond {factor}x — failing (--strict)",
-            regressions.len()
+            "MISMATCH: {}: {} is exact: {} -> {}",
+            m.row, m.metric, m.baseline, m.fresh
         );
+    }
+    let regressions = d.regressions.len();
+    if regressions == 0 {
+        println!("bench_diff: no regressions beyond {factor}x");
+    } else if strict {
+        println!("bench_diff: {regressions} regression(s) beyond {factor}x — failing (--strict)");
+    } else {
+        println!(
+            "bench_diff: {regressions} regression(s) beyond {factor}x — investigate before \
+             trusting the committed numbers (exit 0: wall-clock noise is not a CI failure)"
+        );
+    }
+    if !d.mismatches.is_empty() {
+        println!(
+            "bench_diff: {} exact count(s) changed — failing (the explorer visits other \
+             schedules; regenerate the baseline only if that is intended)",
+            d.mismatches.len()
+        );
+    }
+    if !d.mismatches.is_empty() || (strict && regressions > 0) {
         std::process::exit(1);
     }
-    println!(
-        "bench_diff: {} regression(s) beyond {factor}x — investigate before trusting \
-         the committed numbers (exit 0: wall-clock noise is not a CI failure)",
-        regressions.len()
-    );
 }

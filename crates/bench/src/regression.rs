@@ -23,8 +23,14 @@
 //!   wall-clock, so a 2× growth is a real layout or leak problem, not
 //!   jitter.
 //!
-//! The `bench_diff` binary wraps this as a CI step that *warns* (CI
-//! machines vary too much to gate on wall-clock throughput).
+//! **Exact** counts are compared for equality instead, whatever the
+//! factor: the exploration counts (`interleavings`, `pruned_subtrees`,
+//! `steps_replayed`) are deterministic, so any difference means the
+//! explorer visits other schedules, never noise.
+//!
+//! The `bench_diff` binary wraps this as a CI step that *warns* on
+//! regressions (CI machines vary too much to gate on wall-clock
+//! throughput) and fails on exact-count mismatches.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -73,7 +79,8 @@ pub enum MetricKind {
     Memory,
 }
 
-/// Compared-metric classification; `None` for identity/volatile fields.
+/// Compared-metric classification; `None` for identity, volatile and
+/// exact fields.
 fn metric_kind(name: &str) -> Option<MetricKind> {
     if name.ends_with("_per_sec") {
         Some(MetricKind::Throughput)
@@ -85,17 +92,7 @@ fn metric_kind(name: &str) -> Option<MetricKind> {
 }
 
 fn is_volatile(name: &str) -> bool {
-    const VOLATILE: &[&str] = &[
-        "millis",
-        "steps",
-        "ops",
-        "writes",
-        "reads",
-        "interleavings",
-        "pruned_subtrees",
-        "steps_replayed",
-        "violations",
-    ];
+    const VOLATILE: &[&str] = &["millis", "steps", "ops", "writes", "reads", "violations"];
     // The suffix classes cover obs metric-snapshot exports: raw event
     // counts (`_total`, histogram `_count`) and histogram quantiles
     // (`_p50`/`_p90`/`_p99`/`_max`) vary run to run and carry no
@@ -107,10 +104,16 @@ fn is_volatile(name: &str) -> bool {
     VOLATILE.contains(&name) || VOLATILE_SUFFIXES.iter().any(|s| name.ends_with(s))
 }
 
+/// Deterministic counts, compared for equality (see the module docs).
+fn is_exact(name: &str) -> bool {
+    const EXACT: &[&str] = &["interleavings", "pruned_subtrees", "steps_replayed"];
+    EXACT.contains(&name)
+}
+
 /// The identity key of a row: every stable field, rendered.
 pub fn identity(row: &Row) -> String {
     row.iter()
-        .filter(|(k, _)| metric_kind(k).is_none() && !is_volatile(k))
+        .filter(|(k, _)| metric_kind(k).is_none() && !is_volatile(k) && !is_exact(k))
         .map(|(k, v)| format!("{k}={}", v.render()))
         .collect::<Vec<_>>()
         .join(" ")
@@ -150,6 +153,19 @@ impl Regression {
     }
 }
 
+/// An exact count that differs between baseline and fresh run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Mismatch {
+    /// Identity of the affected row.
+    pub row: String,
+    /// The count that changed.
+    pub metric: String,
+    /// Baseline value.
+    pub baseline: f64,
+    /// Fresh value.
+    pub fresh: f64,
+}
+
 /// The outcome of [`diff`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Diff {
@@ -158,14 +174,17 @@ pub struct Diff {
     pub matched: usize,
     /// Every compared metric that got worse beyond the factor.
     pub regressions: Vec<Regression>,
+    /// Every exact count that differs, in either direction.
+    pub mismatches: Vec<Mismatch>,
 }
 
 /// Compare `fresh` against `baseline`: every compared metric present in
 /// both versions of a row that got more than `factor` times worse —
 /// throughput below `baseline / factor`, memory above
-/// `baseline × factor` — is reported. Rows present on only one side are
-/// skipped (configs come and go); [`Diff::matched`] says how many
-/// baseline rows were compared.
+/// `baseline × factor` — is reported, and so is every exact count that
+/// differs at all. Rows present on only one side are skipped (configs
+/// come and go); [`Diff::matched`] says how many baseline rows were
+/// compared.
 pub fn diff(baseline: &BenchFile, fresh: &BenchFile, factor: f64) -> Diff {
     assert!(factor >= 1.0, "a regression factor below 1 is meaningless");
     let mut by_id: BTreeMap<String, &Row> = BTreeMap::new();
@@ -174,6 +193,7 @@ pub fn diff(baseline: &BenchFile, fresh: &BenchFile, factor: f64) -> Diff {
     }
     let mut matched = BTreeSet::new();
     let mut out = Vec::new();
+    let mut mismatches = Vec::new();
     for row in &fresh.results {
         let id = identity(row);
         let Some(base) = by_id.get(&id) else {
@@ -181,10 +201,21 @@ pub fn diff(baseline: &BenchFile, fresh: &BenchFile, factor: f64) -> Diff {
         };
         matched.insert(id.clone());
         for (name, cell) in row.iter() {
-            let Some(kind) = metric_kind(name) else {
+            let (Cell::Num(fresh_v), Some(Cell::Num(base_v))) = (cell, base.get(name)) else {
                 continue;
             };
-            let (Cell::Num(fresh_v), Some(Cell::Num(base_v))) = (cell, base.get(name)) else {
+            if is_exact(name) {
+                if fresh_v != base_v {
+                    mismatches.push(Mismatch {
+                        row: id.clone(),
+                        metric: name.clone(),
+                        baseline: *base_v,
+                        fresh: *fresh_v,
+                    });
+                }
+                continue;
+            }
+            let Some(kind) = metric_kind(name) else {
                 continue;
             };
             let regressed = match kind {
@@ -205,6 +236,7 @@ pub fn diff(baseline: &BenchFile, fresh: &BenchFile, factor: f64) -> Diff {
     Diff {
         matched: matched.len(),
         regressions: out,
+        mismatches,
     }
 }
 
@@ -525,6 +557,54 @@ mod tests {
         let ids: Vec<String> = f.results.iter().map(identity).collect();
         assert!(ids[0].contains("algo=dfs-prune") && ids[1].contains("algo=dpor"));
         assert_ne!(ids[0], ids[1], "algo distinguishes otherwise-equal rows");
+    }
+
+    const EXPLORE: &str = r#"{
+  "bench": "schedule_exploration",
+  "results": [
+    {"config": "collect-3x2-dpor", "algo": "dpor", "prune": true, "max_crashes": 0, "interleavings": 132, "pruned_subtrees": 260, "steps_replayed": 1758, "millis": 1.4, "interleavings_per_sec": 92589, "violations": 0},
+    {"config": "kmult-3x2-exhaustive", "algo": "dfs", "prune": false, "max_crashes": 0, "interleavings": 6, "pruned_subtrees": 0, "steps_replayed": 18, "millis": 0.1, "interleavings_per_sec": 83696, "violations": 0}
+  ]
+}"#;
+
+    #[test]
+    fn equal_exploration_counts_pass_whatever_the_timing() {
+        let base = parse_bench_json(EXPLORE).unwrap();
+        let slower = EXPLORE
+            .replace("\"millis\": 1.4", "\"millis\": 1.9")
+            .replace(
+                "\"interleavings_per_sec\": 92589",
+                "\"interleavings_per_sec\": 69000",
+            );
+        let d = diff(&base, &parse_bench_json(&slower).unwrap(), 2.0);
+        assert_eq!(d.matched, 2);
+        assert!(d.mismatches.is_empty());
+        assert!(d.regressions.is_empty(), "1.34x slower is within 2x");
+    }
+
+    #[test]
+    fn unequal_exploration_counts_are_mismatches_in_either_direction() {
+        let base = parse_bench_json(EXPLORE).unwrap();
+        let changed = EXPLORE
+            .replace("\"interleavings\": 132", "\"interleavings\": 133")
+            .replace("\"steps_replayed\": 18", "\"steps_replayed\": 17");
+        let d = diff(&base, &parse_bench_json(&changed).unwrap(), 1e9);
+        assert_eq!(d.matched, 2, "counts are compared, not part of identity");
+        assert!(d.regressions.is_empty());
+        let found: Vec<(&str, f64, f64)> = d
+            .mismatches
+            .iter()
+            .map(|m| (m.metric.as_str(), m.baseline, m.fresh))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                ("interleavings", 132.0, 133.0),
+                ("steps_replayed", 18.0, 17.0)
+            ]
+        );
+        assert!(d.mismatches[0].row.contains("config=collect-3x2-dpor"));
+        assert!(d.mismatches[1].row.contains("config=kmult-3x2-exhaustive"));
     }
 
     #[test]

@@ -68,6 +68,18 @@
 //! applied while priming, ≠ 1 primitive on a granted step). Violations
 //! are bugs in the task, not schedule-dependent behavior.
 //!
+//! ## One recording context
+//!
+//! Every poll runs under one [`ProcCtx`] that the backend owns for its
+//! whole life and re-points at the polled process, so a poll clones no
+//! `Arc<Runtime>`. The context records the `(object, kind)` of every
+//! primitive applied through it. `submit`, `step` and each batch poll
+//! clear the record first, so after a granted step it lists what that
+//! grant applied: the step's primitive, plus any primitive a follow-up
+//! operation's priming poll applied (none, under the contract). The
+//! explorer reads it (`Driver::touched`) to learn which object a step
+//! touched without switching the trace log on.
+//!
 //! [`Runtime::coop`]: crate::Runtime::coop
 //! [`Runtime::coop_free`]: crate::Runtime::coop_free
 
@@ -75,19 +87,21 @@ use super::{ExecBackend, StepOutcome};
 use crate::history::{OpRecord, OpSpec};
 use crate::runtime::{Mode, Runtime};
 use crate::task::{DropFn, ErasedTask, Op, Poll, PollFn};
+use crate::trace::AccessKind;
 use crate::ProcCtx;
 use std::alloc::Layout;
+use std::cell::Ref;
 use std::collections::VecDeque;
 use std::ptr::NonNull;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Null link in the queue slab and in `qhead`/`qtail`.
 const NIL: u32 = u32::MAX;
 
-/// The backend's registered metrics, resolved once per backend (the
+/// The backend's registered metrics, resolved once per process (the
 /// handles are `&'static`, so the poll loop pays one relaxed flag load
-/// plus one sharded `fetch_add` per event, nothing per-event from the
-/// registry).
+/// plus one sharded `fetch_add` per event, and building a backend pays
+/// one `OnceLock` load instead of a registry lookup per metric).
 struct CoopMetrics {
     /// Every task poll: priming polls in `advance`, granted polls in
     /// `step`, batch polls in `sweep_one`.
@@ -97,21 +111,18 @@ struct CoopMetrics {
     quiesces: &'static obs::Counter,
     /// Runnable-queue depth, sampled once per completed batch round.
     runnable_depth: &'static obs::Histogram,
+    /// Task-arena chunk memory currently allocated, across backends.
+    arena_bytes: &'static obs::Gauge,
 }
 
-impl CoopMetrics {
-    fn new() -> CoopMetrics {
-        CoopMetrics {
-            polls: obs::counter(obs::names::SUB_COOP, obs::names::COOP_POLLS),
-            quiesces: obs::counter(obs::names::SUB_COOP, obs::names::COOP_QUIESCES),
-            runnable_depth: obs::histogram(
-                obs::names::SUB_COOP,
-                obs::names::COOP_RUNNABLE_DEPTH,
-                2,
-                4,
-            ),
-        }
-    }
+fn metrics() -> &'static CoopMetrics {
+    static M: OnceLock<CoopMetrics> = OnceLock::new();
+    M.get_or_init(|| CoopMetrics {
+        polls: obs::counter(obs::names::SUB_COOP, obs::names::COOP_POLLS),
+        quiesces: obs::counter(obs::names::SUB_COOP, obs::names::COOP_QUIESCES),
+        runnable_depth: obs::histogram(obs::names::SUB_COOP, obs::names::COOP_RUNNABLE_DEPTH, 2, 4),
+        arena_bytes: obs::gauge(obs::names::SUB_COOP, obs::names::COOP_ARENA_BYTES),
+    })
 }
 
 /// Bump-arena chunk size; large enough that 10⁶ small task states fit
@@ -171,11 +182,10 @@ impl TaskArena {
             let ptr = unsafe { std::alloc::alloc(chunk_layout) };
             let ptr =
                 NonNull::new(ptr).unwrap_or_else(|| std::alloc::handle_alloc_error(chunk_layout));
-            // Chunk growth is rare (one per MiB of task state), so the
-            // registry lookup here costs nothing measurable; chunks are
-            // reused across generations and only freed at drop, which
-            // is what the gauge tracks.
-            obs::gauge(obs::names::SUB_COOP, obs::names::COOP_ARENA_BYTES)
+            // Chunks are reused across generations and only freed at
+            // drop, which is what the gauge tracks.
+            metrics()
+                .arena_bytes
                 .add(i64::try_from(chunk_layout.size()).unwrap_or(i64::MAX));
             self.chunks.push(Chunk {
                 ptr,
@@ -229,7 +239,8 @@ impl Drop for TaskArena {
         // The backend retires every live task before the arena drops
         // (teardown or panic path), so only raw chunk memory remains.
         for chunk in self.chunks.drain(..) {
-            obs::gauge(obs::names::SUB_COOP, obs::names::COOP_ARENA_BYTES)
+            metrics()
+                .arena_bytes
                 .sub(i64::try_from(chunk.layout.size()).unwrap_or(i64::MAX));
             // SAFETY: allocated in `alloc` with exactly this layout.
             unsafe { std::alloc::dealloc(chunk.ptr.as_ptr(), chunk.layout) };
@@ -318,7 +329,11 @@ pub struct CoopBackend {
     /// submission order.
     batch_rng: Option<u64>,
 
-    metrics: CoopMetrics,
+    /// The one context every poll runs under, re-pointed at the polled
+    /// process; its access record lists the primitives applied since
+    /// the last `submit`, `step` or batch poll began.
+    ctx: ProcCtx,
+    metrics: &'static CoopMetrics,
 }
 
 // SAFETY: every raw pointer (arena chunks, installed payloads, slab
@@ -425,7 +440,8 @@ impl CoopBackend {
             sweep_keep: 0,
             round_fresh: true,
             batch_rng,
-            metrics: CoopMetrics::new(),
+            metrics: metrics(),
+            ctx: ProcCtx::recording(runtime.clone()),
             runtime,
         }
     }
@@ -483,8 +499,11 @@ impl CoopBackend {
     /// Start queued operations until one parks at a primitive or the
     /// queue runs dry: announce the invocation (gated mode), run the
     /// priming poll, and complete zero-primitive operations on the spot.
+    /// The context must already point at `pid`; priming polls add to
+    /// its access record without clearing it.
     fn advance(&mut self, pid: usize) {
         debug_assert!(self.parked_data[pid].is_none());
+        debug_assert_eq!(self.ctx.pid(), pid);
         while let Some((spec, data, poll, dropper)) = self.pop_queued(pid) {
             let inv = self.runtime.ticket();
             let steps_at_inv = self.runtime.steps_of(pid);
@@ -501,11 +520,10 @@ impl CoopBackend {
                     steps: steps_at_inv,
                 });
             }
-            let ctx = self.runtime.ctx(pid);
             self.metrics.polls.inc();
             // SAFETY: `data` is the live, exclusively-owned task
             // installed for this op.
-            let polled = unsafe { poll(data, &ctx) };
+            let polled = unsafe { poll(data, &self.ctx) };
             assert!(
                 self.lenient || self.runtime.steps_of(pid) == steps_at_inv,
                 "OpTask contract violation (pid {pid}, op {:?}): the priming poll \
@@ -598,9 +616,9 @@ impl CoopBackend {
             return;
         };
         let before = self.runtime.steps_of(pid);
-        let ctx = self.runtime.ctx(pid);
+        self.ctx.begin(pid);
         // SAFETY: the parked task is live and exclusively ours.
-        let polled = unsafe { (self.parked_poll[pid])(data, &ctx) };
+        let polled = unsafe { (self.parked_poll[pid])(data, &self.ctx) };
         let applied = self.runtime.steps_of(pid) - before;
         assert!(
             self.lenient || applied == 1,
@@ -619,6 +637,14 @@ impl CoopBackend {
             self.in_runnable[pid] = false;
         }
     }
+
+    /// The `(object, kind)` of every primitive applied since the last
+    /// `submit`, `step` or batch poll began, in order: the granted (or
+    /// batch-polled) primitive plus any a follow-up operation's priming
+    /// poll applied. Empty after a `step` that found nothing parked.
+    pub(crate) fn touched(&self) -> Ref<'_, [(usize, AccessKind)]> {
+        self.ctx.touched()
+    }
 }
 
 impl ExecBackend for CoopBackend {
@@ -632,6 +658,7 @@ impl ExecBackend for CoopBackend {
         };
         let (data, poll, dropper) = self.arena.install(task);
         self.push_queued(pid, spec, data, poll, dropper);
+        self.ctx.begin(pid);
         if self.parked_data[pid].is_none() {
             self.advance(pid);
         }
@@ -643,6 +670,7 @@ impl ExecBackend for CoopBackend {
 
     fn step(&mut self, pid: usize, expected_ops: u64) -> StepOutcome {
         assert!(self.gated, "step() requires a gated runtime");
+        self.ctx.begin(pid);
         let Some(data) = self.parked_data[pid] else {
             debug_assert!(self.qhead[pid] == NIL);
             let _ = expected_ops; // completion is structural here
@@ -651,9 +679,8 @@ impl ExecBackend for CoopBackend {
         let before = self.runtime.steps_of(pid);
         self.runtime.trace_grant(pid);
         self.metrics.polls.inc();
-        let ctx = self.runtime.ctx(pid);
         // SAFETY: the parked task is live and exclusively ours.
-        let polled = unsafe { (self.parked_poll[pid])(data, &ctx) };
+        let polled = unsafe { (self.parked_poll[pid])(data, &self.ctx) };
         let applied = self.runtime.steps_of(pid) - before;
         assert!(
             self.lenient || applied == 1,
@@ -701,14 +728,14 @@ impl ExecBackend for CoopBackend {
         // execution, so the sink is sealed before the first one.
         self.runtime.seal_analysis();
         for pid in 0..self.parked_data.len() {
-            let ctx = self.runtime.ctx(pid);
+            self.ctx.begin(pid);
             if let Some(data) = self.parked_data[pid].take() {
                 let poll = self.parked_poll[pid];
                 let dropper = self.parked_drop[pid];
                 // SAFETY: the parked task is live; retired right after
                 // its final poll.
                 unsafe {
-                    while poll(data, &ctx).is_pending() {}
+                    while poll(data, &self.ctx).is_pending() {}
                     self.arena.retire(data, dropper);
                 }
             }
@@ -716,7 +743,7 @@ impl ExecBackend for CoopBackend {
                 // SAFETY: as above; queued tasks start from their
                 // priming poll.
                 unsafe {
-                    while poll(data, &ctx).is_pending() {}
+                    while poll(data, &self.ctx).is_pending() {}
                     self.arena.retire(data, dropper);
                 }
             }

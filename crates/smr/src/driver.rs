@@ -34,7 +34,9 @@ use crate::history::{History, OpRecord, OpSpec};
 use crate::runtime::{Mode, Runtime};
 use crate::sched::Scheduler;
 use crate::task::{ErasedTask, Op, OpTask};
+use crate::trace::AccessKind;
 use crate::ProcCtx;
+use std::cell::Ref;
 use std::sync::Arc;
 
 pub use crate::backend::StepOutcome;
@@ -162,6 +164,14 @@ impl Driver<CoopBackend> {
     pub fn coop_free_seeded(runtime: Arc<Runtime>, seed: u64) -> Self {
         let backend = CoopBackend::new_free_seeded(runtime.clone(), seed);
         Driver::with_backend(runtime, backend)
+    }
+
+    /// The `(object, kind)` of every primitive the last
+    /// [`step`](Driver::step) or submission applied, in order — the
+    /// backend context's access record (see [`CoopBackend`]). A
+    /// [`crash`](Driver::crash) applies nothing and leaves it as it was.
+    pub(crate) fn touched(&self) -> Ref<'_, [(usize, AccessKind)]> {
+        self.backend.touched()
     }
 }
 
@@ -480,6 +490,7 @@ mod tests {
     use crate::history::OpKind;
     use crate::sched::{RoundRobin, Scripted, SeededRandom};
     use crate::task::Poll;
+    use crate::trace::TraceEvent;
     use crate::{Register, Runtime, TasBit};
 
     #[test]
@@ -1061,24 +1072,28 @@ mod tests {
         assert_eq!(reg.peek(), 20, "sequential task schedule loses nothing");
     }
 
+    /// Applies two primitives in one granted poll (read, then write
+    /// `v + 1`): a poll-contract violation.
+    struct Greedy {
+        reg: Arc<Register>,
+        primed: bool,
+    }
+
+    impl OpTask for Greedy {
+        fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
+            if !self.primed {
+                self.primed = true;
+                return Poll::Pending;
+            }
+            let v = self.reg.read(ctx);
+            self.reg.write(ctx, v + 1); // second primitive: contract violation
+            Poll::Ready(0)
+        }
+    }
+
     #[test]
     #[should_panic(expected = "exactly one primitive")]
     fn coop_detects_multi_primitive_polls() {
-        struct Greedy {
-            reg: Arc<Register>,
-            primed: bool,
-        }
-        impl OpTask for Greedy {
-            fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-                if !self.primed {
-                    self.primed = true;
-                    return Poll::Pending;
-                }
-                let v = self.reg.read(ctx);
-                self.reg.write(ctx, v + 1); // second primitive: contract violation
-                Poll::Ready(0)
-            }
-        }
         let rt = Runtime::coop(1);
         let mut d = Driver::coop(rt);
         d.submit_task(
@@ -1090,5 +1105,116 @@ mod tests {
             },
         );
         let _ = d.step(0);
+    }
+
+    #[test]
+    fn coop_step_records_its_one_primitive() {
+        let mut d = Driver::coop(Runtime::coop(2));
+        let reg = Arc::new(Register::new(0));
+        d.submit_task(0, OpSpec::custom("rmw", 0), RmwTask::new(reg.clone(), 1));
+        assert!(d.touched().is_empty(), "a priming poll applies nothing");
+        let r = reg.obj_id();
+        assert_eq!(d.step(0), StepOutcome::Stepped);
+        assert_eq!(&*d.touched(), &[(r, AccessKind::Read)]);
+        assert_eq!(d.step(0), StepOutcome::Stepped);
+        assert_eq!(&*d.touched(), &[(r, AccessKind::Write)]);
+    }
+
+    #[test]
+    fn coop_step_with_nothing_parked_records_nothing() {
+        let mut d = Driver::coop(Runtime::coop(2));
+        let reg = Arc::new(Register::new(0));
+        d.submit_task(1, OpSpec::custom("rmw", 0), RmwTask::new(reg.clone(), 1));
+        assert_eq!(d.step(1), StepOutcome::Stepped);
+        assert_eq!(d.touched().len(), 1);
+        assert_eq!(d.step(0), StepOutcome::Completed, "pid 0 has no work");
+        assert!(d.touched().is_empty(), "the earlier step's record is gone");
+    }
+
+    #[test]
+    fn lenient_coop_records_every_primitive_of_a_poll_in_order() {
+        let mut d = Driver::coop_lenient(Runtime::coop(1));
+        let reg = Arc::new(Register::new(0));
+        d.submit_task(
+            0,
+            OpSpec::custom("greedy", 0),
+            Greedy {
+                reg: reg.clone(),
+                primed: false,
+            },
+        );
+        assert_eq!(d.step(0), StepOutcome::Stepped);
+        let r = reg.obj_id();
+        assert_eq!(
+            &*d.touched(),
+            &[(r, AccessKind::Read), (r, AccessKind::Write)]
+        );
+        assert_eq!(reg.peek(), 1);
+    }
+
+    #[test]
+    fn lenient_coop_records_a_follow_up_priming_primitive_with_the_completing_step() {
+        /// Writes its register in the priming poll (a contract
+        /// violation), then reads it on its one grant.
+        struct EagerWrite {
+            reg: Arc<Register>,
+            primed: bool,
+        }
+        impl OpTask for EagerWrite {
+            fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
+                if !self.primed {
+                    self.primed = true;
+                    self.reg.write(ctx, 1);
+                    return Poll::Pending;
+                }
+                Poll::Ready(u128::from(self.reg.read(ctx)))
+            }
+        }
+        let mut d = Driver::coop_lenient(Runtime::coop(1));
+        let first = Arc::new(Register::new(0));
+        let second = Arc::new(Register::new(0));
+        d.submit_task(0, OpSpec::inc(), RmwTask::new(first.clone(), 1));
+        d.submit_task(
+            0,
+            OpSpec::read(),
+            EagerWrite {
+                reg: second.clone(),
+                primed: false,
+            },
+        );
+        assert!(d.touched().is_empty(), "the follow-up waits behind the inc");
+        assert_eq!(d.step(0), StepOutcome::Stepped);
+        assert_eq!(&*d.touched(), &[(first.obj_id(), AccessKind::Read)]);
+        assert_eq!(d.step(0), StepOutcome::Stepped);
+        assert_eq!(d.completed_of(0), 1);
+        assert_eq!(
+            &*d.touched(),
+            &[
+                (first.obj_id(), AccessKind::Write),
+                (second.obj_id(), AccessKind::Write)
+            ],
+            "the follow-up's priming write belongs to the completing step"
+        );
+        assert_eq!(d.step(0), StepOutcome::Stepped);
+        assert_eq!(&*d.touched(), &[(second.obj_id(), AccessKind::Read)]);
+    }
+
+    #[test]
+    fn coop_crash_logs_exactly_one_crash_edge() {
+        let rt = Runtime::coop(2);
+        let mut d = Driver::coop(rt.clone());
+        let reg = Arc::new(Register::new(0));
+        for pid in 0..2 {
+            d.submit_task(pid, OpSpec::inc(), RmwTask::new(reg.clone(), 1));
+        }
+        rt.enable_tracing();
+        assert_eq!(d.step(0), StepOutcome::Stepped);
+        assert!(!rt.take_trace().is_empty(), "the step was traced");
+        d.crash(1);
+        let log = rt.take_trace();
+        assert!(
+            matches!(log[..], [TraceEvent::Crash { pid: 1, .. }]),
+            "{log:?}"
+        );
     }
 }

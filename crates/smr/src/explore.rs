@@ -49,10 +49,12 @@
 //! around them, so a contract violation can never hide behind a
 //! reduction that assumed the contract.
 //!
-//! The primitive each step applied is read off the runtime's access
-//! trace ([`Runtime::enable_tracing`](crate::Runtime::enable_tracing) —
-//! the explorer turns it on); event emission is read off the history
-//! length.
+//! The primitives each step applied are read off the coop backend's
+//! access record: the one context the backend polls every process under
+//! lists the `(object, kind)` of each primitive applied through it (see
+//! [`CoopBackend`]). Event emission is read off the history length. The
+//! explorer never switches the runtime's trace log on, so with no
+//! analyzer attached every replay runs with tracing off.
 //!
 //! ## Reduction: DPOR (default) and adjacent-swap pruning
 //!
@@ -152,7 +154,7 @@ use crate::backend::CoopBackend;
 use crate::driver::Driver;
 use crate::history::History;
 use crate::sched::Scripted;
-use crate::trace::{AccessKind, TraceEvent};
+use crate::trace::AccessKind;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Mutex, OnceLock};
 
@@ -364,69 +366,41 @@ struct Frame {
     idx: usize,
 }
 
-/// Apply one decision to the driver, returning the step's [`StepMeta`]
-/// (for traced `Step` decisions). `traced` controls whether this call
-/// drains and inspects the trace: the raw DFS replays prefixes with
-/// tracing off entirely (no per-step mutex/alloc traffic), while the
-/// DPOR walk keeps tracing on throughout — it needs the prefix accesses
-/// to rebuild object identity in each fresh instance — but still passes
-/// `traced: false` during replay and drains the whole prefix in one
-/// bulk take afterwards. `scratch` is the reused trace drain buffer —
-/// one allocation per walk, not per step.
-fn apply(
-    d: &mut Driver<CoopBackend>,
-    choice: Choice,
-    traced: bool,
-    scratch: &mut Vec<TraceEvent>,
-) -> Option<StepMeta> {
+/// Apply one decision to the driver, returning the step's [`StepMeta`].
+///
+/// What a step applied comes from the backend's access record
+/// ([`Driver::touched`]): the granted primitive plus any primitive a
+/// follow-up operation's priming poll applied. Only one primitive
+/// identifies the step for the independence relation. A lenient
+/// backend can let a poll-contract mutant apply zero or several
+/// primitives in one grant — the analysis passes diagnose that; here
+/// the step just loses its metadata (None never commutes, so the walk
+/// stays exhaustive around it). A crash decision touches nothing and
+/// gets no metadata either.
+fn apply(d: &mut Driver<CoopBackend>, choice: Choice) -> Option<StepMeta> {
     match choice {
         Choice::Step(pid) => {
             let before_len = d.history().len();
             let _ = d.step(pid);
-            if !traced {
+            let &[(obj, kind)] = &*d.touched() else {
                 return None;
-            }
-            // The trace carries controller edges (Grant, and the
-            // Invoke/Complete of zero-primitive follow-up ops) around the
-            // step's single primitive application; only that one matters
-            // for the independence relation. A lenient backend can let a
-            // poll-contract mutant apply zero or several primitives in one
-            // grant — the analysis passes diagnose that; here the step just
-            // loses its metadata (None never commutes, so the walk stays
-            // exhaustive around it).
-            d.runtime().take_trace_into(scratch);
-            let mut acc = scratch.iter().filter_map(|e| e.access());
-            let first = acc.next().copied();
-            let ev = match (first, acc.next()) {
-                (Some(ev), None) => ev,
-                _ => return None,
             };
             Some(StepMeta {
                 pid,
-                obj: ev.obj,
-                kind: ev.kind,
+                obj,
+                kind,
                 emitted: d.history().len() != before_len,
             })
         }
         Choice::Crash(pid) => {
             d.crash(pid);
-            if traced {
-                d.runtime().take_trace_into(scratch);
-                debug_assert!(
-                    scratch
-                        .iter()
-                        .any(|e| matches!(e, TraceEvent::Crash { .. })),
-                    "a crash decision records a Crash edge"
-                );
-            }
             None
         }
     }
 }
 
 /// [`independent`] lifted to optional metadata: a step without metadata
-/// (crash, nonconforming poll, or an untraced replay edge) commutes
-/// with nothing.
+/// (crash or nonconforming poll) commutes with nothing.
 fn indep_opt(a: &Option<StepMeta>, b: &Option<StepMeta>) -> bool {
     match (a, b) {
         (Some(a), Some(b)) => independent(a, b),
@@ -599,7 +573,6 @@ where
 {
     let mut stats = ExploreStats::default();
     let mut path: Vec<Frame> = Vec::new();
-    let mut scratch: Vec<TraceEvent> = Vec::new();
     // Pruning keeps only the lexicographically-canonical member of each
     // equivalence class, but a preemption budget is not invariant under
     // the commutation (the canonical schedule may preempt more), so the
@@ -621,11 +594,7 @@ where
     }
 
     'outer: loop {
-        // Replay the current prefix on a fresh driver. The prune check
-        // only consults the last two decisions, so the replay runs
-        // untraced up to them (tracing costs a mutex + alloc per step,
-        // and replays are the explorer's entire work); tracing turns on
-        // for the final two edges and stays on for the extension.
+        // Replay the current prefix on a fresh driver.
         let mut d = factory();
         assert!(
             d.runtime().is_coop(),
@@ -633,15 +602,10 @@ where
         );
         let mut walk = Walk::new();
         let prefix: Vec<Choice> = path.iter().map(|f| f.alts[f.idx]).collect();
-        let traced_from = prefix.len().saturating_sub(2);
         let mut replay_pruned = false;
         for (i, &choice) in prefix.iter().enumerate() {
-            if i == traced_from {
-                d.runtime().enable_tracing();
-                d.runtime().take_trace_into(&mut scratch); // drop any factory-time noise
-            }
             let prev = walk.prev;
-            let info = apply(&mut d, choice, i >= traced_from, &mut scratch);
+            let info = apply(&mut d, choice);
             stats.steps_replayed += u64::from(matches!(choice, Choice::Step(_)));
             walk.account(choice, info, &d);
             // Only the deepest decision can be fresh; everything above
@@ -650,10 +614,6 @@ where
                 replay_pruned = true;
                 break;
             }
-        }
-        if prefix.is_empty() {
-            d.runtime().enable_tracing();
-            d.runtime().take_trace_into(&mut scratch); // drop any factory-time noise
         }
         if replay_pruned {
             stats.pruned += 1;
@@ -703,7 +663,7 @@ where
             let choice = alts[0];
             path.push(Frame { alts, idx: 0 });
             let prev = walk.prev;
-            let info = apply(&mut d, choice, true, &mut scratch);
+            let info = apply(&mut d, choice);
             stats.steps_replayed += u64::from(matches!(choice, Choice::Step(_)));
             walk.account(choice, info, &d);
             if prune && prunable(&prev, &info) {
@@ -749,24 +709,29 @@ impl ObjIds {
         self.0.len()
     }
 
-    /// Feed every access in a drained trace fragment through the map,
-    /// in order.
-    fn feed(&mut self, events: &[TraceEvent]) {
-        for a in events.iter().filter_map(|e| e.access()) {
-            self.id(a.obj);
+    /// Feed every object the just-applied `choice` touched through the
+    /// map, in order, and return the last one's id. A crash touches
+    /// nothing (the backend's access record still lists the previous
+    /// step's primitives, so it is not consulted).
+    fn feed(&mut self, d: &Driver<CoopBackend>, choice: Choice) -> Option<usize> {
+        let mut last = None;
+        if let Choice::Step(_) = choice {
+            for &(obj, _) in d.touched().iter() {
+                last = Some(self.id(obj));
+            }
         }
+        last
     }
 }
 
-/// Rewrite a freshly-recorded meta's object address to its first-touch
-/// id, feeding every access of the step's trace fragment through the
-/// map (nonconforming multi-access steps still advance the map — id
-/// assignment must be a function of the path, not of conformance).
-fn stabilize(ids: &mut ObjIds, events: &[TraceEvent], info: Option<StepMeta>) -> Option<StepMeta> {
-    let mut last = None;
-    for a in events.iter().filter_map(|e| e.access()) {
-        last = Some(ids.id(a.obj));
-    }
+/// Apply `choice` and return its metadata with the object address
+/// rewritten to its first-touch id. Every object the decision touched
+/// goes through the map (nonconforming multi-access steps still advance
+/// it — id assignment must be a function of the path, not of
+/// conformance).
+fn apply_stable(d: &mut Driver<CoopBackend>, ids: &mut ObjIds, choice: Choice) -> Option<StepMeta> {
+    let info = apply(d, choice);
+    let last = ids.feed(d, choice);
     info.map(|m| StepMeta {
         obj: last.expect("a step with metadata applied exactly one primitive"),
         ..m
@@ -1030,7 +995,6 @@ where
 {
     let mut stats = ExploreStats::default();
     let mut raw: Vec<(Replay, String)> = Vec::new();
-    let mut scratch: Vec<TraceEvent> = Vec::new();
 
     // Clocks for the preamble, computed once (pure metadata, no driver).
     let mut pre: Vec<PreEvent> = Vec::with_capacity(preamble.len());
@@ -1080,20 +1044,19 @@ where
         );
         let mut steps = 0usize;
         let mut crashes = 0usize;
-        // Replay the prefix with tracing on (metadata and clocks are
-        // already on the stack, but this fresh instance's object
-        // addresses are not — the prefix accesses rebuild the
-        // first-touch id map), draining the trace once in bulk.
-        d.runtime().enable_tracing();
-        d.runtime().take_trace_into(&mut scratch); // drop any stray noise
+        // Replay the prefix. Metadata and clocks are already on the
+        // stack, but this fresh instance's object addresses are not: the
+        // objects the prefix touches rebuild the first-touch id map.
         let exec_upto = stack.len() - usize::from(pending);
         let replayed: Vec<Choice> = pre
             .iter()
             .map(|e| e.choice)
             .chain(stack[..exec_upto].iter().map(|n| n.taken))
             .collect();
+        let mut ids = ObjIds::default();
         for choice in replayed {
-            apply(&mut d, choice, false, &mut scratch);
+            apply(&mut d, choice);
+            ids.feed(&d, choice);
             match choice {
                 Choice::Step(_) => {
                     steps += 1;
@@ -1102,15 +1065,11 @@ where
                 Choice::Crash(_) => crashes += 1,
             }
         }
-        let mut ids = ObjIds::default();
-        d.runtime().take_trace_into(&mut scratch);
-        ids.feed(&scratch);
 
         if std::mem::take(&mut pending) {
             let k = stack.len() - 1;
             let choice = stack[k].taken;
-            let info = apply(&mut d, choice, true, &mut scratch);
-            let info = stabilize(&mut ids, &scratch, info);
+            let info = apply_stable(&mut d, &mut ids, choice);
             match choice {
                 Choice::Step(_) => {
                     steps += 1;
@@ -1208,8 +1167,7 @@ where
             }
             let taken = backtrack[0];
             let objs_seen = ids.len();
-            let info = apply(&mut d, taken, true, &mut scratch);
-            let info = stabilize(&mut ids, &scratch, info);
+            let info = apply_stable(&mut d, &mut ids, taken);
             match taken {
                 Choice::Step(_) => {
                     steps += 1;
@@ -1288,22 +1246,23 @@ fn split_frontier<F>(cfg: &ExploreConfig, factory: &F, depth: usize) -> (Vec<Spl
 where
     F: Fn() -> Driver<CoopBackend>,
 {
-    let mut scratch: Vec<TraceEvent> = Vec::new();
     let mut tasks = vec![SplitTask {
         preamble: Vec::new(),
         sleep: Vec::new(),
     }];
     let mut pruned = 0u64;
     let mut steps_replayed = 0u64;
+    // Replay a preamble, rebuilding the first-touch id map as it goes.
     let replay_prefix = |d: &mut Driver<CoopBackend>,
                          preamble: &[(Choice, Option<StepMeta>)],
-                         scratch: &mut Vec<TraceEvent>,
                          steps_replayed: &mut u64|
-     -> (usize, usize) {
+     -> (usize, usize, ObjIds) {
         let mut steps = 0usize;
         let mut crashes = 0usize;
+        let mut ids = ObjIds::default();
         for &(choice, _) in preamble {
-            apply(d, choice, false, scratch);
+            apply(d, choice);
+            ids.feed(d, choice);
             match choice {
                 Choice::Step(_) => {
                     steps += 1;
@@ -1312,7 +1271,7 @@ where
                 Choice::Crash(_) => crashes += 1,
             }
         }
-        (steps, crashes)
+        (steps, crashes, ids)
     };
     for _ in 0..depth {
         let mut next: Vec<SplitTask> = Vec::new();
@@ -1322,8 +1281,7 @@ where
                 d.runtime().is_coop(),
                 "explore requires a coop driver (Driver::coop over Runtime::coop)"
             );
-            let (steps, crashes) =
-                replay_prefix(&mut d, &task.preamble, &mut scratch, &mut steps_replayed);
+            let (steps, crashes, _) = replay_prefix(&mut d, &task.preamble, &mut steps_replayed);
             if d.active_set().is_empty() || steps >= cfg.max_steps {
                 // Terminal prefix: keep as a leaf task; its walk checks
                 // the cut and stops.
@@ -1337,20 +1295,14 @@ where
                     pruned += 1; // covered by an earlier sibling's task
                     continue;
                 }
-                // Probe the choice's first step from the split state,
-                // tracing from the start so the probe's first-touch
-                // object ids line up with the walks that later replay
-                // this preamble.
+                // Probe the choice's first step on a fresh instance
+                // replayed to the split state: its first-touch object
+                // ids are those of the walks that later replay this
+                // preamble.
                 let mut p = factory();
-                p.runtime().enable_tracing();
-                p.runtime().take_trace_into(&mut scratch);
-                replay_prefix(&mut p, &task.preamble, &mut scratch, &mut steps_replayed);
-                let mut ids = ObjIds::default();
-                p.runtime().take_trace_into(&mut scratch);
-                ids.feed(&scratch);
+                let (_, _, mut ids) = replay_prefix(&mut p, &task.preamble, &mut steps_replayed);
                 let objs_seen = ids.len();
-                let info = apply(&mut p, c, true, &mut scratch);
-                let info = stabilize(&mut ids, &scratch, info);
+                let info = apply_stable(&mut p, &mut ids, c);
                 if matches!(c, Choice::Step(_)) {
                     steps_replayed += 1;
                 }

@@ -169,7 +169,9 @@ impl Runtime {
         self.coop
     }
 
-    /// The per-process capability used to apply primitives.
+    /// The per-process capability used to apply primitives. It acts for
+    /// `pid` for its whole life and keeps no access record (only the
+    /// coop backend's own context records one).
     ///
     /// # Panics
     /// Panics if `pid >= self.n()`.
@@ -315,13 +317,6 @@ impl Runtime {
     /// Drain and return the trace recorded so far.
     pub fn take_trace(&self) -> Vec<TraceEvent> {
         self.tracer.take()
-    }
-
-    /// Drain the trace into `buf` (cleared first), recycling its
-    /// allocation as the new log storage. The explorer drains once per
-    /// granted step — this keeps that hot path allocation-free.
-    pub fn take_trace_into(&self, buf: &mut Vec<TraceEvent>) {
-        self.tracer.take_into(buf);
     }
 
     /// Permanently release the gate; parked processes run free afterwards.

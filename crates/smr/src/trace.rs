@@ -255,15 +255,6 @@ impl Tracer {
     pub(crate) fn take(&self) -> Vec<TraceEvent> {
         std::mem::take(&mut *self.log.lock())
     }
-
-    /// Drain the log into `buf` (cleared first), swapping `buf`'s
-    /// allocation in as the new log storage. A caller that drains once
-    /// per granted step — the explorer — recycles one buffer instead of
-    /// allocating a fresh `Vec` per step.
-    pub(crate) fn take_into(&self, buf: &mut Vec<TraceEvent>) {
-        buf.clear();
-        std::mem::swap(&mut *self.log.lock(), buf);
-    }
 }
 
 #[cfg(test)]

@@ -573,3 +573,44 @@ fn explored_crash_cuts_match_direct_replay() {
         "crash schedules have no Scripted form"
     );
 }
+
+#[test]
+fn exploration_leaves_the_trace_log_off() {
+    // The explorer learns which object each step touched from the coop
+    // backend's access record, not from the trace log: every runtime it
+    // builds, under DPOR, the raw DFS and the parallel frontier, must
+    // end with the log still off and empty.
+    let kept: Mutex<Vec<Arc<Runtime>>> = Mutex::new(Vec::new());
+    let factory = || {
+        let rt = Runtime::coop(3);
+        kept.lock().push(rt.clone());
+        let mut d = Driver::coop(rt);
+        let c = Arc::new(CollectCounter::new(3));
+        d.submit_task(0, OpSpec::inc(), CollectIncTask::new(c.clone()));
+        d.submit_task(1, OpSpec::inc(), CollectIncTask::new(c.clone()));
+        d.submit_task(2, OpSpec::read(), CollectReadTask::new(c));
+        d
+    };
+    let check = |h: &smr::History| check_counter_records(h, 1);
+    let assert_log_off = |name: &str, stats: smr::ExploreStats| {
+        assert!(stats.all_ok(), "{name}: {:?}", stats.violations);
+        let built = std::mem::take(&mut *kept.lock());
+        assert!(built.len() as u64 >= stats.interleavings, "{name}");
+        for rt in &built {
+            assert!(
+                !rt.tracing_enabled(),
+                "{name}: the trace log was switched on"
+            );
+            assert!(rt.take_trace().is_empty(), "{name}: the trace log recorded");
+        }
+    };
+    assert_log_off("dpor", explore(&ExploreConfig::default(), factory, check));
+    assert_log_off(
+        "dfs",
+        explore(&ExploreConfig::exhaustive(100), factory, check),
+    );
+    assert_log_off(
+        "parallel",
+        explore_parallel(&ExploreConfig::default(), 2, factory, check),
+    );
+}
