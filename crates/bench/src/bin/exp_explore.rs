@@ -5,17 +5,16 @@
 //! turns them into finite checks by enumerating interleavings of small
 //! configurations and feeding each history cut to the `lincheck`
 //! monotone checkers. This experiment measures that harness across its
-//! reduction algorithms and pins its correctness on every run:
+//! two walks and pins its correctness on every run:
 //!
 //! * **count assertions** — for programs with schedule-independent
 //!   per-process step counts, exhaustively enumerated interleavings must
 //!   equal the multinomial closed form `(Σsᵢ)!/Πsᵢ!`;
 //! * **zero violations** — every real-object configuration must pass
 //!   its checker on every cut (the bin exits non-zero otherwise);
-//! * **throughput** — interleavings/second under exhaustive DFS,
-//!   adjacent-swap pruning (`dfs-prune`), dynamic partial-order
-//!   reduction (`dpor`), and the parallel frontier-replay pool
-//!   (`dpor-parallel:N`), plus crash injection.
+//! * **throughput** — interleavings/second under the raw exhaustive DFS
+//!   (`dfs`) and sleep-set dynamic partial-order reduction (`dpor`),
+//!   plus crash injection.
 //!
 //! The `algo` column is part of each row's identity for
 //! `bench::regression` diffs; a `dpor` row counts *Mazurkiewicz trace
@@ -26,9 +25,7 @@
 //!
 //! Run: `cargo run --release -p bench --bin exp_explore`
 //! CI:  `cargo run --release -p bench --bin exp_explore -- --smoke`
-//! The worker count of the `dpor-parallel` rows is pinned with
-//! `--algo dpor-parallel:N` (default 2; the value is part of the row's
-//! `algo` identity, so CI lanes must pass the committed count).
+//! Any other argument is a usage error (exit 2).
 
 use approx_objects::{KmultCounter, KmultIncTask, KmultReadTask, SharedKmultHandle};
 use bench::emit::{mode_str, Report, Row};
@@ -38,26 +35,17 @@ use counter::{CollectCounter, CollectIncTask, CollectReadTask};
 use lincheck::{check_counter_records, check_maxreg_records};
 use maxreg::{TreeMaxReadTask, TreeMaxRegister, TreeMaxWriteTask};
 use parking_lot::Mutex;
-use smr::explore::{explore, explore_parallel, ExploreAlgo, ExploreConfig};
+use smr::explore::{explore, ExploreConfig};
 use smr::{CoopBackend, Driver, History, OpSpec, Runtime};
 use std::sync::Arc;
 use std::time::Instant;
 
-type Factory = Box<dyn Fn() -> Driver<CoopBackend> + Sync>;
-type Checker = Box<dyn Fn(&History) -> Result<(), String> + Sync>;
-
-/// How a configuration is driven through the explorer.
-enum Run {
-    /// `smr::explore` on the calling thread (all sequential algorithms).
-    Seq,
-    /// `smr::explore_parallel` with the given worker count.
-    Par(usize),
-}
+type Factory = Box<dyn Fn() -> Driver<CoopBackend>>;
+type Checker = Box<dyn Fn(&History) -> Result<(), String>>;
 
 struct Config {
     name: &'static str,
     cfg: ExploreConfig,
-    run: Run,
     /// Closed-form interleaving count, where per-process step counts
     /// are schedule-independent (exhaustive, unreduced configs only).
     expected: Option<u128>,
@@ -66,22 +54,21 @@ struct Config {
 }
 
 impl Config {
-    /// The `algo` identity string reported for this row.
-    fn algo(&self) -> String {
-        match self.run {
-            Run::Par(n) => format!("dpor-parallel:{n}"),
-            Run::Seq if !self.cfg.prune => "dfs".to_string(),
-            Run::Seq => match self.cfg.algo {
-                ExploreAlgo::Dfs => "dfs-prune".to_string(),
-                ExploreAlgo::Dpor => "dpor".to_string(),
-            },
+    /// The `algo` identity string reported for this row: the walk
+    /// `explore` runs for the config (no config sets a preemption
+    /// budget).
+    fn algo(&self) -> &'static str {
+        if self.cfg.prune {
+            "dpor"
+        } else {
+            "dfs"
         }
     }
 }
 
 struct Sample {
     name: &'static str,
-    algo: String,
+    algo: &'static str,
     prune: bool,
     crashes: usize,
     interleavings: u64,
@@ -99,7 +86,7 @@ impl Sample {
     fn row(&self) -> Row {
         Row::new()
             .str("config", self.name)
-            .str("algo", &self.algo)
+            .str("algo", self.algo)
             .bool("prune", self.prune)
             .int("max_crashes", self.crashes as u64)
             .int("interleavings", self.interleavings)
@@ -211,63 +198,27 @@ fn maxreg_checker(k: u64) -> Checker {
     Box::new(move |h| check_maxreg_records(h, k))
 }
 
-/// Parse `--algo dpor-parallel:N` (or `--algo=dpor-parallel:N`) into the
-/// worker count used by the `dpor-parallel` rows.
-fn parallel_workers(args: &[String]) -> usize {
-    let mut spec: Option<&str> = None;
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix("--algo=") {
-            spec = Some(v);
-        } else if a == "--algo" {
-            spec = args.get(i + 1).map(String::as_str);
-        }
-    }
-    let Some(spec) = spec else { return 2 };
-    spec.strip_prefix("dpor-parallel:")
-        .and_then(|n| n.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| panic!("--algo expects dpor-parallel:N (N ≥ 1), got {spec:?}"))
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let workers = parallel_workers(&args);
-
-    let dfs_prune = ExploreConfig {
-        algo: ExploreAlgo::Dfs,
-        ..ExploreConfig::default()
-    };
+    let mut smoke = false;
+    for arg in std::env::args().skip(1) {
+        if arg != "--smoke" {
+            eprintln!("exp_explore: unexpected argument {arg:?}\nusage: exp_explore [--smoke]");
+            std::process::exit(2);
+        }
+        smoke = true;
+    }
 
     let mut configs = vec![
         Config {
             name: "collect-3x2-exhaustive",
             cfg: ExploreConfig::exhaustive(100),
-            run: Run::Seq,
             expected: Some(multinomial(&[4, 4, 4])),
-            factory: collect_incs(),
-            checker: counter_checker(1),
-        },
-        Config {
-            name: "collect-3x2-pruned",
-            cfg: dfs_prune.clone(),
-            run: Run::Seq,
-            expected: None,
             factory: collect_incs(),
             checker: counter_checker(1),
         },
         Config {
             name: "collect-3x2-dpor",
             cfg: ExploreConfig::default(),
-            run: Run::Seq,
-            expected: None,
-            factory: collect_incs(),
-            checker: counter_checker(1),
-        },
-        Config {
-            name: "collect-3x2-dpor-parallel",
-            cfg: ExploreConfig::default(),
-            run: Run::Par(workers),
             expected: None,
             factory: collect_incs(),
             checker: counter_checker(1),
@@ -275,7 +226,6 @@ fn main() {
         Config {
             name: "kmult-3x2-exhaustive",
             cfg: ExploreConfig::exhaustive(100),
-            run: Run::Seq,
             expected: Some(multinomial(&[1, 1, 1])),
             factory: kmult_3x2(),
             checker: counter_checker(3),
@@ -285,15 +235,6 @@ fn main() {
         configs.push(Config {
             name: "collect-4x2-dpor",
             cfg: ExploreConfig::default(),
-            run: Run::Seq,
-            expected: None,
-            factory: collect_4x2(),
-            checker: counter_checker(1),
-        });
-        configs.push(Config {
-            name: "collect-4x2-dpor-parallel",
-            cfg: ExploreConfig::default(),
-            run: Run::Par(workers),
             expected: None,
             factory: collect_4x2(),
             checker: counter_checker(1),
@@ -304,7 +245,6 @@ fn main() {
                 max_crashes: 2,
                 ..ExploreConfig::default()
             },
-            run: Run::Seq,
             expected: None,
             factory: collect_with_reader(),
             checker: counter_checker(1),
@@ -312,7 +252,6 @@ fn main() {
         configs.push(Config {
             name: "kmult-mixed-dpor",
             cfg: ExploreConfig::default(),
-            run: Run::Seq,
             expected: None,
             factory: kmult_mixed(),
             checker: counter_checker(2),
@@ -320,7 +259,6 @@ fn main() {
         configs.push(Config {
             name: "tree-maxreg-exhaustive",
             cfg: ExploreConfig::exhaustive(100),
-            run: Run::Seq,
             expected: None,
             factory: tree_maxreg(),
             checker: maxreg_checker(1),
@@ -328,7 +266,6 @@ fn main() {
         configs.push(Config {
             name: "tree-maxreg-dpor",
             cfg: ExploreConfig::default(),
-            run: Run::Seq,
             expected: None,
             factory: tree_maxreg(),
             checker: maxreg_checker(1),
@@ -338,10 +275,7 @@ fn main() {
     let mut samples = Vec::new();
     for c in &configs {
         let start = Instant::now();
-        let stats = match c.run {
-            Run::Seq => explore(&c.cfg, &c.factory, &c.checker),
-            Run::Par(n) => explore_parallel(&c.cfg, n, &c.factory, &c.checker),
-        };
+        let stats = explore(&c.cfg, &c.factory, &c.checker);
         let millis = start.elapsed().as_secs_f64() * 1e3;
 
         // The correctness bars: exact counts where a closed form
@@ -396,7 +330,7 @@ fn main() {
     for s in &samples {
         table.row([
             s.name.to_string(),
-            s.algo.clone(),
+            s.algo.to_string(),
             s.prune.to_string(),
             s.crashes.to_string(),
             s.interleavings.to_string(),

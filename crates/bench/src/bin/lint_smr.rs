@@ -17,13 +17,12 @@
 //!    least one blocking-form equivalence or determinism test, the
 //!    mechanism that keeps transcriptions primitive-for-primitive
 //!    faithful.
-//! 4. **Thread creation in `smr` is confined.** The model's
-//!    determinism story depends on exactly two places creating OS
-//!    threads: the thread backend (`backend/thread.rs`, one worker per
-//!    process) and the explorer's worker pool (`explore.rs`,
-//!    `explore_parallel`). A `thread::spawn`/`scope`/`Builder` anywhere
-//!    else in non-test `smr` code would put nondeterminism under a
-//!    component the coop backend promises is single-threaded.
+//! 4. **Thread creation in `smr` is confined to one place.** The
+//!    model's determinism story depends on exactly one place creating
+//!    OS threads: the thread backend (`backend/thread.rs`, one worker
+//!    per process). A `thread::spawn`/`scope`/`Builder` anywhere else in
+//!    non-test `smr` code would put nondeterminism under a component the
+//!    coop backend promises is single-threaded.
 //! 5. **`lincheck` streams; it does not snapshot.** The online checker
 //!    exists so analysis holds O(concurrency) state, not O(history).
 //!    Non-test `lincheck` code must never call `history_snapshot()` —
@@ -182,8 +181,7 @@ fn main() {
         let in_smr = f.path.components().any(|c| c.as_os_str() == "smr") && !is_test_path(&f.path);
         let in_lincheck =
             f.path.components().any(|c| c.as_os_str() == "lincheck") && !is_test_path(&f.path);
-        let sanctioned_spawner =
-            f.path.ends_with("src/backend/thread.rs") || f.path.ends_with("src/explore.rs");
+        let sanctioned_spawner = f.path.ends_with("src/backend/thread.rs");
         for (i, line) in f.lines.iter().enumerate() {
             if f.in_test[i] {
                 continue;
@@ -207,8 +205,8 @@ fn main() {
                 .any(|p| line.contains(p));
             if in_smr && !sanctioned_spawner && spawns {
                 findings.push(format!(
-                    "{}:{}: thread creation in smr outside the thread backend and the \
-                     explorer's worker pool (the coop model is single-threaded by contract)",
+                    "{}:{}: thread creation in smr outside its one place, the thread \
+                     backend (the coop model is single-threaded by contract)",
                     f.path.display(),
                     i + 1
                 ));

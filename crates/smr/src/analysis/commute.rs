@@ -1,20 +1,21 @@
-//! Replay-based commutation sampling: check that step pairs the
-//! explorer's pruner treats as independent actually commute.
+//! Replay-based commutation sampling: validate the
+//! [`independent`] relation that [`explore`](crate::explore)'s DPOR
+//! walk uses, by checking that step pairs it calls independent actually
+//! commute.
 //!
-//! [`explore`](crate::explore)'s pruning rule declares two adjacent
-//! granted steps independent when they belong to different processes,
-//! at most one of them emitted a history event, and they touch
-//! different base objects (or are both `read`s of one object). The
-//! soundness of
-//! skipping the swapped schedule rests on that independence being real —
-//! which is exactly what a mis-declared access kind would silently
-//! break. This audit tests it *operationally*: run a base schedule,
-//! collect every adjacent pruner-independent pair, and re-execute the
-//! schedule with each sampled pair transposed. If the pair truly
-//! commutes, the two executions must be indistinguishable: identical
-//! operation histories (tickets and all) and an identical primitive
-//! sequence — compared with base-object identities normalized by first
-//! appearance, since fresh replays allocate fresh objects.
+//! The relation declares two granted steps independent when they belong
+//! to different processes, at most one of them emitted a history event,
+//! and they touch different base objects (or are both `read`s of one
+//! object). DPOR's soundness — skipping every reordering of such a pair
+//! — rests on that independence being real, which is exactly what a
+//! mis-declared access kind would silently break. This audit tests it
+//! *operationally*: run a base schedule, collect every adjacent
+//! independent pair, and re-execute the schedule with each sampled pair
+//! transposed. If the pair truly commutes, the two executions must be
+//! indistinguishable: identical operation histories (tickets and all)
+//! and an identical primitive sequence — compared with base-object
+//! identities normalized by first appearance, since fresh replays
+//! allocate fresh objects.
 //!
 //! The audit is replay-based, not online: it needs to *execute* the
 //! counterfactual order, so it takes the same deterministic driver
@@ -178,10 +179,11 @@ fn independent_accesses(a: &Access, b: &Access, a_emitted: bool, b_emitted: bool
     independent(&meta(a, a_emitted), &meta(b, b_emitted))
 }
 
-/// Audit the pruner's independence relation on the program built by
-/// `factory` (same contract as [`explore`](crate::explore)'s factory:
-/// fresh, fully-submitted, deterministic coop driver per call). Returns
-/// one violation per sampled pair that failed to commute.
+/// Audit the [`independent`] relation that DPOR relies on, over the
+/// adjacent step pairs of one schedule of the program built by `factory`
+/// (same contract as [`explore`](crate::explore)'s factory: fresh,
+/// fully-submitted, deterministic coop driver per call). Returns one
+/// violation per sampled pair that failed to commute.
 pub fn commutation_audit<F>(factory: F, cfg: &CommuteConfig) -> Vec<Violation>
 where
     F: Fn() -> Driver<CoopBackend>,
@@ -210,7 +212,7 @@ where
                 pid: Some(b.pid),
                 seq: Some(b.seq),
                 message: format!(
-                    "pruner-independent pair at steps {i},{} (pid {} {:?} / pid {} \
+                    "independent pair at steps {i},{} (pid {} {:?} / pid {} \
                      {:?}) does not commute: {message}",
                     i + 1,
                     a.pid,
@@ -317,7 +319,7 @@ mod tests {
     #[test]
     fn honest_shared_register_has_no_independent_pairs_misjudged() {
         // All steps hit one shared register; only read/read pairs are
-        // pruner-independent, and reads genuinely commute.
+        // independent, and reads genuinely commute.
         let violations = commutation_audit(
             || {
                 let mut d = Driver::coop(Runtime::coop(4));

@@ -19,8 +19,8 @@
 //!   a back door (or two objects alias one identity).
 //!
 //! The replay-based half of conformance checking — sampling step pairs
-//! the pruner treats as independent and verifying they actually commute
-//! — is [`commutation_audit`](super::commutation_audit).
+//! the explorer's DPOR treats as independent and verifying they
+//! actually commute — is [`commutation_audit`](super::commutation_audit).
 //!
 //! [`AccessKind`]: crate::AccessKind
 //! [`AccessKind::Read`]: crate::AccessKind::Read

@@ -11,7 +11,7 @@
 //! 2. **Access-kind conformance** — each step's declared [`AccessKind`]
 //!    matches its actual effect on the object ([`Conformance`], plus the
 //!    replay-based [`commutation_audit`](crate::analysis::commutation_audit)
-//!    that checks the pruner's independence relation directly).
+//!    that checks the explorer's independence relation directly).
 //! 3. **Happens-before soundness** — the grant/ticket order the checkers
 //!    consume is consistent with the happens-before partial order of the
 //!    execution ([`HappensBefore`]).
@@ -329,7 +329,7 @@ mod mutant_tests {
     /// Two primitives: first read as configured (lying or honest), then
     /// an honest read; returns the *first* value — so the first step
     /// neither completes the op nor draws tickets, making it eligible
-    /// for the pruner's independence relation.
+    /// for the explorer's independence relation.
     struct TwoReads {
         reg: Arc<LyingRegister>,
         lie_first: bool,
@@ -400,9 +400,9 @@ mod mutant_tests {
         // pid 0's first step is the lying read (declared Read, actually
         // an increment); pid 1's first step honestly reads the same
         // cell. Declared kinds make the adjacent pair Read/Read on one
-        // object — pruner-independent — but transposing them changes
-        // what pid 1 observes. The audit must refuse to let the pruning
-        // rule trust the declaration.
+        // object — independent — but transposing them changes what
+        // pid 1 observes. The audit must refuse to let the explorer's
+        // reduction trust the declaration.
         let violations = commutation_audit(
             || {
                 let mut d = Driver::coop(Runtime::coop(2));

@@ -24,7 +24,7 @@
 //!
 //! ## Independence
 //!
-//! Both reduction algorithms below rest on one independence relation —
+//! The reduction below rests on one independence relation —
 //! [`smr::analysis::independent`](crate::analysis::independent), the
 //! relation `commutation_audit` validates operationally. Two granted
 //! steps commute when
@@ -56,16 +56,16 @@
 //! explorer never switches the runtime's trace log on, so with no
 //! analyzer attached every replay runs with tracing off.
 //!
-//! ## Reduction: DPOR (default) and adjacent-swap pruning
+//! ## Reduction: DPOR, with the raw DFS as its oracle
 //!
-//! With [`ExploreAlgo::Dpor`] (the default while `prune` is on and no
-//! preemption budget is set), the explorer runs **dynamic partial-order
-//! reduction** in the style of Flanagan–Godefroid, with sleep sets: as
-//! each interleaving executes, every step is stamped with a vector
-//! clock (the same pid-sorted clocks as `smr::analysis::hb`) joining the
-//! clocks of its happens-before predecessors — its process's previous
-//! step plus every earlier *dependent* step not already ordered before
-//! it. A dependent-but-concurrent pair is a race: its reversal may be a
+//! While `prune` is on (the default) and no preemption budget is set,
+//! the explorer runs **dynamic partial-order reduction** in the style of
+//! Flanagan–Godefroid, with sleep sets: as each interleaving executes,
+//! every step is stamped with a vector clock (the same pid-sorted clocks
+//! as `smr::analysis::hb`) joining the clocks of its happens-before
+//! predecessors — its process's previous step plus every earlier
+//! *dependent* step not already ordered before it. A
+//! dependent-but-concurrent pair is a race: its reversal may be a
 //! distinct Mazurkiewicz trace, so the racing process is added to the
 //! *backtrack set* of the node where the earlier step ran, and the walk
 //! later re-explores that node with the reversal scheduled first. Sleep
@@ -95,35 +95,12 @@
 //! coverage stays exhaustive (one crash cut per prefix per process, as
 //! in the raw DFS); the reduction only collapses step reorderings.
 //!
-//! [`ExploreAlgo::Dfs`] keeps the older, weaker rule: visit only
-//! schedules where no adjacent independent pair is inverted (the lower
-//! pid second). Every trace class contains its lexicographically least
-//! member, which has no such inversion, so outcomes are preserved —
-//! but only *adjacent* commutations are collapsed, which leaves many
-//! duplicates DPOR removes. It survives as a differential baseline.
-//!
-//! A preemption bound disables both reductions: commuting a pair does
+//! A preemption bound disables the reduction: commuting a pair does
 //! not preserve preemption counts, so under a budget every schedule is
-//! explored as-is. `prune: false` likewise forces the raw DFS — that is
-//! what the closed-form interleaving-count tests rely on.
-//!
-//! ## Parallel exploration
-//!
-//! [`explore_parallel`] splits the first two levels of the decision
-//! tree into independent root prefixes (every enabled choice at those
-//! levels, each probed once for its step metadata), hands them to a
-//! pool of OS-thread workers over a shared queue, and runs the
-//! sequential DPOR engine inside each prefix on the worker's own
-//! drivers. Sleep sets accumulated across earlier sibling prefixes
-//! carry into later ones exactly as in the sequential walk, so work is
-//! not duplicated across tasks; races detected against a step *inside*
-//! the fixed prefix are dropped, which is sound because every enabled
-//! choice at a split node is explored by construction (the strongest
-//! possible backtrack set). Results are aggregated in canonical
-//! (lexicographic) task order and violations are minimized after
-//! aggregation, so stats, violation choice and messages are
-//! **bit-identical for any worker count** — `explore_parallel(cfg, 1,
-//! …)` and `explore_parallel(cfg, 8, …)` return the same value.
+//! explored as-is by the raw depth-first walk. `prune: false` selects
+//! the same raw walk: it is the oracle the parity tests compare DPOR's
+//! reachable history cuts against, and what the closed-form
+//! interleaving-count tests rely on.
 //!
 //! ## Bounds
 //!
@@ -135,9 +112,7 @@
 //! (crash-point injection: at every prefix, each active process may be
 //! crashed, surfacing its in-flight operation as a pending record). An
 //! optional `max_interleavings` cap stops runaway configurations and is
-//! reported via [`ExploreStats::capped`]; a capped or preemption-bounded
-//! configuration falls back to the sequential engine under
-//! [`explore_parallel`] (a cap is a property of one global visit order).
+//! reported via [`ExploreStats::capped`].
 //!
 //! ## Replay and minimization
 //!
@@ -155,8 +130,8 @@ use crate::driver::Driver;
 use crate::history::History;
 use crate::sched::Scripted;
 use crate::trace::AccessKind;
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Mutex, OnceLock};
+use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// One decision of an explored schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -252,20 +227,6 @@ impl Replay {
     }
 }
 
-/// Which reduction the explorer runs when `prune` is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExploreAlgo {
-    /// Adjacent-swap canonical-order pruning (the pre-DPOR reduction).
-    /// Collapses only adjacent commutations; kept as a differential
-    /// baseline.
-    Dfs,
-    /// Dynamic partial-order reduction with sleep sets (see the [module
-    /// docs](self)): one representative per Mazurkiewicz trace class,
-    /// races detected through happens-before vector clocks.
-    #[default]
-    Dpor,
-}
-
 /// Bounds and options for one [`explore`] call.
 #[derive(Debug, Clone)]
 pub struct ExploreConfig {
@@ -278,15 +239,14 @@ pub struct ExploreConfig {
     /// from a process that could still run costs one; switches at
     /// completions and crashes are free.
     pub max_preemptions: Option<usize>,
-    /// Skip interleavings equivalent to an already-visited one (see the
-    /// [module docs](self)). Disable to count raw interleavings against
-    /// a closed form. Ignored when `max_preemptions` is set: a reduced
-    /// schedule's representative can cost more preemptions than the
-    /// skipped one, so reduction under a preemption budget would
-    /// silently drop in-budget equivalence classes.
+    /// Run DPOR: skip interleavings equivalent to an already-visited one
+    /// (see the [module docs](self)). Disable to run the raw exhaustive
+    /// DFS, e.g. to count raw interleavings against a closed form.
+    /// Ignored when `max_preemptions` is set: a reduced schedule's
+    /// representative can cost more preemptions than the skipped one,
+    /// so reduction under a preemption budget would silently drop
+    /// in-budget equivalence classes.
     pub prune: bool,
-    /// The reduction to run when `prune` is on.
-    pub algo: ExploreAlgo,
     /// Hard cap on checked interleavings (`None` = exhaust the space).
     pub max_interleavings: Option<u64>,
     /// Stop after this many violations have been found and minimized.
@@ -300,7 +260,6 @@ impl Default for ExploreConfig {
             max_crashes: 0,
             max_preemptions: None,
             prune: true,
-            algo: ExploreAlgo::default(),
             max_interleavings: None,
             max_violations: 1,
         }
@@ -338,9 +297,8 @@ pub struct FoundViolation {
 pub struct ExploreStats {
     /// History cuts checked (maximal interleavings plus bound cuts).
     pub interleavings: u64,
-    /// Subtrees skipped by the reduction (canonical-order cuts under
-    /// [`ExploreAlgo::Dfs`]; sleeping or never-backtracked choices
-    /// under [`ExploreAlgo::Dpor`]).
+    /// Subtrees DPOR skipped: sleeping or never-backtracked choices (0
+    /// under the raw DFS).
     pub pruned: u64,
     /// Total granted steps across all replays (the work metric).
     pub steps_replayed: u64,
@@ -408,22 +366,12 @@ fn indep_opt(a: &Option<StepMeta>, b: &Option<StepMeta>) -> bool {
     }
 }
 
-/// The adjacent-swap pruning rule: `second` (just executed) commutes
-/// with `first` (executed immediately before it) and is out of
-/// canonical order.
-fn prunable(first: &Option<StepMeta>, second: &Option<StepMeta>) -> bool {
-    let (Some(a), Some(b)) = (first, second) else {
-        return false; // crash edges are never commuted
-    };
-    b.pid < a.pid && independent(a, b)
-}
-
 /// Mutable walk state threaded through one replay/extension pass.
+#[derive(Default)]
 struct Walk {
     steps: usize,
     crashes: usize,
     preemptions: usize,
-    prev: Option<StepMeta>,
     /// Pid of the last granted step, and whether that process was still
     /// active immediately after it (a switch away from it is then a
     /// preemption).
@@ -431,18 +379,22 @@ struct Walk {
 }
 
 impl Walk {
-    fn new() -> Self {
-        Walk {
-            steps: 0,
-            crashes: 0,
-            preemptions: 0,
-            prev: None,
-            last_runnable: None,
+    /// Count an applied decision; a granted step also adds to the work
+    /// metric `replayed`.
+    fn count(&mut self, choice: Choice, replayed: &mut u64) {
+        match choice {
+            Choice::Step(_) => {
+                self.steps += 1;
+                *replayed += 1;
+            }
+            Choice::Crash(_) => self.crashes += 1,
         }
     }
 
-    /// Update the counters for an applied decision.
-    fn account(&mut self, choice: Choice, info: Option<StepMeta>, d: &Driver<CoopBackend>) {
+    /// [`count`](Walk::count) plus preemption accounting (the raw DFS
+    /// is the only walk that runs under a preemption budget).
+    fn account(&mut self, choice: Choice, d: &Driver<CoopBackend>, replayed: &mut u64) {
+        self.count(choice, replayed);
         match choice {
             Choice::Step(pid) => {
                 if let Some(last) = self.last_runnable {
@@ -450,13 +402,9 @@ impl Walk {
                         self.preemptions += 1;
                     }
                 }
-                self.steps += 1;
-                self.prev = info;
                 self.last_runnable = d.active_set().contains(pid).then_some(pid);
             }
             Choice::Crash(pid) => {
-                self.crashes += 1;
-                self.prev = None;
                 if self.last_runnable == Some(pid) {
                     self.last_runnable = None; // switching away is now free
                 }
@@ -549,23 +497,74 @@ where
 /// pending records for operations still in flight at the cut (crashed or
 /// suspended by the bound).
 ///
-/// With the default configuration this runs the DPOR engine; `prune:
-/// false`, [`ExploreAlgo::Dfs`] or a preemption budget select the raw
-/// depth-first walk. See the [module docs](self) for the enumeration
-/// order, the soundness arguments and the bounds.
+/// With `prune` on and no preemption budget (the default) this runs the
+/// DPOR walk; otherwise it runs the raw exhaustive depth-first walk, the
+/// oracle DPOR is tested against. See the [module docs](self) for the
+/// enumeration order, the soundness arguments and the bounds.
 pub fn explore<F, C>(cfg: &ExploreConfig, factory: F, check: C) -> ExploreStats
 where
     F: Fn() -> Driver<CoopBackend>,
     C: FnMut(&History) -> Result<(), String>,
 {
-    if cfg.prune && cfg.max_preemptions.is_none() && cfg.algo == ExploreAlgo::Dpor {
+    if cfg.prune && cfg.max_preemptions.is_none() {
         explore_dpor(cfg, &factory, check)
     } else {
         explore_dfs(cfg, &factory, check)
     }
 }
 
-/// The raw depth-first walk, with optional adjacent-swap pruning.
+/// A fresh program from `factory`, which must be a gated coop driver.
+fn fresh<F: Fn() -> Driver<CoopBackend>>(factory: &F) -> Driver<CoopBackend> {
+    let d = factory();
+    assert!(
+        d.runtime().is_coop(),
+        "explore requires a coop driver (Driver::coop over Runtime::coop)"
+    );
+    d
+}
+
+/// Check the cut `d` reached along `path`: count it, minimize and record
+/// a rejection, and return `true` when the walk must stop — enough
+/// violations, or the interleaving cap reached.
+fn check_cut<F, C>(
+    cfg: &ExploreConfig,
+    factory: &F,
+    check: &mut C,
+    mut d: Driver<CoopBackend>,
+    path: impl Iterator<Item = Choice>,
+    stats: &mut ExploreStats,
+) -> bool
+where
+    F: Fn() -> Driver<CoopBackend>,
+    C: FnMut(&History) -> Result<(), String>,
+{
+    stats.interleavings += 1;
+    let rejected = check(&d.history_snapshot())
+        .err()
+        .or_else(|| analysis_failure(d.runtime()));
+    if rejected.is_some() {
+        let original = Replay {
+            choices: path.collect(),
+        };
+        drop(d); // release the failing execution before re-running
+        let (minimized, message) = minimize(factory, check, &original);
+        stats.violations.push(FoundViolation {
+            message,
+            minimized,
+            original,
+        });
+        if stats.violations.len() >= cfg.max_violations {
+            return true;
+        }
+    }
+    stats.capped = cfg
+        .max_interleavings
+        .is_some_and(|cap| stats.interleavings >= cap);
+    stats.capped
+}
+
+/// The raw exhaustive depth-first walk: every interleaving within the
+/// bounds, none skipped.
 fn explore_dfs<F, C>(cfg: &ExploreConfig, factory: &F, mut check: C) -> ExploreStats
 where
     F: Fn() -> Driver<CoopBackend>,
@@ -573,12 +572,6 @@ where
 {
     let mut stats = ExploreStats::default();
     let mut path: Vec<Frame> = Vec::new();
-    // Pruning keeps only the lexicographically-canonical member of each
-    // equivalence class, but a preemption budget is not invariant under
-    // the commutation (the canonical schedule may preempt more), so the
-    // two compose unsoundly — an in-budget class could lose its only
-    // in-budget representative. Exhaustiveness wins over reduction.
-    let prune = cfg.prune && cfg.max_preemptions.is_none();
 
     /// Advance to the next unexplored branch; `false` when the tree is
     /// exhausted.
@@ -593,89 +586,34 @@ where
         false
     }
 
-    'outer: loop {
+    loop {
         // Replay the current prefix on a fresh driver.
-        let mut d = factory();
-        assert!(
-            d.runtime().is_coop(),
-            "explore requires a coop driver (Driver::coop over Runtime::coop)"
-        );
-        let mut walk = Walk::new();
-        let prefix: Vec<Choice> = path.iter().map(|f| f.alts[f.idx]).collect();
-        let mut replay_pruned = false;
-        for (i, &choice) in prefix.iter().enumerate() {
-            let prev = walk.prev;
-            let info = apply(&mut d, choice);
-            stats.steps_replayed += u64::from(matches!(choice, Choice::Step(_)));
-            walk.account(choice, info, &d);
-            // Only the deepest decision can be fresh; everything above
-            // it already passed this check when first taken.
-            if i + 1 == prefix.len() && prune && prunable(&prev, &info) {
-                replay_pruned = true;
-                break;
-            }
-        }
-        if replay_pruned {
-            stats.pruned += 1;
-            if !backtrack(&mut path) {
-                break 'outer;
-            }
-            continue 'outer;
+        let mut d = fresh(factory);
+        let mut walk = Walk::default();
+        for f in &path {
+            let choice = f.alts[f.idx];
+            apply(&mut d, choice);
+            walk.account(choice, &d, &mut stats.steps_replayed);
         }
 
         // Extend depth-first along each node's first alternative.
         loop {
             stats.max_depth = stats.max_depth.max(path.len());
-            let at_bound = walk.steps >= cfg.max_steps;
-            if d.active_set().is_empty() || at_bound {
-                stats.interleavings += 1;
-                let rejected = check(&d.history_snapshot())
-                    .err()
-                    .or_else(|| analysis_failure(d.runtime()));
-                if rejected.is_some() {
-                    let original = Replay {
-                        choices: path.iter().map(|f| f.alts[f.idx]).collect(),
-                    };
-                    drop(d); // release the failing execution before re-running
-                    let (minimized, message) = minimize(factory, &mut check, &original);
-                    stats.violations.push(FoundViolation {
-                        message,
-                        minimized,
-                        original,
-                    });
-                    if stats.violations.len() >= cfg.max_violations {
-                        return stats;
-                    }
-                }
-                if let Some(cap) = cfg.max_interleavings {
-                    if stats.interleavings >= cap {
-                        stats.capped = true;
-                        return stats;
-                    }
-                }
-                if !backtrack(&mut path) {
-                    break 'outer;
-                }
-                continue 'outer;
+            if d.active_set().is_empty() || walk.steps >= cfg.max_steps {
+                break;
             }
             let alts = alternatives(&d, cfg, &walk);
             debug_assert!(!alts.is_empty(), "active set non-empty but no alternatives");
             let choice = alts[0];
             path.push(Frame { alts, idx: 0 });
-            let prev = walk.prev;
-            let info = apply(&mut d, choice);
-            stats.steps_replayed += u64::from(matches!(choice, Choice::Step(_)));
-            walk.account(choice, info, &d);
-            if prune && prunable(&prev, &info) {
-                stats.pruned += 1;
-                if !backtrack(&mut path) {
-                    break 'outer;
-                }
-                continue 'outer;
-            }
+            apply(&mut d, choice);
+            walk.account(choice, &d, &mut stats.steps_replayed);
+        }
+        let choices = path.iter().map(|f| f.alts[f.idx]);
+        if check_cut(cfg, factory, &mut check, d, choices, &mut stats) || !backtrack(&mut path) {
+            return stats;
         }
     }
-    stats
 }
 
 // ---------------------------------------------------------------------
@@ -788,19 +726,6 @@ fn survives(e: &SleepEntry, taken: &Option<StepMeta>) -> bool {
     a.obj != t.obj
 }
 
-/// An executed decision of the walk's fixed preamble (parallel tasks
-/// root their walk below a split prefix): enough to run the race scan
-/// for coverage, though races *at* these positions are dropped — every
-/// enabled choice at a split node is a sibling task by construction.
-struct PreEvent {
-    choice: Choice,
-    info: Option<StepMeta>,
-    pid: usize,
-    /// 1-based index of this event among `pid`'s events.
-    local: u64,
-    clock: Vc,
-}
-
 /// One node of the DPOR search stack: the state before `taken` ran.
 struct DNode {
     /// Every choice available at this prefix, canonical order.
@@ -835,7 +760,7 @@ struct DNode {
 /// The obs-on/off parity test in `tests/obs_parity.rs` pins that the
 /// DPOR history-digest set is bit-identical either way.
 struct ExploreMetrics {
-    /// `'outer` iterations of [`dpor_walk`] — fresh-driver replays.
+    /// `'outer` iterations of [`explore_dpor`] — fresh-driver replays.
     replays: &'static obs::Counter,
     /// DNodes pushed onto the search stack.
     nodes: &'static obs::Counter,
@@ -843,9 +768,7 @@ struct ExploreMetrics {
     sleep_hits: &'static obs::Counter,
     /// Race reversals actually added to a backtrack set.
     backtracks: &'static obs::Counter,
-    /// Search depth (preamble + stack) at each completed interleaving;
-    /// per-worker shards make the parallel frontier's depth profile
-    /// visible in one histogram.
+    /// Search depth at each completed interleaving.
     frontier_depth: &'static obs::Histogram,
 }
 
@@ -903,24 +826,8 @@ fn add_backtrack(node: &mut DNode, racer: Choice) {
 /// whole happens-before cone is now ordered before the new event), so
 /// earlier members of that cone are skipped, and exactly the immediate
 /// concurrent dependent partners are reported. Returns the new event's
-/// clock, its per-process index, and the race sites inside the search
-/// stack (preamble races are dropped — see [`PreEvent`]).
-fn race_scan(
-    pre: &[PreEvent],
-    stack: &[DNode],
-    pid: usize,
-    info: &Option<StepMeta>,
-) -> (Vc, u64, Vec<usize>) {
-    let event = |g: usize| -> (usize, u64, &Option<StepMeta>, &Vc) {
-        if g < pre.len() {
-            let e = &pre[g];
-            (e.pid, e.local, &e.info, &e.clock)
-        } else {
-            let n = &stack[g - pre.len()];
-            (n.pid, n.local, &n.info, &n.clock)
-        }
-    };
-    let total = pre.len() + stack.len();
+/// clock, its per-process index, and the stack positions of its races.
+fn race_scan(stack: &[DNode], pid: usize, info: &Option<StepMeta>) -> (Vc, u64, Vec<usize>) {
     // Program order: start from the clock of `pid`'s latest event. Join
     // it into an empty clock rather than cloning it: a clone is sized
     // exactly to its source, so every clock width from one entry up
@@ -929,87 +836,32 @@ fn race_scan(
     // `[heap]` RSS); a join grows through `Vec`'s amortized
     // capacities, four entries at least.
     let mut cause = Vc::default();
-    if let Some(c) = (0..total).rev().find_map(|g| {
-        let (p, _, _, c) = event(g);
-        (p == pid).then_some(c)
-    }) {
-        cause.join(c);
+    if let Some(n) = stack.iter().rev().find(|n| n.pid == pid) {
+        cause.join(&n.clock);
     }
     let local = cause.get(pid) + 1;
     let mut races = Vec::new();
-    for g in (0..total).rev() {
-        let (p, l, i, c) = event(g);
-        if cause.get(p) >= l {
+    for (g, n) in stack.iter().enumerate().rev() {
+        if cause.get(n.pid) >= n.local {
             continue; // already happens-before the new event
         }
-        if !indep_opt(i, info) {
-            if g >= pre.len() {
-                races.push(g - pre.len());
-            }
-            cause.join(c);
+        if !indep_opt(&n.info, info) {
+            races.push(g);
+            cause.join(&n.clock);
         }
     }
     cause.set(pid, local);
     (cause, local, races)
 }
 
-/// Every choice available at the current DPOR prefix, canonical order
-/// (active pids ascending as steps, then as crashes while budget
-/// remains). The DPOR path never runs under a preemption budget, so no
-/// forced-continuation case exists here.
-fn enabled_choices(d: &Driver<CoopBackend>, cfg: &ExploreConfig, crashes: usize) -> Vec<Choice> {
-    let active = d.active_set();
-    let mut alts: Vec<Choice> = active.iter_sorted().map(Choice::Step).collect();
-    if crashes < cfg.max_crashes {
-        alts.extend(active.iter_sorted().map(Choice::Crash));
-    }
-    alts
-}
-
-/// What one DPOR walk found: stats (violation list left empty) plus the
-/// raw failing schedules in visit order — minimization happens after
-/// aggregation so parallel output is order-stable.
-struct DporOutcome {
-    stats: ExploreStats,
-    raw: Vec<(Replay, String)>,
-}
-
-/// The sequential DPOR walk below a fixed preamble. `entry_sleep` is
-/// the sleep set in force at the preamble tip; `stop_at` caps raw
-/// violations (sequential mode), `cap` caps interleavings. Parallel
-/// tasks pass `None` for both so every task runs to completion
-/// regardless of what other tasks find — that is what makes the
-/// aggregate worker-count-independent.
-fn dpor_walk<F, C>(
-    cfg: &ExploreConfig,
-    factory: &F,
-    check: &mut C,
-    preamble: &[(Choice, Option<StepMeta>)],
-    entry_sleep: Vec<SleepEntry>,
-    stop_at: Option<usize>,
-    cap: Option<u64>,
-) -> DporOutcome
+/// The sleep-set DPOR walk (see the [module docs](self)), minimizing
+/// each violation as it is found.
+fn explore_dpor<F, C>(cfg: &ExploreConfig, factory: &F, mut check: C) -> ExploreStats
 where
     F: Fn() -> Driver<CoopBackend>,
     C: FnMut(&History) -> Result<(), String>,
 {
     let mut stats = ExploreStats::default();
-    let mut raw: Vec<(Replay, String)> = Vec::new();
-
-    // Clocks for the preamble, computed once (pure metadata, no driver).
-    let mut pre: Vec<PreEvent> = Vec::with_capacity(preamble.len());
-    for &(choice, info) in preamble {
-        let pid = acting(choice);
-        let (clock, local, _) = race_scan(&pre, &[], pid, &info);
-        pre.push(PreEvent {
-            choice,
-            info,
-            pid,
-            local,
-            clock,
-        });
-    }
-
     let mut stack: Vec<DNode> = Vec::new();
     // `true` when the top node's `taken` was swapped by backtracking and
     // has not executed yet.
@@ -1037,48 +889,26 @@ where
 
     'outer: loop {
         metrics().replays.inc();
-        let mut d = factory();
-        assert!(
-            d.runtime().is_coop(),
-            "explore requires a coop driver (Driver::coop over Runtime::coop)"
-        );
-        let mut steps = 0usize;
-        let mut crashes = 0usize;
+        let mut d = fresh(factory);
+        let mut walk = Walk::default();
         // Replay the prefix. Metadata and clocks are already on the
         // stack, but this fresh instance's object addresses are not: the
         // objects the prefix touches rebuild the first-touch id map.
         let exec_upto = stack.len() - usize::from(pending);
-        let replayed: Vec<Choice> = pre
-            .iter()
-            .map(|e| e.choice)
-            .chain(stack[..exec_upto].iter().map(|n| n.taken))
-            .collect();
         let mut ids = ObjIds::default();
-        for choice in replayed {
-            apply(&mut d, choice);
-            ids.feed(&d, choice);
-            match choice {
-                Choice::Step(_) => {
-                    steps += 1;
-                    stats.steps_replayed += 1;
-                }
-                Choice::Crash(_) => crashes += 1,
-            }
+        for node in &stack[..exec_upto] {
+            apply(&mut d, node.taken);
+            ids.feed(&d, node.taken);
+            walk.count(node.taken, &mut stats.steps_replayed);
         }
 
         if std::mem::take(&mut pending) {
             let k = stack.len() - 1;
             let choice = stack[k].taken;
             let info = apply_stable(&mut d, &mut ids, choice);
-            match choice {
-                Choice::Step(_) => {
-                    steps += 1;
-                    stats.steps_replayed += 1;
-                }
-                Choice::Crash(_) => crashes += 1,
-            }
+            walk.count(choice, &mut stats.steps_replayed);
             let pid = acting(choice);
-            let (clock, local, races) = race_scan(&pre, &stack[..k], pid, &info);
+            let (clock, local, races) = race_scan(&stack[..k], pid, &info);
             for j in races {
                 add_backtrack(&mut stack[j], choice);
             }
@@ -1090,45 +920,26 @@ where
         }
 
         loop {
-            stats.max_depth = stats.max_depth.max(pre.len() + stack.len());
-            if d.active_set().is_empty() || steps >= cfg.max_steps {
-                stats.interleavings += 1;
-                metrics()
-                    .frontier_depth
-                    .record((pre.len() + stack.len()) as u64);
-                let rejected = check(&d.history_snapshot())
-                    .err()
-                    .or_else(|| analysis_failure(d.runtime()));
-                if let Some(message) = rejected {
-                    let choices = pre
-                        .iter()
-                        .map(|e| e.choice)
-                        .chain(stack.iter().map(|n| n.taken))
-                        .collect();
-                    raw.push((Replay { choices }, message));
-                    if stop_at.is_some_and(|m| raw.len() >= m) {
-                        break 'outer;
-                    }
+            stats.max_depth = stats.max_depth.max(stack.len());
+            if d.active_set().is_empty() || walk.steps >= cfg.max_steps {
+                metrics().frontier_depth.record(stack.len() as u64);
+                let path = stack.iter().map(|n| n.taken);
+                if check_cut(cfg, factory, &mut check, d, path, &mut stats)
+                    || !next_branch(&mut stack, &mut stats)
+                {
+                    break 'outer;
                 }
-                if let Some(c) = cap {
-                    if stats.interleavings >= c {
-                        stats.capped = true;
-                        break 'outer;
-                    }
-                }
-                if next_branch(&mut stack, &mut stats) {
-                    pending = true;
-                    continue 'outer;
-                }
-                break 'outer;
+                pending = true;
+                continue 'outer;
             }
 
             // Open a new node: sleep inherited from the parent (done
             // siblings and surviving sleepers stay asleep only while
             // independent with the step just taken), first non-sleeping
             // choice seeded, every crash choice seeded (crash coverage
-            // is never reduced).
-            let enabled = enabled_choices(&d, cfg, crashes);
+            // is never reduced). DPOR never runs under a preemption
+            // budget, so the alternatives are every enabled choice.
+            let enabled = alternatives(&d, cfg, &walk);
             debug_assert!(!enabled.is_empty(), "active set non-empty but no choices");
             let sleep: Vec<SleepEntry> = match stack.last() {
                 Some(p) => p
@@ -1142,7 +953,7 @@ where
                     }))
                     .filter(|e| survives(e, &p.info))
                     .collect(),
-                None => entry_sleep.clone(),
+                None => Vec::new(),
             };
             let sleeping = |c: &Choice| sleep.iter().any(|e| e.choice == *c);
             let mut backtrack: Vec<Choice> = Vec::new();
@@ -1159,24 +970,18 @@ where
                 // execution.
                 metrics().sleep_hits.inc();
                 stats.pruned += enabled.len() as u64;
-                if next_branch(&mut stack, &mut stats) {
-                    pending = true;
-                    continue 'outer;
+                if !next_branch(&mut stack, &mut stats) {
+                    break 'outer;
                 }
-                break 'outer;
+                pending = true;
+                continue 'outer;
             }
             let taken = backtrack[0];
             let objs_seen = ids.len();
             let info = apply_stable(&mut d, &mut ids, taken);
-            match taken {
-                Choice::Step(_) => {
-                    steps += 1;
-                    stats.steps_replayed += 1;
-                }
-                Choice::Crash(_) => crashes += 1,
-            }
+            walk.count(taken, &mut stats.steps_replayed);
             let pid = acting(taken);
-            let (clock, local, races) = race_scan(&pre, &stack, pid, &info);
+            let (clock, local, races) = race_scan(&stack, pid, &info);
             for j in races {
                 add_backtrack(&mut stack[j], taken);
             }
@@ -1194,228 +999,6 @@ where
                 clock,
             });
         }
-    }
-
-    DporOutcome { stats, raw }
-}
-
-/// Sequential DPOR entry point: walk, then minimize what it found.
-fn explore_dpor<F, C>(cfg: &ExploreConfig, factory: &F, mut check: C) -> ExploreStats
-where
-    F: Fn() -> Driver<CoopBackend>,
-    C: FnMut(&History) -> Result<(), String>,
-{
-    let out = dpor_walk(
-        cfg,
-        factory,
-        &mut check,
-        &[],
-        Vec::new(),
-        Some(cfg.max_violations),
-        cfg.max_interleavings,
-    );
-    let mut stats = out.stats;
-    for (original, _) in out.raw {
-        let (minimized, message) = minimize(factory, &mut check, &original);
-        stats.violations.push(FoundViolation {
-            message,
-            minimized,
-            original,
-        });
-    }
-    stats
-}
-
-// ---------------------------------------------------------------------
-// Parallel frontier
-// ---------------------------------------------------------------------
-
-/// One unit of parallel work: a fixed schedule prefix plus the sleep
-/// set in force at its tip.
-struct SplitTask {
-    preamble: Vec<(Choice, Option<StepMeta>)>,
-    sleep: Vec<SleepEntry>,
-}
-
-/// Expand the root into one task per enabled-choice sequence of the
-/// first `depth` levels, probing each choice once for its metadata.
-/// The split is independent of the worker count, so the task list — and
-/// with it every aggregate — is too. Returns the tasks plus the
-/// subtree-skip count and probe work done while splitting.
-fn split_frontier<F>(cfg: &ExploreConfig, factory: &F, depth: usize) -> (Vec<SplitTask>, u64, u64)
-where
-    F: Fn() -> Driver<CoopBackend>,
-{
-    let mut tasks = vec![SplitTask {
-        preamble: Vec::new(),
-        sleep: Vec::new(),
-    }];
-    let mut pruned = 0u64;
-    let mut steps_replayed = 0u64;
-    // Replay a preamble, rebuilding the first-touch id map as it goes.
-    let replay_prefix = |d: &mut Driver<CoopBackend>,
-                         preamble: &[(Choice, Option<StepMeta>)],
-                         steps_replayed: &mut u64|
-     -> (usize, usize, ObjIds) {
-        let mut steps = 0usize;
-        let mut crashes = 0usize;
-        let mut ids = ObjIds::default();
-        for &(choice, _) in preamble {
-            apply(d, choice);
-            ids.feed(d, choice);
-            match choice {
-                Choice::Step(_) => {
-                    steps += 1;
-                    *steps_replayed += 1;
-                }
-                Choice::Crash(_) => crashes += 1,
-            }
-        }
-        (steps, crashes, ids)
-    };
-    for _ in 0..depth {
-        let mut next: Vec<SplitTask> = Vec::new();
-        for task in tasks {
-            let mut d = factory();
-            assert!(
-                d.runtime().is_coop(),
-                "explore requires a coop driver (Driver::coop over Runtime::coop)"
-            );
-            let (steps, crashes, _) = replay_prefix(&mut d, &task.preamble, &mut steps_replayed);
-            if d.active_set().is_empty() || steps >= cfg.max_steps {
-                // Terminal prefix: keep as a leaf task; its walk checks
-                // the cut and stops.
-                next.push(task);
-                continue;
-            }
-            let enabled = enabled_choices(&d, cfg, crashes);
-            let mut done: Vec<(Choice, Option<StepMeta>)> = Vec::new();
-            for &c in &enabled {
-                if task.sleep.iter().any(|e| e.choice == c) {
-                    pruned += 1; // covered by an earlier sibling's task
-                    continue;
-                }
-                // Probe the choice's first step on a fresh instance
-                // replayed to the split state: its first-touch object
-                // ids are those of the walks that later replay this
-                // preamble.
-                let mut p = factory();
-                let (_, _, mut ids) = replay_prefix(&mut p, &task.preamble, &mut steps_replayed);
-                let objs_seen = ids.len();
-                let info = apply_stable(&mut p, &mut ids, c);
-                if matches!(c, Choice::Step(_)) {
-                    steps_replayed += 1;
-                }
-                let sleep: Vec<SleepEntry> = task
-                    .sleep
-                    .iter()
-                    .copied()
-                    .chain(done.iter().map(|&(choice, info)| SleepEntry {
-                        choice,
-                        info,
-                        obj_known: info.is_some_and(|m| m.obj < objs_seen),
-                    }))
-                    .filter(|e| survives(e, &info))
-                    .collect();
-                let mut preamble = task.preamble.clone();
-                preamble.push((c, info));
-                next.push(SplitTask { preamble, sleep });
-                done.push((c, info));
-            }
-        }
-        tasks = next;
-    }
-    (tasks, pruned, steps_replayed)
-}
-
-/// [`explore`] with the DPOR walk parallelized over `threads` OS-thread
-/// workers, each replaying on drivers it builds itself from `factory`.
-///
-/// The first two decision levels are split into independent prefix
-/// tasks drained from a shared queue; results are aggregated in
-/// canonical task order and violations are minimized afterwards, so the
-/// returned [`ExploreStats`] — counters, violation schedules, messages
-/// — is **identical for every worker count**, including `threads: 1`.
-/// (It differs from sequential [`explore`]'s stats: split levels
-/// explore every enabled choice rather than a reduced backtrack set,
-/// and tasks never stop early on another task's violation.)
-///
-/// Configurations the reduction does not apply to (`prune: false`,
-/// [`ExploreAlgo::Dfs`], a preemption budget) and interleaving-capped
-/// runs (a cap is a property of one global visit order) fall back to
-/// the sequential engine.
-pub fn explore_parallel<F, C>(
-    cfg: &ExploreConfig,
-    threads: usize,
-    factory: F,
-    check: C,
-) -> ExploreStats
-where
-    F: Fn() -> Driver<CoopBackend> + Sync,
-    C: Fn(&History) -> Result<(), String> + Sync,
-{
-    if !cfg.prune
-        || cfg.max_preemptions.is_some()
-        || cfg.max_interleavings.is_some()
-        || cfg.algo == ExploreAlgo::Dfs
-    {
-        return explore(cfg, factory, check);
-    }
-
-    let (tasks, split_pruned, split_steps) = split_frontier(cfg, &factory, 2);
-    let n_tasks = tasks.len();
-    let queue: Mutex<VecDeque<(usize, SplitTask)>> =
-        Mutex::new(tasks.into_iter().enumerate().collect());
-    let results: Mutex<Vec<Option<DporOutcome>>> =
-        Mutex::new(std::iter::repeat_with(|| None).take(n_tasks).collect());
-    let workers = threads.clamp(1, n_tasks.max(1));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let job = queue.lock().expect("explorer queue poisoned").pop_front();
-                let Some((i, task)) = job else { break };
-                let mut check_here = |h: &History| check(h);
-                let out = dpor_walk(
-                    cfg,
-                    &factory,
-                    &mut check_here,
-                    &task.preamble,
-                    task.sleep,
-                    None,
-                    None,
-                );
-                results.lock().expect("explorer results poisoned")[i] = Some(out);
-            });
-        }
-    });
-
-    // Deterministic aggregation: task order is canonical (lexicographic
-    // by prefix), so the first `max_violations` raw schedules — and the
-    // minimization each then undergoes — do not depend on which worker
-    // ran what when.
-    let mut stats = ExploreStats {
-        pruned: split_pruned,
-        steps_replayed: split_steps,
-        ..ExploreStats::default()
-    };
-    let mut raw: Vec<(Replay, String)> = Vec::new();
-    for out in results.into_inner().expect("explorer results poisoned") {
-        let out = out.expect("every split task ran");
-        stats.interleavings += out.stats.interleavings;
-        stats.pruned += out.stats.pruned;
-        stats.steps_replayed += out.stats.steps_replayed;
-        stats.max_depth = stats.max_depth.max(out.stats.max_depth);
-        raw.extend(out.raw);
-    }
-    raw.truncate(cfg.max_violations);
-    let mut check_seq = |h: &History| check(h);
-    for (original, _) in raw {
-        let (minimized, message) = minimize(&factory, &mut check_seq, &original);
-        stats.violations.push(FoundViolation {
-            message,
-            minimized,
-            original,
-        });
     }
     stats
 }
@@ -1522,8 +1105,8 @@ mod tests {
     #[test]
     fn pruning_collapses_independent_steps_without_losing_outcomes() {
         // Each process works a private register: the intermediate reads
-        // commute, so both reductions must collapse schedules while
-        // still checking at least one per outcome.
+        // commute, so DPOR must collapse schedules the raw DFS visits
+        // while still checking at least one per outcome.
         let factory = || {
             let mut d = Driver::coop(Runtime::coop(2));
             for pid in 0..2 {
@@ -1534,22 +1117,13 @@ mod tests {
         };
         let full = explore(&ExploreConfig::exhaustive(100), factory, |_h| Ok(()));
         assert_eq!(u128::from(full.interleavings), multinomial(&[2, 2]));
-        for algo in [ExploreAlgo::Dfs, ExploreAlgo::Dpor] {
-            let reduced = explore(
-                &ExploreConfig {
-                    algo,
-                    ..ExploreConfig::default()
-                },
-                factory,
-                |_h| Ok(()),
-            );
-            assert!(
-                reduced.interleavings < full.interleavings,
-                "{algo:?} must skip equivalent schedules"
-            );
-            assert!(reduced.pruned > 0, "{algo:?} must report skipped subtrees");
-            assert!(reduced.all_ok());
-        }
+        let reduced = explore(&ExploreConfig::default(), factory, |_h| Ok(()));
+        assert!(
+            reduced.interleavings < full.interleavings,
+            "DPOR must skip equivalent schedules"
+        );
+        assert!(reduced.pruned > 0, "DPOR must report skipped subtrees");
+        assert!(reduced.all_ok());
     }
 
     #[test]
@@ -1661,50 +1235,17 @@ mod tests {
             }
             Ok(())
         };
-        for (prune, algo) in [
-            (false, ExploreAlgo::Dpor),
-            (true, ExploreAlgo::Dfs),
-            (true, ExploreAlgo::Dpor),
-        ] {
+        for prune in [false, true] {
             let cfg = ExploreConfig {
                 prune,
-                algo,
                 max_violations: usize::MAX,
                 ..ExploreConfig::default()
             };
             let stats = explore(&cfg, factory, check);
             assert!(
                 !stats.violations.is_empty(),
-                "prune={prune} algo={algo:?}: violation missed"
+                "prune={prune}: violation missed"
             );
-        }
-    }
-
-    #[test]
-    fn parallel_output_is_identical_across_worker_counts() {
-        let factory = || {
-            let mut d = Driver::coop(Runtime::coop(2));
-            let reg = Arc::new(Register::new(0));
-            d.submit_task(0, OpSpec::inc(), Rmw::new(reg.clone(), 1));
-            d.submit_task(1, OpSpec::inc(), Rmw::new(reg.clone(), 1));
-            d
-        };
-        let check = |h: &History| -> Result<(), String> {
-            let done: Vec<_> = h.ops().iter().filter(|r| r.resp.is_some()).collect();
-            if done.len() == 2 && done.iter().all(|r| r.returned() == 0) {
-                return Err("both increments read 0: lost update".into());
-            }
-            Ok(())
-        };
-        let cfg = ExploreConfig {
-            max_violations: usize::MAX,
-            ..ExploreConfig::default()
-        };
-        let base = explore_parallel(&cfg, 1, factory, check);
-        assert!(!base.violations.is_empty(), "mutant must be caught");
-        for threads in [2, 4] {
-            let run = explore_parallel(&cfg, threads, factory, check);
-            assert_eq!(run, base, "{threads} workers diverged from 1 worker");
         }
     }
 

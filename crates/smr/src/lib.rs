@@ -35,15 +35,15 @@
 //!   policies stay cheap at 10⁵–10⁶ pids.
 //! * **Exhaustive schedule exploration** ([`explore`]) — a bounded
 //!   depth-first enumerator over the coop backend that checks *every*
-//!   interleaving (with commuting-step pruning and optional crash
-//!   injection) and minimizes failing schedules into replayable scripts,
-//!   turning sampled schedule properties into proofs for small
-//!   configurations.
+//!   interleaving (one per trace class under sleep-set DPOR, or all of
+//!   them under the raw DFS; optional crash injection) and minimizes
+//!   failing schedules into replayable scripts, turning sampled
+//!   schedule properties into proofs for small configurations.
 //! * **Online trace analysis** ([`analysis`]) — pluggable passes fed the
 //!   live trace-event stream of any gated run: poll-discipline checking,
 //!   access-kind conformance against recorded state digests, and a
 //!   vector-clock happens-before audit, plus a replay-based commutation
-//!   audit backing the explorer's pruning rule.
+//!   audit backing the independence relation the explorer's DPOR uses.
 //! * **A lock-free growable segment array** ([`SegArray`]) used to hold the
 //!   unbounded `switch` sequence of the paper's Algorithm 1.
 //!
@@ -82,10 +82,7 @@ pub use analysis::{AnalysisPass, Analyzer, Violation};
 pub use backend::{CoopBackend, ExecBackend, ThreadBackend};
 pub use ctx::ProcCtx;
 pub use driver::{Driver, StepOutcome};
-pub use explore::{
-    explore, explore_parallel, Choice, ExploreAlgo, ExploreConfig, ExploreStats, FoundViolation,
-    Replay,
-};
+pub use explore::{explore, Choice, ExploreConfig, ExploreStats, FoundViolation, Replay};
 pub use history::{History, OpKind, OpRecord, OpSpec};
 pub use primitives::{FaaRegister, Register, TasBit};
 pub use runtime::{Mode, Runtime};

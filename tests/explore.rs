@@ -23,7 +23,7 @@ use bench::multinomial;
 use counter::{CollectCounter, CollectIncTask, CollectReadTask};
 use lincheck::{check_counter_records, check_maxreg_records};
 use parking_lot::Mutex;
-use smr::explore::{explore, explore_parallel, Choice, ExploreAlgo, ExploreConfig};
+use smr::explore::{explore, Choice, ExploreConfig};
 use smr::{CoopBackend, Driver, OpSpec, OpTask, Poll, ProcCtx, Register, Runtime};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -339,12 +339,12 @@ where
 
 #[test]
 fn reductions_preserve_the_reachable_history_set() {
-    // The soundness contract of both reductions, pinned operationally on
-    // every real-object program this suite explores: skipping equivalent
-    // interleavings must not change the *set* of reachable history cuts
-    // — ticket values, step counts and all — including under crash
-    // injection. (Counts differ by design; the reachable histories may
-    // not.)
+    // DPOR's soundness contract, pinned operationally against the raw
+    // DFS on every real-object program this suite explores: skipping
+    // equivalent interleavings must not change the *set* of reachable
+    // history cuts — ticket values, step counts and all — including
+    // under crash injection. (Counts differ by design; the reachable
+    // histories may not.)
     type Program = (&'static str, usize, Box<dyn Fn() -> Driver<CoopBackend>>);
     let programs: Vec<Program> = vec![
         (
@@ -422,20 +422,142 @@ fn reductions_preserve_the_reachable_history_set() {
             factory,
         );
         assert!(!exhaustive.is_empty(), "{name}: no cuts reached");
-        for algo in [ExploreAlgo::Dfs, ExploreAlgo::Dpor] {
-            let reduced = digest_set(
-                &ExploreConfig {
-                    max_crashes: *crashes,
-                    algo,
-                    ..ExploreConfig::default()
-                },
-                factory,
-            );
-            assert_eq!(
-                reduced, exhaustive,
-                "{name}: {algo:?} changed the reachable history set"
-            );
+        let dpor = digest_set(
+            &ExploreConfig {
+                max_crashes: *crashes,
+                ..ExploreConfig::default()
+            },
+            factory,
+        );
+        assert_eq!(
+            dpor, exhaustive,
+            "{name}: DPOR changed the reachable history set"
+        );
+    }
+}
+
+/// pid 0's whole operation in one grant: write `a`, read `b`, complete —
+/// two primitives in one poll, a contract breach only the lenient
+/// backend lets run.
+struct WriteThenRead {
+    a: Arc<Register>,
+    b: Arc<Register>,
+    primed: bool,
+}
+
+impl OpTask for WriteThenRead {
+    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
+        if !self.primed {
+            self.primed = true;
+            return Poll::Pending;
         }
+        self.a.write(ctx, 1);
+        Poll::Ready(u128::from(self.b.read(ctx)))
+    }
+}
+
+/// A read op over two grants: `a` first, then `c`; returns what `a`
+/// held.
+struct ReadTwoCells {
+    a: Arc<Register>,
+    c: Arc<Register>,
+    seen: Option<u64>,
+    primed: bool,
+}
+
+impl OpTask for ReadTwoCells {
+    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
+        if !self.primed {
+            self.primed = true;
+            return Poll::Pending;
+        }
+        match self.seen {
+            None => {
+                self.seen = Some(self.a.read(ctx));
+                Poll::Pending
+            }
+            Some(v) => {
+                let _ = self.c.read(ctx);
+                Poll::Ready(u128::from(v))
+            }
+        }
+    }
+}
+
+#[test]
+fn dpor_stays_exhaustive_around_a_step_without_metadata() {
+    // A step that applies two primitives gets no metadata, and a step
+    // without metadata commutes with nothing, so DPOR must reach every
+    // cut the raw DFS reaches. Keyed on its last primitive alone (the
+    // read of `b`), pid 0's step would look independent of pid 1's read
+    // of `a`, and the cut where pid 0 runs between pid 1's two reads
+    // would be lost.
+    let factory = || {
+        let mut d = Driver::coop_lenient(Runtime::coop(2));
+        let a = Arc::new(Register::new(0));
+        let b = Arc::new(Register::new(0));
+        let c = Arc::new(Register::new(0));
+        d.submit_task(
+            0,
+            OpSpec::custom("write-read", 0),
+            WriteThenRead {
+                a: a.clone(),
+                b,
+                primed: false,
+            },
+        );
+        d.submit_task(
+            1,
+            OpSpec::read(),
+            ReadTwoCells {
+                a,
+                c,
+                seen: None,
+                primed: false,
+            },
+        );
+        d
+    };
+    let exhaustive = digest_set(&ExploreConfig::exhaustive(100), factory);
+    assert_eq!(
+        exhaustive.len(),
+        3,
+        "pid 0 runs before, between or after pid 1's reads"
+    );
+    let dpor = digest_set(&ExploreConfig::default(), factory);
+    assert_eq!(dpor, exhaustive, "DPOR lost a cut the raw DFS reaches");
+}
+
+#[test]
+fn the_interleaving_cap_stops_either_walk_after_exactly_that_many_cuts() {
+    // Collect 3×2 has 34 650 raw interleavings and 132 DPOR
+    // representatives; a cap of 5 must stop the raw DFS and DPOR alike
+    // after 5 checked cuts, and say so.
+    let factory = || {
+        let mut d = Driver::coop(Runtime::coop(3));
+        let c = Arc::new(CollectCounter::new(3));
+        for pid in 0..3 {
+            for _ in 0..2 {
+                d.submit_task(pid, OpSpec::inc(), CollectIncTask::new(c.clone()));
+            }
+        }
+        d
+    };
+    for prune in [false, true] {
+        let cfg = ExploreConfig {
+            prune,
+            max_interleavings: Some(5),
+            ..ExploreConfig::default()
+        };
+        let mut cuts = 0u64;
+        let stats = explore(&cfg, factory, |h| {
+            cuts += 1;
+            check_counter_records(h, 1)
+        });
+        assert_eq!(cuts, 5, "prune={prune}: cuts checked");
+        assert_eq!(stats.interleavings, 5, "prune={prune}: cuts counted");
+        assert!(stats.capped, "prune={prune}: the cap must be reported");
+        assert!(stats.all_ok(), "prune={prune}: {:?}", stats.violations);
     }
 }
 
@@ -483,58 +605,6 @@ fn dpor_and_exhaustive_minimize_the_mutant_identically() {
 }
 
 #[test]
-fn parallel_exploration_is_bit_identical_across_worker_counts() {
-    // The determinism contract of `explore_parallel`: the frontier split
-    // is fixed (depth, not thread count), tasks never early-stop, and
-    // results aggregate in canonical task order — so worker count must
-    // be unobservable, down to every stat and violation report. Checked
-    // on a passing program and on the violating mutant.
-    let collect: fn() -> Driver<CoopBackend> = || {
-        let mut d = Driver::coop(Runtime::coop(3));
-        let c = Arc::new(CollectCounter::new(3));
-        for pid in 0..3 {
-            for _ in 0..2 {
-                d.submit_task(pid, OpSpec::inc(), CollectIncTask::new(c.clone()));
-            }
-        }
-        d
-    };
-    let mutant: fn() -> Driver<CoopBackend> = || {
-        let mut d = Driver::coop(Runtime::coop(3));
-        let cell = Arc::new(Register::new(0));
-        d.submit_task(0, OpSpec::inc(), SharedCellInc::new(cell.clone()));
-        d.submit_task(1, OpSpec::inc(), SharedCellInc::new(cell.clone()));
-        for _ in 0..2 {
-            d.submit_task(
-                2,
-                OpSpec::read(),
-                SharedCellRead {
-                    cell: cell.clone(),
-                    primed: false,
-                },
-            );
-        }
-        d
-    };
-    let cfg = ExploreConfig::default();
-    for (name, factory, expect_violation) in
-        [("collect-3x2", collect, false), ("mutant", mutant, true)]
-    {
-        let check = |h: &smr::History| check_counter_records(h, 1);
-        let base = explore_parallel(&cfg, 1, factory, check);
-        assert_eq!(
-            base.violations.len(),
-            usize::from(expect_violation),
-            "{name}"
-        );
-        for threads in [2, 4] {
-            let run = explore_parallel(&cfg, threads, factory, check);
-            assert_eq!(run, base, "{name}: {threads} workers diverged");
-        }
-    }
-}
-
-#[test]
 fn explored_crash_cuts_match_direct_replay() {
     // A crash-bearing schedule reported by the explorer replays to the
     // exact same cut outside the explorer (determinism of `Replay::run`
@@ -578,8 +648,8 @@ fn explored_crash_cuts_match_direct_replay() {
 fn exploration_leaves_the_trace_log_off() {
     // The explorer learns which object each step touched from the coop
     // backend's access record, not from the trace log: every runtime it
-    // builds, under DPOR, the raw DFS and the parallel frontier, must
-    // end with the log still off and empty.
+    // builds, under DPOR and the raw DFS, must end with the log still
+    // off and empty.
     let kept: Mutex<Vec<Arc<Runtime>>> = Mutex::new(Vec::new());
     let factory = || {
         let rt = Runtime::coop(3);
@@ -608,9 +678,5 @@ fn exploration_leaves_the_trace_log_off() {
     assert_log_off(
         "dfs",
         explore(&ExploreConfig::exhaustive(100), factory, check),
-    );
-    assert_log_off(
-        "parallel",
-        explore_parallel(&ExploreConfig::default(), 2, factory, check),
     );
 }
