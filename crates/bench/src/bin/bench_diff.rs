@@ -8,8 +8,8 @@
 //! metric present on both sides is checked (see `bench::regression`).
 //! The summary line says how many baseline rows a fresh row matched: a
 //! diff that matched none compared nothing.
-//! Exact counts (the explorer's `interleavings`, `pruned_subtrees` and
-//! `steps_replayed`) are deterministic: any difference on a matched row
+//! Exact counts (the explorer's `interleavings`, `replays`,
+//! `pruned_subtrees` and `steps_replayed`) are deterministic: any difference on a matched row
 //! is printed as a mismatch and exits 1, with or without `--strict`.
 //! Otherwise the exit code is 0 by default — CI machines vary too much
 //! to gate on wall-clock throughput — but regressions are printed

@@ -22,6 +22,10 @@
 //! only within one algorithm.
 //!
 //! Results land in `BENCH_explore.json` (cwd) for regression tracking.
+//! `--smoke` runs the closed-form configurations plus the two 4-process
+//! DPOR programs `perfbench`'s `explore_dpor` walks (collect-4x2 and
+//! kmult-4x2), so a diff against the committed file pins the exact walk
+//! of both.
 //!
 //! Run: `cargo run --release -p bench --bin exp_explore`
 //! CI:  `cargo run --release -p bench --bin exp_explore -- --smoke`
@@ -72,6 +76,7 @@ struct Sample {
     prune: bool,
     crashes: usize,
     interleavings: u64,
+    replays: u64,
     pruned: u64,
     steps_replayed: u64,
     millis: f64,
@@ -90,6 +95,7 @@ impl Sample {
             .bool("prune", self.prune)
             .int("max_crashes", self.crashes as u64)
             .int("interleavings", self.interleavings)
+            .int("replays", self.replays)
             .int("pruned_subtrees", self.pruned)
             .int("steps_replayed", self.steps_replayed)
             .float3("millis", self.millis)
@@ -129,6 +135,22 @@ fn collect_4x2() -> Factory {
         }
         for _ in 0..2 {
             d.submit_task(3, OpSpec::read(), CollectReadTask::new(c.clone()));
+        }
+        d
+    })
+}
+
+/// The 4-process Algorithm 1 program `perfbench`'s `explore_dpor`
+/// walks beside collect-4x2: each process one increment, then one read,
+/// at k = 3 (n ≤ k + 1, so raw accuracy holds from the first read).
+fn kmult_4x2() -> Factory {
+    Box::new(|| {
+        let mut d = Driver::coop(Runtime::coop(4));
+        let c = KmultCounter::new(4, 3);
+        for pid in 0..4 {
+            let h: SharedKmultHandle = Arc::new(Mutex::new(c.handle(pid)));
+            d.submit_task(pid, OpSpec::inc(), KmultIncTask::new(h.clone()));
+            d.submit_task(pid, OpSpec::read(), KmultReadTask::new(h));
         }
         d
     })
@@ -230,15 +252,22 @@ fn main() {
             factory: kmult_3x2(),
             checker: counter_checker(3),
         },
-    ];
-    if !smoke {
-        configs.push(Config {
+        Config {
             name: "collect-4x2-dpor",
             cfg: ExploreConfig::default(),
             expected: None,
             factory: collect_4x2(),
             checker: counter_checker(1),
-        });
+        },
+        Config {
+            name: "kmult-4x2-dpor",
+            cfg: ExploreConfig::default(),
+            expected: None,
+            factory: kmult_4x2(),
+            checker: counter_checker(3),
+        },
+    ];
+    if !smoke {
         configs.push(Config {
             name: "collect-reader-crashes",
             cfg: ExploreConfig {
@@ -309,6 +338,7 @@ fn main() {
             prune: c.cfg.prune,
             crashes: c.cfg.max_crashes,
             interleavings: stats.interleavings,
+            replays: stats.replays,
             pruned: stats.pruned,
             steps_replayed: stats.steps_replayed,
             millis,
@@ -322,6 +352,7 @@ fn main() {
         "prune",
         "crashes",
         "interleavings",
+        "replays",
         "pruned",
         "steps",
         "ms",
@@ -334,6 +365,7 @@ fn main() {
             s.prune.to_string(),
             s.crashes.to_string(),
             s.interleavings.to_string(),
+            s.replays.to_string(),
             s.pruned.to_string(),
             s.steps_replayed.to_string(),
             f2(s.millis),

@@ -24,9 +24,9 @@
 //!   jitter.
 //!
 //! **Exact** counts are compared for equality instead, whatever the
-//! factor: the exploration counts (`interleavings`, `pruned_subtrees`,
-//! `steps_replayed`) are deterministic, so any difference means the
-//! explorer visits other schedules, never noise.
+//! factor: the exploration counts (`interleavings`, `replays`,
+//! `pruned_subtrees`, `steps_replayed`) are deterministic, so any
+//! difference means the explorer visits other schedules, never noise.
 //!
 //! The `bench_diff` binary wraps this as a CI step that *warns* on
 //! regressions (CI machines vary too much to gate on wall-clock
@@ -106,7 +106,12 @@ fn is_volatile(name: &str) -> bool {
 
 /// Deterministic counts, compared for equality (see the module docs).
 fn is_exact(name: &str) -> bool {
-    const EXACT: &[&str] = &["interleavings", "pruned_subtrees", "steps_replayed"];
+    const EXACT: &[&str] = &[
+        "interleavings",
+        "replays",
+        "pruned_subtrees",
+        "steps_replayed",
+    ];
     EXACT.contains(&name)
 }
 
@@ -605,6 +610,33 @@ mod tests {
         );
         assert!(d.mismatches[0].row.contains("config=collect-3x2-dpor"));
         assert!(d.mismatches[1].row.contains("config=kmult-3x2-exhaustive"));
+    }
+
+    #[test]
+    fn replays_are_an_exact_count_compared_only_where_both_rows_have_it() {
+        let with_replays = EXPLORE.replace(
+            "\"interleavings\": 132,",
+            "\"interleavings\": 132, \"replays\": 150,",
+        );
+        let base = parse_bench_json(&with_replays).unwrap();
+        // A baseline written before the column existed still matches,
+        // and compares the counts both sides have.
+        let d = diff(&parse_bench_json(EXPLORE).unwrap(), &base, 1e9);
+        assert_eq!(d.matched, 2, "replays is not part of identity");
+        assert!(d.mismatches.is_empty());
+        for fresh in [149.0, 151.0] {
+            let changed =
+                with_replays.replace("\"replays\": 150", &format!("\"replays\": {fresh}"));
+            let d = diff(&base, &parse_bench_json(&changed).unwrap(), 1e9);
+            assert_eq!(d.matched, 2);
+            assert!(d.regressions.is_empty());
+            let found: Vec<(&str, f64, f64)> = d
+                .mismatches
+                .iter()
+                .map(|m| (m.metric.as_str(), m.baseline, m.fresh))
+                .collect();
+            assert_eq!(found, [("replays", 150.0, fresh)]);
+        }
     }
 
     #[test]

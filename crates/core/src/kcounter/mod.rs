@@ -16,8 +16,8 @@
 //! Accuracy contract: a `CounterRead` returning `x` with `v` increments
 //! linearized before it satisfies `v/k ≤ x ≤ v·k`, provided `k ≥ √n`
 //! (Theorem III.9). `u_min`/`u_max` of Claim III.6 give the exact
-//! envelope; see [`arith`]. **Startup boundary note** (documented in
-//! DESIGN.md): at the very beginning of an execution, while only
+//! envelope; see [`arith`]. **Startup boundary note** (DESIGN.md §2,
+//! "Startup window"): at the very beginning of an execution, while only
 //! `switch_0` is set (the `(p,q) = (0,0)` window), up to `1 + n(k−1)`
 //! increments may be pending against a read of `k`, so the raw `v ≤ k·x`
 //! side needs `n ≤ k + 1` there; Claim III.6's inequality covers

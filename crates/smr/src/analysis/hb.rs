@@ -89,6 +89,11 @@ impl Vc {
         self.find(pid).map_or(0, |i| self.0[i].1)
     }
 
+    /// Reset to the all-zero clock, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
+
     pub(crate) fn set(&mut self, pid: usize, clock: u64) {
         match self.find(pid) {
             Ok(i) => self.0[i].1 = clock,

@@ -16,15 +16,21 @@
 //!   not a boxed struct in a `Vec<Slot>`; it is split across dense
 //!   parallel arrays (`parked_data`/`parked_poll`/`parked_spec`/…), so
 //!   the poll loop streams through exactly the fields it touches.
-//! * **Arena-allocated task state.** Submitted tasks arrive as
-//!   [`ErasedTask`]s (a thin payload pointer plus poll/drop shims);
-//!   [`submit`](ExecBackend::submit) moves the payload bytes into a
-//!   bump arena ([`TaskArena`]) and releases the per-task heap
-//!   allocation. Completed tasks are dropped in place; the bump cursor
-//!   rewinds whenever the live count hits zero (a generation boundary —
-//!   e.g. the quiesced point between `run_schedule` batches), reusing
-//!   chunk memory instead of round-tripping 10⁶ boxes through the
-//!   global allocator.
+//! * **Arena-allocated task state.** Task payloads live in a bump
+//!   arena ([`TaskArena`]), reached through a thin payload pointer plus
+//!   poll/drop shims. A typed submission
+//!   ([`submit_task`](ExecBackend::submit_task), what
+//!   `Driver::submit_task` calls) writes the task straight into the
+//!   arena; an erased one ([`ErasedTask`], through
+//!   [`submit`](ExecBackend::submit)) has its payload bytes moved in
+//!   and its heap allocation released. Completed tasks are dropped in
+//!   place; the bump cursor rewinds whenever the live count hits zero (a
+//!   generation boundary — e.g. the quiesced point between
+//!   `run_schedule` batches), reusing chunk memory instead of
+//!   round-tripping 10⁶ boxes through the global allocator. The first
+//!   chunk is 4 KiB and each new one doubles, up to 1 MiB, so a small
+//!   program (the explorer builds one per replay) allocates a few KiB,
+//!   not a MiB.
 //! * **Slab-backed submission queues.** Ops queued behind an in-flight
 //!   one live in one shared slab of intrusive list nodes (`u32` links),
 //!   not per-process `VecDeque` heap buffers.
@@ -86,7 +92,7 @@
 use super::{ExecBackend, StepOutcome};
 use crate::history::{OpRecord, OpSpec};
 use crate::runtime::{Mode, Runtime};
-use crate::task::{DropFn, ErasedTask, Op, Poll, PollFn};
+use crate::task::{drop_shim, poll_shim, DropFn, ErasedTask, Op, OpTask, Poll, PollFn};
 use crate::trace::AccessKind;
 use crate::ProcCtx;
 use std::alloc::Layout;
@@ -125,7 +131,10 @@ fn metrics() -> &'static CoopMetrics {
     })
 }
 
-/// Bump-arena chunk size; large enough that 10⁶ small task states fit
+/// Size of the arena's first chunk; each later chunk doubles the one
+/// before it, up to [`CHUNK_SIZE`].
+const FIRST_CHUNK_SIZE: usize = 4 << 10;
+/// Largest bump-arena chunk; large enough that 10⁶ small task states fit
 /// in a few dozen chunks.
 const CHUNK_SIZE: usize = 1 << 20;
 /// Chunk base alignment (a cache line covers every ordinary task type).
@@ -138,11 +147,14 @@ struct Chunk {
 
 /// Bump arena owning every live task payload.
 ///
-/// Payloads are moved in at submit ([`TaskArena::install`]) and dropped
-/// in place at completion ([`TaskArena::retire`]); individual slots are
+/// Payloads are written or moved in at submit
+/// ([`TaskArena::install_value`], [`TaskArena::install`]) and dropped in
+/// place at completion ([`TaskArena::retire`]); individual slots are
 /// never freed. Instead, when the live count returns to zero — a
 /// runtime *generation* boundary — the bump cursor rewinds to the first
-/// chunk and the memory is reused wholesale.
+/// chunk and the memory is reused wholesale. Chunks grow geometrically
+/// ([`FIRST_CHUNK_SIZE`] doubling up to [`CHUNK_SIZE`]); a payload
+/// larger than the next chunk gets a chunk of its own size.
 #[derive(Default)]
 struct TaskArena {
     chunks: Vec<Chunk>,
@@ -173,11 +185,13 @@ impl TaskArena {
                 self.offset = 0;
                 continue;
             }
-            let chunk_layout = Layout::from_size_align(
-                layout.size().max(CHUNK_SIZE),
-                layout.align().max(CHUNK_ALIGN),
-            )
-            .expect("task arena chunk layout");
+            let next = self
+                .chunks
+                .last()
+                .map_or(FIRST_CHUNK_SIZE, |c| (2 * c.layout.size()).min(CHUNK_SIZE));
+            let chunk_layout =
+                Layout::from_size_align(layout.size().max(next), layout.align().max(CHUNK_ALIGN))
+                    .expect("task arena chunk layout");
             // SAFETY: the layout has non-zero size.
             let ptr = unsafe { std::alloc::alloc(chunk_layout) };
             let ptr =
@@ -192,6 +206,22 @@ impl TaskArena {
                 layout: chunk_layout,
             });
         }
+    }
+
+    /// Write a typed task straight into the arena (no transient box).
+    fn install_value<T>(&mut self, task: T) -> NonNull<u8> {
+        let layout = Layout::new::<T>();
+        let dst = if layout.size() == 0 {
+            NonNull::<T>::dangling()
+        } else {
+            self.alloc(layout).cast::<T>()
+        };
+        // SAFETY: `dst` is a fresh arena slot of `T`'s size and
+        // alignment, or, for a zero-sized `T`, a dangling pointer aligned
+        // for `T`, which a write of zero bytes may use.
+        unsafe { dst.as_ptr().write(task) };
+        self.live += 1;
+        dst.cast()
     }
 
     /// Move an erased task's payload into the arena, releasing its
@@ -645,6 +675,27 @@ impl CoopBackend {
     pub(crate) fn touched(&self) -> Ref<'_, [(usize, AccessKind)]> {
         self.ctx.touched()
     }
+
+    /// Queue an installed task for `pid`, starting it at once if `pid`
+    /// has nothing in flight.
+    fn enqueue(
+        &mut self,
+        pid: usize,
+        spec: OpSpec,
+        data: NonNull<u8>,
+        poll: PollFn,
+        dropper: DropFn,
+    ) {
+        self.push_queued(pid, spec, data, poll, dropper);
+        self.ctx.begin(pid);
+        if self.parked_data[pid].is_none() {
+            self.advance(pid);
+        }
+        if !self.gated && self.parked_data[pid].is_some() && !self.in_runnable[pid] {
+            self.in_runnable[pid] = true;
+            self.runnable.push(pid as u32);
+        }
+    }
 }
 
 impl ExecBackend for CoopBackend {
@@ -657,15 +708,12 @@ impl ExecBackend for CoopBackend {
             ),
         };
         let (data, poll, dropper) = self.arena.install(task);
-        self.push_queued(pid, spec, data, poll, dropper);
-        self.ctx.begin(pid);
-        if self.parked_data[pid].is_none() {
-            self.advance(pid);
-        }
-        if !self.gated && self.parked_data[pid].is_some() && !self.in_runnable[pid] {
-            self.in_runnable[pid] = true;
-            self.runnable.push(pid as u32);
-        }
+        self.enqueue(pid, spec, data, poll, dropper);
+    }
+
+    fn submit_task<T: OpTask + 'static>(&mut self, pid: usize, spec: OpSpec, task: T) {
+        let data = self.arena.install_value(task);
+        self.enqueue(pid, spec, data, poll_shim::<T>, drop_shim::<T>);
     }
 
     fn step(&mut self, pid: usize, expected_ops: u64) -> StepOutcome {
@@ -777,5 +825,247 @@ impl Drop for CoopBackend {
         } else {
             self.shutdown();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Register, Runtime};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Probe drops on the current thread: each test reads the
+        /// difference across its own submissions.
+        static DROPS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn drops() -> usize {
+        DROPS.with(Cell::get)
+    }
+
+    /// Counts its drop in [`DROPS`]; zero-sized.
+    struct DropCount;
+
+    impl Drop for DropCount {
+        fn drop(&mut self) {
+            DROPS.with(|d| d.set(d.get() + 1));
+        }
+    }
+
+    /// A task carrying `payload` that writes its register `writes` times,
+    /// one write per granted poll.
+    struct Probe<P> {
+        _payload: P,
+        reg: Arc<Register>,
+        writes: u32,
+        primed: bool,
+        _count: DropCount,
+    }
+
+    fn probe<P>(payload: P, reg: &Arc<Register>, writes: u32) -> Probe<P> {
+        Probe {
+            _payload: payload,
+            reg: reg.clone(),
+            writes,
+            primed: false,
+            _count: DropCount,
+        }
+    }
+
+    impl<P: Send> OpTask for Probe<P> {
+        fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
+            if self.primed {
+                self.reg.write(ctx, 1);
+                self.writes -= 1;
+            }
+            self.primed = true;
+            if self.writes == 0 {
+                Poll::Ready(0)
+            } else {
+                Poll::Pending
+            }
+        }
+    }
+
+    /// A zero-sized task that completes on its priming poll.
+    struct ZstTask(DropCount);
+
+    impl OpTask for ZstTask {
+        fn poll(&mut self, _ctx: &ProcCtx) -> Poll<u128> {
+            Poll::Ready(0)
+        }
+    }
+
+    #[repr(align(128))]
+    struct Wide;
+
+    /// Submit `task` typed (written into the arena in place) or erased
+    /// (boxed, then moved in).
+    fn submit<T: OpTask + 'static>(b: &mut CoopBackend, typed: bool, pid: usize, task: T) {
+        if typed {
+            b.submit_task(pid, OpSpec::inc(), task);
+        } else {
+            b.submit(pid, OpSpec::inc(), Op::Task(ErasedTask::new(task)));
+        }
+    }
+
+    fn gated(n: usize) -> CoopBackend {
+        CoopBackend::new(Runtime::coop(n))
+    }
+
+    /// Grant `pid` steps until it has nothing left.
+    fn run_out(b: &mut CoopBackend, pid: usize) {
+        while b.step(pid, 0) == StepOutcome::Stepped {}
+    }
+
+    #[test]
+    fn every_path_drops_each_task_exactly_once() {
+        for typed in [true, false] {
+            let reg = Arc::new(Register::new(0));
+            let before = drops();
+            let mut b = gated(4);
+            // Completed: one write, granted.
+            submit(&mut b, typed, 0, probe(0u64, &reg, 1));
+            assert_eq!(b.step(0, 1), StepOutcome::Stepped);
+            assert_eq!(drops() - before, 1, "typed={typed}: completed task dropped");
+            // Parked at teardown: one of two writes granted.
+            submit(&mut b, typed, 1, probe(1u64, &reg, 2));
+            assert_eq!(b.step(1, 1), StepOutcome::Stepped);
+            // Queued at teardown, behind a parked task.
+            submit(&mut b, typed, 2, probe(2u64, &reg, 1));
+            submit(&mut b, typed, 2, probe(3u64, &reg, 1));
+            // Crashed, as the backend sees it (`Driver::crash`):
+            // quiesced, then never granted again while others run.
+            submit(&mut b, typed, 3, probe(4u64, &reg, 2));
+            assert_eq!(b.step(3, 1), StepOutcome::Stepped);
+            b.quiesce(3, 1);
+            run_out(&mut b, 1);
+            assert_eq!(drops() - before, 2, "typed={typed}: nothing else retired");
+            drop(b);
+            assert_eq!(
+                drops() - before,
+                5,
+                "typed={typed}: teardown drops the rest"
+            );
+
+            // Dropped during a panic unwind: parked and queued tasks are
+            // dropped without being polled again.
+            let before = drops();
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut b = gated(2);
+                submit(&mut b, typed, 0, probe(5u64, &reg, 2));
+                submit(&mut b, typed, 0, probe(6u64, &reg, 2));
+                assert_eq!(b.step(0, 2), StepOutcome::Stepped);
+                submit(&mut b, typed, 1, probe(7u64, &reg, 1));
+                panic!("unwind with live tasks");
+            }));
+            assert!(unwound.is_err());
+            assert_eq!(
+                drops() - before,
+                3,
+                "typed={typed}: unwind drops every task"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_sized_and_overaligned_payloads() {
+        assert_eq!(std::mem::size_of::<ZstTask>(), 0);
+        for typed in [true, false] {
+            let reg = Arc::new(Register::new(0));
+            let before = drops();
+            let mut b = gated(2);
+            // Completes at submission.
+            submit(&mut b, typed, 0, ZstTask(DropCount));
+            assert_eq!(drops() - before, 1, "typed={typed}");
+            submit(&mut b, typed, 1, probe(Wide, &reg, 2));
+            let at = b.parked_data[1].expect("parked").as_ptr() as usize;
+            assert_eq!(at % 128, 0, "typed={typed}: align(128) payload misplaced");
+            // Queued behind the parked task, then run.
+            submit(&mut b, typed, 1, ZstTask(DropCount));
+            submit(&mut b, typed, 1, probe(Wide, &reg, 1));
+            run_out(&mut b, 1);
+            assert_eq!(drops() - before, 4, "typed={typed}");
+            // Queued at teardown.
+            submit(&mut b, typed, 0, probe(Wide, &reg, 1));
+            submit(&mut b, typed, 0, ZstTask(DropCount));
+            drop(b);
+            assert_eq!(drops() - before, 6, "typed={typed}");
+        }
+    }
+
+    #[test]
+    fn chunks_start_at_4_kib_and_double_up_to_chunk_size() {
+        let reg = Arc::new(Register::new(0));
+        let mut b = gated(1);
+        // One parked task, the rest queued behind it: all stay live.
+        while b.arena.chunks.len() < 11 {
+            b.submit_task(0, OpSpec::inc(), probe([0u8; 2000], &reg, 1));
+        }
+        let sizes: Vec<usize> = b.arena.chunks.iter().map(|c| c.layout.size()).collect();
+        assert!(sizes[0] <= 4 << 10, "{sizes:?}");
+        for pair in sizes.windows(2) {
+            assert_eq!(pair[1], (2 * pair[0]).min(CHUNK_SIZE), "{sizes:?}");
+        }
+        assert_eq!(sizes[9..], [CHUNK_SIZE, CHUNK_SIZE], "{sizes:?}");
+    }
+
+    #[test]
+    fn a_payload_larger_than_chunk_size_gets_a_chunk_of_its_own() {
+        const BIG: usize = CHUNK_SIZE + 1;
+        // The payload passes through several frames by value.
+        let worker = std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(|| {
+                for typed in [true, false] {
+                    let reg = Arc::new(Register::new(0));
+                    let before = drops();
+                    let mut b = gated(1);
+                    submit(&mut b, typed, 0, probe(0u64, &reg, 1));
+                    submit(&mut b, typed, 0, probe([7u8; BIG], &reg, 1));
+                    let big = b.arena.chunks.last().expect("a chunk").layout.size();
+                    assert!(big >= BIG, "typed={typed}: {big}");
+                    run_out(&mut b, 0);
+                    assert_eq!(reg.peek(), 1);
+                    assert_eq!(drops() - before, 2, "typed={typed}");
+                }
+            })
+            .expect("spawn the big-stack test thread");
+        worker.join().expect("the test thread passes");
+    }
+
+    #[test]
+    fn a_second_generation_reuses_the_chunks_without_allocating() {
+        let reg = Arc::new(Register::new(0));
+        let mut b = gated(4);
+        let chunks = |b: &CoopBackend| -> Vec<(usize, usize)> {
+            let arena = &b.arena;
+            arena
+                .chunks
+                .iter()
+                .map(|c| (c.ptr.as_ptr() as usize, c.layout.size()))
+                .collect()
+        };
+        let generation = |b: &mut CoopBackend| -> Vec<usize> {
+            let mut first = Vec::new();
+            for pid in 0..4 {
+                for _ in 0..8 {
+                    b.submit_task(pid, OpSpec::inc(), probe([0u8; 300], &reg, 2));
+                }
+                first.push(b.parked_data[pid].expect("parked").as_ptr() as usize);
+            }
+            for pid in 0..4 {
+                run_out(b, pid);
+            }
+            assert_eq!(b.arena.live, 0);
+            first
+        };
+        let first = generation(&mut b);
+        let grown = chunks(&b);
+        assert!(grown.len() > 1, "the generation spans several chunks");
+        let second = generation(&mut b);
+        assert_eq!(chunks(&b), grown, "no chunk added or replaced");
+        assert_eq!(second, first, "the cursor rewound to the first chunk");
     }
 }

@@ -35,7 +35,7 @@ pub use coop::CoopBackend;
 pub use thread::ThreadBackend;
 
 use crate::history::{OpRecord, OpSpec};
-use crate::task::Op;
+use crate::task::{ErasedTask, Op, OpTask};
 
 /// Result of advancing one process by one step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,6 +57,14 @@ pub trait ExecBackend {
     /// primitive until granted a step; in free-running mode it starts
     /// immediately.
     fn submit(&mut self, pid: usize, spec: OpSpec, op: Op);
+
+    /// [`submit`](ExecBackend::submit) for a task whose type is still
+    /// known. The default erases it into its own heap allocation
+    /// ([`ErasedTask`]); a backend that stores payloads itself can write
+    /// the task there directly instead.
+    fn submit_task<T: OpTask + 'static>(&mut self, pid: usize, spec: OpSpec, task: T) {
+        self.submit(pid, spec, Op::Task(ErasedTask::new(task)));
+    }
 
     /// Gated mode: advance `pid` by one primitive, or report that all
     /// `expected_ops` of its operations completed.

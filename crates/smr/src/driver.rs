@@ -33,7 +33,7 @@ use crate::backend::{CoopBackend, ExecBackend, ThreadBackend};
 use crate::history::{History, OpRecord, OpSpec};
 use crate::runtime::{Mode, Runtime};
 use crate::sched::Scheduler;
-use crate::task::{ErasedTask, Op, OpTask};
+use crate::task::{Op, OpTask};
 use crate::trace::AccessKind;
 use crate::ProcCtx;
 use std::cell::Ref;
@@ -113,7 +113,8 @@ impl Driver<ThreadBackend> {
     where
         F: FnOnce(&ProcCtx) -> u128 + Send + 'static,
     {
-        self.submit_op(pid, spec, Op::Call(Box::new(f)));
+        self.admit(pid);
+        self.backend.submit(pid, spec, Op::Call(Box::new(f)));
     }
 }
 
@@ -207,10 +208,12 @@ impl<B: ExecBackend> Driver<B> {
     where
         T: OpTask + 'static,
     {
-        self.submit_op(pid, spec, Op::Task(ErasedTask::new(task)));
+        self.admit(pid);
+        self.backend.submit_task(pid, spec, task);
     }
 
-    fn submit_op(&mut self, pid: usize, spec: OpSpec, op: Op) {
+    /// Account one more operation submitted to `pid`.
+    fn admit(&mut self, pid: usize) {
         // A crashed process never runs again, so work queued to it could
         // never execute — accepting it would silently skew the
         // submitted/active accounting (the pid would look runnable
@@ -222,7 +225,6 @@ impl<B: ExecBackend> Driver<B> {
         self.submitted[pid] += 1;
         self.pending_ops += 1;
         self.active.insert(pid);
-        self.backend.submit(pid, spec, op);
     }
 
     /// Operations submitted so far to `pid`.

@@ -22,6 +22,24 @@
 //! what makes enumerating tens of thousands of interleavings per second
 //! practical — see `exp_explore`.
 //!
+//! ## What a replay costs
+//!
+//! A replay costs its program and its steps. The factory builds the
+//! program, and the coop backend writes each typed task straight into
+//! its task arena, whose first chunk is 4 KiB. The stored prefix is then
+//! re-applied with [`Driver::step`] and [`Driver::crash`], feeding the
+//! objects each decision touched into the first-touch id map (see
+//! `ObjIds`) without rebuilding the step metadata the search stack
+//! already holds. Only the steps past the prefix are stamped with
+//! clocks and scanned for races.
+//!
+//! The walk's own buffers outlive the replay. Popped DPOR nodes go to a
+//! spare list, and the next push refills one in place: its choice lists,
+//! sleep and done sets and vector clock keep their allocations. The
+//! first-touch map and the race list are cleared, not rebuilt. Once
+//! these buffers have reached their high-water marks, a replay allocates
+//! only for the program and for the history cut handed to the checker.
+//!
 //! ## Independence
 //!
 //! The reduction below rests on one independence relation —
@@ -131,6 +149,7 @@ use crate::history::History;
 use crate::sched::Scripted;
 use crate::trace::AccessKind;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
 /// One decision of an explored schedule.
@@ -297,6 +316,10 @@ pub struct FoundViolation {
 pub struct ExploreStats {
     /// History cuts checked (maximal interleavings plus bound cuts).
     pub interleavings: u64,
+    /// Program instances the walk built, minimization's excluded. Equal
+    /// to `interleavings` under the raw DFS; DPOR also replays into
+    /// sleep-blocked states, which end without a cut.
+    pub replays: u64,
     /// Subtrees DPOR skipped: sleeping or never-backtracked choices (0
     /// under the raw DFS).
     pub pruned: u64,
@@ -324,6 +347,16 @@ struct Frame {
     idx: usize,
 }
 
+/// Apply one decision to the driver.
+fn exec(d: &mut Driver<CoopBackend>, choice: Choice) {
+    match choice {
+        Choice::Step(pid) => {
+            let _ = d.step(pid);
+        }
+        Choice::Crash(pid) => d.crash(pid),
+    }
+}
+
 /// Apply one decision to the driver, returning the step's [`StepMeta`].
 ///
 /// What a step applied comes from the backend's access record
@@ -336,25 +369,20 @@ struct Frame {
 /// stays exhaustive around it). A crash decision touches nothing and
 /// gets no metadata either.
 fn apply(d: &mut Driver<CoopBackend>, choice: Choice) -> Option<StepMeta> {
-    match choice {
-        Choice::Step(pid) => {
-            let before_len = d.history().len();
-            let _ = d.step(pid);
-            let &[(obj, kind)] = &*d.touched() else {
-                return None;
-            };
-            Some(StepMeta {
-                pid,
-                obj,
-                kind,
-                emitted: d.history().len() != before_len,
-            })
-        }
-        Choice::Crash(pid) => {
-            d.crash(pid);
-            None
-        }
-    }
+    let before_len = d.history().len();
+    exec(d, choice);
+    let Choice::Step(pid) = choice else {
+        return None;
+    };
+    let &[(obj, kind)] = &*d.touched() else {
+        return None;
+    };
+    Some(StepMeta {
+        pid,
+        obj,
+        kind,
+        emitted: d.history().len() != before_len,
+    })
 }
 
 /// [`independent`] lifted to optional metadata: a step without metadata
@@ -413,14 +441,15 @@ impl Walk {
     }
 }
 
-/// The alternatives at the current prefix, in canonical order: step
-/// decisions for each active pid ascending, then crash decisions.
-fn alternatives(d: &Driver<CoopBackend>, cfg: &ExploreConfig, walk: &Walk) -> Vec<Choice> {
+/// Fill `alts` with the alternatives at the current prefix, in canonical
+/// order: step decisions for each active pid ascending, then crash
+/// decisions.
+fn alternatives(d: &Driver<CoopBackend>, cfg: &ExploreConfig, walk: &Walk, alts: &mut Vec<Choice>) {
     let active = d.active_set();
     let preempt_exhausted = cfg
         .max_preemptions
         .is_some_and(|max| walk.preemptions >= max);
-    let mut alts: Vec<Choice> = Vec::new();
+    alts.clear();
     match walk.last_runnable {
         // Out of preemption budget: the running process must continue
         // (crashing it below stays allowed — a crash is not a step).
@@ -430,7 +459,6 @@ fn alternatives(d: &Driver<CoopBackend>, cfg: &ExploreConfig, walk: &Walk) -> Ve
     if walk.crashes < cfg.max_crashes {
         alts.extend(active.iter_sorted().map(Choice::Crash));
     }
-    alts
 }
 
 /// The analysis passes' verdict over a finished replay, when the
@@ -513,8 +541,10 @@ where
     }
 }
 
-/// A fresh program from `factory`, which must be a gated coop driver.
-fn fresh<F: Fn() -> Driver<CoopBackend>>(factory: &F) -> Driver<CoopBackend> {
+/// A fresh program from `factory`, which must be a gated coop driver,
+/// counted in `replays`.
+fn fresh<F: Fn() -> Driver<CoopBackend>>(factory: &F, replays: &mut u64) -> Driver<CoopBackend> {
+    *replays += 1;
     let d = factory();
     assert!(
         d.runtime().is_coop(),
@@ -588,7 +618,7 @@ where
 
     loop {
         // Replay the current prefix on a fresh driver.
-        let mut d = fresh(factory);
+        let mut d = fresh(factory, &mut stats.replays);
         let mut walk = Walk::default();
         for f in &path {
             let choice = f.alts[f.idx];
@@ -602,7 +632,8 @@ where
             if d.active_set().is_empty() || walk.steps >= cfg.max_steps {
                 break;
             }
-            let alts = alternatives(&d, cfg, &walk);
+            let mut alts = Vec::new();
+            alternatives(&d, cfg, &walk, &mut alts);
             debug_assert!(!alts.is_empty(), "active set non-empty but no alternatives");
             let choice = alts[0];
             path.push(Frame { alts, idx: 0 });
@@ -632,10 +663,40 @@ where
 /// prefix. That index is a deterministic property of the prefix alone,
 /// so metas recorded in different replays of the same prefix agree, and
 /// two equal ids on one path always denote the same real object.
+///
+/// One map serves the whole walk: each replay clears it, keeping its
+/// table.
 #[derive(Default)]
-struct ObjIds(HashMap<usize, usize>);
+struct ObjIds(HashMap<usize, usize, BuildHasherDefault<AddrHasher>>);
+
+/// Multiplicative hashing for [`ObjIds`]' keys. They are addresses of
+/// base objects this process allocated, never outside input, so
+/// SipHash's defence against crafted collisions buys nothing there.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("ObjIds hashes usize keys only");
+    }
+
+    fn write_usize(&mut self, addr: usize) {
+        self.0 = (addr as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    /// The product's high bits mix every address bit; the table indexes
+    /// buckets with the low bits, so rotate the high bits down.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 impl ObjIds {
+    /// Forget every id, for the next replay.
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+
     /// The first-touch id of `addr`, assigning the next id if unseen.
     fn id(&mut self, addr: usize) -> usize {
         let next = self.0.len();
@@ -727,6 +788,10 @@ fn survives(e: &SleepEntry, taken: &Option<StepMeta>) -> bool {
 }
 
 /// One node of the DPOR search stack: the state before `taken` ran.
+///
+/// Popped nodes go to a spare list, and the next push refills one in
+/// place, so node buffers and clocks keep their allocations across
+/// replays.
 struct DNode {
     /// Every choice available at this prefix, canonical order.
     enabled: Vec<Choice>,
@@ -751,6 +816,23 @@ struct DNode {
     pid: usize,
     local: u64,
     clock: Vc,
+}
+
+impl Default for DNode {
+    fn default() -> Self {
+        DNode {
+            enabled: Vec::new(),
+            backtrack: Vec::new(),
+            done: Vec::new(),
+            sleep: Vec::new(),
+            objs_seen: 0,
+            taken: Choice::Step(0),
+            info: None,
+            pid: 0,
+            local: 0,
+            clock: Vc::default(),
+        }
+    }
 }
 
 /// The explorer's registered metrics. Resolved lazily (one `OnceLock`
@@ -825,33 +907,38 @@ fn add_backtrack(node: &mut DNode, racer: Choice) {
 /// *race* — dependent but concurrent. Its clock joins the cause (its
 /// whole happens-before cone is now ordered before the new event), so
 /// earlier members of that cone are skipped, and exactly the immediate
-/// concurrent dependent partners are reported. Returns the new event's
-/// clock, its per-process index, and the stack positions of its races.
-fn race_scan(stack: &[DNode], pid: usize, info: &Option<StepMeta>) -> (Vc, u64, Vec<usize>) {
-    // Program order: start from the clock of `pid`'s latest event. Join
-    // it into an empty clock rather than cloning it: a clone is sized
-    // exactly to its source, so every clock width from one entry up
-    // gets allocations of its own size, which fragments the heap (with
-    // glibc malloc on `perfbench`'s `explore_dpor`: about +100 KiB of
-    // `[heap]` RSS); a join grows through `Vec`'s amortized
-    // capacities, four entries at least.
-    let mut cause = Vc::default();
+/// concurrent dependent partners are reported. Writes the new event's
+/// clock into `clock` and the stack positions of its races into
+/// `races`, and returns its per-process index.
+fn race_scan(
+    stack: &[DNode],
+    pid: usize,
+    info: &Option<StepMeta>,
+    clock: &mut Vc,
+    races: &mut Vec<usize>,
+) -> u64 {
+    // Program order: start from the clock of `pid`'s latest event,
+    // joined into the recycled clock (whose allocation outlives the
+    // replay) rather than cloned: a clone is sized exactly to its
+    // source, so every clock width gets allocations of its own size,
+    // which fragments the heap.
+    clock.clear();
     if let Some(n) = stack.iter().rev().find(|n| n.pid == pid) {
-        cause.join(&n.clock);
+        clock.join(&n.clock);
     }
-    let local = cause.get(pid) + 1;
-    let mut races = Vec::new();
+    let local = clock.get(pid) + 1;
+    races.clear();
     for (g, n) in stack.iter().enumerate().rev() {
-        if cause.get(n.pid) >= n.local {
+        if clock.get(n.pid) >= n.local {
             continue; // already happens-before the new event
         }
         if !indep_opt(&n.info, info) {
             races.push(g);
-            cause.join(&n.clock);
+            clock.join(&n.clock);
         }
     }
-    cause.set(pid, local);
-    (cause, local, races)
+    clock.set(pid, local);
+    local
 }
 
 /// The sleep-set DPOR walk (see the [module docs](self)), minimizing
@@ -863,14 +950,22 @@ where
 {
     let mut stats = ExploreStats::default();
     let mut stack: Vec<DNode> = Vec::new();
+    // Popped nodes, refilled by later pushes.
+    let mut spare: Vec<DNode> = Vec::new();
+    let mut ids = ObjIds::default();
+    let mut races: Vec<usize> = Vec::new();
     // `true` when the top node's `taken` was swapped by backtracking and
     // has not executed yet.
     let mut pending = false;
 
     /// Move to the next unexplored branch: retire the top node's taken
-    /// branch into `done`, pick its next backtrack candidate, or pop.
-    /// `true` leaves the top node pending re-execution.
-    fn next_branch(stack: &mut Vec<DNode>, stats: &mut ExploreStats) -> bool {
+    /// branch into `done`, pick its next backtrack candidate, or pop
+    /// (into `spare`). `true` leaves the top node pending re-execution.
+    fn next_branch(
+        stack: &mut Vec<DNode>,
+        spare: &mut Vec<DNode>,
+        stats: &mut ExploreStats,
+    ) -> bool {
         while let Some(top) = stack.last_mut() {
             top.done.push((top.taken, top.info));
             let next = top.backtrack.iter().copied().find(|c| {
@@ -882,41 +977,37 @@ where
                 return true;
             }
             stats.pruned += (top.enabled.len() - top.done.len()) as u64;
-            stack.pop();
+            spare.extend(stack.pop());
         }
         false
     }
 
     'outer: loop {
         metrics().replays.inc();
-        let mut d = fresh(factory);
+        let mut d = fresh(factory, &mut stats.replays);
         let mut walk = Walk::default();
         // Replay the prefix. Metadata and clocks are already on the
         // stack, but this fresh instance's object addresses are not: the
         // objects the prefix touches rebuild the first-touch id map.
         let exec_upto = stack.len() - usize::from(pending);
-        let mut ids = ObjIds::default();
+        ids.clear();
         for node in &stack[..exec_upto] {
-            apply(&mut d, node.taken);
+            exec(&mut d, node.taken);
             ids.feed(&d, node.taken);
             walk.count(node.taken, &mut stats.steps_replayed);
         }
 
         if std::mem::take(&mut pending) {
-            let k = stack.len() - 1;
-            let choice = stack[k].taken;
-            let info = apply_stable(&mut d, &mut ids, choice);
+            let (below, top) = stack.split_at_mut(exec_upto);
+            let top = &mut top[0];
+            let choice = top.taken;
+            top.info = apply_stable(&mut d, &mut ids, choice);
             walk.count(choice, &mut stats.steps_replayed);
-            let pid = acting(choice);
-            let (clock, local, races) = race_scan(&stack[..k], pid, &info);
-            for j in races {
-                add_backtrack(&mut stack[j], choice);
+            top.pid = acting(choice);
+            top.local = race_scan(below, top.pid, &top.info, &mut top.clock, &mut races);
+            for &j in &races {
+                add_backtrack(&mut below[j], choice);
             }
-            let top = &mut stack[k];
-            top.info = info;
-            top.pid = pid;
-            top.local = local;
-            top.clock = clock;
         }
 
         loop {
@@ -925,7 +1016,7 @@ where
                 metrics().frontier_depth.record(stack.len() as u64);
                 let path = stack.iter().map(|n| n.taken);
                 if check_cut(cfg, factory, &mut check, d, path, &mut stats)
-                    || !next_branch(&mut stack, &mut stats)
+                    || !next_branch(&mut stack, &mut spare, &mut stats)
                 {
                     break 'outer;
                 }
@@ -939,65 +1030,61 @@ where
             // choice seeded, every crash choice seeded (crash coverage
             // is never reduced). DPOR never runs under a preemption
             // budget, so the alternatives are every enabled choice.
-            let enabled = alternatives(&d, cfg, &walk);
-            debug_assert!(!enabled.is_empty(), "active set non-empty but no choices");
-            let sleep: Vec<SleepEntry> = match stack.last() {
-                Some(p) => p
-                    .sleep
-                    .iter()
-                    .copied()
-                    .chain(p.done.iter().map(|&(choice, info)| SleepEntry {
-                        choice,
-                        info,
-                        obj_known: info.is_some_and(|m| m.obj < p.objs_seen),
-                    }))
-                    .filter(|e| survives(e, &p.info))
-                    .collect(),
-                None => Vec::new(),
-            };
-            let sleeping = |c: &Choice| sleep.iter().any(|e| e.choice == *c);
-            let mut backtrack: Vec<Choice> = Vec::new();
-            if let Some(&c0) = enabled.iter().find(|c| !sleeping(c)) {
-                backtrack.push(c0);
+            let mut node = spare.pop().unwrap_or_default();
+            alternatives(&d, cfg, &walk, &mut node.enabled);
+            debug_assert!(
+                !node.enabled.is_empty(),
+                "active set non-empty but no choices"
+            );
+            node.sleep.clear();
+            if let Some(p) = stack.last() {
+                let done = p.done.iter().map(|&(choice, info)| SleepEntry {
+                    choice,
+                    info,
+                    obj_known: info.is_some_and(|m| m.obj < p.objs_seen),
+                });
+                node.sleep.extend(
+                    p.sleep
+                        .iter()
+                        .copied()
+                        .chain(done)
+                        .filter(|e| survives(e, &p.info)),
+                );
             }
-            for &c in &enabled {
-                if matches!(c, Choice::Crash(_)) && !sleeping(&c) && !backtrack.contains(&c) {
-                    backtrack.push(c);
+            node.done.clear();
+            node.backtrack.clear();
+            let sleeping = |c: &Choice| node.sleep.iter().any(|e| e.choice == *c);
+            if let Some(&c0) = node.enabled.iter().find(|c| !sleeping(c)) {
+                node.backtrack.push(c0);
+            }
+            for &c in &node.enabled {
+                if matches!(c, Choice::Crash(_)) && !sleeping(&c) && !node.backtrack.contains(&c) {
+                    node.backtrack.push(c);
                 }
             }
-            if backtrack.is_empty() {
+            if node.backtrack.is_empty() {
                 // Sleep-blocked: every continuation reorders an explored
                 // execution.
                 metrics().sleep_hits.inc();
-                stats.pruned += enabled.len() as u64;
-                if !next_branch(&mut stack, &mut stats) {
+                stats.pruned += node.enabled.len() as u64;
+                spare.push(node);
+                if !next_branch(&mut stack, &mut spare, &mut stats) {
                     break 'outer;
                 }
                 pending = true;
                 continue 'outer;
             }
-            let taken = backtrack[0];
-            let objs_seen = ids.len();
-            let info = apply_stable(&mut d, &mut ids, taken);
-            walk.count(taken, &mut stats.steps_replayed);
-            let pid = acting(taken);
-            let (clock, local, races) = race_scan(&stack, pid, &info);
-            for j in races {
-                add_backtrack(&mut stack[j], taken);
+            node.taken = node.backtrack[0];
+            node.objs_seen = ids.len();
+            node.info = apply_stable(&mut d, &mut ids, node.taken);
+            walk.count(node.taken, &mut stats.steps_replayed);
+            node.pid = acting(node.taken);
+            node.local = race_scan(&stack, node.pid, &node.info, &mut node.clock, &mut races);
+            for &j in &races {
+                add_backtrack(&mut stack[j], node.taken);
             }
             metrics().nodes.inc();
-            stack.push(DNode {
-                enabled,
-                backtrack,
-                done: Vec::new(),
-                sleep,
-                objs_seen,
-                taken,
-                info,
-                pid,
-                local,
-                clock,
-            });
+            stack.push(node);
         }
     }
     stats
@@ -1098,6 +1185,7 @@ mod tests {
         };
         let stats = count(&ExploreConfig::exhaustive(100));
         assert_eq!(u128::from(stats.interleavings), multinomial(&[2, 2]));
+        assert_eq!(stats.replays, stats.interleavings, "one program per cut");
         assert_eq!(stats.pruned, 0, "nothing to prune on one shared object");
         assert!(stats.all_ok());
     }

@@ -58,6 +58,26 @@ pub(crate) type PollFn = unsafe fn(NonNull<u8>, &ProcCtx) -> Poll<u128>;
 /// Shim dropping a type-erased payload in place (no deallocation).
 pub(crate) type DropFn = unsafe fn(NonNull<u8>);
 
+/// The [`PollFn`] for payload type `T`.
+///
+/// # Safety
+/// `data` must point to a live `T` that the caller owns exclusively.
+pub(crate) unsafe fn poll_shim<T: OpTask>(data: NonNull<u8>, ctx: &ProcCtx) -> Poll<u128> {
+    // SAFETY: the caller passes a live `T` it owns exclusively, so the
+    // cast is valid and the `&mut` is unique.
+    unsafe { data.cast::<T>().as_mut() }.poll(ctx)
+}
+
+/// The [`DropFn`] for payload type `T`.
+///
+/// # Safety
+/// As for [`poll_shim`]; the value is dead afterwards.
+pub(crate) unsafe fn drop_shim<T>(data: NonNull<u8>) {
+    // SAFETY: the caller passes a live `T` it owns exclusively and never
+    // uses again, so it is dropped exactly once.
+    unsafe { std::ptr::drop_in_place(data.cast::<T>().as_ptr()) }
+}
+
 /// A type-erased [`OpTask`] behind a *thin* pointer: the payload lives
 /// in its own heap allocation and the vtable is two explicit shims
 /// captured where the concrete type is still known
@@ -84,15 +104,6 @@ unsafe impl Send for ErasedTask {}
 impl ErasedTask {
     /// Erase `task`, moving it to its own heap allocation.
     pub fn new<T: OpTask + 'static>(task: T) -> Self {
-        unsafe fn poll_shim<T: OpTask>(data: NonNull<u8>, ctx: &ProcCtx) -> Poll<u128> {
-            // SAFETY: caller passes the exclusively-owned, live `T`
-            // this shim was erased from.
-            unsafe { data.cast::<T>().as_mut() }.poll(ctx)
-        }
-        unsafe fn drop_shim<T>(data: NonNull<u8>) {
-            // SAFETY: as in `poll_shim`; the value is dead afterwards.
-            unsafe { std::ptr::drop_in_place(data.cast::<T>().as_ptr()) }
-        }
         let data = NonNull::new(Box::into_raw(Box::new(task)))
             .expect("Box allocations are non-null")
             .cast::<u8>();

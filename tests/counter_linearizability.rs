@@ -5,8 +5,8 @@
 //! driver; the recorded history goes through `lincheck`'s monotone
 //! checker. Exact counters are checked at `k = 1`; Algorithm 1 at its
 //! own `k` (configs with `k ≥ n − 1`, where the raw k-multiplicative
-//! spec holds from the first operation — see DESIGN.md §5 on the startup
-//! window).
+//! spec holds from the first operation — see DESIGN.md §2, "Startup
+//! window").
 
 use counter::{
     AachCounter, CollectCounter, Counter, FaaCounter, SnapshotCounter, UnboundedTreeCounter,

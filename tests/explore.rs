@@ -15,7 +15,9 @@
 //! * **Refutation** — a deliberately broken object (the collect
 //!   counter's single-writer-cell discipline dropped, so all processes
 //!   read-modify-write one shared cell) must be caught, and the failing
-//!   schedule minimized to its essential interleaving.
+//!   schedule minimized to its essential interleaving. So must the one
+//!   known gap in the real Algorithm 1: raw k-accuracy in its startup
+//!   window at k ≥ √n (DESIGN.md §2, "Startup window").
 
 use approx_objects::{KaddCounter, KaddIncTask, KaddReadTask, SharedKaddHandle};
 use approx_objects::{KmultCounter, KmultIncTask, KmultReadTask, SharedKmultHandle};
@@ -165,6 +167,52 @@ fn tree_maxreg_is_linearizable_on_every_schedule() {
     });
     assert!(stats.interleavings > 0);
     assert!(stats.all_ok(), "violations: {:?}", stats.violations);
+}
+
+/// Algorithm 1's startup window: `n` processes at k = 3, each doing two
+/// increments, then one read on pid 0.
+fn startup_window_program(n: usize) -> Driver<CoopBackend> {
+    let mut d = Driver::coop(Runtime::coop(n));
+    let c = KmultCounter::new(n, 3);
+    let hs: Vec<SharedKmultHandle> = (0..n).map(|p| Arc::new(Mutex::new(c.handle(p)))).collect();
+    for (pid, h) in hs.iter().enumerate() {
+        for _ in 0..2 {
+            d.submit_task(pid, OpSpec::inc(), KmultIncTask::new(h.clone()));
+        }
+    }
+    d.submit_task(0, OpSpec::read(), KmultReadTask::new(hs[0].clone()));
+    d
+}
+
+#[test]
+fn the_startup_window_breaks_raw_k_accuracy_at_k_at_least_root_n() {
+    // k = 3 ≥ √n, yet raw 3-accuracy fails: each process's first
+    // increment test&sets switch_0 and its second stays local, so the
+    // 10 increments of pids 0–4 complete while only switch_0 is set, and
+    // the read returns 3 < 10/3. See DESIGN.md §2, "Startup window". The
+    // cut counts and the minimized replay also pin DPOR's exploration
+    // order and ddmin's result.
+    let expected: Vec<Choice> = [1, 2, 3, 4, 0, 0, 0].map(Choice::Step).to_vec();
+    for (n, cuts) in [(5, 436), (6, 2953)] {
+        let stats = explore(
+            &ExploreConfig::default(),
+            || startup_window_program(n),
+            |h| check_counter_records(h, 3),
+        );
+        assert_eq!(stats.violations.len(), 1, "n = {n}");
+        assert_eq!(
+            stats.interleavings, cuts,
+            "n = {n}: cuts up to the violation"
+        );
+        let v = &stats.violations[0];
+        assert_eq!(v.minimized.choices, expected, "n = {n}");
+        assert!(
+            v.message.contains("returned 3") && v.message.contains("need ≥ 10, ≤ 9"),
+            "n = {n}: {}",
+            v.message
+        );
+        assert!(check_counter_records(&v.minimized.run(startup_window_program(n)), 3).is_err());
+    }
 }
 
 /// The seeded mutant: a "counter" whose increments all read-modify-write
