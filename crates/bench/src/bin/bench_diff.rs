@@ -7,7 +7,8 @@
 //! Rows are matched by their stable identity fields; every compared
 //! metric present on both sides is checked (see `bench::regression`).
 //! The summary line says how many baseline rows a fresh row matched: a
-//! diff that matched none compared nothing.
+//! diff that matched none of a non-empty baseline's rows compared
+//! nothing and exits 1, with or without `--strict`.
 //! Exact counts (the explorer's `interleavings`, `replays`,
 //! `pruned_subtrees` and `steps_replayed`) are deterministic: any difference on a matched row
 //! is printed as a mismatch and exits 1, with or without `--strict`.
@@ -116,7 +117,15 @@ fn main() {
             d.mismatches.len()
         );
     }
-    if !d.mismatches.is_empty() || (strict && regressions > 0) {
+    let vacuous = d.compared_nothing(&baseline);
+    if vacuous {
+        println!(
+            "bench_diff: no fresh row matched any of the {} baseline rows — failing (the \
+             diff compared nothing; regenerate the baseline on the grid the run covers)",
+            baseline.results.len()
+        );
+    }
+    if vacuous || !d.mismatches.is_empty() || (strict && regressions > 0) {
         std::process::exit(1);
     }
 }

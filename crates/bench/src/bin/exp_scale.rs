@@ -1,12 +1,10 @@
-//! EXP-SCALE — execution throughput and memory vs process count,
-//! across execution backends and scheduling modes.
+//! EXP-SCALE — execution throughput and memory vs process count, in
+//! both scheduling modes of the coop backend.
 //!
-//! The paper's bounds are parameterized by the process count `n`, but a
-//! thread-per-process gated driver pays one OS thread and a cross-thread
-//! condvar handshake per primitive — it tops out around 10³ processes.
-//! The coop backend drives *virtual* processes as resumable `OpTask`
-//! state machines on the controller thread, which is what opens the
-//! 10⁵–10⁶ range the `O(log log n)`-flavored results are about. This
+//! The paper's bounds are parameterized by the process count `n`. The
+//! coop backend drives *virtual* processes as resumable `OpTask` state
+//! machines on the controller thread, which is what opens the 10⁵–10⁶
+//! range the `O(log log n)`-flavored results are about. This
 //! experiment measures steps/s and peak RSS as `n` grows, in two modes:
 //! `gated` (one controller grant per primitive, `run_schedule`) and
 //! `free` (the ungated batch-polling `Driver::coop_free` loop — the
@@ -16,7 +14,7 @@
 //!   striped register pool (2 primitives per op): pure harness overhead.
 //! * `kmult` workload — each process alternates Algorithm 1
 //!   increments/reads at `k = ⌈√n⌉` through the ported task wrappers:
-//!   the paper's object at populations no thread driver can host.
+//!   the paper's object at populations of 10⁵ processes.
 //!
 //! Peak RSS is per-configuration: the parent re-executes itself
 //! (`--child …`) so each config is measured in a fresh address space
@@ -82,23 +80,15 @@ impl OpTask for RegChainTask {
 enum Backend {
     Coop,
     CoopFree,
-    Thread,
 }
 
 impl Backend {
-    fn name(self) -> &'static str {
-        match self {
-            Backend::Coop | Backend::CoopFree => "coop",
-            Backend::Thread => "thread",
-        }
-    }
-
     /// Scheduling mode: `gated` runs grant one primitive at a time
-    /// through the controller's gate; `free` batch-polls runnable tasks
-    /// with no gate ([`Driver::coop_free`]).
+    /// (`run_schedule`); `free` batch-polls runnable tasks with no
+    /// grants ([`Driver::coop_free`]).
     fn mode(self) -> &'static str {
         match self {
-            Backend::Coop | Backend::Thread => "gated",
+            Backend::Coop => "gated",
             Backend::CoopFree => "free",
         }
     }
@@ -108,14 +98,12 @@ impl Backend {
         match self {
             Backend::Coop => "coop",
             Backend::CoopFree => "coop_free",
-            Backend::Thread => "thread",
         }
     }
 }
 
 struct Sample {
     workload: &'static str,
-    backend: &'static str,
     mode: &'static str,
     n: usize,
     ops: u64,
@@ -132,7 +120,9 @@ impl Sample {
     fn row(&self) -> Row {
         Row::new()
             .str("workload", self.workload)
-            .str("backend", self.backend)
+            // Every row is the coop backend; the column keeps row
+            // identity stable against older baselines.
+            .str("backend", "coop")
             .str("mode", self.mode)
             .int("n", self.n as u64)
             .int("ops", self.ops)
@@ -206,7 +196,7 @@ fn run_config(workload: &'static str, backend: Backend, n: usize, ops_per_proc: 
             drive(d.run_schedule(&mut RoundRobin::new()), start)
         }
         Backend::CoopFree => {
-            // No gate: tasks are batch-polled until every submitted op
+            // No grants: tasks are batch-polled until every submitted op
             // completes; steps come off the runtime's counters.
             let mut d = Driver::coop_free(Runtime::coop_free(n));
             match workload {
@@ -217,19 +207,9 @@ fn run_config(workload: &'static str, backend: Backend, n: usize, ops_per_proc: 
             d.wait_all();
             drive(d.runtime().total_steps(), start)
         }
-        Backend::Thread => {
-            let mut d = Driver::new(Runtime::gated(n));
-            match workload {
-                "reg" => submit_reg(&mut d, n, ops_per_proc),
-                _ => submit_kmult(&mut d, n, ops_per_proc),
-            }
-            let start = Instant::now();
-            drive(d.run_schedule(&mut RoundRobin::new()), start)
-        }
     };
     Sample {
         workload,
-        backend: backend.name(),
         mode: backend.mode(),
         n,
         ops: n as u64 * ops_per_proc,
@@ -284,7 +264,6 @@ fn parse_child_line(line: &str, workload: &'static str, backend: Backend) -> Sam
     };
     Sample {
         workload,
-        backend: backend.name(),
         mode: backend.mode(),
         n: field("n") as usize,
         ops: field("ops") as u64,
@@ -301,9 +280,8 @@ fn main() {
     if args.get(1).map(String::as_str) == Some("--child") {
         let workload: &'static str = if args[2] == "reg" { "reg" } else { "kmult" };
         let backend = match args[3].as_str() {
-            "coop" => Backend::Coop,
             "coop_free" => Backend::CoopFree,
-            _ => Backend::Thread,
+            _ => Backend::Coop,
         };
         let n: usize = args[4].parse().expect("n");
         let ops: u64 = args[5].parse().expect("ops_per_proc");
@@ -318,7 +296,6 @@ fn main() {
     // (workload, backend, n, ops_per_proc)
     let configs: Vec<(&'static str, Backend, usize, u64)> = if smoke {
         vec![
-            ("reg", Backend::Thread, 100, 2),
             ("reg", Backend::Coop, 100, 2),
             ("reg", Backend::Coop, 10_000, 2),
             // The acceptance bar: ≥ 10⁵ virtual processes, gated, seconds.
@@ -329,9 +306,6 @@ fn main() {
         ]
     } else {
         vec![
-            ("reg", Backend::Thread, 100, 4),
-            ("reg", Backend::Thread, 300, 4),
-            ("reg", Backend::Thread, 1_000, 4),
             ("reg", Backend::Coop, 100, 4),
             ("reg", Backend::Coop, 1_000, 4),
             ("reg", Backend::Coop, 10_000, 4),
@@ -358,10 +332,7 @@ fn main() {
     }
 
     // The point of the exercise: huge-n gated runs finish in seconds.
-    if let Some(big) = samples
-        .iter()
-        .find(|s| s.backend == "coop" && s.mode == "gated" && s.n >= 100_000)
-    {
+    if let Some(big) = samples.iter().find(|s| s.mode == "gated" && s.n >= 100_000) {
         assert!(
             big.millis < 60_000.0,
             "a 10⁵-process gated run took {:.0} ms — the coop backend has regressed",
@@ -370,13 +341,10 @@ fn main() {
         assert!(big.steps > 0, "the big run granted no steps");
     }
 
-    let mut table = Table::new([
-        "workload", "backend", "mode", "n", "steps", "ms", "steps/s", "peak MB",
-    ]);
+    let mut table = Table::new(["workload", "mode", "n", "steps", "ms", "steps/s", "peak MB"]);
     for s in &samples {
         table.row([
             s.workload.to_string(),
-            s.backend.to_string(),
             s.mode.to_string(),
             s.n.to_string(),
             s.steps.to_string(),
@@ -387,9 +355,8 @@ fn main() {
     }
 
     println!("EXP-SCALE — steps/s and peak RSS vs process count");
-    println!("thread = one worker thread per process (gate handshake per step);");
-    println!("coop   = virtual processes polled on the controller thread");
-    println!("         (mode gated = one grant per primitive; free = ungated batch polling).");
+    println!("coop = virtual processes polled on the controller thread");
+    println!("       (mode gated = one grant per primitive; free = ungated batch polling).");
     table.print(if smoke {
         "execution-backend scaling (--smoke sizes)"
     } else {

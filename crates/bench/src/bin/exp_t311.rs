@@ -25,32 +25,35 @@
 
 #![allow(clippy::needless_range_loop)] // pid-indexed handles read clearest
 
-use approx_objects::KmultCounter;
+use approx_objects::{KmultCounter, KmultIncTask, KmultReadTask, SharedKmultHandle};
 use bench::log2f;
 use bench::tables::{f2, Table};
-use counter::{AachCounter, CollectCounter, Counter, SnapshotCounter};
+use counter::{
+    AachCounter, AachIncTask, AachReadTask, CollectCounter, CollectIncTask, CollectReadTask,
+    SnapshotCounter, SnapshotIncTask, SnapshotReadTask,
+};
 use parking_lot::Mutex;
 use smr::sched::RoundRobin;
-use smr::{Driver, OpSpec, Runtime};
+use smr::{Driver, OpSpec, OpTask, Runtime};
 use std::sync::Arc;
 
-/// Run the one-increment-one-read workload gated + traced; return
-/// (steps/op, awareness report).
-fn one_shot_workload<F, G>(
+/// Run the one-increment-one-read workload, built by `inc_op(pid)` and
+/// `read_op(pid)`, gated + traced; return (steps/op, awareness report).
+fn one_shot_workload<I, R>(
     n: usize,
-    mut inc_op: F,
-    mut read_op: G,
+    inc_op: impl Fn(usize) -> I,
+    read_op: impl Fn(usize) -> R,
 ) -> (f64, perturb::awareness::AwarenessReport)
 where
-    F: FnMut(usize) -> Box<dyn FnOnce(&smr::ProcCtx) -> u128 + Send>,
-    G: FnMut(usize) -> Box<dyn FnOnce(&smr::ProcCtx) -> u128 + Send>,
+    I: OpTask + 'static,
+    R: OpTask + 'static,
 {
-    let rt = Runtime::gated(n);
+    let rt = Runtime::coop(n);
     rt.enable_tracing();
-    let mut driver = Driver::new(rt.clone());
+    let mut driver = Driver::coop(rt.clone());
     for pid in 0..n {
-        driver.submit(pid, OpSpec::inc(), inc_op(pid));
-        driver.submit(pid, OpSpec::read(), read_op(pid));
+        driver.submit_task(pid, OpSpec::inc(), inc_op(pid));
+        driver.submit_task(pid, OpSpec::read(), read_op(pid));
     }
     let steps = driver.run_schedule(&mut RoundRobin::new());
     rt.disable_tracing();
@@ -85,78 +88,38 @@ fn main() {
 
         let (collect_amrt, collect_aw) = {
             let c = Arc::new(CollectCounter::new(n));
-            let c2 = Arc::clone(&c);
             one_shot_workload(
                 n,
-                move |_pid| {
-                    let c = Arc::clone(&c);
-                    Box::new(move |ctx| {
-                        c.increment(ctx);
-                        0
-                    })
-                },
-                move |_pid| {
-                    let c = Arc::clone(&c2);
-                    Box::new(move |ctx| c.read(ctx))
-                },
+                |_| CollectIncTask::new(c.clone()),
+                |_| CollectReadTask::new(c.clone()),
             )
         };
         let (aach_amrt, _) = {
             let c = Arc::new(AachCounter::new(n, 1 << 20));
-            let c2 = Arc::clone(&c);
             one_shot_workload(
                 n,
-                move |_pid| {
-                    let c = Arc::clone(&c);
-                    Box::new(move |ctx| {
-                        c.increment(ctx);
-                        0
-                    })
-                },
-                move |_pid| {
-                    let c = Arc::clone(&c2);
-                    Box::new(move |ctx| c.read(ctx))
-                },
+                |pid| AachIncTask::new(c.clone(), pid),
+                |_| AachReadTask::new(c.clone()),
             )
         };
         let (snap_amrt, _) = {
             let c = Arc::new(SnapshotCounter::new(n));
-            let c2 = Arc::clone(&c);
             one_shot_workload(
                 n,
-                move |_pid| {
-                    let c = Arc::clone(&c);
-                    Box::new(move |ctx| {
-                        c.increment(ctx);
-                        0
-                    })
-                },
-                move |_pid| {
-                    let c = Arc::clone(&c2);
-                    Box::new(move |ctx| c.read(ctx))
-                },
+                |_| SnapshotIncTask::new(c.clone()),
+                |_| SnapshotReadTask::new(c.clone()),
             )
         };
         // kmult at its legal k = ⌈√n⌉ (spec-compliant there).
         let legal_k = bench::ceil_sqrt(n as u64);
         let (kmult_amrt, kmult_aw) = {
             let c = KmultCounter::new(n, legal_k);
-            let handles: Arc<Vec<Mutex<approx_objects::KmultCounterHandle>>> =
-                Arc::new((0..n).map(|p| Mutex::new(c.handle(p))).collect());
-            let h2 = Arc::clone(&handles);
+            let handles: Vec<SharedKmultHandle> =
+                (0..n).map(|p| Arc::new(Mutex::new(c.handle(p)))).collect();
             one_shot_workload(
                 n,
-                move |pid| {
-                    let h = Arc::clone(&handles);
-                    Box::new(move |ctx| {
-                        h[pid].lock().increment(ctx);
-                        0
-                    })
-                },
-                move |pid| {
-                    let h = Arc::clone(&h2);
-                    Box::new(move |ctx| h[pid].lock().read(ctx))
-                },
+                |pid| KmultIncTask::new(handles[pid].clone()),
+                |pid| KmultReadTask::new(handles[pid].clone()),
             )
         };
 

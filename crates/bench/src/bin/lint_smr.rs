@@ -8,8 +8,9 @@
 //!    in runtime bookkeeping is where a real reordering bug would hide.
 //! 2. **No wall-clock sleeps outside tests.** `thread::sleep` in
 //!    product code either papers over a missing synchronization edge or
-//!    makes a benchmark lie; gate handoffs are the one sanctioned
-//!    blocking mechanism.
+//!    makes a benchmark lie; channels and joins are the sanctioned
+//!    blocking mechanisms, and deterministic schedules come from gated
+//!    coop, never from timing.
 //! 3. **Machines stay wired and verified.** Every `pub struct
 //!    *Machine` (a resume-point transcription of a blocking operation)
 //!    must be referenced outside its defining file (wrapped by a task,
@@ -195,7 +196,8 @@ fn main() {
             }
             if line.contains("thread::sleep") {
                 findings.push(format!(
-                    "{}:{}: thread::sleep in non-test code (synchronize via the gate instead)",
+                    "{}:{}: thread::sleep in non-test code (synchronize through a channel or join, \
+                     or schedule deterministically on gated coop)",
                     f.path.display(),
                     i + 1
                 ));

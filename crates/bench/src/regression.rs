@@ -183,6 +183,16 @@ pub struct Diff {
     pub mismatches: Vec<Mismatch>,
 }
 
+impl Diff {
+    /// `true` when `baseline` has rows but no fresh row matched any of
+    /// them: the diff compared nothing, so "no regressions" means
+    /// nothing either (a renamed identity column or a grid change that
+    /// misses every baseline row). `bench_diff` fails on it.
+    pub fn compared_nothing(&self, baseline: &BenchFile) -> bool {
+        !baseline.results.is_empty() && self.matched == 0
+    }
+}
+
 /// Compare `fresh` against `baseline`: every compared metric present in
 /// both versions of a row that got more than `factor` times worse —
 /// throughput below `baseline / factor`, memory above
@@ -532,6 +542,21 @@ mod tests {
         let d = diff(&old, &renamed, 2.0);
         assert_eq!(d.matched, 0);
         assert!(d.regressions.is_empty(), "a vacuous diff reports nothing");
+    }
+
+    #[test]
+    fn a_diff_that_matched_no_baseline_row_compared_nothing() {
+        let old = parse_bench_json(OLD).unwrap();
+        assert!(!diff(&old, &old, 2.0).compared_nothing(&old));
+        // One matched row is enough to compare something.
+        let one = parse_bench_json(&OLD.replace("\"n\": 8", "\"n\": 16")).unwrap();
+        assert!(!diff(&old, &one, 2.0).compared_nothing(&old));
+        let renamed = parse_bench_json(&OLD.replace("\"backend\"", "\"executor\"")).unwrap();
+        assert!(diff(&old, &renamed, 2.0).compared_nothing(&old));
+        // An empty baseline has nothing to compare, so nothing is missed.
+        let mut empty = old.clone();
+        empty.results.clear();
+        assert!(!diff(&empty, &old, 2.0).compared_nothing(&empty));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The tasks drive the same [`IncMachine`]/[`ReadMachine`] resume-point
 //! transcriptions that the blocking `increment`/`read_detailed` methods
 //! loop over, so both submission forms apply byte-identical primitive
-//! sequences — the cross-backend equivalence the driver tests rely on.
+//! sequences (pinned by `task_forms_match_blocking_forms` below).
 //!
 //! A process's persistent local variables live in its
 //! [`KmultCounterHandle`]; successive operations of the process need it

@@ -1,34 +1,22 @@
 //! [`LinearizabilityPass`]: the [`OnlineChecker`] packaged as an
-//! [`smr::analysis::AnalysisPass`], so any driver run — and every
+//! [`smr::analysis::AnalysisPass`], so any gated driver run — and every
 //! `smr::explore` replay — checks linearizability inline, with
 //! findings surfaced (and ddmin-minimized by the explorer) like every
 //! other pass finding.
 //!
-//! # Event-order robustness
+//! # Event order
 //!
-//! The checker consumes operations in timestamp order. Every event runs
-//! through a bounded reorder buffer (a min-heap on `(timestamp, phase,
-//! seq)`) and is released to the checker once the buffer holds more
-//! than the run's *reorder depth* of events. The depth comes from the
-//! [`RunMeta`] the pass is attached with:
+//! The checker consumes operations in timestamp order, and the trace
+//! stream of a gated coop run already *is* timestamp-ordered: one
+//! controller emits every invocation and completion, and the
+//! happens-before pass's ticket audit checks that order. So each event
+//! goes straight to the checker, and the check is exact.
 //!
-//! * **coop runs: depth 0.** The trace stream already *is*
-//!   timestamp-ordered — one controller emits every event, and the
-//!   happens-before pass's ticket audit checks that order — so each
-//!   event is released the moment it arrives, and the check is exact.
-//! * **thread runs: depth [`WINDOW`].** A worker can draw its ticket and
-//!   lose the CPU before emitting, so nearby events may appear slightly
-//!   out of order in the stream; an event is released only once
-//!   [`WINDOW`] newer events are buffered behind it.
-//!
-//! If the stream raced further than the depth — a released event still
-//! lands behind the checker's watermark, or a completion arrives whose
-//! announcement was lost — the pass goes *inert* for the rest of the
-//! run instead of risking a false report, and says so in its
-//! [`summary`](AnalysisPass::summary). Linearizability checking on the
-//! thread backend is best-effort by nature, and a silent skip is
-//! strictly better than a spurious violation; on a coop run, going
-//! inert means the stream broke its own ticket order.
+//! If an event still lands behind the last one checked, or a completion
+//! arrives with no announcement (the pass attached mid-run), the pass
+//! goes *inert* for the rest of the run instead of risking a false
+//! report, and says so in its [`summary`](AnalysisPass::summary): the
+//! stream broke its own ticket order.
 //!
 //! `Custom` operations are outside both checkable vocabularies and
 //! are skipped silently; a `Write` in counter mode (or an `Inc` in
@@ -38,51 +26,6 @@
 use crate::online::{CounterSpec, OnlineChecker};
 use smr::analysis::{AnalysisPass, RunMeta, Violation};
 use smr::{OpKind, OpRecord, TraceEvent};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// The reorder depth on thread runs (and before any attach): how many
-/// newer events must pile up behind a buffered event before it is
-/// released to the checker. Large enough to cover the thread backend's
-/// ticket-draw-to-emit race window many times over; small enough that
-/// the buffer's memory footprint is negligible. Coop runs use depth 0
-/// (see the [module docs](self)).
-const WINDOW: usize = 256;
-
-/// One buffered trace event, ordered by `(ts, phase, seq)`. Phase 0 =
-/// announcement, 1 = completion, 2 = crash (keyed at the largest
-/// timestamp seen, so it drains after everything it could have
-/// interrupted).
-struct Buffered {
-    ts: u64,
-    phase: u8,
-    seq: u64,
-    pid: usize,
-    kind: Option<OpKind>,
-}
-
-impl Buffered {
-    fn key(&self) -> (u64, u8, u64) {
-        (self.ts, self.phase, self.seq)
-    }
-}
-
-impl PartialEq for Buffered {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for Buffered {}
-impl PartialOrd for Buffered {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Buffered {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
 
 enum Mode {
     Counter(CounterSpec),
@@ -103,17 +46,12 @@ impl Mode {
 pub struct LinearizabilityPass {
     mode: Mode,
     checker: OnlineChecker,
-    heap: BinaryHeap<Reverse<Buffered>>,
-    /// Events held back before release: 0 on coop runs, [`WINDOW`]
-    /// otherwise.
-    depth: usize,
-    /// `(ts, phase)` of the last event released to the checker.
+    /// `(ts, phase)` of the last event checked; phase 0 = announcement,
+    /// 1 = completion.
     released: (u64, u8),
-    /// Largest timestamp seen on any buffered event (crash key).
-    max_ts: u64,
     /// First finding, sticky.
     found: Option<Violation>,
-    /// The stream outran the reorder window: stay silent forever.
+    /// The stream broke ticket order: stay silent forever.
     inert: bool,
     /// Checkable events accepted before the pass went inert (or so
     /// far, if it never did) — what "after N events" in
@@ -122,10 +60,6 @@ pub struct LinearizabilityPass {
     /// Counts inert *transitions* (at most one per attach), so a batch
     /// of explorer replays shows how many silently dropped coverage.
     inert_transitions: &'static obs::Counter,
-    /// Reorder-buffer occupancy sampled at every buffered event: p99
-    /// near [`WINDOW`] on a thread run means the stream is racing the
-    /// buffer and inertness is close; on a coop run it stays at 1.
-    occupancy: &'static obs::Histogram,
 }
 
 impl LinearizabilityPass {
@@ -154,25 +88,12 @@ impl LinearizabilityPass {
         LinearizabilityPass {
             mode,
             checker,
-            heap: BinaryHeap::with_capacity(WINDOW + 1),
-            depth: WINDOW,
             released: (0, 0),
-            max_ts: 0,
             found: None,
             inert: false,
             events_seen: 0,
             inert_transitions: obs::counter(obs::names::SUB_LINCHECK, obs::names::LINCHECK_INERT),
-            occupancy: obs::histogram(
-                obs::names::SUB_LINCHECK,
-                obs::names::LINCHECK_REORDER_OCCUPANCY,
-                2,
-                1,
-            ),
         }
-    }
-
-    fn active(&self) -> bool {
-        !self.inert && self.found.is_none()
     }
 
     /// Transition to the inert state (idempotent per attach). Counted
@@ -185,61 +106,52 @@ impl LinearizabilityPass {
         }
     }
 
-    /// Pop the oldest buffered event and apply it to the checker.
-    fn release_one(&mut self) {
-        let Some(Reverse(b)) = self.heap.pop() else {
-            return;
-        };
-        if !self.active() {
-            return;
+    /// Apply one announcement (`phase` 0) or completion (`phase` 1) to
+    /// the checker.
+    fn check(&mut self, seq: u64, pid: usize, kind: OpKind, ts: u64, phase: u8) {
+        if matches!(kind, OpKind::Custom { .. }) {
+            return; // outside both vocabularies: skipped silently
         }
-        if b.phase == 2 {
-            self.checker.crash(b.pid);
-            return;
-        }
-        let key = (b.ts, b.phase);
-        if key < self.released {
-            // An event older than something already released surfaced:
-            // the stream raced beyond the reorder window.
+        self.events_seen += 1;
+        if (ts, phase) < self.released {
             self.go_inert();
             return;
         }
-        let kind = b.kind.expect("announce/complete events carry a kind");
-        let rec = if b.phase == 0 {
+        let rec = if phase == 0 {
             OpRecord {
-                pid: b.pid,
+                pid,
                 kind,
-                inv: b.ts,
+                inv: ts,
                 resp: None,
                 steps: 0,
             }
         } else {
-            if !self.checker.has_open(b.pid) {
-                // The matching announcement was lost beyond the window
-                // (or the pass attached mid-run): go inert rather than
-                // let the checker misread this as a fresh operation.
+            if !self.checker.has_open(pid) {
+                // No announcement to match (the pass attached mid-run):
+                // go inert rather than let the checker misread this as
+                // a fresh operation.
                 self.go_inert();
                 return;
             }
             OpRecord {
-                pid: b.pid,
+                pid,
                 kind,
                 // Unused: the checker takes the invocation from the
                 // open announcement it just matched.
                 inv: 0,
-                resp: Some(b.ts),
+                resp: Some(ts),
                 steps: 0,
             }
         };
         if let Err(v) = self.checker.push(&rec) {
             self.found = Some(Violation {
                 pass: "linearizability",
-                pid: Some(b.pid),
-                seq: Some(b.seq),
+                pid: Some(pid),
+                seq: Some(seq),
                 message: v.message,
             });
         }
-        self.released = key;
+        self.released = (ts, phase);
     }
 }
 
@@ -248,19 +160,16 @@ impl AnalysisPass for LinearizabilityPass {
         "linearizability"
     }
 
-    fn on_attach(&mut self, meta: &RunMeta) {
+    fn on_attach(&mut self, _meta: &RunMeta) {
         self.checker = self.mode.build();
-        self.heap.clear();
-        self.depth = if meta.coop { 0 } else { WINDOW };
         self.released = (0, 0);
-        self.max_ts = 0;
         self.found = None;
         self.inert = false;
         self.events_seen = 0;
     }
 
     fn on_event(&mut self, ev: &TraceEvent) {
-        if !self.active() {
+        if self.inert || self.found.is_some() {
             return;
         }
         match *ev {
@@ -269,67 +178,30 @@ impl AnalysisPass for LinearizabilityPass {
                 pid,
                 kind,
                 inv,
-            } => {
-                self.max_ts = self.max_ts.max(inv);
-                if matches!(kind, OpKind::Custom { .. }) {
-                    return; // outside both vocabularies: skipped silently
-                }
-                self.heap.push(Reverse(Buffered {
-                    ts: inv,
-                    phase: 0,
-                    seq,
-                    pid,
-                    kind: Some(kind),
-                }));
-            }
+            } => self.check(seq, pid, kind, inv, 0),
             TraceEvent::Complete {
                 seq,
                 pid,
                 kind,
                 resp,
-            } => {
-                self.max_ts = self.max_ts.max(resp);
-                if matches!(kind, OpKind::Custom { .. }) {
-                    return;
-                }
-                self.heap.push(Reverse(Buffered {
-                    ts: resp,
-                    phase: 1,
-                    seq,
-                    pid,
-                    kind: Some(kind),
-                }));
+            } => self.check(seq, pid, kind, resp, 1),
+            TraceEvent::Crash { pid, .. } => {
+                self.events_seen += 1;
+                self.checker.crash(pid);
             }
-            TraceEvent::Crash { seq, pid } => {
-                self.heap.push(Reverse(Buffered {
-                    ts: self.max_ts,
-                    phase: 2,
-                    seq,
-                    pid,
-                    kind: None,
-                }));
-            }
-            TraceEvent::Access(_) | TraceEvent::Grant { .. } => return,
-        }
-        self.events_seen += 1;
-        self.occupancy.record(self.heap.len() as u64);
-        while self.heap.len() > self.depth {
-            self.release_one();
+            TraceEvent::Access(_) | TraceEvent::Grant { .. } => {}
         }
     }
 
     fn finish(&mut self) -> Vec<Violation> {
-        while !self.heap.is_empty() {
-            self.release_one();
-        }
         self.found.clone().into_iter().collect()
     }
 
     fn summary(&self) -> Option<String> {
         if self.inert {
             Some(format!(
-                "pass went inert after {} events: the stream outran the \
-                 reorder window; later operations were not checked",
+                "pass went inert after {} events: the stream broke ticket \
+                 order; later operations were not checked",
                 self.events_seen
             ))
         } else {
@@ -384,35 +256,17 @@ mod tests {
         assert!(found[0].message.contains("empty window"));
     }
 
-    fn meta(coop: bool) -> RunMeta {
-        RunMeta {
-            n: 2,
-            gated: true,
-            coop,
-        }
-    }
-
-    #[test]
-    fn small_reorders_inside_the_window_are_absorbed() {
-        let mut p = LinearizabilityPass::counter(1);
-        p.on_attach(&meta(false));
-        // Invoke/complete pairs delivered slightly shuffled, as a
-        // thread-backend stream might: the heap restores ticket order.
-        p.on_event(&complete(0, 0, OpKind::Inc { amount: 1 }, 1));
-        p.on_event(&invoke(1, 0, OpKind::Inc { amount: 1 }, 0));
-        p.on_event(&complete(2, 1, OpKind::Read { returned: 1 }, 3));
-        p.on_event(&invoke(3, 1, OpKind::Read { returned: 0 }, 2));
-        assert!(p.finish().is_empty());
-        assert!(p.summary().is_none());
+    fn meta() -> RunMeta {
+        RunMeta { n: 2, gated: true }
     }
 
     #[test]
     fn a_coop_stream_out_of_ticket_order_goes_inert() {
-        // A coop stream is ticket-ordered by construction, so the pass
-        // holds nothing back: the late announcement is not absorbed but
-        // lands behind the released watermark and stops the check.
+        // A coop stream is ticket-ordered by construction; one that is
+        // not stops the check: the late announcement lands behind the
+        // released watermark.
         let mut p = LinearizabilityPass::counter(1);
-        p.on_attach(&meta(true));
+        p.on_attach(&meta());
         p.on_event(&invoke(0, 1, OpKind::Read { returned: 0 }, 2));
         p.on_event(&invoke(1, 0, OpKind::Inc { amount: 1 }, 0));
         let s = p.summary().expect("inert pass reports a summary");
@@ -456,7 +310,6 @@ mod tests {
         let mut p = LinearizabilityPass::counter(1);
         let inert_before = p.inert_transitions.get();
         p.on_event(&complete(0, 0, OpKind::Read { returned: 5 }, 3));
-        assert!(p.summary().is_none(), "still buffered: not yet inert");
         assert!(p.finish().is_empty(), "inert, not a false positive");
         // The degradation is silent in the verdict, but not invisible:
         // the transition is counted and the summary names it.
@@ -464,7 +317,7 @@ mod tests {
         let s = p.summary().expect("inert pass reports a summary");
         assert!(s.contains("inert after 1 events"), "got: {s}");
         // A fresh attach clears the degraded state.
-        p.on_attach(&meta(true));
+        p.on_attach(&meta());
         assert!(p.summary().is_none());
     }
 }

@@ -15,19 +15,14 @@
 
 // Subsystem row tags.
 pub const SUB_COOP: &str = "coop";
-pub const SUB_THREAD: &str = "thread";
 pub const SUB_EXPLORE: &str = "explore";
 pub const SUB_LINCHECK: &str = "lincheck";
 pub const SUB_SKETCH: &str = "sketch";
 
 // CoopBackend.
 pub const COOP_POLLS: &str = "polls_total";
-pub const COOP_QUIESCES: &str = "quiesces_total";
 pub const COOP_ARENA_BYTES: &str = "arena_bytes";
 pub const COOP_RUNNABLE_DEPTH: &str = "runnable_depth_entries";
-
-// ThreadBackend.
-pub const THREAD_GATE_WAITS: &str = "gate_waits_total";
 
 // smr::explore.
 pub const EXPLORE_NODES: &str = "nodes_expanded_total";
@@ -40,6 +35,10 @@ pub const EXPLORE_FRONTIER_DEPTH: &str = "frontier_depth_entries";
 pub const LINCHECK_PUSHES: &str = "pushes_total";
 pub const LINCHECK_FOLDS: &str = "fold_compactions_total";
 pub const LINCHECK_RETAINED: &str = "retained_entries";
+/// No longer recorded: `LinearizabilityPass` checks each event as it
+/// arrives, with no reorder buffer to sample. Kept because perfbench's
+/// per-layer ledger reads `lincheck.reorder_occupancy_p99` from it
+/// (`perfbench/src/metrics.rs`), which now reads 0.
 pub const LINCHECK_REORDER_OCCUPANCY: &str = "reorder_occupancy_entries";
 pub const LINCHECK_INERT: &str = "inert_transitions_total";
 

@@ -94,8 +94,9 @@ fn sharded_and_unsharded_sketches_agree_on_identical_traces() {
 fn crash_mid_flush_leaves_one_pending_record_in_the_snapshot() {
     // A flushing add suspended by a crash must surface as exactly one
     // pending record in history_snapshot() — never zero, never a
-    // duplicate — on both backends.
-    fn drive<B: smr::ExecBackend>(mut d: Driver<B>, steps_before_crash: usize) -> smr::History {
+    // duplicate.
+    for steps in 0..4 {
+        let mut d = Driver::coop(Runtime::coop(1));
         let sk = TopKSketch::new(TopKConfig {
             n: 1,
             keys: 4,
@@ -104,28 +105,19 @@ fn crash_mid_flush_leaves_one_pending_record_in_the_snapshot() {
         });
         let handle: SharedTopKHandle = Arc::new(parking_lot::Mutex::new(sk.handle(0, 1)));
         d.submit_task(0, specs::topk_add(1, 2), TopKAddTask::new(handle, 1, 2));
-        for _ in 0..steps_before_crash {
+        for _ in 0..steps {
             let _ = d.step(0);
         }
         d.crash(0);
-        d.history_snapshot()
-    }
-    for coop in [false, true] {
-        for steps in 0..4 {
-            let h = if coop {
-                drive(Driver::coop(Runtime::coop(1)), steps)
-            } else {
-                drive(Driver::new(Runtime::gated(1)), steps)
-            };
-            assert_eq!(
-                h.len(),
-                1,
-                "coop={coop} steps={steps}: exactly one record for the one op"
-            );
-            let rec = &h.ops()[0];
-            assert_eq!(rec.resp, None, "coop={coop} steps={steps}: flush pending");
-            assert_eq!(rec.steps, steps as u64);
-        }
+        let h = d.history_snapshot();
+        assert_eq!(
+            h.len(),
+            1,
+            "steps={steps}: exactly one record for the one op"
+        );
+        let rec = &h.ops()[0];
+        assert_eq!(rec.resp, None, "steps={steps}: flush pending");
+        assert_eq!(rec.steps, steps as u64);
     }
 }
 

@@ -150,11 +150,7 @@ mod tests {
     use crate::trace::Access;
 
     fn meta() -> RunMeta {
-        RunMeta {
-            n: 2,
-            gated: true,
-            coop: true,
-        }
+        RunMeta { n: 2, gated: true }
     }
 
     fn acc(seq: u64, kind: AccessKind, before: u64, after: u64) -> TraceEvent {
@@ -200,11 +196,7 @@ mod tests {
         assert!(v[0].message.contains("discontinuity"), "{}", v[0].message);
 
         let mut c = Conformance::new();
-        c.on_attach(&RunMeta {
-            n: 2,
-            gated: false,
-            coop: false,
-        });
+        c.on_attach(&RunMeta { n: 2, gated: false });
         // Free-running: interleavings can legitimately produce digests
         // the stream order does not explain; continuity is not checked.
         c.on_event(&acc(0, AccessKind::Write, 0, 5));

@@ -57,15 +57,13 @@
 //!
 //! `lincheck`'s monotone sweep consumes operation histories ordered by
 //! invocation/response *tickets* and assumes they are drawn in execution
-//! order. On coop runtimes (where invocation and completion events are
-//! recorded controller-side, deterministically) the pass verifies
-//! exactly that: tickets strictly increase in stream order, every
-//! invocation precedes its response, and per-process operation windows
-//! are disjoint. On the thread backend invocation events are emitted by
-//! worker threads, so their stream positions race — the audit is
-//! restricted to per-process window consistency there.
+//! order. Invocation and completion events come only from gated coop
+//! runs, where the one controller records them deterministically; the
+//! pass verifies exactly that order on every such event: tickets
+//! strictly increase in stream order, every invocation precedes its
+//! response, and per-process operation windows are disjoint.
 
-use super::{AnalysisPass, RunMeta, Violation};
+use super::{AnalysisPass, Violation};
 use crate::trace::{Access, AccessKind, TraceEvent};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -240,9 +238,8 @@ pub struct HappensBefore {
     racy: Vec<RacyPair>,
     racy_total: u64,
     max_racy: usize,
-    /// Last ticket observed in stream order (coop only).
+    /// Last ticket observed in stream order.
     last_ticket: Option<u64>,
-    coop: bool,
     violations: Vec<Violation>,
     max_violations: usize,
 }
@@ -258,7 +255,6 @@ impl HappensBefore {
             racy_total: 0,
             max_racy: 64,
             last_ticket: None,
-            coop: false,
             violations: Vec::new(),
             max_violations: 64,
         }
@@ -389,22 +385,20 @@ impl HappensBefore {
     }
 
     fn check_ticket(&mut self, pid: usize, seq: u64, ticket: u64, what: &str) {
-        if self.coop {
-            if let Some(last) = self.last_ticket {
-                if ticket <= last {
-                    self.violate(
-                        pid,
-                        seq,
-                        format!(
-                            "{what} ticket {ticket} out of order: the stream \
-                             already saw ticket {last} — the timestamp order the \
-                             lincheck sweep consumes does not match execution order"
-                        ),
-                    );
-                }
+        if let Some(last) = self.last_ticket {
+            if ticket <= last {
+                self.violate(
+                    pid,
+                    seq,
+                    format!(
+                        "{what} ticket {ticket} out of order: the stream \
+                         already saw ticket {last} — the timestamp order the \
+                         lincheck sweep consumes does not match execution order"
+                    ),
+                );
             }
-            self.last_ticket = Some(ticket);
         }
+        self.last_ticket = Some(ticket);
     }
 }
 
@@ -417,10 +411,6 @@ impl Default for HappensBefore {
 impl AnalysisPass for HappensBefore {
     fn name(&self) -> &'static str {
         "happens-before"
-    }
-
-    fn on_attach(&mut self, meta: &RunMeta) {
-        self.coop = meta.coop;
     }
 
     fn on_event(&mut self, ev: &TraceEvent) {
@@ -514,14 +504,6 @@ mod tests {
     use super::*;
     use crate::history::OpKind;
 
-    fn meta_coop() -> RunMeta {
-        RunMeta {
-            n: 4,
-            gated: true,
-            coop: true,
-        }
-    }
-
     fn acc(seq: u64, pid: usize, obj: usize, kind: AccessKind) -> TraceEvent {
         TraceEvent::Access(Access {
             seq,
@@ -604,7 +586,6 @@ mod tests {
     #[test]
     fn program_order_alone_is_race_free() {
         let mut h = HappensBefore::new();
-        h.on_attach(&meta_coop());
         h.on_event(&acc(0, 0, 0xA, AccessKind::Write));
         h.on_event(&acc(1, 0, 0xA, AccessKind::Read));
         h.on_event(&acc(2, 0, 0xB, AccessKind::Write));
@@ -615,7 +596,6 @@ mod tests {
     #[test]
     fn cross_process_write_read_is_a_racy_pair_once() {
         let mut h = HappensBefore::new();
-        h.on_attach(&meta_coop());
         h.on_event(&acc(0, 0, 0xA, AccessKind::Write));
         h.on_event(&acc(1, 1, 0xA, AccessKind::Read));
         // The read joined the writer's clock; a second read of the same
@@ -631,7 +611,6 @@ mod tests {
     #[test]
     fn read_write_conflict_is_flagged() {
         let mut h = HappensBefore::new();
-        h.on_attach(&meta_coop());
         h.on_event(&acc(0, 0, 0xA, AccessKind::Read));
         h.on_event(&acc(1, 1, 0xA, AccessKind::Write));
         assert_eq!(h.racy_total(), 1);
@@ -644,7 +623,6 @@ mod tests {
     #[test]
     fn disjoint_objects_never_conflict() {
         let mut h = HappensBefore::new();
-        h.on_attach(&meta_coop());
         h.on_event(&acc(0, 0, 0xA, AccessKind::Write));
         h.on_event(&acc(1, 1, 0xB, AccessKind::Write));
         assert_eq!(h.racy_total(), 0);
@@ -657,7 +635,6 @@ mod tests {
         // — wait, p0 hasn't joined p1. But p1's write to A after reading
         // A is ordered; check no pair for p1's second access to A.
         let mut h = HappensBefore::new();
-        h.on_attach(&meta_coop());
         h.on_event(&acc(0, 0, 0xA, AccessKind::Write));
         h.on_event(&acc(1, 1, 0xA, AccessKind::Read)); // pair (0,1)
         h.on_event(&acc(2, 1, 0xA, AccessKind::Write)); // ordered: no pair
@@ -667,7 +644,6 @@ mod tests {
     #[test]
     fn ticket_monotonicity_violation_is_reported() {
         let mut h = HappensBefore::new();
-        h.on_attach(&meta_coop());
         h.on_event(&TraceEvent::Invoke {
             seq: 0,
             pid: 0,
@@ -703,7 +679,6 @@ mod tests {
     #[test]
     fn overlapping_windows_are_reported() {
         let mut h = HappensBefore::new();
-        h.on_attach(&meta_coop());
         h.on_event(&TraceEvent::Invoke {
             seq: 0,
             pid: 0,
@@ -732,7 +707,6 @@ mod tests {
     #[test]
     fn crash_closes_the_window() {
         let mut h = HappensBefore::new();
-        h.on_attach(&meta_coop());
         h.on_event(&TraceEvent::Invoke {
             seq: 0,
             pid: 0,

@@ -49,13 +49,11 @@ use std::sync::Arc;
 pub struct RunMeta {
     /// Number of processes.
     pub n: usize,
-    /// `true` for gated runtimes (thread-gated or coop): the event
-    /// stream is serialized in execution order and grants are recorded.
+    /// `true` for gated runtimes ([`Runtime::coop`](crate::Runtime::coop)):
+    /// the event stream is serialized in execution order, grants are
+    /// recorded, and invocation/completion events are emitted by the
+    /// one controller, in ticket order.
     pub gated: bool,
-    /// `true` for coop runtimes: additionally, invocation/completion
-    /// events are recorded controller-side, so their stream positions
-    /// (and ticket order) are deterministic.
-    pub coop: bool,
 }
 
 /// One finding of an analysis pass.
@@ -106,8 +104,8 @@ pub trait AnalysisPass: Send {
 
     /// An optional one-line operational notice about how the pass ran —
     /// degraded modes, dropped coverage — as opposed to `finish`'s
-    /// *verdicts*. A pass that silently stopped checking (e.g. a
-    /// reorder buffer outrun) reports it here so run summaries can
+    /// *verdicts*. A pass that silently stopped checking (e.g. fed an
+    /// event out of ticket order) reports it here so run summaries can
     /// distinguish "checked clean" from "stopped checking".
     fn summary(&self) -> Option<String> {
         None
@@ -126,12 +124,12 @@ struct Inner {
 ///
 /// ```
 /// use smr::analysis::Analyzer;
-/// use smr::{Driver, OpSpec, Runtime};
+/// use smr::{Driver, ImmediateOp, OpSpec, Runtime};
 ///
-/// let rt = Runtime::gated(2);
+/// let rt = Runtime::coop(2);
 /// rt.attach_analysis(Analyzer::standard());
-/// let mut d = Driver::new(rt.clone());
-/// d.submit(0, OpSpec::custom("noop", 0), |_ctx| 0);
+/// let mut d = Driver::coop(rt.clone());
+/// d.submit_task(0, OpSpec::custom("noop", 0), ImmediateOp::new(|_ctx| 0));
 /// d.run_solo(0);
 /// drop(d);
 /// assert!(rt.analysis().unwrap().finish().is_empty());

@@ -3,9 +3,8 @@
 //!
 //! The coop backend's whole determinism story rests on the [`OpTask`]
 //! contract (priming polls apply no primitive; a granted poll applies
-//! exactly one). The thread backend enforces it *physically* (the gate
-//! parks every primitive); the coop backend asserts step-counter deltas
-//! around each poll. This pass checks the same contract *observationally*
+//! exactly one). The backend asserts step-counter deltas around each
+//! poll. This pass checks the same contract *observationally*
 //! from the event stream — grants and accesses interleave 1:1 — so it
 //! also covers lenient runs (where the backend asserts are off to let
 //! mutants run far enough to be diagnosed), and it attributes each
@@ -242,11 +241,7 @@ mod tests {
     use crate::trace::{Access, AccessKind};
 
     fn meta(n: usize) -> RunMeta {
-        RunMeta {
-            n,
-            gated: true,
-            coop: true,
-        }
+        RunMeta { n, gated: true }
     }
 
     fn acc(seq: u64, pid: usize) -> TraceEvent {
@@ -374,11 +369,7 @@ mod tests {
     #[test]
     fn free_running_streams_are_not_flagged() {
         let mut p = PollDiscipline::new();
-        p.on_attach(&RunMeta {
-            n: 1,
-            gated: false,
-            coop: false,
-        });
+        p.on_attach(&RunMeta { n: 1, gated: false });
         p.on_event(&acc(0, 0));
         p.on_event(&acc(1, 0));
         assert!(p.finish().is_empty());

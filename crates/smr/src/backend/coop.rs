@@ -1,11 +1,10 @@
 //! [`CoopBackend`]: cooperative execution of virtual processes.
 //!
 //! Drives N processes as [`OpTask`](crate::OpTask) state machines on the
-//! controller thread. There are no worker threads and no gate: granting
-//! a step *is* polling the parked task once, so the per-step cost drops
-//! from a cross-thread condvar handshake to one indirect call — which is
-//! what lets gated executions scale from ~10³ OS threads to 10⁵–10⁶
-//! virtual processes (see `exp_scale`).
+//! controller thread. There are no worker threads: granting a step *is*
+//! polling the parked task once, one indirect call — which is what lets
+//! gated executions scale to 10⁵–10⁶ virtual processes (see
+//! `exp_scale`).
 //!
 //! ## Memory layout
 //!
@@ -25,7 +24,7 @@
 //!   [`submit`](ExecBackend::submit)) has its payload bytes moved in
 //!   and its heap allocation released. Completed tasks are dropped in
 //!   place; the bump cursor rewinds whenever the live count hits zero (a
-//!   generation boundary — e.g. the quiesced point between
+//!   generation boundary — e.g. the idle point between
 //!   `run_schedule` batches), reusing chunk memory instead of
 //!   round-tripping 10⁶ boxes through the global allocator. The first
 //!   chunk is 4 KiB and each new one doubles, up to 1 MiB, so a small
@@ -38,41 +37,41 @@
 //! ## Gated and free-running modes
 //!
 //! A backend over a [`Runtime::coop`] runtime is **gated**: the
-//! controller grants one primitive at a time ([`step`](ExecBackend::step))
-//! under a scheduler, with crash/suspension semantics identical to the
-//! gated thread backend.
+//! controller grants one primitive at a time
+//! ([`step`](CoopBackend::step)) under a scheduler or a scripted
+//! adversary, and can crash or indefinitely suspend any process —
+//! the repo's one deterministic executor.
 //!
 //! A backend over a [`Runtime::coop_free`] runtime is **free-running**
 //! ([`CoopBackend::new_free`], `Driver::coop_free`): there is no grant
 //! discipline — [`wait_event`](ExecBackend::wait_event) batch-polls
 //! every runnable task in rounds until completions surface, and
-//! `Driver::wait_all` drains them. Like the free-running thread
-//! backend, no invocation announcements are emitted (completions only),
-//! and mid-run crash/suspension is unsupported. The batch order is
+//! `Driver::wait_all` drains them. Like the thread backend, it emits no
+//! invocation announcements (completions only), and mid-run
+//! crash/suspension is unsupported. The batch order is
 //! ascending submission order by default, or a seeded per-round shuffle
 //! ([`CoopBackend::new_free_seeded`]) — both deterministic, single
 //! controller thread, and therefore replayable.
 //!
 //! ## Stable-point invariant
 //!
-//! The backend keeps every process at a quiesced stable point *between*
+//! The backend keeps every process at a stable point *between*
 //! controller calls: either parked (a primed task waiting before its
 //! next primitive) or idle with an empty queue. It does so by advancing
 //! eagerly — on submit and after each completion it dequeues the next
 //! operation, announces its invocation (gated mode), and runs its
-//! priming poll; zero-primitive operations complete immediately,
-//! exactly like a zero-step closure running ahead of the gate on a
-//! worker thread. This makes [`quiesce`](ExecBackend::quiesce) a no-op
-//! and crash/suspend cuts deterministic by construction.
+//! priming poll; zero-primitive operations complete immediately. Every
+//! event a process will emit without a further grant is therefore
+//! already buffered, so crash and snapshot cuts just drain: they are
+//! deterministic by construction.
 //!
 //! ## Contract enforcement
 //!
-//! The worker-thread backend *physically* serializes primitives through
-//! the gate; here nothing stops a buggy task from applying two
-//! primitives in one poll, so the backend watches the process's step
-//! counter around every poll and panics on a violation (a primitive
-//! applied while priming, ≠ 1 primitive on a granted step). Violations
-//! are bugs in the task, not schedule-dependent behavior.
+//! Nothing stops a buggy task from applying two primitives in one poll,
+//! so the backend watches the process's step counter around every poll
+//! and panics on a violation (a primitive applied while priming, ≠ 1
+//! primitive on a granted step). Violations are bugs in the task, not
+//! schedule-dependent behavior.
 //!
 //! ## One recording context
 //!
@@ -112,9 +111,6 @@ struct CoopMetrics {
     /// Every task poll: priming polls in `advance`, granted polls in
     /// `step`, batch polls in `sweep_one`.
     polls: &'static obs::Counter,
-    /// `quiesce` calls (structurally free in this backend — the count
-    /// is the interesting signal).
-    quiesces: &'static obs::Counter,
     /// Runnable-queue depth, sampled once per completed batch round.
     runnable_depth: &'static obs::Histogram,
     /// Task-arena chunk memory currently allocated, across backends.
@@ -125,7 +121,6 @@ fn metrics() -> &'static CoopMetrics {
     static M: OnceLock<CoopMetrics> = OnceLock::new();
     M.get_or_init(|| CoopMetrics {
         polls: obs::counter(obs::names::SUB_COOP, obs::names::COOP_POLLS),
-        quiesces: obs::counter(obs::names::SUB_COOP, obs::names::COOP_QUIESCES),
         runnable_depth: obs::histogram(obs::names::SUB_COOP, obs::names::COOP_RUNNABLE_DEPTH, 2, 4),
         arena_bytes: obs::gauge(obs::names::SUB_COOP, obs::names::COOP_ARENA_BYTES),
     })
@@ -539,8 +534,8 @@ impl CoopBackend {
             let steps_at_inv = self.runtime.steps_of(pid);
             if self.gated {
                 // Free-running mode sends no invocation announcements,
-                // mirroring the thread backend (nothing can be
-                // suspended, so pending records would be pure noise).
+                // like the thread backend (nothing can be suspended, so
+                // pending records would be pure noise).
                 self.runtime.trace_invoke(pid, spec.kind(0), inv);
                 self.events.push_back(OpRecord {
                     pid,
@@ -668,6 +663,35 @@ impl CoopBackend {
         }
     }
 
+    /// Gated mode: grant `pid` one primitive by polling its parked task
+    /// once, or report that it has nothing in flight (every operation
+    /// submitted to it has completed).
+    pub fn step(&mut self, pid: usize) -> StepOutcome {
+        assert!(self.gated, "step() requires a gated runtime");
+        self.ctx.begin(pid);
+        let Some(data) = self.parked_data[pid] else {
+            debug_assert!(self.qhead[pid] == NIL);
+            return StepOutcome::Completed;
+        };
+        let before = self.runtime.steps_of(pid);
+        self.runtime.trace_grant(pid);
+        self.metrics.polls.inc();
+        // SAFETY: the parked task is live and exclusively ours.
+        let polled = unsafe { (self.parked_poll[pid])(data, &self.ctx) };
+        let applied = self.runtime.steps_of(pid) - before;
+        assert!(
+            self.lenient || applied == 1,
+            "OpTask contract violation (pid {pid}, op {:?}): a granted step must \
+             apply exactly one primitive, got {applied}",
+            self.parked_spec[pid].kind(0).label(),
+        );
+        if let Poll::Ready(ret) = polled {
+            self.complete_parked(pid, data, ret);
+            self.advance(pid);
+        }
+        StepOutcome::Stepped
+    }
+
     /// The `(object, kind)` of every primitive applied since the last
     /// `submit`, `step` or batch poll began, in order: the granted (or
     /// batch-polled) primitive plus any a follow-up operation's priming
@@ -716,40 +740,6 @@ impl ExecBackend for CoopBackend {
         self.enqueue(pid, spec, data, poll_shim::<T>, drop_shim::<T>);
     }
 
-    fn step(&mut self, pid: usize, expected_ops: u64) -> StepOutcome {
-        assert!(self.gated, "step() requires a gated runtime");
-        self.ctx.begin(pid);
-        let Some(data) = self.parked_data[pid] else {
-            debug_assert!(self.qhead[pid] == NIL);
-            let _ = expected_ops; // completion is structural here
-            return StepOutcome::Completed;
-        };
-        let before = self.runtime.steps_of(pid);
-        self.runtime.trace_grant(pid);
-        self.metrics.polls.inc();
-        // SAFETY: the parked task is live and exclusively ours.
-        let polled = unsafe { (self.parked_poll[pid])(data, &self.ctx) };
-        let applied = self.runtime.steps_of(pid) - before;
-        assert!(
-            self.lenient || applied == 1,
-            "OpTask contract violation (pid {pid}, op {:?}): a granted step must \
-             apply exactly one primitive, got {applied}",
-            self.parked_spec[pid].kind(0).label(),
-        );
-        if let Poll::Ready(ret) = polled {
-            self.complete_parked(pid, data, ret);
-            self.advance(pid);
-        }
-        StepOutcome::Stepped
-    }
-
-    fn quiesce(&mut self, _pid: usize, _expected_ops: u64) {
-        // Always at a stable point: `advance` runs eagerly on submit and
-        // after every completion, so parked/idle state and the event
-        // buffer are already the deterministic cut a quiesce produces.
-        self.metrics.quiesces.inc();
-    }
-
     fn drain(&mut self, sink: &mut dyn FnMut(OpRecord)) {
         for rec in self.events.drain(..) {
             sink(rec);
@@ -768,9 +758,9 @@ impl ExecBackend for CoopBackend {
     }
 
     fn shutdown(&mut self) {
-        // Mirror the thread backend's teardown: parked operations and
-        // everything queued behind them (crashed processes included) run
-        // to completion ungated, so shared memory ends as if every
+        // Parked operations and everything queued behind them (crashed
+        // processes included) run to completion ungated, so shared
+        // memory ends as if every
         // submitted operation finished. Records are discarded — and so is
         // the analysis stream: teardown polls happen outside the modelled
         // execution, so the sink is sealed before the first one.
@@ -916,7 +906,7 @@ mod tests {
 
     /// Grant `pid` steps until it has nothing left.
     fn run_out(b: &mut CoopBackend, pid: usize) {
-        while b.step(pid, 0) == StepOutcome::Stepped {}
+        while b.step(pid) == StepOutcome::Stepped {}
     }
 
     #[test]
@@ -927,19 +917,18 @@ mod tests {
             let mut b = gated(4);
             // Completed: one write, granted.
             submit(&mut b, typed, 0, probe(0u64, &reg, 1));
-            assert_eq!(b.step(0, 1), StepOutcome::Stepped);
+            assert_eq!(b.step(0), StepOutcome::Stepped);
             assert_eq!(drops() - before, 1, "typed={typed}: completed task dropped");
             // Parked at teardown: one of two writes granted.
             submit(&mut b, typed, 1, probe(1u64, &reg, 2));
-            assert_eq!(b.step(1, 1), StepOutcome::Stepped);
+            assert_eq!(b.step(1), StepOutcome::Stepped);
             // Queued at teardown, behind a parked task.
             submit(&mut b, typed, 2, probe(2u64, &reg, 1));
             submit(&mut b, typed, 2, probe(3u64, &reg, 1));
-            // Crashed, as the backend sees it (`Driver::crash`):
-            // quiesced, then never granted again while others run.
+            // Crashed, as the backend sees it (`Driver::crash`): never
+            // granted again while others run.
             submit(&mut b, typed, 3, probe(4u64, &reg, 2));
-            assert_eq!(b.step(3, 1), StepOutcome::Stepped);
-            b.quiesce(3, 1);
+            assert_eq!(b.step(3), StepOutcome::Stepped);
             run_out(&mut b, 1);
             assert_eq!(drops() - before, 2, "typed={typed}: nothing else retired");
             drop(b);
@@ -956,7 +945,7 @@ mod tests {
                 let mut b = gated(2);
                 submit(&mut b, typed, 0, probe(5u64, &reg, 2));
                 submit(&mut b, typed, 0, probe(6u64, &reg, 2));
-                assert_eq!(b.step(0, 2), StepOutcome::Stepped);
+                assert_eq!(b.step(0), StepOutcome::Stepped);
                 submit(&mut b, typed, 1, probe(7u64, &reg, 1));
                 panic!("unwind with live tasks");
             }));

@@ -2,31 +2,30 @@
 //!
 //! The [`Driver`](crate::Driver) is generic over an [`ExecBackend`],
 //! which owns operation execution and event production; the driver keeps
-//! the bookkeeping (histories, crash flags, the active set) identical
-//! across backends:
+//! the bookkeeping (histories, pending counts, the active set):
 //!
-//! * [`ThreadBackend`] — the original machinery: one worker thread per
-//!   process, primitives park at the gate in gated mode. Runs closure
-//!   ops and [`OpTask`](crate::OpTask)s, supports free-running mode,
-//!   native speed, but tops out around 10³ processes (OS threads plus a
-//!   cross-thread gate handshake per step).
 //! * [`CoopBackend`] — N *virtual* processes as resumable task state
 //!   machines on the controller thread: no worker threads, no parking,
 //!   one indirect call per step. [`OpTask`] ops only, scales to
-//!   10⁵–10⁶ processes. Gated ([`Runtime::coop`]) or free-running
+//!   10⁵–10⁶ processes. Gated ([`Runtime::coop`]: the repo's one
+//!   deterministic executor — the controller grants one primitive at a
+//!   time, crashes and suspends processes) or free-running
 //!   ([`Runtime::coop_free`]: `wait_event` batch-polls runnable tasks
 //!   in deterministic rounds instead of granting steps).
+//! * [`ThreadBackend`] — one worker thread per process of a
+//!   free-running runtime ([`Runtime::free_running`]): closure ops and
+//!   [`OpTask`]s at native speed with real concurrency, the target of
+//!   the thread-sanitizer lane.
 //!
 //! [`Runtime::coop`]: crate::Runtime::coop
 //! [`Runtime::coop_free`]: crate::Runtime::coop_free
+//! [`Runtime::free_running`]: crate::Runtime::free_running
 //!
-//! Both backends speak the same event protocol: in gated mode an
-//! operation's start is announced with a pending [`OpRecord`]
+//! Both backends report completions as [`OpRecord`]s. Gated coop also
+//! announces each operation's start with a pending record
 //! (`resp = None`, `steps` = the process's cumulative step count at
-//! invocation) and its completion recorded with a full one; the driver
-//! turns those into histories, crash pendings and snapshots, so
-//! crash/suspend/quiesce semantics are backend-independent (verified by
-//! `tests/backend_equivalence`).
+//! invocation), which the driver turns into crash pendings and
+//! snapshots.
 
 mod coop;
 mod thread;
@@ -48,10 +47,8 @@ pub enum StepOutcome {
 }
 
 /// An operation executor the [`Driver`](crate::Driver) delegates to.
-///
-/// `expected_ops` parameters carry the driver's submission count for the
-/// process, which is how a backend distinguishes "idle, everything done"
-/// from "idle, next op not yet started".
+/// Stepping is not part of it: only [`CoopBackend`] grants steps, so
+/// gated control lives on `Driver<CoopBackend>`.
 pub trait ExecBackend {
     /// Hand `op` to process `pid`. In gated mode it must not apply any
     /// primitive until granted a step; in free-running mode it starts
@@ -66,16 +63,6 @@ pub trait ExecBackend {
         self.submit(pid, spec, Op::Task(ErasedTask::new(task)));
     }
 
-    /// Gated mode: advance `pid` by one primitive, or report that all
-    /// `expected_ops` of its operations completed.
-    fn step(&mut self, pid: usize, expected_ops: u64) -> StepOutcome;
-
-    /// Gated mode: bring `pid` to a stable point — parked immediately
-    /// before a primitive, or idle with all `expected_ops` operations
-    /// finished — with every event it will ever emit without further
-    /// grants already drainable.
-    fn quiesce(&mut self, pid: usize, expected_ops: u64);
-
     /// Drain produced events (invocation announcements and completions)
     /// into `sink`, in production order per process.
     fn drain(&mut self, sink: &mut dyn FnMut(OpRecord));
@@ -84,9 +71,9 @@ pub trait ExecBackend {
     /// and return it.
     fn wait_event(&mut self) -> OpRecord;
 
-    /// Tear down: release anything parked and let every in-flight and
-    /// queued operation run to completion ungated (a dropped driver must
-    /// leave shared memory as if all submitted operations finished —
-    /// events emitted during shutdown are discarded).
+    /// Tear down: let every in-flight and queued operation run to
+    /// completion ungated (a dropped driver must leave shared memory as
+    /// if all submitted operations finished — events emitted during
+    /// shutdown are discarded).
     fn shutdown(&mut self);
 }

@@ -1,6 +1,5 @@
 //! [`ProcCtx`]: the per-process capability for applying primitives.
 
-use crate::gate::Gate;
 use crate::runtime::Runtime;
 use crate::trace::AccessKind;
 use std::cell::{Ref, RefCell};
@@ -10,9 +9,10 @@ use std::sync::Arc;
 ///
 /// Every primitive method on [`Register`](crate::Register),
 /// [`TasBit`](crate::TasBit), … takes a `&ProcCtx`; the context charges the
-/// step to the owning process, records it in the trace when tracing is
-/// enabled and, in gated mode, synchronizes with the controller so that
-/// exactly one primitive is in flight at a time.
+/// step to the owning process and records it in the trace when tracing
+/// is enabled. Gated scheduling needs nothing from the context: the coop
+/// backend grants a step by polling a task once, and the task applies
+/// its one primitive through the context.
 ///
 /// A `ProcCtx` is `Send` but deliberately not `Clone`/`Sync`: each process
 /// of the modelled machine is a single sequential thread of control.
@@ -105,17 +105,9 @@ impl ProcCtx {
         self.runtime.steps_of(self.pid)
     }
 
-    /// Charge one primitive step on base object `obj` to this process and
-    /// — in gated mode — block until the controller grants it. The
-    /// returned permit must be held for the duration of the primitive;
-    /// dropping it signals step completion to the controller.
-    ///
-    /// In gated mode the step is counted and traced only *after* the
-    /// grant, so counters and traces reflect execution order (which the
-    /// gate serializes), not the racy order in which workers arrive. On
-    /// the thread backend the grant edge is recorded here (the gate *is*
-    /// the grant); the coop backend records it controller-side. A
+    /// Charge one primitive step on base object `obj` to this process. A
     /// recording context also appends `(obj, kind)` to its access record.
+    /// The returned permit is held for the duration of the primitive.
     ///
     /// The primitive reports its observed effect through
     /// [`StepPermit::record`]; when no trace consumer is active
@@ -124,23 +116,12 @@ impl ProcCtx {
     /// runs at native cost.
     #[inline]
     pub(crate) fn step(&self, obj: usize, kind: AccessKind) -> StepPermit<'_> {
-        let gate = match &self.runtime.gate {
-            None => None,
-            Some(gate) => {
-                let granted = gate.acquire(self.pid);
-                if granted {
-                    self.runtime.trace_grant(self.pid);
-                }
-                granted.then_some(gate)
-            }
-        };
         self.runtime.count_step(self.pid);
         if self.recording {
             self.touched.borrow_mut().push((obj, kind));
         }
         StepPermit {
             runtime: &self.runtime,
-            gate,
             pid: self.pid,
             obj,
             kind,
@@ -151,7 +132,6 @@ impl ProcCtx {
 /// Held for the duration of one primitive application.
 pub(crate) struct StepPermit<'a> {
     runtime: &'a Runtime,
-    gate: Option<&'a Gate>,
     pid: usize,
     obj: usize,
     kind: AccessKind,
@@ -168,19 +148,11 @@ impl StepPermit<'_> {
 
     /// Record the primitive's observed effect: the object's state digest
     /// immediately before and after the application. Must be called
-    /// while the permit is held (the gate then serializes the trace).
+    /// while the permit is held.
     #[inline]
     pub(crate) fn record(&self, before: u64, after: u64) {
         self.runtime
             .trace_access(self.pid, self.obj, self.kind, before, after);
-    }
-}
-
-impl Drop for StepPermit<'_> {
-    fn drop(&mut self) {
-        if let Some(gate) = self.gate {
-            gate.step_done(self.pid);
-        }
     }
 }
 

@@ -1,27 +1,34 @@
 //! The [`Driver`]: controller-side scheduling and operation-history
 //! recording, generic over an execution backend.
 //!
-//! In **gated** mode the driver is the controller: it submits operations
-//! to per-process executors and advances the execution one primitive at
-//! a time ([`Driver::step`]), under any [`Scheduler`] policy or under
-//! direct, fully scripted control (what the lower-bound adversaries
-//! need — including suspending a process mid-operation indefinitely by
-//! simply never scheduling it again).
+//! In **gated** mode — [`Driver::coop`], the repo's one deterministic
+//! executor — the driver is the controller: it submits operations to
+//! virtual processes and advances the execution one primitive at a time
+//! ([`Driver::step`]), under any [`Scheduler`] policy or under direct,
+//! fully scripted control (what the lower-bound adversaries need —
+//! including suspending a process mid-operation indefinitely by simply
+//! never scheduling it again, or crashing it with [`Driver::crash`]).
 //!
 //! In **free-running** mode operations execute without grants —
-//! immediately on worker threads (thread backend), or batch-polled in
-//! deterministic rounds on the controller thread
-//! ([`Driver::coop_free`]); [`Driver::wait_all`] collects the
+//! batch-polled in deterministic rounds on the controller thread
+//! ([`Driver::coop_free`]), or concurrently on one worker thread per
+//! process ([`Driver::new`]); [`Driver::wait_all`] collects the
 //! resulting history either way.
 //!
 //! How operations execute is the backend's business
-//! ([`ExecBackend`](crate::backend::ExecBackend)):
-//! [`Driver::new`] gives the classic one-worker-thread-per-process
-//! [`ThreadBackend`]; [`Driver::coop`] drives *virtual* processes as
-//! [`OpTask`] state machines on the controller thread ([`CoopBackend`]),
-//! scaling gated executions to 10⁵–10⁶ processes. All controller-side
-//! bookkeeping — histories, crash semantics, snapshots, the active set —
-//! is shared and behaves identically on either backend.
+//! ([`ExecBackend`]): [`CoopBackend`]
+//! drives *virtual* processes as [`OpTask`] state machines on the
+//! controller thread, gated or free, scaling to 10⁵–10⁶ processes;
+//! [`ThreadBackend`] runs closures and tasks free on worker threads.
+//! Stepping and crashing exist only on `Driver<CoopBackend>`, so a
+//! thread driver cannot be stepped:
+//!
+//! ```compile_fail
+//! use smr::{Driver, Runtime};
+//!
+//! let mut d = Driver::new(Runtime::free_running(2));
+//! let _ = d.step(0);
+//! ```
 //!
 //! Determinism: gated executions serialize primitives completely, and the
 //! implementations under test are deterministic, so replaying the same
@@ -46,20 +53,31 @@ pub use crate::backend::StepOutcome;
 /// See the [module docs](self) for the execution modes and backends.
 ///
 /// ```
-/// use smr::{Driver, OpSpec, Register, Runtime};
+/// use smr::{Driver, OpSpec, OpTask, Poll, ProcCtx, Register, Runtime};
 /// use smr::sched::RoundRobin;
 /// use std::sync::Arc;
 ///
-/// let rt = Runtime::gated(2);
-/// let mut driver = Driver::new(rt);
+/// /// Read the register, then write back the value read plus one.
+/// struct Rmw(Arc<Register>, Option<Option<u64>>);
+///
+/// impl OpTask for Rmw {
+///     fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
+///         match self.1 {
+///             None => self.1 = Some(None), // priming poll: no primitive
+///             Some(None) => self.1 = Some(Some(self.0.read(ctx))),
+///             Some(Some(v)) => {
+///                 self.0.write(ctx, v + 1);
+///                 return Poll::Ready(u128::from(v));
+///             }
+///         }
+///         Poll::Pending
+///     }
+/// }
+///
+/// let mut driver = Driver::coop(Runtime::coop(2));
 /// let reg = Arc::new(Register::new(0));
 /// for pid in 0..2 {
-///     let reg = Arc::clone(&reg);
-///     driver.submit(pid, OpSpec::custom("rmw", 0), move |ctx| {
-///         let v = reg.read(ctx);
-///         reg.write(ctx, v + 1);
-///         u128::from(v)
-///     });
+///     driver.submit_task(pid, OpSpec::custom("rmw", 0), Rmw(reg.clone(), None));
 /// }
 /// // Round-robin interleaving loses an update — deterministically.
 /// driver.run_schedule(&mut RoundRobin::new());
@@ -90,25 +108,20 @@ pub struct Driver<B: ExecBackend = ThreadBackend> {
 
 impl Driver<ThreadBackend> {
     /// A driver over the thread backend: one worker thread per process
-    /// of `runtime` (gated or free-running).
+    /// of a free-running `runtime` ([`Runtime::free_running`]).
     pub fn new(runtime: Arc<Runtime>) -> Self {
         let backend = ThreadBackend::new(runtime.clone());
         Driver::with_backend(runtime, backend)
     }
 
-    /// Queue a closure operation for process `pid`. `spec` is the typed
-    /// description of what the closure does ([`OpSpec::inc`],
-    /// [`OpSpec::read`], …); the closure's return value completes the
-    /// recorded [`OpKind`](crate::OpKind). In gated mode the operation
-    /// will not take effect until scheduled; in free-running mode it
-    /// starts immediately.
+    /// Queue a closure operation for process `pid`; it starts
+    /// immediately. `spec` is the typed description of what the closure
+    /// does ([`OpSpec::inc`], [`OpSpec::read`], …); the closure's return
+    /// value completes the recorded [`OpKind`](crate::OpKind).
     ///
     /// Closures run start-to-finish on a worker thread, so they exist
     /// only on the thread backend; the coop backend takes resumable
     /// tasks ([`Driver::submit_task`], which works on both).
-    ///
-    /// # Panics
-    /// Panics if `pid` has been [crashed](Driver::crash).
     pub fn submit<F>(&mut self, pid: usize, spec: OpSpec, f: F)
     where
         F: FnOnce(&ProcCtx) -> u128 + Send + 'static,
@@ -119,14 +132,12 @@ impl Driver<ThreadBackend> {
 }
 
 impl Driver<CoopBackend> {
-    /// A driver whose processes are *virtual*: no worker threads, no
-    /// gate — `runtime` must come from [`Runtime::coop`], operations are
-    /// submitted as [`OpTask`]s ([`Driver::submit_task`]), and each
-    /// granted step polls the scheduled process's task once on the
-    /// controller thread. Gated semantics (crash, suspension,
-    /// snapshots, determinism) are identical to the thread backend's;
-    /// the scaling ceiling moves from ~10³ OS threads to 10⁵–10⁶
-    /// virtual processes.
+    /// A gated driver whose processes are *virtual*: `runtime` must come
+    /// from [`Runtime::coop`], operations are submitted as [`OpTask`]s
+    /// ([`Driver::submit_task`]), and each granted step polls the
+    /// scheduled process's task once on the controller thread. Crashes,
+    /// suspensions and snapshots are deterministic cuts; runs scale to
+    /// 10⁵–10⁶ virtual processes.
     pub fn coop(runtime: Arc<Runtime>) -> Self {
         let backend = CoopBackend::new(runtime.clone());
         Driver::with_backend(runtime, backend)
@@ -148,8 +159,8 @@ impl Driver<CoopBackend> {
     /// the backend batch-polls every runnable task in rounds — one
     /// primitive per task per round, ascending submission order —
     /// until [`wait_all`](Driver::wait_all) has drained every
-    /// completion. No gate, no per-step scheduling, no crash/suspension
-    /// — the coop backend's cache locality at free-running throughput.
+    /// completion. No per-step scheduling, no crash/suspension — the
+    /// coop backend's cache locality at free-running throughput.
     /// Executions are deterministic (single controller thread, fixed
     /// batch order): with ops submitted in ascending pid order the poll
     /// order is exactly the gated round-robin schedule, which is what
@@ -165,6 +176,77 @@ impl Driver<CoopBackend> {
     pub fn coop_free_seeded(runtime: Arc<Runtime>, seed: u64) -> Self {
         let backend = CoopBackend::new_free_seeded(runtime.clone(), seed);
         Driver::with_backend(runtime, backend)
+    }
+
+    /// Crash process `pid`: it is never scheduled again in this driver's
+    /// gated execution — the model's crash failure. The crash takes
+    /// effect at the process's next primitive: queued operations that
+    /// apply no primitives have already run to completion (a crash is
+    /// only observable through shared memory), while the operation
+    /// parked at a primitive, if any, stays suspended forever and is
+    /// surfaced as a pending history record (`resp = None`) so
+    /// linearizability checkers can account for its optional effects.
+    /// Task state is reclaimed on drop.
+    ///
+    /// Gated mode only — in free-running mode processes cannot be
+    /// stopped once submitted to.
+    pub fn crash(&mut self, pid: usize) {
+        assert_eq!(
+            self.runtime.mode(),
+            Mode::Gated,
+            "crash() requires a gated runtime"
+        );
+        // The backend keeps every process at a stable point between
+        // calls, so the drain below observes a deterministic cut.
+        self.crashed[pid] = true;
+        self.runtime.trace_crash(pid);
+        self.active.remove(pid);
+        self.drain_events();
+        if let Some(mut rec) = self.in_flight[pid].take() {
+            // The announcement's `steps` field holds the process's
+            // cumulative step count at invocation; convert it to the
+            // steps the suspended op itself performed.
+            rec.steps = self.runtime.steps_of(pid) - rec.steps;
+            self.history.push(rec);
+        }
+    }
+
+    /// Gated mode only: advance process `pid` by one primitive step (or
+    /// learn that all of its submitted operations completed).
+    ///
+    /// # Panics
+    /// Panics in free-running mode, and if `pid` has crashed.
+    pub fn step(&mut self, pid: usize) -> StepOutcome {
+        assert!(!self.crashed[pid], "process {pid} has crashed");
+        let out = self.backend.step(pid);
+        self.drain_events();
+        out
+    }
+
+    /// Gated mode only: run `pid` exclusively until all its submitted
+    /// operations complete. Returns the number of steps granted.
+    pub fn run_solo(&mut self, pid: usize) -> u64 {
+        let mut steps = 0;
+        while self.step(pid) == StepOutcome::Stepped {
+            steps += 1;
+        }
+        steps
+    }
+
+    /// Gated mode only: drive all submitted operations to completion under
+    /// `sched`. Returns the total number of steps granted.
+    pub fn run_schedule<S: Scheduler + ?Sized>(&mut self, sched: &mut S) -> u64 {
+        let mut steps = 0;
+        loop {
+            if self.active.is_empty() {
+                return steps;
+            }
+            let pid = sched.next(&self.active);
+            debug_assert!(self.active.contains(pid), "scheduler picked inactive pid");
+            if self.step(pid) == StepOutcome::Stepped {
+                steps += 1;
+            }
+        }
     }
 
     /// The `(object, kind)` of every primitive the last
@@ -199,8 +281,7 @@ impl<B: ExecBackend> Driver<B> {
 
     /// Queue a resumable [`OpTask`] operation for process `pid` — the
     /// submission form that runs on every backend (on the thread
-    /// backend the task is polled to completion on the worker, each of
-    /// its primitives parking at the gate individually).
+    /// backend the task is polled to completion on the worker).
     ///
     /// # Panics
     /// Panics if `pid` has been [crashed](Driver::crash).
@@ -250,89 +331,13 @@ impl<B: ExecBackend> Driver<B> {
         self.active.iter_sorted().collect()
     }
 
-    /// Crash process `pid`: it is never scheduled again in this driver's
-    /// gated execution — the model's crash failure. The crash takes
-    /// effect at the process's next primitive: queued operations that
-    /// apply no primitives still run to completion (a crash is only
-    /// observable through shared memory), while the operation parked at
-    /// a primitive, if any, stays suspended forever and is surfaced as a
-    /// pending history record (`resp = None`) so linearizability
-    /// checkers can account for its optional effects. Executor resources
-    /// (worker threads / task state) are reclaimed on drop.
-    ///
-    /// Gated mode only — in free-running mode processes cannot be
-    /// stopped once submitted to.
-    pub fn crash(&mut self, pid: usize) {
-        assert_eq!(
-            self.runtime.mode(),
-            Mode::Gated,
-            "crash() requires a gated runtime"
-        );
-        // Synchronize with the executor before deciding what is pending:
-        // wait until the process is parked at a primitive or out of
-        // work. This guarantees every announcement/completion it will
-        // ever emit without further grants is drainable, so the drain
-        // below observes a deterministic cut regardless of thread
-        // timing.
-        self.backend.quiesce(pid, self.submitted[pid]);
-        self.crashed[pid] = true;
-        self.runtime.trace_crash(pid);
-        self.active.remove(pid);
-        self.drain_events();
-        if let Some(mut rec) = self.in_flight[pid].take() {
-            // The announcement's `steps` field holds the process's
-            // cumulative step count at invocation; convert it to the
-            // steps the suspended op itself performed.
-            rec.steps = self.runtime.steps_of(pid) - rec.steps;
-            self.history.push(rec);
-        }
-    }
-
     /// `true` if `pid` has been crashed.
     pub fn is_crashed(&self, pid: usize) -> bool {
         self.crashed[pid]
     }
 
-    /// Gated mode only: advance process `pid` by one primitive step (or
-    /// learn that all of its submitted operations completed).
-    ///
-    /// # Panics
-    /// Panics in free-running mode, and if `pid` has crashed.
-    pub fn step(&mut self, pid: usize) -> StepOutcome {
-        assert!(!self.crashed[pid], "process {pid} has crashed");
-        let out = self.backend.step(pid, self.submitted[pid]);
-        self.drain_events();
-        out
-    }
-
-    /// Gated mode only: run `pid` exclusively until all its submitted
-    /// operations complete. Returns the number of steps granted.
-    pub fn run_solo(&mut self, pid: usize) -> u64 {
-        let mut steps = 0;
-        while self.step(pid) == StepOutcome::Stepped {
-            steps += 1;
-        }
-        steps
-    }
-
-    /// Gated mode only: drive all submitted operations to completion under
-    /// `sched`. Returns the total number of steps granted.
-    pub fn run_schedule<S: Scheduler + ?Sized>(&mut self, sched: &mut S) -> u64 {
-        let mut steps = 0;
-        loop {
-            if self.active.is_empty() {
-                return steps;
-            }
-            let pid = sched.next(&self.active);
-            debug_assert!(self.active.contains(pid), "scheduler picked inactive pid");
-            if self.step(pid) == StepOutcome::Stepped {
-                steps += 1;
-            }
-        }
-    }
-
     /// Free-running mode only: block until every submitted operation has
-    /// completed. (Would deadlock in gated mode — steps must be granted.)
+    /// completed. (Gated executions complete only as steps are granted.)
     pub fn wait_all(&mut self) {
         assert_eq!(
             self.runtime.mode(),
@@ -430,21 +435,19 @@ impl<B: ExecBackend> Driver<B> {
     /// [`history`]) *and* processes the schedule merely suspended
     /// mid-operation and may or may not ever run again.
     ///
-    /// Gated mode: every uncrashed process is first quiesced at a stable
-    /// point (parked at a primitive or idle) — the same synchronization
-    /// [`crash`] uses (a no-op on the coop backend, which maintains that
-    /// stable point continuously) — so the snapshot is a deterministic
-    /// cut of the execution, and it is what a linearizability checker
-    /// should consume when the execution has not quiesced: a suspended
-    /// operation's effects are optional, exactly like a crashed one's.
-    /// The suspended operations remain in flight: if the schedule later
-    /// resumes them, the final history records their completions as
-    /// usual.
+    /// Gated mode: every process sits at a stable point between
+    /// controller calls (parked at a primitive or idle), so the snapshot
+    /// is a deterministic cut of the execution, and it is what a
+    /// linearizability checker should consume when the execution has not
+    /// quiesced: a suspended operation's effects are optional, exactly
+    /// like a crashed one's. The suspended operations remain in flight:
+    /// if the schedule later resumes them, the final history records
+    /// their completions as usual.
     ///
-    /// Free-running mode: workers send no invocation announcements, so
-    /// an operation that is mid-execution has **no** pending record here
-    /// — the snapshot is just the completed history drained so far, and
-    /// it is *not* checker-complete until the execution quiesces
+    /// Free-running mode: no invocation announcements are sent, so an
+    /// operation that is mid-execution has **no** pending record here —
+    /// the snapshot is just the completed history drained so far, and it
+    /// is *not* checker-complete until the execution quiesces
     /// ([`wait_all`]): a concurrent read may already have observed the
     /// effects of an operation this snapshot omits. Check free-running
     /// histories only after `wait_all`.
@@ -453,13 +456,6 @@ impl<B: ExecBackend> Driver<B> {
     /// [`history`]: Driver::history
     /// [`crash`]: Driver::crash
     pub fn history_snapshot(&mut self) -> History {
-        if self.runtime.mode() == Mode::Gated {
-            for pid in 0..self.runtime.n() {
-                if !self.crashed[pid] {
-                    self.backend.quiesce(pid, self.submitted[pid]);
-                }
-            }
-        }
         self.drain_events();
         let mut snap = self.history.clone();
         for pid in 0..self.runtime.n() {
@@ -482,18 +478,18 @@ impl<B: ExecBackend> Driver<B> {
 }
 
 // Teardown is the backend's job (`ExecBackend::shutdown`, invoked from
-// each backend's own `Drop`): workers are unblocked and every in-flight
-// or queued operation finishes free-running, so dropping a `Driver`
-// leaves shared memory as if all submitted operations completed.
+// each backend's own `Drop`): every in-flight or queued operation
+// finishes ungated, so dropping a `Driver` leaves shared memory as if
+// all submitted operations completed.
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::history::OpKind;
     use crate::sched::{RoundRobin, Scripted, SeededRandom};
-    use crate::task::Poll;
+    use crate::task::{ImmediateOp, Poll};
     use crate::trace::TraceEvent;
-    use crate::{Register, Runtime, TasBit};
+    use crate::{Register, Runtime};
 
     #[test]
     fn free_running_executes_and_records() {
@@ -515,16 +511,11 @@ mod tests {
 
     #[test]
     fn gated_round_robin_runs_to_completion() {
-        let rt = Runtime::gated(3);
-        let mut d = Driver::new(rt.clone());
+        let rt = Runtime::coop(3);
+        let mut d = Driver::coop(rt.clone());
         let reg = Arc::new(Register::new(0));
         for pid in 0..3 {
-            let reg = reg.clone();
-            d.submit(pid, OpSpec::custom("rmw", 0), move |ctx| {
-                let v = reg.read(ctx);
-                reg.write(ctx, v + 1);
-                u128::from(v)
-            });
+            d.submit_task(pid, OpSpec::custom("rmw", 0), RmwTask::new(reg.clone(), 1));
         }
         let steps = d.run_schedule(&mut RoundRobin::new());
         assert_eq!(steps, 6, "3 processes x 2 primitives");
@@ -539,16 +530,10 @@ mod tests {
 
     #[test]
     fn gated_sequential_schedule_is_atomic() {
-        let rt = Runtime::gated(3);
-        let mut d = Driver::new(rt);
+        let mut d = Driver::coop(Runtime::coop(3));
         let reg = Arc::new(Register::new(0));
         for pid in 0..3 {
-            let reg = reg.clone();
-            d.submit(pid, OpSpec::custom("rmw", 0), move |ctx| {
-                let v = reg.read(ctx);
-                reg.write(ctx, v + 1);
-                u128::from(v)
-            });
+            d.submit_task(pid, OpSpec::custom("rmw", 0), RmwTask::new(reg.clone(), 1));
         }
         for pid in 0..3 {
             d.run_solo(pid);
@@ -559,19 +544,11 @@ mod tests {
     #[test]
     fn scripted_schedules_replay_identically() {
         let run = |seed: u64| -> Vec<u128> {
-            let rt = Runtime::gated(4);
-            let mut d = Driver::new(rt);
+            let mut d = Driver::coop(Runtime::coop(4));
             let reg = Arc::new(Register::new(0));
-            let tas = Arc::new(TasBit::new());
             for pid in 0..4 {
-                let reg = reg.clone();
-                let tas = tas.clone();
-                d.submit(pid, OpSpec::custom("mix", 0), move |ctx| {
-                    let won = !tas.test_and_set(ctx);
-                    let v = reg.read(ctx);
-                    reg.write(ctx, v * 2 + ctx.pid() as u64);
-                    u128::from(won) << 64 | u128::from(v)
-                });
+                let task = RmwTask::new(reg.clone(), pid as u64 + 1);
+                d.submit_task(pid, OpSpec::custom("rmw", 0), task);
             }
             let mut sched = SeededRandom::new(seed);
             d.run_schedule(&mut sched);
@@ -584,71 +561,60 @@ mod tests {
 
     #[test]
     fn zero_step_operations_complete() {
-        let rt = Runtime::gated(2);
-        let mut d = Driver::new(rt);
-        d.submit(0, OpSpec::custom("noop", 0), |_ctx| 42);
+        let mut d = Driver::coop(Runtime::coop(2));
+        d.submit_task(0, OpSpec::custom("noop", 0), ImmediateOp::new(|_| 42));
         assert_eq!(d.run_solo(0), 0);
         assert_eq!(d.history().ops()[0].returned(), 42);
     }
 
     #[test]
     fn crash_after_zero_step_op_records_no_duplicate() {
-        // The op performs no primitives, so it completes even if crash()
-        // lands in the announcement→completion window: crash must
-        // synchronize with the worker and record exactly one (completed)
-        // op — never a pending duplicate.
-        for _ in 0..50 {
-            let rt = Runtime::gated(2);
-            let mut d = Driver::new(rt);
-            d.submit(0, OpSpec::custom("noop", 0), |_ctx| 42);
-            d.crash(0);
-            assert_eq!(d.completed_of(0), 1, "zero-primitive op completes");
-            assert_eq!(d.history().len(), 1, "exactly one record");
-            assert!(d.history().ops()[0].resp.is_some());
+        // Zero-primitive ops complete on submission, so a crash right
+        // after them finds nothing in flight: one completed record per
+        // op, never a pending duplicate.
+        let mut d = Driver::coop(Runtime::coop(2));
+        for ret in [42, 43] {
+            d.submit_task(0, OpSpec::custom("noop", 0), ImmediateOp::new(move |_| ret));
         }
+        d.crash(0);
+        assert_eq!(d.completed_of(0), 2, "zero-primitive ops complete");
+        assert_eq!(d.history().len(), 2, "exactly one record per op");
+        assert!(d.history().ops().iter().all(|r| r.resp.is_some()));
     }
 
     #[test]
     fn crash_right_after_submit_is_deterministic() {
-        // The op's first primitive parks the worker; crash() must wait
-        // for that park so the pending record is surfaced on every run,
-        // not only when the OS happened to schedule the worker first.
-        for _ in 0..50 {
-            let rt = Runtime::gated(2);
-            let mut d = Driver::new(rt);
-            let reg = Arc::new(Register::new(0));
-            {
-                let reg = reg.clone();
-                d.submit(0, OpSpec::inc(), move |ctx| {
-                    let v = reg.read(ctx);
-                    reg.write(ctx, v + 1);
-                    0
-                });
-            }
-            d.crash(0);
-            assert_eq!(d.completed_of(0), 0);
-            assert_eq!(d.history().len(), 1, "pending record surfaced");
-            let rec = &d.history().ops()[0];
-            assert_eq!(rec.resp, None);
-            assert_eq!(rec.kind, OpKind::Inc { amount: 1 });
-            assert_eq!(reg.peek(), 0, "no primitive was granted");
-        }
+        // The op's priming poll parks it before its first primitive;
+        // crash() surfaces the pending record, and no primitive ran.
+        let mut d = Driver::coop(Runtime::coop(2));
+        let reg = Arc::new(Register::new(0));
+        d.submit_task(0, OpSpec::inc(), RmwTask::new(reg.clone(), 1));
+        d.crash(0);
+        assert_eq!(d.completed_of(0), 0);
+        assert_eq!(d.history().len(), 1, "pending record surfaced");
+        let rec = &d.history().ops()[0];
+        assert_eq!(rec.resp, None);
+        assert_eq!(rec.kind, OpKind::Inc { amount: 1 });
+        assert_eq!(reg.peek(), 0, "no primitive was granted");
     }
 
     #[test]
     #[should_panic(expected = "submit to crashed process 0")]
     fn submit_to_crashed_process_panics() {
-        let rt = Runtime::gated(2);
-        let mut d = Driver::new(rt);
+        // Crashed mid-operation: the parked op stays pending, and no
+        // further op is accepted.
+        let mut d = Driver::coop(Runtime::coop(2));
+        let reg = Arc::new(Register::new(0));
+        d.submit_task(0, OpSpec::inc(), RmwTask::new(reg.clone(), 1));
+        assert_eq!(d.step(0), StepOutcome::Stepped);
         d.crash(0);
-        d.submit(0, OpSpec::inc(), |_ctx| 0);
+        d.submit_task(0, OpSpec::inc(), RmwTask::new(reg, 1));
     }
 
     #[test]
     #[should_panic(expected = "submit to crashed process 0")]
     fn submit_to_crashed_process_panics_on_coop_backend_too() {
-        // The refusal lives in the shared controller path, so the panic
-        // (and its message) must be identical across backends.
+        // An idle crashed process refuses work just the same.
         let rt = Runtime::coop(2);
         let mut d = Driver::coop(rt);
         d.crash(0);
@@ -656,47 +622,12 @@ mod tests {
     }
 
     #[test]
-    fn crashed_submit_panic_messages_match_across_backends() {
-        // Pin the parity beyond the attribute checks above: capture both
-        // panic payloads and compare them byte for byte. The process
-        // panic hook is left alone (it is global, and tests run in
-        // parallel threads); libtest captures a passing test's output,
-        // so the two expected panic printouts stay invisible anyway.
-        let catch = |f: Box<dyn FnOnce() + Send>| -> String {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-            let payload = result.expect_err("submit to crashed pid must panic");
-            payload
-                .downcast_ref::<String>()
-                .cloned()
-                .expect("panic payload is a formatted string")
-        };
-        let thread_msg = catch(Box::new(|| {
-            let mut d = Driver::new(Runtime::gated(2));
-            d.crash(1);
-            d.submit(1, OpSpec::inc(), |_ctx| 0);
-        }));
-        let coop_msg = catch(Box::new(|| {
-            let mut d = Driver::coop(Runtime::coop(2));
-            d.crash(1);
-            d.submit_task(1, OpSpec::inc(), crate::task::ImmediateOp::new(|_| 0));
-        }));
-        assert_eq!(thread_msg, coop_msg, "backends diverge on the refusal");
-        assert!(thread_msg.contains("submit to crashed process 1"));
-    }
-
-    #[test]
     fn crash_mid_op_then_later_ops_never_invoked() {
         // Ops queued behind the suspended one must not generate records.
-        let rt = Runtime::gated(2);
-        let mut d = Driver::new(rt);
+        let mut d = Driver::coop(Runtime::coop(2));
         let reg = Arc::new(Register::new(0));
         for i in 0..3 {
-            let reg = reg.clone();
-            d.submit(0, OpSpec::custom("w", i), move |ctx| {
-                reg.write(ctx, 1);
-                reg.write(ctx, 2);
-                0
-            });
+            d.submit_task(0, OpSpec::custom("w", i), RmwTask::new(reg.clone(), 1));
         }
         assert_eq!(d.step(0), StepOutcome::Stepped);
         d.crash(0);
@@ -723,28 +654,16 @@ mod tests {
     fn mid_operation_suspension() {
         // Process 0 is suspended after its first primitive; process 1
         // completes; the suspended op finishes only at Driver drop.
-        let rt = Runtime::gated(2);
-        let mut d = Driver::new(rt);
+        let mut d = Driver::coop(Runtime::coop(2));
         let reg = Arc::new(Register::new(10));
-        {
-            let reg = reg.clone();
-            d.submit(0, OpSpec::custom("two-steps", 0), move |ctx| {
-                let a = reg.read(ctx);
-                reg.write(ctx, a + 1);
-                0
-            });
-        }
-        {
-            let reg = reg.clone();
-            d.submit(1, OpSpec::write(99), move |ctx| {
-                reg.write(ctx, 99);
-                0
-            });
-        }
+        let two_steps = OpSpec::custom("two-steps", 0);
+        d.submit_task(0, two_steps, RmwTask::new(reg.clone(), 1));
+        // Reads 10, writes 10 + 89.
+        d.submit_task(1, OpSpec::write(99), RmwTask::new(reg.clone(), 89));
         assert_eq!(d.step(0), StepOutcome::Stepped); // 0 read 10, now parked
         d.run_solo(1); // 1 writes 99
         assert_eq!(reg.peek(), 99);
-        drop(d); // releases 0, which writes 10 + 1
+        drop(d); // finishes 0, which writes 10 + 1
         assert_eq!(reg.peek(), 11);
     }
 
@@ -755,21 +674,11 @@ mod tests {
         // appear as a pending record in `history_snapshot()`; once the
         // schedule resumes it, the final history records the completion
         // and a fresh snapshot has no pending residue.
-        let rt = Runtime::gated(2);
-        let mut d = Driver::new(rt);
+        let mut d = Driver::coop(Runtime::coop(2));
         let reg = Arc::new(Register::new(0));
-        {
-            let reg = reg.clone();
-            d.submit(0, OpSpec::inc(), move |ctx| {
-                let v = reg.read(ctx);
-                reg.write(ctx, v + 1);
-                0
-            });
-        }
-        d.submit(1, OpSpec::read(), {
-            let reg = reg.clone();
-            move |ctx| u128::from(reg.read(ctx))
-        });
+        d.submit_task(0, OpSpec::inc(), RmwTask::new(reg.clone(), 1));
+        // Reads, then writes back what it read.
+        d.submit_task(1, OpSpec::read(), RmwTask::new(reg.clone(), 0));
         assert_eq!(d.step(0), StepOutcome::Stepped); // 0 read, parked at write
         d.run_solo(1);
 
@@ -792,39 +701,24 @@ mod tests {
 
     #[test]
     fn snapshot_waits_for_worker_to_reach_a_stable_point() {
-        // Immediately after submit the worker may not have parked yet;
-        // the snapshot must quiesce (same as crash) so the pending
-        // record is surfaced deterministically on every run.
-        for _ in 0..50 {
-            let rt = Runtime::gated(2);
-            let mut d = Driver::new(rt);
-            let reg = Arc::new(Register::new(0));
-            {
-                let reg = reg.clone();
-                d.submit(0, OpSpec::inc(), move |ctx| {
-                    reg.write(ctx, 1);
-                    0
-                });
-            }
-            let snap = d.history_snapshot();
-            assert_eq!(snap.len(), 1, "pending record surfaced");
-            assert_eq!(snap.ops()[0].resp, None);
-            assert_eq!(d.history().len(), 0, "plain history untouched");
-        }
+        // Immediately after submit the op is parked before its first
+        // primitive — already the stable point a snapshot cuts at — so
+        // its pending record is surfaced.
+        let mut d = Driver::coop(Runtime::coop(2));
+        let reg = Arc::new(Register::new(0));
+        d.submit_task(0, OpSpec::inc(), RmwTask::new(reg, 1));
+        let snap = d.history_snapshot();
+        assert_eq!(snap.len(), 1, "pending record surfaced");
+        assert_eq!(snap.ops()[0].resp, None);
+        assert_eq!(d.history().len(), 0, "plain history untouched");
     }
 
     #[test]
     fn scripted_schedule_controls_interleaving() {
-        let rt = Runtime::gated(2);
-        let mut d = Driver::new(rt);
+        let mut d = Driver::coop(Runtime::coop(2));
         let reg = Arc::new(Register::new(0));
         for pid in 0..2 {
-            let reg = reg.clone();
-            d.submit(pid, OpSpec::custom("rmw", 0), move |ctx| {
-                let v = reg.read(ctx);
-                reg.write(ctx, v + 10);
-                u128::from(v)
-            });
+            d.submit_task(pid, OpSpec::custom("rmw", 0), RmwTask::new(reg.clone(), 10));
         }
         // p0 fully, then p1 fully: no lost update.
         let mut s = Scripted::new([0, 0, 1, 1]);
@@ -1063,15 +957,16 @@ mod tests {
 
     #[test]
     fn tasks_run_on_the_thread_backend_too() {
-        let rt = Runtime::gated(2);
-        let mut d = Driver::new(rt);
+        // One worker runs a process's ops one after another, so two
+        // read-modify-writes on one pid lose nothing.
+        let mut d = Driver::new(Runtime::free_running(2));
         let reg = Arc::new(Register::new(0));
-        for pid in 0..2 {
-            d.submit_task(pid, OpSpec::custom("rmw", 0), RmwTask::new(reg.clone(), 10));
+        for _ in 0..2 {
+            d.submit_task(0, OpSpec::custom("rmw", 0), RmwTask::new(reg.clone(), 10));
         }
-        let mut s = Scripted::new([0, 0, 1, 1]);
-        d.run_schedule(&mut s);
-        assert_eq!(reg.peek(), 20, "sequential task schedule loses nothing");
+        d.wait_all();
+        assert_eq!(reg.peek(), 20, "sequential tasks lose nothing");
+        assert_eq!(d.history().len(), 2);
     }
 
     /// Applies two primitives in one granted poll (read, then write

@@ -18,18 +18,20 @@
 //!   * *free-running* — primitives execute at native atomic speed, only a
 //!     relaxed per-process counter is bumped (suitable for throughput
 //!     benchmarks);
-//!   * *gated* — each process parks before every primitive until a
-//!     controller grants it one step, giving fully deterministic,
-//!     scriptable interleavings at primitive granularity (what the
-//!     adversary constructions in the paper's lower-bound proofs need).
+//!   * *gated* — a controller grants every primitive individually,
+//!     giving fully deterministic, scriptable interleavings at primitive
+//!     granularity (what the adversary constructions in the paper's
+//!     lower-bound proofs need).
 //! * **A driver harness** ([`driver::Driver`]) generic over an
-//!   *execution backend* ([`backend`]): the [`ThreadBackend`] runs one
-//!   worker thread per process (closures or tasks, free-running or
-//!   gated), while the [`CoopBackend`] drives 10⁵–10⁶ *virtual*
-//!   processes as resumable [`OpTask`] state machines on the controller
-//!   thread. Either way the controller submits operations, schedules
-//!   steps and records a timestamped operation history for
-//!   linearizability checking.
+//!   *execution backend* ([`backend`]): the [`CoopBackend`] drives
+//!   10⁵–10⁶ *virtual* processes as resumable [`OpTask`] state machines
+//!   on the controller thread — gated (the one deterministic executor:
+//!   the controller schedules steps, crashes and suspends processes) or
+//!   free-running — while the [`ThreadBackend`] runs one free-running
+//!   worker thread per process (closures or tasks) for real
+//!   concurrency. Either way the controller submits operations and
+//!   records a timestamped operation history for linearizability
+//!   checking.
 //! * **Schedulers** ([`sched`]) — round-robin, seeded-random and
 //!   scripted, picking from an incrementally-maintained [`ActiveSet`] so
 //!   policies stay cheap at 10⁵–10⁶ pids.
@@ -66,7 +68,6 @@ pub mod backend;
 mod ctx;
 pub mod driver;
 pub mod explore;
-mod gate;
 pub mod history;
 mod primitives;
 mod runtime;

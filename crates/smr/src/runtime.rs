@@ -1,8 +1,8 @@
-//! The [`Runtime`]: per-process step accounting plus the optional gate.
+//! The [`Runtime`]: per-process step accounting, logical timestamps and
+//! the trace stream.
 
 use crate::analysis::{Analyzer, RunMeta};
 use crate::ctx::ProcCtx;
-use crate::gate::Gate;
 use crate::history::OpKind;
 use crate::step::{pad, StepStats};
 use crate::trace::{Access, AccessKind, TraceEvent, Tracer};
@@ -15,14 +15,13 @@ pub enum Mode {
     /// Primitives run at native speed; only step counters are maintained.
     FreeRunning,
     /// Every primitive is granted individually by a controller, giving
-    /// fully deterministic interleavings — either through the gate (the
-    /// thread backend parks workers at it) or by cooperative polling
-    /// (the coop backend grants a step by polling a task once).
+    /// fully deterministic interleavings: the coop backend grants a step
+    /// by polling the process's task once ([`Runtime::coop`]).
     Gated,
 }
 
 /// Per-process step counters. Worker threads hammer these concurrently,
-/// so the thread-backed runtimes pad each counter to its own cache line;
+/// so the thread-backed runtime pads each counter to its own cache line;
 /// a coop runtime is driven by a single controller thread over up to
 /// 10⁶ virtual processes, where 64-byte padding would multiply resident
 /// memory eightfold for no contention benefit — it stores them densely.
@@ -40,7 +39,9 @@ impl StepCounters {
     }
 
     fn snapshot(&self) -> Vec<u64> {
-        // relaxed-ok: statistical reads; exact at gate stable points.
+        // Exact on coop runtimes (one thread applies every step) and once
+        // the workers' completions have been received (channel ordering).
+        // relaxed-ok: statistical reads while worker threads run.
         match self {
             StepCounters::Padded(v) => v.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
             StepCounters::Dense(v) => v.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
@@ -56,7 +57,7 @@ impl StepCounters {
     }
 
     fn reset(&self) {
-        // relaxed-ok: callers reset only while the runtime is quiesced.
+        // relaxed-ok: callers reset only while no operation is running.
         match self {
             StepCounters::Padded(v) => v.iter().for_each(|c| c.store(0, Ordering::Relaxed)),
             StepCounters::Dense(v) => v.iter().for_each(|c| c.store(0, Ordering::Relaxed)),
@@ -73,13 +74,12 @@ impl StepCounters {
 pub struct Runtime {
     n: usize,
     mode: Mode,
-    /// Gated runtime with no gate: processes are *virtual*, driven
-    /// cooperatively on the controller thread (`Driver::coop`).
+    /// Processes are *virtual*, driven cooperatively on the controller
+    /// thread (`Driver::coop`, `Driver::coop_free`).
     coop: bool,
     steps: StepCounters,
     ticket: AtomicU64,
     tracer: Tracer,
-    pub(crate) gate: Option<Gate>,
 }
 
 impl std::fmt::Debug for Runtime {
@@ -94,23 +94,19 @@ impl std::fmt::Debug for Runtime {
 }
 
 impl Runtime {
-    /// A free-running runtime for `n` processes.
+    /// A free-running runtime for `n` processes: one worker thread per
+    /// process (`Driver::new`), primitives at native speed, for real
+    /// concurrency. Contexts from [`ctx`](Runtime::ctx) also apply
+    /// primitives directly on the calling thread.
     pub fn free_running(n: usize) -> Arc<Runtime> {
         Arc::new(Runtime::build(n, Mode::FreeRunning, false))
     }
 
-    /// A gated runtime for `n` processes (deterministic scheduling),
-    /// backed by one worker thread per process.
-    pub fn gated(n: usize) -> Arc<Runtime> {
-        Arc::new(Runtime::build(n, Mode::Gated, false))
-    }
-
-    /// A gated runtime whose `n` processes are *virtual*: no worker
-    /// threads, no gate — operations must be submitted as
-    /// [`OpTask`](crate::OpTask)s and are interleaved cooperatively on
-    /// the controller thread (`Driver::coop`). Scales to 10⁵–10⁶
-    /// processes where [`gated`](Runtime::gated) tops out around 10³ OS
-    /// threads.
+    /// A gated runtime for `n` *virtual* processes — the deterministic
+    /// executor: operations are submitted as [`OpTask`](crate::OpTask)s
+    /// and interleaved one primitive per grant on the controller thread
+    /// (`Driver::coop`), under any scheduler or a scripted adversary.
+    /// Scales to 10⁵–10⁶ processes.
     pub fn coop(n: usize) -> Arc<Runtime> {
         Arc::new(Runtime::build(n, Mode::Gated, true))
     }
@@ -144,11 +140,6 @@ impl Runtime {
             },
             ticket: AtomicU64::new(0),
             tracer: Tracer::default(),
-            gate: if mode == Mode::Gated && !coop {
-                Some(Gate::new(n))
-            } else {
-                None
-            },
         }
     }
 
@@ -187,7 +178,10 @@ impl Runtime {
 
     /// Steps (primitive applications) performed so far by process `pid`.
     pub fn steps_of(&self, pid: usize) -> u64 {
-        // relaxed-ok: monotonic counter; exact at gate stable points.
+        // Exact when read by the thread that applies the steps (every
+        // coop read) or after receiving the worker completion that
+        // follows them (channel ordering).
+        // relaxed-ok: monotonic counter (see above).
         self.steps.at(pid).load(Ordering::Relaxed)
     }
 
@@ -212,9 +206,10 @@ impl Runtime {
     }
 
     pub(crate) fn count_step(&self, pid: usize) {
-        // relaxed-ok: a per-process monotonic counter; cross-thread reads
-        // happen only at controller stable points (gate/quiesce provide
-        // the ordering) or as statistical snapshots.
+        // Coop runtimes count and read on one thread; a worker thread's
+        // counts reach the controller ordered by the completion it sends
+        // afterwards over the event channel.
+        // relaxed-ok: a per-process monotonic counter (see above).
         self.steps.at(pid).fetch_add(1, Ordering::Relaxed);
     }
 
@@ -281,7 +276,6 @@ impl Runtime {
         analyzer.attach_meta(RunMeta {
             n: self.n,
             gated: self.mode == Mode::Gated,
-            coop: self.coop,
         });
         self.tracer.attach(analyzer);
     }
@@ -317,16 +311,6 @@ impl Runtime {
     /// Drain and return the trace recorded so far.
     pub fn take_trace(&self) -> Vec<TraceEvent> {
         self.tracer.take()
-    }
-
-    /// Permanently release the gate; parked processes run free afterwards.
-    ///
-    /// Used on teardown so worker threads never deadlock. No-op on
-    /// free-running and coop runtimes (neither parks anything).
-    pub fn release_gate(&self) {
-        if let Some(gate) = &self.gate {
-            gate.shutdown();
-        }
     }
 }
 
@@ -374,7 +358,6 @@ mod tests {
         let rt = Runtime::coop(4);
         assert_eq!(rt.mode(), Mode::Gated);
         assert!(rt.is_coop());
-        assert!(rt.gate.is_none());
         // Primitives on a coop runtime never park; they just count.
         let ctx = rt.ctx(3);
         let reg = crate::Register::new(0);
@@ -387,7 +370,6 @@ mod tests {
         let rt = Runtime::coop_free(4);
         assert_eq!(rt.mode(), Mode::FreeRunning);
         assert!(rt.is_coop());
-        assert!(rt.gate.is_none());
         // Primitives never park; they just count.
         let ctx = rt.ctx(1);
         let reg = crate::Register::new(0);
@@ -397,7 +379,8 @@ mod tests {
 
     #[test]
     fn thread_runtimes_are_not_coop() {
-        assert!(!Runtime::gated(2).is_coop());
-        assert!(!Runtime::free_running(2).is_coop());
+        let rt = Runtime::free_running(2);
+        assert!(!rt.is_coop());
+        assert_eq!(rt.mode(), Mode::FreeRunning);
     }
 }

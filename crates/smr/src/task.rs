@@ -1,26 +1,26 @@
 //! [`OpTask`]: poll-style resumable operations.
 //!
 //! A closure submitted to the driver owns its whole operation: once it
-//! starts, the only way to pause it between primitives is to park the
-//! OS thread running it — which is exactly what the gate does, and why
-//! the thread backend needs one worker thread per process. An `OpTask`
-//! is the same operation written as an explicit state machine, so a
-//! single controller thread can interleave thousands of them without
-//! parking anything: the coop backend advances a task by one primitive
-//! per [`poll`](OpTask::poll) call.
+//! starts, nothing can pause it between primitives short of parking the
+//! OS thread running it, so closures run only free, on the thread
+//! backend's workers. An `OpTask` is the same operation written as an
+//! explicit state machine, so a single controller thread can interleave
+//! thousands of them without parking anything: the coop backend
+//! advances a task by one primitive per [`poll`](OpTask::poll) call —
+//! the grant that gated scheduling is made of.
 //!
 //! ## The poll contract
 //!
-//! A task mirrors how a gated worker executes a closure: the worker
-//! runs local computation freely and parks immediately **before** each
-//! primitive, applying it only when granted a step. Concretely:
+//! A task runs local computation freely and stops immediately
+//! **before** each primitive, applying it only when granted a step.
+//! Concretely:
 //!
 //! * The **first** poll is the *priming* poll: run local computation up
 //!   to (but not including) the first primitive and return
 //!   [`Poll::Pending`] **without applying any primitive**. If the
 //!   operation applies no primitives at all, return `Poll::Ready`
 //!   (still zero primitives) — such operations complete without ever
-//!   being granted a step, exactly like a zero-step closure.
+//!   being granted a step.
 //! * Every **subsequent** poll is a *granted step*: apply exactly one
 //!   primitive (through the [`ProcCtx`] methods, so it is counted and
 //!   traced), continue local computation, and stop at the next
@@ -31,11 +31,8 @@
 //! The coop backend *enforces* this contract by watching the process's
 //! step counter around every poll and panics on a violation (a primitive
 //! applied while priming, more than one primitive per granted step, or a
-//! step that made no progress). The thread backend runs tasks on a
-//! worker thread where each primitive parks at the gate individually, so
-//! a task that is honest about the contract executes identically on
-//! both backends — that equivalence is what `tests/backend_equivalence`
-//! checks.
+//! step that made no progress). The thread backend simply polls a task
+//! to completion on a worker thread.
 //!
 //! [`ProcCtx`]: crate::ProcCtx
 

@@ -6,8 +6,10 @@
 //! Tracing is designed for *gated* executions, where steps are already
 //! fully serialized; the stream order then equals the execution order.
 //! It works in free-running mode too, but the order is then merely one
-//! valid linear order of the (SeqCst) primitives, and controller-side
-//! events ([`TraceEvent::Grant`], [`TraceEvent::Crash`]) are absent.
+//! valid linear order of the (SeqCst) primitives, and the
+//! controller-side events ([`TraceEvent::Invoke`],
+//! [`TraceEvent::Complete`], [`TraceEvent::Grant`],
+//! [`TraceEvent::Crash`]) are absent.
 //!
 //! The stream has two consumers, independently switchable:
 //!
@@ -100,7 +102,7 @@ pub enum TraceEvent {
         /// The invocation's logical timestamp.
         inv: u64,
     },
-    /// An operation completed.
+    /// An operation completed (gated mode).
     Complete {
         /// Position in the recorded order.
         seq: u64,
@@ -184,8 +186,9 @@ impl Tracer {
     /// The closure runs only when a consumer is active.
     #[inline]
     pub(crate) fn emit(&self, build: impl FnOnce(u64) -> TraceEvent) {
-        // relaxed-ok: a pure on/off flag; emission order is serialized by
-        // the gate / coop controller, not by this load.
+        // relaxed-ok: a pure on/off flag; emission order comes from the
+        // seq-cst sequence draw (and, on coop runs, the one controller
+        // thread), not from this load.
         if !self.active.load(Ordering::Relaxed) {
             return;
         }

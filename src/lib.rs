@@ -14,7 +14,7 @@
 //!   `O(min(log₂ log_k m, n))` worst case) and the unbounded max-register
 //!   extension.
 //! * [`smr`] — the instrumented shared-memory runtime: step-counted base
-//!   objects, deterministic gate scheduling, operation histories, traces.
+//!   objects, deterministic gated scheduling, operation histories, traces.
 //! * [`maxreg`] / [`counter`] — the exact substrates and baselines
 //!   (AACH tree max register, collect objects, atomic snapshot, …).
 //! * [`lincheck`] — linearizability checking against exact and

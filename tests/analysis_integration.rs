@@ -1,11 +1,11 @@
 //! `smr::analysis` against the real objects: the standard pass bundle
-//! must run clean over representative workloads on both backends (any
-//! finding there would be a genuine runtime-contract bug), and each
+//! must run clean over representative gated workloads (any finding
+//! there would be a genuine runtime-contract bug), and each
 //! seeded poll-contract mutant must be caught with a precise report.
 //! (The access-kind mutants need crate-private access and live in
 //! `smr::analysis::mutant_tests`.)
 
-use counter::{CollectCounter, CollectIncTask, CollectReadTask, Counter};
+use counter::{CollectCounter, CollectIncTask, CollectReadTask};
 use parking_lot::Mutex;
 use smr::analysis::{AnalysisPass, Analyzer, HappensBefore, RunMeta, Violation};
 use smr::explore::{explore, ExploreConfig};
@@ -43,22 +43,18 @@ fn standard_passes_run_clean_on_a_coop_kmult_workload() {
 }
 
 #[test]
-fn standard_passes_run_clean_on_a_thread_gated_collect_workload() {
+fn standard_passes_run_clean_on_a_coop_collect_workload() {
     let n = 4;
-    let rt = Runtime::gated(n);
+    let rt = Runtime::coop(n);
     rt.attach_analysis(Analyzer::standard());
     let counter = Arc::new(CollectCounter::new(n));
-    let mut d = Driver::new(rt.clone());
+    let mut d = Driver::coop(rt.clone());
     for pid in 0..n {
         for i in 0..10u64 {
-            let c = Arc::clone(&counter);
             if i % 4 == 3 {
-                d.submit(pid, OpSpec::read(), move |ctx| c.read(ctx));
+                d.submit_task(pid, OpSpec::read(), CollectReadTask::new(counter.clone()));
             } else {
-                d.submit(pid, OpSpec::inc(), move |ctx| {
-                    c.increment(ctx);
-                    0
-                });
+                d.submit_task(pid, OpSpec::inc(), CollectIncTask::new(counter.clone()));
             }
         }
     }

@@ -8,8 +8,8 @@
 //! by `perturb::awareness`; the executions are deterministic (gated
 //! round-robin), so these are exact checks, not statistical ones.
 
-use approx_objects::{KmultCounter, KmultCounterHandle};
-use counter::{CollectCounter, Counter};
+use approx_objects::{KmultCounter, KmultIncTask, KmultReadTask, SharedKmultHandle};
+use counter::{CollectCounter, CollectIncTask, CollectReadTask};
 use parking_lot::Mutex;
 use perturb::awareness;
 use smr::sched::{RoundRobin, SeededRandom};
@@ -17,18 +17,13 @@ use smr::{Driver, OpSpec, Runtime};
 use std::sync::Arc;
 
 fn run_one_inc_one_read_collect(n: usize, seed: Option<u64>) -> awareness::AwarenessReport {
-    let rt = Runtime::gated(n);
+    let rt = Runtime::coop(n);
     rt.enable_tracing();
     let counter = Arc::new(CollectCounter::new(n));
-    let mut d = Driver::new(rt.clone());
+    let mut d = Driver::coop(rt.clone());
     for pid in 0..n {
-        let c = Arc::clone(&counter);
-        d.submit(pid, OpSpec::inc(), move |ctx| {
-            c.increment(ctx);
-            0
-        });
-        let c = Arc::clone(&counter);
-        d.submit(pid, OpSpec::read(), move |ctx| c.read(ctx));
+        d.submit_task(pid, OpSpec::inc(), CollectIncTask::new(counter.clone()));
+        d.submit_task(pid, OpSpec::read(), CollectReadTask::new(counter.clone()));
     }
     match seed {
         None => {
@@ -64,22 +59,14 @@ fn corollary_holds_for_exact_counter_any_k() {
 fn corollary_holds_for_kmult_counter_at_legal_k() {
     let n = 16usize;
     let k = 4u64; // ⌈√16⌉
-    let rt = Runtime::gated(n);
+    let rt = Runtime::coop(n);
     rt.enable_tracing();
     let counter = KmultCounter::new(n, k);
-    let handles: Arc<Vec<Mutex<KmultCounterHandle>>> =
-        Arc::new((0..n).map(|p| Mutex::new(counter.handle(p))).collect());
-    let mut d = Driver::new(rt.clone());
+    let mut d = Driver::coop(rt.clone());
     for pid in 0..n {
-        let handles2 = Arc::clone(&handles);
-        d.submit(pid, OpSpec::inc(), move |ctx| {
-            handles2[pid].lock().increment(ctx);
-            0
-        });
-        let handles2 = Arc::clone(&handles);
-        d.submit(pid, OpSpec::read(), move |ctx| {
-            handles2[pid].lock().read(ctx)
-        });
+        let h: SharedKmultHandle = Arc::new(Mutex::new(counter.handle(pid)));
+        d.submit_task(pid, OpSpec::inc(), KmultIncTask::new(h.clone()));
+        d.submit_task(pid, OpSpec::read(), KmultReadTask::new(h));
     }
     d.run_schedule(&mut RoundRobin::new());
     rt.disable_tracing();

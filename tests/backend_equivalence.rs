@@ -1,37 +1,27 @@
-//! Cross-backend equivalence: the same submissions under the same
-//! scripted schedule — including crashes, suspensions and mid-run
-//! snapshots — must produce identical executions on the thread backend
-//! (`Driver::new`, worker threads parked at the gate) and the coop
-//! backend (`Driver::coop`, virtual processes polled on the controller
-//! thread).
+//! Executor equivalence. Gated coop (`Driver::coop`, one controller
+//! grant per primitive) and the free-running coop sweep
+//! (`Driver::coop_free`, batch polling with no grants) are two
+//! executors over the same virtual processes: with every op submitted
+//! in ascending pid order, the unseeded free sweep's poll order *is* the
+//! gated round-robin schedule, so the two executions must agree on the
+//! final `history_snapshot()`, per-process step counters and shared
+//! memory. That is pinned on random straight-line register programs, on
+//! an Algorithm 1 workload, and on mixes of every ported object task.
+//! Seeded free runs shuffle each batch round but stay replayable: the
+//! same seed reproduces the same execution bit for bit.
 //!
-//! "Identical" means: the same history records (per-pid operation
-//! sequences with kinds, completion status and per-op step counts, and
-//! the same global completion serialization), the same pending records
-//! in crash cuts and `history_snapshot()` cuts, the same per-process
-//! step counters, and the same final shared memory. Absolute logical
-//! timestamps are *not* compared: the thread backend's workers draw
-//! invocation tickets concurrently, so only their order is meaningful.
+//! "Agree" on histories means: the same per-pid operation sequences
+//! (kinds, completion status and per-op step counts) and the same
+//! global completion serialization. Absolute logical timestamps are not
+//! compared.
 //!
-//! Operations are random straight-line programs over a shared pool of
-//! registers and test&set bits, submitted as [`OpTask`]s (the form both
-//! backends accept). A separate test pins closure-form vs task-form
-//! equivalence on the thread backend, so the chain
-//! closure/thread ≡ task/thread ≡ task/coop is closed.
-//!
-//! The free-running coop mode (`Driver::coop_free`) is pinned against
-//! gated coop the same way: with every op submitted in ascending pid
-//! order, the unseeded free sweep's poll order *is* the gated
-//! round-robin schedule, so the two executions must agree on the final
-//! `history_snapshot()`, per-process step counters and shared memory —
-//! on both the register programs and a kmult counter workload. Seeded
-//! free runs shuffle each batch round but stay replayable: the same
-//! seed reproduces the same execution bit for bit.
+//! The free-running thread backend takes both submission forms,
+//! closures and [`OpTask`]s; a last property pins that the two forms
+//! of the same program execute identically there.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use smr::backend::ExecBackend;
+use smr::sched::RoundRobin;
 use smr::{Driver, History, OpSpec, OpTask, Poll, ProcCtx, Register, Runtime, TasBit};
 use std::sync::Arc;
 
@@ -60,6 +50,9 @@ impl Pool {
 
 /// One primitive of a generated program: `(kind, object index, value)`.
 type Micro = (u8, usize, u64);
+
+/// Per process, its programs in submission order.
+type Programs = Vec<Vec<Vec<Micro>>>;
 
 /// A straight-line program over the pool as a resumable task: one
 /// micro-op per granted poll, folding read results into `acc`.
@@ -122,7 +115,16 @@ impl OpTask for ProgTask {
     }
 }
 
-/// Backend-independent projection of a history: per-pid operation
+/// Adapter: a boxed task as an `OpTask` (the driver takes `impl OpTask`).
+struct BoxedTask(Box<dyn OpTask>);
+
+impl OpTask for BoxedTask {
+    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
+        self.0.poll(ctx)
+    }
+}
+
+/// Executor-independent projection of a history: per-pid operation
 /// sequences (kinds, completion, step counts) ordered by invocation,
 /// plus the global completion order.
 #[derive(Debug, PartialEq, Eq)]
@@ -154,126 +156,99 @@ fn normalize(h: &History) -> NormHistory {
     }
 }
 
-/// Everything an execution leaves behind that must match across
-/// backends.
+/// What a finished run leaves behind that two executors must agree on.
 #[derive(Debug, PartialEq, Eq)]
 struct Outcome {
-    history: NormHistory,
-    snapshots: Vec<NormHistory>,
-    per_pid_steps: Vec<u64>,
-    completed: Vec<u64>,
-    memory: Vec<u64>,
-}
-
-/// The generated scenario, shared verbatim by both backends.
-struct Scenario {
-    progs: Vec<Vec<Vec<Micro>>>,
-    crashes: Vec<(usize, usize)>,
-    snap_at: usize,
-    seed: u64,
-}
-
-fn drive<B: ExecBackend>(mut d: Driver<B>, pool: &Arc<Pool>, sc: &Scenario) -> Outcome {
-    let n = sc.progs.len();
-    let mut rng = StdRng::seed_from_u64(sc.seed);
-    let mut snapshots = Vec::new();
-    let mut it = 0usize;
-    loop {
-        for &(at, pid) in &sc.crashes {
-            let pid = pid % n;
-            if at == it && !d.is_crashed(pid) {
-                d.crash(pid);
-            }
-        }
-        if sc.snap_at == it {
-            snapshots.push(normalize(&d.history_snapshot()));
-        }
-        let active = d.active_set();
-        if active.is_empty() {
-            break;
-        }
-        let pid = active.pick(rng.random_range(0..active.len()));
-        let _ = d.step(pid);
-        it += 1;
-        if it > 100_000 {
-            panic!("schedule failed to terminate");
-        }
-    }
-    snapshots.push(normalize(&d.history_snapshot()));
-    Outcome {
-        history: normalize(d.history()),
-        snapshots,
-        per_pid_steps: (0..n).map(|p| d.runtime().steps_of(p)).collect(),
-        completed: (0..n).map(|p| d.completed_of(p)).collect(),
-        memory: pool.fingerprint(),
-    }
-}
-
-fn submit_tasks<B: ExecBackend>(d: &mut Driver<B>, pool: &Arc<Pool>, sc: &Scenario) {
-    for (pid, ops) in sc.progs.iter().enumerate() {
-        for (i, prog) in ops.iter().enumerate() {
-            d.submit_task(
-                pid,
-                OpSpec::custom("prog", i as u128),
-                ProgTask::new(pool.clone(), prog.clone()),
-            );
-        }
-    }
-}
-
-fn run_thread(sc: &Scenario) -> Outcome {
-    let n = sc.progs.len();
-    let pool = Arc::new(Pool::new());
-    let mut d = Driver::new(Runtime::gated(n));
-    submit_tasks(&mut d, &pool, sc);
-    drive(d, &pool, sc)
-}
-
-fn run_coop(sc: &Scenario) -> Outcome {
-    let n = sc.progs.len();
-    let pool = Arc::new(Pool::new());
-    let mut d = Driver::coop(Runtime::coop(n));
-    submit_tasks(&mut d, &pool, sc);
-    drive(d, &pool, sc)
-}
-
-/// What a gate-free run leaves behind (no crash cuts or mid-run
-/// snapshots exist in free mode, so the comparable surface is the final
-/// snapshot, the step counters and the shared memory).
-#[derive(Debug, PartialEq, Eq)]
-struct FreeOutcome {
     snapshot: NormHistory,
     per_pid_steps: Vec<u64>,
     memory: Vec<u64>,
 }
 
-fn run_coop_roundrobin(sc: &Scenario) -> FreeOutcome {
-    let n = sc.progs.len();
-    let pool = Arc::new(Pool::new());
-    let mut d = Driver::coop(Runtime::coop(n));
-    submit_tasks(&mut d, &pool, sc);
-    let _ = d.run_schedule(&mut smr::sched::RoundRobin::new());
-    FreeOutcome {
+fn outcome<B: ExecBackend>(d: &mut Driver<B>, memory: Vec<u64>) -> Outcome {
+    Outcome {
         snapshot: normalize(&d.history_snapshot()),
-        per_pid_steps: (0..n).map(|p| d.runtime().steps_of(p)).collect(),
-        memory: pool.fingerprint(),
+        per_pid_steps: (0..d.runtime().n())
+            .map(|p| d.runtime().steps_of(p))
+            .collect(),
+        memory,
     }
 }
 
-fn run_coop_free(sc: &Scenario, seed: Option<u64>) -> FreeOutcome {
-    let n = sc.progs.len();
-    let pool = Arc::new(Pool::new());
-    let rt = Runtime::coop_free(n);
-    let mut d = match seed {
-        None => Driver::coop_free(rt),
-        Some(s) => Driver::coop_free_seeded(rt, s),
-    };
-    submit_tasks(&mut d, &pool, sc);
-    d.wait_all();
-    FreeOutcome {
-        snapshot: normalize(&d.history_snapshot()),
-        per_pid_steps: (0..n).map(|p| d.runtime().steps_of(p)).collect(),
-        memory: pool.fingerprint(),
+/// Where a workload submits its operations: `(pid, spec, task)`.
+type Submit<'a> = dyn FnMut(usize, OpSpec, Box<dyn OpTask>) + 'a;
+
+/// A fingerprint of a workload's shared memory, read after the run.
+type Memory = Box<dyn Fn() -> Vec<u64>>;
+
+/// How a coop run executes its submissions.
+#[derive(Clone, Copy)]
+enum Exec {
+    /// Gated, one grant per primitive, round-robin.
+    RoundRobin,
+    /// The free sweep: ascending submission order, or seeded shuffles
+    /// of each batch round.
+    Free(Option<u64>),
+}
+
+/// Build a workload over `n` virtual processes with `build` and run it
+/// to completion under `exec`.
+fn run(n: usize, exec: Exec, build: &dyn Fn(&mut Submit) -> Memory) -> Outcome {
+    match exec {
+        Exec::RoundRobin => {
+            let mut d = Driver::coop(Runtime::coop(n));
+            let memory = build(&mut |pid, spec, task| d.submit_task(pid, spec, BoxedTask(task)));
+            let _ = d.run_schedule(&mut RoundRobin::new());
+            outcome(&mut d, memory())
+        }
+        Exec::Free(seed) => {
+            let rt = Runtime::coop_free(n);
+            let mut d = match seed {
+                None => Driver::coop_free(rt),
+                Some(s) => Driver::coop_free_seeded(rt, s),
+            };
+            let memory = build(&mut |pid, spec, task| d.submit_task(pid, spec, BoxedTask(task)));
+            d.wait_all();
+            outcome(&mut d, memory())
+        }
+    }
+}
+
+/// The generated register programs as a workload, submitted pid by pid.
+fn programs(progs: &Programs) -> impl Fn(&mut Submit) -> Memory + '_ {
+    move |d| {
+        let pool = Arc::new(Pool::new());
+        for (pid, ops) in progs.iter().enumerate() {
+            for (i, prog) in ops.iter().enumerate() {
+                d(
+                    pid,
+                    OpSpec::custom("prog", i as u128),
+                    Box::new(ProgTask::new(pool.clone(), prog.clone())),
+                );
+            }
+        }
+        Box::new(move || pool.fingerprint())
+    }
+}
+
+/// An interleaved increment/read workload over one shared Algorithm 1
+/// counter; the fingerprint is the counter's quiescent value.
+fn kmult_workload(n: usize) -> impl Fn(&mut Submit) -> Memory {
+    use approx_objects::{KmultCounter, KmultIncTask, KmultReadTask, SharedKmultHandle};
+    use parking_lot::Mutex;
+
+    move |d| {
+        let kc = KmultCounter::new(n, 3);
+        for pid in 0..n {
+            let h: SharedKmultHandle = Arc::new(Mutex::new(kc.handle(pid)));
+            for j in 0..8u64 {
+                if j % 2 == 0 {
+                    d(pid, OpSpec::inc(), Box::new(KmultIncTask::new(h.clone())));
+                } else {
+                    d(pid, OpSpec::read(), Box::new(KmultReadTask::new(h.clone())));
+                }
+            }
+        }
+        Box::new(move || vec![kc.peek_approx_value() as u64])
     }
 }
 
@@ -290,9 +265,8 @@ proptest! {
             2..6,
         ),
     ) {
-        let sc = Scenario { progs, crashes: vec![], snap_at: usize::MAX, seed: 0 };
-        let gated = run_coop_roundrobin(&sc);
-        let free = run_coop_free(&sc, None);
+        let gated = run(progs.len(), Exec::RoundRobin, &programs(&progs));
+        let free = run(progs.len(), Exec::Free(None), &programs(&progs));
         prop_assert_eq!(&gated, &free, "gated round-robin and free sweep diverged");
     }
 
@@ -307,33 +281,9 @@ proptest! {
         ),
         seed in 1u64..1_000_000,
     ) {
-        let sc = Scenario { progs, crashes: vec![], snap_at: usize::MAX, seed: 0 };
-        let first = run_coop_free(&sc, Some(seed));
-        let again = run_coop_free(&sc, Some(seed));
+        let first = run(progs.len(), Exec::Free(Some(seed)), &programs(&progs));
+        let again = run(progs.len(), Exec::Free(Some(seed)), &programs(&progs));
         prop_assert_eq!(&first, &again, "seed {} did not replay", seed);
-    }
-
-    #[test]
-    fn thread_and_coop_backends_are_equivalent(
-        progs in prop::collection::vec(
-            prop::collection::vec(
-                prop::collection::vec((0u8..3, 0usize..4, 0u64..100), 1..5),
-                1..4,
-            ),
-            2..5,
-        ),
-        crashes in prop::collection::vec((0usize..40, 0usize..4), 0..3),
-        snap_at in 0usize..40,
-        seed in 0u64..1_000_000,
-    ) {
-        let sc = Scenario { progs, crashes, snap_at, seed };
-        let thread = run_thread(&sc);
-        let coop = run_coop(&sc);
-        prop_assert_eq!(
-            &thread, &coop,
-            "backends diverged (seed {}, crashes {:?}, snap_at {})",
-            sc.seed, sc.crashes, sc.snap_at
-        );
     }
 
     #[test]
@@ -345,33 +295,39 @@ proptest! {
             ),
             2..4,
         ),
-        seed in 0u64..1_000_000,
     ) {
-        let sc = Scenario { progs, crashes: vec![], snap_at: usize::MAX, seed };
-        let n = sc.progs.len();
-
-        let task_outcome = run_thread(&sc);
-
-        let pool = Arc::new(Pool::new());
-        let mut d = Driver::new(Runtime::gated(n));
-        for (pid, ops) in sc.progs.iter().enumerate() {
-            for (i, prog) in ops.iter().enumerate() {
-                let pool2 = pool.clone();
-                let prog = prog.clone();
-                d.submit(pid, OpSpec::custom("prog", i as u128), move |ctx| {
-                    ProgTask::run_blocking(&pool2, &prog, ctx)
-                });
-            }
-        }
-        let closure_outcome = drive(d, &pool, &sc);
-
-        prop_assert_eq!(&task_outcome, &closure_outcome, "forms diverged (seed {})", sc.seed);
+        let task = run_thread_pid_by_pid(&progs, |d, pool, pid, spec, prog| {
+            d.submit_task(pid, spec, ProgTask::new(pool.clone(), prog.to_vec()));
+        });
+        let closure = run_thread_pid_by_pid(&progs, |d, pool, pid, spec, prog| {
+            let (pool, prog) = (pool.clone(), prog.to_vec());
+            d.submit(pid, spec, move |ctx| ProgTask::run_blocking(&pool, &prog, ctx));
+        });
+        prop_assert_eq!(&task, &closure, "forms diverged");
     }
 }
 
+/// Run each process's programs to completion one process at a time on
+/// the free-running thread backend — so its workers never race — with
+/// every op submitted through `submit`.
+fn run_thread_pid_by_pid(
+    progs: &Programs,
+    submit: impl Fn(&mut Driver, &Arc<Pool>, usize, OpSpec, &[Micro]),
+) -> Outcome {
+    let pool = Arc::new(Pool::new());
+    let mut d = Driver::new(Runtime::free_running(progs.len()));
+    for (pid, ops) in progs.iter().enumerate() {
+        for (i, prog) in ops.iter().enumerate() {
+            submit(&mut d, &pool, pid, OpSpec::custom("prog", i as u128), prog);
+        }
+        d.wait_all();
+    }
+    outcome(&mut d, pool.fingerprint())
+}
+
 /// The ported object tasks (Algorithm 1 counter, collect counter, tree
-/// max register) run identically on both backends under a deterministic
-/// schedule — the "real algorithms" counterpart of the random-program
+/// max register) run identically under gated round-robin and the free
+/// sweep — the "real algorithms" counterpart of the register-program
 /// property above.
 #[test]
 fn ported_object_tasks_are_backend_equivalent() {
@@ -381,7 +337,7 @@ fn ported_object_tasks_are_backend_equivalent() {
     use parking_lot::Mutex;
 
     let n = 4;
-    let build = |d: &mut dyn FnMut(usize, OpSpec, Box<dyn OpTask>)| {
+    let build = |d: &mut Submit| -> Memory {
         let kc = KmultCounter::new(n, 4);
         let handles: Vec<SharedKmultHandle> =
             (0..n).map(|p| Arc::new(Mutex::new(kc.handle(p)))).collect();
@@ -424,50 +380,13 @@ fn ported_object_tasks_are_backend_equivalent() {
                 }
             }
         }
+        Box::new(move || vec![kc.peek_approx_value() as u64])
     };
-
-    let run = |coop: bool| -> (NormHistory, u64) {
-        let mut sched = smr::sched::SeededRandom::new(0xBEEF);
-        if coop {
-            let mut d = Driver::coop(Runtime::coop(n));
-            build(&mut |pid, spec, task| d.submit_task(pid, spec, BoxedTask(task)));
-            let steps = d.run_schedule(&mut sched);
-            (normalize(d.history()), steps)
-        } else {
-            let mut d = Driver::new(Runtime::gated(n));
-            build(&mut |pid, spec, task| d.submit_task(pid, spec, BoxedTask(task)));
-            let steps = d.run_schedule(&mut sched);
-            (normalize(d.history()), steps)
-        }
-    };
-
-    let (h_thread, steps_thread) = run(false);
-    let (h_coop, steps_coop) = run(true);
-    assert_eq!(steps_thread, steps_coop, "total granted steps diverged");
-    assert_eq!(h_thread, h_coop, "histories diverged");
-}
-
-/// Submit an interleaved increment/read workload over one shared
-/// Algorithm 1 counter and return it for fingerprinting.
-fn submit_kmult_workload<B: ExecBackend>(
-    d: &mut Driver<B>,
-    n: usize,
-) -> Arc<approx_objects::KmultCounter> {
-    use approx_objects::{KmultCounter, KmultIncTask, KmultReadTask, SharedKmultHandle};
-    use parking_lot::Mutex;
-
-    let kc = KmultCounter::new(n, 3);
-    for pid in 0..n {
-        let h: SharedKmultHandle = Arc::new(Mutex::new(kc.handle(pid)));
-        for j in 0..8u64 {
-            if j % 2 == 0 {
-                d.submit_task(pid, OpSpec::inc(), KmultIncTask::new(h.clone()));
-            } else {
-                d.submit_task(pid, OpSpec::read(), KmultReadTask::new(h.clone()));
-            }
-        }
-    }
-    kc
+    assert_eq!(
+        run(n, Exec::RoundRobin, &build),
+        run(n, Exec::Free(None), &build),
+        "gated round-robin and free sweep diverged"
+    );
 }
 
 /// Gated round-robin coop ≡ unseeded free-running coop on the paper's
@@ -476,29 +395,9 @@ fn submit_kmult_workload<B: ExecBackend>(
 #[test]
 fn gated_and_free_coop_agree_on_a_kmult_workload() {
     for n in [1usize, 2, 5, 16] {
-        let (gated, gated_steps, gated_val) = {
-            let mut d = Driver::coop(Runtime::coop(n));
-            let kc = submit_kmult_workload(&mut d, n);
-            let _ = d.run_schedule(&mut smr::sched::RoundRobin::new());
-            (
-                normalize(&d.history_snapshot()),
-                (0..n).map(|p| d.runtime().steps_of(p)).collect::<Vec<_>>(),
-                kc.peek_approx_value(),
-            )
-        };
-        let (free, free_steps, free_val) = {
-            let mut d = Driver::coop_free(Runtime::coop_free(n));
-            let kc = submit_kmult_workload(&mut d, n);
-            d.wait_all();
-            (
-                normalize(&d.history_snapshot()),
-                (0..n).map(|p| d.runtime().steps_of(p)).collect::<Vec<_>>(),
-                kc.peek_approx_value(),
-            )
-        };
-        assert_eq!(gated, free, "histories diverged at n = {n}");
-        assert_eq!(gated_steps, free_steps, "step counters diverged at n = {n}");
-        assert_eq!(gated_val, free_val, "counter state diverged at n = {n}");
+        let gated = run(n, Exec::RoundRobin, &kmult_workload(n));
+        let free = run(n, Exec::Free(None), &kmult_workload(n));
+        assert_eq!(gated, free, "executions diverged at n = {n}");
     }
 }
 
@@ -506,34 +405,19 @@ fn gated_and_free_coop_agree_on_a_kmult_workload() {
 /// for bit under the same seed.
 #[test]
 fn seeded_free_coop_is_replayable_on_a_kmult_workload() {
-    let run = |seed: u64| {
-        let n = 7;
-        let mut d = Driver::coop_free_seeded(Runtime::coop_free(n), seed);
-        let kc = submit_kmult_workload(&mut d, n);
-        d.wait_all();
-        (
-            normalize(&d.history_snapshot()),
-            (0..n).map(|p| d.runtime().steps_of(p)).collect::<Vec<_>>(),
-            kc.peek_approx_value(),
-        )
-    };
+    let n = 7;
     for seed in [1u64, 0xBEEF, u64::MAX] {
-        assert_eq!(run(seed), run(seed), "seed {seed:#x} did not replay");
+        assert_eq!(
+            run(n, Exec::Free(Some(seed)), &kmult_workload(n)),
+            run(n, Exec::Free(Some(seed)), &kmult_workload(n)),
+            "seed {seed:#x} did not replay"
+        );
     }
 }
 
-/// Adapter: a boxed task as an `OpTask` (the driver takes `impl OpTask`).
-struct BoxedTask(Box<dyn OpTask>);
-
-impl OpTask for BoxedTask {
-    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        self.0.poll(ctx)
-    }
-}
-
-/// Same property for the objects ported after PR 3: snapshot, AACH and
-/// unbounded-tree counters, the k-additive counter, Algorithm 2, and
-/// the adaptive/unbounded exact max registers.
+/// Same property for the objects ported after the first three:
+/// snapshot, AACH and unbounded-tree counters, the k-additive counter,
+/// Algorithm 2, and the adaptive/unbounded exact max registers.
 #[test]
 fn newly_ported_object_tasks_are_backend_equivalent() {
     use approx_objects::{
@@ -551,7 +435,7 @@ fn newly_ported_object_tasks_are_backend_equivalent() {
     use parking_lot::Mutex;
 
     let n = 3;
-    let build = |d: &mut dyn FnMut(usize, OpSpec, Box<dyn OpTask>)| {
+    let build = |d: &mut Submit| -> Memory {
         let snap = Arc::new(SnapshotCounter::new(n));
         let aach = Arc::new(AachCounter::new(n, 1 << 12));
         let utree = Arc::new(UnboundedTreeCounter::new(n));
@@ -650,25 +534,13 @@ fn newly_ported_object_tasks_are_backend_equivalent() {
                 }
             }
         }
+        // None of these objects exposes its state outside a read; the
+        // histories carry every read's return value.
+        Box::new(Vec::new)
     };
-
-    let run = |coop: bool| -> (NormHistory, u64) {
-        let mut sched = smr::sched::SeededRandom::new(0xD00D);
-        if coop {
-            let mut d = Driver::coop(Runtime::coop(n));
-            build(&mut |pid, spec, task| d.submit_task(pid, spec, BoxedTask(task)));
-            let steps = d.run_schedule(&mut sched);
-            (normalize(d.history()), steps)
-        } else {
-            let mut d = Driver::new(Runtime::gated(n));
-            build(&mut |pid, spec, task| d.submit_task(pid, spec, BoxedTask(task)));
-            let steps = d.run_schedule(&mut sched);
-            (normalize(d.history()), steps)
-        }
-    };
-
-    let (h_thread, steps_thread) = run(false);
-    let (h_coop, steps_coop) = run(true);
-    assert_eq!(steps_thread, steps_coop, "total granted steps diverged");
-    assert_eq!(h_thread, h_coop, "histories diverged");
+    assert_eq!(
+        run(n, Exec::RoundRobin, &build),
+        run(n, Exec::Free(None), &build),
+        "gated round-robin and free sweep diverged"
+    );
 }

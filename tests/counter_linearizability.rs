@@ -8,14 +8,21 @@
 //! spec holds from the first operation — see DESIGN.md §2, "Startup
 //! window").
 
+mod common;
+
+use approx_objects::{KmultIncTask, KmultReadTask, SharedKmultHandle};
+use common::BatchedInc;
 use counter::{
-    AachCounter, CollectCounter, Counter, FaaCounter, SnapshotCounter, UnboundedTreeCounter,
+    AachCounter, AachIncTask, AachReadTask, CollectCounter, CollectIncTask, CollectReadTask,
+    Counter, FaaCounter, SnapshotCounter, SnapshotIncTask, SnapshotReadTask, UnboundedTreeCounter,
+    UnboundedTreeIncTask, UnboundedTreeReadTask,
 };
 use lincheck::monotone::check_counter;
 use lincheck::CounterHistory;
 use parking_lot::Mutex;
+use smr::backend::ExecBackend;
 use smr::sched::SeededRandom;
-use smr::{Driver, OpSpec, Runtime};
+use smr::{Driver, OpSpec, OpTask, Runtime};
 use std::sync::Arc;
 
 /// Run a free-running mixed workload against a `Counter`, returning the
@@ -45,27 +52,28 @@ fn run_free<C: Counter + 'static>(
     CounterHistory::from_records(d.history()).expect("typed counter history")
 }
 
-/// Same under a gated seeded-random schedule (deterministic adversarial
-/// interleavings at primitive granularity).
-fn run_gated<C: Counter + 'static>(
-    c: Arc<C>,
+/// The same workload, built from the object's task forms by `inc(pid)`
+/// and `read(pid)`, on gated coop under a seeded-random schedule
+/// (deterministic adversarial interleavings at primitive granularity).
+fn run_gated<I, R>(
     n: usize,
     ops: u64,
     read_every: u64,
     seed: u64,
-) -> CounterHistory {
-    let rt = Runtime::gated(n);
-    let mut d = Driver::new(rt);
+    inc: impl Fn(usize) -> I,
+    read: impl Fn(usize) -> R,
+) -> CounterHistory
+where
+    I: OpTask + 'static,
+    R: OpTask + 'static,
+{
+    let mut d = Driver::coop(Runtime::coop(n));
     for pid in 0..n {
         for i in 1..=ops {
-            let c = Arc::clone(&c);
             if i % read_every == 0 {
-                d.submit(pid, OpSpec::read(), move |ctx| c.read(ctx));
+                d.submit_task(pid, OpSpec::read(), read(pid));
             } else {
-                d.submit(pid, OpSpec::inc(), move |ctx| {
-                    c.increment(ctx);
-                    0
-                });
+                d.submit_task(pid, OpSpec::inc(), inc(pid));
             }
         }
     }
@@ -83,7 +91,15 @@ fn collect_counter_is_linearizable_free_running() {
 #[test]
 fn collect_counter_is_linearizable_gated() {
     for seed in [1u64, 7, 42] {
-        let h = run_gated(Arc::new(CollectCounter::new(4)), 4, 60, 5, seed);
+        let c = Arc::new(CollectCounter::new(4));
+        let h = run_gated(
+            4,
+            60,
+            5,
+            seed,
+            |_| CollectIncTask::new(c.clone()),
+            |_| CollectReadTask::new(c.clone()),
+        );
         check_counter(&h, 1).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
     }
 }
@@ -97,7 +113,15 @@ fn snapshot_counter_is_linearizable() {
 #[test]
 fn snapshot_counter_is_linearizable_gated() {
     for seed in [3u64, 9] {
-        let h = run_gated(Arc::new(SnapshotCounter::new(3)), 3, 40, 4, seed);
+        let c = Arc::new(SnapshotCounter::new(3));
+        let h = run_gated(
+            3,
+            40,
+            4,
+            seed,
+            |_| SnapshotIncTask::new(c.clone()),
+            |_| SnapshotReadTask::new(c.clone()),
+        );
         check_counter(&h, 1).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
     }
 }
@@ -111,7 +135,15 @@ fn aach_counter_is_linearizable() {
 #[test]
 fn aach_counter_is_linearizable_gated() {
     for seed in [11u64, 23] {
-        let h = run_gated(Arc::new(AachCounter::new(3, 1 << 16)), 3, 50, 5, seed);
+        let c = Arc::new(AachCounter::new(3, 1 << 16));
+        let h = run_gated(
+            3,
+            50,
+            5,
+            seed,
+            |pid| AachIncTask::new(c.clone(), pid),
+            |_| AachReadTask::new(c.clone()),
+        );
         check_counter(&h, 1).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
     }
 }
@@ -125,7 +157,15 @@ fn unbounded_tree_counter_is_linearizable() {
 #[test]
 fn unbounded_tree_counter_is_linearizable_gated() {
     for seed in [6u64, 31] {
-        let h = run_gated(Arc::new(UnboundedTreeCounter::new(3)), 3, 40, 5, seed);
+        let c = Arc::new(UnboundedTreeCounter::new(3));
+        let h = run_gated(
+            3,
+            40,
+            5,
+            seed,
+            |pid| UnboundedTreeIncTask::new(c.clone(), pid),
+            |_| UnboundedTreeReadTask::new(c.clone()),
+        );
         check_counter(&h, 1).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
     }
 }
@@ -136,7 +176,7 @@ fn faa_counter_is_linearizable() {
     check_counter(&h, 1).unwrap_or_else(|v| panic!("faa counter: {v}"));
 }
 
-/// Batched increments: one submitted closure performs `batch` unit
+/// Batched increments: one submitted operation performs `batch` unit
 /// increments and is recorded once with multiplicity `batch` — the
 /// ROADMAP "operation granularity" item. The checker must weight it
 /// fully: reads interleaved with the batches see every landed unit, so
@@ -147,21 +187,18 @@ fn batched_increments_are_weighted_by_multiplicity() {
     let n = 4;
     let batch = 8u64;
     for seed in [3u64, 19] {
-        let rt = Runtime::gated(n);
         let c = Arc::new(CollectCounter::new(n));
-        let mut d = Driver::new(rt);
+        let mut d = Driver::coop(Runtime::coop(n));
         for pid in 0..n {
             for i in 1..=12u64 {
-                let c = Arc::clone(&c);
                 if i % 4 == 0 {
-                    d.submit(pid, OpSpec::read(), move |ctx| c.read(ctx));
+                    d.submit_task(pid, OpSpec::read(), CollectReadTask::new(c.clone()));
                 } else {
-                    d.submit(pid, OpSpec::inc_by(batch), move |ctx| {
-                        for _ in 0..batch {
-                            c.increment(ctx);
-                        }
-                        0
-                    });
+                    d.submit_task(
+                        pid,
+                        OpSpec::inc_by(batch),
+                        BatchedInc::new(c.clone(), batch),
+                    );
                 }
             }
         }
@@ -177,38 +214,38 @@ fn batched_increments_are_weighted_by_multiplicity() {
 }
 
 /// Algorithm 1 with `k ≥ n − 1`: the raw k-multiplicative spec holds over
-/// the whole execution, including the startup window.
+/// the whole execution, including the startup window. Free-running on
+/// worker threads without a seed, on gated coop under the seeded
+/// schedule with one.
 fn run_kmult(n: usize, k: u64, ops: u64, read_every: u64, seed: Option<u64>) -> CounterHistory {
-    let rt = match seed {
-        None => Runtime::free_running(n),
-        Some(_) => Runtime::gated(n),
-    };
-    let counter = approx_objects::KmultCounter::new(n, k);
-    let handles: Arc<Vec<Mutex<approx_objects::KmultCounterHandle>>> =
-        Arc::new((0..n).map(|p| Mutex::new(counter.handle(p))).collect());
-    let mut d = Driver::new(rt);
-    for pid in 0..n {
-        for i in 1..=ops {
-            let handles = Arc::clone(&handles);
-            if i % read_every == 0 {
-                d.submit(pid, OpSpec::read(), move |ctx| {
-                    handles[pid].lock().read(ctx)
-                });
-            } else {
-                d.submit(pid, OpSpec::inc(), move |ctx| {
-                    handles[pid].lock().increment(ctx);
-                    0
-                });
+    fn submit<B: ExecBackend>(d: &mut Driver<B>, n: usize, k: u64, ops: u64, read_every: u64) {
+        let counter = approx_objects::KmultCounter::new(n, k);
+        for pid in 0..n {
+            let h: SharedKmultHandle = Arc::new(Mutex::new(counter.handle(pid)));
+            for i in 1..=ops {
+                if i % read_every == 0 {
+                    d.submit_task(pid, OpSpec::read(), KmultReadTask::new(h.clone()));
+                } else {
+                    d.submit_task(pid, OpSpec::inc(), KmultIncTask::new(h.clone()));
+                }
             }
         }
     }
-    match seed {
-        None => d.wait_all(),
-        Some(s) => {
-            d.run_schedule(&mut SeededRandom::new(s));
+    let history = match seed {
+        None => {
+            let mut d = Driver::new(Runtime::free_running(n));
+            submit(&mut d, n, k, ops, read_every);
+            d.wait_all();
+            d.take_history()
         }
-    }
-    CounterHistory::from_records(d.history()).expect("typed counter history")
+        Some(s) => {
+            let mut d = Driver::coop(Runtime::coop(n));
+            submit(&mut d, n, k, ops, read_every);
+            d.run_schedule(&mut SeededRandom::new(s));
+            d.take_history()
+        }
+    };
+    CounterHistory::from_records(&history).expect("typed counter history")
 }
 
 #[test]

@@ -5,40 +5,40 @@
 //! mid-announcement) and check that survivors stay live **and** that the
 //! surviving history remains k-accurate.
 
-use approx_objects::{KmultCounter, KmultCounterHandle};
-use counter::{CollectCounter, Counter};
+use approx_objects::{KmultCounter, KmultIncTask, KmultReadTask, SharedKmultHandle};
+use counter::{CollectCounter, CollectIncTask, CollectReadTask};
 use lincheck::monotone::check_counter;
 use lincheck::CounterHistory;
 use parking_lot::Mutex;
 use smr::sched::SeededRandom;
-use smr::{Driver, OpSpec, Runtime, StepOutcome};
+use smr::{Driver, ImmediateOp, OpSpec, Runtime, StepOutcome};
 use std::sync::Arc;
+
+/// One shareable Algorithm 1 handle per process.
+fn kmult_handles(counter: &Arc<KmultCounter>) -> Vec<SharedKmultHandle> {
+    (0..counter.n())
+        .map(|p| Arc::new(Mutex::new(counter.handle(p))))
+        .collect()
+}
 
 #[test]
 fn survivors_complete_after_mid_increment_crash() {
     let n = 3;
     let k = 4;
-    let rt = Runtime::gated(n);
     let counter = KmultCounter::new(n, k);
-    let handles: Arc<Vec<Mutex<KmultCounterHandle>>> =
-        Arc::new((0..n).map(|p| Mutex::new(counter.handle(p))).collect());
-    let mut d = Driver::new(rt);
+    let handles = kmult_handles(&counter);
+    let mut d = Driver::coop(Runtime::coop(n));
 
     // Process 0 will crash mid-announcement: run it until it is inside
     // an increment batch that performs primitives (its 1st increment
     // attempts switch_0), take exactly one step of it, then crash it.
     // The batch is submitted with its true multiplicity, so the pending
     // record tells the checker up to 10 units may have landed.
-    {
-        let handles = Arc::clone(&handles);
-        d.submit(0, OpSpec::inc_by(10), move |ctx| {
-            let mut h = handles[0].lock();
-            for _ in 0..10 {
-                h.increment(ctx);
-            }
-            0
-        });
-    }
+    d.submit_task(
+        0,
+        OpSpec::inc_by(10),
+        KmultIncTask::batched(handles[0].clone(), 10),
+    );
     assert_eq!(
         d.step(0),
         StepOutcome::Stepped,
@@ -47,18 +47,13 @@ fn survivors_complete_after_mid_increment_crash() {
     d.crash(0);
 
     // Survivors run a real workload to completion.
-    for pid in 1..n {
+    for (pid, h) in handles.iter().enumerate().skip(1) {
         for i in 1..=100u64 {
-            let handles = Arc::clone(&handles);
+            let h = h.clone();
             if i % 10 == 0 {
-                d.submit(pid, OpSpec::read(), move |ctx| {
-                    handles[pid].lock().read(ctx)
-                });
+                d.submit_task(pid, OpSpec::read(), KmultReadTask::new(h));
             } else {
-                d.submit(pid, OpSpec::inc(), move |ctx| {
-                    handles[pid].lock().increment(ctx);
-                    0
-                });
+                d.submit_task(pid, OpSpec::inc(), KmultIncTask::new(h));
             }
         }
     }
@@ -79,25 +74,17 @@ fn survivors_complete_after_mid_increment_crash() {
 #[test]
 fn reader_crash_does_not_block_writers() {
     let n = 2;
-    let rt = Runtime::gated(n);
     let counter = Arc::new(CollectCounter::new(n));
-    let mut d = Driver::new(rt);
+    let mut d = Driver::coop(Runtime::coop(n));
 
     // Reader starts a read and crashes after one collect step.
-    {
-        let c = Arc::clone(&counter);
-        d.submit(1, OpSpec::read(), move |ctx| c.read(ctx));
-    }
+    d.submit_task(1, OpSpec::read(), CollectReadTask::new(counter.clone()));
     assert_eq!(d.step(1), StepOutcome::Stepped);
     d.crash(1);
 
     // Writer proceeds unimpeded (wait-freedom is per-process).
     for _ in 0..50 {
-        let c = Arc::clone(&counter);
-        d.submit(0, OpSpec::inc(), move |ctx| {
-            c.increment(ctx);
-            0
-        });
+        d.submit_task(0, OpSpec::inc(), CollectIncTask::new(counter.clone()));
     }
     d.run_solo(0);
     assert_eq!(d.completed_of(0), 50);
@@ -105,9 +92,8 @@ fn reader_crash_does_not_block_writers() {
 
 #[test]
 fn crashed_process_cannot_be_scheduled() {
-    let rt = Runtime::gated(2);
-    let mut d = Driver::new(rt);
-    d.submit(0, OpSpec::custom("noop", 0), |_| 0);
+    let mut d = Driver::coop(Runtime::coop(2));
+    d.submit_task(0, OpSpec::custom("noop", 0), ImmediateOp::new(|_| 0));
     d.crash(0);
     assert!(d.is_crashed(0));
     assert!(!d.active_pids().contains(&0));
@@ -122,24 +108,17 @@ fn half_the_processes_crash_mid_announcement() {
     // through the startup window).
     let n = 6;
     let k = 6;
-    let rt = Runtime::gated(n);
     let counter = KmultCounter::new(n, k);
-    let handles: Arc<Vec<Mutex<KmultCounterHandle>>> =
-        Arc::new((0..n).map(|p| Mutex::new(counter.handle(p))).collect());
-    let mut d = Driver::new(rt);
+    let handles = kmult_handles(&counter);
+    let mut d = Driver::coop(Runtime::coop(n));
 
-    for pid in 0..n {
+    for (pid, h) in handles.iter().enumerate() {
         for i in 1..=60u64 {
-            let handles = Arc::clone(&handles);
+            let h = h.clone();
             if i % 12 == 0 {
-                d.submit(pid, OpSpec::read(), move |ctx| {
-                    handles[pid].lock().read(ctx)
-                });
+                d.submit_task(pid, OpSpec::read(), KmultReadTask::new(h));
             } else {
-                d.submit(pid, OpSpec::inc(), move |ctx| {
-                    handles[pid].lock().increment(ctx);
-                    0
-                });
+                d.submit_task(pid, OpSpec::inc(), KmultIncTask::new(h));
             }
         }
     }

@@ -1,10 +1,10 @@
-//! Determinism guarantees of the gated runtime: identical submissions
+//! Determinism guarantees of gated coop runs: identical submissions
 //! under identical schedules reproduce identical shared-memory
 //! executions, histories and traces — the property the perturbation
 //! builder and every scripted experiment rely on (DESIGN.md §5).
 
-use approx_objects::{KmultCounter, KmultCounterHandle};
-use counter::{CollectCounter, Counter};
+use approx_objects::{KmultCounter, KmultIncTask, KmultReadTask, SharedKmultHandle};
+use counter::{CollectCounter, CollectIncTask, CollectReadTask, Counter};
 use parking_lot::Mutex;
 use smr::sched::SeededRandom;
 use smr::{AccessKind, Driver, OpKind, OpSpec, Runtime};
@@ -12,32 +12,22 @@ use std::sync::Arc;
 
 /// A run signature: (per-op return values in submission order, per-pid
 /// step counts, primitive applications as (pid, kind) pairs — object
-/// addresses vary run to run, so they are excluded, and so are the
-/// controller-side trace edges (worker-side Invoke/Complete events
-/// interleave nondeterministically with other workers' steps; the
-/// primitives themselves are serialized by the gate).
+/// addresses vary run to run, so they are excluded).
 type Signature = (Vec<u128>, Vec<u64>, Vec<(usize, AccessKind)>);
 
 fn kmult_run(seed: u64) -> Signature {
     let n = 4;
-    let rt = Runtime::gated(n);
+    let rt = Runtime::coop(n);
     rt.enable_tracing();
     let counter = KmultCounter::new(n, 3);
-    let handles: Arc<Vec<Mutex<KmultCounterHandle>>> =
-        Arc::new((0..n).map(|p| Mutex::new(counter.handle(p))).collect());
-    let mut d = Driver::new(rt.clone());
+    let mut d = Driver::coop(rt.clone());
     for pid in 0..n {
+        let h: SharedKmultHandle = Arc::new(Mutex::new(counter.handle(pid)));
         for i in 1..=60u64 {
-            let handles = Arc::clone(&handles);
             if i % 6 == 0 {
-                d.submit(pid, OpSpec::read(), move |ctx| {
-                    handles[pid].lock().read(ctx)
-                });
+                d.submit_task(pid, OpSpec::read(), KmultReadTask::new(h.clone()));
             } else {
-                d.submit(pid, OpSpec::inc(), move |ctx| {
-                    handles[pid].lock().increment(ctx);
-                    0
-                });
+                d.submit_task(pid, OpSpec::inc(), KmultIncTask::new(h.clone()));
             }
         }
     }
@@ -74,7 +64,7 @@ fn identical_seeds_reproduce_identical_executions() {
 #[test]
 fn different_seeds_usually_differ() {
     // Not a guarantee, but with 4 processes × 240 ops the interleavings
-    // should differ somewhere; if not, the gate is ignoring the schedule.
+    // should differ somewhere; if not, the driver is ignoring the schedule.
     let a = kmult_run(1);
     let b = kmult_run(2);
     assert!(
@@ -87,19 +77,15 @@ fn different_seeds_usually_differ() {
 fn op_records_carry_exact_step_counts() {
     // The per-op `steps` field must sum to the runtime's total.
     let n = 3;
-    let rt = Runtime::gated(n);
+    let rt = Runtime::coop(n);
     let counter = Arc::new(CollectCounter::new(n));
-    let mut d = Driver::new(rt.clone());
+    let mut d = Driver::coop(rt.clone());
     for pid in 0..n {
         for i in 1..=20u64 {
-            let c = Arc::clone(&counter);
             if i % 4 == 0 {
-                d.submit(pid, OpSpec::read(), move |ctx| c.read(ctx));
+                d.submit_task(pid, OpSpec::read(), CollectReadTask::new(counter.clone()));
             } else {
-                d.submit(pid, OpSpec::inc(), move |ctx| {
-                    c.increment(ctx);
-                    0
-                });
+                d.submit_task(pid, OpSpec::inc(), CollectIncTask::new(counter.clone()));
             }
         }
     }

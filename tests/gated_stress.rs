@@ -1,35 +1,50 @@
 //! Seed-matrix stress: every object under many deterministic adversarial
-//! schedules, every history checked against its specification. This is
-//! the closest thing to model checking the repo runs in CI — each seed
-//! is a distinct, reproducible interleaving at primitive granularity.
+//! schedules, every history checked against its specification. Each
+//! seed is a distinct, reproducible interleaving at primitive
+//! granularity, on sizes the exhaustive explorer (`tests/explore.rs`,
+//! which covers *every* schedule of small programs) cannot reach.
 
-use approx_objects::{KaddCounter, KaddCounterHandle, KmultCounter, KmultCounterHandle};
-use counter::{AachCounter, CollectCounter, Counter, SnapshotCounter};
+use approx_objects::{
+    KaddCounter, KaddIncTask, KaddReadTask, KmultBoundedMaxRegister, KmultCounter, KmultIncTask,
+    KmultMaxReadTask, KmultMaxWriteTask, KmultReadTask, SharedKaddHandle, SharedKmultHandle,
+};
+use counter::{
+    AachCounter, AachIncTask, AachReadTask, CollectCounter, CollectIncTask, CollectReadTask,
+    SnapshotCounter, SnapshotIncTask, SnapshotReadTask,
+};
 use lincheck::monotone::{check_counter, check_counter_additive, check_maxreg};
 use lincheck::{CounterHistory, MaxRegHistory};
-use maxreg::{MaxRegister, TreeMaxRegister};
+use maxreg::{TreeMaxReadTask, TreeMaxRegister, TreeMaxWriteTask};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use smr::sched::SeededRandom;
-use smr::{Driver, OpSpec, Runtime};
+use smr::{Driver, OpSpec, OpTask, Runtime};
 use std::sync::Arc;
 
 const SEEDS: [u64; 6] = [1, 2, 3, 0xDEAD, 0xBEEF, 0xC0FFEE];
 
-fn drive_counter<C: Counter + 'static>(c: Arc<C>, n: usize, ops: u64, seed: u64) -> CounterHistory {
-    let rt = Runtime::gated(n);
-    let mut d = Driver::new(rt);
+/// `ops` operations per process — every 5th a read, the rest
+/// increments — built by `inc(pid)` / `read(pid)`, run under the seeded
+/// schedule.
+fn drive_counter<I, R>(
+    n: usize,
+    ops: u64,
+    seed: u64,
+    inc: impl Fn(usize) -> I,
+    read: impl Fn(usize) -> R,
+) -> CounterHistory
+where
+    I: OpTask + 'static,
+    R: OpTask + 'static,
+{
+    let mut d = Driver::coop(Runtime::coop(n));
     for pid in 0..n {
         for i in 1..=ops {
-            let c = Arc::clone(&c);
             if i % 5 == 0 {
-                d.submit(pid, OpSpec::read(), move |ctx| c.read(ctx));
+                d.submit_task(pid, OpSpec::read(), read(pid));
             } else {
-                d.submit(pid, OpSpec::inc(), move |ctx| {
-                    c.increment(ctx);
-                    0
-                });
+                d.submit_task(pid, OpSpec::inc(), inc(pid));
             }
         }
     }
@@ -37,10 +52,47 @@ fn drive_counter<C: Counter + 'static>(c: Arc<C>, n: usize, ops: u64, seed: u64)
     CounterHistory::from_records(d.history()).expect("typed counter history")
 }
 
+/// `ops` operations per process — every 4th a read, the rest writes of
+/// values drawn from `[1, m)` by a generator seeded with `seed` — run
+/// under the seeded schedule.
+fn drive_maxreg<W, R>(
+    n: usize,
+    m: u64,
+    seed: u64,
+    write: impl Fn(u64) -> W,
+    read: impl Fn() -> R,
+) -> MaxRegHistory
+where
+    W: OpTask + 'static,
+    R: OpTask + 'static,
+{
+    let mut d = Driver::coop(Runtime::coop(n));
+    let mut rng = StdRng::seed_from_u64(seed);
+    for pid in 0..n {
+        for i in 1..=40u64 {
+            if i % 4 == 0 {
+                d.submit_task(pid, OpSpec::read(), read());
+            } else {
+                let v = rng.random_range(1..m);
+                d.submit_task(pid, OpSpec::write(v), write(v));
+            }
+        }
+    }
+    d.run_schedule(&mut SeededRandom::new(seed));
+    MaxRegHistory::from_records(d.history()).expect("typed maxreg history")
+}
+
 #[test]
 fn collect_counter_seed_matrix() {
     for &seed in &SEEDS {
-        let h = drive_counter(Arc::new(CollectCounter::new(4)), 4, 40, seed);
+        let c = Arc::new(CollectCounter::new(4));
+        let h = drive_counter(
+            4,
+            40,
+            seed,
+            |_| CollectIncTask::new(c.clone()),
+            |_| CollectReadTask::new(c.clone()),
+        );
         check_counter(&h, 1).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
     }
 }
@@ -48,7 +100,14 @@ fn collect_counter_seed_matrix() {
 #[test]
 fn aach_counter_seed_matrix() {
     for &seed in &SEEDS {
-        let h = drive_counter(Arc::new(AachCounter::new(3, 1 << 16)), 3, 30, seed);
+        let c = Arc::new(AachCounter::new(3, 1 << 16));
+        let h = drive_counter(
+            3,
+            30,
+            seed,
+            |pid| AachIncTask::new(c.clone(), pid),
+            |_| AachReadTask::new(c.clone()),
+        );
         check_counter(&h, 1).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
     }
 }
@@ -56,7 +115,14 @@ fn aach_counter_seed_matrix() {
 #[test]
 fn snapshot_counter_seed_matrix() {
     for &seed in &SEEDS[..3] {
-        let h = drive_counter(Arc::new(SnapshotCounter::new(3)), 3, 25, seed);
+        let c = Arc::new(SnapshotCounter::new(3));
+        let h = drive_counter(
+            3,
+            25,
+            seed,
+            |_| SnapshotIncTask::new(c.clone()),
+            |_| SnapshotReadTask::new(c.clone()),
+        );
         check_counter(&h, 1).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
     }
 }
@@ -64,30 +130,18 @@ fn snapshot_counter_seed_matrix() {
 #[test]
 fn kmult_counter_seed_matrix() {
     for &seed in &SEEDS {
-        let n = 4;
-        let k = 4u64;
-        let rt = Runtime::gated(n);
+        let (n, k) = (4, 4u64);
         let counter = KmultCounter::new(n, k);
-        let handles: Arc<Vec<Mutex<KmultCounterHandle>>> =
-            Arc::new((0..n).map(|p| Mutex::new(counter.handle(p))).collect());
-        let mut d = Driver::new(rt);
-        for pid in 0..n {
-            for i in 1..=50u64 {
-                let handles = Arc::clone(&handles);
-                if i % 5 == 0 {
-                    d.submit(pid, OpSpec::read(), move |ctx| {
-                        handles[pid].lock().read(ctx)
-                    });
-                } else {
-                    d.submit(pid, OpSpec::inc(), move |ctx| {
-                        handles[pid].lock().increment(ctx);
-                        0
-                    });
-                }
-            }
-        }
-        d.run_schedule(&mut SeededRandom::new(seed));
-        let h = CounterHistory::from_records(d.history()).expect("typed counter history");
+        let handles: Vec<SharedKmultHandle> = (0..n)
+            .map(|p| Arc::new(Mutex::new(counter.handle(p))))
+            .collect();
+        let h = drive_counter(
+            n,
+            50,
+            seed,
+            |pid| KmultIncTask::new(handles[pid].clone()),
+            |pid| KmultReadTask::new(handles[pid].clone()),
+        );
         check_counter(&h, k).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
     }
 }
@@ -95,30 +149,18 @@ fn kmult_counter_seed_matrix() {
 #[test]
 fn kadd_counter_seed_matrix() {
     for &seed in &SEEDS {
-        let n = 4;
-        let k = 12u64;
-        let rt = Runtime::gated(n);
+        let (n, k) = (4, 12u64);
         let counter = KaddCounter::new(n, k);
-        let handles: Arc<Vec<Mutex<KaddCounterHandle>>> =
-            Arc::new((0..n).map(|p| Mutex::new(counter.handle(p))).collect());
-        let mut d = Driver::new(rt);
-        for pid in 0..n {
-            for i in 1..=50u64 {
-                let handles = Arc::clone(&handles);
-                if i % 5 == 0 {
-                    d.submit(pid, OpSpec::read(), move |ctx| {
-                        handles[pid].lock().read(ctx)
-                    });
-                } else {
-                    d.submit(pid, OpSpec::inc(), move |ctx| {
-                        handles[pid].lock().increment(ctx);
-                        0
-                    });
-                }
-            }
-        }
-        d.run_schedule(&mut SeededRandom::new(seed));
-        let h = CounterHistory::from_records(d.history()).expect("typed counter history");
+        let handles: Vec<SharedKaddHandle> = (0..n)
+            .map(|p| Arc::new(Mutex::new(counter.handle(p))))
+            .collect();
+        let h = drive_counter(
+            n,
+            50,
+            seed,
+            |pid| KaddIncTask::new(handles[pid].clone()),
+            |_| KaddReadTask::new(counter.clone()),
+        );
         check_counter_additive(&h, k).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
     }
 }
@@ -126,28 +168,15 @@ fn kadd_counter_seed_matrix() {
 #[test]
 fn tree_maxreg_seed_matrix() {
     for &seed in &SEEDS {
-        let n = 3;
         let m = 1u64 << 12;
-        let rt = Runtime::gated(n);
         let reg = Arc::new(TreeMaxRegister::new(m));
-        let mut d = Driver::new(rt);
-        let mut rng = StdRng::seed_from_u64(seed);
-        for pid in 0..n {
-            for i in 1..=40u64 {
-                let reg = Arc::clone(&reg);
-                if i % 4 == 0 {
-                    d.submit(pid, OpSpec::read(), move |ctx| u128::from(reg.read(ctx)));
-                } else {
-                    let v = rng.random_range(1..m);
-                    d.submit(pid, OpSpec::write(v), move |ctx| {
-                        reg.write(ctx, v);
-                        0
-                    });
-                }
-            }
-        }
-        d.run_schedule(&mut SeededRandom::new(seed));
-        let h = MaxRegHistory::from_records(d.history()).expect("typed maxreg history");
+        let h = drive_maxreg(
+            3,
+            m,
+            seed,
+            |v| TreeMaxWriteTask::new(reg.clone(), v),
+            || TreeMaxReadTask::new(reg.clone()),
+        );
         check_maxreg(&h, 1).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
     }
 }
@@ -155,29 +184,15 @@ fn tree_maxreg_seed_matrix() {
 #[test]
 fn kmult_maxreg_seed_matrix() {
     for &seed in &SEEDS {
-        let n = 3;
-        let m = 1u64 << 16;
-        let k = 4u64;
-        let rt = Runtime::gated(n);
-        let reg = Arc::new(approx_objects::KmultBoundedMaxRegister::new(n, m, k));
-        let mut d = Driver::new(rt);
-        let mut rng = StdRng::seed_from_u64(seed);
-        for pid in 0..n {
-            for i in 1..=40u64 {
-                let reg = Arc::clone(&reg);
-                if i % 4 == 0 {
-                    d.submit(pid, OpSpec::read(), move |ctx| reg.read(ctx));
-                } else {
-                    let v = rng.random_range(1..m);
-                    d.submit(pid, OpSpec::write(v), move |ctx| {
-                        reg.write(ctx, v);
-                        0
-                    });
-                }
-            }
-        }
-        d.run_schedule(&mut SeededRandom::new(seed));
-        let h = MaxRegHistory::from_records(d.history()).expect("typed maxreg history");
+        let (n, m, k) = (3, 1u64 << 16, 4u64);
+        let reg = Arc::new(KmultBoundedMaxRegister::new(n, m, k));
+        let h = drive_maxreg(
+            n,
+            m,
+            seed,
+            |v| KmultMaxWriteTask::new(reg.clone(), v),
+            || KmultMaxReadTask::new(reg.clone()),
+        );
         check_maxreg(&h, k).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
     }
 }

@@ -3,10 +3,32 @@
 //! terminate through the helping mechanism (paper lines 45–55), and the
 //! helped value is still correctly linearizable (Lemma III.3).
 
-use approx_objects::{KmultCounter, KmultCounterHandle};
+use approx_objects::{KmultCounter, KmultIncTask, KmultReadTask, ReadMachine, SharedKmultHandle};
 use parking_lot::Mutex;
-use smr::{Driver, OpKind, OpSpec, Runtime, StepOutcome};
+use smr::{Driver, OpKind, OpSpec, OpTask, Poll, ProcCtx, Runtime, StepOutcome};
 use std::sync::Arc;
+
+/// One shareable Algorithm 1 handle per process.
+fn kmult_handles(counter: &Arc<KmultCounter>) -> Vec<SharedKmultHandle> {
+    (0..counter.n())
+        .map(|p| Arc::new(Mutex::new(counter.handle(p))))
+        .collect()
+}
+
+/// `read_detailed` as a task: drives the public [`ReadMachine`] and
+/// packs the outcome as `helped << 120 | value`.
+struct DetailedRead {
+    handle: SharedKmultHandle,
+    machine: ReadMachine,
+}
+
+impl OpTask for DetailedRead {
+    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
+        self.machine
+            .step(&mut self.handle.lock(), ctx)
+            .map(|out| u128::from(out.helped) << 120 | out.value)
+    }
+}
 
 /// The precise Lemma III.3 scenario: the reader takes its helping
 /// snapshot (c = n, paper lines 46–48), is then suspended while a fresh
@@ -14,43 +36,36 @@ use std::sync::Arc;
 /// and on resumption the c = 2n scan observes `sn − snapshot ≥ 2` and
 /// returns via the helping branch (lines 50–55).
 ///
-/// The schedule is fully deterministic under the gate: with k = 2 and
-/// n = 3, the reader's first 6 steps are 3 switch reads (reaching c = 3)
-/// plus the 3-read snapshot scan; it parks exactly before its 7th
-/// primitive.
+/// The schedule is fully deterministic: with k = 2 and n = 3, the
+/// reader's first 6 steps are 3 switch reads (reaching c = 3) plus the
+/// 3-read snapshot scan; it parks exactly before its 7th primitive.
 #[test]
 fn starved_reader_completes_via_helping() {
     let n = 3; // pid 0 = prefix writer, pid 1 = perturbing writer, pid 2 = reader
     let k = 2;
-    let rt = Runtime::gated(n);
     let counter = KmultCounter::new(n, k);
-    let handles: Arc<Vec<Mutex<KmultCounterHandle>>> =
-        Arc::new((0..n).map(|p| Mutex::new(counter.handle(p))).collect());
-    let mut d = Driver::new(rt);
+    let handles = kmult_handles(&counter);
+    let mut d = Driver::coop(Runtime::coop(n));
 
     // Phase 1: writer 0 sets a long switch prefix (100 increments set
     // switches 0..=9 for k = 2), so the reader's cursor has material.
-    {
-        let handles = Arc::clone(&handles);
-        d.submit(0, OpSpec::inc_by(100), move |ctx| {
-            let mut h = handles[0].lock();
-            for _ in 0..100 {
-                h.increment(ctx);
-            }
-            0
-        });
-    }
+    d.submit_task(
+        0,
+        OpSpec::inc_by(100),
+        KmultIncTask::batched(handles[0].clone(), 100),
+    );
     d.run_solo(0);
 
     // Phase 2: the reader takes exactly 6 steps — c = 1, 2, 3 switch
     // reads, then the 3-step helping snapshot of H[0..3] — and parks.
-    {
-        let handles = Arc::clone(&handles);
-        d.submit(2, OpSpec::read(), move |ctx| {
-            let outcome = handles[2].lock().read_detailed(ctx);
-            u128::from(outcome.helped) << 120 | outcome.value
-        });
-    }
+    d.submit_task(
+        2,
+        OpSpec::read(),
+        DetailedRead {
+            handle: handles[2].clone(),
+            machine: ReadMachine::new(),
+        },
+    );
     for i in 0..6 {
         assert_eq!(d.step(2), StepOutcome::Stepped, "reader step {i}");
     }
@@ -59,16 +74,11 @@ fn starved_reader_completes_via_helping() {
     // (every attempt hits already-set switches first) but it eventually
     // wins two fresh switches, pushing H[1].sn ≥ 2 — both entirely
     // inside the reader's window.
-    {
-        let handles = Arc::clone(&handles);
-        d.submit(1, OpSpec::inc_by(100_000), move |ctx| {
-            let mut h = handles[1].lock();
-            for _ in 0..100_000u32 {
-                h.increment(ctx);
-            }
-            0
-        });
-    }
+    d.submit_task(
+        1,
+        OpSpec::inc_by(100_000),
+        KmultIncTask::batched(handles[1].clone(), 100_000),
+    );
     d.run_solo(1);
 
     // Phase 4: resume the reader; by its c = 2n scan it must observe the
@@ -104,23 +114,14 @@ fn starved_reader_completes_via_helping() {
 fn suspended_reader_resumes_consistently() {
     let n = 2;
     let k = 2;
-    let rt = Runtime::gated(n);
     let counter = KmultCounter::new(n, k);
-    let handles: Arc<Vec<Mutex<KmultCounterHandle>>> =
-        Arc::new((0..n).map(|p| Mutex::new(counter.handle(p))).collect());
-    let mut d = Driver::new(rt);
+    let handles = kmult_handles(&counter);
+    let mut d = Driver::coop(Runtime::coop(n));
 
     for _ in 0..200u64 {
-        let handles = Arc::clone(&handles);
-        d.submit(0, OpSpec::inc(), move |ctx| {
-            handles[0].lock().increment(ctx);
-            0
-        });
+        d.submit_task(0, OpSpec::inc(), KmultIncTask::new(handles[0].clone()));
     }
-    {
-        let handles = Arc::clone(&handles);
-        d.submit(1, OpSpec::read(), move |ctx| handles[1].lock().read(ctx));
-    }
+    d.submit_task(1, OpSpec::read(), KmultReadTask::new(handles[1].clone()));
 
     // Reader takes 2 steps, then the writer floods, then reader finishes.
     let _ = d.step(1);

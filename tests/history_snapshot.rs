@@ -6,7 +6,10 @@
 //! such an operation was invisible to `Driver::history()` even though
 //! its partial effects were already observable in shared memory.
 
-use counter::{CollectCounter, Counter};
+mod common;
+
+use common::BatchedInc;
+use counter::{CollectCounter, CollectIncTask, CollectReadTask};
 use lincheck::monotone::check_counter;
 use lincheck::CounterHistory;
 use smr::{Driver, OpKind, OpSpec, Runtime, StepOutcome};
@@ -19,30 +22,19 @@ use std::sync::Arc;
 #[test]
 fn suspended_ops_effects_are_checkable_only_via_snapshot() {
     let n = 2;
-    let rt = Runtime::gated(n);
     let c = Arc::new(CollectCounter::new(n));
-    let mut d = Driver::new(rt);
+    let mut d = Driver::coop(Runtime::coop(n));
 
     // pid 0: a batch of two increments = four primitives on the collect
     // counter (read cell, write cell, twice). Two steps land exactly the
     // first unit, then the process is suspended — not crashed — and
     // never scheduled again.
-    {
-        let c = Arc::clone(&c);
-        d.submit(0, OpSpec::inc_by(2), move |ctx| {
-            c.increment(ctx);
-            c.increment(ctx);
-            0
-        });
-    }
+    d.submit_task(0, OpSpec::inc_by(2), BatchedInc::new(c.clone(), 2));
     assert_eq!(d.step(0), StepOutcome::Stepped);
     assert_eq!(d.step(0), StepOutcome::Stepped);
 
     // pid 1 reads and sees the landed unit.
-    {
-        let c = Arc::clone(&c);
-        d.submit(1, OpSpec::read(), move |ctx| c.read(ctx));
-    }
+    d.submit_task(1, OpSpec::read(), CollectReadTask::new(c.clone()));
     d.run_solo(1);
     let read_val = d.history().ops().last().expect("read recorded").returned();
     assert_eq!(read_val, 1, "the suspended batch's first unit is visible");
@@ -73,16 +65,11 @@ fn suspended_ops_effects_are_checkable_only_via_snapshot() {
 #[test]
 fn snapshots_are_repeatable_and_non_destructive() {
     let n = 3;
-    let rt = Runtime::gated(n);
     let c = Arc::new(CollectCounter::new(n));
-    let mut d = Driver::new(rt);
+    let mut d = Driver::coop(Runtime::coop(n));
 
     for pid in 0..n {
-        let c = Arc::clone(&c);
-        d.submit(pid, OpSpec::inc(), move |ctx| {
-            c.increment(ctx);
-            0
-        });
+        d.submit_task(pid, OpSpec::inc(), CollectIncTask::new(c.clone()));
     }
     // Everyone takes one step of their two-step increment: three
     // suspended processes at once.
@@ -114,21 +101,13 @@ fn snapshots_are_repeatable_and_non_destructive() {
 #[test]
 fn snapshot_combines_crashed_suspended_and_completed() {
     let n = 3;
-    let rt = Runtime::gated(n);
     let c = Arc::new(CollectCounter::new(n));
-    let mut d = Driver::new(rt);
+    let mut d = Driver::coop(Runtime::coop(n));
 
     for pid in 0..n {
-        let c = Arc::clone(&c);
-        d.submit(pid, OpSpec::inc(), move |ctx| {
-            c.increment(ctx);
-            0
-        });
+        d.submit_task(pid, OpSpec::inc(), CollectIncTask::new(c.clone()));
     }
-    {
-        let c = Arc::clone(&c);
-        d.submit(2, OpSpec::read(), move |ctx| c.read(ctx));
-    }
+    d.submit_task(2, OpSpec::read(), CollectReadTask::new(c.clone()));
 
     // pid 0 crashes mid-increment; pid 1 is suspended mid-increment;
     // pid 2 completes everything.

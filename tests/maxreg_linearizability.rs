@@ -2,32 +2,32 @@
 //! for linearizability against exact (`k = 1`) and k-multiplicative
 //! specifications.
 
-use approx_objects::{KmultBoundedMaxRegister, KmultUnboundedMaxRegister};
+use approx_objects::{
+    KmultBoundedMaxRegister, KmultMaxReadTask, KmultMaxWriteTask, KmultUnboundedMaxRegister,
+};
 use lincheck::monotone::check_maxreg;
 use lincheck::MaxRegHistory;
 use maxreg::{
-    AdaptiveMaxRegister, CollectMaxRegister, MaxRegister, TreeMaxRegister, UnboundedMaxRegister,
+    AdaptiveMaxRegister, CollectMaxRegister, MaxRegister, TreeMaxReadTask, TreeMaxRegister,
+    TreeMaxWriteTask, UnboundedMaxRegister,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use smr::backend::ExecBackend;
 use smr::sched::SeededRandom;
 use smr::{Driver, OpSpec, Runtime};
 use std::sync::Arc;
 
-/// Mixed write/read workload against an exact `MaxRegister`.
+/// Mixed write/read workload against an exact `MaxRegister`,
+/// free-running on worker threads.
 fn run_exact<M: MaxRegister + 'static>(
     reg: Arc<M>,
     n: usize,
     ops: u64,
     max_value: u64,
-    gated_seed: Option<u64>,
 ) -> MaxRegHistory {
-    let rt = match gated_seed {
-        None => Runtime::free_running(n),
-        Some(_) => Runtime::gated(n),
-    };
-    let mut d = Driver::new(rt);
-    let mut rng = StdRng::seed_from_u64(0xACE ^ gated_seed.unwrap_or(0));
+    let mut d = Driver::new(Runtime::free_running(n));
+    let mut rng = StdRng::seed_from_u64(0xACE);
     for pid in 0..n {
         for i in 1..=ops {
             let reg = Arc::clone(&reg);
@@ -42,51 +42,51 @@ fn run_exact<M: MaxRegister + 'static>(
             }
         }
     }
-    match gated_seed {
-        None => d.wait_all(),
-        Some(s) => {
-            d.run_schedule(&mut SeededRandom::new(s));
-        }
-    }
+    d.wait_all();
     MaxRegHistory::from_records(d.history()).expect("typed maxreg history")
 }
 
 #[test]
 fn tree_maxreg_is_linearizable() {
-    let h = run_exact(
-        Arc::new(TreeMaxRegister::new(1 << 16)),
-        6,
-        120,
-        1 << 16,
-        None,
-    );
+    let h = run_exact(Arc::new(TreeMaxRegister::new(1 << 16)), 6, 120, 1 << 16);
     check_maxreg(&h, 1).unwrap_or_else(|v| panic!("tree: {v}"));
 }
 
 #[test]
 fn tree_maxreg_is_linearizable_gated() {
+    // The `run_exact` workload through the tree's task forms, on gated
+    // coop under seeded schedules.
+    let (n, m) = (3, 1u64 << 10);
     for seed in [2u64, 13, 77] {
-        let h = run_exact(
-            Arc::new(TreeMaxRegister::new(1 << 10)),
-            3,
-            40,
-            1 << 10,
-            Some(seed),
-        );
+        let reg = Arc::new(TreeMaxRegister::new(m));
+        let mut d = Driver::coop(Runtime::coop(n));
+        let mut rng = StdRng::seed_from_u64(0xACE ^ seed);
+        for pid in 0..n {
+            for i in 1..=40u64 {
+                if i % 4 == 0 {
+                    d.submit_task(pid, OpSpec::read(), TreeMaxReadTask::new(reg.clone()));
+                } else {
+                    let v = rng.random_range(1..m);
+                    d.submit_task(pid, OpSpec::write(v), TreeMaxWriteTask::new(reg.clone(), v));
+                }
+            }
+        }
+        d.run_schedule(&mut SeededRandom::new(seed));
+        let h = MaxRegHistory::from_records(d.history()).expect("typed maxreg history");
         check_maxreg(&h, 1).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
     }
 }
 
 #[test]
 fn collect_maxreg_is_linearizable() {
-    let h = run_exact(Arc::new(CollectMaxRegister::new(6)), 6, 150, 1 << 30, None);
+    let h = run_exact(Arc::new(CollectMaxRegister::new(6)), 6, 150, 1 << 30);
     check_maxreg(&h, 1).unwrap_or_else(|v| panic!("collect: {v}"));
 }
 
 #[test]
 fn adaptive_maxreg_is_linearizable_both_arms() {
     // Tree arm.
-    let h = run_exact(Arc::new(AdaptiveMaxRegister::new(8, 256)), 8, 80, 256, None);
+    let h = run_exact(Arc::new(AdaptiveMaxRegister::new(8, 256)), 8, 80, 256);
     check_maxreg(&h, 1).unwrap_or_else(|v| panic!("adaptive/tree: {v}"));
     // Collect arm.
     let h = run_exact(
@@ -94,47 +94,58 @@ fn adaptive_maxreg_is_linearizable_both_arms() {
         3,
         80,
         1 << 40,
-        None,
     );
     check_maxreg(&h, 1).unwrap_or_else(|v| panic!("adaptive/collect: {v}"));
 }
 
 #[test]
 fn unbounded_exact_maxreg_is_linearizable() {
-    let h = run_exact(Arc::new(UnboundedMaxRegister::new()), 5, 100, 1 << 50, None);
+    let h = run_exact(Arc::new(UnboundedMaxRegister::new()), 5, 100, 1 << 50);
     check_maxreg(&h, 1).unwrap_or_else(|v| panic!("unbounded: {v}"));
 }
 
-/// Workload against the k-multiplicative bounded register.
+/// Workload against the k-multiplicative bounded register: free-running
+/// on worker threads without a seed, on gated coop under the seeded
+/// schedule with one.
 fn run_kmult_bounded(n: usize, m: u64, k: u64, ops: u64, gated_seed: Option<u64>) -> MaxRegHistory {
-    let rt = match gated_seed {
-        None => Runtime::free_running(n),
-        Some(_) => Runtime::gated(n),
-    };
-    let reg = Arc::new(KmultBoundedMaxRegister::new(n, m, k));
-    let mut d = Driver::new(rt);
-    let mut rng = StdRng::seed_from_u64(77 ^ gated_seed.unwrap_or(0));
-    for pid in 0..n {
-        for i in 1..=ops {
-            let reg = Arc::clone(&reg);
-            if i % 4 == 0 {
-                d.submit(pid, OpSpec::read(), move |ctx| reg.read(ctx));
-            } else {
-                let v = rng.random_range(1..m);
-                d.submit(pid, OpSpec::write(v), move |ctx| {
-                    reg.write(ctx, v);
-                    0
-                });
+    fn submit<B: ExecBackend>(
+        d: &mut Driver<B>,
+        reg: &Arc<KmultBoundedMaxRegister>,
+        ops: u64,
+        seed: u64,
+    ) {
+        let mut rng = StdRng::seed_from_u64(77 ^ seed);
+        for pid in 0..d.runtime().n() {
+            for i in 1..=ops {
+                if i % 4 == 0 {
+                    d.submit_task(pid, OpSpec::read(), KmultMaxReadTask::new(reg.clone()));
+                } else {
+                    let v = rng.random_range(1..reg.m());
+                    d.submit_task(
+                        pid,
+                        OpSpec::write(v),
+                        KmultMaxWriteTask::new(reg.clone(), v),
+                    );
+                }
             }
         }
     }
-    match gated_seed {
-        None => d.wait_all(),
-        Some(s) => {
-            d.run_schedule(&mut SeededRandom::new(s));
+    let reg = Arc::new(KmultBoundedMaxRegister::new(n, m, k));
+    let history = match gated_seed {
+        None => {
+            let mut d = Driver::new(Runtime::free_running(n));
+            submit(&mut d, &reg, ops, 0);
+            d.wait_all();
+            d.take_history()
         }
-    }
-    MaxRegHistory::from_records(d.history()).expect("typed maxreg history")
+        Some(s) => {
+            let mut d = Driver::coop(Runtime::coop(n));
+            submit(&mut d, &reg, ops, s);
+            d.run_schedule(&mut SeededRandom::new(s));
+            d.take_history()
+        }
+    };
+    MaxRegHistory::from_records(&history).expect("typed maxreg history")
 }
 
 #[test]

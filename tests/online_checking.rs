@@ -3,7 +3,7 @@
 //! and the explorer surfacing (and minimizing) a racy counter that the
 //! pass refutes inline — no `history_snapshot()` anywhere.
 
-use approx_objects::{KmultCounter, KmultCounterHandle};
+use approx_objects::{KmultCounter, KmultIncTask, KmultReadTask, SharedKmultHandle};
 use counter::{CollectCounter, CollectIncTask, CollectReadTask};
 use lincheck::LinearizabilityPass;
 use parking_lot::Mutex;
@@ -62,36 +62,26 @@ fn pass_runs_clean_under_a_mid_operation_crash() {
 }
 
 #[test]
-fn pass_checks_a_thread_gated_kmult_run_through_its_reorder_window() {
-    // On the thread backend workers emit their own announcements, so
-    // the stream may trail ticket order and the pass holds events back
-    // in its reorder window. Algorithm 1 with k ≥ n stays k-accurate
-    // over the whole run: the k-pass must finish clean without going
-    // inert, and the exact pass, fed the same stream, must still reject
-    // the run's inexact reads.
+fn pass_checks_a_coop_kmult_run_against_two_specs() {
+    // Algorithm 1 with k ≥ n stays k-accurate over the whole run: the
+    // k-pass must finish clean without going inert, and the exact pass,
+    // fed the same stream, must still reject the run's inexact reads.
     let (n, k) = (4, 4);
     for seed in [5u64, 17, 29, 41, 53, 65] {
-        let rt = Runtime::gated(n);
+        let rt = Runtime::coop(n);
         rt.attach_analysis(Analyzer::new(vec![
             Box::new(LinearizabilityPass::counter(k)),
             Box::new(LinearizabilityPass::counter(1)),
         ]));
         let counter = KmultCounter::new(n, k);
-        let handles: Arc<Vec<Mutex<KmultCounterHandle>>> =
-            Arc::new((0..n).map(|p| Mutex::new(counter.handle(p))).collect());
-        let mut d = Driver::new(rt.clone());
+        let mut d = Driver::coop(rt.clone());
         for pid in 0..n {
+            let h: SharedKmultHandle = Arc::new(Mutex::new(counter.handle(pid)));
             for i in 1..=60u64 {
-                let handles = Arc::clone(&handles);
                 if i % 6 == 0 {
-                    d.submit(pid, OpSpec::read(), move |ctx| {
-                        handles[pid].lock().read(ctx)
-                    });
+                    d.submit_task(pid, OpSpec::read(), KmultReadTask::new(h.clone()));
                 } else {
-                    d.submit(pid, OpSpec::inc(), move |ctx| {
-                        handles[pid].lock().increment(ctx);
-                        0
-                    });
+                    d.submit_task(pid, OpSpec::inc(), KmultIncTask::new(h.clone()));
                 }
             }
         }

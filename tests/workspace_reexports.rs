@@ -35,18 +35,18 @@ fn paper_objects_are_reachable() {
 
 #[test]
 fn runtime_and_driver_are_reachable() {
+    use dao::counter::{CollectCounter, CollectIncTask};
     use dao::smr::{Driver, OpSpec, Register, Runtime, StepOutcome};
 
-    let rt = Runtime::gated(1);
-    let reg = std::sync::Arc::new(Register::new(0));
-    let mut d = Driver::new(rt);
-    let r2 = std::sync::Arc::clone(&reg);
-    d.submit(0, OpSpec::write(7), move |ctx| {
-        r2.write(ctx, 7);
-        0
-    });
+    let counter = std::sync::Arc::new(CollectCounter::new(1));
+    let mut d = Driver::coop(Runtime::coop(1));
+    d.submit_task(0, OpSpec::inc(), CollectIncTask::new(counter));
     assert_eq!(d.step(0), StepOutcome::Stepped);
     d.run_solo(0);
+    assert_eq!(d.completed_of(0), 1);
+
+    let reg = Register::new(0);
+    reg.write(&d.runtime().ctx(0), 7);
     assert_eq!(reg.peek(), 7);
 }
 
