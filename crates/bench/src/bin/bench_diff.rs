@@ -10,7 +10,8 @@
 //! diff that matched none of a non-empty baseline's rows compared
 //! nothing and exits 1, with or without `--strict`.
 //! Exact counts (the explorer's `interleavings`, `replays`,
-//! `pruned_subtrees` and `steps_replayed`) are deterministic: any difference on a matched row
+//! `pruned_subtrees` and `steps_replayed`, and the paper's `_steps` and
+//! `_objects` counts) are deterministic: any difference on a matched row
 //! is printed as a mismatch and exits 1, with or without `--strict`.
 //! Otherwise the exit code is 0 by default — CI machines vary too much
 //! to gate on wall-clock throughput — but regressions are printed
@@ -113,7 +114,8 @@ fn main() {
     if !d.mismatches.is_empty() {
         println!(
             "bench_diff: {} exact count(s) changed — failing (the explorer visits other \
-             schedules; regenerate the baseline only if that is intended)",
+             schedules, or an object's step complexity changed; regenerate the baseline \
+             only if that is intended)",
             d.mismatches.len()
         );
     }

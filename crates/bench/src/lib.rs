@@ -1,18 +1,18 @@
 //! Shared plumbing for the experiment binaries.
 //!
-//! Each binary in `src/bin/` regenerates one table/figure of the paper
+//! `exp_paper` regenerates and asserts the paper's claims, one table per
+//! claim; the other binaries in `src/bin/` measure the infrastructure
 //! (see `EXPERIMENTS.md` for the index). This library provides the ASCII
-//! table printer, the mixed increment/read workload runner used by the
-//! counter experiments, and small helpers.
+//! table printer, the flat-JSON emitter and regression differ for the
+//! committed `BENCH_*.json` files, and small helpers.
 //!
-//! All experiments honour the `REPRO_SCALE` environment variable
-//! (default 1): larger values multiply operation counts for
-//! tighter measurements at the cost of runtime.
+//! The experiments that take an operation count honour the
+//! `REPRO_SCALE` environment variable (default 1): larger values
+//! multiply it for tighter measurements at the cost of runtime.
 
 pub mod emit;
 pub mod regression;
 pub mod tables;
-pub mod workloads;
 
 /// The operation-count multiplier from `REPRO_SCALE` (default 1, min 1).
 pub fn scale() -> u64 {

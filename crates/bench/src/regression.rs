@@ -26,7 +26,11 @@
 //! **Exact** counts are compared for equality instead, whatever the
 //! factor: the exploration counts (`interleavings`, `replays`,
 //! `pruned_subtrees`, `steps_replayed`) are deterministic, so any
-//! difference means the explorer visits other schedules, never noise.
+//! difference means the explorer visits other schedules, never noise;
+//! so are the paper's own measures in `BENCH_paper.json` — primitive
+//! step counts (fields ending in `_steps`) and distinct-base-object
+//! counts (`_objects`) — where a difference means an algorithm's step
+//! complexity changed.
 //!
 //! The `bench_diff` binary wraps this as a CI step that *warns* on
 //! regressions (CI machines vary too much to gate on wall-clock
@@ -112,7 +116,8 @@ fn is_exact(name: &str) -> bool {
         "pruned_subtrees",
         "steps_replayed",
     ];
-    EXACT.contains(&name)
+    const EXACT_SUFFIXES: &[&str] = &["_steps", "_objects"];
+    EXACT.contains(&name) || EXACT_SUFFIXES.iter().any(|s| name.ends_with(s))
 }
 
 /// The identity key of a row: every stable field, rendered.
@@ -665,6 +670,44 @@ mod tests {
     }
 
     #[test]
+    fn step_and_object_counts_are_exact_by_suffix() {
+        let text = r#"{
+  "bench": "paper_claims",
+  "results": [
+    {"claim": "t42", "object": "kmult", "n": 64, "k": 2, "m_bits": 40, "worst_steps": 12},
+    {"claim": "t52", "object": "kmult", "k": 2, "m_bits": 16, "reader_objects": 5}
+  ]
+}"#;
+        let base = parse_bench_json(text).unwrap();
+        let id = identity(&base.results[0]);
+        assert!(id.contains("claim=t42") && id.contains("m_bits=40"));
+        assert!(
+            !id.contains("worst_steps"),
+            "counts are compared, not matched"
+        );
+        let changed = text
+            .replace("\"worst_steps\": 12", "\"worst_steps\": 13")
+            .replace("\"reader_objects\": 5", "\"reader_objects\": 4");
+        let d = diff(&base, &parse_bench_json(&changed).unwrap(), 1e9);
+        assert_eq!(d.matched, 2);
+        assert!(d.regressions.is_empty());
+        let found: Vec<(&str, f64, f64)> = d
+            .mismatches
+            .iter()
+            .map(|m| (m.metric.as_str(), m.baseline, m.fresh))
+            .collect();
+        assert_eq!(
+            found,
+            [("worst_steps", 12.0, 13.0), ("reader_objects", 5.0, 4.0)]
+        );
+        // Only the suffix is exact: the volatile `steps` stays volatile,
+        // and a name that merely contains the word is identity.
+        assert!(is_exact("workload_steps") && is_exact("reader_objects"));
+        assert!(!is_exact("steps") && is_volatile("steps"));
+        assert!(!is_exact("steps_per_sec") && !is_exact("objects_seen"));
+    }
+
+    #[test]
     fn checker_rows_key_on_mode() {
         // exp_checker rows key on object, engine and record count; the
         // per-row `mode` tag (offline / online) that rows carried while
@@ -723,6 +766,7 @@ mod tests {
             "BENCH_sketch.json",   // consumed by CI's sketch bench_diff step
             "BENCH_analysis.json", // consumed by CI's analysis bench_diff step
             "BENCH_obs.json",      // consumed by CI's obs-overhead bench_diff step
+            "BENCH_paper.json",    // consumed by CI's paper-claims bench_diff step
         ] {
             let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
             if let Ok(text) = std::fs::read_to_string(&path) {

@@ -113,7 +113,7 @@ proptest! {
         prop_assert!(x <= lo * u128::from(k));
         // Upper side — Claim III.6's inequality u_max ≤ k·x — holds for
         // k ≥ √n once the execution has left the (p, q) = (0, 0) startup
-        // window (DESIGN.md §5 documents the boundary).
+        // window (DESIGN.md §2 "Startup window" documents the boundary).
         if (p >= 1 || q >= 1) && u128::from(k) * u128::from(k) >= n as u128 {
             prop_assert!(
                 hi <= x * u128::from(k),

@@ -34,7 +34,7 @@
 //!
 //! ```bash
 //! cargo run --example quickstart
-//! cargo run --release -p bench --bin exp_t39   # the headline theorem
+//! cargo run --release -p bench --bin exp_paper -- t39   # the headline theorem
 //! ```
 //!
 //! See `README.md` for the architecture overview, `DESIGN.md` for the

@@ -5,20 +5,8 @@
 #![allow(clippy::needless_range_loop)] // pid-indexed handles read clearest
 
 use approx_objects::{accuracy::within_k, KmultCounter};
-use bench_is_not_a_dep::*;
+use bench::ceil_sqrt;
 use smr::Runtime;
-
-/// Tiny local stand-in so this test crate does not depend on `bench`.
-mod bench_is_not_a_dep {
-    /// `⌈√n⌉`.
-    pub fn ceil_sqrt(n: u64) -> u64 {
-        let mut k = (n as f64).sqrt() as u64;
-        while k * k < n {
-            k += 1;
-        }
-        k.max(1)
-    }
-}
 
 #[test]
 fn amortized_steps_stay_constant_as_n_grows() {
@@ -89,9 +77,9 @@ fn quiescent_accuracy_holds_for_k_ceil_sqrt_n() {
 
 #[test]
 fn startup_window_requires_k_at_least_n_minus_1() {
-    // DESIGN.md §5: while only switch_0 is set, up to 1 + n(k−1)
-    // increments can be pending against a read of k. With k ≥ n − 1 the
-    // raw spec survives even this window…
+    // DESIGN.md §2 "Startup window": while only switch_0 is set, up to
+    // 1 + n(k−1) increments can be pending against a read of k. With
+    // k ≥ n − 1 the raw spec survives even this window…
     let n = 5;
     let k = (n - 1) as u64;
     let rt = Runtime::free_running(n);
@@ -108,7 +96,7 @@ fn startup_window_requires_k_at_least_n_minus_1() {
         "k = n−1 keeps the window accurate"
     );
 
-    // …while k clearly below √n breaks it (cf. EXP-T3.11 part C).
+    // …while k clearly below √n breaks it (cf. `exp_paper t311` part C).
     let n = 64;
     let k = 2u64;
     let rt = Runtime::free_running(n);

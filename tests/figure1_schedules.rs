@@ -1,7 +1,8 @@
-//! Figure 1 / Claim III.6 as executable assertions (the test twin of
-//! `exp_fig1`): the three switch-state cases a, b.1, b.2 with k = 4,
-//! n = 2, checking the `[u_min, u_max]` envelope and the
-//! indistinguishability of b.1 / b.2.
+//! Figure 1 / Claim III.6 as executable assertions: the three
+//! switch-state cases a, b.1, b.2 with k = 4, n = 2, checking the
+//! `[u_min, u_max]` envelope and the indistinguishability of b.1 / b.2.
+//! `exp_paper fig1` prints the same cases as a table and asserts the
+//! same facts on every run.
 
 use approx_objects::{arith, KmultCounter, KmultReadOutcome};
 use smr::Runtime;
