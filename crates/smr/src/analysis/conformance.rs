@@ -26,14 +26,14 @@
 //! [`AccessKind::Read`]: crate::AccessKind::Read
 
 use super::{AnalysisPass, RunMeta, Violation};
+use crate::addr::AddrMap;
 use crate::trace::{AccessKind, TraceEvent};
-use std::collections::HashMap;
 
 /// The access-kind conformance pass. See the [module docs](self).
 pub struct Conformance {
     gated: bool,
     /// Last observed `after` digest per object.
-    last_after: HashMap<usize, u64>,
+    last_after: AddrMap<u64>,
     /// In-flight operation label per pid, for naming the machine.
     labels: Vec<Option<&'static str>>,
     violations: Vec<Violation>,
@@ -45,7 +45,7 @@ impl Conformance {
     pub fn new() -> Self {
         Conformance {
             gated: true,
-            last_after: HashMap::new(),
+            last_after: AddrMap::default(),
             labels: Vec::new(),
             violations: Vec::new(),
             max_violations: 64,
@@ -120,8 +120,8 @@ impl AnalysisPass for Conformance {
             );
         }
         if self.gated {
-            if let Some(&prev) = self.last_after.get(&a.obj) {
-                if prev != a.before {
+            match self.last_after.insert(a.obj, a.after) {
+                Some(prev) if prev != a.before => {
                     let label = self.label_of(a.pid);
                     self.violate(
                         a.pid,
@@ -134,8 +134,8 @@ impl AnalysisPass for Conformance {
                         ),
                     );
                 }
+                _ => {}
             }
-            self.last_after.insert(a.obj, a.after);
         }
     }
 

@@ -64,8 +64,8 @@
 //! response, and per-process operation windows are disjoint.
 
 use super::{AnalysisPass, Violation};
+use crate::addr::AddrMap;
 use crate::trace::{Access, AccessKind, TraceEvent};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A vector clock: missing entries are zero. Entries are kept sorted by
@@ -232,7 +232,7 @@ pub struct HappensBefore {
     /// Per-process vector clocks, indexed by pid (grown on demand).
     clocks: Vec<ProcClock>,
     /// Per-object state, keyed by object address.
-    objects: HashMap<usize, ObjState>,
+    objects: AddrMap<ObjState>,
     /// Per-process operation windows, indexed by pid (grown on demand).
     windows: Vec<OpWindow>,
     racy: Vec<RacyPair>,
@@ -249,7 +249,7 @@ impl HappensBefore {
     pub fn new() -> Self {
         HappensBefore {
             clocks: Vec::new(),
-            objects: HashMap::new(),
+            objects: AddrMap::default(),
             windows: Vec::new(),
             racy: Vec::new(),
             racy_total: 0,

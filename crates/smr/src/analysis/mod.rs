@@ -23,9 +23,12 @@
 //! [`Driver`](crate::Driver) run and during every
 //! [`explore`](crate::explore) replay (the explorer consults an attached
 //! analyzer after each checked cut and reports its violations exactly
-//! like checker rejections). When no analyzer is attached and the trace
-//! log is off, the event stream costs one relaxed load per primitive —
-//! zero-cost when disabled (measured: `exp_analysis`, BENCH_analysis).
+//! like checker rejections). Events arrive in batches
+//! ([`AnalysisPass::on_events`]), one analyzer lock per batch; a gated
+//! coop run delivers every batch before a `Driver` call returns. When
+//! no analyzer is attached and the trace log is off, the event stream
+//! costs one relaxed load per primitive — zero-cost when disabled
+//! (measured: `exp_analysis`, BENCH_analysis).
 
 mod commute;
 mod conformance;
@@ -99,6 +102,17 @@ pub trait AnalysisPass: Send {
     /// Called for every trace event, in stream order.
     fn on_event(&mut self, ev: &TraceEvent);
 
+    /// Called for each batch of consecutive trace events, in stream
+    /// order. The tracer delivers a batch at a time: a gated coop run's
+    /// controller events and accesses arrive up to about a thousand at
+    /// once, other events one by one. The default hands each event to
+    /// [`on_event`](AnalysisPass::on_event).
+    fn on_events(&mut self, evs: &[TraceEvent]) {
+        for ev in evs {
+            self.on_event(ev);
+        }
+    }
+
     /// Close the pass and report its findings. Called once.
     fn finish(&mut self) -> Vec<Violation>;
 
@@ -166,13 +180,15 @@ impl Analyzer {
         }
     }
 
-    pub(crate) fn on_event(&self, ev: &TraceEvent) {
+    /// Hand a batch of consecutive events to every pass, under one
+    /// lock.
+    pub(crate) fn on_events(&self, evs: &[TraceEvent]) {
         let mut inner = self.inner.lock();
         if inner.report.is_some() {
             return;
         }
         for pass in &mut inner.passes {
-            pass.on_event(ev);
+            pass.on_events(evs);
         }
     }
 
@@ -250,11 +266,11 @@ mod tests {
     #[test]
     fn finish_is_idempotent_and_caches() {
         let a = Analyzer::new(vec![Box::new(CountPass { events: 0 })]);
-        a.on_event(&TraceEvent::Grant { seq: 0, pid: 0 });
+        a.on_events(&[TraceEvent::Grant { seq: 0, pid: 0 }]);
         let first = a.finish();
         assert_eq!(first[0].seq, Some(1));
         // Events after finish are dropped; the report is stable.
-        a.on_event(&TraceEvent::Grant { seq: 1, pid: 0 });
+        a.on_events(&[TraceEvent::Grant { seq: 1, pid: 0 }]);
         assert_eq!(a.finish(), first);
         assert!(a.finished());
     }

@@ -46,9 +46,10 @@
 //! ([`CoopBackend::new_free`], `Driver::coop_free`): there is no grant
 //! discipline — [`wait_event`](ExecBackend::wait_event) batch-polls
 //! every runnable task in rounds until completions surface, and
-//! `Driver::wait_all` drains them. Like the thread backend, it emits no
-//! invocation announcements (completions only), and mid-run
-//! crash/suspension is unsupported. The batch order is
+//! `Driver::wait_all` drains them. Like the thread backend, it traces
+//! no invocations and has no pending records (nothing can be suspended
+//! mid-operation), and mid-run crash/suspension is unsupported. The
+//! batch order is
 //! ascending submission order by default, or a seeded per-round shuffle
 //! ([`CoopBackend::new_free_seeded`]) — both deterministic, single
 //! controller thread, and therefore replayable.
@@ -59,10 +60,13 @@
 //! controller calls: either parked (a primed task waiting before its
 //! next primitive) or idle with an empty queue. It does so by advancing
 //! eagerly — on submit and after each completion it dequeues the next
-//! operation, announces its invocation (gated mode), and runs its
-//! priming poll; zero-primitive operations complete immediately. Every
-//! event a process will emit without a further grant is therefore
-//! already buffered, so crash and snapshot cuts just drain: they are
+//! operation, draws its invocation ticket, and runs its priming poll;
+//! zero-primitive operations complete immediately. Every completion a
+//! process will produce without a further grant is therefore already
+//! buffered, and every parked operation's invocation is on record in
+//! the parked arrays (`parked_spec`, `parked_inv`,
+//! `parked_steps_at_inv`), so crash and snapshot cuts drain the
+//! completions and read the pending records off those arrays: they are
 //! deterministic by construction.
 //!
 //! ## Contract enforcement
@@ -85,6 +89,21 @@
 //! explorer reads it (`Driver::touched`) to learn which object a step
 //! touched without switching the trace log on.
 //!
+//! While a trace consumer is active, the context also buffers the trace
+//! events the backend produces — each grant, invocation and completion
+//! it builds itself, and the access its primitives record — in emission
+//! order, and delivers them as one batch: one sequence draw numbers the
+//! batch in buffer order, one analyzer lock hands it to every pass, one
+//! log lock appends it. Every public entry point (`submit`,
+//! [`step`](CoopBackend::step), `wait_event`, teardown) returns with the
+//! buffer delivered; `Driver::run_schedule` and `Driver::run_solo` grant
+//! through an unflushed step and deliver every 1 024 events and before
+//! they return. Contexts from `Runtime::ctx` and `Driver::crash` emit
+//! directly, between those calls, so every consumer sees the same
+//! events, in the same order, with the same seqs as with one delivery
+//! per event. Teardown delivers the modelled run's last events before
+//! it seals the analysis sink.
+//!
 //! [`Runtime::coop`]: crate::Runtime::coop
 //! [`Runtime::coop_free`]: crate::Runtime::coop_free
 
@@ -92,7 +111,7 @@ use super::{ExecBackend, StepOutcome};
 use crate::history::{OpRecord, OpSpec};
 use crate::runtime::{Mode, Runtime};
 use crate::task::{drop_shim, poll_shim, DropFn, ErasedTask, Op, OpTask, Poll, PollFn};
-use crate::trace::AccessKind;
+use crate::trace::{AccessKind, TraceEvent};
 use crate::ProcCtx;
 use std::alloc::Layout;
 use std::cell::Ref;
@@ -522,7 +541,7 @@ impl CoopBackend {
     }
 
     /// Start queued operations until one parks at a primitive or the
-    /// queue runs dry: announce the invocation (gated mode), run the
+    /// queue runs dry: trace the invocation (gated mode), run the
     /// priming poll, and complete zero-primitive operations on the spot.
     /// The context must already point at `pid`; priming polls add to
     /// its access record without clearing it.
@@ -533,16 +552,13 @@ impl CoopBackend {
             let inv = self.runtime.ticket();
             let steps_at_inv = self.runtime.steps_of(pid);
             if self.gated {
-                // Free-running mode sends no invocation announcements,
-                // like the thread backend (nothing can be suspended, so
-                // pending records would be pure noise).
-                self.runtime.trace_invoke(pid, spec.kind(0), inv);
-                self.events.push_back(OpRecord {
+                // Free-running mode grants nothing, so like the thread
+                // backend's its stream carries no controller events.
+                self.ctx.trace(|| TraceEvent::Invoke {
+                    seq: 0,
                     pid,
                     kind: spec.kind(0),
                     inv,
-                    resp: None,
-                    steps: steps_at_inv,
                 });
             }
             self.metrics.polls.inc();
@@ -559,7 +575,12 @@ impl CoopBackend {
                 Poll::Ready(ret) => {
                     let resp = self.runtime.ticket();
                     if self.gated {
-                        self.runtime.trace_complete(pid, spec.kind(ret), resp);
+                        self.ctx.trace(|| TraceEvent::Complete {
+                            seq: 0,
+                            pid,
+                            kind: spec.kind(ret),
+                            resp,
+                        });
                     }
                     self.events.push_back(OpRecord {
                         pid,
@@ -590,7 +611,12 @@ impl CoopBackend {
         let spec = self.parked_spec[pid];
         let resp = self.runtime.ticket();
         if self.gated {
-            self.runtime.trace_complete(pid, spec.kind(ret), resp);
+            self.ctx.trace(|| TraceEvent::Complete {
+                seq: 0,
+                pid,
+                kind: spec.kind(ret),
+                resp,
+            });
         }
         self.events.push_back(OpRecord {
             pid,
@@ -665,8 +691,17 @@ impl CoopBackend {
 
     /// Gated mode: grant `pid` one primitive by polling its parked task
     /// once, or report that it has nothing in flight (every operation
-    /// submitted to it has completed).
+    /// submitted to it has completed). Returns with every trace event
+    /// delivered.
     pub fn step(&mut self, pid: usize) -> StepOutcome {
+        let out = self.grant(pid);
+        self.flush_trace();
+        out
+    }
+
+    /// [`step`](CoopBackend::step), leaving the step's trace events in
+    /// the context's buffer for a later [`flush_trace`](CoopBackend::flush_trace).
+    pub(crate) fn grant(&mut self, pid: usize) -> StepOutcome {
         assert!(self.gated, "step() requires a gated runtime");
         self.ctx.begin(pid);
         let Some(data) = self.parked_data[pid] else {
@@ -674,7 +709,7 @@ impl CoopBackend {
             return StepOutcome::Completed;
         };
         let before = self.runtime.steps_of(pid);
-        self.runtime.trace_grant(pid);
+        self.ctx.trace(|| TraceEvent::Grant { seq: 0, pid });
         self.metrics.polls.inc();
         // SAFETY: the parked task is live and exclusively ours.
         let polled = unsafe { (self.parked_poll[pid])(data, &self.ctx) };
@@ -690,6 +725,34 @@ impl CoopBackend {
             self.advance(pid);
         }
         StepOutcome::Stepped
+    }
+
+    /// Trace events buffered since the last flush.
+    pub(crate) fn buffered_trace(&mut self) -> usize {
+        self.ctx.buffered_trace()
+    }
+
+    /// Deliver the buffered trace events as one batch.
+    pub(crate) fn flush_trace(&mut self) {
+        self.ctx.flush_trace();
+    }
+
+    /// Gated mode: the pending record of `pid`'s parked operation — its
+    /// invocation, with the steps it has taken so far — or `None` if
+    /// `pid` is idle. Free-running mode has none: nothing there can be
+    /// suspended mid-operation.
+    pub(crate) fn pending(&self, pid: usize) -> Option<OpRecord> {
+        if !self.gated {
+            return None;
+        }
+        self.parked_data[pid]?;
+        Some(OpRecord {
+            pid,
+            kind: self.parked_spec[pid].kind(0),
+            inv: self.parked_inv[pid],
+            resp: None,
+            steps: self.runtime.steps_of(pid) - self.parked_steps_at_inv[pid],
+        })
     }
 
     /// The `(object, kind)` of every primitive applied since the last
@@ -714,6 +777,7 @@ impl CoopBackend {
         self.ctx.begin(pid);
         if self.parked_data[pid].is_none() {
             self.advance(pid);
+            self.flush_trace();
         }
         if !self.gated && self.parked_data[pid].is_some() && !self.in_runnable[pid] {
             self.in_runnable[pid] = true;
@@ -754,6 +818,7 @@ impl ExecBackend for CoopBackend {
         while self.events.is_empty() {
             self.sweep_one();
         }
+        self.flush_trace();
         self.events.pop_front().expect("just produced an event")
     }
 
@@ -763,7 +828,10 @@ impl ExecBackend for CoopBackend {
         // memory ends as if every
         // submitted operation finished. Records are discarded — and so is
         // the analysis stream: teardown polls happen outside the modelled
-        // execution, so the sink is sealed before the first one.
+        // execution, so the sink is sealed before the first one (and
+        // after the last modelled event is delivered). The trace log
+        // still records the teardown polls' accesses.
+        self.flush_trace();
         self.runtime.seal_analysis();
         for pid in 0..self.parked_data.len() {
             self.ctx.begin(pid);
@@ -786,6 +854,7 @@ impl ExecBackend for CoopBackend {
                 }
             }
         }
+        self.flush_trace();
         self.runnable.clear();
         self.in_runnable.iter_mut().for_each(|f| *f = false);
         self.sweep_pos = 0;

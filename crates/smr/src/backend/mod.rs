@@ -21,11 +21,10 @@
 //! [`Runtime::coop_free`]: crate::Runtime::coop_free
 //! [`Runtime::free_running`]: crate::Runtime::free_running
 //!
-//! Both backends report completions as [`OpRecord`]s. Gated coop also
-//! announces each operation's start with a pending record
-//! (`resp = None`, `steps` = the process's cumulative step count at
-//! invocation), which the driver turns into crash pendings and
-//! snapshots.
+//! Both backends report completions, and only completions, as
+//! [`OpRecord`]s. A gated coop backend keeps each in-flight operation's
+//! invocation in its parked state, from which the driver builds the
+//! pending records (`resp = None`) of crashes and snapshots.
 
 mod coop;
 mod thread;
@@ -63,12 +62,14 @@ pub trait ExecBackend {
         self.submit(pid, spec, Op::Task(ErasedTask::new(task)));
     }
 
-    /// Drain produced events (invocation announcements and completions)
-    /// into `sink`, in production order per process.
+    /// Drain the completion records produced so far into `sink`, in
+    /// production order per process. No backend yields a pending record
+    /// here: a gated coop driver builds those from the backend's parked
+    /// state.
     fn drain(&mut self, sink: &mut dyn FnMut(OpRecord));
 
-    /// Free-running mode only: block until the next event is available
-    /// and return it.
+    /// Free-running mode only: block until the next completion is
+    /// available and return it.
     fn wait_event(&mut self) -> OpRecord;
 
     /// Tear down: let every in-flight and queued operation run to

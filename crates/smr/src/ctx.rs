@@ -1,7 +1,7 @@
 //! [`ProcCtx`]: the per-process capability for applying primitives.
 
 use crate::runtime::Runtime;
-use crate::trace::AccessKind;
+use crate::trace::{Access, AccessKind, TraceEvent};
 use std::cell::{Ref, RefCell};
 use std::sync::Arc;
 
@@ -28,20 +28,31 @@ use std::sync::Arc;
 /// ```
 ///
 /// Contexts from [`Runtime::ctx`] act for one process for their whole
-/// life. The coop backend instead owns a single *recording* context,
-/// re-pointed at whichever process it polls, which lists the
-/// `(object, kind)` of every primitive applied through it since the
-/// backend last cleared the list — the per-step access record the
-/// explorer reads instead of the trace log.
+/// life and hand each trace event to the runtime as it happens. The coop
+/// backend instead owns a single *recording* context, re-pointed at
+/// whichever process it polls, which
+///
+/// * lists the `(object, kind)` of every primitive applied through it
+///   since the backend last cleared the list — the per-step access
+///   record the explorer reads instead of the trace log;
+/// * buffers the trace events of the controller it serves — its grants,
+///   invocations and completions and the accesses of the primitives
+///   applied through it — until the backend delivers them as one batch,
+///   numbered in buffer order by one sequence draw, before any public
+///   `Driver` or [`CoopBackend`](crate::CoopBackend) call returns.
 pub struct ProcCtx {
     runtime: Arc<Runtime>,
     pid: usize,
-    /// Whether [`step`](ProcCtx::step) appends to `touched`. Off for
-    /// [`Runtime::ctx`] contexts, whose list stays empty and unallocated.
+    /// Whether [`step`](ProcCtx::step) appends to `touched` and trace
+    /// events wait in `trace_buf`. Off for [`Runtime::ctx`] contexts,
+    /// whose lists stay empty and unallocated.
     recording: bool,
     /// Primitives applied through this context since the last
     /// [`begin`](ProcCtx::begin), in order.
     touched: RefCell<Vec<(usize, AccessKind)>>,
+    /// Trace events not yet delivered, in emission order, each with a
+    /// placeholder seq.
+    trace_buf: RefCell<Vec<TraceEvent>>,
 }
 
 impl std::fmt::Debug for ProcCtx {
@@ -57,6 +68,7 @@ impl ProcCtx {
             pid,
             recording: false,
             touched: RefCell::new(Vec::new()),
+            trace_buf: RefCell::new(Vec::new()),
         }
     }
 
@@ -90,6 +102,34 @@ impl ProcCtx {
         Ref::map(self.touched.borrow(), Vec::as_slice)
     }
 
+    /// Emit the event `build` makes, with a placeholder seq, if a trace
+    /// consumer is active: a recording context buffers it until the
+    /// next [`flush_trace`](ProcCtx::flush_trace), any other delivers it
+    /// at once.
+    #[inline]
+    pub(crate) fn trace(&self, build: impl FnOnce() -> TraceEvent) {
+        if !self.recording {
+            self.runtime.emit_trace(build);
+        } else if self.runtime.trace_active() {
+            self.trace_buf.borrow_mut().push(build());
+        }
+    }
+
+    /// Trace events buffered since the last flush.
+    pub(crate) fn buffered_trace(&mut self) -> usize {
+        self.trace_buf.get_mut().len()
+    }
+
+    /// Deliver the buffered trace events as one batch, numbered in
+    /// buffer order, and empty the buffer.
+    pub(crate) fn flush_trace(&mut self) {
+        let buf = self.trace_buf.get_mut();
+        if !buf.is_empty() {
+            self.runtime.deliver_trace(buf);
+            buf.clear();
+        }
+    }
+
     /// The process id this context acts for.
     pub fn pid(&self) -> usize {
         self.pid
@@ -121,8 +161,7 @@ impl ProcCtx {
             self.touched.borrow_mut().push((obj, kind));
         }
         StepPermit {
-            runtime: &self.runtime,
-            pid: self.pid,
+            ctx: self,
             obj,
             kind,
         }
@@ -131,8 +170,7 @@ impl ProcCtx {
 
 /// Held for the duration of one primitive application.
 pub(crate) struct StepPermit<'a> {
-    runtime: &'a Runtime,
-    pid: usize,
+    ctx: &'a ProcCtx,
     obj: usize,
     kind: AccessKind,
 }
@@ -143,7 +181,7 @@ impl StepPermit<'_> {
     /// [`record`](StepPermit::record).
     #[inline]
     pub(crate) fn traced(&self) -> bool {
-        self.runtime.trace_active()
+        self.ctx.runtime.trace_active()
     }
 
     /// Record the primitive's observed effect: the object's state digest
@@ -151,8 +189,16 @@ impl StepPermit<'_> {
     /// while the permit is held.
     #[inline]
     pub(crate) fn record(&self, before: u64, after: u64) {
-        self.runtime
-            .trace_access(self.pid, self.obj, self.kind, before, after);
+        self.ctx.trace(|| {
+            TraceEvent::Access(Access {
+                seq: 0,
+                pid: self.ctx.pid,
+                obj: self.obj,
+                kind: self.kind,
+                before,
+                after,
+            })
+        });
     }
 }
 

@@ -41,12 +41,18 @@ use crate::history::{History, OpRecord, OpSpec};
 use crate::runtime::{Mode, Runtime};
 use crate::sched::Scheduler;
 use crate::task::{Op, OpTask};
-use crate::trace::AccessKind;
+use crate::trace::{AccessKind, TraceEvent};
 use crate::ProcCtx;
 use std::cell::Ref;
 use std::sync::Arc;
 
 pub use crate::backend::StepOutcome;
+
+/// Trace events a gated run buffers before delivering them as one
+/// batch (about 96 KiB of events): [`Driver::run_schedule`] and
+/// [`Driver::run_solo`] flush whenever this many are waiting, and
+/// before they return.
+const TRACE_BATCH: usize = 1024;
 
 /// Controller for a set of per-process executors.
 ///
@@ -89,13 +95,6 @@ pub struct Driver<B: ExecBackend = ThreadBackend> {
     submitted: Vec<u64>,
     completed: Vec<u64>,
     crashed: Vec<bool>,
-    /// Invocation records of ops that have started but not yet completed
-    /// (at most one per process). Surfaced as pending history records
-    /// when the process crashes mid-operation, and by
-    /// [`history_snapshot`] for processes that are merely suspended.
-    ///
-    /// [`history_snapshot`]: Driver::history_snapshot
-    in_flight: Vec<Option<OpRecord>>,
     /// Uncrashed pids with unfinished submitted operations, maintained
     /// incrementally (no per-step rebuild).
     active: ActiveSet,
@@ -199,14 +198,11 @@ impl Driver<CoopBackend> {
         // The backend keeps every process at a stable point between
         // calls, so the drain below observes a deterministic cut.
         self.crashed[pid] = true;
-        self.runtime.trace_crash(pid);
+        self.runtime
+            .emit_trace(|| TraceEvent::Crash { seq: 0, pid });
         self.active.remove(pid);
         self.drain_events();
-        if let Some(mut rec) = self.in_flight[pid].take() {
-            // The announcement's `steps` field holds the process's
-            // cumulative step count at invocation; convert it to the
-            // steps the suspended op itself performed.
-            rec.steps = self.runtime.steps_of(pid) - rec.steps;
+        if let Some(rec) = self.backend.pending(pid) {
             self.history.push(rec);
         }
     }
@@ -217,19 +213,35 @@ impl Driver<CoopBackend> {
     /// # Panics
     /// Panics in free-running mode, and if `pid` has crashed.
     pub fn step(&mut self, pid: usize) -> StepOutcome {
+        let out = self.grant(pid);
+        self.backend.flush_trace();
+        out
+    }
+
+    /// [`step`](Driver::step), leaving the step's trace events buffered.
+    fn grant(&mut self, pid: usize) -> StepOutcome {
         assert!(!self.crashed[pid], "process {pid} has crashed");
-        let out = self.backend.step(pid);
+        let out = self.backend.grant(pid);
         self.drain_events();
         out
+    }
+
+    /// Deliver the buffered trace events once a full batch is waiting.
+    fn flush_full_trace_batch(&mut self) {
+        if self.backend.buffered_trace() >= TRACE_BATCH {
+            self.backend.flush_trace();
+        }
     }
 
     /// Gated mode only: run `pid` exclusively until all its submitted
     /// operations complete. Returns the number of steps granted.
     pub fn run_solo(&mut self, pid: usize) -> u64 {
         let mut steps = 0;
-        while self.step(pid) == StepOutcome::Stepped {
+        while self.grant(pid) == StepOutcome::Stepped {
             steps += 1;
+            self.flush_full_trace_batch();
         }
+        self.backend.flush_trace();
         steps
     }
 
@@ -237,16 +249,16 @@ impl Driver<CoopBackend> {
     /// `sched`. Returns the total number of steps granted.
     pub fn run_schedule<S: Scheduler + ?Sized>(&mut self, sched: &mut S) -> u64 {
         let mut steps = 0;
-        loop {
-            if self.active.is_empty() {
-                return steps;
-            }
+        while !self.active.is_empty() {
             let pid = sched.next(&self.active);
             debug_assert!(self.active.contains(pid), "scheduler picked inactive pid");
-            if self.step(pid) == StepOutcome::Stepped {
+            if self.grant(pid) == StepOutcome::Stepped {
                 steps += 1;
             }
+            self.flush_full_trace_batch();
         }
+        self.backend.flush_trace();
+        steps
     }
 
     /// The `(object, kind)` of every primitive the last
@@ -255,6 +267,48 @@ impl Driver<CoopBackend> {
     /// [`crash`](Driver::crash) applies nothing and leaves it as it was.
     pub(crate) fn touched(&self) -> Ref<'_, [(usize, AccessKind)]> {
         self.backend.touched()
+    }
+
+    /// A live snapshot of the history **including pending records for
+    /// every in-flight operation** — crashed processes (as in
+    /// [`history`]) *and* processes the schedule merely suspended
+    /// mid-operation and may or may not ever run again.
+    ///
+    /// Gated mode: every process sits at a stable point between
+    /// controller calls (parked at a primitive or idle), so the snapshot
+    /// is a deterministic cut of the execution, and it is what a
+    /// linearizability checker should consume when the execution has not
+    /// quiesced: a suspended operation's effects are optional, exactly
+    /// like a crashed one's. The pending record of an uncrashed process
+    /// is built from the backend's parked state (its invocation ticket
+    /// and the steps taken since). The suspended operations remain in
+    /// flight: if the schedule later resumes them, the final history
+    /// records their completions as usual, with the same invocation
+    /// ticket.
+    ///
+    /// Free-running mode: nothing is suspended, so an operation that is
+    /// mid-execution has **no** pending record here — the snapshot is
+    /// just the completed history drained so far, and it is *not*
+    /// checker-complete until the execution quiesces ([`wait_all`]): a
+    /// concurrent read may already have observed the effects of an
+    /// operation this snapshot omits. Check free-running histories only
+    /// after `wait_all`.
+    ///
+    /// [`wait_all`]: Driver::wait_all
+    /// [`history`]: Driver::history
+    pub fn history_snapshot(&mut self) -> History {
+        self.drain_events();
+        let mut snap = self.history.clone();
+        for pid in 0..self.runtime.n() {
+            if self.crashed[pid] {
+                // Its pending record is already in `history`.
+                continue;
+            }
+            if let Some(rec) = self.backend.pending(pid) {
+                snap.push(rec);
+            }
+        }
+        snap
     }
 }
 
@@ -267,7 +321,6 @@ impl<B: ExecBackend> Driver<B> {
             submitted: vec![0; n],
             completed: vec![0; n],
             crashed: vec![false; n],
-            in_flight: vec![None; n],
             active: ActiveSet::new(n),
             pending_ops: 0,
             history: History::new(),
@@ -361,32 +414,21 @@ impl<B: ExecBackend> Driver<B> {
             backend,
             submitted,
             completed,
-            in_flight,
             active,
             pending_ops,
             history,
             ..
         } = self;
         backend.drain(&mut |rec| {
-            Self::record_fields(
-                submitted,
-                completed,
-                in_flight,
-                active,
-                pending_ops,
-                history,
-                rec,
-            )
+            Self::record_fields(submitted, completed, active, pending_ops, history, rec)
         });
     }
 
-    /// Process one executor event: an invocation announcement (pending
-    /// record, `resp = None`) or a completion.
+    /// Process one completion.
     fn record(&mut self, rec: OpRecord) {
         Self::record_fields(
             &self.submitted,
             &mut self.completed,
-            &mut self.in_flight,
             &mut self.active,
             &mut self.pending_ops,
             &mut self.history,
@@ -397,78 +439,31 @@ impl<B: ExecBackend> Driver<B> {
     fn record_fields(
         submitted: &[u64],
         completed: &mut [u64],
-        in_flight: &mut [Option<OpRecord>],
         active: &mut ActiveSet,
         pending_ops: &mut u64,
         history: &mut History,
         rec: OpRecord,
     ) {
-        if rec.resp.is_some() {
-            let pid = rec.pid;
-            in_flight[pid] = None;
-            completed[pid] += 1;
-            *pending_ops -= 1;
-            if completed[pid] == submitted[pid] {
-                active.remove(pid);
-            }
-            history.push(rec);
-        } else {
-            let pid = rec.pid;
-            in_flight[pid] = Some(rec);
+        debug_assert!(rec.resp.is_some(), "backends yield completions only");
+        let pid = rec.pid;
+        completed[pid] += 1;
+        *pending_ops -= 1;
+        if completed[pid] == submitted[pid] {
+            active.remove(pid);
         }
+        history.push(rec);
     }
 
     /// The history recorded so far: completed operations, plus pending
     /// records (`resp = None`) for operations suspended by [`crash`].
     /// Use [`History::completed`] for the completed-only view, and
-    /// [`history_snapshot`] for a view that also surfaces the in-flight
-    /// operations of *suspended but uncrashed* processes.
+    /// [`history_snapshot`] (coop drivers) for a view that also surfaces
+    /// the in-flight operations of *suspended but uncrashed* processes.
     ///
     /// [`crash`]: Driver::crash
     /// [`history_snapshot`]: Driver::history_snapshot
     pub fn history(&self) -> &History {
         &self.history
-    }
-
-    /// A live snapshot of the history **including pending records for
-    /// every in-flight operation** — crashed processes (as in
-    /// [`history`]) *and* processes the schedule merely suspended
-    /// mid-operation and may or may not ever run again.
-    ///
-    /// Gated mode: every process sits at a stable point between
-    /// controller calls (parked at a primitive or idle), so the snapshot
-    /// is a deterministic cut of the execution, and it is what a
-    /// linearizability checker should consume when the execution has not
-    /// quiesced: a suspended operation's effects are optional, exactly
-    /// like a crashed one's. The suspended operations remain in flight:
-    /// if the schedule later resumes them, the final history records
-    /// their completions as usual.
-    ///
-    /// Free-running mode: no invocation announcements are sent, so an
-    /// operation that is mid-execution has **no** pending record here —
-    /// the snapshot is just the completed history drained so far, and it
-    /// is *not* checker-complete until the execution quiesces
-    /// ([`wait_all`]): a concurrent read may already have observed the
-    /// effects of an operation this snapshot omits. Check free-running
-    /// histories only after `wait_all`.
-    ///
-    /// [`wait_all`]: Driver::wait_all
-    /// [`history`]: Driver::history
-    /// [`crash`]: Driver::crash
-    pub fn history_snapshot(&mut self) -> History {
-        self.drain_events();
-        let mut snap = self.history.clone();
-        for pid in 0..self.runtime.n() {
-            if let Some(rec) = &self.in_flight[pid] {
-                let mut rec = rec.clone();
-                // As in `crash`: the announcement's `steps` field carries
-                // the cumulative count at invocation; report the steps
-                // the suspended operation itself has performed so far.
-                rec.steps = self.runtime.steps_of(pid) - rec.steps;
-                snap.push(rec);
-            }
-        }
-        snap
     }
 
     /// Take the recorded history, leaving an empty one.
@@ -793,8 +788,9 @@ mod tests {
         d.submit_task(1, OpSpec::read(), RmwTask::new(reg.clone(), 0));
 
         assert_eq!(d.step(0), StepOutcome::Stepped); // read applied, parked at write
-                                                     // Both in-flight ops surface as pending records: pid 0 one step
-                                                     // in, pid 1 announced but never granted a step.
+
+        // Both in-flight ops surface as pending records: pid 0 one step
+        // in, pid 1 parked by its priming poll but never granted a step.
         let snap = d.history_snapshot();
         assert_eq!(snap.len(), 2);
         let by_pid = |p: usize| snap.ops().iter().find(|r| r.pid == p).unwrap().clone();

@@ -142,14 +142,13 @@
 //! persists, and reports the minimal failing schedule alongside the
 //! original in [`FoundViolation`].
 
+use crate::addr::AddrMap;
 use crate::analysis::{independent, StepMeta, Vc};
 use crate::backend::CoopBackend;
 use crate::driver::Driver;
 use crate::history::History;
 use crate::sched::Scripted;
 use crate::trace::AccessKind;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
 /// One decision of an explored schedule.
@@ -667,29 +666,7 @@ where
 /// One map serves the whole walk: each replay clears it, keeping its
 /// table.
 #[derive(Default)]
-struct ObjIds(HashMap<usize, usize, BuildHasherDefault<AddrHasher>>);
-
-/// Multiplicative hashing for [`ObjIds`]' keys. They are addresses of
-/// base objects this process allocated, never outside input, so
-/// SipHash's defence against crafted collisions buys nothing there.
-#[derive(Default)]
-struct AddrHasher(u64);
-
-impl Hasher for AddrHasher {
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("ObjIds hashes usize keys only");
-    }
-
-    fn write_usize(&mut self, addr: usize) {
-        self.0 = (addr as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    /// The product's high bits mix every address bit; the table indexes
-    /// buckets with the low bits, so rotate the high bits down.
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
+struct ObjIds(AddrMap<usize>);
 
 impl ObjIds {
     /// Forget every id, for the next replay.

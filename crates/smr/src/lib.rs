@@ -63,6 +63,7 @@
 //! ```
 
 mod active;
+mod addr;
 pub mod analysis;
 pub mod backend;
 mod ctx;

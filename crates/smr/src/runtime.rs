@@ -3,9 +3,8 @@
 
 use crate::analysis::{Analyzer, RunMeta};
 use crate::ctx::ProcCtx;
-use crate::history::OpKind;
 use crate::step::{pad, StepStats};
-use crate::trace::{Access, AccessKind, TraceEvent, Tracer};
+use crate::trace::{TraceEvent, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -220,50 +219,17 @@ impl Runtime {
         self.tracer.is_active()
     }
 
-    pub(crate) fn trace_access(
-        &self,
-        pid: usize,
-        obj: usize,
-        kind: AccessKind,
-        before: u64,
-        after: u64,
-    ) {
-        self.tracer.emit(|seq| {
-            TraceEvent::Access(Access {
-                seq,
-                pid,
-                obj,
-                kind,
-                before,
-                after,
-            })
-        });
+    /// Emit one event, built with a placeholder seq, if a trace
+    /// consumer is active.
+    #[inline]
+    pub(crate) fn emit_trace(&self, build: impl FnOnce() -> TraceEvent) {
+        self.tracer.emit(build);
     }
 
-    pub(crate) fn trace_invoke(&self, pid: usize, kind: OpKind, inv: u64) {
-        self.tracer.emit(|seq| TraceEvent::Invoke {
-            seq,
-            pid,
-            kind,
-            inv,
-        });
-    }
-
-    pub(crate) fn trace_complete(&self, pid: usize, kind: OpKind, resp: u64) {
-        self.tracer.emit(|seq| TraceEvent::Complete {
-            seq,
-            pid,
-            kind,
-            resp,
-        });
-    }
-
-    pub(crate) fn trace_grant(&self, pid: usize) {
-        self.tracer.emit(|seq| TraceEvent::Grant { seq, pid });
-    }
-
-    pub(crate) fn trace_crash(&self, pid: usize) {
-        self.tracer.emit(|seq| TraceEvent::Crash { seq, pid });
+    /// Deliver events a recording context buffered, numbering them in
+    /// buffer order (see [`ProcCtx::flush_trace`]).
+    pub(crate) fn deliver_trace(&self, batch: &mut [TraceEvent]) {
+        self.tracer.deliver(batch);
     }
 
     /// Attach an [`Analyzer`]: from now on every trace event is pushed

@@ -3,13 +3,41 @@
 //! lower-bound experiments (awareness-set computation per Definition
 //! III.2/III.3) and by the online analysis passes ([`crate::analysis`]).
 //!
+//! ## Stream order
+//!
 //! Tracing is designed for *gated* executions, where steps are already
 //! fully serialized; the stream order then equals the execution order.
-//! It works in free-running mode too, but the order is then merely one
-//! valid linear order of the (SeqCst) primitives, and the
-//! controller-side events ([`TraceEvent::Invoke`],
-//! [`TraceEvent::Complete`], [`TraceEvent::Grant`],
-//! [`TraceEvent::Crash`]) are absent.
+//! Free-running coop runs are serialized too (one controller thread
+//! polls every task), so their stream is also in execution order. On
+//! the thread backend's workers it is not: a primitive draws its seq
+//! *after* it applies (`Register::read` loads, then records through its
+//! step permit), so a read can precede, in the stream, the write it
+//! observed. Free-running streams carry no controller-side events
+//! ([`TraceEvent::Invoke`], [`TraceEvent::Complete`],
+//! [`TraceEvent::Grant`], [`TraceEvent::Crash`]).
+//!
+//! [`TraceEvent::Invoke`] is the only announcement of an invocation a
+//! run makes: the operation history holds completions (and crash
+//! pendings) only, and a gated coop driver builds the pending records of
+//! crashes and snapshots from its backend's parked state.
+//!
+//! ## Delivery
+//!
+//! Events reach consumers in batches. A context from
+//! [`Runtime::ctx`](crate::Runtime::ctx), and `Driver::crash`, deliver
+//! each event as it happens. The coop backend's one recording
+//! [`ProcCtx`](crate::ProcCtx) buffers the events of the controller it
+//! serves — grants, invocations, completions and the accesses of the
+//! primitives applied through it — and delivers them together (see
+//! `backend::coop`, "One recording context"). A batch is numbered with
+//! one sequence draw, in buffer order, handed to the analysis sink under
+//! one lock ([`AnalysisPass::on_events`](crate::AnalysisPass::on_events))
+//! and appended to the log under another. Every public `Driver` and
+//! `CoopBackend` call returns with the buffer delivered, so consumers
+//! see the same events, in the same order, with the same seqs as if
+//! each were delivered alone.
+//!
+//! ## Consumers
 //!
 //! The stream has two consumers, independently switchable:
 //!
@@ -19,7 +47,7 @@
 //! * an **analysis sink**
 //!   ([`Runtime::attach_analysis`](crate::Runtime)) — events are pushed
 //!   into the attached [`Analyzer`](crate::analysis::Analyzer) as they
-//!   happen.
+//!   are delivered.
 //!
 //! With neither active, emission is a single relaxed load and nothing
 //! else — tracing is zero-cost when off.
@@ -89,7 +117,7 @@ pub struct Access {
 pub enum TraceEvent {
     /// A primitive application.
     Access(Access),
-    /// An operation's invocation was announced (gated mode).
+    /// An operation was invoked (gated mode).
     Invoke {
         /// Position in the recorded order.
         seq: u64,
@@ -160,6 +188,18 @@ impl TraceEvent {
             _ => None,
         }
     }
+
+    /// Number the event: events are built with a placeholder seq and
+    /// numbered when the tracer delivers them.
+    fn set_seq(&mut self, to: u64) {
+        match self {
+            TraceEvent::Access(Access { seq, .. })
+            | TraceEvent::Invoke { seq, .. }
+            | TraceEvent::Complete { seq, .. }
+            | TraceEvent::Grant { seq, .. }
+            | TraceEvent::Crash { seq, .. } => *seq = to,
+        }
+    }
 }
 
 /// The primitive applications of `trace`, in order — the view the
@@ -182,37 +222,41 @@ pub(crate) struct Tracer {
 }
 
 impl Tracer {
-    /// Emit one event: `build` receives the allocated sequence number.
-    /// The closure runs only when a consumer is active.
+    /// Emit one event, built with a placeholder seq: `build` runs only
+    /// when a consumer is active.
     #[inline]
-    pub(crate) fn emit(&self, build: impl FnOnce(u64) -> TraceEvent) {
-        // relaxed-ok: a pure on/off flag; emission order comes from the
-        // seq-cst sequence draw (and, on coop runs, the one controller
-        // thread), not from this load.
-        if !self.active.load(Ordering::Relaxed) {
+    pub(crate) fn emit(&self, build: impl FnOnce() -> TraceEvent) {
+        if !self.is_active() {
             return;
         }
-        self.emit_slow(build);
+        self.deliver(&mut [build()]);
     }
 
+    /// Number `batch` in order with one sequence draw, then hand it to
+    /// the live analysis sink under one lock and append it to the log
+    /// under another.
     #[cold]
-    fn emit_slow(&self, build: impl FnOnce(u64) -> TraceEvent) {
-        let seq = self.seq.fetch_add(1, Ordering::SeqCst);
-        let ev = build(seq);
+    pub(crate) fn deliver(&self, batch: &mut [TraceEvent]) {
+        let base = self.seq.fetch_add(batch.len() as u64, Ordering::SeqCst);
+        for (seq, ev) in (base..).zip(batch.iter_mut()) {
+            ev.set_seq(seq);
+        }
         if let Some(analyzer) = self.sink.get() {
             if !self.sealed.load(Ordering::SeqCst) {
-                analyzer.on_event(&ev);
+                analyzer.on_events(batch);
             }
         }
         if self.log_enabled.load(Ordering::SeqCst) {
-            self.log.lock().push(ev);
+            self.log.lock().extend_from_slice(batch);
         }
     }
 
     /// `true` while any consumer (log or live sink) is active.
     #[inline]
     pub(crate) fn is_active(&self) -> bool {
-        // relaxed-ok: same on/off flag as in `emit`.
+        // relaxed-ok: a pure on/off flag; stream order comes from the
+        // seq-cst sequence draw in `deliver` (and, on coop runs, the one
+        // controller thread), not from this load.
         self.active.load(Ordering::Relaxed)
     }
 
@@ -265,9 +309,9 @@ mod tests {
     use super::*;
 
     fn access(t: &Tracer, pid: usize, obj: usize, kind: AccessKind) {
-        t.emit(|seq| {
+        t.emit(|| {
             TraceEvent::Access(Access {
-                seq,
+                seq: 0,
                 pid,
                 obj,
                 kind,
@@ -313,12 +357,29 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_is_numbered_in_order_after_earlier_events() {
+        let t = Tracer::default();
+        t.set_enabled(true);
+        access(&t, 0, 1, AccessKind::Write);
+        let mut batch = [
+            TraceEvent::Grant { seq: 0, pid: 2 },
+            TraceEvent::Crash { seq: 0, pid: 1 },
+        ];
+        t.deliver(&mut batch);
+        access(&t, 0, 1, AccessKind::Read);
+        let log = t.take();
+        let order: Vec<(u64, usize)> = log.iter().map(|e| (e.seq(), e.pid())).collect();
+        assert_eq!(order, [(0, 0), (1, 2), (2, 1), (3, 0)]);
+        assert_eq!(log[1..3], batch, "the caller's batch is numbered in place");
+    }
+
+    #[test]
     fn accesses_filters_controller_events() {
         let t = Tracer::default();
         t.set_enabled(true);
-        t.emit(|seq| TraceEvent::Grant { seq, pid: 0 });
+        t.emit(|| TraceEvent::Grant { seq: 0, pid: 0 });
         access(&t, 0, 1, AccessKind::Write);
-        t.emit(|seq| TraceEvent::Crash { seq, pid: 0 });
+        t.emit(|| TraceEvent::Crash { seq: 0, pid: 0 });
         let log = t.take();
         assert_eq!(log.len(), 3);
         let acc = accesses(&log);

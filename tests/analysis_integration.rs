@@ -10,7 +10,9 @@ use parking_lot::Mutex;
 use smr::analysis::{AnalysisPass, Analyzer, HappensBefore, RunMeta, Violation};
 use smr::explore::{explore, ExploreConfig};
 use smr::sched::{RoundRobin, Scheduler, SeededRandom};
-use smr::{AccessKind, Driver, OpSpec, OpTask, Poll, ProcCtx, Register, Runtime, TraceEvent};
+use smr::{
+    AccessKind, CoopBackend, Driver, OpSpec, OpTask, Poll, ProcCtx, Register, Runtime, TraceEvent,
+};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -178,6 +180,131 @@ fn racy_pairs_of_seeded_kmult_runs_are_pinned() {
     assert_eq!(pairs[4], (49, 57, Write, Read));
     assert_eq!(pairs[6], (57, 59, Read, TestAndSet));
     assert_eq!(digest(&pairs), 0x76d6_6eaf_d15b_300c);
+}
+
+/// Keeps every event the analyzer hands it, so a test can compare the
+/// analysis sink's view of the stream with the trace log's.
+struct Recorder(Arc<Mutex<Vec<TraceEvent>>>);
+
+impl AnalysisPass for Recorder {
+    fn name(&self) -> &'static str {
+        "recorder"
+    }
+    fn on_event(&mut self, ev: &TraceEvent) {
+        self.0.lock().push(*ev);
+    }
+    fn finish(&mut self) -> Vec<Violation> {
+        Vec::new()
+    }
+}
+
+/// The trace log and the analysis sink after some driver call: both
+/// views hold the same events in the same order, numbered 0, 1, 2, …
+/// without a gap, and every completion and crash the history records
+/// has reached them. Returns the events the call added.
+fn both_views_agree(
+    rt: &Runtime,
+    d: &Driver<CoopBackend>,
+    seen: &Mutex<Vec<TraceEvent>>,
+    log: &mut Vec<TraceEvent>,
+    after: &str,
+) -> Vec<TraceEvent> {
+    let fresh = rt.take_trace();
+    log.extend_from_slice(&fresh);
+    assert_eq!(*seen.lock(), *log, "after {after}: the sink's view differs");
+    for (i, ev) in log.iter().enumerate() {
+        assert_eq!(ev.seq(), i as u64, "after {after}: seq gap at {i}: {ev:?}");
+    }
+    let traced = |f: fn(&TraceEvent) -> bool| log.iter().filter(|e| f(e)).count();
+    let completions = traced(|e| matches!(e, TraceEvent::Complete { .. }));
+    let crashes = traced(|e| matches!(e, TraceEvent::Crash { .. }));
+    let h = d.history();
+    assert_eq!(completions, h.len() - h.pending().len(), "after {after}");
+    assert_eq!(crashes, h.pending().len(), "after {after}");
+    fresh
+}
+
+#[test]
+fn batched_trace_delivery_is_invisible_to_log_and_sink() {
+    let n = 4;
+    let rt = Runtime::coop(n);
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    rt.attach_analysis(Analyzer::new(vec![Box::new(Recorder(seen.clone()))]));
+    rt.enable_tracing();
+    let c = Arc::new(CollectCounter::new(n));
+    let mut d = Driver::coop(rt.clone());
+    let mut log = Vec::new();
+
+    d.submit_task(0, OpSpec::inc(), CollectIncTask::new(c.clone()));
+    let fresh = both_views_agree(&rt, &d, &seen, &mut log, "submit_task");
+    assert!(
+        matches!(fresh[..], [TraceEvent::Invoke { pid: 0, .. }]),
+        "{fresh:?}"
+    );
+
+    // A primitive applied through a runtime context between two steps
+    // lands between their events in both views.
+    let outside = Register::new(0);
+    d.step(0);
+    let fresh = both_views_agree(&rt, &d, &seen, &mut log, "step");
+    assert!(
+        matches!(
+            fresh[..],
+            [TraceEvent::Grant { pid: 0, .. }, TraceEvent::Access(_)]
+        ),
+        "{fresh:?}"
+    );
+    outside.write(&rt.ctx(3), 7);
+    d.step(0);
+    let fresh = both_views_agree(&rt, &d, &seen, &mut log, "a write and a step");
+    let write = fresh[0].access().map(|a| (a.pid, a.obj));
+    assert_eq!(write, Some((3, outside.obj_id())), "{fresh:?}");
+    assert!(
+        matches!(fresh[1], TraceEvent::Grant { pid: 0, .. }),
+        "{fresh:?}"
+    );
+
+    for _ in 0..3 {
+        d.submit_task(1, OpSpec::inc(), CollectIncTask::new(c.clone()));
+    }
+    d.submit_task(1, OpSpec::read(), CollectReadTask::new(c.clone()));
+    both_views_agree(&rt, &d, &seen, &mut log, "submit_task");
+    assert_eq!(d.run_solo(1), 3 * 2 + n as u64);
+    let fresh = both_views_agree(&rt, &d, &seen, &mut log, "run_solo");
+    assert!(matches!(
+        fresh.last(),
+        Some(TraceEvent::Complete { pid: 1, .. })
+    ));
+
+    d.submit_task(2, OpSpec::inc(), CollectIncTask::new(c.clone()));
+    d.step(2);
+    d.crash(2);
+    let fresh = both_views_agree(&rt, &d, &seen, &mut log, "crash");
+    assert!(matches!(
+        fresh.last(),
+        Some(TraceEvent::Crash { pid: 2, .. })
+    ));
+
+    let snap = d.history_snapshot();
+    assert!(both_views_agree(&rt, &d, &seen, &mut log, "history_snapshot").is_empty());
+    assert_eq!(snap.pending().len(), 1, "the crashed increment");
+
+    // Enough operations that one run crosses the batch size (1 024
+    // events) several times: each increment is six events.
+    for pid in [0, 1, 3] {
+        for i in 0..300 {
+            if i % 10 == 9 {
+                d.submit_task(pid, OpSpec::read(), CollectReadTask::new(c.clone()));
+            } else {
+                d.submit_task(pid, OpSpec::inc(), CollectIncTask::new(c.clone()));
+            }
+        }
+    }
+    both_views_agree(&rt, &d, &seen, &mut log, "submit_task");
+    d.run_schedule(&mut SeededRandom::new(11));
+    let fresh = both_views_agree(&rt, &d, &seen, &mut log, "run_schedule");
+    assert!(fresh.len() > 4 * 1024, "{} events", fresh.len());
+    assert!(matches!(fresh.last(), Some(TraceEvent::Complete { .. })));
 }
 
 /// Mutant: the granted poll applies *two* primitives.

@@ -20,7 +20,6 @@
 //! of the same program execute identically there.
 
 use proptest::prelude::*;
-use smr::backend::ExecBackend;
 use smr::sched::RoundRobin;
 use smr::{Driver, History, OpSpec, OpTask, Poll, ProcCtx, Register, Runtime, TasBit};
 use std::sync::Arc;
@@ -164,12 +163,12 @@ struct Outcome {
     memory: Vec<u64>,
 }
 
-fn outcome<B: ExecBackend>(d: &mut Driver<B>, memory: Vec<u64>) -> Outcome {
+/// `snapshot` is the run's final history cut: a coop driver's
+/// `history_snapshot()`, or a quiesced thread driver's `history()`.
+fn outcome(snapshot: &History, rt: &Runtime, memory: Vec<u64>) -> Outcome {
     Outcome {
-        snapshot: normalize(&d.history_snapshot()),
-        per_pid_steps: (0..d.runtime().n())
-            .map(|p| d.runtime().steps_of(p))
-            .collect(),
+        snapshot: normalize(snapshot),
+        per_pid_steps: (0..rt.n()).map(|p| rt.steps_of(p)).collect(),
         memory,
     }
 }
@@ -198,7 +197,7 @@ fn run(n: usize, exec: Exec, build: &dyn Fn(&mut Submit) -> Memory) -> Outcome {
             let mut d = Driver::coop(Runtime::coop(n));
             let memory = build(&mut |pid, spec, task| d.submit_task(pid, spec, BoxedTask(task)));
             let _ = d.run_schedule(&mut RoundRobin::new());
-            outcome(&mut d, memory())
+            outcome(&d.history_snapshot(), d.runtime(), memory())
         }
         Exec::Free(seed) => {
             let rt = Runtime::coop_free(n);
@@ -208,7 +207,7 @@ fn run(n: usize, exec: Exec, build: &dyn Fn(&mut Submit) -> Memory) -> Outcome {
             };
             let memory = build(&mut |pid, spec, task| d.submit_task(pid, spec, BoxedTask(task)));
             d.wait_all();
-            outcome(&mut d, memory())
+            outcome(&d.history_snapshot(), d.runtime(), memory())
         }
     }
 }
@@ -322,7 +321,7 @@ fn run_thread_pid_by_pid(
         }
         d.wait_all();
     }
-    outcome(&mut d, pool.fingerprint())
+    outcome(d.history(), d.runtime(), pool.fingerprint())
 }
 
 /// The ported object tasks (Algorithm 1 counter, collect counter, tree

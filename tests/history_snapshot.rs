@@ -122,3 +122,66 @@ fn snapshot_combines_crashed_suspended_and_completed() {
     let complete = CounterHistory::from_records(&snap).expect("typed counter history");
     check_counter(&complete, 1).unwrap_or_else(|v| panic!("mixed cut: {v}"));
 }
+
+/// A pending record is the parked operation itself, not a copy made
+/// at invocation: it carries the invocation ticket that the operation's
+/// completed record carries once the schedule resumes it, and the steps
+/// taken so far.
+#[test]
+fn a_pending_record_carries_the_invocation_of_its_completion() {
+    let n = 2;
+    let c = Arc::new(CollectCounter::new(n));
+    let mut d = Driver::coop(Runtime::coop(n));
+    d.submit_task(0, OpSpec::inc(), CollectIncTask::new(c.clone()));
+    d.submit_task(1, OpSpec::read(), CollectReadTask::new(c.clone()));
+    assert_eq!(d.step(0), StepOutcome::Stepped);
+    d.run_solo(1);
+
+    let snap = d.history_snapshot();
+    let pending = snap.pending();
+    assert_eq!(pending.len(), 1, "the suspended increment");
+    let suspended = pending.ops()[0].clone();
+    assert_eq!((suspended.pid, suspended.steps), (0, 1));
+
+    d.run_solo(0);
+    let done = d
+        .history()
+        .ops()
+        .iter()
+        .find(|r| r.pid == 0)
+        .expect("the increment completed")
+        .clone();
+    assert_eq!(
+        done.inv, suspended.inv,
+        "the same operation, the same invocation"
+    );
+    assert_eq!(done.kind, suspended.kind);
+    assert_eq!(done.steps, 2);
+    assert!(done.resp.is_some_and(|resp| resp > suspended.inv));
+}
+
+/// Free-running coop suspends nothing: a snapshot taken before
+/// `wait_all` has no pending record, although every process has an
+/// operation parked after its priming poll. Only completed operations
+/// appear, once they complete.
+#[test]
+fn a_free_running_coop_snapshot_has_no_pending_record() {
+    let n = 3;
+    let c = Arc::new(CollectCounter::new(n));
+    let mut d = Driver::coop_free(Runtime::coop_free(n));
+    for pid in 0..n {
+        d.submit_task(pid, OpSpec::inc(), CollectIncTask::new(c.clone()));
+    }
+    assert_eq!(
+        d.active_pids(),
+        vec![0, 1, 2],
+        "every process has work in flight"
+    );
+    let snap = d.history_snapshot();
+    assert!(snap.is_empty(), "no pending record: {:?}", snap.ops());
+
+    d.wait_all();
+    let done = d.history_snapshot();
+    assert_eq!(done.len(), n);
+    assert_eq!(done.pending().len(), 0);
+}
