@@ -6,9 +6,12 @@
 //!
 //! Rows are matched by their stable identity fields; every compared
 //! metric present on both sides is checked (see `bench::regression`).
-//! The summary line says how many baseline rows a fresh row matched: a
-//! diff that matched none of a non-empty baseline's rows compared
-//! nothing and exits 1, with or without `--strict`.
+//! The summary line says how many baseline rows a fresh row matched.
+//! A coverage gap exits 1, with or without `--strict`: files of
+//! different benches, a `full`-mode fresh file (every bin's one grid)
+//! that leaves baseline rows without a fresh twin (each is named), or
+//! any other fresh file (`exp_paper`'s claim subsets) that matched none
+//! of a non-empty baseline's rows.
 //! Exact counts (the explorer's `interleavings`, `replays`,
 //! `pruned_subtrees` and `steps_replayed`, and the paper's `_steps` and
 //! `_objects` counts) are deterministic: any difference on a matched row
@@ -25,7 +28,7 @@
 //!
 //! ```bash
 //! cp BENCH_sketch.json /tmp/baseline.json
-//! cargo run --release -p bench --bin exp_sketch -- --smoke
+//! cargo run --release -p bench --bin exp_sketch
 //! cargo run --release -p bench --bin bench_diff -- /tmp/baseline.json BENCH_sketch.json
 //! ```
 
@@ -64,14 +67,6 @@ fn main() {
     };
     let baseline = read(&args[1]);
     let fresh = read(&args[2]);
-    if baseline.bench != fresh.bench {
-        eprintln!(
-            "bench_diff: comparing different benches ({} vs {}) — nothing to do",
-            baseline.bench, fresh.bench
-        );
-        return;
-    }
-
     let d = diff(&baseline, &fresh, factor);
     println!(
         "bench_diff: {} ({} of {} baseline rows matched by {} fresh rows, factor {factor}x)",
@@ -119,15 +114,11 @@ fn main() {
             d.mismatches.len()
         );
     }
-    let vacuous = d.compared_nothing(&baseline);
-    if vacuous {
-        println!(
-            "bench_diff: no fresh row matched any of the {} baseline rows — failing (the \
-             diff compared nothing; regenerate the baseline on the grid the run covers)",
-            baseline.results.len()
-        );
+    let gap = d.coverage_gap(&baseline, &fresh);
+    if let Some(why) = &gap {
+        println!("bench_diff: failing: {why}");
     }
-    if vacuous || !d.mismatches.is_empty() || (strict && regressions > 0) {
+    if gap.is_some() || !d.mismatches.is_empty() || (strict && regressions > 0) {
         std::process::exit(1);
     }
 }

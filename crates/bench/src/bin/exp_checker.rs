@@ -28,13 +28,12 @@
 //! `peak_retained_entries` is a memory-direction metric `bench_diff`
 //! checks for growth.
 //!
-//! Run: `cargo run --release -p bench --bin exp_checker`
-//! CI:  `cargo run --release -p bench --bin exp_checker -- --smoke`
-//! (`--smoke` shrinks the counter sizes to keep the bin exercised
-//! without costing CI minutes; `REPRO_SCALE` multiplies the full
-//! sizes. The wide-witness row is the same size in both runs.)
+//! Run: `cargo run --release -p bench --bin exp_checker` (no arguments;
+//! `REPRO_SCALE` multiplies the three largest counter sizes)
+//! CI:  the same, then `bench_diff` against the committed
+//! `BENCH_checker.json`.
 
-use bench::emit::{mode_str, Report, Row};
+use bench::emit::{Report, Row};
 use bench::tables::{f2, Table};
 use lincheck::monotone::{check_counter, check_maxreg};
 use lincheck::naive::{self, prefix_sums, weighted_lt};
@@ -211,21 +210,17 @@ impl Sample {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    bench::no_arguments("exp_checker");
     let scale = bench::scale() as usize;
 
     // (total records, run the quadratic reference too?)
-    let sizes: Vec<(usize, bool)> = if smoke {
-        vec![(2_000, true), (10_000, false)]
-    } else {
-        vec![
-            (10_000, true),
-            (30_000, true),
-            (100_000 * scale, false),
-            (300_000 * scale, false),
-            (1_000_000 * scale, false),
-        ]
-    };
+    let sizes: Vec<(usize, bool)> = vec![
+        (10_000, true),
+        (30_000, true),
+        (100_000 * scale, false),
+        (300_000 * scale, false),
+        (1_000_000 * scale, false),
+    ];
 
     let mut samples: Vec<Sample> = Vec::new();
     for (idx, &(total, with_naive)) in sizes.iter().enumerate() {
@@ -283,15 +278,11 @@ fn main() {
             if s.verdict { "ok" } else { "VIOLATION" }.to_string(),
         ]);
     }
-    table.print(if smoke {
-        "checker throughput (--smoke sizes)"
-    } else {
-        "checker throughput"
-    });
+    table.print("checker throughput");
 
     // Machine-readable results for regression tracking;
     // `peak_retained_entries` is a memory-direction metric.
-    let mut report = Report::new("checker_throughput", mode_str(smoke));
+    let mut report = Report::new("checker_throughput", "full");
     for s in &samples {
         let mut row = Row::new()
             .str("object", s.object)

@@ -22,17 +22,17 @@
 //! only within one algorithm.
 //!
 //! Results land in `BENCH_explore.json` (cwd) for regression tracking.
-//! `--smoke` runs the closed-form configurations plus the two 4-process
-//! DPOR programs `perfbench`'s `explore_dpor` walks (collect-4x2 and
-//! kmult-4x2), so a diff against the committed file pins the exact walk
-//! of both.
+//! The grid includes the two 4-process DPOR programs `perfbench`'s
+//! `explore_dpor` walks (collect-4x2 and kmult-4x2), so a diff against
+//! the committed file pins the exact walk of both.
 //!
-//! Run: `cargo run --release -p bench --bin exp_explore`
-//! CI:  `cargo run --release -p bench --bin exp_explore -- --smoke`
-//! Any other argument is a usage error (exit 2).
+//! Run: `cargo run --release -p bench --bin exp_explore` (no arguments;
+//! any argument is a usage error, exit 2)
+//! CI:  the same, then `bench_diff` against the committed
+//! `BENCH_explore.json`.
 
 use approx_objects::{KmultCounter, KmultIncTask, KmultReadTask, SharedKmultHandle};
-use bench::emit::{mode_str, Report, Row};
+use bench::emit::{Report, Row};
 use bench::multinomial;
 use bench::tables::{f2, Table};
 use counter::{CollectCounter, CollectIncTask, CollectReadTask};
@@ -221,16 +221,9 @@ fn maxreg_checker(k: u64) -> Checker {
 }
 
 fn main() {
-    let mut smoke = false;
-    for arg in std::env::args().skip(1) {
-        if arg != "--smoke" {
-            eprintln!("exp_explore: unexpected argument {arg:?}\nusage: exp_explore [--smoke]");
-            std::process::exit(2);
-        }
-        smoke = true;
-    }
+    bench::no_arguments("exp_explore");
 
-    let mut configs = vec![
+    let configs = vec![
         Config {
             name: "collect-3x2-exhaustive",
             cfg: ExploreConfig::exhaustive(100),
@@ -266,9 +259,7 @@ fn main() {
             factory: kmult_4x2(),
             checker: counter_checker(3),
         },
-    ];
-    if !smoke {
-        configs.push(Config {
+        Config {
             name: "collect-reader-crashes",
             cfg: ExploreConfig {
                 max_crashes: 2,
@@ -277,29 +268,29 @@ fn main() {
             expected: None,
             factory: collect_with_reader(),
             checker: counter_checker(1),
-        });
-        configs.push(Config {
+        },
+        Config {
             name: "kmult-mixed-dpor",
             cfg: ExploreConfig::default(),
             expected: None,
             factory: kmult_mixed(),
             checker: counter_checker(2),
-        });
-        configs.push(Config {
+        },
+        Config {
             name: "tree-maxreg-exhaustive",
             cfg: ExploreConfig::exhaustive(100),
             expected: None,
             factory: tree_maxreg(),
             checker: maxreg_checker(1),
-        });
-        configs.push(Config {
+        },
+        Config {
             name: "tree-maxreg-dpor",
             cfg: ExploreConfig::default(),
             expected: None,
             factory: tree_maxreg(),
             checker: maxreg_checker(1),
-        });
-    }
+        },
+    ];
 
     let mut samples = Vec::new();
     for c in &configs {
@@ -377,13 +368,9 @@ fn main() {
     println!("every enumerated interleaving checked against lincheck; dpor rows");
     println!("count Mazurkiewicz trace representatives; count-asserted configs");
     println!("must match the multinomial closed form.");
-    table.print(if smoke {
-        "schedule exploration (--smoke configs)"
-    } else {
-        "schedule exploration"
-    });
+    table.print("schedule exploration");
 
-    let mut report = Report::new("schedule_exploration", mode_str(smoke));
+    let mut report = Report::new("schedule_exploration", "full");
     for s in &samples {
         report.row(s.row());
     }

@@ -1,112 +1,268 @@
-//! EXP-SCALE — execution throughput and memory vs process count, in
-//! both scheduling modes of the coop backend.
+//! EXP-SCALE — the coop backend's throughput harness: steps/s and peak
+//! RSS vs process count, in both scheduling modes, bare and with each
+//! instrument the runtime carries.
 //!
 //! The paper's bounds are parameterized by the process count `n`. The
 //! coop backend drives *virtual* processes as resumable `OpTask` state
 //! machines on the controller thread, which is what opens the 10⁵–10⁶
-//! range the `O(log log n)`-flavored results are about. This
-//! experiment measures steps/s and peak RSS as `n` grows, in two modes:
-//! `gated` (one controller grant per primitive, `run_schedule`) and
-//! `free` (the ungated batch-polling `Driver::coop_free` loop — the
-//! coop backend's throughput ceiling with scheduling costs removed):
+//! range the `O(log log n)`-flavored results are about. Each config is
+//! a workload, a mode, `n`, an op count and an instrument:
 //!
-//! * `reg` workload — each process runs read-then-write chains over a
-//!   striped register pool (2 primitives per op): pure harness overhead.
-//! * `kmult` workload — each process alternates Algorithm 1
-//!   increments/reads at `k = ⌈√n⌉` through the ported task wrappers:
-//!   the paper's object at populations of 10⁵ processes.
+//! * workloads — `reg`: read-then-write chains over a striped pool of
+//!   1 024 registers (2 primitives per op; pure harness overhead).
+//!   `cluster`: the same chains confined to 8-process clusters, so
+//!   communication (and with it every happens-before clock) is bounded
+//!   by construction. `kmult`: Algorithm 1 increments and reads at
+//!   `k = ⌈√n⌉`, where every process funnels through the same `switch`
+//!   bits and every causal past densifies to all `n` processes.
+//! * modes — `gated`: one controller grant per primitive, round-robin
+//!   (`run_schedule`). `free`: the ungated batch-polling
+//!   `Driver::coop_free` loop, the backend's throughput ceiling.
+//! * instruments — `none`: the bare runtime. `analysis`:
+//!   `Analyzer::standard()` (poll discipline, conformance,
+//!   happens-before) consuming every trace event inline. `metrics`:
+//!   `obs` collection on (one sharded relaxed `fetch_add` per event).
+//!   Every instrumented config directly follows its plain twin (same
+//!   workload, mode, `n` and ops), and the `instrument` column is part
+//!   of row identity, so both sides regress independently. A metrics
+//!   pair runs in three alternating rounds and keeps each side's
+//!   fastest run; every other config runs once.
 //!
-//! Peak RSS is per-configuration: the parent re-executes itself
-//! (`--child …`) so each config is measured in a fresh address space
-//! (`VmHWM` of `/proc/self/status`; 0 where unavailable).
+//! Every run is a fresh child process (`exp_scale --child <index>`), so
+//! a row prices its own heap alone and its peak RSS (`VmHWM` of
+//! `/proc/self/status`, 0 where unavailable) is its own. A failing
+//! child fails the run. The gates, asserted here:
 //!
-//! Results land in `BENCH_scale.json` (cwd) for regression tracking.
+//! * every run finishes in under 120 s (a pass diverged, not a busy box);
+//! * every gated `reg` run at `n ≥ 10⁵` finishes in under 60 s and
+//!   grants steps;
+//! * every analysis-on run finishes with no violations (a violation on
+//!   these workloads is a runtime-contract bug);
+//! * `cluster` analysis overhead stays below 10× its plain twin (a pass
+//!   stopped being O(1) amortized); `kmult`'s grows with `n` by design;
+//! * every metrics-on run counts coop polls (the hot path kept its
+//!   instrumentation);
+//! * at 10⁵ processes, metrics-on keeps ≥ 95% of its plain twin's
+//!   steps/s, estimated as the larger of best-on/best-off and the best
+//!   round's ratio, re-measured up to three times before the assert
+//!   fires (one scheduler hiccup at ~100 ms run lengths costs more than
+//!   the whole budget).
 //!
-//! Run: `cargo run --release -p bench --bin exp_scale`
-//! CI:  `cargo run --release -p bench --bin exp_scale -- --smoke`
-//! (`--smoke` shrinks the sweep but still proves the acceptance bar: a
-//! gated schedule over 10⁵ virtual processes completing in seconds.)
+//! Results land in `BENCH_scale.json` (cwd); each metrics-on run leaves
+//! its `obs` snapshot in `OBS_snapshot.json`, so the file holds the last
+//! one. `REPRO_SCALE` multiplies `n` of the 10⁶-process `reg` rows and
+//! the 10⁵-process `kmult` rows.
+//!
+//! Run: `cargo run --release -p bench --bin exp_scale` (no arguments)
+//! CI:  the same, then `bench_diff` against the committed
+//! `BENCH_scale.json`.
 
 use approx_objects::{KmultCounter, KmultIncTask, KmultReadTask, SharedKmultHandle};
-use bench::emit::{mode_str, Report, Row};
+use bench::emit::{Report, Row};
 use bench::tables::{f2, Table};
 use parking_lot::Mutex;
-use smr::backend::ExecBackend;
+use smr::analysis::Analyzer;
+use smr::backend::CoopBackend;
 use smr::sched::RoundRobin;
 use smr::{Driver, OpSpec, OpTask, Poll, ProcCtx, Register, Runtime};
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Read-then-write over a striped register pool: 2 primitives per op.
-struct RegChainTask {
+/// Processes per communication cluster in the `cluster` workload.
+const CLUSTER: usize = 8;
+
+/// Alternating rounds of a metrics pair.
+const METRICS_ROUNDS: usize = 3;
+
+/// The process count of the metrics-overhead gate.
+const METRICS_GATE_N: usize = 100_000;
+
+/// Read one register, write another: 2 primitives per op.
+struct ChainTask {
     pool: Arc<Vec<Register>>,
-    at: usize,
+    read_at: usize,
+    write_at: usize,
     read: Option<u64>,
     primed: bool,
 }
 
-impl RegChainTask {
-    fn new(pool: Arc<Vec<Register>>, at: usize) -> Self {
-        RegChainTask {
-            pool,
-            at,
-            read: None,
-            primed: false,
-        }
-    }
-}
-
-impl OpTask for RegChainTask {
+impl OpTask for ChainTask {
     fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
         if !self.primed {
             self.primed = true;
             return Poll::Pending;
         }
-        let len = self.pool.len();
         match self.read {
             None => {
-                self.read = Some(self.pool[self.at % len].read(ctx));
+                self.read = Some(self.pool[self.read_at].read(ctx));
                 Poll::Pending
             }
             Some(v) => {
-                self.pool[(self.at + 1) % len].write(ctx, v.wrapping_add(1));
+                self.pool[self.write_at].write(ctx, v.wrapping_add(1));
                 Poll::Ready(u128::from(v))
             }
         }
     }
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Backend {
-    Coop,
-    CoopFree,
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Workload {
+    Reg,
+    Cluster,
+    Kmult,
 }
 
-impl Backend {
-    /// Scheduling mode: `gated` runs grant one primitive at a time
-    /// (`run_schedule`); `free` batch-polls runnable tasks with no
-    /// grants ([`Driver::coop_free`]).
-    fn mode(self) -> &'static str {
+impl Workload {
+    fn name(self) -> &'static str {
         match self {
-            Backend::Coop => "gated",
-            Backend::CoopFree => "free",
+            Workload::Reg => "reg",
+            Workload::Cluster => "cluster",
+            Workload::Kmult => "kmult",
         }
     }
 
-    /// Unambiguous CLI token for `--child` re-execution.
-    fn token(self) -> &'static str {
-        match self {
-            Backend::Coop => "coop",
-            Backend::CoopFree => "coop_free",
+    fn submit(self, d: &mut Driver<CoopBackend>, n: usize, ops_per_proc: u64) {
+        if self == Workload::Kmult {
+            let k = bench::ceil_sqrt(n as u64).max(2);
+            let counter = KmultCounter::new(n, k);
+            for pid in 0..n {
+                let handle: SharedKmultHandle = Arc::new(Mutex::new(counter.handle(pid)));
+                for j in 0..ops_per_proc {
+                    if j % 2 == 0 {
+                        d.submit_task(pid, OpSpec::inc(), KmultIncTask::new(handle.clone()));
+                    } else {
+                        d.submit_task(pid, OpSpec::read(), KmultReadTask::new(handle.clone()));
+                    }
+                }
+            }
+            return;
+        }
+        let len = if self == Workload::Reg { 1024 } else { n };
+        let pool: Arc<Vec<Register>> = Arc::new((0..len).map(|_| Register::new(0)).collect());
+        for pid in 0..n {
+            for j in 0..ops_per_proc {
+                let (read_at, write_at) = if self == Workload::Reg {
+                    let at = pid + j as usize;
+                    (at % len, (at + 1) % len)
+                } else {
+                    // Own slot, then the ring neighbour's within the
+                    // pid's cluster.
+                    let base = pid - pid % CLUSTER;
+                    (pid, (base + (pid + 1) % CLUSTER).min(len - 1))
+                };
+                let task = ChainTask {
+                    pool: pool.clone(),
+                    read_at,
+                    write_at,
+                    read: None,
+                    primed: false,
+                };
+                d.submit_task(pid, OpSpec::custom("chain", j as u128), task);
+            }
         }
     }
+}
+
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Mode {
+    Gated,
+    Free,
+}
+
+impl Mode {
+    fn name(self) -> &'static str {
+        match self {
+            Mode::Gated => "gated",
+            Mode::Free => "free",
+        }
+    }
+}
+
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Instrument {
+    None,
+    Analysis,
+    Metrics,
+}
+
+impl Instrument {
+    fn name(self) -> &'static str {
+        match self {
+            Instrument::None => "none",
+            Instrument::Analysis => "analysis",
+            Instrument::Metrics => "metrics",
+        }
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
+struct Config {
+    workload: Workload,
+    mode: Mode,
+    n: usize,
+    ops_per_proc: u64,
+    instrument: Instrument,
+}
+
+impl Config {
+    /// What an instrumented config shares with its plain twin.
+    fn key(&self) -> (Workload, Mode, usize, u64) {
+        (self.workload, self.mode, self.n, self.ops_per_proc)
+    }
+
+    fn label(&self) -> String {
+        format!(
+            "{}/{}/{}/n={}",
+            self.workload.name(),
+            self.mode.name(),
+            self.instrument.name(),
+            self.n
+        )
+    }
+}
+
+/// The one grid. `scale` (`REPRO_SCALE`) multiplies `n` of the
+/// 10⁶-process `reg` rows and the 10⁵-process `kmult` rows.
+fn grid(scale: usize) -> Vec<Config> {
+    use Mode::{Free, Gated};
+    use Workload::{Cluster, Kmult, Reg};
+    let c = |workload, mode, n, ops_per_proc, instrument| Config {
+        workload,
+        mode,
+        n,
+        ops_per_proc,
+        instrument,
+    };
+    let (none, analysis, metrics) = (Instrument::None, Instrument::Analysis, Instrument::Metrics);
+    vec![
+        c(Reg, Gated, 100, 4, none),
+        c(Reg, Gated, 1_000, 4, none),
+        c(Reg, Gated, 10_000, 4, none),
+        c(Reg, Gated, 100_000, 4, none),
+        c(Reg, Gated, 1_000_000 * scale, 1, none),
+        c(Reg, Free, 10_000, 4, none),
+        c(Reg, Free, 10_000, 4, metrics),
+        c(Reg, Free, METRICS_GATE_N, 4, none),
+        c(Reg, Free, METRICS_GATE_N, 4, metrics),
+        c(Reg, Free, 1_000_000 * scale, 1, none),
+        c(Reg, Free, 1_000_000 * scale, 1, metrics),
+        c(Cluster, Gated, 10_000, 4, none),
+        c(Cluster, Gated, 10_000, 4, analysis),
+        c(Cluster, Gated, 100_000, 4, none),
+        c(Cluster, Gated, 100_000, 4, analysis),
+        c(Kmult, Gated, 1_000, 4, none),
+        c(Kmult, Gated, 1_000, 4, analysis),
+        c(Kmult, Gated, 3_000, 4, none),
+        c(Kmult, Gated, 3_000, 4, analysis),
+        c(Kmult, Gated, 10_000, 4, none),
+        c(Kmult, Gated, 100_000 * scale, 2, none),
+        c(Kmult, Free, 100_000 * scale, 2, none),
+    ]
 }
 
 struct Sample {
-    workload: &'static str,
-    mode: &'static str,
-    n: usize,
-    ops: u64,
+    config: Config,
     steps: u64,
     millis: f64,
     peak_rss_bytes: u64,
@@ -118,14 +274,13 @@ impl Sample {
     }
 
     fn row(&self) -> Row {
+        let c = &self.config;
         Row::new()
-            .str("workload", self.workload)
-            // Every row is the coop backend; the column keeps row
-            // identity stable against older baselines.
-            .str("backend", "coop")
-            .str("mode", self.mode)
-            .int("n", self.n as u64)
-            .int("ops", self.ops)
+            .str("workload", c.workload.name())
+            .str("mode", c.mode.name())
+            .str("instrument", c.instrument.name())
+            .int("n", c.n as u64)
+            .int("ops", c.n as u64 * c.ops_per_proc)
             .int("steps", self.steps)
             .float3("millis", self.millis)
             .float0("steps_per_sec", self.steps_per_sec())
@@ -153,219 +308,322 @@ fn peak_rss_bytes() -> u64 {
     0
 }
 
-fn submit_reg<B: ExecBackend>(d: &mut Driver<B>, n: usize, ops_per_proc: u64) {
-    let pool: Arc<Vec<Register>> = Arc::new((0..1024).map(|_| Register::new(0)).collect());
-    for pid in 0..n {
-        for j in 0..ops_per_proc {
-            d.submit_task(
-                pid,
-                OpSpec::custom("rmw", j as u128),
-                RegChainTask::new(pool.clone(), pid + j as usize),
+/// Run `c` in this (child) process: the steps and milliseconds of
+/// execution, after the instrument's own gate.
+fn run_config(c: &Config) -> (u64, f64) {
+    obs::set_enabled(c.instrument == Instrument::Metrics);
+    let (rt, mut d) = match c.mode {
+        Mode::Gated => {
+            let rt = Runtime::coop(c.n);
+            (rt.clone(), Driver::coop(rt))
+        }
+        Mode::Free => {
+            let rt = Runtime::coop_free(c.n);
+            (rt.clone(), Driver::coop_free(rt))
+        }
+    };
+    if c.instrument == Instrument::Analysis {
+        rt.attach_analysis(Analyzer::standard());
+    }
+    c.workload.submit(&mut d, c.n, c.ops_per_proc);
+    let start = Instant::now();
+    let steps = match c.mode {
+        Mode::Gated => d.run_schedule(&mut RoundRobin::new()),
+        Mode::Free => {
+            d.wait_all();
+            rt.total_steps()
+        }
+    };
+    let millis = start.elapsed().as_secs_f64() * 1e3;
+    // Off again before teardown, so the snapshot keeps the run's gauges
+    // (the arena's resident bytes) rather than the drop's.
+    obs::set_enabled(false);
+    drop(d);
+    match c.instrument {
+        Instrument::None => {}
+        Instrument::Analysis => {
+            let violations = rt.analysis().expect("analyzer attached").finish();
+            assert!(
+                violations.is_empty(),
+                "the standard passes flagged {} — a runtime-contract bug, not noise: \
+                 {violations:?}",
+                c.label()
             );
         }
-    }
-}
-
-fn submit_kmult<B: ExecBackend>(d: &mut Driver<B>, n: usize, ops_per_proc: u64) {
-    let k = bench::ceil_sqrt(n as u64).max(2);
-    let counter = KmultCounter::new(n, k);
-    for pid in 0..n {
-        let handle: SharedKmultHandle = Arc::new(Mutex::new(counter.handle(pid)));
-        for j in 0..ops_per_proc {
-            if j % 2 == 0 {
-                d.submit_task(pid, OpSpec::inc(), KmultIncTask::new(handle.clone()));
-            } else {
-                d.submit_task(pid, OpSpec::read(), KmultReadTask::new(handle.clone()));
+        Instrument::Metrics => {
+            let snap = obs::snapshot();
+            let polls = snap
+                .get(obs::names::SUB_COOP, obs::names::COOP_POLLS)
+                .unwrap_or(0);
+            assert!(
+                polls > 0,
+                "{} recorded zero coop polls — the hot path lost its instrumentation",
+                c.label()
+            );
+            let path = "OBS_snapshot.json";
+            if let Err(e) = std::fs::write(path, snap.to_json("full")) {
+                eprintln!("could not write {path}: {e}");
             }
         }
     }
+    (steps, millis)
 }
 
-/// Run one configuration in this process and return its sample.
-fn run_config(workload: &'static str, backend: Backend, n: usize, ops_per_proc: u64) -> Sample {
-    let drive =
-        |steps: u64, start: Instant| -> (u64, f64) { (steps, start.elapsed().as_secs_f64() * 1e3) };
-    let (steps, millis) = match backend {
-        Backend::Coop => {
-            let mut d = Driver::coop(Runtime::coop(n));
-            match workload {
-                "reg" => submit_reg(&mut d, n, ops_per_proc),
-                _ => submit_kmult(&mut d, n, ops_per_proc),
-            }
-            let start = Instant::now();
-            drive(d.run_schedule(&mut RoundRobin::new()), start)
-        }
-        Backend::CoopFree => {
-            // No grants: tasks are batch-polled until every submitted op
-            // completes; steps come off the runtime's counters.
-            let mut d = Driver::coop_free(Runtime::coop_free(n));
-            match workload {
-                "reg" => submit_reg(&mut d, n, ops_per_proc),
-                _ => submit_kmult(&mut d, n, ops_per_proc),
-            }
-            let start = Instant::now();
-            d.wait_all();
-            drive(d.runtime().total_steps(), start)
-        }
+/// Run config `index` of the grid in a fresh child process. A child
+/// that fails (a gate inside it, or a crash) fails the run; its stderr
+/// goes straight to ours.
+fn run_child(configs: &[Config], index: usize) -> Sample {
+    let c = configs[index];
+    let exe = std::env::current_exe().expect("exp_scale: cannot find its own executable");
+    let out = Command::new(exe)
+        .args(["--child", &index.to_string()])
+        .stderr(Stdio::inherit())
+        .output()
+        .unwrap_or_else(|e| panic!("exp_scale: cannot start the child for {}: {e}", c.label()));
+    assert!(
+        out.status.success(),
+        "exp_scale: the child for {} failed ({})",
+        c.label(),
+        out.status
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let fields: Vec<f64> = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("RESULT "))
+        .map(|l| {
+            l.split_whitespace()
+                .filter_map(|x| x.parse().ok())
+                .collect()
+        })
+        .unwrap_or_default();
+    let [steps, millis, peak_rss_bytes] = fields[..] else {
+        panic!("exp_scale: the child for {} printed no result", c.label());
     };
-    Sample {
-        workload,
-        mode: backend.mode(),
-        n,
-        ops: n as u64 * ops_per_proc,
-        steps,
+    let s = Sample {
+        config: c,
+        steps: steps as u64,
         millis,
-        peak_rss_bytes: peak_rss_bytes(),
-    }
+        peak_rss_bytes: peak_rss_bytes as u64,
+    };
+    assert!(
+        s.millis < 120_000.0,
+        "{} took {:.0} ms — a runaway, not a busy box",
+        c.label(),
+        s.millis
+    );
+    s
 }
 
-/// Run one configuration in a fresh child process (per-config RSS);
-/// falls back to in-process measurement if re-execution fails.
-fn run_isolated(workload: &'static str, backend: Backend, n: usize, ops_per_proc: u64) -> Sample {
-    let child = std::env::current_exe().ok().and_then(|exe| {
-        std::process::Command::new(exe)
-            .args([
-                "--child",
-                workload,
-                backend.token(),
-                &n.to_string(),
-                &ops_per_proc.to_string(),
-            ])
-            .output()
-            .ok()
-    });
-    if let Some(out) = child {
-        if out.status.success() {
-            let stdout = String::from_utf8_lossy(&out.stdout);
-            if let Some(line) = stdout.lines().find_map(|l| l.strip_prefix("RESULT ")) {
-                return parse_child_line(line, workload, backend);
+/// Measure a group — a plain config and its instrumented twin, if any
+/// (`group` indexes `configs`) — in `rounds` alternating rounds, keeping
+/// each config's fastest run. Also returns the twin-over-plain
+/// steps/s ratio: the larger of best-over-best and the best single
+/// round's (adjacent runs see the same machine load, so a round's ratio
+/// cancels drift the best-of-each-side quotient cannot).
+fn measure(configs: &[Config], group: &[usize], rounds: usize) -> (Vec<Sample>, f64) {
+    let mut best: Vec<Sample> = Vec::new();
+    let mut ratio = 0.0f64;
+    for _ in 0..rounds {
+        let runs: Vec<Sample> = group.iter().map(|&i| run_child(configs, i)).collect();
+        ratio = ratio.max(runs[runs.len() - 1].steps_per_sec() / runs[0].steps_per_sec());
+        if best.is_empty() {
+            best = runs;
+        } else {
+            for (b, s) in best.iter_mut().zip(runs) {
+                if s.millis < b.millis {
+                    *b = s;
+                }
             }
         }
-        eprintln!(
-            "child for {}/{}/n={n} failed; measuring in-process",
-            workload,
-            backend.token()
-        );
     }
-    run_config(workload, backend, n, ops_per_proc)
-}
-
-/// Parse the child's flat JSON result line (no serde in the tree; the
-/// format is our own, written by `Sample::row`).
-fn parse_child_line(line: &str, workload: &'static str, backend: Backend) -> Sample {
-    let field = |key: &str| -> f64 {
-        let pat = format!("\"{key}\": ");
-        let at = line.find(&pat).map(|i| i + pat.len()).unwrap_or(0);
-        line[at..]
-            .split([',', '}'])
-            .next()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(0.0)
-    };
-    Sample {
-        workload,
-        mode: backend.mode(),
-        n: field("n") as usize,
-        ops: field("ops") as u64,
-        steps: field("steps") as u64,
-        millis: field("millis"),
-        peak_rss_bytes: field("peak_rss_bytes") as u64,
-    }
+    ratio = ratio.max(best[best.len() - 1].steps_per_sec() / best[0].steps_per_sec());
+    (best, ratio)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let configs = grid(bench::scale() as usize);
+    // Child mode (internal): run one config, print one machine line.
+    if let [flag, index] = &args[..] {
+        if let Some(c) = index.parse::<usize>().ok().and_then(|i| configs.get(i)) {
+            if flag == "--child" {
+                let (steps, millis) = run_config(c);
+                println!("RESULT {steps} {millis} {}", peak_rss_bytes());
+                return;
+            }
+        }
+    }
+    bench::no_arguments("exp_scale");
 
-    // Child mode: run exactly one config, print one machine line.
-    if args.get(1).map(String::as_str) == Some("--child") {
-        let workload: &'static str = if args[2] == "reg" { "reg" } else { "kmult" };
-        let backend = match args[3].as_str() {
-            "coop_free" => Backend::CoopFree,
-            _ => Backend::Coop,
-        };
-        let n: usize = args[4].parse().expect("n");
-        let ops: u64 = args[5].parse().expect("ops_per_proc");
-        let sample = run_config(workload, backend, n, ops);
-        println!("RESULT {}", sample.row().to_json());
-        return;
+    let mut samples: Vec<Sample> = Vec::new();
+    let mut metrics_bar = None;
+    let indices: Vec<usize> = (0..configs.len()).collect();
+    for group in indices.chunk_by(|&a, &b| configs[a].key() == configs[b].key()) {
+        let twin = configs[group[group.len() - 1]];
+        let metrics = twin.instrument == Instrument::Metrics;
+        let rounds = if metrics { METRICS_ROUNDS } else { 1 };
+        let (best, mut ratio) = measure(&configs, group, rounds);
+        for s in &best {
+            eprintln!(
+                "done: {}: {:.0} steps/s",
+                s.config.label(),
+                s.steps_per_sec()
+            );
+        }
+        if metrics && twin.n == METRICS_GATE_N {
+            for _ in 0..3 {
+                if ratio >= 0.95 {
+                    break;
+                }
+                eprintln!("metrics bar came in at {ratio:.3}; re-measuring");
+                ratio = ratio.max(measure(&configs, group, rounds).1);
+            }
+            assert!(
+                ratio >= 0.95,
+                "metrics-on throughput at {METRICS_GATE_N} processes is {:.1}% of its \
+                 plain twin's — the enabled path exceeds the 5% budget",
+                100.0 * ratio
+            );
+            metrics_bar = Some(ratio);
+        }
+        samples.extend(best);
     }
 
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let scale = bench::scale() as usize;
-
-    // (workload, backend, n, ops_per_proc)
-    let configs: Vec<(&'static str, Backend, usize, u64)> = if smoke {
-        vec![
-            ("reg", Backend::Coop, 100, 2),
-            ("reg", Backend::Coop, 10_000, 2),
-            // The acceptance bar: ≥ 10⁵ virtual processes, gated, seconds.
-            ("reg", Backend::Coop, 100_000, 2),
-            ("reg", Backend::CoopFree, 100_000, 2),
-            ("kmult", Backend::Coop, 10_000, 2),
-            ("kmult", Backend::CoopFree, 10_000, 2),
-        ]
-    } else {
-        vec![
-            ("reg", Backend::Coop, 100, 4),
-            ("reg", Backend::Coop, 1_000, 4),
-            ("reg", Backend::Coop, 10_000, 4),
-            ("reg", Backend::Coop, 100_000, 4),
-            ("reg", Backend::Coop, 1_000_000 * scale, 1),
-            ("reg", Backend::CoopFree, 10_000, 4),
-            ("reg", Backend::CoopFree, 100_000, 4),
-            ("reg", Backend::CoopFree, 1_000_000 * scale, 1),
-            ("kmult", Backend::Coop, 10_000, 4),
-            ("kmult", Backend::Coop, 100_000 * scale, 2),
-            ("kmult", Backend::CoopFree, 100_000 * scale, 2),
-        ]
+    // Each instrumented row's plain twin directly precedes it.
+    let plain_of = |i: usize| -> &Sample {
+        match samples[i].config.instrument {
+            Instrument::None => &samples[i],
+            _ => &samples[i - 1],
+        }
     };
-
-    let mut samples = Vec::new();
-    for &(workload, backend, n, ops) in &configs {
-        let s = run_isolated(workload, backend, n, ops);
-        eprintln!(
-            "done: {workload}/{}/n={n}: {:.0} steps/s",
-            backend.token(),
-            s.steps_per_sec()
-        );
-        samples.push(s);
+    for (i, s) in samples.iter().enumerate() {
+        let c = &s.config;
+        if c.workload == Workload::Reg && c.mode == Mode::Gated && c.n >= 100_000 {
+            assert!(
+                s.millis < 60_000.0,
+                "a {}-process gated run took {:.0} ms — the coop backend has regressed",
+                c.n,
+                s.millis
+            );
+            assert!(
+                s.steps > 0,
+                "the {}-process gated run granted no steps",
+                c.n
+            );
+        }
+        if c.workload == Workload::Cluster && c.instrument == Instrument::Analysis {
+            let overhead = plain_of(i).steps_per_sec() / s.steps_per_sec().max(1e-9);
+            assert!(
+                overhead < 10.0,
+                "analysis overhead {overhead:.1}x on {} — a pass has regressed",
+                c.label()
+            );
+        }
     }
 
-    // The point of the exercise: huge-n gated runs finish in seconds.
-    if let Some(big) = samples.iter().find(|s| s.mode == "gated" && s.n >= 100_000) {
-        assert!(
-            big.millis < 60_000.0,
-            "a 10⁵-process gated run took {:.0} ms — the coop backend has regressed",
-            big.millis
-        );
-        assert!(big.steps > 0, "the big run granted no steps");
-    }
-
-    let mut table = Table::new(["workload", "mode", "n", "steps", "ms", "steps/s", "peak MB"]);
-    for s in &samples {
+    let mut table = Table::new([
+        "workload",
+        "mode",
+        "instrument",
+        "n",
+        "steps",
+        "ms",
+        "steps/s",
+        "vs plain",
+        "peak MB",
+    ]);
+    for (i, s) in samples.iter().enumerate() {
+        let c = &s.config;
         table.row([
-            s.workload.to_string(),
-            s.mode.to_string(),
-            s.n.to_string(),
+            c.workload.name().to_string(),
+            c.mode.name().to_string(),
+            c.instrument.name().to_string(),
+            c.n.to_string(),
             s.steps.to_string(),
             f2(s.millis),
             format!("{:.0}", s.steps_per_sec()),
+            match c.instrument {
+                Instrument::None => "—".to_string(),
+                _ => format!(
+                    "{:.2}x",
+                    plain_of(i).steps_per_sec() / s.steps_per_sec().max(1e-9)
+                ),
+            },
             f2(s.peak_rss_bytes as f64 / (1024.0 * 1024.0)),
         ]);
     }
 
-    println!("EXP-SCALE — steps/s and peak RSS vs process count");
+    println!("EXP-SCALE — steps/s and peak RSS vs process count, bare and instrumented");
     println!("coop = virtual processes polled on the controller thread");
     println!("       (mode gated = one grant per primitive; free = ungated batch polling).");
-    table.print(if smoke {
-        "execution-backend scaling (--smoke sizes)"
-    } else {
-        "execution-backend scaling"
-    });
+    println!("instrument analysis = poll discipline + conformance + happens-before, inline;");
+    println!("           metrics  = obs collection on; vs plain = the plain twin's steps/s");
+    println!(
+        "           over this row's (metrics pairs: best of {METRICS_ROUNDS} alternating rounds)."
+    );
+    if let Some(bar) = metrics_bar {
+        println!("{METRICS_GATE_N}-process metrics bar: on/off = {bar:.3} (≥ 0.950 required).");
+    }
+    table.print("coop scaling");
 
-    let mut report = Report::new("backend_scaling", mode_str(smoke));
+    let mut report = Report::new("backend_scaling", "full");
     for s in &samples {
         report.row(s.row());
     }
     report.write("BENCH_scale.json");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bench::regression::{identity, parse_bench_json};
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn the_grid_pairs_every_instrument_with_a_plain_twin_and_holds_every_gated_config() {
+        for scale in [1, 4] {
+            let configs = grid(scale);
+            assert_eq!(configs.len(), 22);
+            let plain = configs.iter().filter(|c| c.instrument == Instrument::None);
+            assert_eq!(plain.count(), 15);
+
+            // Every instrumented config directly follows its plain twin,
+            // which is how `main` pairs and alternates them.
+            for (i, c) in configs.iter().enumerate() {
+                if c.instrument != Instrument::None {
+                    let twin = &configs[i - 1];
+                    assert_eq!(twin.instrument, Instrument::None, "{}", c.label());
+                    assert_eq!(twin.key(), c.key(), "{}", c.label());
+                }
+            }
+
+            // Row identities are unique.
+            let mut report = Report::new("backend_scaling", "full");
+            for &config in &configs {
+                let s = Sample {
+                    config,
+                    steps: 1,
+                    millis: 1.0,
+                    peak_rss_bytes: 1,
+                };
+                report.row(s.row());
+            }
+            let parsed = parse_bench_json(&report.to_json()).expect("rows parse");
+            let ids: BTreeSet<String> = parsed.results.iter().map(identity).collect();
+            assert_eq!(ids.len(), configs.len(), "duplicate row identity");
+
+            // Each config a gate reads exists.
+            let of = |w: Workload, m: Mode, i: Instrument| {
+                configs
+                    .iter()
+                    .filter(move |c| (c.workload, c.mode, c.instrument) == (w, m, i))
+            };
+            let metrics = of(Workload::Reg, Mode::Free, Instrument::Metrics);
+            assert_eq!(metrics.filter(|c| c.n == METRICS_GATE_N).count(), 1);
+            let cluster = of(Workload::Cluster, Mode::Gated, Instrument::Analysis);
+            assert_eq!(cluster.count(), 2);
+            let mut gated_reg = of(Workload::Reg, Mode::Gated, Instrument::None);
+            assert!(gated_reg.any(|c| c.n >= 100_000));
+        }
+    }
 }

@@ -21,14 +21,14 @@
 //! `flush_every = 8` handles (the ROADMAP's "batch increments in
 //! handles"). Readers interleave top-k, quantile and rank queries.
 //!
-//! Results land in `BENCH_sketch.json` (cwd) for regression tracking —
-//! CI diffs a fresh smoke run against the committed file via
-//! `bench_diff`.
+//! Results land in `BENCH_sketch.json` (cwd) for regression tracking.
 //!
-//! Run: `cargo run --release -p bench --bin exp_sketch`
-//! CI:  `cargo run --release -p bench --bin exp_sketch -- --smoke`
+//! Run: `cargo run --release -p bench --bin exp_sketch` (no arguments;
+//! `REPRO_SCALE` multiplies the op counts)
+//! CI:  the same, then `bench_diff` against the committed
+//! `BENCH_sketch.json`.
 
-use bench::emit::{mode_str, Report, Row};
+use bench::emit::{Report, Row};
 use bench::tables::{f2, Table};
 use lincheck::sketchlog;
 use lincheck::SketchEnvelope;
@@ -385,55 +385,29 @@ fn run_quantile(backend: Backend, n: usize, ops_per_obs: u64) -> Sample {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    bench::no_arguments("exp_sketch");
     let scale = bench::scale();
 
     // (backend, n, shards, ops_per_writer) — ≥ 4 process-count ×
-    // shard-count configurations on each backend. The smoke grid is a
-    // strict subset of the full grid's (backend, n, shards) identities
-    // (with smaller op counts — a volatile field), so every smoke row
-    // matches a committed full-run row and CI's bench_diff actually
-    // compares it; only the two largest coop configs go undiffed.
-    let topk_configs: Vec<(Backend, usize, usize, u64)> = if smoke {
-        vec![
-            (Backend::Thread, 4, 1, 1_000),
-            (Backend::Thread, 8, 4, 1_000),
-            (Backend::Thread, 16, 8, 1_000),
-            (Backend::Thread, 64, 16, 300),
-            (Backend::Coop, 4, 1, 1_000),
-            (Backend::Coop, 8, 4, 1_000),
-            (Backend::Coop, 16, 8, 1_000),
-            (Backend::Coop, 64, 16, 300),
-        ]
-    } else {
-        vec![
-            (Backend::Thread, 4, 1, 2_000 * scale),
-            (Backend::Thread, 8, 4, 2_000 * scale),
-            (Backend::Thread, 16, 8, 1_000 * scale),
-            (Backend::Thread, 64, 16, 500 * scale),
-            (Backend::Coop, 4, 1, 2_000 * scale),
-            (Backend::Coop, 8, 4, 2_000 * scale),
-            (Backend::Coop, 16, 8, 1_000 * scale),
-            (Backend::Coop, 64, 16, 500 * scale),
-            (Backend::Coop, 256, 32, 100 * scale),
-            (Backend::Coop, 1_000, 64, 20 * scale),
-        ]
-    };
-    let quantile_configs: Vec<(Backend, usize, u64)> = if smoke {
-        vec![
-            (Backend::Thread, 4, 1_000),
-            (Backend::Thread, 16, 500),
-            (Backend::Coop, 16, 500),
-            (Backend::Coop, 64, 200),
-        ]
-    } else {
-        vec![
-            (Backend::Thread, 4, 2_000 * scale),
-            (Backend::Thread, 16, 1_000 * scale),
-            (Backend::Coop, 16, 1_000 * scale),
-            (Backend::Coop, 64, 200 * scale),
-        ]
-    };
+    // shard-count configurations on each backend.
+    let topk_configs: Vec<(Backend, usize, usize, u64)> = vec![
+        (Backend::Thread, 4, 1, 2_000 * scale),
+        (Backend::Thread, 8, 4, 2_000 * scale),
+        (Backend::Thread, 16, 8, 1_000 * scale),
+        (Backend::Thread, 64, 16, 500 * scale),
+        (Backend::Coop, 4, 1, 2_000 * scale),
+        (Backend::Coop, 8, 4, 2_000 * scale),
+        (Backend::Coop, 16, 8, 1_000 * scale),
+        (Backend::Coop, 64, 16, 500 * scale),
+        (Backend::Coop, 256, 32, 100 * scale),
+        (Backend::Coop, 1_000, 64, 20 * scale),
+    ];
+    let quantile_configs: Vec<(Backend, usize, u64)> = vec![
+        (Backend::Thread, 4, 2_000 * scale),
+        (Backend::Thread, 16, 1_000 * scale),
+        (Backend::Coop, 16, 1_000 * scale),
+        (Backend::Coop, 64, 200 * scale),
+    ];
 
     let mut samples = Vec::new();
     for &(backend, n, shards, ops) in &topk_configs {
@@ -498,13 +472,9 @@ fn main() {
     println!("thread = free-running native speed; coop = gated round-robin virtual procs.");
     println!("every recorded read checked against the composed rank-error envelope;");
     println!("per-key counters shadow-checked against exact totals after quiescence.");
-    table.print(if smoke {
-        "sketch workloads (--smoke sizes)"
-    } else {
-        "sketch workloads"
-    });
+    table.print("sketch workloads");
 
-    let mut report = Report::new("sketch_workloads", mode_str(smoke));
+    let mut report = Report::new("sketch_workloads", "full");
     for s in &samples {
         report.row(s.row());
     }

@@ -131,7 +131,9 @@ impl Report {
     }
 }
 
-/// The conventional mode string for a `--smoke` flag.
+/// The mode string of a run: `smoke` when it covers only part of its
+/// bin's grid (`exp_paper`'s claim subsets), `full` otherwise.
+/// `bench::regression` holds a `full` run to every baseline row.
 pub fn mode_str(smoke: bool) -> &'static str {
     if smoke {
         "smoke"

@@ -2,9 +2,13 @@
 //!
 //! `exp_paper` regenerates and asserts the paper's claims, one table per
 //! claim; the other binaries in `src/bin/` measure the infrastructure
-//! (see `EXPERIMENTS.md` for the index). This library provides the ASCII
-//! table printer, the flat-JSON emitter and regression differ for the
-//! committed `BENCH_*.json` files, and small helpers.
+//! (see `EXPERIMENTS.md` for the index). Every `exp_*` bin but
+//! `exp_paper` takes no arguments and runs one grid, the grid its
+//! committed `BENCH_*.json` was written from, so a fresh run diffs
+//! against every committed row.
+//! This library provides the ASCII table printer, the flat-JSON emitter
+//! and regression differ for the committed `BENCH_*.json` files, and
+//! small helpers.
 //!
 //! The experiments that take an operation count honour the
 //! `REPRO_SCALE` environment variable (default 1): larger values
@@ -21,6 +25,15 @@ pub fn scale() -> u64 {
         .and_then(|s| s.parse::<u64>().ok())
         .unwrap_or(1)
         .max(1)
+}
+
+/// Exit 2 with a usage line if the process got any argument: each
+/// experiment bin that takes none runs its one grid.
+pub fn no_arguments(bin: &str) {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("{bin}: unexpected argument {arg:?}\nusage: {bin}  (no arguments)");
+        std::process::exit(2);
+    }
 }
 
 /// `(s₁ + … + sₙ)! / (s₁! · … · sₙ!)` — the number of interleavings of

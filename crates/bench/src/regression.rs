@@ -34,7 +34,9 @@
 //!
 //! The `bench_diff` binary wraps this as a CI step that *warns* on
 //! regressions (CI machines vary too much to gate on wall-clock
-//! throughput) and fails on exact-count mismatches.
+//! throughput) and fails on exact-count mismatches and on a
+//! [coverage gap](Diff::coverage_gap): another bench, or baseline rows
+//! the fresh run should have matched and did not.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -68,7 +70,8 @@ pub type Row = BTreeMap<String, Cell>;
 pub struct BenchFile {
     /// The top-level `bench` tag.
     pub bench: String,
-    /// The top-level `mode` tag, when present (`full` / `smoke`).
+    /// The top-level `mode` tag, when present (`full` / `smoke`; see
+    /// [`Diff::coverage_gap`]).
     pub mode: Option<String>,
     /// The result rows.
     pub results: Vec<Row>,
@@ -182,6 +185,9 @@ pub struct Diff {
     /// Baseline rows some fresh row matched by identity. Zero means the
     /// diff compared nothing, whatever `regressions` says.
     pub matched: usize,
+    /// Identities of the baseline rows no fresh row matched, in
+    /// baseline order.
+    pub unmatched: Vec<String>,
     /// Every compared metric that got worse beyond the factor.
     pub regressions: Vec<Regression>,
     /// Every exact count that differs, in either direction.
@@ -189,12 +195,40 @@ pub struct Diff {
 }
 
 impl Diff {
-    /// `true` when `baseline` has rows but no fresh row matched any of
-    /// them: the diff compared nothing, so "no regressions" means
-    /// nothing either (a renamed identity column or a grid change that
-    /// misses every baseline row). `bench_diff` fails on it.
-    pub fn compared_nothing(&self, baseline: &BenchFile) -> bool {
-        !baseline.results.is_empty() && self.matched == 0
+    /// Why `fresh` cannot stand in for `baseline`, whatever its metrics
+    /// say; `None` when it can. `bench_diff` fails on any of:
+    ///
+    /// * the files carry different `bench` tags, so their rows compare
+    ///   nothing;
+    /// * `fresh` is a `full`-mode run, which covers its bin's one grid,
+    ///   yet some baseline rows have no fresh twin (each is named: a
+    ///   renamed identity column, a dropped config or a scaled size);
+    /// * `fresh` is any other run (`exp_paper`'s claim subsets write
+    ///   `smoke`) and matched none of a non-empty baseline's rows, so
+    ///   "no regressions" means nothing.
+    pub fn coverage_gap(&self, baseline: &BenchFile, fresh: &BenchFile) -> Option<String> {
+        if baseline.bench != fresh.bench {
+            return Some(format!(
+                "comparing different benches ({} vs {})",
+                baseline.bench, fresh.bench
+            ));
+        }
+        if fresh.mode.as_deref() == Some("full") {
+            if !self.unmatched.is_empty() {
+                return Some(format!(
+                    "{} of {} baseline rows have no fresh twin in a full run:\n  {}",
+                    self.unmatched.len(),
+                    baseline.results.len(),
+                    self.unmatched.join("\n  ")
+                ));
+            }
+        } else if !baseline.results.is_empty() && self.matched == 0 {
+            return Some(format!(
+                "no fresh row matched any of the {} baseline rows: the diff compared nothing",
+                baseline.results.len()
+            ));
+        }
+        None
     }
 }
 
@@ -202,9 +236,9 @@ impl Diff {
 /// both versions of a row that got more than `factor` times worse —
 /// throughput below `baseline / factor`, memory above
 /// `baseline × factor` — is reported, and so is every exact count that
-/// differs at all. Rows present on only one side are skipped (configs
-/// come and go); [`Diff::matched`] says how many baseline rows were
-/// compared.
+/// differs at all. Rows present on only one side are not compared;
+/// [`Diff::matched`] and [`Diff::unmatched`] say which baseline rows
+/// were, and [`Diff::coverage_gap`] whether that was enough.
 pub fn diff(baseline: &BenchFile, fresh: &BenchFile, factor: f64) -> Diff {
     assert!(factor >= 1.0, "a regression factor below 1 is meaningless");
     let mut by_id: BTreeMap<String, &Row> = BTreeMap::new();
@@ -253,8 +287,15 @@ pub fn diff(baseline: &BenchFile, fresh: &BenchFile, factor: f64) -> Diff {
             }
         }
     }
+    let unmatched = baseline
+        .results
+        .iter()
+        .map(identity)
+        .filter(|id| !matched.contains(id))
+        .collect();
     Diff {
         matched: matched.len(),
+        unmatched,
         regressions: out,
         mismatches,
     }
@@ -532,6 +573,8 @@ mod tests {
         );
         assert!(d.regressions.is_empty(), "different n: different identity");
         assert_eq!(d.matched, 1, "only the thread row still matches");
+        assert_eq!(d.unmatched.len(), 1);
+        assert!(d.unmatched[0].contains("backend=coop") && d.unmatched[0].contains("n=8"));
     }
 
     #[test]
@@ -549,19 +592,83 @@ mod tests {
         assert!(d.regressions.is_empty(), "a vacuous diff reports nothing");
     }
 
+    /// `text` with its top-level mode tag set to `mode`.
+    fn moded(text: &str, mode: &str) -> BenchFile {
+        let mut f = parse_bench_json(text).unwrap();
+        f.mode = Some(mode.to_string());
+        f
+    }
+
     #[test]
     fn a_diff_that_matched_no_baseline_row_compared_nothing() {
+        // A run that is not `full` (a claim subset) must match at least
+        // one baseline row.
         let old = parse_bench_json(OLD).unwrap();
-        assert!(!diff(&old, &old, 2.0).compared_nothing(&old));
+        let gap = |fresh: &BenchFile| diff(&old, fresh, 2.0).coverage_gap(&old, fresh);
+        assert_eq!(gap(&moded(OLD, "smoke")), None);
         // One matched row is enough to compare something.
-        let one = parse_bench_json(&OLD.replace("\"n\": 8", "\"n\": 16")).unwrap();
-        assert!(!diff(&old, &one, 2.0).compared_nothing(&old));
-        let renamed = parse_bench_json(&OLD.replace("\"backend\"", "\"executor\"")).unwrap();
-        assert!(diff(&old, &renamed, 2.0).compared_nothing(&old));
+        let one = moded(&OLD.replace("\"n\": 8", "\"n\": 16"), "smoke");
+        assert_eq!(gap(&one), None);
+        let renamed = moded(&OLD.replace("\"backend\"", "\"executor\""), "smoke");
+        let why = gap(&renamed).expect("a diff that matched nothing fails");
+        assert!(why.contains("compared nothing"), "got: {why}");
+        // So must a file without a mode tag.
+        let mut untagged = renamed.clone();
+        untagged.mode = None;
+        assert!(gap(&untagged).is_some());
         // An empty baseline has nothing to compare, so nothing is missed.
         let mut empty = old.clone();
         empty.results.clear();
-        assert!(!diff(&empty, &old, 2.0).compared_nothing(&empty));
+        assert_eq!(diff(&empty, &one, 2.0).coverage_gap(&empty, &one), None);
+    }
+
+    #[test]
+    fn a_full_run_must_match_every_baseline_row() {
+        let old = parse_bench_json(OLD).unwrap();
+        assert_eq!(old.mode.as_deref(), Some("full"));
+        assert_eq!(diff(&old, &old, 2.0).coverage_gap(&old, &old), None);
+        // Extra fresh rows are fine; a missing baseline row is not, and
+        // the failure names it.
+        let mut more = old.clone();
+        more.results.push(
+            parse_bench_json(&OLD.replace("\"n\": 8", "\"n\": 32"))
+                .unwrap()
+                .results[0]
+                .clone(),
+        );
+        assert_eq!(diff(&old, &more, 2.0).coverage_gap(&old, &more), None);
+        let one = parse_bench_json(&OLD.replace("\"n\": 8", "\"n\": 16")).unwrap();
+        let why = diff(&old, &one, 2.0)
+            .coverage_gap(&old, &one)
+            .expect("a full run that misses a row fails");
+        assert!(why.starts_with("1 of 2 baseline rows"), "got: {why}");
+        assert!(
+            why.contains("backend=coop") && why.contains("n=8"),
+            "got: {why}"
+        );
+        assert!(
+            !why.contains("backend=thread"),
+            "the matched row is not named"
+        );
+        // The same fresh rows as a smoke run pass: one row matched.
+        let smoke = moded(&OLD.replace("\"n\": 8", "\"n\": 16"), "smoke");
+        assert_eq!(diff(&old, &smoke, 2.0).coverage_gap(&old, &smoke), None);
+    }
+
+    #[test]
+    fn comparing_different_benches_fails() {
+        let old = parse_bench_json(OLD).unwrap();
+        // Same rows, another bench: matching rows prove nothing.
+        let other = parse_bench_json(&OLD.replace("sketch_workloads", "backend_scaling")).unwrap();
+        let d = diff(&old, &other, 2.0);
+        assert_eq!(d.matched, 2);
+        let why = d
+            .coverage_gap(&old, &other)
+            .expect("different benches fail");
+        assert_eq!(
+            why,
+            "comparing different benches (sketch_workloads vs backend_scaling)"
+        );
     }
 
     #[test]
@@ -763,10 +870,8 @@ mod tests {
             "BENCH_checker.json",
             "BENCH_scale.json",
             "BENCH_explore.json",
-            "BENCH_sketch.json",   // consumed by CI's sketch bench_diff step
-            "BENCH_analysis.json", // consumed by CI's analysis bench_diff step
-            "BENCH_obs.json",      // consumed by CI's obs-overhead bench_diff step
-            "BENCH_paper.json",    // consumed by CI's paper-claims bench_diff step
+            "BENCH_sketch.json",
+            "BENCH_paper.json",
         ] {
             let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
             if let Ok(text) = std::fs::read_to_string(&path) {

@@ -12,11 +12,12 @@
 //! happens-before pass's ticket audit checks that order. So each event
 //! goes straight to the checker, and the check is exact.
 //!
-//! If an event still lands behind the last one checked, or a completion
-//! arrives with no announcement (the pass attached mid-run), the pass
-//! goes *inert* for the rest of the run instead of risking a false
-//! report, and says so in its [`summary`](AnalysisPass::summary): the
-//! stream broke its own ticket order.
+//! An event that lands behind the last one checked, or a completion
+//! with no open announcement, is therefore a controller bug or a pass
+//! attached after operations were invoked. Either is the pass's first, sticky
+//! violation, naming the pid, the event's seq and both tickets: the
+//! rest of the stream cannot be checked exactly, and saying so beats
+//! checking it wrongly.
 //!
 //! `Custom` operations are outside both checkable vocabularies and
 //! are skipped silently; a `Write` in counter mode (or an `Inc` in
@@ -51,15 +52,6 @@ pub struct LinearizabilityPass {
     released: (u64, u8),
     /// First finding, sticky.
     found: Option<Violation>,
-    /// The stream broke ticket order: stay silent forever.
-    inert: bool,
-    /// Checkable events accepted before the pass went inert (or so
-    /// far, if it never did) — what "after N events" in
-    /// [`summary`](AnalysisPass::summary) reports.
-    events_seen: u64,
-    /// Counts inert *transitions* (at most one per attach), so a batch
-    /// of explorer replays shows how many silently dropped coverage.
-    inert_transitions: &'static obs::Counter,
 }
 
 impl LinearizabilityPass {
@@ -90,20 +82,16 @@ impl LinearizabilityPass {
             checker,
             released: (0, 0),
             found: None,
-            inert: false,
-            events_seen: 0,
-            inert_transitions: obs::counter(obs::names::SUB_LINCHECK, obs::names::LINCHECK_INERT),
         }
     }
 
-    /// Transition to the inert state (idempotent per attach). Counted
-    /// so the degradation is visible in a metrics snapshot even though
-    /// it produces no violation.
-    fn go_inert(&mut self) {
-        if !self.inert {
-            self.inert = true;
-            self.inert_transitions.inc();
-        }
+    fn fail(&mut self, pid: usize, seq: u64, message: String) {
+        self.found = Some(Violation {
+            pass: "linearizability",
+            pid: Some(pid),
+            seq: Some(seq),
+            message,
+        });
     }
 
     /// Apply one announcement (`phase` 0) or completion (`phase` 1) to
@@ -112,9 +100,22 @@ impl LinearizabilityPass {
         if matches!(kind, OpKind::Custom { .. }) {
             return; // outside both vocabularies: skipped silently
         }
-        self.events_seen += 1;
         if (ts, phase) < self.released {
-            self.go_inert();
+            let event = if phase == 0 {
+                "invocation"
+            } else {
+                "completion"
+            };
+            self.fail(
+                pid,
+                seq,
+                format!(
+                    "ticket order broken: pid {pid}'s {event} at ticket {ts} lands behind \
+                     the last checked ticket {} (a controller bug, or the pass attached \
+                     after operations were invoked)",
+                    self.released.0
+                ),
+            );
             return;
         }
         let rec = if phase == 0 {
@@ -127,10 +128,16 @@ impl LinearizabilityPass {
             }
         } else {
             if !self.checker.has_open(pid) {
-                // No announcement to match (the pass attached mid-run):
-                // go inert rather than let the checker misread this as
-                // a fresh operation.
-                self.go_inert();
+                self.fail(
+                    pid,
+                    seq,
+                    format!(
+                        "ticket order broken: pid {pid}'s completion at ticket {ts} has no \
+                         open invocation (last checked ticket {}; a controller bug, or the \
+                         pass attached after operations were invoked)",
+                        self.released.0
+                    ),
+                );
                 return;
             }
             OpRecord {
@@ -144,12 +151,7 @@ impl LinearizabilityPass {
             }
         };
         if let Err(v) = self.checker.push(&rec) {
-            self.found = Some(Violation {
-                pass: "linearizability",
-                pid: Some(pid),
-                seq: Some(seq),
-                message: v.message,
-            });
+            self.fail(pid, seq, v.message);
         }
         self.released = (ts, phase);
     }
@@ -164,12 +166,10 @@ impl AnalysisPass for LinearizabilityPass {
         self.checker = self.mode.build();
         self.released = (0, 0);
         self.found = None;
-        self.inert = false;
-        self.events_seen = 0;
     }
 
     fn on_event(&mut self, ev: &TraceEvent) {
-        if self.inert || self.found.is_some() {
+        if self.found.is_some() {
             return;
         }
         match *ev {
@@ -185,28 +185,13 @@ impl AnalysisPass for LinearizabilityPass {
                 kind,
                 resp,
             } => self.check(seq, pid, kind, resp, 1),
-            TraceEvent::Crash { pid, .. } => {
-                self.events_seen += 1;
-                self.checker.crash(pid);
-            }
+            TraceEvent::Crash { pid, .. } => self.checker.crash(pid),
             TraceEvent::Access(_) | TraceEvent::Grant { .. } => {}
         }
     }
 
     fn finish(&mut self) -> Vec<Violation> {
         self.found.clone().into_iter().collect()
-    }
-
-    fn summary(&self) -> Option<String> {
-        if self.inert {
-            Some(format!(
-                "pass went inert after {} events: the stream broke ticket \
-                 order; later operations were not checked",
-                self.events_seen
-            ))
-        } else {
-            None
-        }
     }
 }
 
@@ -261,17 +246,25 @@ mod tests {
     }
 
     #[test]
-    fn a_coop_stream_out_of_ticket_order_goes_inert() {
+    fn a_coop_stream_out_of_ticket_order_is_a_violation() {
         // A coop stream is ticket-ordered by construction; one that is
-        // not stops the check: the late announcement lands behind the
-        // released watermark.
+        // not is a controller bug: the late announcement lands behind
+        // the last checked ticket.
         let mut p = LinearizabilityPass::counter(1);
         p.on_attach(&meta());
         p.on_event(&invoke(0, 1, OpKind::Read { returned: 0 }, 2));
         p.on_event(&invoke(1, 0, OpKind::Inc { amount: 1 }, 0));
-        let s = p.summary().expect("inert pass reports a summary");
-        assert!(s.contains("inert after 2 events"), "got: {s}");
-        assert!(p.finish().is_empty(), "inert, not a false positive");
+        // Sticky: later events, even a would-be finding, change nothing.
+        p.on_event(&complete(2, 1, OpKind::Read { returned: 9 }, 3));
+        let found = p.finish();
+        assert_eq!(found.len(), 1);
+        assert_eq!((found[0].pid, found[0].seq), (Some(0), Some(1)));
+        let m = &found[0].message;
+        assert!(
+            m.contains("ticket order broken") && m.contains("invocation at ticket 0"),
+            "got: {m}"
+        );
+        assert!(m.contains("last checked ticket 2"), "got: {m}");
     }
 
     #[test]
@@ -305,19 +298,23 @@ mod tests {
     }
 
     #[test]
-    fn unmatched_completion_degrades_silently() {
-        obs::set_enabled(true);
+    fn an_unmatched_completion_is_a_violation() {
+        // A completion with no open invocation: the pass attached after
+        // the operation was invoked, or the controller lost the event.
         let mut p = LinearizabilityPass::counter(1);
-        let inert_before = p.inert_transitions.get();
-        p.on_event(&complete(0, 0, OpKind::Read { returned: 5 }, 3));
-        assert!(p.finish().is_empty(), "inert, not a false positive");
-        // The degradation is silent in the verdict, but not invisible:
-        // the transition is counted and the summary names it.
-        assert_eq!(p.inert_transitions.get(), inert_before + 1);
-        let s = p.summary().expect("inert pass reports a summary");
-        assert!(s.contains("inert after 1 events"), "got: {s}");
-        // A fresh attach clears the degraded state.
+        p.on_event(&invoke(0, 1, OpKind::Inc { amount: 1 }, 1));
+        p.on_event(&complete(1, 0, OpKind::Read { returned: 5 }, 3));
+        let found = p.finish();
+        assert_eq!(found.len(), 1);
+        assert_eq!((found[0].pid, found[0].seq), (Some(0), Some(1)));
+        let m = &found[0].message;
+        assert!(
+            m.contains("completion at ticket 3 has no open invocation"),
+            "got: {m}"
+        );
+        assert!(m.contains("last checked ticket 1"), "got: {m}");
+        // A fresh attach clears the finding.
         p.on_attach(&meta());
-        assert!(p.summary().is_none());
+        assert!(p.finish().is_empty());
     }
 }

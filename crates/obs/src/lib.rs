@@ -26,10 +26,11 @@
 //! Collection is off by default. Every metric operation starts with one
 //! relaxed load of a global flag ([`enabled`]) and returns immediately
 //! when it is clear — the same fast-path discipline the tracer and the
-//! analysis layer use ("one relaxed load per primitive"). `exp_obs`
+//! analysis layer use ("one relaxed load per primitive"). `exp_scale`
 //! measures both sides: disabled instrumentation is unobservable, and
 //! *enabled* instrumentation stays within 5% of metrics-off throughput
-//! on the free-running coop backend at 10⁵ processes (BENCH_obs.json).
+//! on the free-running coop backend at 10⁵ processes (its `metrics`
+//! rows against their plain twins in `BENCH_scale.json`).
 
 pub mod hist;
 pub mod names;

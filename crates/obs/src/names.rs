@@ -40,7 +40,6 @@ pub const LINCHECK_RETAINED: &str = "retained_entries";
 /// per-layer ledger reads `lincheck.reorder_occupancy_p99` from it
 /// (`perfbench/src/metrics.rs`), which now reads 0.
 pub const LINCHECK_REORDER_OCCUPANCY: &str = "reorder_occupancy_entries";
-pub const LINCHECK_INERT: &str = "inert_transitions_total";
 
 // sketch.
 pub const SKETCH_FLUSHES: &str = "flushes_total";

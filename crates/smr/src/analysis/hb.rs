@@ -50,8 +50,8 @@
 //! Cluster-local workloads stay O(1) amortized per event at any `n`; a
 //! single globally-shared object (kmult's `switch` bits) legitimately
 //! densifies every causal past to all `n` processes, so a join there is
-//! Θ(n) whatever the encoding — see EXP-ANALYSIS for both regimes
-//! measured.
+//! Θ(n) whatever the encoding — `exp_scale`'s `cluster` and `kmult`
+//! analysis rows measure both regimes.
 //!
 //! ## Ticket cross-audit
 //!

@@ -28,7 +28,8 @@
 //! coop run delivers every batch before a `Driver` call returns. When
 //! no analyzer is attached and the trace log is off, the event stream
 //! costs one relaxed load per primitive — zero-cost when disabled
-//! (measured: `exp_analysis`, BENCH_analysis).
+//! (measured: `exp_scale`'s `analysis` rows against their plain twins
+//! in `BENCH_scale.json`).
 
 mod commute;
 mod conformance;
@@ -117,10 +118,11 @@ pub trait AnalysisPass: Send {
     fn finish(&mut self) -> Vec<Violation>;
 
     /// An optional one-line operational notice about how the pass ran —
-    /// degraded modes, dropped coverage — as opposed to `finish`'s
-    /// *verdicts*. A pass that silently stopped checking (e.g. fed an
-    /// event out of ticket order) reports it here so run summaries can
-    /// distinguish "checked clean" from "stopped checking".
+    /// coverage it dropped, say — as opposed to `finish`'s *verdicts*,
+    /// for run summaries ([`Analyzer::summaries`]). No pass in the tree
+    /// has one: a pass that cannot check the rest of a stream exactly
+    /// reports a violation instead (`lincheck`'s linearizability pass
+    /// on a broken ticket order).
     fn summary(&self) -> Option<String> {
         None
     }
@@ -215,9 +217,9 @@ impl Analyzer {
     }
 
     /// Operational notices from every pass
-    /// ([`AnalysisPass::summary`]) — degraded-mode reports that are not
-    /// violations, for inclusion in run summaries. Callable before or
-    /// after [`finish`](Analyzer::finish).
+    /// ([`AnalysisPass::summary`]) — reports that are not violations,
+    /// for inclusion in run summaries. Callable before or after
+    /// [`finish`](Analyzer::finish).
     pub fn summaries(&self) -> Vec<String> {
         let inner = self.inner.lock();
         inner

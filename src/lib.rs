@@ -28,7 +28,8 @@
 //!   perturbing executions.
 //! * [`obs`] — the self-observability layer: lock-free counters/gauges
 //!   and k-multiplicative histograms every subsystem reports into, with
-//!   step-scaled snapshot reporting (`exp_obs` pins the overhead).
+//!   step-scaled snapshot reporting (`exp_scale`'s `metrics` rows pin
+//!   the overhead).
 //!
 //! ## Where to start
 //!
