@@ -59,8 +59,7 @@ struct Config {
 
 impl Config {
     /// The `algo` identity string reported for this row: the walk
-    /// `explore` runs for the config (no config sets a preemption
-    /// budget).
+    /// `explore` runs for the config.
     fn algo(&self) -> &'static str {
         if self.cfg.prune {
             "dpor"

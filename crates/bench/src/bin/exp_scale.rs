@@ -11,16 +11,15 @@
 //! * workloads — `reg`: read-then-write chains over a striped pool of
 //!   1 024 registers (2 primitives per op; pure harness overhead).
 //!   `cluster`: the same chains confined to 8-process clusters, so
-//!   communication (and with it every happens-before clock) is bounded
-//!   by construction. `kmult`: Algorithm 1 increments and reads at
-//!   `k = ⌈√n⌉`, where every process funnels through the same `switch`
-//!   bits and every causal past densifies to all `n` processes.
+//!   communication is bounded by construction. `kmult`: Algorithm 1
+//!   increments and reads at `k = ⌈√n⌉`, where every process funnels
+//!   through the same `switch` bits.
 //! * modes — `gated`: one controller grant per primitive, round-robin
 //!   (`run_schedule`). `free`: the ungated batch-polling
 //!   `Driver::coop_free` loop, the backend's throughput ceiling.
 //! * instruments — `none`: the bare runtime. `analysis`:
-//!   `Analyzer::standard()` (poll discipline, conformance,
-//!   happens-before) consuming every trace event inline. `metrics`:
+//!   `Analyzer::standard()` (access-kind conformance) consuming every
+//!   trace event inline. `metrics`:
 //!   `obs` collection on (one sharded relaxed `fetch_add` per event).
 //!   Every instrumented config directly follows its plain twin (same
 //!   workload, mode, `n` and ops), and the `instrument` column is part
@@ -38,8 +37,8 @@
 //!   grants steps;
 //! * every analysis-on run finishes with no violations (a violation on
 //!   these workloads is a runtime-contract bug);
-//! * `cluster` analysis overhead stays below 10× its plain twin (a pass
-//!   stopped being O(1) amortized); `kmult`'s grows with `n` by design;
+//! * `cluster` analysis overhead stays below 10× its plain twin (the
+//!   pass stopped being O(1) amortized);
 //! * every metrics-on run counts coop polls (the hot path kept its
 //!   instrumentation);
 //! * at 10⁵ processes, metrics-on keeps ≥ 95% of its plain twin's
@@ -556,7 +555,7 @@ fn main() {
     println!("EXP-SCALE — steps/s and peak RSS vs process count, bare and instrumented");
     println!("coop = virtual processes polled on the controller thread");
     println!("       (mode gated = one grant per primitive; free = ungated batch polling).");
-    println!("instrument analysis = poll discipline + conformance + happens-before, inline;");
+    println!("instrument analysis = Analyzer::standard() (conformance), inline;");
     println!("           metrics  = obs collection on; vs plain = the plain twin's steps/s");
     println!(
         "           over this row's (metrics pairs: best of {METRICS_ROUNDS} alternating rounds)."

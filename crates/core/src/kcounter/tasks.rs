@@ -1,7 +1,8 @@
 //! [`OpTask`] forms of Algorithm 1's operations, for the coop execution
 //! backend (they run unchanged on the thread backend too).
 //!
-//! The tasks drive the same [`IncMachine`]/[`ReadMachine`] resume-point
+//! The tasks drive the same
+//! [`IncMachine`](super::IncMachine)/[`ReadMachine`] resume-point
 //! transcriptions that the blocking `increment`/`read_detailed` methods
 //! loop over, so both submission forms apply byte-identical primitive
 //! sequences (pinned by `task_forms_match_blocking_forms` below).

@@ -8,8 +8,8 @@
 //! their blocking methods drive — see `maxreg::tree`'s module docs for
 //! the convention), wrapped here into owning [`OpTask`]s; the
 //! lock-based [`LockCounter`] oracle applies no primitives at all, so
-//! its task forms are [`ImmediateOp`](smr::ImmediateOp) adapters
-//! completing on the priming poll.
+//! its task forms are [`ImmediateOp`] adapters completing on the priming
+//! poll.
 
 use crate::aach::{AachCounter, AachIncMachine, AachReadMachine};
 use crate::collect::CollectCounter;

@@ -44,7 +44,7 @@
 //! ever being sorted; a finished increment leaves a tombstone that a
 //! later compaction sweeps out. The checker periodically folds every
 //! adjacent pair of stack entries whose gap contains no live boundary
-//! ([`MonotoneStack::fold_and_compact`], walking the boundaries with a
+//! (`MonotoneStack::fold_and_compact`, walking the boundaries with a
 //! single cursor); after a fold the live stack has at most
 //! `open increments + 1` entries. Folding is triggered when the live
 //! count has doubled since the last fold, so its `O(live)` cost

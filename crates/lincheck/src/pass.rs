@@ -8,16 +8,17 @@
 //!
 //! The checker consumes operations in timestamp order, and the trace
 //! stream of a gated coop run already *is* timestamp-ordered: one
-//! controller emits every invocation and completion, and the
-//! happens-before pass's ticket audit checks that order. So each event
+//! controller emits every invocation and completion. So each event
 //! goes straight to the checker, and the check is exact.
 //!
-//! An event that lands behind the last one checked, or a completion
-//! with no open announcement, is therefore a controller bug or a pass
-//! attached after operations were invoked. Either is the pass's first, sticky
-//! violation, naming the pid, the event's seq and both tickets: the
-//! rest of the stream cannot be checked exactly, and saying so beats
-//! checking it wrongly.
+//! This pass is also the one enforcer of that ticket order. An event
+//! that lands behind the last one checked, an announcement on a pid
+//! whose previous operation is still open, or a completion with no open
+//! announcement is a controller bug or a pass attached after operations
+//! were invoked. Any of them is the pass's first, sticky violation,
+//! naming the pid, the event's seq and both tickets: the rest of the
+//! stream cannot be checked exactly, and saying so beats checking it
+//! wrongly.
 //!
 //! `Custom` operations are outside both checkable vocabularies and
 //! are skipped silently; a `Write` in counter mode (or an `Inc` in

@@ -69,7 +69,7 @@ impl MaxRegister for AdaptiveMaxRegister {
 /// Resume point of an `AdaptiveMaxRegister::write`: the machine of
 /// whichever arm the register selected at construction. One primitive
 /// per [`step`](AdaptiveWriteMachine::step), priming step free — the
-/// convention of [`tree`](crate::tree)'s module docs.
+/// convention of `maxreg::tree`'s module docs.
 #[derive(Debug)]
 pub enum AdaptiveWriteMachine {
     /// Write through the tree arm.

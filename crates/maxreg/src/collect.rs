@@ -73,7 +73,7 @@ impl MaxRegister for CollectMaxRegister {
 /// [`step`](CollectWriteMachine::step), priming step free; dominated
 /// writes complete on the read. The single transcription driven by the
 /// blocking method, the task wrappers and the composites (see
-/// [`tree`](crate::tree)'s module docs for the machine convention).
+/// `maxreg::tree`'s module docs for the machine convention).
 #[derive(Debug)]
 pub struct CollectWriteMachine {
     v: u64,

@@ -1,16 +1,16 @@
-//! [`OpTask`](smr::OpTask) forms of max-register operations, for the
+//! [`OpTask`] forms of max-register operations, for the
 //! coop execution backend (they run unchanged on the thread backend).
 //!
 //! Every register's operations exist once, as resumable *machines* next
-//! to the register itself (see [`tree`](crate::tree)'s module docs for
-//! the convention); the task types re-exported here are thin owning
+//! to the register itself (see `maxreg::tree`'s module docs for the
+//! convention); the task types re-exported here are thin owning
 //! wrappers: [`TreeMaxWriteTask`]/[`TreeMaxReadTask`] over the tree
 //! machines, [`AdaptiveMaxWriteTask`]/[`AdaptiveMaxReadTask`] over the
 //! arm-selected machines, and
 //! [`UnboundedMaxWriteTask`]/[`UnboundedMaxReadTask`] over the
 //! level-doubling composites. The lock-based oracle applies no
-//! primitives, so its task forms are [`ImmediateOp`](smr::ImmediateOp)
-//! adapters completing on the priming poll.
+//! primitives, so its task forms are [`ImmediateOp`] adapters completing
+//! on the priming poll.
 
 use crate::reference::LockMaxRegister;
 use crate::spec::MaxRegister;

@@ -199,8 +199,9 @@ enum Turn {
 
 /// Resume point of a `TreeMaxRegister::write` — one primitive per
 /// [`step`](TreeWriteMachine::step), priming step free, exactly the
-/// primitive sequence of the recursive transcription. See the [module
-/// docs](self) for the machine convention and how the forms share it.
+/// primitive sequence of the recursive transcription. See
+/// `maxreg::tree`'s module docs for the machine convention and how the
+/// forms share it.
 #[derive(Debug)]
 pub struct TreeWriteMachine {
     /// Turns committed so far from the root. Right turns are the

@@ -100,7 +100,7 @@ impl MaxRegister for UnboundedMaxRegister {
 /// into its level's tree, then the pointer raise, then the written flag
 /// — three [`TreeWriteMachine`]s run back to back, one primitive per
 /// [`step`](UnboundedWriteMachine::step), priming step free (the
-/// machine convention of [`tree`](crate::tree)'s module docs). A
+/// machine convention of `maxreg::tree`'s module docs). A
 /// sub-machine's free priming is absorbed into the current step, so the
 /// stage boundaries are invisible to the scheduler.
 #[derive(Debug)]

@@ -3,7 +3,7 @@
 //! A [`Reporter`] is *pumped* by its owner with the runtime's monotone
 //! step counter (`Runtime::total_steps()`, an explorer's replay count —
 //! any deterministic progress measure) and takes a
-//! [`MetricsSnapshot`](crate::MetricsSnapshot) each time the counter
+//! [`MetricsSnapshot`] each time the counter
 //! crosses a multiple of the configured interval. Sampling is keyed to
 //! *scaled steps, never wall-clock*: two runs of the same schedule pump
 //! the same counter values, so they sample at identical logical instants

@@ -22,7 +22,8 @@
 const ABSENT: u32 = u32::MAX;
 
 /// A set of pids from `0..capacity`, supporting O(1) membership and
-/// sampling plus O(log₆₄ n) ordered queries. See the [module docs](self).
+/// sampling plus O(log₆₄ n) ordered queries. See the module docs in
+/// `active.rs` for the layout.
 #[derive(Debug, Clone)]
 pub struct ActiveSet {
     capacity: usize,

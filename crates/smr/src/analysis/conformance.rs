@@ -18,9 +18,12 @@
 //!   primitives, so a discontinuity means an object was modified through
 //!   a back door (or two objects alias one identity).
 //!
-//! The replay-based half of conformance checking — sampling step pairs
-//! the explorer's DPOR treats as independent and verifying they
-//! actually commute — is [`commutation_audit`](super::commutation_audit).
+//! This pass is the one enforcer of the access-kind contract and the
+//! whole of [`Analyzer::standard`](super::Analyzer::standard). The
+//! explorer's independence relation trusts declared kinds; with the
+//! standard bundle attached, an explored program that lies about one is
+//! reported as a minimized failing schedule (`explore` consults the
+//! analyzer after every cut).
 //!
 //! [`AccessKind`]: crate::AccessKind
 //! [`AccessKind::Read`]: crate::AccessKind::Read
@@ -29,7 +32,8 @@ use super::{AnalysisPass, RunMeta, Violation};
 use crate::addr::AddrMap;
 use crate::trace::{AccessKind, TraceEvent};
 
-/// The access-kind conformance pass. See the [module docs](self).
+/// The access-kind conformance pass. See the module docs in
+/// `analysis/conformance.rs` for its two checks.
 pub struct Conformance {
     gated: bool,
     /// Last observed `after` digest per object.

@@ -1,6 +1,5 @@
-//! The happens-before audit: FastTrack-style vector clocks over the
-//! event stream, plus the ticket-order cross-audit the monotone sweep
-//! relies on.
+//! The happens-before pass: FastTrack-style vector clocks over the
+//! event stream, yielding racy pairs.
 //!
 //! ## The partial order
 //!
@@ -40,9 +39,9 @@
 //!   communication, not to `n`, and a join is one linear merge with no
 //!   hashing — in place once the clock already holds every pid the
 //!   other carries, the usual case once clocks are dense.
-//! * **pid-indexed tables** — per-process clocks and operation windows
-//!   are vectors indexed by pid; only per-object state, keyed by object
-//!   address, lives in a map.
+//! * **pid-indexed tables** — per-process clocks are a vector indexed
+//!   by pid; only per-object state, keyed by object address, lives in a
+//!   map.
 //!
 //! The cost floor is the workload's *communication density*: a process
 //! joins only when it observes a write it has not heard about yet, and
@@ -50,18 +49,16 @@
 //! Cluster-local workloads stay O(1) amortized per event at any `n`; a
 //! single globally-shared object (kmult's `switch` bits) legitimately
 //! densifies every causal past to all `n` processes, so a join there is
-//! Θ(n) whatever the encoding — `exp_scale`'s `cluster` and `kmult`
-//! analysis rows measure both regimes.
+//! Θ(n) whatever the encoding.
 //!
-//! ## Ticket cross-audit
+//! ## No violations
 //!
-//! `lincheck`'s monotone sweep consumes operation histories ordered by
-//! invocation/response *tickets* and assumes they are drawn in execution
-//! order. Invocation and completion events come only from gated coop
-//! runs, where the one controller records them deterministically; the
-//! pass verifies exactly that order on every such event: tickets
-//! strictly increase in stream order, every invocation precedes its
-//! response, and per-process operation windows are disjoint.
+//! [`finish`](AnalysisPass::finish) returns none. The ticket order the
+//! monotone sweep consumes has one enforcer, `lincheck`'s
+//! linearizability pass, which reports a broken order as a sticky
+//! violation. So the pass is not in
+//! [`Analyzer::standard`](super::Analyzer::standard): attach it
+//! explicitly to read racy pairs.
 
 use super::{AnalysisPass, Violation};
 use crate::addr::AddrMap;
@@ -218,30 +215,17 @@ pub struct RacyPair {
     pub kinds: (AccessKind, AccessKind),
 }
 
-/// Per-process in-flight operation window, for the ticket audit.
-#[derive(Debug, Clone, Copy, Default)]
-struct OpWindow {
-    /// Ticket of the last completed operation's response.
-    last_resp: Option<u64>,
-    /// Invocation ticket of the in-flight operation.
-    open_inv: Option<u64>,
-}
-
-/// The happens-before pass. See the [module docs](self).
+/// The happens-before pass: racy pairs from vector clocks over the
+/// event stream, no violations. See the module docs in `analysis/hb.rs`
+/// for the partial order and the clock encoding.
 pub struct HappensBefore {
     /// Per-process vector clocks, indexed by pid (grown on demand).
     clocks: Vec<ProcClock>,
     /// Per-object state, keyed by object address.
     objects: AddrMap<ObjState>,
-    /// Per-process operation windows, indexed by pid (grown on demand).
-    windows: Vec<OpWindow>,
     racy: Vec<RacyPair>,
     racy_total: u64,
     max_racy: usize,
-    /// Last ticket observed in stream order.
-    last_ticket: Option<u64>,
-    violations: Vec<Violation>,
-    max_violations: usize,
 }
 
 impl HappensBefore {
@@ -250,13 +234,9 @@ impl HappensBefore {
         HappensBefore {
             clocks: Vec::new(),
             objects: AddrMap::default(),
-            windows: Vec::new(),
             racy: Vec::new(),
             racy_total: 0,
             max_racy: 64,
-            last_ticket: None,
-            violations: Vec::new(),
-            max_violations: 64,
         }
     }
 
@@ -270,25 +250,6 @@ impl HappensBefore {
     /// retention cap.
     pub fn racy_total(&self) -> u64 {
         self.racy_total
-    }
-
-    /// `pid`'s operation window, growing the table on first sight.
-    fn window(&mut self, pid: usize) -> &mut OpWindow {
-        if pid >= self.windows.len() {
-            self.windows.resize(pid + 1, OpWindow::default());
-        }
-        &mut self.windows[pid]
-    }
-
-    fn violate(&mut self, pid: usize, seq: u64, message: String) {
-        if self.violations.len() < self.max_violations {
-            self.violations.push(Violation {
-                pass: "happens-before",
-                pid: Some(pid),
-                seq: Some(seq),
-                message,
-            });
-        }
     }
 
     fn flag_racy(&mut self, first: Epoch, first_kind: AccessKind, second: &Access) {
@@ -383,23 +344,6 @@ impl HappensBefore {
             self.flag_racy(first, first_kind, a);
         }
     }
-
-    fn check_ticket(&mut self, pid: usize, seq: u64, ticket: u64, what: &str) {
-        if let Some(last) = self.last_ticket {
-            if ticket <= last {
-                self.violate(
-                    pid,
-                    seq,
-                    format!(
-                        "{what} ticket {ticket} out of order: the stream \
-                         already saw ticket {last} — the timestamp order the \
-                         lincheck sweep consumes does not match execution order"
-                    ),
-                );
-            }
-        }
-        self.last_ticket = Some(ticket);
-    }
 }
 
 impl Default for HappensBefore {
@@ -414,95 +358,19 @@ impl AnalysisPass for HappensBefore {
     }
 
     fn on_event(&mut self, ev: &TraceEvent) {
-        match *ev {
-            TraceEvent::Access(ref a) => self.on_access(a),
-            TraceEvent::Invoke {
-                seq,
-                pid,
-                inv,
-                kind,
-            } => {
-                let label = kind.label();
-                self.check_ticket(pid, seq, inv, "invocation");
-                if let Some(open) = self.window(pid).open_inv {
-                    self.violate(
-                        pid,
-                        seq,
-                        format!(
-                            "operation {label:?} invoked (ticket {inv}) while the \
-                             operation invoked at ticket {open} is still open: \
-                             per-process operation windows must be disjoint"
-                        ),
-                    );
-                }
-                let w = self.window(pid);
-                w.open_inv = Some(inv);
-                if let Some(last) = w.last_resp {
-                    if inv <= last {
-                        self.violate(
-                            pid,
-                            seq,
-                            format!(
-                                "operation {label:?}: invocation ticket {inv} does \
-                                 not follow the previous response ticket {last}"
-                            ),
-                        );
-                    }
-                }
-            }
-            TraceEvent::Complete {
-                seq,
-                pid,
-                resp,
-                kind,
-            } => {
-                let label = kind.label();
-                self.check_ticket(pid, seq, resp, "response");
-                let w = self.window(pid);
-                let open = w.open_inv.take();
-                w.last_resp = Some(resp);
-                match open {
-                    Some(inv) if inv >= resp => {
-                        self.violate(
-                            pid,
-                            seq,
-                            format!(
-                                "operation {label:?}: response ticket {resp} does \
-                                 not follow its invocation ticket {inv}"
-                            ),
-                        );
-                    }
-                    Some(_) => {}
-                    None => {
-                        self.violate(
-                            pid,
-                            seq,
-                            format!(
-                                "operation {label:?} completed (ticket {resp}) \
-                                 with no open invocation"
-                            ),
-                        );
-                    }
-                }
-            }
-            TraceEvent::Crash { pid, .. } => {
-                // The in-flight operation never completes; close the
-                // window so later (impossible) events are flagged.
-                self.window(pid).open_inv = None;
-            }
-            TraceEvent::Grant { .. } => {}
+        if let TraceEvent::Access(ref a) = *ev {
+            self.on_access(a);
         }
     }
 
     fn finish(&mut self) -> Vec<Violation> {
-        std::mem::take(&mut self.violations)
+        Vec::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::OpKind;
 
     fn acc(seq: u64, pid: usize, obj: usize, kind: AccessKind) -> TraceEvent {
         TraceEvent::Access(Access {
@@ -639,99 +507,5 @@ mod tests {
         h.on_event(&acc(1, 1, 0xA, AccessKind::Read)); // pair (0,1)
         h.on_event(&acc(2, 1, 0xA, AccessKind::Write)); // ordered: no pair
         assert_eq!(h.racy_total(), 1);
-    }
-
-    #[test]
-    fn ticket_monotonicity_violation_is_reported() {
-        let mut h = HappensBefore::new();
-        h.on_event(&TraceEvent::Invoke {
-            seq: 0,
-            pid: 0,
-            kind: OpKind::Custom {
-                label: "inc",
-                arg: 0,
-                ret: 0,
-            },
-            inv: 5,
-        });
-        h.on_event(&TraceEvent::Complete {
-            seq: 1,
-            pid: 0,
-            kind: OpKind::Custom {
-                label: "inc",
-                arg: 0,
-                ret: 0,
-            },
-            resp: 3, // out of order AND before its invocation
-        });
-        let v = h.finish();
-        assert!(
-            v.iter().any(|v| v.message.contains("out of order")),
-            "{v:?}"
-        );
-        assert!(
-            v.iter()
-                .any(|v| v.message.contains("does not follow its invocation")),
-            "{v:?}"
-        );
-    }
-
-    #[test]
-    fn overlapping_windows_are_reported() {
-        let mut h = HappensBefore::new();
-        h.on_event(&TraceEvent::Invoke {
-            seq: 0,
-            pid: 0,
-            kind: OpKind::Custom {
-                label: "a",
-                arg: 0,
-                ret: 0,
-            },
-            inv: 0,
-        });
-        h.on_event(&TraceEvent::Invoke {
-            seq: 1,
-            pid: 0,
-            kind: OpKind::Custom {
-                label: "b",
-                arg: 0,
-                ret: 0,
-            },
-            inv: 1,
-        });
-        let v = h.finish();
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("disjoint"), "{}", v[0].message);
-    }
-
-    #[test]
-    fn crash_closes_the_window() {
-        let mut h = HappensBefore::new();
-        h.on_event(&TraceEvent::Invoke {
-            seq: 0,
-            pid: 0,
-            kind: OpKind::Custom {
-                label: "a",
-                arg: 0,
-                ret: 0,
-            },
-            inv: 0,
-        });
-        h.on_event(&TraceEvent::Crash { seq: 1, pid: 0 });
-        h.on_event(&TraceEvent::Complete {
-            seq: 2,
-            pid: 0,
-            kind: OpKind::Custom {
-                label: "a",
-                arg: 0,
-                ret: 0,
-            },
-            resp: 1,
-        });
-        let v = h.finish();
-        assert!(
-            v.iter().any(|v| v.message.contains("no open invocation")),
-            "a completion after a crash is impossible: {v:?}"
-        );
     }
 }

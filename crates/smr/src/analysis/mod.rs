@@ -1,42 +1,50 @@
-//! Online trace-analysis passes: machinery that *verifies* the runtime
-//! contracts the rest of the repo silently trusts.
+//! Online trace-analysis passes over the live event stream of a gated
+//! run.
 //!
-//! Every correctness claim downstream of `smr` — the explorer's
-//! commuting-step pruning, the monotone sweep's real-time precedence
-//! order, the sketch envelopes checked on every interleaving — rests on
-//! three contracts:
+//! Every correctness claim downstream of `smr` — the step counts the
+//! paper bounds, the explorer's commuting-step pruning, the monotone
+//! sweep's real-time precedence order — rests on three runtime
+//! contracts, and each has exactly one enforcer:
 //!
 //! 1. **Poll discipline** — a granted poll applies exactly one
-//!    primitive; a priming poll applies none ([`PollDiscipline`]).
-//! 2. **Access-kind conformance** — each step's declared [`AccessKind`]
-//!    matches its actual effect on the object ([`Conformance`], plus the
-//!    replay-based [`commutation_audit`](crate::analysis::commutation_audit)
-//!    that checks the explorer's independence relation directly).
-//! 3. **Happens-before soundness** — the grant/ticket order the checkers
-//!    consume is consistent with the happens-before partial order of the
-//!    execution ([`HappensBefore`]).
+//!    primitive; a priming poll applies none. The coop backend asserts
+//!    it around every poll and panics on a breach
+//!    ([`CoopBackend`](crate::CoopBackend)).
+//! 2. **Access-kind conformance** — each step's declared
+//!    [`AccessKind`](crate::AccessKind) matches its actual effect on
+//!    the object. [`Conformance`] refutes a mis-declared kind online;
+//!    it is the standard bundle ([`Analyzer::standard`]).
+//! 3. **Ticket order** — invocation and response tickets are drawn in
+//!    execution order, per-process operations do not overlap, and no
+//!    completion lacks an open invocation. `lincheck`'s linearizability
+//!    pass reports any break as a sticky violation.
+//!
+//! [`PollDiscipline`] and [`HappensBefore`] are outside the standard
+//! bundle. The first re-checks the poll contract from the stream and,
+//! since the backend panics first, finds nothing on a real run; the
+//! second yields racy pairs, which are information, not violations.
+//! Both stay public only because perfbench's gated workloads attach
+//! them.
 //!
 //! An [`Analyzer`] bundles passes and attaches to a
 //! [`Runtime`](crate::Runtime) via
 //! [`attach_analysis`](crate::Runtime::attach_analysis); from then on
 //! every [`TraceEvent`] is pushed into each pass *online*, during any
 //! [`Driver`](crate::Driver) run and during every
-//! [`explore`](crate::explore) replay (the explorer consults an attached
-//! analyzer after each checked cut and reports its violations exactly
-//! like checker rejections). Events arrive in batches
+//! [`explore`](fn@crate::explore) replay (the explorer consults an
+//! attached analyzer after each checked cut and reports its violations
+//! exactly like checker rejections). Events arrive in batches
 //! ([`AnalysisPass::on_events`]), one analyzer lock per batch; a gated
 //! coop run delivers every batch before a `Driver` call returns. When
 //! no analyzer is attached and the trace log is off, the event stream
-//! costs one relaxed load per primitive — zero-cost when disabled
-//! (measured: `exp_scale`'s `analysis` rows against their plain twins
-//! in `BENCH_scale.json`).
+//! costs one relaxed load per primitive. `exp_scale`'s `analysis` rows
+//! price an attached standard bundle against their plain twins
+//! (`BENCH_scale.json`).
 
-mod commute;
 mod conformance;
 mod hb;
 mod poll;
 
-pub use commute::{commutation_audit, independent, CommuteConfig, StepMeta};
 pub use conformance::Conformance;
 pub use hb::HappensBefore;
 pub(crate) use hb::Vc;
@@ -165,14 +173,10 @@ impl Analyzer {
         })
     }
 
-    /// The standard bundle: poll discipline, access-kind conformance,
-    /// happens-before audit.
+    /// The standard bundle: access-kind conformance, the one runtime
+    /// contract a pass enforces (see the [module docs](self)).
     pub fn standard() -> Arc<Analyzer> {
-        Analyzer::new(vec![
-            Box::new(PollDiscipline::new()),
-            Box::new(Conformance::new()),
-            Box::new(HappensBefore::new()),
-        ])
+        Analyzer::new(vec![Box::new(Conformance::new())])
     }
 
     pub(crate) fn attach_meta(&self, meta: RunMeta) {
@@ -294,12 +298,14 @@ mod tests {
 
 /// Seeded-mutant tests that need crate-private access (`ctx.step` is
 /// `pub(crate)`, so only in-crate code can build an object that *lies*
-/// about its access kind): each mutant must be caught by its pass, end
-/// to end through a real coop driver. The poll-contract mutants, which
-/// need only the public API, live in `tests/analysis_integration.rs`.
+/// about its access kind): the mutant must be caught by the standard
+/// bundle, end to end through a real coop driver and through the
+/// explorer. (A poll-contract mutant needs no pass: the coop backend
+/// panics on it, as `driver`'s `should_panic` tests pin.)
 #[cfg(test)]
 mod mutant_tests {
     use super::*;
+    use crate::explore::{explore, Choice, ExploreConfig};
     use crate::history::OpSpec;
     use crate::runtime::Runtime;
     use crate::task::{OpTask, Poll};
@@ -411,70 +417,53 @@ mod mutant_tests {
         );
     }
 
+    /// The mutant pair: pid 0's first step is the lying read, pid 1's
+    /// first step honestly reads the same cell. Declared kinds make the
+    /// adjacent pair Read/Read on one object — independent — though
+    /// transposing them changes what pid 1 observes.
+    fn lying_pair(lie: bool) -> Driver<crate::CoopBackend> {
+        let rt = Runtime::coop(2);
+        rt.attach_analysis(Analyzer::standard());
+        let mut d = Driver::coop(rt);
+        let reg = Arc::new(LyingRegister::default());
+        let label = if lie { "lying-read" } else { "observer" };
+        d.submit_task(0, OpSpec::custom(label, 0), TwoReads::new(reg.clone(), lie));
+        d.submit_task(1, OpSpec::custom("observer", 0), TwoReads::new(reg, false));
+        d
+    }
+
     #[test]
-    fn commutation_audit_catches_the_pair_the_pruner_would_wrongly_trust() {
-        // pid 0's first step is the lying read (declared Read, actually
-        // an increment); pid 1's first step honestly reads the same
-        // cell. Declared kinds make the adjacent pair Read/Read on one
-        // object — independent — but transposing them changes what
-        // pid 1 observes. The audit must refuse to let the explorer's
-        // reduction trust the declaration.
-        let violations = commutation_audit(
-            || {
-                let mut d = Driver::coop(Runtime::coop(2));
-                let reg = Arc::new(LyingRegister::default());
-                d.submit_task(
-                    0,
-                    OpSpec::custom("lying-read", 0),
-                    TwoReads::new(reg.clone(), true),
-                );
-                d.submit_task(1, OpSpec::custom("observer", 0), TwoReads::new(reg, false));
-                d
-            },
-            &CommuteConfig::default(),
-        );
+    fn conformance_catches_the_pair_the_pruner_would_wrongly_trust() {
+        // The explorer consults the attached analyzer after every
+        // checked cut: the mis-declared read that would make DPOR prune
+        // a real reordering surfaces as a FoundViolation carrying the
+        // conformance diagnosis, minimized like any failing schedule.
+        let stats = explore(&ExploreConfig::default(), || lying_pair(true), |_h| Ok(()));
+        assert_eq!(stats.interleavings, 1, "found on the first cut");
+        assert_eq!(stats.violations.len(), 1);
+        let v = &stats.violations[0];
         assert!(
-            !violations.is_empty(),
-            "the mis-declared pair must fail the audit"
+            v.message.contains("[conformance]") && v.message.contains("lying-read"),
+            "the explorer reports the pass diagnosis: {}",
+            v.message
         );
-        assert_eq!(violations[0].pass, "commutation");
-        assert!(
-            violations[0].message.contains("does not commute"),
-            "{}",
-            violations[0]
+        assert_eq!(
+            v.minimized.choices,
+            [Choice::Step(0)],
+            "the lying read alone"
         );
     }
 
     #[test]
     fn honest_objects_pass_both_checks() {
-        // The control: the same program shape with honest declarations
-        // is clean under the full standard bundle and the audit.
-        let factory = || {
-            let mut d = Driver::coop(Runtime::coop(2));
-            let reg = Arc::new(LyingRegister::default());
-            for pid in 0..2 {
-                d.submit_task(
-                    pid,
-                    OpSpec::custom("observer", 0),
-                    TwoReads::new(reg.clone(), false),
-                );
-            }
-            d
-        };
-        let rt = Runtime::coop(2);
-        rt.attach_analysis(Analyzer::standard());
-        let mut d = Driver::coop(rt.clone());
-        let reg = Arc::new(LyingRegister::default());
-        for pid in 0..2 {
-            d.submit_task(
-                pid,
-                OpSpec::custom("observer", 0),
-                TwoReads::new(reg.clone(), false),
-            );
-        }
-        d.run_schedule(&mut crate::sched::RoundRobin::new());
-        drop(d);
-        assert!(rt.analysis().unwrap().finish().is_empty());
-        assert!(commutation_audit(factory, &CommuteConfig::default()).is_empty());
+        // The control: the same program with honest declarations passes
+        // both of conformance's checks on every interleaving.
+        let stats = explore(
+            &ExploreConfig::exhaustive(100),
+            || lying_pair(false),
+            |_h| Ok(()),
+        );
+        assert!(stats.all_ok(), "violations: {:?}", stats.violations);
+        assert!(stats.interleavings > 1);
     }
 }

@@ -3,12 +3,16 @@
 //!
 //! The coop backend's whole determinism story rests on the [`OpTask`]
 //! contract (priming polls apply no primitive; a granted poll applies
-//! exactly one). The backend asserts step-counter deltas around each
-//! poll. This pass checks the same contract *observationally*
-//! from the event stream — grants and accesses interleave 1:1 — so it
-//! also covers lenient runs (where the backend asserts are off to let
-//! mutants run far enough to be diagnosed), and it attributes each
-//! violation to the operation (machine) and trace position.
+//! exactly one). The contract's one enforcer is the backend itself: it
+//! asserts step-counter deltas around every poll and panics on a
+//! breach, before any event of the breaching poll reaches this pass.
+//! This pass re-checks the same contract *observationally* from the
+//! event stream (grants and accesses interleave 1:1), so on a real run
+//! it finds nothing. It is not in
+//! [`Analyzer::standard`](super::Analyzer::standard), and stays public
+//! only because perfbench's gated workloads attach it; it and
+//! `TraceEvent::Grant`, which feeds only this pass, can go once they
+//! no longer do.
 //!
 //! [`OpTask`]: crate::OpTask
 
@@ -46,7 +50,8 @@ pub struct PollStats {
     pub ops: u64,
 }
 
-/// The poll-discipline pass. See the [module docs](self).
+/// The poll-discipline pass. See the module docs in `analysis/poll.rs`
+/// for why it finds nothing on a real run.
 pub struct PollDiscipline {
     pids: Vec<PidState>,
     gated: bool,

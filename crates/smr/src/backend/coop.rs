@@ -74,8 +74,11 @@
 //! Nothing stops a buggy task from applying two primitives in one poll,
 //! so the backend watches the process's step counter around every poll
 //! and panics on a violation (a primitive applied while priming, ≠ 1
-//! primitive on a granted step). Violations are bugs in the task, not
-//! schedule-dependent behavior.
+//! primitive on a granted step or a batch poll), naming the pid and the
+//! op. Violations are bugs in the task, not schedule-dependent
+//! behavior. These asserts are the poll contract's one enforcer, and
+//! they are always on: everything downstream — step counts, the
+//! explorer's one-primitive-per-step metadata — may rely on it.
 //!
 //! ## One recording context
 //!
@@ -83,11 +86,10 @@
 //! whole life and re-points at the polled process, so a poll clones no
 //! `Arc<Runtime>`. The context records the `(object, kind)` of every
 //! primitive applied through it. `submit`, `step` and each batch poll
-//! clear the record first, so after a granted step it lists what that
-//! grant applied: the step's primitive, plus any primitive a follow-up
-//! operation's priming poll applied (none, under the contract). The
-//! explorer reads it (`Driver::touched`) to learn which object a step
-//! touched without switching the trace log on.
+//! clear the record first, so after a granted step it lists exactly
+//! the step's one primitive (the contract asserts leave no room for
+//! another). The explorer reads it (`Driver::touched`) to learn which
+//! object a step touched without switching the trace log on.
 //!
 //! While a trace consumer is active, the context also buffers the trace
 //! events the backend produces — each grant, invocation and completion
@@ -324,17 +326,15 @@ fn shuffle(list: &mut [u32], state: &mut u64) {
     }
 }
 
-/// The cooperative (virtual-process) execution backend. See the [module
-/// docs](self).
+/// The cooperative (virtual-process) execution backend. See the module
+/// docs in `backend/coop.rs` for its memory layout, its gated and
+/// free-running modes and how it enforces the poll contract.
 pub struct CoopBackend {
     runtime: Arc<Runtime>,
     /// `false` for the free-running mode ([`Runtime::coop_free`]).
     ///
     /// [`Runtime::coop_free`]: crate::Runtime::coop_free
     gated: bool,
-    /// Contract asserts off: violations run on, to be diagnosed by the
-    /// poll-discipline analysis pass instead of a panic.
-    lenient: bool,
 
     // Struct-of-arrays in-flight state, indexed by pid. `parked_data`
     // is the presence discriminant; the other arrays hold the matching
@@ -401,27 +401,12 @@ impl CoopBackend {
             "CoopBackend::new requires a gated coop runtime (Runtime::coop); \
              free-running coop runtimes take CoopBackend::new_free"
         );
-        CoopBackend::build(runtime, false, None)
-    }
-
-    /// Like [`new`](CoopBackend::new), but with the poll-contract
-    /// asserts disabled: a task applying the wrong number of primitives
-    /// per poll executes anyway, so an attached
-    /// [`Analyzer`](crate::analysis::Analyzer) can observe and report
-    /// the violation with full context instead of dying on the assert.
-    pub fn new_lenient(runtime: Arc<Runtime>) -> Self {
-        assert_eq!(
-            runtime.mode(),
-            Mode::Gated,
-            "CoopBackend::new_lenient requires a gated coop runtime (Runtime::coop)"
-        );
-        CoopBackend::build(runtime, true, None)
+        CoopBackend::build(runtime, None)
     }
 
     /// A **free-running** backend over a [`Runtime::coop_free`]
     /// runtime: no grant discipline — `wait_event` batch-polls every
-    /// runnable task in rounds, in ascending submission order. See the
-    /// [module docs](self).
+    /// runnable task in rounds, in ascending submission order.
     ///
     /// # Panics
     /// Panics unless `runtime` was built by [`Runtime::coop_free`].
@@ -433,7 +418,7 @@ impl CoopBackend {
             Mode::FreeRunning,
             "CoopBackend::new_free requires a free-running coop runtime (Runtime::coop_free)"
         );
-        CoopBackend::build(runtime, false, None)
+        CoopBackend::build(runtime, None)
     }
 
     /// Like [`new_free`](CoopBackend::new_free), but each batch round
@@ -452,10 +437,10 @@ impl CoopBackend {
         } else {
             seed
         };
-        CoopBackend::build(runtime, false, Some(state))
+        CoopBackend::build(runtime, Some(state))
     }
 
-    fn build(runtime: Arc<Runtime>, lenient: bool, batch_rng: Option<u64>) -> Self {
+    fn build(runtime: Arc<Runtime>, batch_rng: Option<u64>) -> Self {
         assert!(
             runtime.is_coop(),
             "CoopBackend requires a coop runtime (Runtime::coop / Runtime::coop_free)"
@@ -465,7 +450,6 @@ impl CoopBackend {
         let gated = runtime.mode() == Mode::Gated;
         CoopBackend {
             gated,
-            lenient,
             parked_data: vec![None; n],
             parked_poll: vec![idle_poll as PollFn; n],
             parked_drop: vec![idle_drop as DropFn; n],
@@ -566,7 +550,7 @@ impl CoopBackend {
             // installed for this op.
             let polled = unsafe { poll(data, &self.ctx) };
             assert!(
-                self.lenient || self.runtime.steps_of(pid) == steps_at_inv,
+                self.runtime.steps_of(pid) == steps_at_inv,
                 "OpTask contract violation (pid {pid}, op {:?}): the priming poll \
                  applied a primitive before any step was granted",
                 spec.kind(0).label(),
@@ -672,7 +656,7 @@ impl CoopBackend {
         let polled = unsafe { (self.parked_poll[pid])(data, &self.ctx) };
         let applied = self.runtime.steps_of(pid) - before;
         assert!(
-            self.lenient || applied == 1,
+            applied == 1,
             "OpTask contract violation (pid {pid}, op {:?}): a granted step must \
              apply exactly one primitive, got {applied}",
             self.parked_spec[pid].kind(0).label(),
@@ -715,7 +699,7 @@ impl CoopBackend {
         let polled = unsafe { (self.parked_poll[pid])(data, &self.ctx) };
         let applied = self.runtime.steps_of(pid) - before;
         assert!(
-            self.lenient || applied == 1,
+            applied == 1,
             "OpTask contract violation (pid {pid}, op {:?}): a granted step must \
              apply exactly one primitive, got {applied}",
             self.parked_spec[pid].kind(0).label(),
@@ -756,9 +740,9 @@ impl CoopBackend {
     }
 
     /// The `(object, kind)` of every primitive applied since the last
-    /// `submit`, `step` or batch poll began, in order: the granted (or
-    /// batch-polled) primitive plus any a follow-up operation's priming
-    /// poll applied. Empty after a `step` that found nothing parked.
+    /// `submit`, `step` or batch poll began: after a granted step (or a
+    /// batch poll), exactly its one primitive. Empty after a `step`
+    /// that found nothing parked.
     pub(crate) fn touched(&self) -> Ref<'_, [(usize, AccessKind)]> {
         self.ctx.touched()
     }

@@ -22,8 +22,9 @@ enum Cmd {
     Stop,
 }
 
-/// The thread-per-process execution backend. See the [module
-/// docs](self).
+/// The thread-per-process execution backend: one worker thread per
+/// process of a free-running runtime, each running its operations to
+/// completion at native speed.
 pub struct ThreadBackend {
     runtime: Arc<Runtime>,
     cmd_tx: Vec<Sender<Cmd>>,

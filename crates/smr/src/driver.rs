@@ -142,17 +142,6 @@ impl Driver<CoopBackend> {
         Driver::with_backend(runtime, backend)
     }
 
-    /// Like [`coop`](Driver::coop), but the backend's poll-contract
-    /// asserts are disabled ([`CoopBackend::new_lenient`]): a task that
-    /// applies the wrong number of primitives per poll keeps running, so
-    /// an attached [`Analyzer`](crate::analysis::Analyzer) can diagnose
-    /// the violation instead of the backend panicking. For analysis and
-    /// test harnesses; production runs should keep the asserts.
-    pub fn coop_lenient(runtime: Arc<Runtime>) -> Self {
-        let backend = CoopBackend::new_lenient(runtime.clone());
-        Driver::with_backend(runtime, backend)
-    }
-
     /// A driver whose virtual processes run **free**: `runtime` must
     /// come from [`Runtime::coop_free`], and instead of granting steps
     /// the backend batch-polls every runnable task in rounds — one
@@ -262,8 +251,9 @@ impl Driver<CoopBackend> {
     }
 
     /// The `(object, kind)` of every primitive the last
-    /// [`step`](Driver::step) or submission applied, in order — the
-    /// backend context's access record (see [`CoopBackend`]). A
+    /// [`step`](Driver::step) or submission applied — the backend
+    /// context's access record (see [`CoopBackend`]): exactly one after
+    /// a granted step, none after a submission. A
     /// [`crash`](Driver::crash) applies nothing and leaves it as it was.
     pub(crate) fn touched(&self) -> Ref<'_, [(usize, AccessKind)]> {
         self.backend.touched()
@@ -1000,6 +990,64 @@ mod tests {
         let _ = d.step(0);
     }
 
+    /// Applies a primitive in its priming poll: a poll-contract
+    /// violation.
+    struct Eager {
+        reg: Arc<Register>,
+    }
+
+    impl OpTask for Eager {
+        fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
+            Poll::Ready(u128::from(self.reg.read(ctx)))
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the priming poll applied a primitive")]
+    fn coop_detects_a_priming_primitive_at_submit() {
+        let mut d = Driver::coop(Runtime::coop(1));
+        d.submit_task(
+            0,
+            OpSpec::custom("eager", 0),
+            Eager {
+                reg: Arc::new(Register::new(0)),
+            },
+        );
+    }
+
+    /// Parks on every poll without applying a primitive: a granted poll
+    /// that applies none.
+    struct Idle;
+
+    impl OpTask for Idle {
+        fn poll(&mut self, _ctx: &ProcCtx) -> Poll<u128> {
+            Poll::Pending
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly one primitive, got 0")]
+    fn coop_detects_a_granted_poll_without_a_primitive() {
+        let mut d = Driver::coop(Runtime::coop(1));
+        d.submit_task(0, OpSpec::custom("idle", 0), Idle);
+        let _ = d.step(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly one primitive, got 2")]
+    fn coop_free_detects_multi_primitive_polls() {
+        let mut d = Driver::coop_free(Runtime::coop_free(1));
+        d.submit_task(
+            0,
+            OpSpec::custom("greedy", 0),
+            Greedy {
+                reg: Arc::new(Register::new(0)),
+                primed: false,
+            },
+        );
+        d.wait_all();
+    }
+
     #[test]
     fn coop_step_records_its_one_primitive() {
         let mut d = Driver::coop(Runtime::coop(2));
@@ -1022,74 +1070,6 @@ mod tests {
         assert_eq!(d.touched().len(), 1);
         assert_eq!(d.step(0), StepOutcome::Completed, "pid 0 has no work");
         assert!(d.touched().is_empty(), "the earlier step's record is gone");
-    }
-
-    #[test]
-    fn lenient_coop_records_every_primitive_of_a_poll_in_order() {
-        let mut d = Driver::coop_lenient(Runtime::coop(1));
-        let reg = Arc::new(Register::new(0));
-        d.submit_task(
-            0,
-            OpSpec::custom("greedy", 0),
-            Greedy {
-                reg: reg.clone(),
-                primed: false,
-            },
-        );
-        assert_eq!(d.step(0), StepOutcome::Stepped);
-        let r = reg.obj_id();
-        assert_eq!(
-            &*d.touched(),
-            &[(r, AccessKind::Read), (r, AccessKind::Write)]
-        );
-        assert_eq!(reg.peek(), 1);
-    }
-
-    #[test]
-    fn lenient_coop_records_a_follow_up_priming_primitive_with_the_completing_step() {
-        /// Writes its register in the priming poll (a contract
-        /// violation), then reads it on its one grant.
-        struct EagerWrite {
-            reg: Arc<Register>,
-            primed: bool,
-        }
-        impl OpTask for EagerWrite {
-            fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-                if !self.primed {
-                    self.primed = true;
-                    self.reg.write(ctx, 1);
-                    return Poll::Pending;
-                }
-                Poll::Ready(u128::from(self.reg.read(ctx)))
-            }
-        }
-        let mut d = Driver::coop_lenient(Runtime::coop(1));
-        let first = Arc::new(Register::new(0));
-        let second = Arc::new(Register::new(0));
-        d.submit_task(0, OpSpec::inc(), RmwTask::new(first.clone(), 1));
-        d.submit_task(
-            0,
-            OpSpec::read(),
-            EagerWrite {
-                reg: second.clone(),
-                primed: false,
-            },
-        );
-        assert!(d.touched().is_empty(), "the follow-up waits behind the inc");
-        assert_eq!(d.step(0), StepOutcome::Stepped);
-        assert_eq!(&*d.touched(), &[(first.obj_id(), AccessKind::Read)]);
-        assert_eq!(d.step(0), StepOutcome::Stepped);
-        assert_eq!(d.completed_of(0), 1);
-        assert_eq!(
-            &*d.touched(),
-            &[
-                (first.obj_id(), AccessKind::Write),
-                (second.obj_id(), AccessKind::Write)
-            ],
-            "the follow-up's priming write belongs to the completing step"
-        );
-        assert_eq!(d.step(0), StepOutcome::Stepped);
-        assert_eq!(&*d.touched(), &[(second.obj_id(), AccessKind::Read)]);
     }
 
     #[test]

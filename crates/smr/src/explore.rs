@@ -42,9 +42,7 @@
 //!
 //! ## Independence
 //!
-//! The reduction below rests on one independence relation —
-//! [`smr::analysis::independent`](crate::analysis::independent), the
-//! relation `commutation_audit` validates operationally. Two granted
+//! The reduction below rests on one independence relation. Two granted
 //! steps commute when
 //!
 //! * they belong to different processes,
@@ -60,14 +58,21 @@
 //! non-emitting step can cross an emitting one without moving any
 //! ticket draw or history record. Two emitting steps are always
 //! dependent: their record order and ticket values swap observably.
-//! Steps whose single primitive
-//! cannot be identified — crash decisions, and nonconforming polls that
-//! apply zero or several primitives in one grant — get no metadata and
-//! are treated as **dependent on everything**: the walk stays exhaustive
-//! around them, so a contract violation can never hide behind a
-//! reduction that assumed the contract.
+//! Crash decisions apply no primitive, get no metadata, and are treated
+//! as **dependent on everything**.
 //!
-//! The primitives each step applied are read off the coop backend's
+//! The relation leans on two runtime contracts, each with one enforcer:
+//!
+//! * **One primitive per granted step.** The coop backend asserts it
+//!   around every poll and panics on a breach (see [`CoopBackend`]), so
+//!   every granted step has exactly one `(object, kind)` to key on.
+//! * **Declared access kinds are honest.** A primitive declared `read`
+//!   must not change its object, or the read/read rule above would
+//!   prune real reorderings. The `Conformance` analysis pass refutes
+//!   a mis-declared kind online, and an attached analyzer's findings
+//!   surface from the walk like checker rejections (see [`explore`]).
+//!
+//! The primitive each step applied is read off the coop backend's
 //! access record: the one context the backend polls every process under
 //! lists the `(object, kind)` of each primitive applied through it (see
 //! [`CoopBackend`]). Event emission is read off the history length. The
@@ -76,8 +81,8 @@
 //!
 //! ## Reduction: DPOR, with the raw DFS as its oracle
 //!
-//! While `prune` is on (the default) and no preemption budget is set,
-//! the explorer runs **dynamic partial-order reduction** in the style of
+//! While `prune` is on (the default), the explorer runs **dynamic
+//! partial-order reduction** in the style of
 //! Flanagan–Godefroid, with sleep sets: as each interleaving executes,
 //! every step is stamped with a vector clock (the same pid-sorted clocks
 //! as `smr::analysis::hb`) joining the clocks of its happens-before
@@ -96,10 +101,9 @@
 //!
 //! Soundness: backtrack sets grow toward persistent sets (every
 //! reversible race found in an executed schedule schedules its
-//! reversal), sleep sets only skip executions equivalent to explored
-//! ones (entries are dropped the moment a dependent step runs), and
-//! steps without metadata commute with nothing, so conservatively every
-//! neighbour of a nonconforming step is explored. One subtlety is
+//! reversal), and sleep sets only skip executions equivalent to
+//! explored ones (entries are dropped the moment a dependent step
+//! runs). One subtlety is
 //! *object identity across replays*: every interleaving runs in a fresh
 //! program instance, so raw base-object addresses recorded in one
 //! replay are meaningless in the next. DPOR metadata persists across
@@ -113,24 +117,20 @@
 //! coverage stays exhaustive (one crash cut per prefix per process, as
 //! in the raw DFS); the reduction only collapses step reorderings.
 //!
-//! A preemption bound disables the reduction: commuting a pair does
-//! not preserve preemption counts, so under a budget every schedule is
-//! explored as-is by the raw depth-first walk. `prune: false` selects
-//! the same raw walk: it is the oracle the parity tests compare DPOR's
-//! reachable history cuts against, and what the closed-form
+//! `prune: false` selects the raw depth-first walk, which explores
+//! every schedule as-is: it is the oracle the parity tests compare
+//! DPOR's reachable history cuts against, and what the closed-form
 //! interleaving-count tests rely on.
 //!
 //! ## Bounds
 //!
-//! [`ExploreConfig`] bounds the walk three ways: `max_steps` (granted
+//! [`ExploreConfig`] bounds the walk two ways: `max_steps` (granted
 //! steps per interleaving — prefixes at the bound are checked as cuts,
-//! exactly like a suspension), `max_preemptions` (CHESS-style: switching
-//! away from a process that is still runnable costs one preemption;
-//! switches forced by completion or crash are free), and `max_crashes`
-//! (crash-point injection: at every prefix, each active process may be
-//! crashed, surfacing its in-flight operation as a pending record). An
-//! optional `max_interleavings` cap stops runaway configurations and is
-//! reported via [`ExploreStats::capped`].
+//! exactly like a suspension) and `max_crashes` (crash-point injection:
+//! at every prefix, each active process may be crashed, surfacing its
+//! in-flight operation as a pending record). An optional
+//! `max_interleavings` cap stops runaway configurations and is reported
+//! via [`ExploreStats::capped`].
 //!
 //! ## Replay and minimization
 //!
@@ -143,7 +143,7 @@
 //! original in [`FoundViolation`].
 
 use crate::addr::AddrMap;
-use crate::analysis::{independent, StepMeta, Vc};
+use crate::analysis::Vc;
 use crate::backend::CoopBackend;
 use crate::driver::Driver;
 use crate::history::History;
@@ -159,6 +159,29 @@ pub enum Choice {
     /// Crash process `pid` (it is never scheduled again; its in-flight
     /// operation surfaces as a pending record).
     Crash(usize),
+}
+
+/// What one granted step did, as the independence relation sees it:
+/// the acting process, the base object its one primitive touched, the
+/// access kind, and whether the step emitted history events (completed
+/// an operation and drew logical timestamps).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StepMeta {
+    pid: usize,
+    obj: usize,
+    kind: AccessKind,
+    emitted: bool,
+}
+
+/// The independence relation (symmetric): two granted steps commute
+/// when they belong to different processes, they did not *both* emit
+/// history events, and they touch different base objects or are both
+/// trivial `read`s of one object. See the [module docs](self) for why
+/// one emission is tolerable.
+fn independent(a: &StepMeta, b: &StepMeta) -> bool {
+    a.pid != b.pid
+        && !(a.emitted && b.emitted)
+        && (a.obj != b.obj || (a.kind == AccessKind::Read && b.kind == AccessKind::Read))
 }
 
 /// The process a decision acts on.
@@ -253,17 +276,9 @@ pub struct ExploreConfig {
     pub max_steps: usize,
     /// Crash decisions per interleaving (0 disables crash injection).
     pub max_crashes: usize,
-    /// Preemptions per interleaving (`None` = unbounded). A switch away
-    /// from a process that could still run costs one; switches at
-    /// completions and crashes are free.
-    pub max_preemptions: Option<usize>,
     /// Run DPOR: skip interleavings equivalent to an already-visited one
     /// (see the [module docs](self)). Disable to run the raw exhaustive
     /// DFS, e.g. to count raw interleavings against a closed form.
-    /// Ignored when `max_preemptions` is set: a reduced schedule's
-    /// representative can cost more preemptions than the skipped one,
-    /// so reduction under a preemption budget would silently drop
-    /// in-budget equivalence classes.
     pub prune: bool,
     /// Hard cap on checked interleavings (`None` = exhaust the space).
     pub max_interleavings: Option<u64>,
@@ -276,7 +291,6 @@ impl Default for ExploreConfig {
         ExploreConfig {
             max_steps: 10_000,
             max_crashes: 0,
-            max_preemptions: None,
             prune: true,
             max_interleavings: None,
             max_violations: 1,
@@ -285,7 +299,7 @@ impl Default for ExploreConfig {
 }
 
 impl ExploreConfig {
-    /// Exhaustive enumeration (no reduction, no preemption bound) up to
+    /// Exhaustive enumeration (no reduction) up to
     /// `max_steps` granted steps — the configuration whose interleaving
     /// count matches the multinomial closed form for programs with
     /// schedule-independent per-process step counts.
@@ -356,36 +370,37 @@ fn exec(d: &mut Driver<CoopBackend>, choice: Choice) {
     }
 }
 
-/// Apply one decision to the driver, returning the step's [`StepMeta`].
+/// Apply one decision to the driver, returning the step's [`StepMeta`]
+/// with its object rewritten to its first-touch id (`None` for a crash
+/// decision, which touches nothing).
 ///
 /// What a step applied comes from the backend's access record
-/// ([`Driver::touched`]): the granted primitive plus any primitive a
-/// follow-up operation's priming poll applied. Only one primitive
-/// identifies the step for the independence relation. A lenient
-/// backend can let a poll-contract mutant apply zero or several
-/// primitives in one grant — the analysis passes diagnose that; here
-/// the step just loses its metadata (None never commutes, so the walk
-/// stays exhaustive around it). A crash decision touches nothing and
-/// gets no metadata either.
-fn apply(d: &mut Driver<CoopBackend>, choice: Choice) -> Option<StepMeta> {
+/// ([`Driver::touched`]): exactly the granted primitive, since the
+/// backend asserts one primitive per granted poll.
+fn apply(d: &mut Driver<CoopBackend>, ids: &mut ObjIds, choice: Choice) -> Option<StepMeta> {
     let before_len = d.history().len();
     exec(d, choice);
     let Choice::Step(pid) = choice else {
         return None;
     };
-    let &[(obj, kind)] = &*d.touched() else {
-        return None;
-    };
+    let (obj, kind) = granted(d);
     Some(StepMeta {
         pid,
-        obj,
+        obj: ids.id(obj),
         kind,
         emitted: d.history().len() != before_len,
     })
 }
 
-/// [`independent`] lifted to optional metadata: a step without metadata
-/// (crash or nonconforming poll) commutes with nothing.
+/// The `(object, kind)` of the primitive the last granted step applied.
+fn granted(d: &Driver<CoopBackend>) -> (usize, AccessKind) {
+    let touched = d.touched();
+    debug_assert_eq!(touched.len(), 1, "one primitive per granted step");
+    touched[0]
+}
+
+/// [`independent`] lifted to optional metadata: a crash decision
+/// commutes with nothing.
 fn indep_opt(a: &Option<StepMeta>, b: &Option<StepMeta>) -> bool {
     match (a, b) {
         (Some(a), Some(b)) => independent(a, b),
@@ -398,11 +413,6 @@ fn indep_opt(a: &Option<StepMeta>, b: &Option<StepMeta>) -> bool {
 struct Walk {
     steps: usize,
     crashes: usize,
-    preemptions: usize,
-    /// Pid of the last granted step, and whether that process was still
-    /// active immediately after it (a switch away from it is then a
-    /// preemption).
-    last_runnable: Option<usize>,
 }
 
 impl Walk {
@@ -417,27 +427,6 @@ impl Walk {
             Choice::Crash(_) => self.crashes += 1,
         }
     }
-
-    /// [`count`](Walk::count) plus preemption accounting (the raw DFS
-    /// is the only walk that runs under a preemption budget).
-    fn account(&mut self, choice: Choice, d: &Driver<CoopBackend>, replayed: &mut u64) {
-        self.count(choice, replayed);
-        match choice {
-            Choice::Step(pid) => {
-                if let Some(last) = self.last_runnable {
-                    if last != pid {
-                        self.preemptions += 1;
-                    }
-                }
-                self.last_runnable = d.active_set().contains(pid).then_some(pid);
-            }
-            Choice::Crash(pid) => {
-                if self.last_runnable == Some(pid) {
-                    self.last_runnable = None; // switching away is now free
-                }
-            }
-        }
-    }
 }
 
 /// Fill `alts` with the alternatives at the current prefix, in canonical
@@ -445,16 +434,8 @@ impl Walk {
 /// decisions.
 fn alternatives(d: &Driver<CoopBackend>, cfg: &ExploreConfig, walk: &Walk, alts: &mut Vec<Choice>) {
     let active = d.active_set();
-    let preempt_exhausted = cfg
-        .max_preemptions
-        .is_some_and(|max| walk.preemptions >= max);
     alts.clear();
-    match walk.last_runnable {
-        // Out of preemption budget: the running process must continue
-        // (crashing it below stays allowed — a crash is not a step).
-        Some(last) if preempt_exhausted => alts.push(Choice::Step(last)),
-        _ => alts.extend(active.iter_sorted().map(Choice::Step)),
-    }
+    alts.extend(active.iter_sorted().map(Choice::Step));
     if walk.crashes < cfg.max_crashes {
         alts.extend(active.iter_sorted().map(Choice::Crash));
     }
@@ -464,9 +445,9 @@ fn alternatives(d: &Driver<CoopBackend>, cfg: &ExploreConfig, walk: &Walk, alts:
 /// factory attached an [`Analyzer`](crate::analysis::Analyzer) to the
 /// runtime: `Some(message)` if any pass reported a violation. Explored
 /// cuts are checked against the analyses exactly like against the
-/// caller's history checker, so a poll-contract or conformance bug is
-/// found, minimized and reported through the same [`FoundViolation`]
-/// machinery as a linearizability bug.
+/// caller's history checker, so a conformance bug, or any other pass's
+/// finding, is found, minimized and reported through the same
+/// [`FoundViolation`] machinery as a linearizability bug.
 fn analysis_failure(rt: &std::sync::Arc<crate::Runtime>) -> Option<String> {
     let analyzer = rt.analysis()?;
     let violations = analyzer.finish();
@@ -524,16 +505,16 @@ where
 /// pending records for operations still in flight at the cut (crashed or
 /// suspended by the bound).
 ///
-/// With `prune` on and no preemption budget (the default) this runs the
-/// DPOR walk; otherwise it runs the raw exhaustive depth-first walk, the
-/// oracle DPOR is tested against. See the [module docs](self) for the
-/// enumeration order, the soundness arguments and the bounds.
+/// With `prune` on (the default) this runs the DPOR walk; otherwise it
+/// runs the raw exhaustive depth-first walk, the oracle DPOR is tested
+/// against. See the [module docs](self) for the enumeration order, the
+/// soundness arguments and the bounds.
 pub fn explore<F, C>(cfg: &ExploreConfig, factory: F, check: C) -> ExploreStats
 where
     F: Fn() -> Driver<CoopBackend>,
     C: FnMut(&History) -> Result<(), String>,
 {
-    if cfg.prune && cfg.max_preemptions.is_none() {
+    if cfg.prune {
         explore_dpor(cfg, &factory, check)
     } else {
         explore_dfs(cfg, &factory, check)
@@ -621,8 +602,8 @@ where
         let mut walk = Walk::default();
         for f in &path {
             let choice = f.alts[f.idx];
-            apply(&mut d, choice);
-            walk.account(choice, &d, &mut stats.steps_replayed);
+            exec(&mut d, choice);
+            walk.count(choice, &mut stats.steps_replayed);
         }
 
         // Extend depth-first along each node's first alternative.
@@ -636,8 +617,8 @@ where
             debug_assert!(!alts.is_empty(), "active set non-empty but no alternatives");
             let choice = alts[0];
             path.push(Frame { alts, idx: 0 });
-            apply(&mut d, choice);
-            walk.account(choice, &d, &mut stats.steps_replayed);
+            exec(&mut d, choice);
+            walk.count(choice, &mut stats.steps_replayed);
         }
         let choices = path.iter().map(|f| f.alts[f.idx]);
         if check_cut(cfg, factory, &mut check, d, choices, &mut stats) || !backtrack(&mut path) {
@@ -685,33 +666,14 @@ impl ObjIds {
         self.0.len()
     }
 
-    /// Feed every object the just-applied `choice` touched through the
-    /// map, in order, and return the last one's id. A crash touches
-    /// nothing (the backend's access record still lists the previous
-    /// step's primitives, so it is not consulted).
-    fn feed(&mut self, d: &Driver<CoopBackend>, choice: Choice) -> Option<usize> {
-        let mut last = None;
+    /// Feed the object the just-applied `choice` touched through the
+    /// map. A crash touches nothing (the backend's access record still
+    /// lists the previous step's primitive, so it is not consulted).
+    fn feed(&mut self, d: &Driver<CoopBackend>, choice: Choice) {
         if let Choice::Step(_) = choice {
-            for &(obj, _) in d.touched().iter() {
-                last = Some(self.id(obj));
-            }
+            self.id(granted(d).0);
         }
-        last
     }
-}
-
-/// Apply `choice` and return its metadata with the object address
-/// rewritten to its first-touch id. Every object the decision touched
-/// goes through the map (nonconforming multi-access steps still advance
-/// it — id assignment must be a function of the path, not of
-/// conformance).
-fn apply_stable(d: &mut Driver<CoopBackend>, ids: &mut ObjIds, choice: Choice) -> Option<StepMeta> {
-    let info = apply(d, choice);
-    let last = ids.feed(d, choice);
-    info.map(|m| StepMeta {
-        obj: last.expect("a step with metadata applied exactly one primitive"),
-        ..m
-    })
 }
 
 /// A sleeping (or done-inherited) choice, with the provenance bit that
@@ -978,7 +940,7 @@ where
             let (below, top) = stack.split_at_mut(exec_upto);
             let top = &mut top[0];
             let choice = top.taken;
-            top.info = apply_stable(&mut d, &mut ids, choice);
+            top.info = apply(&mut d, &mut ids, choice);
             walk.count(choice, &mut stats.steps_replayed);
             top.pid = acting(choice);
             top.local = race_scan(below, top.pid, &top.info, &mut top.clock, &mut races);
@@ -1005,8 +967,7 @@ where
             // siblings and surviving sleepers stay asleep only while
             // independent with the step just taken), first non-sleeping
             // choice seeded, every crash choice seeded (crash coverage
-            // is never reduced). DPOR never runs under a preemption
-            // budget, so the alternatives are every enabled choice.
+            // is never reduced).
             let mut node = spare.pop().unwrap_or_default();
             alternatives(&d, cfg, &walk, &mut node.enabled);
             debug_assert!(
@@ -1053,7 +1014,7 @@ where
             }
             node.taken = node.backtrack[0];
             node.objs_seen = ids.len();
-            node.info = apply_stable(&mut d, &mut ids, node.taken);
+            node.info = apply(&mut d, &mut ids, node.taken);
             walk.count(node.taken, &mut stats.steps_replayed);
             node.pid = acting(node.taken);
             node.local = race_scan(&stack, node.pid, &node.info, &mut node.clock, &mut races);
@@ -1374,59 +1335,6 @@ mod tests {
         });
         assert_eq!(stats.interleavings, 3, "ss, c, sc — exactly as raw DFS");
         assert!(stats.all_ok());
-    }
-
-    #[test]
-    fn preemption_bound_restricts_schedules() {
-        let factory = || {
-            let mut d = Driver::coop(Runtime::coop(2));
-            let reg = Arc::new(Register::new(0));
-            for pid in 0..2 {
-                d.submit_task(pid, OpSpec::custom("rmw", 0), Rmw::new(reg.clone(), 1));
-            }
-            d
-        };
-        let free = explore(&ExploreConfig::exhaustive(100), factory, |_| Ok(()));
-        let bounded = explore(
-            &ExploreConfig {
-                max_preemptions: Some(0),
-                prune: false,
-                ..ExploreConfig::default()
-            },
-            factory,
-            |_| Ok(()),
-        );
-        // Zero preemptions: each process runs to completion once
-        // scheduled — only the 2 serial orders remain.
-        assert_eq!(bounded.interleavings, 2);
-        assert!(u128::from(free.interleavings) > 2);
-
-        // Reduction is ignored under a preemption bound (commuting does
-        // not preserve preemption counts): identical coverage with
-        // prune on or off.
-        let bounded_prune_requested = explore(
-            &ExploreConfig {
-                max_preemptions: Some(1),
-                prune: true,
-                ..ExploreConfig::default()
-            },
-            factory,
-            |_| Ok(()),
-        );
-        let bounded_no_prune = explore(
-            &ExploreConfig {
-                max_preemptions: Some(1),
-                prune: false,
-                ..ExploreConfig::default()
-            },
-            factory,
-            |_| Ok(()),
-        );
-        assert_eq!(
-            bounded_prune_requested.interleavings,
-            bounded_no_prune.interleavings
-        );
-        assert_eq!(bounded_prune_requested.pruned, 0);
     }
 
     #[test]

@@ -35,17 +35,19 @@
 //! * **Schedulers** ([`sched`]) — round-robin, seeded-random and
 //!   scripted, picking from an incrementally-maintained [`ActiveSet`] so
 //!   policies stay cheap at 10⁵–10⁶ pids.
-//! * **Exhaustive schedule exploration** ([`explore`]) — a bounded
-//!   depth-first enumerator over the coop backend that checks *every*
-//!   interleaving (one per trace class under sleep-set DPOR, or all of
-//!   them under the raw DFS; optional crash injection) and minimizes
-//!   failing schedules into replayable scripts, turning sampled
-//!   schedule properties into proofs for small configurations.
+//! * **Exhaustive schedule exploration** ([`explore`](mod@explore)) — a
+//!   bounded depth-first enumerator over the coop backend that checks
+//!   *every* interleaving (one per trace class under sleep-set DPOR, or
+//!   all of them under the raw DFS; optional crash injection) and
+//!   minimizes failing schedules into replayable scripts, turning
+//!   sampled schedule properties into proofs for small configurations.
 //! * **Online trace analysis** ([`analysis`]) — pluggable passes fed the
-//!   live trace-event stream of any gated run: poll-discipline checking,
-//!   access-kind conformance against recorded state digests, and a
-//!   vector-clock happens-before audit, plus a replay-based commutation
-//!   audit backing the independence relation the explorer's DPOR uses.
+//!   live trace-event stream of any gated run. The standard bundle
+//!   checks access-kind conformance against recorded state digests, the
+//!   contract the explorer's independence relation trusts; a
+//!   vector-clock happens-before pass yields racy pairs. The poll
+//!   contract needs no pass: the coop backend asserts it around every
+//!   poll.
 //! * **A lock-free growable segment array** ([`SegArray`]) used to hold the
 //!   unbounded `switch` sequence of the paper's Algorithm 1.
 //!

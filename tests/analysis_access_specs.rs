@@ -5,10 +5,10 @@
 //! against the machine's declared spec — read machines apply only
 //! trivial primitives, update machines apply at least one nontrivial
 //! primitive and draw every kind from the machine's declared set, and
-//! the lock-based oracles apply no primitives at all. Any analysis
-//! violation (mis-declared kind, poll-contract breach) fails the run
-//! outright, so this doubles as a conformance sweep over the whole
-//! object zoo.
+//! the lock-based oracles apply no primitives at all. A conformance
+//! violation (a mis-declared kind) fails the run outright, and a
+//! poll-contract breach panics in the coop backend, so this doubles as
+//! a conformance sweep over the whole object zoo.
 
 use parking_lot::Mutex;
 use smr::analysis::Analyzer;

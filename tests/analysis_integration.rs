@@ -1,19 +1,21 @@
-//! `smr::analysis` against the real objects: the standard pass bundle
-//! must run clean over representative gated workloads (any finding
-//! there would be a genuine runtime-contract bug), and each
-//! seeded poll-contract mutant must be caught with a precise report.
-//! (The access-kind mutants need crate-private access and live in
-//! `smr::analysis::mutant_tests`.)
+//! `smr::analysis` against the real objects: the standard bundle
+//! (access-kind conformance) must run clean over representative gated
+//! workloads, on one schedule and on every explored interleaving (any
+//! finding there would be a genuine runtime-contract bug); the
+//! happens-before pass's racy pairs are pinned; the analysis sink sees
+//! the same event stream as the trace log; and a test-local pass's
+//! finding surfaces from the explorer as a minimized failing schedule.
+//! The access-kind mutants need crate-private access and live in
+//! `smr::analysis::mutant_tests`; a poll-contract mutant panics in the
+//! coop backend, as `smr::driver`'s `should_panic` tests pin.
 
 use counter::{CollectCounter, CollectIncTask, CollectReadTask};
 use parking_lot::Mutex;
 use smr::analysis::{AnalysisPass, Analyzer, HappensBefore, RunMeta, Violation};
-use smr::explore::{explore, ExploreConfig};
+use smr::explore::{explore, Choice, ExploreConfig};
 use smr::sched::{RoundRobin, Scheduler, SeededRandom};
-use smr::{
-    AccessKind, CoopBackend, Driver, OpSpec, OpTask, Poll, ProcCtx, Register, Runtime, TraceEvent,
-};
-use std::collections::HashSet;
+use smr::{AccessKind, CoopBackend, Driver, OpSpec, Register, Runtime, TraceEvent};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use approx_objects::{KmultCounter, KmultIncTask, KmultReadTask, SharedKmultHandle};
@@ -81,7 +83,7 @@ fn standard_passes_run_clean_under_crashes() {
         d.submit_task(pid, OpSpec::read(), CollectReadTask::new(counter.clone()));
     }
     let _ = d.step(1); // pid 1 parks mid-operation…
-    d.crash(1); // …and dies there; its window must close cleanly
+    d.crash(1); // …and dies there
     d.run_schedule(&mut RoundRobin::new());
     drop(d);
     let violations = rt.analysis().unwrap().finish();
@@ -307,158 +309,85 @@ fn batched_trace_delivery_is_invisible_to_log_and_sink() {
     assert!(matches!(fresh.last(), Some(TraceEvent::Complete { .. })));
 }
 
-/// Mutant: the granted poll applies *two* primitives.
-struct GreedyTask {
-    reg: Arc<Register>,
-    primed: bool,
+/// A deliberately false invariant, so that some interleavings of an
+/// honest program break it: no process reads an object whose last
+/// nontrivial primitive another process applied. The finding names the
+/// reading operation and both processes.
+#[derive(Default)]
+struct NoForeignReads {
+    /// The label of each process's open operation.
+    open: HashMap<usize, &'static str>,
+    /// The last process to apply a nontrivial primitive, per object.
+    writer: HashMap<usize, usize>,
+    found: Vec<Violation>,
 }
 
-impl OpTask for GreedyTask {
-    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        if !self.primed {
-            self.primed = true;
-            return Poll::Pending;
-        }
-        let v = self.reg.read(ctx);
-        self.reg.write(ctx, v + 1); // second primitive in one poll
-        Poll::Ready(u128::from(v))
+impl AnalysisPass for NoForeignReads {
+    fn name(&self) -> &'static str {
+        "no-foreign-reads"
     }
-}
-
-/// Mutant: the priming poll applies a primitive.
-struct EagerTask {
-    reg: Arc<Register>,
-    primed: bool,
-}
-
-impl OpTask for EagerTask {
-    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        if !self.primed {
-            self.primed = true;
-            let _ = self.reg.read(ctx); // primitive before any grant
-            return Poll::Pending;
+    fn on_event(&mut self, ev: &TraceEvent) {
+        match *ev {
+            TraceEvent::Invoke { pid, kind, .. } => {
+                self.open.insert(pid, kind.label());
+            }
+            TraceEvent::Access(a) if a.kind.is_nontrivial() => {
+                self.writer.insert(a.obj, a.pid);
+            }
+            TraceEvent::Access(a) => match self.writer.get(&a.obj) {
+                Some(&w) if w != a.pid => self.found.push(Violation {
+                    pass: "no-foreign-reads",
+                    pid: Some(a.pid),
+                    seq: Some(a.seq),
+                    message: format!("{} read a cell pid {w} wrote", self.open[&a.pid]),
+                }),
+                _ => {}
+            },
+            _ => {}
         }
-        self.reg.write(ctx, 1);
-        Poll::Ready(0)
     }
-}
-
-#[test]
-fn poll_pass_flags_two_primitives_in_one_poll() {
-    let rt = Runtime::coop(2);
-    rt.attach_analysis(Analyzer::standard());
-    // Lenient backend: the contract assert is off, so the mutant runs
-    // on and the pass gets to diagnose it instead of a panic.
-    let mut d = Driver::coop_lenient(rt.clone());
-    d.submit_task(
-        1,
-        OpSpec::custom("greedy", 0),
-        GreedyTask {
-            reg: Arc::new(Register::new(0)),
-            primed: false,
-        },
-    );
-    d.run_solo(1);
-    drop(d);
-    let violations = rt.analysis().unwrap().finish();
-    let hit = violations
-        .iter()
-        .find(|v| v.pass == "poll-discipline")
-        .unwrap_or_else(|| panic!("poll pass must flag the mutant: {violations:?}"));
-    assert_eq!(hit.pid, Some(1), "the report names the process");
-    assert!(hit.seq.is_some(), "the report pins the trace position");
-    assert!(
-        hit.message.contains("greedy") && hit.message.contains("2 primitives"),
-        "the report names the machine and the count: {hit}"
-    );
-}
-
-#[test]
-fn poll_pass_flags_a_priming_primitive() {
-    let rt = Runtime::coop(1);
-    rt.attach_analysis(Analyzer::standard());
-    let mut d = Driver::coop_lenient(rt.clone());
-    d.submit_task(
-        0,
-        OpSpec::custom("eager", 0),
-        EagerTask {
-            reg: Arc::new(Register::new(0)),
-            primed: false,
-        },
-    );
-    d.run_solo(0);
-    drop(d);
-    let violations = rt.analysis().unwrap().finish();
-    let hit = violations
-        .iter()
-        .find(|v| v.pass == "poll-discipline")
-        .unwrap_or_else(|| panic!("poll pass must flag the mutant: {violations:?}"));
-    assert_eq!(hit.pid, Some(0));
-    assert!(
-        hit.message.contains("eager") && hit.message.contains("outside a granted poll"),
-        "the report names the machine and the phase: {hit}"
-    );
+    fn finish(&mut self) -> Vec<Violation> {
+        std::mem::take(&mut self.found)
+    }
 }
 
 #[test]
 fn explorer_surfaces_analysis_violations_like_checker_rejections() {
     // The explorer consults an attached analyzer after every checked
-    // cut: a poll-contract mutant must surface as a FoundViolation with
-    // the pass's diagnosis, minimized like any other failing schedule.
+    // cut: a pass's finding must surface as a FoundViolation with the
+    // pass's diagnosis, minimized like any other failing schedule. The
+    // pass is defined here, outside `smr`, through the public
+    // `AnalysisPass` trait.
     let factory = || {
         let rt = Runtime::coop(2);
-        rt.attach_analysis(Analyzer::standard());
-        let mut d = Driver::coop_lenient(rt);
-        let reg = Arc::new(Register::new(0));
-        d.submit_task(
-            0,
-            OpSpec::custom("greedy", 0),
-            GreedyTask {
-                reg: reg.clone(),
-                primed: false,
-            },
-        );
-        d.submit_task(
-            1,
-            OpSpec::custom("obs", 0),
-            EagerObserver { reg, primed: false },
-        );
+        rt.attach_analysis(Analyzer::new(vec![Box::new(NoForeignReads::default())]));
+        let mut d = Driver::coop(rt);
+        let counter = Arc::new(CollectCounter::new(2));
+        d.submit_task(0, OpSpec::inc(), CollectIncTask::new(counter.clone()));
+        d.submit_task(1, OpSpec::read(), CollectReadTask::new(counter));
         d
     };
     let stats = explore(&ExploreConfig::default(), factory, |_h| Ok(()));
-    assert!(!stats.violations.is_empty(), "the mutant must be caught");
+    assert!(!stats.violations.is_empty(), "the finding must be surfaced");
     let v = &stats.violations[0];
     assert!(
-        v.message.contains("[poll-discipline]") && v.message.contains("greedy"),
+        v.message.contains("[no-foreign-reads]") && v.message.contains("read a cell pid 0"),
         "the explorer reports the pass diagnosis: {}",
         v.message
     );
-    // Minimal reproduction: granting the greedy op its one poll.
+    // Minimal reproduction: the increment's read and write of cell 0,
+    // then the collect's read of that cell.
     assert!(v.minimized.len() <= v.original.len());
-    assert!(v.minimized.steps() >= 1);
-}
-
-/// Honest single-read peer for the explorer test.
-struct EagerObserver {
-    reg: Arc<Register>,
-    primed: bool,
-}
-
-impl OpTask for EagerObserver {
-    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        if !self.primed {
-            self.primed = true;
-            return Poll::Pending;
-        }
-        Poll::Ready(u128::from(self.reg.read(ctx)))
-    }
+    assert_eq!(
+        v.minimized.choices,
+        [Choice::Step(0), Choice::Step(0), Choice::Step(1)]
+    );
 }
 
 #[test]
 fn explorer_passes_clean_programs_with_an_analyzer_attached() {
-    // Control for the mutant test: exhaustive exploration of an honest
-    // program with the analyzer attached finds nothing, on every
-    // interleaving.
+    // Exhaustive exploration of an honest program with the analyzer
+    // attached finds nothing, on every interleaving.
     let factory = || {
         let rt = Runtime::coop(2);
         rt.attach_analysis(Analyzer::standard());

@@ -17,7 +17,8 @@
 //!   read-modify-write one shared cell) must be caught, and the failing
 //!   schedule minimized to its essential interleaving. So must the one
 //!   known gap in the real Algorithm 1: raw k-accuracy in its startup
-//!   window at k ≥ √n (DESIGN.md §2, "Startup window").
+//!   window at k ≥ √n, whose frontier (n ≥ k + 2) is pinned beside it
+//!   (DESIGN.md §2, "Startup window").
 
 use approx_objects::{KaddCounter, KaddIncTask, KaddReadTask, SharedKaddHandle};
 use approx_objects::{KmultCounter, KmultIncTask, KmultReadTask, SharedKmultHandle};
@@ -25,8 +26,8 @@ use bench::multinomial;
 use counter::{CollectCounter, CollectIncTask, CollectReadTask};
 use lincheck::{check_counter_records, check_maxreg_records};
 use parking_lot::Mutex;
-use smr::explore::{explore, Choice, ExploreConfig};
-use smr::{CoopBackend, Driver, OpSpec, OpTask, Poll, ProcCtx, Register, Runtime};
+use smr::explore::{explore, Choice, ExploreConfig, Replay};
+use smr::{CoopBackend, Driver, OpKind, OpSpec, OpTask, Poll, ProcCtx, Register, Runtime};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -169,14 +170,14 @@ fn tree_maxreg_is_linearizable_on_every_schedule() {
     assert!(stats.all_ok(), "violations: {:?}", stats.violations);
 }
 
-/// Algorithm 1's startup window: `n` processes at k = 3, each doing two
-/// increments, then one read on pid 0.
-fn startup_window_program(n: usize) -> Driver<CoopBackend> {
+/// Algorithm 1's startup window: `n` processes at accuracy `k`, pid `p`
+/// doing `incs(p)` increments, then one read on pid 0.
+fn startup_window_program(n: usize, k: u64, incs: impl Fn(usize) -> u64) -> Driver<CoopBackend> {
     let mut d = Driver::coop(Runtime::coop(n));
-    let c = KmultCounter::new(n, 3);
+    let c = KmultCounter::new(n, k);
     let hs: Vec<SharedKmultHandle> = (0..n).map(|p| Arc::new(Mutex::new(c.handle(p)))).collect();
     for (pid, h) in hs.iter().enumerate() {
-        for _ in 0..2 {
+        for _ in 0..incs(pid) {
             d.submit_task(pid, OpSpec::inc(), KmultIncTask::new(h.clone()));
         }
     }
@@ -196,7 +197,7 @@ fn the_startup_window_breaks_raw_k_accuracy_at_k_at_least_root_n() {
     for (n, cuts) in [(5, 436), (6, 2953)] {
         let stats = explore(
             &ExploreConfig::default(),
-            || startup_window_program(n),
+            || startup_window_program(n, 3, |_| 2),
             |h| check_counter_records(h, 3),
         );
         assert_eq!(stats.violations.len(), 1, "n = {n}");
@@ -211,8 +212,77 @@ fn the_startup_window_breaks_raw_k_accuracy_at_k_at_least_root_n() {
             "n = {n}: {}",
             v.message
         );
-        assert!(check_counter_records(&v.minimized.run(startup_window_program(n)), 3).is_err());
+        let cut = v.minimized.run(startup_window_program(n, 3, |_| 2));
+        assert!(check_counter_records(&cut, 3).is_err());
     }
+}
+
+#[test]
+fn the_startup_window_frontier_is_n_at_least_k_plus_2() {
+    // The schedule shape that forces the most increments before a read
+    // of k: pid 1 wins switch_0 and does k increments, every other
+    // process loses it and does k − 1 (each loser's increments after
+    // the first stay local), and pid 0 reads last. The replay grants
+    // pids 1, …, n − 1 one step each, then pid 0 until its read
+    // completes (`Replay::run` skips the surplus). The read returns k
+    // after 1 + n(k − 1) completed increments, so raw k-accuracy fails
+    // exactly when 1 + n(k − 1) > k², that is n ≥ k + 2. See DESIGN.md
+    // §2, "Startup window".
+    let cells = [
+        (4, 2, true),
+        (5, 3, true),
+        (6, 3, true),
+        (7, 3, true),
+        (9, 3, true),
+        (6, 4, true),
+        (16, 4, true),
+        (3, 2, false),
+        (4, 3, false),
+        (5, 4, false),
+    ];
+    for (n, k, fails) in cells {
+        let shape = |pid: usize| if pid == 1 { k } else { k - 1 };
+        let choices = (1..n)
+            .chain(std::iter::repeat_n(0, 2 * n))
+            .map(Choice::Step)
+            .collect();
+        let h = Replay { choices }.run(startup_window_program(n, k, shape));
+        let read = h
+            .ops()
+            .iter()
+            .find(|r| matches!(r.kind, OpKind::Read { .. }))
+            .expect("the read ran");
+        assert!(read.resp.is_some(), "({n}, {k}): the read completed");
+        assert_eq!(read.returned(), u128::from(k), "({n}, {k})");
+        let forced = h
+            .ops()
+            .iter()
+            .filter(|r| matches!(r.kind, OpKind::Inc { .. }) && r.precedes(read))
+            .count() as u64;
+        assert_eq!(forced, 1 + n as u64 * (k - 1), "({n}, {k})");
+        assert_eq!(forced > k * k, fails, "({n}, {k})");
+        assert_eq!(
+            check_counter_records(&h, k).is_err(),
+            fails,
+            "({n}, {k}): {:?}",
+            check_counter_records(&h, k)
+        );
+    }
+}
+
+#[test]
+fn the_startup_window_is_clean_beside_the_frontier() {
+    // (5, 4) sits on the frontier (1 + 5·3 = 16 = k²). With three
+    // increments per process and pid 0's read last, DPOR exhausts every
+    // trace class clean.
+    let stats = explore(
+        &ExploreConfig::default(),
+        || startup_window_program(5, 4, |_| 3),
+        |h| check_counter_records(h, 4),
+    );
+    assert!(stats.all_ok(), "violations: {:?}", stats.violations);
+    assert!(!stats.capped);
+    assert_eq!(stats.interleavings, 840);
 }
 
 /// The seeded mutant: a "counter" whose increments all read-modify-write
@@ -482,98 +552,6 @@ fn reductions_preserve_the_reachable_history_set() {
             "{name}: DPOR changed the reachable history set"
         );
     }
-}
-
-/// pid 0's whole operation in one grant: write `a`, read `b`, complete —
-/// two primitives in one poll, a contract breach only the lenient
-/// backend lets run.
-struct WriteThenRead {
-    a: Arc<Register>,
-    b: Arc<Register>,
-    primed: bool,
-}
-
-impl OpTask for WriteThenRead {
-    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        if !self.primed {
-            self.primed = true;
-            return Poll::Pending;
-        }
-        self.a.write(ctx, 1);
-        Poll::Ready(u128::from(self.b.read(ctx)))
-    }
-}
-
-/// A read op over two grants: `a` first, then `c`; returns what `a`
-/// held.
-struct ReadTwoCells {
-    a: Arc<Register>,
-    c: Arc<Register>,
-    seen: Option<u64>,
-    primed: bool,
-}
-
-impl OpTask for ReadTwoCells {
-    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        if !self.primed {
-            self.primed = true;
-            return Poll::Pending;
-        }
-        match self.seen {
-            None => {
-                self.seen = Some(self.a.read(ctx));
-                Poll::Pending
-            }
-            Some(v) => {
-                let _ = self.c.read(ctx);
-                Poll::Ready(u128::from(v))
-            }
-        }
-    }
-}
-
-#[test]
-fn dpor_stays_exhaustive_around_a_step_without_metadata() {
-    // A step that applies two primitives gets no metadata, and a step
-    // without metadata commutes with nothing, so DPOR must reach every
-    // cut the raw DFS reaches. Keyed on its last primitive alone (the
-    // read of `b`), pid 0's step would look independent of pid 1's read
-    // of `a`, and the cut where pid 0 runs between pid 1's two reads
-    // would be lost.
-    let factory = || {
-        let mut d = Driver::coop_lenient(Runtime::coop(2));
-        let a = Arc::new(Register::new(0));
-        let b = Arc::new(Register::new(0));
-        let c = Arc::new(Register::new(0));
-        d.submit_task(
-            0,
-            OpSpec::custom("write-read", 0),
-            WriteThenRead {
-                a: a.clone(),
-                b,
-                primed: false,
-            },
-        );
-        d.submit_task(
-            1,
-            OpSpec::read(),
-            ReadTwoCells {
-                a,
-                c,
-                seen: None,
-                primed: false,
-            },
-        );
-        d
-    };
-    let exhaustive = digest_set(&ExploreConfig::exhaustive(100), factory);
-    assert_eq!(
-        exhaustive.len(),
-        3,
-        "pid 0 runs before, between or after pid 1's reads"
-    );
-    let dpor = digest_set(&ExploreConfig::default(), factory);
-    assert_eq!(dpor, exhaustive, "DPOR lost a cut the raw DFS reaches");
 }
 
 #[test]
