@@ -23,6 +23,14 @@
 //! retirement both do real work. The streamed peak retained state is
 //! asserted against the history's measured concurrency.
 //!
+//! Every row runs in a fresh child process (`exp_checker --child
+//! <index>`), which builds its history and asserts its verdict, so no
+//! row reuses a heap an earlier row freed and skips the page faults a
+//! fresh process pays. A row whose one timed check takes under
+//! [`bench::MIN_ROW_MILLIS`] repeats it until that much time has passed
+//! and reports the median run; every repeat must reach the same
+//! verdict. A failing child fails the run.
+//!
 //! Results land in `BENCH_checker.json` (cwd) for regression tracking.
 //! Rows key on `object`, `engine` and `records`;
 //! `peak_retained_entries` is a memory-direction metric `bench_diff`
@@ -43,7 +51,6 @@ use lincheck::{
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use smr::{OpKind, OpRecord};
-use std::time::Instant;
 
 /// Synthesize a linearizable counter history of `n_incs` increment
 /// records and `n_reads` reads with overlapping windows. Reads return
@@ -176,106 +183,182 @@ fn streamed_peak(h: &CounterHistory) -> usize {
     peak
 }
 
-struct Sample {
-    object: &'static str,
-    engine: &'static str,
-    records: usize,
-    millis: f64,
-    verdict: bool,
-    peak_retained: Option<usize>,
+/// What a row times.
+#[derive(Clone, Copy)]
+enum Check {
+    /// The engine on a synthesized counter history (seed), plus its
+    /// streamed peak retained state.
+    CounterMonotone(u64),
+    /// The pairwise reference on the same history.
+    CounterNaive(u64),
+    /// The engine on the wide-witness max-register history.
+    MaxregWide,
 }
 
-impl Sample {
-    fn timed(
-        object: &'static str,
-        engine: &'static str,
-        records: usize,
-        check: impl FnOnce() -> bool,
-    ) -> Sample {
-        let start = Instant::now();
-        let verdict = check();
-        Sample {
-            object,
-            engine,
-            records,
-            millis: start.elapsed().as_secs_f64() * 1e3,
-            verdict,
-            peak_retained: None,
+#[derive(Clone, Copy)]
+struct Config {
+    records: usize,
+    check: Check,
+}
+
+impl Config {
+    fn object(&self) -> &'static str {
+        match self.check {
+            Check::MaxregWide => "maxreg",
+            Check::CounterMonotone(_) | Check::CounterNaive(_) => "counter",
         }
     }
 
-    fn records_per_sec(&self) -> f64 {
-        self.records as f64 / (self.millis / 1e3).max(1e-9)
+    fn engine(&self) -> &'static str {
+        match self.check {
+            Check::CounterNaive(_) => "naive",
+            Check::CounterMonotone(_) | Check::MaxregWide => "monotone",
+        }
+    }
+
+    fn label(&self) -> String {
+        format!("{}/{}/{}", self.object(), self.engine(), self.records)
+    }
+
+    /// Run this row in this (child) process: the median run's
+    /// milliseconds, the number of runs and the streamed peak retained
+    /// state, after every assert.
+    fn run(&self) -> (f64, usize, Option<usize>) {
+        let label = self.label();
+        // 2/3 increments, 1/3 reads — roughly the stress-test mix.
+        let total = self.records;
+        let counter_history = |seed| synth_history(total * 2 / 3, total - total * 2 / 3, seed);
+        match self.check {
+            Check::CounterMonotone(seed) => {
+                let h = counter_history(seed);
+                let (ok, millis, runs) = bench::median_run(&label, || check_counter(&h, 1).is_ok());
+                assert!(ok, "synthetic history must linearize");
+                (millis, runs, Some(streamed_peak(&h)))
+            }
+            Check::CounterNaive(seed) => {
+                let h = counter_history(seed);
+                let (ok, millis, runs) =
+                    bench::median_run(&label, || naive::check_counter(&h, 1).is_ok());
+                assert!(ok, "engines disagree on a {total}-record history");
+                (millis, runs, None)
+            }
+            Check::MaxregWide => {
+                let wide = wide_witness_history();
+                let (ok, millis, runs) =
+                    bench::median_run(&label, || check_maxreg(&wide, 1).is_ok());
+                assert!(ok, "the wide-witness history must linearize");
+                (millis, runs, None)
+            }
+        }
     }
 }
 
-fn main() {
-    bench::no_arguments("exp_checker");
-    let scale = bench::scale() as usize;
-
+/// The grid: the counter engine at five sizes (seeded per size), the
+/// reference beside it at the two small ones, and the wide-witness row.
+fn grid(scale: usize) -> Vec<Config> {
     // (total records, run the quadratic reference too?)
-    let sizes: Vec<(usize, bool)> = vec![
+    let sizes = [
         (10_000, true),
         (30_000, true),
         (100_000 * scale, false),
         (300_000 * scale, false),
         (1_000_000 * scale, false),
     ];
-
-    let mut samples: Vec<Sample> = Vec::new();
-    for (idx, &(total, with_naive)) in sizes.iter().enumerate() {
-        // 2/3 increments, 1/3 reads — roughly the stress-test mix.
-        let h = synth_history(total * 2 / 3, total - total * 2 / 3, 0xC0DE + idx as u64);
-        let mut engine = Sample::timed("counter", "monotone", total, || {
-            check_counter(&h, 1).is_ok()
+    let mut configs = Vec::new();
+    for (idx, (records, with_naive)) in sizes.into_iter().enumerate() {
+        let seed = 0xC0DE + idx as u64;
+        configs.push(Config {
+            records,
+            check: Check::CounterMonotone(seed),
         });
-        assert!(engine.verdict, "synthetic history must linearize");
-        engine.peak_retained = Some(streamed_peak(&h));
-        samples.push(engine);
-
         if with_naive {
-            let reference = Sample::timed("counter", "naive", total, || {
-                naive::check_counter(&h, 1).is_ok()
+            configs.push(Config {
+                records,
+                check: Check::CounterNaive(seed),
             });
-            assert!(
-                reference.verdict,
-                "engines disagree on a {total}-record history"
-            );
-            samples.push(reference);
         }
     }
-
-    let wide = wide_witness_history();
-    let records = wide.writes.len() + wide.reads.len();
-    let sample = Sample::timed("maxreg", "monotone", records, || {
-        check_maxreg(&wide, 1).is_ok()
+    configs.push(Config {
+        records: 2 * WIDE_WRITES as usize,
+        check: Check::MaxregWide,
     });
-    assert!(sample.verdict, "the wide-witness history must linearize");
-    samples.push(sample);
+    configs
+}
+
+struct Sample {
+    config: Config,
+    millis: f64,
+    runs: usize,
+    peak_retained: Option<usize>,
+}
+
+impl Sample {
+    fn records_per_sec(&self) -> f64 {
+        self.config.records as f64 / (self.millis / 1e3).max(1e-9)
+    }
+}
+
+/// Run row `index` of the grid in a fresh child process; a child that
+/// fails (an assert inside it, or a crash) fails the run.
+fn run_child(configs: &[Config], index: usize) -> Sample {
+    let c = configs[index];
+    let [millis, runs, peak] = bench::run_child("exp_checker", index, &c.label());
+    Sample {
+        config: c,
+        millis,
+        runs: runs as usize,
+        peak_retained: (peak >= 0.0).then_some(peak as usize),
+    }
+}
+
+fn main() {
+    let configs = grid(bench::scale() as usize);
+    // Child mode (internal): run one row, print one machine line.
+    if let Some(index) = bench::child_index(configs.len()) {
+        let (millis, runs, peak) = configs[index].run();
+        let peak = peak.map_or(-1, |p| p as i64);
+        println!("RESULT {millis} {runs} {peak}");
+        return;
+    }
+    bench::no_arguments("exp_checker");
+
+    let samples: Vec<Sample> = (0..configs.len())
+        .map(|i| {
+            let s = run_child(&configs, i);
+            eprintln!(
+                "done: {}: {:.2} ms (median of {} runs)",
+                s.config.label(),
+                s.millis,
+                s.runs
+            );
+            s
+        })
+        .collect();
 
     println!("EXP-CHECKER — linearizability checker throughput on synthetic histories");
     println!("monotone = the engine's sorted feed (peak: the same history streamed);");
     println!("naive    = retained O(R² log I) pairwise reference (small sizes only);");
     println!("maxreg   = 2^16 concurrent writes, each read needs its own witness.");
+    println!("Each row runs in its own process; ms is the median of `runs` runs.");
     let mut table = Table::new([
         "object",
         "engine",
         "records",
+        "runs",
         "ms",
         "records/s",
         "peak",
-        "verdict",
     ]);
     for s in &samples {
         table.row([
-            s.object.to_string(),
-            s.engine.to_string(),
-            s.records.to_string(),
+            s.config.object().to_string(),
+            s.config.engine().to_string(),
+            s.config.records.to_string(),
+            s.runs.to_string(),
             f2(s.millis),
             format!("{:.0}", s.records_per_sec()),
             s.peak_retained
                 .map_or_else(|| "-".into(), |p| p.to_string()),
-            if s.verdict { "ok" } else { "VIOLATION" }.to_string(),
         ]);
     }
     table.print("checker throughput");
@@ -285,9 +368,9 @@ fn main() {
     let mut report = Report::new("checker_throughput", "full");
     for s in &samples {
         let mut row = Row::new()
-            .str("object", s.object)
-            .str("engine", s.engine)
-            .int("records", s.records as u64)
+            .str("object", s.config.object())
+            .str("engine", s.config.engine())
+            .int("records", s.config.records as u64)
             .float3("millis", s.millis)
             .float0("records_per_sec", s.records_per_sec());
         if let Some(p) = s.peak_retained {

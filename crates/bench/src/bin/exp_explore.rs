@@ -14,7 +14,11 @@
 //!   its checker on every cut (the bin exits non-zero otherwise);
 //! * **throughput** — interleavings/second under the raw exhaustive DFS
 //!   (`dfs`) and sleep-set dynamic partial-order reduction (`dpor`),
-//!   plus crash injection.
+//!   plus crash injection. A row whose walk takes under
+//!   [`bench::MIN_ROW_MILLIS`] repeats it until that much time has
+//!   passed and reports the median run; every repeat must find the same
+//!   verdict and the same exact counts (cuts, replays, pruned subtrees,
+//!   replayed steps).
 //!
 //! The `algo` column is part of each row's identity for
 //! `bench::regression` diffs; a `dpor` row counts *Mazurkiewicz trace
@@ -42,7 +46,6 @@ use parking_lot::Mutex;
 use smr::explore::{explore, ExploreConfig};
 use smr::{CoopBackend, Driver, History, OpSpec, Runtime};
 use std::sync::Arc;
-use std::time::Instant;
 
 type Factory = Box<dyn Fn() -> Driver<CoopBackend>>;
 type Checker = Box<dyn Fn(&History) -> Result<(), String>>;
@@ -79,6 +82,7 @@ struct Sample {
     pruned: u64,
     steps_replayed: u64,
     millis: f64,
+    runs: usize,
     violations: usize,
 }
 
@@ -293,9 +297,8 @@ fn main() {
 
     let mut samples = Vec::new();
     for c in &configs {
-        let start = Instant::now();
-        let stats = explore(&c.cfg, &c.factory, &c.checker);
-        let millis = start.elapsed().as_secs_f64() * 1e3;
+        let (stats, millis, runs) =
+            bench::median_run(c.name, || explore(&c.cfg, &c.factory, &c.checker));
 
         // The correctness bars: exact counts where a closed form
         // exists, zero violations everywhere.
@@ -316,7 +319,8 @@ fn main() {
         assert!(!stats.capped, "{}: unexpected cap", c.name);
 
         eprintln!(
-            "done: {} [{}]: {} interleavings ({} pruned subtrees) in {millis:.0} ms",
+            "done: {} [{}]: {} interleavings ({} pruned subtrees) in {millis:.2} ms \
+             (median of {runs} runs)",
             c.name,
             c.algo(),
             stats.interleavings,
@@ -332,6 +336,7 @@ fn main() {
             pruned: stats.pruned,
             steps_replayed: stats.steps_replayed,
             millis,
+            runs,
             violations: stats.violations.len(),
         });
     }
@@ -345,6 +350,7 @@ fn main() {
         "replays",
         "pruned",
         "steps",
+        "runs",
         "ms",
         "ileav/s",
     ]);
@@ -358,6 +364,7 @@ fn main() {
             s.replays.to_string(),
             s.pruned.to_string(),
             s.steps_replayed.to_string(),
+            s.runs.to_string(),
             f2(s.millis),
             format!("{:.0}", s.per_sec()),
         ]);
@@ -366,7 +373,8 @@ fn main() {
     println!("EXP-EXPLORE — schedule exploration (coop backend)");
     println!("every enumerated interleaving checked against lincheck; dpor rows");
     println!("count Mazurkiewicz trace representatives; count-asserted configs");
-    println!("must match the multinomial closed form.");
+    println!("must match the multinomial closed form. ms is the median of `runs`");
+    println!("runs, each with the same counts.");
     table.print("schedule exploration");
 
     let mut report = Report::new("schedule_exploration", "full");

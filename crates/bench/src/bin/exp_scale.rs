@@ -64,7 +64,6 @@ use smr::analysis::Analyzer;
 use smr::backend::CoopBackend;
 use smr::sched::RoundRobin;
 use smr::{Driver, OpSpec, OpTask, Poll, ProcCtx, Register, Runtime};
-use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -368,36 +367,11 @@ fn run_config(c: &Config) -> (u64, f64) {
     (steps, millis)
 }
 
-/// Run config `index` of the grid in a fresh child process. A child
-/// that fails (a gate inside it, or a crash) fails the run; its stderr
-/// goes straight to ours.
+/// Run config `index` of the grid in a fresh child process; a child
+/// that fails (a gate inside it, or a crash) fails the run.
 fn run_child(configs: &[Config], index: usize) -> Sample {
     let c = configs[index];
-    let exe = std::env::current_exe().expect("exp_scale: cannot find its own executable");
-    let out = Command::new(exe)
-        .args(["--child", &index.to_string()])
-        .stderr(Stdio::inherit())
-        .output()
-        .unwrap_or_else(|e| panic!("exp_scale: cannot start the child for {}: {e}", c.label()));
-    assert!(
-        out.status.success(),
-        "exp_scale: the child for {} failed ({})",
-        c.label(),
-        out.status
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let fields: Vec<f64> = stdout
-        .lines()
-        .find_map(|l| l.strip_prefix("RESULT "))
-        .map(|l| {
-            l.split_whitespace()
-                .filter_map(|x| x.parse().ok())
-                .collect()
-        })
-        .unwrap_or_default();
-    let [steps, millis, peak_rss_bytes] = fields[..] else {
-        panic!("exp_scale: the child for {} printed no result", c.label());
-    };
+    let [steps, millis, peak_rss_bytes] = bench::run_child("exp_scale", index, &c.label());
     let s = Sample {
         config: c,
         steps: steps as u64,
@@ -440,17 +414,12 @@ fn measure(configs: &[Config], group: &[usize], rounds: usize) -> (Vec<Sample>, 
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let configs = grid(bench::scale() as usize);
     // Child mode (internal): run one config, print one machine line.
-    if let [flag, index] = &args[..] {
-        if let Some(c) = index.parse::<usize>().ok().and_then(|i| configs.get(i)) {
-            if flag == "--child" {
-                let (steps, millis) = run_config(c);
-                println!("RESULT {steps} {millis} {}", peak_rss_bytes());
-                return;
-            }
-        }
+    if let Some(index) = bench::child_index(configs.len()) {
+        let (steps, millis) = run_config(&configs[index]);
+        println!("RESULT {steps} {millis} {}", peak_rss_bytes());
+        return;
     }
     bench::no_arguments("exp_scale");
 

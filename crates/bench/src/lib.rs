@@ -18,6 +18,96 @@ pub mod emit;
 pub mod regression;
 pub mod tables;
 
+use std::process::{Command, Stdio};
+use std::time::Instant;
+
+/// The grid row this process is to run, if it was started by
+/// [`run_child`] (`--child <index>`, with `index < rows`).
+pub fn child_index(rows: usize) -> Option<usize> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match &args[..] {
+        [flag, index] if flag == "--child" => index.parse().ok().filter(|&i| i < rows),
+        _ => None,
+    }
+}
+
+/// Run grid row `index` of bin `bin` in a fresh child process of this
+/// executable (`--child <index>`), so the row prices only its own heap,
+/// and return the `N` numbers of the `RESULT` line it prints. The
+/// child's stderr goes straight to ours.
+///
+/// # Panics
+/// If the child cannot start, fails (an assert inside it, or a crash)
+/// or prints no `RESULT` line of `N` numbers; `row` names it.
+pub fn run_child<const N: usize>(bin: &str, index: usize, row: &str) -> [f64; N] {
+    let exe = std::env::current_exe()
+        .unwrap_or_else(|e| panic!("{bin}: cannot find its own executable: {e}"));
+    let out = Command::new(exe)
+        .args(["--child", &index.to_string()])
+        .stderr(Stdio::inherit())
+        .output()
+        .unwrap_or_else(|e| panic!("{bin}: cannot start the child for {row}: {e}"));
+    assert!(
+        out.status.success(),
+        "{bin}: the child for {row} failed ({})",
+        out.status
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let fields: Vec<f64> = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("RESULT "))
+        .map(|l| {
+            l.split_whitespace()
+                .filter_map(|x| x.parse().ok())
+                .collect()
+        })
+        .unwrap_or_default();
+    fields
+        .try_into()
+        .unwrap_or_else(|_| panic!("{bin}: the child for {row} printed no result"))
+}
+
+/// A row whose one timed run is shorter than this repeats the run until
+/// its runs add up to it, and reports the median run: the throughput of
+/// one sub-millisecond run is noise.
+pub const MIN_ROW_MILLIS: f64 = 10.0;
+
+/// Time `run`, repeating it until [`MIN_ROW_MILLIS`] have passed in all.
+/// Returns the first run's result, the median run's milliseconds (the
+/// upper middle of an even count) and the number of runs.
+///
+/// # Panics
+/// If a repeat returns other than the first run did: a row's verdict
+/// and exact counts must not depend on which run produced them. `what`
+/// names the row in the message.
+pub fn median_run<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    mut run: impl FnMut() -> T,
+) -> (T, f64, usize) {
+    let mut millis: Vec<f64> = Vec::new();
+    let mut total = 0.0;
+    let mut first: Option<T> = None;
+    while first.is_none() || total < MIN_ROW_MILLIS {
+        let start = Instant::now();
+        let out = run();
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        millis.push(ms);
+        total += ms;
+        match &first {
+            None => first = Some(out),
+            Some(first) => assert_eq!(
+                &out,
+                first,
+                "{what}: run {} disagrees with the first run",
+                millis.len()
+            ),
+        }
+    }
+    millis.sort_by(f64::total_cmp);
+    let first = first.expect("the loop runs at least once");
+    (first, millis[millis.len() / 2], millis.len())
+}
+
 /// The operation-count multiplier from `REPRO_SCALE` (default 1, min 1).
 pub fn scale() -> u64 {
     std::env::var("REPRO_SCALE")
@@ -91,6 +181,26 @@ mod tests {
     #[test]
     fn scale_defaults_to_one() {
         assert!(scale() >= 1);
+    }
+
+    #[test]
+    fn median_run_repeats_a_short_run_and_keeps_its_result() {
+        let (out, millis, runs) = median_run("short", || 7);
+        assert_eq!(out, 7);
+        assert!(
+            runs > 1 && millis < MIN_ROW_MILLIS,
+            "{runs} runs, {millis} ms"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "flaky: run 2 disagrees with the first run")]
+    fn median_run_rejects_a_repeat_that_disagrees() {
+        let mut calls = 0;
+        median_run("flaky", || {
+            calls += 1;
+            calls
+        });
     }
 
     #[test]

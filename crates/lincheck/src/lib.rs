@@ -19,7 +19,8 @@
 //!   concurrency; [`LinearizabilityPass`] runs it inline on live runs.
 //!   The post-hoc entry points in [`monotone`] (derivation and
 //!   complexity there) and [`records`] sort a finished history into the
-//!   same stream; they are sized for million-op histories.
+//!   same stream — a driver history's dense tickets with a linear-time
+//!   counting sort — and are sized for million-op histories.
 //! * [`naive`] — the retired quadratic transcriptions of the same
 //!   predicates, retained as cross-validation references.
 //! * [`wg`] — an exhaustive Wing&ndash;Gong search (with memoization),

@@ -5,7 +5,10 @@
 //! operation of a finished history into an announcement and a
 //! completion, sorts them, and pushes them through
 //! [`OnlineChecker`], the crate's one engine (see [`crate::online`]
-//! for how the sweep below runs as a stream).
+//! for how the sweep below runs as a stream, and for the two sorts).
+//! A typed history carries no pids, so each operation takes a recycled
+//! slot of the engine's open table while it is open: the table grows to
+//! the history's concurrency, not to its length.
 //!
 //! ## Counter
 //!
@@ -56,9 +59,12 @@
 //! can ever realize the maximum is a stack of strictly increasing
 //! terms; each read enters and leaves it at most once.
 //!
-//! **Complexity: `O((R + I) log(R + I))`** for `R` reads and `I`
-//! increment records: sorting the announcements and completions, then
-//! amortized `O(log)` per event in the stack.
+//! **Complexity** for `R` reads and `I` increment records: ordering
+//! the announcements and completions takes `O(R + I)` on a driver
+//! history, whose tickets are dense (a counting sort), and
+//! `O((R + I) log(R + I))` otherwise (`sort_unstable`); each event then
+//! costs amortized `O(log)` in the stack, whose live size the folds
+//! keep proportional to the open increments.
 //! Cross-validated against [`naive`](crate::naive) and the exhaustive
 //! [`wg`](crate::wg) checker on randomized histories (see `tests/`).
 //!
@@ -85,7 +91,8 @@
 //! pass (write invocations before read responses at equal times)
 //! computes everything. The engine keeps the effective values in an
 //! ordered set and picks the smallest admissible one with a range
-//! query: `O((R + W) log(R + W))` for `R` reads and `W` writes.
+//! query: amortized `O(log(R + W))` per event for `R` reads and `W`
+//! writes, after the same ordering step.
 //!
 //! ## Violations
 //!
@@ -119,7 +126,7 @@ use smr::OpKind;
 /// # Panics
 /// If `k = 0`, or on a malformed window (see the [module docs](self)).
 pub fn check_counter(h: &CounterHistory, k: u64) -> Result<(), Violation> {
-    feed_counter(h, OnlineChecker::counter(k))
+    feed_counter(h, &mut OnlineChecker::counter(k))
 }
 
 /// Check a counter history against the **k-additive**-accurate counter
@@ -134,18 +141,23 @@ pub fn check_counter(h: &CounterHistory, k: u64) -> Result<(), Violation> {
 /// # Panics
 /// On a malformed window (see the [module docs](self)).
 pub fn check_counter_additive(h: &CounterHistory, k: u64) -> Result<(), Violation> {
-    feed_counter(h, OnlineChecker::counter_additive(k))
+    feed_counter(h, &mut OnlineChecker::counter_additive(k))
 }
 
-/// Reads are operations `0..R` (and their own pids), increments follow.
-fn feed_counter(h: &CounterHistory, checker: OnlineChecker) -> Result<(), Violation> {
+/// Reads are operations `0..R`, increments follow; none has a pid.
+fn feed_counter(h: &CounterHistory, checker: &mut OnlineChecker) -> Result<(), Violation> {
     let reads = h.reads.len();
     checker.check_sorted(reads + h.incs.len(), |i| match h.reads.get(i) {
-        Some(r) => (i, OpKind::Read { returned: r.value }, r.inv, Some(r.resp)),
+        Some(r) => (
+            None,
+            OpKind::Read { returned: r.value },
+            r.inv,
+            Some(r.resp),
+        ),
         None => {
             let inc = &h.incs[i - reads];
             let kind = OpKind::Inc { amount: inc.amount };
-            (i, kind, inc.window.inv, inc.window.resp)
+            (None, kind, inc.window.inv, inc.window.resp)
         }
     })
 }
@@ -158,11 +170,16 @@ fn feed_counter(h: &CounterHistory, checker: OnlineChecker) -> Result<(), Violat
 pub fn check_maxreg(h: &MaxRegHistory, k: u64) -> Result<(), Violation> {
     let reads = h.reads.len();
     OnlineChecker::maxreg(k).check_sorted(reads + h.writes.len(), |i| match h.reads.get(i) {
-        Some(r) => (i, OpKind::Read { returned: r.value }, r.inv, Some(r.resp)),
+        Some(r) => (
+            None,
+            OpKind::Read { returned: r.value },
+            r.inv,
+            Some(r.resp),
+        ),
         None => {
             let w = &h.writes[i - reads];
             let kind = OpKind::Write { value: w.value };
-            (i, kind, w.window.inv, w.window.resp)
+            (None, kind, w.window.inv, w.window.resp)
         }
     })
 }
@@ -461,6 +478,41 @@ mod tests {
             reads: vec![read(4, 2, 5)],
         };
         let _ = check_maxreg(&h, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "window must satisfy inv < resp")]
+    fn malformed_window_panics_in_a_counting_sorted_history() {
+        // A thousand sequential increments on dense tickets are far above
+        // the counting sort's thresholds; the read's window is empty.
+        let h = CounterHistory {
+            incs: (0..1000).map(|j| inc(2 * j, 2 * j + 1)).collect(),
+            reads: vec![read(2000, 2000, 1000)],
+        };
+        let _ = check_counter(&h, 1);
+    }
+
+    #[test]
+    fn typed_feed_opens_no_more_slots_than_operations_overlap() {
+        // 10⁵ operations, each open across the next C − 1 invocations,
+        // so at most C are ever open at once. Increments and reads
+        // alternate; each read returns its forced-before count.
+        const C: u64 = 8;
+        let mut h = CounterHistory::default();
+        let mut inc_resps = Vec::new();
+        for j in 0..100_000u64 {
+            let (inv, resp) = (2 * j, 2 * j + 2 * C - 1);
+            if j % 2 == 0 {
+                h.incs.push(inc(inv, resp));
+                inc_resps.push(resp);
+            } else {
+                let forced = inc_resps.partition_point(|&r| r < inv);
+                h.reads.push(read(inv, resp, forced as u128));
+            }
+        }
+        let mut checker = OnlineChecker::counter(1);
+        feed_counter(&h, &mut checker).expect("forced-before reads linearize");
+        assert_eq!(checker.open_slots(), C as usize);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! It runs in two ways. Inline, [`LinearizabilityPass`] pushes a live
 //! run's records as they happen. Post hoc, the entry points in
 //! [`crate::monotone`] and [`crate::records`] sort a finished history
-//! into the same stream and push it through (`check_sorted`).
+//! into the same stream and push it through (`check_sorted`; see
+//! *The sorted feed* below).
 //!
 //! [`LinearizabilityPass`]: crate::LinearizabilityPass
 //!
@@ -26,8 +27,8 @@
 //! * the cross-read bound is the maximum of the monotone stack of
 //!   earlier read assignments, also captured at announcement.
 //!
-//! The per-operation capture lives in a slot indexed by pid while the
-//! operation is open and dies with its completion (or crash). A read
+//! The per-operation capture lives in a slot of the open table while
+//! the operation is open and dies with its completion (or crash). A read
 //! is judged at its response, where `B` is finally known; reads are
 //! numbered in completion order in violation messages.
 //!
@@ -67,8 +68,33 @@
 //! violation, which is what lets tests feed it deliberately reordered
 //! streams and watch it object.
 //!
-//! Pids are dense process indices (a driver's `0..n`): open operations
-//! live in a table indexed by pid, which grows to the largest pid seen.
+//! Open operations live in a table indexed by pid, which grows to the
+//! largest pid seen. [`OnlineChecker::push`] and the
+//! [`check_*_records`](crate::records) feeds pass real pids (a driver's
+//! dense `0..n`), so an operation announced while its process still has
+//! one open is caught. The typed feeds of [`crate::monotone`] carry no
+//! pids: each of their operations takes a slot that a completed or
+//! crashed operation freed, so the table never holds more slots than
+//! the history has operations open at once.
+//!
+//! # The sorted feed
+//!
+//! A post-hoc check orders a finished history's events by
+//! `(timestamp, phase, operation index)`, announcements (phase 0)
+//! before same-timestamp completions (phase 1). Two sorts produce that
+//! one order. A runtime draws a ticket only at each invocation and each
+//! response, so a driver history's tickets are distinct and dense: its
+//! `2n` events use about `2n` consecutive tickets. A history of at
+//! least 256 operations (`COUNTING_SORT_MIN_OPS`) whose events fall
+//! within 4 tickets per operation (`COUNTING_SORT_MAX_SPAN_PER_OP`) is
+//! ordered by one counting sort keyed by `2·(ticket − min) + phase`,
+//! whose buckets fill in operation-index order: `O(n + span)` time.
+//! Every other input (explorer cuts of a few events, hand-built
+//! histories with wide spans) keeps one `sort_unstable` over
+//! `(timestamp, tag)` keys: `O(n log n)`. Beside the history it reads,
+//! the feed holds the event order and, for a typed history, each
+//! operation's slot: `O(n)` memory, with the checker's own state still
+//! bounded by the concurrency.
 
 use crate::history::{UnsupportedOp, Violation};
 use crate::sweep::MonotoneStack;
@@ -128,7 +154,8 @@ impl CounterSpec {
     }
 }
 
-/// Open operations, indexed by pid.
+/// Open operations, indexed by pid (or, for a typed feed, by a recycled
+/// slot; see the module docs).
 struct OpenOps<T> {
     slots: Vec<Option<T>>,
     len: usize,
@@ -354,7 +381,11 @@ impl OnlineChecker {
 
     /// Check a finished history of `n` operations in one pass: the
     /// sorted feed behind every post-hoc entry point. `op(i)` describes
-    /// operation `i` as `(pid, kind, inv, resp)`.
+    /// operation `i` as `(pid, kind, inv, resp)`, where `pid` is `None`
+    /// for an operation with no process identity (a typed history's):
+    /// it takes a recycled slot of the open table instead. A feed gives
+    /// every operation a pid or none, since a recycled slot could
+    /// collide with a real pid.
     ///
     /// Each operation is announced at `inv` and, if it completed,
     /// completes at `resp`. A pending operation (`resp: None`) is
@@ -366,22 +397,29 @@ impl OnlineChecker {
     /// If a completed operation has `inv ≥ resp` — a malformed window
     /// ([`Interval::done`](crate::Interval::done) enforces the same
     /// invariant, and driver records satisfy it by construction).
-    pub(crate) fn check_sorted<F>(mut self, n: usize, op: F) -> Result<(), Violation>
+    pub(crate) fn check_sorted<F>(&mut self, n: usize, op: F) -> Result<(), Violation>
     where
-        F: Fn(usize) -> (usize, OpKind, u64, Option<u64>),
+        F: Fn(usize) -> (Option<usize>, OpKind, u64, Option<u64>),
     {
+        let mut slots = Recycler::default();
         let mut pushed = 0;
         let mut result = Ok(());
-        for (_, tag) in push_order(n, &op) {
-            let (pid, kind, inv, resp) = op((tag & !COMPLETION) as usize);
+        for tag in push_order(n, &op) {
+            let i = (tag & !COMPLETION) as usize;
+            let (pid, kind, inv, resp) = op(i);
             pushed += 1;
             result = if tag & COMPLETION != 0 {
                 let resp = resp.expect("only completed operations have a completion");
-                self.complete(pid, kind, resp)
+                let slot = pid.unwrap_or_else(|| slots.release(i));
+                self.complete(slot, kind, resp)
             } else {
-                let announced = self.announce(pid, kind, inv);
+                let slot = pid.unwrap_or_else(|| slots.take(n, i));
+                let announced = self.announce(slot, kind, inv);
                 if resp.is_none() {
-                    self.crash(pid);
+                    self.crash(slot);
+                    if pid.is_none() {
+                        slots.release(i);
+                    }
                 }
                 announced
             };
@@ -425,7 +463,16 @@ impl OnlineChecker {
         }
     }
 
-    pub(crate) fn has_open(&self, pid: usize) -> bool {
+    /// Slots the open table has grown to.
+    #[cfg(test)]
+    pub(crate) fn open_slots(&self) -> usize {
+        match &self.inner {
+            Inner::Counter(c) => c.open.slots.len(),
+            Inner::MaxReg(m) => m.open.slots.len(),
+        }
+    }
+
+    fn has_open(&self, pid: usize) -> bool {
         match &self.inner {
             Inner::Counter(c) => c.open.contains(pid),
             Inner::MaxReg(m) => m.open.contains(pid),
@@ -650,22 +697,116 @@ impl MaxRegState {
     }
 }
 
+/// Open-table slots for the operations of a feed that carries no pids.
+/// An operation takes a slot when it is announced and frees it when it
+/// completes or crashes, so the table grows only to the largest number
+/// of operations open at once.
+#[derive(Default)]
+struct Recycler {
+    /// The slot each open operation holds, by operation index.
+    slot_of: Vec<u32>,
+    /// Slots freed by finished operations, reused last-freed first.
+    free: Vec<u32>,
+    /// Slots handed out so far: the open table's size.
+    used: u32,
+}
+
+impl Recycler {
+    /// A slot for operation `i` of `n`.
+    fn take(&mut self, n: usize, i: usize) -> usize {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.used = self
+                .used
+                .checked_add(1)
+                .expect("under 2³² operations open at once");
+            self.used - 1
+        });
+        if self.slot_of.is_empty() {
+            self.slot_of = vec![0; n];
+        }
+        self.slot_of[i] = slot;
+        slot as usize
+    }
+
+    /// Free operation `i`'s slot and return it.
+    fn release(&mut self, i: usize) -> usize {
+        let slot = self.slot_of[i];
+        self.free.push(slot);
+        slot as usize
+    }
+}
+
 /// Tags a completion in [`push_order`]; the low bits are the
 /// operation index.
 const COMPLETION: u64 = 1 << 63;
 
-/// The events of the `n` operations `op` describes, as
-/// `(timestamp, tag)` keys in push order: each operation's announcement
-/// at `inv` (tagged with its index) and, if it completed, its completion
-/// at `resp` (the index plus [`COMPLETION`]). Sorting the keys puts
-/// announcements before same-timestamp completions, because the
-/// completion bit is the tag's top bit.
+/// Operation count from which [`push_order`] may take the counting
+/// sort. On dense histories the whole check is faster with the counting
+/// sort from about 48 operations up; this is several times that, so
+/// explorer cuts and other small inputs keep `sort_unstable` and timing
+/// noise near the crossover cannot send them to the slower path.
+const COUNTING_SORT_MIN_OPS: usize = 256;
+
+/// The widest ticket span, in tickets per operation, that
+/// [`push_order`] orders with the counting sort. A driver history spans
+/// about 2. At 4, the sort's buckets (two `u32`s per ticket, 32 bytes
+/// per operation) are no larger than the comparison sort's keys (two
+/// 16-byte keys per operation), so the faster sort never costs memory.
+const COUNTING_SORT_MAX_SPAN_PER_OP: u64 = 4;
+
+/// The events of the `n` operations `op` describes, as tags in push
+/// order: each operation's announcement at `inv` (tagged with its
+/// index) and, if it completed, its completion at `resp` (the index
+/// plus [`COMPLETION`]). The order is `(timestamp, phase, index)`, with
+/// announcements (phase 0) before same-timestamp completions; see the
+/// [module docs](self) for the choice between the two sorts that
+/// produce it.
 ///
 /// # Panics
 /// If a completed operation has `inv ≥ resp`.
-fn push_order<F>(n: usize, op: &F) -> Vec<(u64, u64)>
+fn push_order<F>(n: usize, op: &F) -> Vec<u64>
 where
-    F: Fn(usize) -> (usize, OpKind, u64, Option<u64>),
+    F: Fn(usize) -> (Option<usize>, OpKind, u64, Option<u64>),
+{
+    // The bucket positions are `u32`s: half the memory of `usize`, and
+    // no real history has 2³² events.
+    if n >= COUNTING_SORT_MIN_OPS && u32::try_from(2 * n).is_ok() {
+        let (lo, span) = ticket_range(n, op);
+        if span < COUNTING_SORT_MAX_SPAN_PER_OP * n as u64 {
+            return counting_order(n, op, lo, span);
+        }
+    }
+    comparison_order(n, op)
+}
+
+/// The smallest ticket the events of the `n` operations `op` describes
+/// use, and the largest ticket minus it; `n` must be positive.
+///
+/// # Panics
+/// If a completed operation has `inv ≥ resp`.
+fn ticket_range<F>(n: usize, op: &F) -> (u64, u64)
+where
+    F: Fn(usize) -> (Option<usize>, OpKind, u64, Option<u64>),
+{
+    let (mut lo, mut hi) = (u64::MAX, 0);
+    for i in 0..n {
+        let (_, _, inv, resp) = op(i);
+        lo = lo.min(inv);
+        hi = hi.max(inv);
+        if let Some(resp) = resp {
+            assert!(inv < resp, "operation window must satisfy inv < resp");
+            hi = hi.max(resp);
+        }
+    }
+    (lo, hi - lo)
+}
+
+/// [`push_order`] by one `sort_unstable` over `(timestamp, tag)` keys:
+/// the completion flag is the tag's top bit, so announcements sort
+/// before same-timestamp completions.
+fn comparison_order<F>(n: usize, op: &F) -> Vec<u64>
+where
+    F: Fn(usize) -> (Option<usize>, OpKind, u64, Option<u64>),
 {
     let mut keys = Vec::with_capacity(2 * n);
     for i in 0..n {
@@ -677,7 +818,46 @@ where
         }
     }
     keys.sort_unstable();
-    keys
+    keys.into_iter().map(|(_, tag)| tag).collect()
+}
+
+/// [`push_order`] by one counting sort over the tickets `lo ..= lo +
+/// span`: an event's bucket is `2·(ticket − lo) + phase`, and each
+/// bucket fills in operation-index order, so the order is exactly
+/// [`comparison_order`]'s.
+fn counting_order<F>(n: usize, op: &F, lo: u64, span: u64) -> Vec<u64>
+where
+    F: Fn(usize) -> (Option<usize>, OpKind, u64, Option<u64>),
+{
+    let bucket = |t: u64, phase: usize| 2 * (t - lo) as usize + phase;
+    // `next[b + 1]` counts bucket `b`'s events; the prefix sum then
+    // turns `next[b]` into the position of bucket `b`'s first event.
+    let mut next = vec![0u32; 2 * (span as usize + 1) + 1];
+    for i in 0..n {
+        let (_, _, inv, resp) = op(i);
+        next[bucket(inv, 0) + 1] += 1;
+        if let Some(resp) = resp {
+            next[bucket(resp, 1) + 1] += 1;
+        }
+    }
+    let mut events = 0;
+    for count in &mut next {
+        events += *count;
+        *count = events;
+    }
+    let mut order = vec![0u64; events as usize];
+    let mut place = |b: usize, tag: u64| {
+        order[next[b] as usize] = tag;
+        next[b] += 1;
+    };
+    for i in 0..n {
+        let (_, _, inv, resp) = op(i);
+        place(bucket(inv, 0), i as u64);
+        if let Some(resp) = resp {
+            place(bucket(resp, 1), i as u64 | COMPLETION);
+        }
+    }
+    order
 }
 
 fn remove_base(bases: &mut BTreeMap<u128, u32>, base: u128) {
@@ -700,7 +880,7 @@ fn vocabulary_violation(pid: usize, kind: OpKind, expected: &'static str) -> Vio
     }
 }
 
-fn overlap_violation(pid: usize, inv: u64) -> Violation {
+pub(crate) fn overlap_violation(pid: usize, inv: u64) -> Violation {
     Violation {
         message: format!(
             "process {pid} announced an operation (timestamp {inv}) while \
@@ -971,6 +1151,61 @@ mod tests {
         assert!(crate::monotone::check_counter(&h, 1).is_err());
         let err = stream(OnlineChecker::counter(1), &counter_ops(&h)).unwrap_err();
         assert!(err.message.contains("empty window"), "{}", err.message);
+    }
+
+    #[test]
+    fn both_sorts_give_the_same_push_order() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x50E7);
+        let (mut duplicates, mut pending, mut shared) = (0, 0, 0);
+        let (mut counted, mut wide) = (0, 0);
+        for trial in 0..400 {
+            let n = rng.random_range(1..600usize);
+            // Invocations draw from `quarters / 4` tickets per
+            // operation: half the histories dense (down to n/4 tickets,
+            // so tickets repeat), half wide (up to 50 per operation).
+            let quarters = if rng.random_range(0..2) == 0 {
+                1..=16
+            } else {
+                16..=200
+            };
+            let tickets = (rng.random_range(quarters) * n as u64 / 4).max(1);
+            let ops: Vec<(u64, Option<u64>)> = (0..n)
+                .map(|_| {
+                    let inv = rng.random_range(0..tickets);
+                    let resp = inv + 1 + rng.random_range(0..8);
+                    (inv, (rng.random_range(0..6) != 0).then_some(resp))
+                })
+                .collect();
+            let op = |i: usize| (None, OpKind::Inc { amount: 1 }, ops[i].0, ops[i].1);
+            let (lo, span) = ticket_range(n, &op);
+            assert_eq!(
+                counting_order(n, &op, lo, span),
+                comparison_order(n, &op),
+                "trial {trial}: n = {n}, span = {span}"
+            );
+            let invs: BTreeSet<u64> = ops.iter().map(|&(inv, _)| inv).collect();
+            duplicates += usize::from(invs.len() < n);
+            pending += usize::from(ops.iter().any(|&(_, resp)| resp.is_none()));
+            shared += usize::from(
+                ops.iter()
+                    .any(|&(_, r)| r.is_some_and(|r| invs.contains(&r))),
+            );
+            let dense = span < COUNTING_SORT_MAX_SPAN_PER_OP * n as u64;
+            counted += usize::from(dense && n >= COUNTING_SORT_MIN_OPS);
+            wide += usize::from(!dense);
+        }
+        // The generator must exercise every case the order depends on.
+        for (case, count) in [
+            ("duplicate tickets", duplicates),
+            ("pending operations", pending),
+            ("an announcement and a completion on one ticket", shared),
+            ("histories push_order counts", counted),
+            ("spans too wide for the counting sort", wide),
+        ] {
+            assert!(count >= 40, "only {count} of 400 trials had {case}");
+        }
     }
 
     #[test]

@@ -20,12 +20,14 @@
 //! stream cannot be checked exactly, and saying so beats checking it
 //! wrongly.
 //!
-//! `Custom` operations are outside both checkable vocabularies and
-//! are skipped silently; a `Write` in counter mode (or an `Inc` in
-//! max-register mode) is a real finding — the run is exercising an
-//! object the checker was not configured for.
+//! The pass tracks which pids have an operation open itself, so these
+//! tests cover every operation. `Custom` operations are outside both
+//! checkable vocabularies: they are ordered and matched like any other,
+//! but never pushed to the checker. A `Write` in counter mode (or an
+//! `Inc` in max-register mode) is a real finding — the run is
+//! exercising an object the checker was not configured for.
 
-use crate::online::{CounterSpec, OnlineChecker};
+use crate::online::{overlap_violation, CounterSpec, OnlineChecker};
 use smr::analysis::{AnalysisPass, RunMeta, Violation};
 use smr::{OpKind, OpRecord, TraceEvent};
 
@@ -51,6 +53,8 @@ pub struct LinearizabilityPass {
     /// `(ts, phase)` of the last event checked; phase 0 = announcement,
     /// 1 = completion.
     released: (u64, u8),
+    /// Whether each pid has an operation open, `Custom` ones included.
+    busy: Vec<bool>,
     /// First finding, sticky.
     found: Option<Violation>,
 }
@@ -82,6 +86,7 @@ impl LinearizabilityPass {
             mode,
             checker,
             released: (0, 0),
+            busy: Vec::new(),
             found: None,
         }
     }
@@ -98,63 +103,59 @@ impl LinearizabilityPass {
     /// Apply one announcement (`phase` 0) or completion (`phase` 1) to
     /// the checker.
     fn check(&mut self, seq: u64, pid: usize, kind: OpKind, ts: u64, phase: u8) {
-        if matches!(kind, OpKind::Custom { .. }) {
-            return; // outside both vocabularies: skipped silently
+        if pid >= self.busy.len() {
+            self.busy.resize(pid + 1, false);
         }
+        let announcing = phase == 0;
+        // An announcement on a busy pid, or a completion on an idle one.
+        if (ts, phase) < self.released || self.busy[pid] == announcing {
+            let message = self.broken_order(pid, ts, phase);
+            self.fail(pid, seq, message);
+            return;
+        }
+        self.busy[pid] = announcing;
+        self.released = (ts, phase);
+        if matches!(kind, OpKind::Custom { .. }) {
+            return; // outside both vocabularies: never pushed
+        }
+        let rec = OpRecord {
+            pid,
+            kind,
+            // A completion's is unused: the checker takes the invocation
+            // from the open announcement it matches.
+            inv: if announcing { ts } else { 0 },
+            resp: (!announcing).then_some(ts),
+            steps: 0,
+        };
+        if let Err(v) = self.checker.push(&rec) {
+            self.fail(pid, seq, v.message);
+        }
+    }
+
+    /// Why an event that broke the ticket order was rejected.
+    #[cold]
+    fn broken_order(&self, pid: usize, ts: u64, phase: u8) -> String {
+        let last = self.released.0;
         if (ts, phase) < self.released {
             let event = if phase == 0 {
                 "invocation"
             } else {
                 "completion"
             };
-            self.fail(
-                pid,
-                seq,
-                format!(
-                    "ticket order broken: pid {pid}'s {event} at ticket {ts} lands behind \
-                     the last checked ticket {} (a controller bug, or the pass attached \
-                     after operations were invoked)",
-                    self.released.0
-                ),
-            );
-            return;
-        }
-        let rec = if phase == 0 {
-            OpRecord {
-                pid,
-                kind,
-                inv: ts,
-                resp: None,
-                steps: 0,
-            }
+            format!(
+                "ticket order broken: pid {pid}'s {event} at ticket {ts} lands behind \
+                 the last checked ticket {last} (a controller bug, or the pass attached \
+                 after operations were invoked)"
+            )
+        } else if phase == 0 {
+            overlap_violation(pid, ts).message
         } else {
-            if !self.checker.has_open(pid) {
-                self.fail(
-                    pid,
-                    seq,
-                    format!(
-                        "ticket order broken: pid {pid}'s completion at ticket {ts} has no \
-                         open invocation (last checked ticket {}; a controller bug, or the \
-                         pass attached after operations were invoked)",
-                        self.released.0
-                    ),
-                );
-                return;
-            }
-            OpRecord {
-                pid,
-                kind,
-                // Unused: the checker takes the invocation from the
-                // open announcement it just matched.
-                inv: 0,
-                resp: Some(ts),
-                steps: 0,
-            }
-        };
-        if let Err(v) = self.checker.push(&rec) {
-            self.fail(pid, seq, v.message);
+            format!(
+                "ticket order broken: pid {pid}'s completion at ticket {ts} has no \
+                 open invocation (last checked ticket {last}; a controller bug, or the \
+                 pass attached after operations were invoked)"
+            )
         }
-        self.released = (ts, phase);
     }
 }
 
@@ -166,6 +167,7 @@ impl AnalysisPass for LinearizabilityPass {
     fn on_attach(&mut self, _meta: &RunMeta) {
         self.checker = self.mode.build();
         self.released = (0, 0);
+        self.busy.clear();
         self.found = None;
     }
 
@@ -186,7 +188,12 @@ impl AnalysisPass for LinearizabilityPass {
                 kind,
                 resp,
             } => self.check(seq, pid, kind, resp, 1),
-            TraceEvent::Crash { pid, .. } => self.checker.crash(pid),
+            TraceEvent::Crash { pid, .. } => {
+                if let Some(busy) = self.busy.get_mut(pid) {
+                    *busy = false;
+                }
+                self.checker.crash(pid);
+            }
             TraceEvent::Access(_) | TraceEvent::Grant { .. } => {}
         }
     }
@@ -266,6 +273,60 @@ mod tests {
             "got: {m}"
         );
         assert!(m.contains("last checked ticket 2"), "got: {m}");
+    }
+
+    const CAS: OpKind = OpKind::Custom {
+        label: "cas",
+        arg: 0,
+        ret: 0,
+    };
+
+    #[test]
+    fn a_custom_stream_out_of_ticket_order_is_a_violation() {
+        // Custom operations are never checked, but they are ordered.
+        let mut p = LinearizabilityPass::counter(1);
+        p.on_attach(&meta());
+        p.on_event(&invoke(0, 1, CAS, 2));
+        p.on_event(&invoke(1, 0, CAS, 0));
+        let found = p.finish();
+        assert_eq!(found.len(), 1);
+        assert_eq!((found[0].pid, found[0].seq), (Some(0), Some(1)));
+        let m = &found[0].message;
+        assert!(
+            m.contains("ticket order broken") && m.contains("invocation at ticket 0"),
+            "got: {m}"
+        );
+        assert!(m.contains("last checked ticket 2"), "got: {m}");
+    }
+
+    #[test]
+    fn an_unmatched_custom_completion_is_a_violation() {
+        let mut p = LinearizabilityPass::counter(1);
+        p.on_attach(&meta());
+        p.on_event(&invoke(0, 1, CAS, 1));
+        p.on_event(&complete(1, 0, CAS, 3));
+        let found = p.finish();
+        assert_eq!(found.len(), 1);
+        assert_eq!((found[0].pid, found[0].seq), (Some(0), Some(1)));
+        let m = &found[0].message;
+        assert!(
+            m.contains("completion at ticket 3 has no open invocation"),
+            "got: {m}"
+        );
+        assert!(m.contains("last checked ticket 1"), "got: {m}");
+    }
+
+    #[test]
+    fn a_second_custom_announcement_on_a_busy_pid_is_a_violation() {
+        let mut p = LinearizabilityPass::counter(1);
+        p.on_attach(&meta());
+        p.on_event(&invoke(0, 0, CAS, 0));
+        p.on_event(&invoke(1, 0, CAS, 1));
+        let found = p.finish();
+        assert_eq!(found.len(), 1);
+        assert_eq!((found[0].pid, found[0].seq), (Some(0), Some(1)));
+        let m = &found[0].message;
+        assert!(m.contains("still open"), "got: {m}");
     }
 
     #[test]

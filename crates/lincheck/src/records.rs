@@ -31,12 +31,12 @@ pub fn check_maxreg_records(h: &History, k: u64) -> Result<(), String> {
     feed_records(h, OnlineChecker::maxreg(k))
 }
 
-fn feed_records(h: &History, checker: OnlineChecker) -> Result<(), String> {
+fn feed_records(h: &History, mut checker: OnlineChecker) -> Result<(), String> {
     let ops = h.ops();
     checker
         .check_sorted(ops.len(), |i| {
             let r = &ops[i];
-            (r.pid, r.kind, r.inv, r.resp)
+            (Some(r.pid), r.kind, r.inv, r.resp)
         })
         .map_err(|v| v.to_string())
 }

@@ -15,6 +15,11 @@
 //!   operations and multi-unit increment batches. The driver-record
 //!   feeds (`check_*_records`, which key open operations by real pid)
 //!   are held to the same references on driver-shaped histories.
+//! * **above the counting-sort threshold** — the histories above hold
+//!   at most about 60 operations, so their feeds order events with
+//!   `sort_unstable`. Driver-shaped histories of about 1 000 operations
+//!   on dense tickets take the counting sort instead, and every feed
+//!   must agree with the references on them too.
 
 use lincheck::monotone::{check_counter, check_counter_additive, check_maxreg};
 use lincheck::wg::{wg_check, WgEvent, WgOp};
@@ -281,6 +286,151 @@ fn completed_before(updates: &[OpRecord], t: u64) -> impl Iterator<Item = OpKind
 fn procs_strategy() -> impl Strategy<Value = Vec<(ProcOps, u8)>> {
     let op = (0u64..6, 1u64..10, 0u64..12, 0u8..2);
     prop::collection::vec((prop::collection::vec(op, 1..12), 0u8..3), 1..6)
+}
+
+/// A driver-shaped history of `procs × per_proc` operations on dense
+/// tickets, one per event, as a runtime draws them: processes
+/// interleave at random, a third of them leave their last operation
+/// pending, and every other operation is an update (`update(j)` for a
+/// process's `j`-th operation). Each read returns `forced(state)`, the
+/// value the updates completed before its invocation force (`state` is
+/// folded over completed updates with `apply`), except that one read in
+/// `lie_rate` returns `(forced − 1) / k`, too small for the `k`-relaxed
+/// specs once `forced` is positive, so some histories do not linearize.
+fn dense_driver_history(
+    rng: &mut StdRng,
+    (procs, per_proc): (usize, usize),
+    (lie_rate, k): (u32, u64),
+    update: impl Fn(u64) -> OpKind,
+    apply: impl Fn(u128, OpKind) -> u128,
+) -> History {
+    let mut ops = Vec::new();
+    let mut open: Vec<Option<OpRecord>> = vec![None; procs];
+    let mut done = vec![0; procs];
+    let mut live: Vec<usize> = (0..procs).collect();
+    let (mut ticket, mut state) = (0, 0u128);
+    while !live.is_empty() {
+        let at = rng.random_range(0..live.len());
+        let pid = live[at];
+        match open[pid].take() {
+            None => {
+                let j = done[pid] as u64;
+                let kind = if j.is_multiple_of(2) {
+                    update(j)
+                } else {
+                    let returned = if rng.random_range(0..lie_rate) == 0 {
+                        state.saturating_sub(1) / u128::from(k)
+                    } else {
+                        state
+                    };
+                    OpKind::Read { returned }
+                };
+                let pending = pid.is_multiple_of(3) && done[pid] + 1 == per_proc;
+                let rec = OpRecord {
+                    pid,
+                    kind,
+                    inv: ticket,
+                    resp: None,
+                    steps: 0,
+                };
+                if pending {
+                    ops.push(rec);
+                    live.swap_remove(at);
+                } else {
+                    open[pid] = Some(rec);
+                }
+            }
+            Some(mut rec) => {
+                rec.resp = Some(ticket);
+                if !matches!(rec.kind, OpKind::Read { .. }) {
+                    state = apply(state, rec.kind);
+                }
+                ops.push(rec);
+                done[pid] += 1;
+                if done[pid] == per_proc {
+                    live.swap_remove(at);
+                }
+            }
+        }
+        ticket += 1;
+    }
+    ops.into_iter().collect()
+}
+
+#[test]
+fn feeds_agree_with_naive_above_the_counting_sort_threshold() {
+    let mut rng = StdRng::seed_from_u64(0xD15C);
+    let (mut accepted, mut rejected) = (0, 0);
+    for trial in 0..24 {
+        let k = rng.random_range(1..4u64);
+        let procs = rng.random_range(4..40);
+        let shape = (procs, 1000 / procs);
+        // Half the trials tell no lies, so both verdicts are common.
+        let lies = (if trial % 2 == 0 { u32::MAX } else { 300 }, k);
+        let h = dense_driver_history(
+            &mut rng,
+            shape,
+            lies,
+            |j| OpKind::Inc { amount: 1 + j % 3 },
+            |sum, kind| sum + u128::from(kind.multiplicity()),
+        );
+        let typed = CounterHistory::from_records(&h).expect("counter vocabulary");
+        let reference = naive::check_counter(&typed, k).is_ok();
+        assert_eq!(
+            check_counter(&typed, k).is_ok(),
+            reference,
+            "trial {trial}, k = {k}"
+        );
+        assert_eq!(
+            check_counter_records(&h, k).is_ok(),
+            reference,
+            "trial {trial}"
+        );
+        assert_eq!(
+            check_counter_additive(&typed, k).is_ok(),
+            naive::check_counter_additive(&typed, k).is_ok(),
+            "trial {trial}, additive k = {k}"
+        );
+        if reference {
+            accepted += 1;
+        } else {
+            rejected += 1;
+        }
+
+        let h = dense_driver_history(
+            &mut rng,
+            shape,
+            lies,
+            |j| OpKind::Write {
+                value: 1 + j * 7 % 50,
+            },
+            |max, kind| match kind {
+                OpKind::Write { value } => max.max(u128::from(value)),
+                _ => max,
+            },
+        );
+        let typed = MaxRegHistory::from_records(&h).expect("max-register vocabulary");
+        let reference = naive::check_maxreg(&typed, k).is_ok();
+        assert_eq!(
+            check_maxreg(&typed, k).is_ok(),
+            reference,
+            "trial {trial}, k = {k}"
+        );
+        assert_eq!(
+            check_maxreg_records(&h, k).is_ok(),
+            reference,
+            "trial {trial}"
+        );
+        if reference {
+            accepted += 1;
+        } else {
+            rejected += 1;
+        }
+    }
+    assert!(
+        accepted >= 12 && rejected >= 8,
+        "{accepted} accepted, {rejected} rejected"
+    );
 }
 
 proptest! {
