@@ -51,6 +51,7 @@ use lincheck::{
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use smr::{OpKind, OpRecord};
+use std::time::Instant;
 
 /// Synthesize a linearizable counter history of `n_incs` increment
 /// records and `n_reads` reads with overlapping windows. Reads return
@@ -228,24 +229,30 @@ impl Config {
         // 2/3 increments, 1/3 reads — roughly the stress-test mix.
         let total = self.records;
         let counter_history = |seed| synth_history(total * 2 / 3, total - total * 2 / 3, seed);
+        // Time the check alone, not the history it is handed.
+        let timed = |check: &dyn Fn() -> bool| {
+            bench::median_run(&label, || {
+                let start = Instant::now();
+                let ok = check();
+                (ok, start.elapsed().as_secs_f64() * 1e3)
+            })
+        };
         match self.check {
             Check::CounterMonotone(seed) => {
                 let h = counter_history(seed);
-                let (ok, millis, runs) = bench::median_run(&label, || check_counter(&h, 1).is_ok());
+                let (ok, millis, runs) = timed(&|| check_counter(&h, 1).is_ok());
                 assert!(ok, "synthetic history must linearize");
                 (millis, runs, Some(streamed_peak(&h)))
             }
             Check::CounterNaive(seed) => {
                 let h = counter_history(seed);
-                let (ok, millis, runs) =
-                    bench::median_run(&label, || naive::check_counter(&h, 1).is_ok());
+                let (ok, millis, runs) = timed(&|| naive::check_counter(&h, 1).is_ok());
                 assert!(ok, "engines disagree on a {total}-record history");
                 (millis, runs, None)
             }
             Check::MaxregWide => {
                 let wide = wide_witness_history();
-                let (ok, millis, runs) =
-                    bench::median_run(&label, || check_maxreg(&wide, 1).is_ok());
+                let (ok, millis, runs) = timed(&|| check_maxreg(&wide, 1).is_ok());
                 assert!(ok, "the wide-witness history must linearize");
                 (millis, runs, None)
             }

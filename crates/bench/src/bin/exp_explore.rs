@@ -46,6 +46,7 @@ use parking_lot::Mutex;
 use smr::explore::{explore, ExploreConfig};
 use smr::{CoopBackend, Driver, History, OpSpec, Runtime};
 use std::sync::Arc;
+use std::time::Instant;
 
 type Factory = Box<dyn Fn() -> Driver<CoopBackend>>;
 type Checker = Box<dyn Fn(&History) -> Result<(), String>>;
@@ -297,8 +298,11 @@ fn main() {
 
     let mut samples = Vec::new();
     for c in &configs {
-        let (stats, millis, runs) =
-            bench::median_run(c.name, || explore(&c.cfg, &c.factory, &c.checker));
+        let (stats, millis, runs) = bench::median_run(c.name, || {
+            let start = Instant::now();
+            let stats = explore(&c.cfg, &c.factory, &c.checker);
+            (stats, start.elapsed().as_secs_f64() * 1e3)
+        });
 
         // The correctness bars: exact counts where a closed form
         // exists, zero violations everywhere.

@@ -29,8 +29,12 @@
 //!
 //! Every run is a fresh child process (`exp_scale --child <index>`), so
 //! a row prices its own heap alone and its peak RSS (`VmHWM` of
-//! `/proc/self/status`, 0 where unavailable) is its own. A failing
-//! child fails the run. The gates, asserted here:
+//! `/proc/self/status`, 0 where unavailable) is its own. Only execution
+//! is timed, not setup or teardown. A child whose execution takes under
+//! [`bench::MIN_ROW_MILLIS`] repeats it on a fresh runtime with the same
+//! submissions until that much has passed, and reports the median run;
+//! every repeat must grant the same steps. A failing child fails the
+//! run. The gates, asserted here:
 //!
 //! * every run finishes in under 120 s (a pass diverged, not a busy box);
 //! * every gated `reg` run at `n ≥ 10⁵` finishes in under 60 s and
@@ -262,7 +266,10 @@ fn grid(scale: usize) -> Vec<Config> {
 struct Sample {
     config: Config,
     steps: u64,
+    /// The median run's execution time.
     millis: f64,
+    /// Runs behind `millis` (printed, not written: not row identity).
+    runs: usize,
     peak_rss_bytes: u64,
 }
 
@@ -306,9 +313,13 @@ fn peak_rss_bytes() -> u64 {
     0
 }
 
-/// Run `c` in this (child) process: the steps and milliseconds of
+/// Run `c` once in this (child) process: the steps and milliseconds of
 /// execution, after the instrument's own gate.
 fn run_config(c: &Config) -> (u64, f64) {
+    if c.instrument == Instrument::Metrics {
+        // Each run's snapshot counts that run alone.
+        obs::registry::reset_all();
+    }
     obs::set_enabled(c.instrument == Instrument::Metrics);
     let (rt, mut d) = match c.mode {
         Mode::Gated => {
@@ -371,11 +382,12 @@ fn run_config(c: &Config) -> (u64, f64) {
 /// that fails (a gate inside it, or a crash) fails the run.
 fn run_child(configs: &[Config], index: usize) -> Sample {
     let c = configs[index];
-    let [steps, millis, peak_rss_bytes] = bench::run_child("exp_scale", index, &c.label());
+    let [steps, millis, runs, peak_rss_bytes] = bench::run_child("exp_scale", index, &c.label());
     let s = Sample {
         config: c,
         steps: steps as u64,
         millis,
+        runs: runs as usize,
         peak_rss_bytes: peak_rss_bytes as u64,
     };
     assert!(
@@ -417,8 +429,9 @@ fn main() {
     let configs = grid(bench::scale() as usize);
     // Child mode (internal): run one config, print one machine line.
     if let Some(index) = bench::child_index(configs.len()) {
-        let (steps, millis) = run_config(&configs[index]);
-        println!("RESULT {steps} {millis} {}", peak_rss_bytes());
+        let c = &configs[index];
+        let (steps, millis, runs) = bench::median_run(&c.label(), || run_config(c));
+        println!("RESULT {steps} {millis} {runs} {}", peak_rss_bytes());
         return;
     }
     bench::no_arguments("exp_scale");
@@ -496,6 +509,7 @@ fn main() {
         "n",
         "steps",
         "ms",
+        "runs",
         "steps/s",
         "vs plain",
         "peak MB",
@@ -509,6 +523,7 @@ fn main() {
             c.n.to_string(),
             s.steps.to_string(),
             f2(s.millis),
+            s.runs.to_string(),
             format!("{:.0}", s.steps_per_sec()),
             match c.instrument {
                 Instrument::None => "—".to_string(),
@@ -528,6 +543,10 @@ fn main() {
     println!("           metrics  = obs collection on; vs plain = the plain twin's steps/s");
     println!(
         "           over this row's (metrics pairs: best of {METRICS_ROUNDS} alternating rounds)."
+    );
+    println!(
+        "ms = execution only, the median of `runs` runs (runs repeat until {} ms have passed).",
+        bench::MIN_ROW_MILLIS
     );
     if let Some(bar) = metrics_bar {
         println!("{METRICS_GATE_N}-process metrics bar: on/off = {bar:.3} (≥ 0.950 required).");
@@ -572,6 +591,7 @@ mod tests {
                     config,
                     steps: 1,
                     millis: 1.0,
+                    runs: 1,
                     peak_rss_bytes: 1,
                 };
                 report.row(s.row());

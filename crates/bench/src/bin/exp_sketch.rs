@@ -21,6 +21,15 @@
 //! `flush_every = 8` handles (the ROADMAP's "batch increments in
 //! handles"). Readers interleave top-k, quantile and rank queries.
 //!
+//! Every config runs in a fresh child process (`exp_sketch --child
+//! <index>`), which runs it with every envelope and shadow check, so no
+//! config reuses a heap an earlier one freed. A config whose timed
+//! section takes under [`bench::MIN_ROW_MILLIS`] repeats on a fresh
+//! sketch and driver until that much time has passed, and reports the
+//! median run; every repeat must submit the same counts and, on the
+//! deterministic coop backend, take the same read steps. A failing
+//! child fails the run.
+//!
 //! Results land in `BENCH_sketch.json` (cwd) for regression tracking.
 //!
 //! Run: `cargo run --release -p bench --bin exp_sketch` (no arguments;
@@ -63,6 +72,78 @@ impl Backend {
     }
 }
 
+#[derive(Clone, Copy)]
+enum Object {
+    /// Top-k over this many shards.
+    TopK {
+        shards: usize,
+    },
+    Quantile,
+}
+
+/// One grid row: an object on a backend over `n` processes, with `ops`
+/// operations per writer.
+#[derive(Clone, Copy)]
+struct Config {
+    object: Object,
+    backend: Backend,
+    n: usize,
+    ops: u64,
+}
+
+impl Config {
+    fn label(&self) -> String {
+        let backend = self.backend.name();
+        match self.object {
+            Object::TopK { shards } => format!("topk/{backend}/n={}/S={shards}", self.n),
+            Object::Quantile => format!("quantile/{backend}/n={}", self.n),
+        }
+    }
+
+    /// Run once, with every envelope and shadow check.
+    fn run(&self) -> Sample {
+        match self.object {
+            Object::TopK { shards } => run_topk(self.backend, self.n, shards, self.ops),
+            Object::Quantile => run_quantile(self.backend, self.n, self.ops),
+        }
+    }
+}
+
+/// The one grid: at least 4 process-count × shard-count top-k
+/// configurations on each backend, then the quantile rows. `scale`
+/// (`REPRO_SCALE`) multiplies the op counts.
+fn grid(scale: u64) -> Vec<Config> {
+    use Backend::{Coop, Thread};
+    let topk = |backend, n, shards, ops: u64| Config {
+        object: Object::TopK { shards },
+        backend,
+        n,
+        ops: ops * scale,
+    };
+    let quantile = |backend, n, ops: u64| Config {
+        object: Object::Quantile,
+        backend,
+        n,
+        ops: ops * scale,
+    };
+    vec![
+        topk(Thread, 4, 1, 2_000),
+        topk(Thread, 8, 4, 2_000),
+        topk(Thread, 16, 8, 1_000),
+        topk(Thread, 64, 16, 500),
+        topk(Coop, 4, 1, 2_000),
+        topk(Coop, 8, 4, 2_000),
+        topk(Coop, 16, 8, 1_000),
+        topk(Coop, 64, 16, 500),
+        topk(Coop, 256, 32, 100),
+        topk(Coop, 1_000, 64, 20),
+        quantile(Thread, 4, 2_000),
+        quantile(Thread, 16, 1_000),
+        quantile(Coop, 16, 1_000),
+        quantile(Coop, 64, 200),
+    ]
+}
+
 struct Sample {
     object: &'static str,
     backend: &'static str,
@@ -72,11 +153,28 @@ struct Sample {
     keys: usize,
     writes: u64,
     reads: u64,
+    /// The timed section: the median run's, once the child is done.
     millis: f64,
+    /// Runs behind `millis` (printed, not written: not row identity).
+    runs: usize,
     read_steps_avg: f64,
 }
 
 impl Sample {
+    /// What each repeat of a config must reproduce: its sizes and
+    /// submitted counts, and on the coop backend (a deterministic
+    /// executor) its read steps too.
+    fn repeatable(&self) -> (usize, usize, u64, u64, Option<f64>) {
+        let read_steps = (self.backend == "coop").then_some(self.read_steps_avg);
+        (
+            self.partitions,
+            self.keys,
+            self.writes,
+            self.reads,
+            read_steps,
+        )
+    }
+
     fn writes_per_sec(&self) -> f64 {
         self.writes as f64 / (self.millis / 1e3).max(1e-9)
     }
@@ -253,6 +351,7 @@ fn run_topk(backend: Backend, n: usize, shards: usize, ops_per_writer: u64) -> S
         writes,
         reads,
         millis,
+        runs: 1,
         read_steps_avg: read_steps_avg(&history, sketchlog::TOPK_READ),
     }
 }
@@ -380,52 +479,63 @@ fn run_quantile(backend: Backend, n: usize, ops_per_obs: u64) -> Sample {
         writes,
         reads,
         millis,
+        runs: 1,
         read_steps_avg: read_steps_avg(&history, sketchlog::QUANTILE_READ),
     }
 }
 
-fn main() {
-    bench::no_arguments("exp_sketch");
-    let scale = bench::scale();
+/// Run config `index` of the grid in a fresh child process; a child
+/// that fails (a check inside it, or a crash) fails the run.
+fn run_child(configs: &[Config], index: usize) -> Sample {
+    let c = configs[index];
+    let [partitions, keys, writes, reads, read_steps_avg, millis, runs] =
+        bench::run_child("exp_sketch", index, &c.label());
+    Sample {
+        object: match c.object {
+            Object::TopK { .. } => "topk",
+            Object::Quantile => "quantile",
+        },
+        backend: c.backend.name(),
+        n: c.n,
+        partitions: partitions as usize,
+        keys: keys as usize,
+        writes: writes as u64,
+        reads: reads as u64,
+        millis,
+        runs: runs as usize,
+        read_steps_avg,
+    }
+}
 
-    // (backend, n, shards, ops_per_writer) — ≥ 4 process-count ×
-    // shard-count configurations on each backend.
-    let topk_configs: Vec<(Backend, usize, usize, u64)> = vec![
-        (Backend::Thread, 4, 1, 2_000 * scale),
-        (Backend::Thread, 8, 4, 2_000 * scale),
-        (Backend::Thread, 16, 8, 1_000 * scale),
-        (Backend::Thread, 64, 16, 500 * scale),
-        (Backend::Coop, 4, 1, 2_000 * scale),
-        (Backend::Coop, 8, 4, 2_000 * scale),
-        (Backend::Coop, 16, 8, 1_000 * scale),
-        (Backend::Coop, 64, 16, 500 * scale),
-        (Backend::Coop, 256, 32, 100 * scale),
-        (Backend::Coop, 1_000, 64, 20 * scale),
-    ];
-    let quantile_configs: Vec<(Backend, usize, u64)> = vec![
-        (Backend::Thread, 4, 2_000 * scale),
-        (Backend::Thread, 16, 1_000 * scale),
-        (Backend::Coop, 16, 1_000 * scale),
-        (Backend::Coop, 64, 200 * scale),
-    ];
+fn main() {
+    let configs = grid(bench::scale());
+    // Child mode (internal): run one config, print one machine line.
+    if let Some(index) = bench::child_index(configs.len()) {
+        let c = configs[index];
+        let mut first = None;
+        let (_, millis, runs) = bench::median_run(&c.label(), || {
+            let s = c.run();
+            let run = (s.repeatable(), s.millis);
+            first.get_or_insert(s);
+            run
+        });
+        let s = first.expect("median_run runs at least once");
+        println!(
+            "RESULT {} {} {} {} {} {millis} {runs}",
+            s.partitions, s.keys, s.writes, s.reads, s.read_steps_avg
+        );
+        return;
+    }
+    bench::no_arguments("exp_sketch");
 
     let mut samples = Vec::new();
-    for &(backend, n, shards, ops) in &topk_configs {
-        let s = run_topk(backend, n, shards, ops);
+    for (index, c) in configs.iter().enumerate() {
+        let s = run_child(&configs, index);
         eprintln!(
-            "done: topk/{}/n={n}/S={shards}: {:.0} writes/s, topk read ≈ {:.0} steps",
-            backend.name(),
+            "done: {}: {:.0} writes/s, {} read ≈ {:.0} steps",
+            c.label(),
             s.writes_per_sec(),
-            s.read_steps_avg
-        );
-        samples.push(s);
-    }
-    for &(backend, n, ops) in &quantile_configs {
-        let s = run_quantile(backend, n, ops);
-        eprintln!(
-            "done: quantile/{}/n={n}: {:.0} writes/s, quantile read ≈ {:.0} steps",
-            backend.name(),
-            s.writes_per_sec(),
+            s.object,
             s.read_steps_avg
         );
         samples.push(s);
@@ -450,6 +560,7 @@ fn main() {
         "writes",
         "reads",
         "ms",
+        "runs",
         "writes/s",
         "read steps",
     ]);
@@ -463,6 +574,7 @@ fn main() {
             s.writes.to_string(),
             s.reads.to_string(),
             f2(s.millis),
+            s.runs.to_string(),
             format!("{:.0}", s.writes_per_sec()),
             format!("{:.1}", s.read_steps_avg),
         ]);
@@ -472,6 +584,7 @@ fn main() {
     println!("thread = free-running native speed; coop = gated round-robin virtual procs.");
     println!("every recorded read checked against the composed rank-error envelope;");
     println!("per-key counters shadow-checked against exact totals after quiescence.");
+    println!("each config runs in its own process; ms is the median of `runs` runs.");
     table.print("sketch workloads");
 
     let mut report = Report::new("sketch_workloads", "full");

@@ -19,7 +19,6 @@ pub mod regression;
 pub mod tables;
 
 use std::process::{Command, Stdio};
-use std::time::Instant;
 
 /// The grid row this process is to run, if it was started by
 /// [`run_child`] (`--child <index>`, with `index < rows`).
@@ -72,9 +71,12 @@ pub fn run_child<const N: usize>(bin: &str, index: usize, row: &str) -> [f64; N]
 /// one sub-millisecond run is noise.
 pub const MIN_ROW_MILLIS: f64 = 10.0;
 
-/// Time `run`, repeating it until [`MIN_ROW_MILLIS`] have passed in all.
-/// Returns the first run's result, the median run's milliseconds (the
-/// upper middle of an even count) and the number of runs.
+/// Repeat `run` until its timed milliseconds add up to
+/// [`MIN_ROW_MILLIS`]. Each run returns its result and the milliseconds
+/// of its own timed section, so a run can leave its setup and teardown
+/// untimed. Returns the first run's result, the median run's
+/// milliseconds (the upper middle of an even count) and the number of
+/// runs.
 ///
 /// # Panics
 /// If a repeat returns other than the first run did: a row's verdict
@@ -82,15 +84,13 @@ pub const MIN_ROW_MILLIS: f64 = 10.0;
 /// names the row in the message.
 pub fn median_run<T: PartialEq + std::fmt::Debug>(
     what: &str,
-    mut run: impl FnMut() -> T,
+    mut run: impl FnMut() -> (T, f64),
 ) -> (T, f64, usize) {
     let mut millis: Vec<f64> = Vec::new();
     let mut total = 0.0;
     let mut first: Option<T> = None;
     while first.is_none() || total < MIN_ROW_MILLIS {
-        let start = Instant::now();
-        let out = run();
-        let ms = start.elapsed().as_secs_f64() * 1e3;
+        let (out, ms) = run();
         millis.push(ms);
         total += ms;
         match &first {
@@ -185,12 +185,13 @@ mod tests {
 
     #[test]
     fn median_run_repeats_a_short_run_and_keeps_its_result() {
-        let (out, millis, runs) = median_run("short", || 7);
-        assert_eq!(out, 7);
-        assert!(
-            runs > 1 && millis < MIN_ROW_MILLIS,
-            "{runs} runs, {millis} ms"
-        );
+        // Runs of 3, 1, 4, 1.5 and 3 ms reach 10 ms at the fifth; their
+        // median is 3 ms.
+        let mut timings = [3.0, 1.0, 4.0, 1.5].into_iter().cycle();
+        let (out, millis, runs) = median_run("short", || (7, timings.next().unwrap()));
+        assert_eq!((out, millis, runs), (7, 3.0, 5));
+        // A run of 10 ms or more runs once.
+        assert_eq!(median_run("long", || (7, MIN_ROW_MILLIS)), (7, 10.0, 1));
     }
 
     #[test]
@@ -199,7 +200,7 @@ mod tests {
         let mut calls = 0;
         median_run("flaky", || {
             calls += 1;
-            calls
+            (calls, 1.0)
         });
     }
 

@@ -17,13 +17,6 @@ pub fn within_k(v: u128, x: u128, k: u64) -> bool {
     v <= x.saturating_mul(k) && x <= v.saturating_mul(k)
 }
 
-/// The interval of exact values `v` compatible with a read returning `x`:
-/// `⌈x/k⌉ ≤ v ≤ x·k` (empty only in the degenerate sense `x = 0 → v = 0`).
-pub fn admissible_exact_range(x: u128, k: u64) -> (u128, u128) {
-    let k = u128::from(k);
-    (x.div_ceil(k), x.saturating_mul(k))
-}
-
 /// `⌊log_k v⌋` for `v ≥ 1` — the MSB index in base `k`, as used by
 /// Algorithm 2's `Write`.
 pub fn log_k_floor(v: u64, k: u64) -> u32 {
@@ -57,23 +50,6 @@ mod tests {
         assert!(within_k(0, 0, 5));
         assert!(!within_k(0, 1, 5));
         assert!(!within_k(1, 0, 5));
-    }
-
-    #[test]
-    fn admissible_range_is_consistent_with_within_k() {
-        for k in [2u64, 3, 7] {
-            for x in 0..200u128 {
-                let (lo, hi) = admissible_exact_range(x, k);
-                if x > 0 {
-                    assert!(within_k(lo, x, k));
-                    assert!(within_k(hi, x, k));
-                    if lo > 0 {
-                        assert!(!within_k(lo - 1, x, k));
-                    }
-                    assert!(!within_k(hi + 1, x, k));
-                }
-            }
-        }
     }
 
     #[test]

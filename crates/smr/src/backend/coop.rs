@@ -17,12 +17,10 @@
 //!   the poll loop streams through exactly the fields it touches.
 //! * **Arena-allocated task state.** Task payloads live in a bump
 //!   arena ([`TaskArena`]), reached through a thin payload pointer plus
-//!   poll/drop shims. A typed submission
-//!   ([`submit_task`](ExecBackend::submit_task), what
-//!   `Driver::submit_task` calls) writes the task straight into the
-//!   arena; an erased one ([`ErasedTask`], through
-//!   [`submit`](ExecBackend::submit)) has its payload bytes moved in
-//!   and its heap allocation released. Completed tasks are dropped in
+//!   poll/drop shims instantiated for the task's concrete type.
+//!   [`submit_task`](ExecBackend::submit_task), what
+//!   `Driver::submit_task` calls, writes the task straight into the
+//!   arena, with no transient box. Completed tasks are dropped in
 //!   place; the bump cursor rewinds whenever the live count hits zero (a
 //!   generation boundary — e.g. the idle point between
 //!   `run_schedule` batches), reusing chunk memory instead of
@@ -112,7 +110,7 @@
 use super::{ExecBackend, StepOutcome};
 use crate::history::{OpRecord, OpSpec};
 use crate::runtime::{Mode, Runtime};
-use crate::task::{drop_shim, poll_shim, DropFn, ErasedTask, Op, OpTask, Poll, PollFn};
+use crate::task::{OpTask, Poll};
 use crate::trace::{AccessKind, TraceEvent};
 use crate::ProcCtx;
 use std::alloc::Layout;
@@ -123,6 +121,31 @@ use std::sync::{Arc, OnceLock};
 
 /// Null link in the queue slab and in `qhead`/`qtail`.
 const NIL: u32 = u32::MAX;
+
+/// Shim applying one [`OpTask::poll`] to a payload in the arena.
+type PollFn = unsafe fn(NonNull<u8>, &ProcCtx) -> Poll<u128>;
+/// Shim dropping a payload in place (no deallocation).
+type DropFn = unsafe fn(NonNull<u8>);
+
+/// The [`PollFn`] for payload type `T`.
+///
+/// # Safety
+/// `data` must point to a live `T` that the caller owns exclusively.
+unsafe fn poll_shim<T: OpTask>(data: NonNull<u8>, ctx: &ProcCtx) -> Poll<u128> {
+    // SAFETY: the caller passes a live `T` it owns exclusively, so the
+    // cast is valid and the `&mut` is unique.
+    unsafe { data.cast::<T>().as_mut() }.poll(ctx)
+}
+
+/// The [`DropFn`] for payload type `T`.
+///
+/// # Safety
+/// As for [`poll_shim`]; the value is dead afterwards.
+unsafe fn drop_shim<T>(data: NonNull<u8>) {
+    // SAFETY: the caller passes a live `T` it owns exclusively and never
+    // uses again, so it is dropped exactly once.
+    unsafe { std::ptr::drop_in_place(data.cast::<T>().as_ptr()) }
+}
 
 /// The backend's registered metrics, resolved once per process (the
 /// handles are `&'static`, so the poll loop pays one relaxed flag load
@@ -163,14 +186,14 @@ struct Chunk {
 
 /// Bump arena owning every live task payload.
 ///
-/// Payloads are written or moved in at submit
-/// ([`TaskArena::install_value`], [`TaskArena::install`]) and dropped in
-/// place at completion ([`TaskArena::retire`]); individual slots are
-/// never freed. Instead, when the live count returns to zero — a
-/// runtime *generation* boundary — the bump cursor rewinds to the first
-/// chunk and the memory is reused wholesale. Chunks grow geometrically
-/// ([`FIRST_CHUNK_SIZE`] doubling up to [`CHUNK_SIZE`]); a payload
-/// larger than the next chunk gets a chunk of its own size.
+/// Payloads are written in at submit ([`TaskArena::install_value`])
+/// and dropped in place at completion ([`TaskArena::retire`]);
+/// individual slots are never freed. Instead, when the live count
+/// returns to zero — a runtime *generation* boundary — the bump cursor
+/// rewinds to the first chunk and the memory is reused wholesale.
+/// Chunks grow geometrically ([`FIRST_CHUNK_SIZE`] doubling up to
+/// [`CHUNK_SIZE`]); a payload larger than the next chunk gets a chunk
+/// of its own size.
 #[derive(Default)]
 struct TaskArena {
     chunks: Vec<Chunk>,
@@ -240,37 +263,16 @@ impl TaskArena {
         dst.cast()
     }
 
-    /// Move an erased task's payload into the arena, releasing its
-    /// original heap allocation. The task has never been polled at this
-    /// point, so the relocation is an ordinary move. Zero-sized
-    /// payloads keep their (dangling) pointer.
-    fn install(&mut self, task: ErasedTask) -> (NonNull<u8>, PollFn, DropFn) {
-        let (src, layout, poll, dropper) = task.into_raw_parts();
-        self.live += 1;
-        if layout.size() == 0 {
-            return (src, poll, dropper);
-        }
-        let dst = self.alloc(layout);
-        // SAFETY: `src` is the exclusively-owned payload allocation of
-        // `layout`; `dst` is a fresh arena slot of the same layout. The
-        // bytes move, then the original allocation is released without
-        // dropping the value.
-        unsafe {
-            std::ptr::copy_nonoverlapping(src.as_ptr(), dst.as_ptr(), layout.size());
-            std::alloc::dealloc(src.as_ptr(), layout);
-        }
-        (dst, poll, dropper)
-    }
-
     /// Drop a finished task in place. Its bytes are reclaimed at the
     /// next generation reset.
     ///
     /// # Safety
-    /// `data`/`dropper` must come from [`install`](TaskArena::install)
-    /// and the task must never be used again.
+    /// `data` must come from [`install_value`](TaskArena::install_value),
+    /// `dropper` must be the [`drop_shim`] of its type, and the task must
+    /// never be used again.
     unsafe fn retire(&mut self, data: NonNull<u8>, dropper: DropFn) {
         // SAFETY: per the contract above, `data` is the live payload
-        // `dropper` was erased from.
+        // `dropper` was instantiated for.
         unsafe { dropper(data) };
         self.live -= 1;
         if self.live == 0 {
@@ -381,9 +383,9 @@ pub struct CoopBackend {
 }
 
 // SAFETY: every raw pointer (arena chunks, installed payloads, slab
-// links) points into memory the backend exclusively owns, and the
-// erased payloads are `OpTask + Send`; moving the backend between
-// threads moves that ownership wholesale.
+// links) points into memory the backend exclusively owns, and every
+// payload is some `T: OpTask` (so `Send`) written by `submit_task`;
+// moving the backend between threads moves that ownership wholesale.
 unsafe impl Send for CoopBackend {}
 
 impl CoopBackend {
@@ -768,53 +770,17 @@ impl CoopBackend {
             self.runnable.push(pid as u32);
         }
     }
-}
 
-impl ExecBackend for CoopBackend {
-    fn submit(&mut self, pid: usize, spec: OpSpec, op: Op) {
-        let task = match op {
-            Op::Task(task) => task,
-            Op::Call(_) => panic!(
-                "closure ops cannot be suspended cooperatively; \
-                 submit an OpTask (Driver::submit_task) or use the thread backend"
-            ),
-        };
-        let (data, poll, dropper) = self.arena.install(task);
-        self.enqueue(pid, spec, data, poll, dropper);
-    }
-
-    fn submit_task<T: OpTask + 'static>(&mut self, pid: usize, spec: OpSpec, task: T) {
-        let data = self.arena.install_value(task);
-        self.enqueue(pid, spec, data, poll_shim::<T>, drop_shim::<T>);
-    }
-
-    fn drain(&mut self, sink: &mut dyn FnMut(OpRecord)) {
-        for rec in self.events.drain(..) {
-            sink(rec);
-        }
-    }
-
-    fn wait_event(&mut self) -> OpRecord {
-        assert!(
-            !self.gated,
-            "wait_event() requires a free-running runtime (gated executions are stepped)"
-        );
-        while self.events.is_empty() {
-            self.sweep_one();
-        }
-        self.flush_trace();
-        self.events.pop_front().expect("just produced an event")
-    }
-
+    /// Teardown: run every parked operation and everything queued behind
+    /// it (crashed processes included) to completion ungated, so a
+    /// dropped driver leaves shared memory as if every submitted
+    /// operation finished.
     fn shutdown(&mut self) {
-        // Parked operations and everything queued behind them (crashed
-        // processes included) run to completion ungated, so shared
-        // memory ends as if every
-        // submitted operation finished. Records are discarded — and so is
-        // the analysis stream: teardown polls happen outside the modelled
-        // execution, so the sink is sealed before the first one (and
-        // after the last modelled event is delivered). The trace log
-        // still records the teardown polls' accesses.
+        // Records are discarded — and so is the analysis stream: teardown
+        // polls happen outside the modelled execution, so the sink is
+        // sealed before the first one (and after the last modelled event
+        // is delivered). The trace log still records the teardown polls'
+        // accesses.
         self.flush_trace();
         self.runtime.seal_analysis();
         for pid in 0..self.parked_data.len() {
@@ -839,11 +805,31 @@ impl ExecBackend for CoopBackend {
             }
         }
         self.flush_trace();
-        self.runnable.clear();
-        self.in_runnable.iter_mut().for_each(|f| *f = false);
-        self.sweep_pos = 0;
-        self.sweep_keep = 0;
-        self.round_fresh = true;
+    }
+}
+
+impl ExecBackend for CoopBackend {
+    fn submit_task<T: OpTask + 'static>(&mut self, pid: usize, spec: OpSpec, task: T) {
+        let data = self.arena.install_value(task);
+        self.enqueue(pid, spec, data, poll_shim::<T>, drop_shim::<T>);
+    }
+
+    fn drain(&mut self, sink: &mut dyn FnMut(OpRecord)) {
+        for rec in self.events.drain(..) {
+            sink(rec);
+        }
+    }
+
+    fn wait_event(&mut self) -> OpRecord {
+        assert!(
+            !self.gated,
+            "wait_event() requires a free-running runtime (gated executions are stepped)"
+        );
+        while self.events.is_empty() {
+            self.sweep_one();
+        }
+        self.flush_trace();
+        self.events.pop_front().expect("just produced an event")
     }
 }
 
@@ -943,14 +929,9 @@ mod tests {
     #[repr(align(128))]
     struct Wide;
 
-    /// Submit `task` typed (written into the arena in place) or erased
-    /// (boxed, then moved in).
-    fn submit<T: OpTask + 'static>(b: &mut CoopBackend, typed: bool, pid: usize, task: T) {
-        if typed {
-            b.submit_task(pid, OpSpec::inc(), task);
-        } else {
-            b.submit(pid, OpSpec::inc(), Op::Task(ErasedTask::new(task)));
-        }
+    /// Submit `task` as an increment.
+    fn submit<T: OpTask + 'static>(b: &mut CoopBackend, pid: usize, task: T) {
+        b.submit_task(pid, OpSpec::inc(), task);
     }
 
     fn gated(n: usize) -> CoopBackend {
@@ -964,77 +945,65 @@ mod tests {
 
     #[test]
     fn every_path_drops_each_task_exactly_once() {
-        for typed in [true, false] {
-            let reg = Arc::new(Register::new(0));
-            let before = drops();
-            let mut b = gated(4);
-            // Completed: one write, granted.
-            submit(&mut b, typed, 0, probe(0u64, &reg, 1));
-            assert_eq!(b.step(0), StepOutcome::Stepped);
-            assert_eq!(drops() - before, 1, "typed={typed}: completed task dropped");
-            // Parked at teardown: one of two writes granted.
-            submit(&mut b, typed, 1, probe(1u64, &reg, 2));
-            assert_eq!(b.step(1), StepOutcome::Stepped);
-            // Queued at teardown, behind a parked task.
-            submit(&mut b, typed, 2, probe(2u64, &reg, 1));
-            submit(&mut b, typed, 2, probe(3u64, &reg, 1));
-            // Crashed, as the backend sees it (`Driver::crash`): never
-            // granted again while others run.
-            submit(&mut b, typed, 3, probe(4u64, &reg, 2));
-            assert_eq!(b.step(3), StepOutcome::Stepped);
-            run_out(&mut b, 1);
-            assert_eq!(drops() - before, 2, "typed={typed}: nothing else retired");
-            drop(b);
-            assert_eq!(
-                drops() - before,
-                5,
-                "typed={typed}: teardown drops the rest"
-            );
+        let reg = Arc::new(Register::new(0));
+        let before = drops();
+        let mut b = gated(4);
+        // Completed: one write, granted.
+        submit(&mut b, 0, probe(0u64, &reg, 1));
+        assert_eq!(b.step(0), StepOutcome::Stepped);
+        assert_eq!(drops() - before, 1, "completed task dropped");
+        // Parked at teardown: one of two writes granted.
+        submit(&mut b, 1, probe(1u64, &reg, 2));
+        assert_eq!(b.step(1), StepOutcome::Stepped);
+        // Queued at teardown, behind a parked task.
+        submit(&mut b, 2, probe(2u64, &reg, 1));
+        submit(&mut b, 2, probe(3u64, &reg, 1));
+        // Crashed, as the backend sees it (`Driver::crash`): never
+        // granted again while others run.
+        submit(&mut b, 3, probe(4u64, &reg, 2));
+        assert_eq!(b.step(3), StepOutcome::Stepped);
+        run_out(&mut b, 1);
+        assert_eq!(drops() - before, 2, "nothing else retired");
+        drop(b);
+        assert_eq!(drops() - before, 5, "teardown drops the rest");
 
-            // Dropped during a panic unwind: parked and queued tasks are
-            // dropped without being polled again.
-            let before = drops();
-            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut b = gated(2);
-                submit(&mut b, typed, 0, probe(5u64, &reg, 2));
-                submit(&mut b, typed, 0, probe(6u64, &reg, 2));
-                assert_eq!(b.step(0), StepOutcome::Stepped);
-                submit(&mut b, typed, 1, probe(7u64, &reg, 1));
-                panic!("unwind with live tasks");
-            }));
-            assert!(unwound.is_err());
-            assert_eq!(
-                drops() - before,
-                3,
-                "typed={typed}: unwind drops every task"
-            );
-        }
+        // Dropped during a panic unwind: parked and queued tasks are
+        // dropped without being polled again.
+        let before = drops();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut b = gated(2);
+            submit(&mut b, 0, probe(5u64, &reg, 2));
+            submit(&mut b, 0, probe(6u64, &reg, 2));
+            assert_eq!(b.step(0), StepOutcome::Stepped);
+            submit(&mut b, 1, probe(7u64, &reg, 1));
+            panic!("unwind with live tasks");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(drops() - before, 3, "unwind drops every task");
     }
 
     #[test]
     fn zero_sized_and_overaligned_payloads() {
         assert_eq!(std::mem::size_of::<ZstTask>(), 0);
-        for typed in [true, false] {
-            let reg = Arc::new(Register::new(0));
-            let before = drops();
-            let mut b = gated(2);
-            // Completes at submission.
-            submit(&mut b, typed, 0, ZstTask(DropCount));
-            assert_eq!(drops() - before, 1, "typed={typed}");
-            submit(&mut b, typed, 1, probe(Wide, &reg, 2));
-            let at = b.parked_data[1].expect("parked").as_ptr() as usize;
-            assert_eq!(at % 128, 0, "typed={typed}: align(128) payload misplaced");
-            // Queued behind the parked task, then run.
-            submit(&mut b, typed, 1, ZstTask(DropCount));
-            submit(&mut b, typed, 1, probe(Wide, &reg, 1));
-            run_out(&mut b, 1);
-            assert_eq!(drops() - before, 4, "typed={typed}");
-            // Queued at teardown.
-            submit(&mut b, typed, 0, probe(Wide, &reg, 1));
-            submit(&mut b, typed, 0, ZstTask(DropCount));
-            drop(b);
-            assert_eq!(drops() - before, 6, "typed={typed}");
-        }
+        let reg = Arc::new(Register::new(0));
+        let before = drops();
+        let mut b = gated(2);
+        // Completes at submission.
+        submit(&mut b, 0, ZstTask(DropCount));
+        assert_eq!(drops() - before, 1);
+        submit(&mut b, 1, probe(Wide, &reg, 2));
+        let at = b.parked_data[1].expect("parked").as_ptr() as usize;
+        assert_eq!(at % 128, 0, "align(128) payload misplaced");
+        // Queued behind the parked task, then run.
+        submit(&mut b, 1, ZstTask(DropCount));
+        submit(&mut b, 1, probe(Wide, &reg, 1));
+        run_out(&mut b, 1);
+        assert_eq!(drops() - before, 4);
+        // Queued at teardown.
+        submit(&mut b, 0, probe(Wide, &reg, 1));
+        submit(&mut b, 0, ZstTask(DropCount));
+        drop(b);
+        assert_eq!(drops() - before, 6);
     }
 
     #[test]
@@ -1060,18 +1029,16 @@ mod tests {
         let worker = std::thread::Builder::new()
             .stack_size(64 << 20)
             .spawn(|| {
-                for typed in [true, false] {
-                    let reg = Arc::new(Register::new(0));
-                    let before = drops();
-                    let mut b = gated(1);
-                    submit(&mut b, typed, 0, probe(0u64, &reg, 1));
-                    submit(&mut b, typed, 0, probe([7u8; BIG], &reg, 1));
-                    let big = b.arena.chunks.last().expect("a chunk").layout.size();
-                    assert!(big >= BIG, "typed={typed}: {big}");
-                    run_out(&mut b, 0);
-                    assert_eq!(reg.peek(), 1);
-                    assert_eq!(drops() - before, 2, "typed={typed}");
-                }
+                let reg = Arc::new(Register::new(0));
+                let before = drops();
+                let mut b = gated(1);
+                submit(&mut b, 0, probe(0u64, &reg, 1));
+                submit(&mut b, 0, probe([7u8; BIG], &reg, 1));
+                let big = b.arena.chunks.last().expect("a chunk").layout.size();
+                assert!(big >= BIG, "{big}");
+                run_out(&mut b, 0);
+                assert_eq!(reg.peek(), 1);
+                assert_eq!(drops() - before, 2);
             })
             .expect("spawn the big-stack test thread");
         worker.join().expect("the test thread passes");

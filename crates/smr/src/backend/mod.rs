@@ -6,16 +6,18 @@
 //!
 //! * [`CoopBackend`] — N *virtual* processes as resumable task state
 //!   machines on the controller thread: no worker threads, no parking,
-//!   one indirect call per step. [`OpTask`] ops only, scales to
-//!   10⁵–10⁶ processes. Gated ([`Runtime::coop`]: the repo's one
-//!   deterministic executor — the controller grants one primitive at a
-//!   time, crashes and suspends processes) or free-running
-//!   ([`Runtime::coop_free`]: `wait_event` batch-polls runnable tasks
-//!   in deterministic rounds instead of granting steps).
+//!   one indirect call per step. [`OpTask`] ops only, written into a
+//!   task arena as their concrete type; scales to 10⁵–10⁶ processes.
+//!   Gated ([`Runtime::coop`]: the repo's one deterministic executor —
+//!   the controller grants one primitive at a time, crashes and
+//!   suspends processes) or free-running ([`Runtime::coop_free`]:
+//!   `wait_event` batch-polls runnable tasks in deterministic rounds
+//!   instead of granting steps).
 //! * [`ThreadBackend`] — one worker thread per process of a
-//!   free-running runtime ([`Runtime::free_running`]): closure ops and
-//!   [`OpTask`]s at native speed with real concurrency, the target of
-//!   the thread-sanitizer lane.
+//!   free-running runtime ([`Runtime::free_running`]): each operation
+//!   is one boxed job — a closure from `Driver::submit`, or a closure
+//!   that polls an [`OpTask`] to completion — run at native speed with
+//!   real concurrency, the target of the thread-sanitizer lane.
 //!
 //! [`Runtime::coop`]: crate::Runtime::coop
 //! [`Runtime::coop_free`]: crate::Runtime::coop_free
@@ -24,7 +26,10 @@
 //! Both backends report completions, and only completions, as
 //! [`OpRecord`]s. A gated coop backend keeps each in-flight operation's
 //! invocation in its parked state, from which the driver builds the
-//! pending records (`resp = None`) of crashes and snapshots.
+//! pending records (`resp = None`) of crashes and snapshots. Teardown
+//! is each backend's own `Drop`: every in-flight and queued operation
+//! runs to completion, so a dropped driver leaves shared memory as if
+//! all submitted operations finished.
 
 mod coop;
 mod thread;
@@ -33,7 +38,7 @@ pub use coop::CoopBackend;
 pub use thread::ThreadBackend;
 
 use crate::history::{OpRecord, OpSpec};
-use crate::task::{ErasedTask, Op, OpTask};
+use crate::task::OpTask;
 
 /// Result of advancing one process by one step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,22 +50,15 @@ pub enum StepOutcome {
     Completed,
 }
 
-/// An operation executor the [`Driver`](crate::Driver) delegates to.
-/// Stepping is not part of it: only [`CoopBackend`] grants steps, so
-/// gated control lives on `Driver<CoopBackend>`.
+/// An operation executor the [`Driver`](crate::Driver) delegates to:
+/// the three calls the driver makes. Stepping is not part of it: only
+/// [`CoopBackend`] grants steps, so gated control lives on
+/// `Driver<CoopBackend>`.
 pub trait ExecBackend {
-    /// Hand `op` to process `pid`. In gated mode it must not apply any
+    /// Hand `task` to process `pid`. In gated mode it must not apply any
     /// primitive until granted a step; in free-running mode it starts
     /// immediately.
-    fn submit(&mut self, pid: usize, spec: OpSpec, op: Op);
-
-    /// [`submit`](ExecBackend::submit) for a task whose type is still
-    /// known. The default erases it into its own heap allocation
-    /// ([`ErasedTask`]); a backend that stores payloads itself can write
-    /// the task there directly instead.
-    fn submit_task<T: OpTask + 'static>(&mut self, pid: usize, spec: OpSpec, task: T) {
-        self.submit(pid, spec, Op::Task(ErasedTask::new(task)));
-    }
+    fn submit_task<T: OpTask + 'static>(&mut self, pid: usize, spec: OpSpec, task: T);
 
     /// Drain the completion records produced so far into `sink`, in
     /// production order per process. No backend yields a pending record
@@ -71,10 +69,4 @@ pub trait ExecBackend {
     /// Free-running mode only: block until the next completion is
     /// available and return it.
     fn wait_event(&mut self) -> OpRecord;
-
-    /// Tear down: let every in-flight and queued operation run to
-    /// completion ungated (a dropped driver must leave shared memory as
-    /// if all submitted operations finished — events emitted during
-    /// shutdown are discarded).
-    fn shutdown(&mut self);
 }

@@ -4,30 +4,32 @@
 //! Workers block on a command channel and run each operation to
 //! completion at native speed, concurrently with each other — real
 //! concurrency for throughput runs and the thread-sanitizer lane.
-//! Closure ops run natively; [`OpTask`](crate::OpTask) ops are polled to
-//! completion on the worker. Each completion is sent back as an
-//! [`OpRecord`]; nothing is announced at invocation, since nothing can
-//! suspend a free-running operation.
+//! Every operation reaches a worker as one boxed job: a closure from
+//! `Driver::submit` as it is, an [`OpTask`] as a closure that polls it
+//! to completion. Each completion is sent back as an [`OpRecord`];
+//! nothing is announced at invocation, since nothing can suspend a
+//! free-running operation.
 
 use super::ExecBackend;
 use crate::history::{OpRecord, OpSpec};
 use crate::runtime::Runtime;
-use crate::task::{Op, Poll};
+use crate::task::{OpTask, Poll};
+use crate::ProcCtx;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-enum Cmd {
-    Op { spec: OpSpec, op: Op },
-    Stop,
-}
+/// One operation as a worker runs it.
+type Job = Box<dyn FnOnce(&ProcCtx) -> u128 + Send>;
 
 /// The thread-per-process execution backend: one worker thread per
 /// process of a free-running runtime, each running its operations to
 /// completion at native speed.
 pub struct ThreadBackend {
     runtime: Arc<Runtime>,
-    cmd_tx: Vec<Sender<Cmd>>,
+    /// Per-pid command channels; dropping them stops the workers once
+    /// their queues are empty.
+    cmd_tx: Vec<Sender<(OpSpec, Job)>>,
     evt_rx: Receiver<OpRecord>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -50,7 +52,7 @@ impl ThreadBackend {
         let mut cmd_tx = Vec::with_capacity(n);
         let mut workers = Vec::with_capacity(n);
         for pid in 0..n {
-            let (tx, rx) = unbounded::<Cmd>();
+            let (tx, rx) = unbounded();
             cmd_tx.push(tx);
             let rt = runtime.clone();
             let etx = evt_tx.clone();
@@ -68,13 +70,34 @@ impl ThreadBackend {
             workers,
         }
     }
+
+    /// Queue `job` on `pid`'s worker; it starts once the worker is done
+    /// with the jobs queued before it.
+    pub(crate) fn submit_job(&mut self, pid: usize, spec: OpSpec, job: Job) {
+        self.cmd_tx[pid].send((spec, job)).expect("worker alive");
+    }
+
+    /// Let every in-flight and queued operation run to completion, then
+    /// join the workers. Completions produced here are discarded.
+    fn shutdown(&mut self) {
+        // Whatever still runs after this point is teardown, not the
+        // modelled execution: cut the analysis stream first.
+        self.runtime.seal_analysis();
+        self.cmd_tx.clear();
+        for w in self.workers.drain(..) {
+            let _ = w.join();
+        }
+    }
 }
 
 impl ExecBackend for ThreadBackend {
-    fn submit(&mut self, pid: usize, spec: OpSpec, op: Op) {
-        self.cmd_tx[pid]
-            .send(Cmd::Op { spec, op })
-            .expect("worker alive");
+    fn submit_task<T: OpTask + 'static>(&mut self, pid: usize, spec: OpSpec, mut task: T) {
+        let job = move |ctx: &ProcCtx| loop {
+            if let Poll::Ready(v) = task.poll(ctx) {
+                break v;
+            }
+        };
+        self.submit_job(pid, spec, Box::new(job));
     }
 
     fn drain(&mut self, sink: &mut dyn FnMut(OpRecord)) {
@@ -86,54 +109,33 @@ impl ExecBackend for ThreadBackend {
     fn wait_event(&mut self) -> OpRecord {
         self.evt_rx.recv().expect("workers alive")
     }
-
-    fn shutdown(&mut self) {
-        // Whatever still runs after this point is teardown, not the
-        // modelled execution: cut the analysis stream first.
-        self.runtime.seal_analysis();
-        for tx in &self.cmd_tx {
-            let _ = tx.send(Cmd::Stop);
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
 }
 
 impl Drop for ThreadBackend {
     fn drop(&mut self) {
-        if !self.workers.is_empty() {
-            self.shutdown();
-        }
+        self.shutdown();
     }
 }
 
-fn worker_loop(runtime: Arc<Runtime>, pid: usize, rx: Receiver<Cmd>, tx: Sender<OpRecord>) {
+fn worker_loop(
+    runtime: Arc<Runtime>,
+    pid: usize,
+    rx: Receiver<(OpSpec, Job)>,
+    tx: Sender<OpRecord>,
+) {
     let ctx = runtime.ctx(pid);
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Cmd::Stop => break,
-            Cmd::Op { spec, op } => {
-                let inv = runtime.ticket();
-                let steps_before = ctx.steps_taken();
-                let ret = match op {
-                    Op::Call(f) => f(&ctx),
-                    Op::Task(mut task) => loop {
-                        if let Poll::Ready(v) = task.poll(&ctx) {
-                            break v;
-                        }
-                    },
-                };
-                let steps = ctx.steps_taken() - steps_before;
-                let resp = runtime.ticket();
-                let _ = tx.send(OpRecord {
-                    pid,
-                    kind: spec.kind(ret),
-                    inv,
-                    resp: Some(resp),
-                    steps,
-                });
-            }
-        }
+    while let Ok((spec, job)) = rx.recv() {
+        let inv = runtime.ticket();
+        let steps_before = ctx.steps_taken();
+        let ret = job(&ctx);
+        let steps = ctx.steps_taken() - steps_before;
+        let resp = runtime.ticket();
+        let _ = tx.send(OpRecord {
+            pid,
+            kind: spec.kind(ret),
+            inv,
+            resp: Some(resp),
+            steps,
+        });
     }
 }

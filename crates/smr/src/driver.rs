@@ -40,7 +40,7 @@ use crate::backend::{CoopBackend, ExecBackend, ThreadBackend};
 use crate::history::{History, OpRecord, OpSpec};
 use crate::runtime::{Mode, Runtime};
 use crate::sched::Scheduler;
-use crate::task::{Op, OpTask};
+use crate::task::OpTask;
 use crate::trace::{AccessKind, TraceEvent};
 use crate::ProcCtx;
 use std::cell::Ref;
@@ -126,7 +126,7 @@ impl Driver<ThreadBackend> {
         F: FnOnce(&ProcCtx) -> u128 + Send + 'static,
     {
         self.admit(pid);
-        self.backend.submit(pid, spec, Op::Call(Box::new(f)));
+        self.backend.submit_job(pid, spec, Box::new(f));
     }
 }
 
@@ -351,11 +351,6 @@ impl<B: ExecBackend> Driver<B> {
         self.active.insert(pid);
     }
 
-    /// Operations submitted so far to `pid`.
-    pub fn submitted_to(&self, pid: usize) -> u64 {
-        self.submitted[pid]
-    }
-
     /// Operations of `pid` whose completion has been observed.
     pub fn completed_of(&self, pid: usize) -> u64 {
         self.completed[pid]
@@ -462,10 +457,9 @@ impl<B: ExecBackend> Driver<B> {
     }
 }
 
-// Teardown is the backend's job (`ExecBackend::shutdown`, invoked from
-// each backend's own `Drop`): every in-flight or queued operation
-// finishes ungated, so dropping a `Driver` leaves shared memory as if
-// all submitted operations completed.
+// Teardown is each backend's own `Drop`: every in-flight or queued
+// operation finishes ungated, so dropping a `Driver` leaves shared
+// memory as if all submitted operations completed.
 
 #[cfg(test)]
 mod tests {
@@ -474,7 +468,8 @@ mod tests {
     use crate::sched::{RoundRobin, Scripted, SeededRandom};
     use crate::task::{ImmediateOp, Poll};
     use crate::trace::TraceEvent;
-    use crate::{Register, Runtime};
+    use crate::{Analyzer, Register, Runtime};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn free_running_executes_and_records() {
@@ -953,6 +948,99 @@ mod tests {
         d.wait_all();
         assert_eq!(reg.peek(), 20, "sequential tasks lose nothing");
         assert_eq!(d.history().len(), 2);
+    }
+
+    /// What the thread backend's workers did with their jobs; atomics,
+    /// since the jobs run and drop on the worker threads.
+    #[derive(Default)]
+    struct JobCounts {
+        tasks_completed: AtomicUsize,
+        tasks_dropped: AtomicUsize,
+        closures_run: AtomicUsize,
+    }
+
+    impl JobCounts {
+        fn read(&self) -> [usize; 3] {
+            [
+                self.tasks_completed.load(Ordering::SeqCst),
+                self.tasks_dropped.load(Ordering::SeqCst),
+                self.closures_run.load(Ordering::SeqCst),
+            ]
+        }
+    }
+
+    /// An [`RmwTask`] that counts its completion and its drop.
+    struct CountedTask {
+        rmw: RmwTask,
+        counts: Arc<JobCounts>,
+    }
+
+    impl OpTask for CountedTask {
+        fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
+            let polled = self.rmw.poll(ctx);
+            if polled.is_ready() {
+                self.counts.tasks_completed.fetch_add(1, Ordering::SeqCst);
+            }
+            polled
+        }
+    }
+
+    impl Drop for CountedTask {
+        fn drop(&mut self) {
+            self.counts.tasks_dropped.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn thread_backend_runs_each_job_once_and_drops_each_task_once() {
+        const PER_PID: usize = 3;
+        let counts = Arc::new(JobCounts::default());
+        let reg = Arc::new(Register::new(0));
+        let submit_round = |d: &mut Driver| {
+            for pid in 0..2 {
+                for _ in 0..PER_PID {
+                    let task = CountedTask {
+                        rmw: RmwTask::new(reg.clone(), 1),
+                        counts: counts.clone(),
+                    };
+                    d.submit_task(pid, OpSpec::inc(), task);
+                    let counts = counts.clone();
+                    d.submit(pid, OpSpec::read(), move |_| {
+                        counts.closures_run.fetch_add(1, Ordering::SeqCst);
+                        0
+                    });
+                }
+            }
+        };
+        let rt = Runtime::free_running(2);
+        // An analysis sink stays active until teardown seals it, which
+        // lets a job wait for teardown to begin.
+        rt.attach_analysis(Analyzer::new(Vec::new()));
+        let mut d = Driver::new(rt.clone());
+
+        // Collected by `wait_all`.
+        submit_round(&mut d);
+        d.wait_all();
+        assert_eq!(d.history().len(), 4 * PER_PID);
+        let done = 2 * PER_PID;
+        assert_eq!(counts.read(), [done, done, done]);
+
+        // Dropped while queued: each worker holds in a closure until
+        // teardown begins, so the round behind it is still queued when
+        // the driver drops without `wait_all`.
+        for pid in 0..2 {
+            let rt = rt.clone();
+            d.submit(pid, OpSpec::read(), move |_| {
+                while rt.trace_active() {
+                    std::thread::yield_now();
+                }
+                0
+            });
+        }
+        submit_round(&mut d);
+        drop(d);
+        let done = 4 * PER_PID;
+        assert_eq!(counts.read(), [done, done, done]);
     }
 
     /// Applies two primitives in one granted poll (read, then write

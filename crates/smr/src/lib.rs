@@ -91,7 +91,7 @@ pub use history::{History, OpKind, OpRecord, OpSpec};
 pub use primitives::{FaaRegister, Register, TasBit};
 pub use runtime::{Mode, Runtime};
 pub use segarray::SegArray;
-pub use step::{pad::CachePadded, StepStats};
-pub use task::{ErasedTask, ImmediateOp, Op, OpTask, Poll};
+pub use step::pad::CachePadded;
+pub use task::{ImmediateOp, OpTask, Poll};
 pub use trace::{accesses, Access, AccessKind, TraceEvent};
 pub use wide::WideRegister;

@@ -3,7 +3,7 @@
 
 use crate::analysis::{Analyzer, RunMeta};
 use crate::ctx::ProcCtx;
-use crate::step::{pad, StepStats};
+use crate::step::pad;
 use crate::trace::{TraceEvent, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,29 +37,13 @@ impl StepCounters {
         }
     }
 
-    fn snapshot(&self) -> Vec<u64> {
+    fn total(&self) -> u64 {
         // Exact on coop runtimes (one thread applies every step) and once
         // the workers' completions have been received (channel ordering).
-        // relaxed-ok: statistical reads while worker threads run.
-        match self {
-            StepCounters::Padded(v) => v.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-            StepCounters::Dense(v) => v.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-        }
-    }
-
-    fn total(&self) -> u64 {
-        // relaxed-ok: statistical sum; see `snapshot`.
+        // relaxed-ok: statistical sum while worker threads run.
         match self {
             StepCounters::Padded(v) => v.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
             StepCounters::Dense(v) => v.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
-        }
-    }
-
-    fn reset(&self) {
-        // relaxed-ok: callers reset only while no operation is running.
-        match self {
-            StepCounters::Padded(v) => v.iter().for_each(|c| c.store(0, Ordering::Relaxed)),
-            StepCounters::Dense(v) => v.iter().for_each(|c| c.store(0, Ordering::Relaxed)),
         }
     }
 }
@@ -170,11 +154,6 @@ impl Runtime {
         ProcCtx::new(self.clone(), pid)
     }
 
-    /// One context per process, in pid order.
-    pub fn ctxs(self: &Arc<Self>) -> Vec<ProcCtx> {
-        (0..self.n).map(|pid| self.ctx(pid)).collect()
-    }
-
     /// Steps (primitive applications) performed so far by process `pid`.
     pub fn steps_of(&self, pid: usize) -> u64 {
         // Exact when read by the thread that applies the steps (every
@@ -187,16 +166,6 @@ impl Runtime {
     /// Total steps performed by all processes.
     pub fn total_steps(&self) -> u64 {
         self.steps.total()
-    }
-
-    /// A snapshot of all per-process counters.
-    pub fn step_stats(&self) -> StepStats {
-        StepStats::new(self.steps.snapshot())
-    }
-
-    /// Reset all step counters to zero (counters only; memory untouched).
-    pub fn reset_steps(&self) {
-        self.steps.reset();
     }
 
     /// A fresh logical timestamp; strictly increasing across the runtime.
@@ -294,14 +263,6 @@ mod tests {
         assert_eq!(rt.steps_of(1), 0);
         assert_eq!(rt.steps_of(2), 1);
         assert_eq!(rt.total_steps(), 3);
-    }
-
-    #[test]
-    fn reset_clears_counters() {
-        let rt = Runtime::free_running(2);
-        rt.count_step(1);
-        rt.reset_steps();
-        assert_eq!(rt.total_steps(), 0);
     }
 
     #[test]

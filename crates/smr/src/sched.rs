@@ -91,11 +91,6 @@ impl Scripted {
             fallback: RoundRobin::new(),
         }
     }
-
-    /// Remaining scripted entries.
-    pub fn remaining(&self) -> usize {
-        self.script.len()
-    }
 }
 
 impl Scheduler for Scripted {

@@ -1,66 +1,5 @@
-//! Step-count bookkeeping and summary statistics.
-
-/// A snapshot of per-process step counters, with summary helpers used by
-/// the experiment harness (amortized = total steps / total operations).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StepStats {
-    per_process: Vec<u64>,
-}
-
-impl StepStats {
-    pub(crate) fn new(per_process: Vec<u64>) -> Self {
-        StepStats { per_process }
-    }
-
-    /// Steps of process `pid` at snapshot time.
-    pub fn of(&self, pid: usize) -> u64 {
-        self.per_process[pid]
-    }
-
-    /// Per-process counts, in pid order.
-    pub fn per_process(&self) -> &[u64] {
-        &self.per_process
-    }
-
-    /// Sum over all processes.
-    pub fn total(&self) -> u64 {
-        self.per_process.iter().sum()
-    }
-
-    /// Largest per-process count.
-    pub fn max(&self) -> u64 {
-        self.per_process.iter().copied().max().unwrap_or(0)
-    }
-
-    /// `total / ops` as a float — the amortized step complexity of an
-    /// execution containing `ops` operations.
-    pub fn amortized(&self, ops: u64) -> f64 {
-        if ops == 0 {
-            0.0
-        } else {
-            self.total() as f64 / ops as f64
-        }
-    }
-
-    /// Element-wise difference `self - earlier` (counts are monotone).
-    ///
-    /// # Panics
-    /// Panics if the snapshots have different lengths or `earlier` exceeds
-    /// `self` anywhere.
-    pub fn since(&self, earlier: &StepStats) -> StepStats {
-        assert_eq!(self.per_process.len(), earlier.per_process.len());
-        StepStats::new(
-            self.per_process
-                .iter()
-                .zip(&earlier.per_process)
-                .map(|(now, was)| {
-                    now.checked_sub(*was)
-                        .expect("step counters are monotone; snapshots out of order")
-                })
-                .collect(),
-        )
-    }
-}
+//! Layout helpers for step bookkeeping: the cache padding of the
+//! thread-backed runtime's per-process counters.
 
 /// Minimal cache-padding so adjacent hot atomics don't false-share.
 /// Public: object layouts built on `smr` primitives (e.g. the
@@ -84,35 +23,5 @@ pub mod pad {
         fn deref(&self) -> &T {
             &self.0
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn totals_and_amortized() {
-        let s = StepStats::new(vec![3, 5, 0]);
-        assert_eq!(s.total(), 8);
-        assert_eq!(s.max(), 5);
-        assert_eq!(s.of(1), 5);
-        assert!((s.amortized(4) - 2.0).abs() < 1e-12);
-        assert_eq!(s.amortized(0), 0.0);
-    }
-
-    #[test]
-    fn since_subtracts() {
-        let a = StepStats::new(vec![1, 2]);
-        let b = StepStats::new(vec![4, 2]);
-        assert_eq!(b.since(&a).per_process(), &[3, 0]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn since_rejects_non_monotone() {
-        let a = StepStats::new(vec![5]);
-        let b = StepStats::new(vec![4]);
-        let _ = b.since(&a);
     }
 }
