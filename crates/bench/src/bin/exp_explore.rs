@@ -28,13 +28,16 @@
 //! Results land in `BENCH_explore.json` (cwd) for regression tracking.
 //! The grid includes the two 4-process DPOR programs `perfbench`'s
 //! `explore_dpor` walks (collect-4x2 and kmult-4x2), so a diff against
-//! the committed file pins the exact walk of both.
+//! the committed file pins the exact walk of both, and Algorithm 2 on
+//! its own (k = 2, m = 2⁴⁰, each process a write then a read): 3
+//! processes with one crash, and 4.
 //!
 //! Run: `cargo run --release -p bench --bin exp_explore` (no arguments;
 //! any argument is a usage error, exit 2)
 //! CI:  the same, then `bench_diff` against the committed
 //! `BENCH_explore.json`.
 
+use approx_objects::{KmultBoundedMaxRegister, KmultMaxReadTask, KmultMaxWriteTask};
 use approx_objects::{KmultCounter, KmultIncTask, KmultReadTask, SharedKmultHandle};
 use bench::emit::{Report, Row};
 use bench::multinomial;
@@ -216,6 +219,21 @@ fn tree_maxreg() -> Factory {
     })
 }
 
+/// Algorithm 2 at k = 2 over m = 2⁴⁰: pid `p` of `n` writes
+/// 2^(5 + ⌊40p/n⌋), spreading the writes over the magnitudes, then reads.
+fn kmaxreg(n: usize) -> Factory {
+    Box::new(move || {
+        let mut d = Driver::coop(Runtime::coop(n));
+        let r = Arc::new(KmultBoundedMaxRegister::new(n, 1 << 40, 2));
+        for pid in 0..n {
+            let v = 1u64 << (5 + 40 * pid / n);
+            d.submit_task(pid, OpSpec::write(v), KmultMaxWriteTask::new(r.clone(), v));
+            d.submit_task(pid, OpSpec::read(), KmultMaxReadTask::new(r.clone()));
+        }
+        d
+    })
+}
+
 fn counter_checker(k: u64) -> Checker {
     Box::new(move |h| check_counter_records(h, k))
 }
@@ -293,6 +311,23 @@ fn main() {
             expected: None,
             factory: tree_maxreg(),
             checker: maxreg_checker(1),
+        },
+        Config {
+            name: "kmaxreg-3x2-crash-dpor",
+            cfg: ExploreConfig {
+                max_crashes: 1,
+                ..ExploreConfig::default()
+            },
+            expected: None,
+            factory: kmaxreg(3),
+            checker: maxreg_checker(2),
+        },
+        Config {
+            name: "kmaxreg-4x2-dpor",
+            cfg: ExploreConfig::default(),
+            expected: None,
+            factory: kmaxreg(4),
+            checker: maxreg_checker(2),
         },
     ];
 

@@ -31,6 +31,9 @@
 //! child fails the run.
 //!
 //! Results land in `BENCH_sketch.json` (cwd) for regression tracking.
+//! Every row writes its average read steps, `read_steps_avg`; a coop
+//! row also writes its total, `read_steps`, which `bench_diff` compares
+//! exactly (a thread row's read steps vary from run to run).
 //!
 //! Run: `cargo run --release -p bench --bin exp_sketch` (no arguments;
 //! `REPRO_SCALE` multiplies the op counts)
@@ -157,6 +160,8 @@ struct Sample {
     millis: f64,
     /// Runs behind `millis` (printed, not written: not row identity).
     runs: usize,
+    /// Steps of every completed read, in total and per read.
+    read_steps: u64,
     read_steps_avg: f64,
 }
 
@@ -164,8 +169,8 @@ impl Sample {
     /// What each repeat of a config must reproduce: its sizes and
     /// submitted counts, and on the coop backend (a deterministic
     /// executor) its read steps too.
-    fn repeatable(&self) -> (usize, usize, u64, u64, Option<f64>) {
-        let read_steps = (self.backend == "coop").then_some(self.read_steps_avg);
+    fn repeatable(&self) -> (usize, usize, u64, u64, Option<u64>) {
+        let read_steps = (self.backend == "coop").then_some(self.read_steps);
         (
             self.partitions,
             self.keys,
@@ -185,7 +190,7 @@ impl Sample {
         } else {
             "buckets"
         };
-        Row::new()
+        let row = Row::new()
             .str("object", self.object)
             .str("backend", self.backend)
             .int("n", self.n as u64)
@@ -197,13 +202,19 @@ impl Sample {
             .int("reads", self.reads)
             .float3("millis", self.millis)
             .float0("writes_per_sec", self.writes_per_sec())
-            .float1("read_steps_avg", self.read_steps_avg)
-            .int("violations", 0u64)
+            .float1("read_steps_avg", self.read_steps_avg);
+        let row = if self.backend == "coop" {
+            row.int("read_steps", self.read_steps)
+        } else {
+            row
+        };
+        row.int("violations", 0u64)
     }
 }
 
-/// Average `steps` of the completed read records with `label`.
-fn read_steps_avg(h: &History, label: &str) -> f64 {
+/// Total and average `steps` of the completed read records with
+/// `label`.
+fn read_steps(h: &History, label: &str) -> (u64, f64) {
     let mut steps = 0u64;
     let mut count = 0u64;
     for op in h.ops() {
@@ -214,7 +225,7 @@ fn read_steps_avg(h: &History, label: &str) -> f64 {
             }
         }
     }
-    steps as f64 / count.max(1) as f64
+    (steps, steps as f64 / count.max(1) as f64)
 }
 
 /// Exact per-key (or per-value) completed write totals from the log.
@@ -342,6 +353,7 @@ fn run_topk(backend: Backend, n: usize, shards: usize, ops_per_writer: u64) -> S
         );
     }
 
+    let (read_steps, read_steps_avg) = read_steps(&history, sketchlog::TOPK_READ);
     Sample {
         object: "topk",
         backend: backend.name(),
@@ -352,7 +364,8 @@ fn run_topk(backend: Backend, n: usize, shards: usize, ops_per_writer: u64) -> S
         reads,
         millis,
         runs: 1,
-        read_steps_avg: read_steps_avg(&history, sketchlog::TOPK_READ),
+        read_steps,
+        read_steps_avg,
     }
 }
 
@@ -470,6 +483,7 @@ fn run_quantile(backend: Backend, n: usize, ops_per_obs: u64) -> Sample {
         );
     }
 
+    let (read_steps, read_steps_avg) = read_steps(&history, sketchlog::QUANTILE_READ);
     Sample {
         object: "quantile",
         backend: backend.name(),
@@ -480,7 +494,8 @@ fn run_quantile(backend: Backend, n: usize, ops_per_obs: u64) -> Sample {
         reads,
         millis,
         runs: 1,
-        read_steps_avg: read_steps_avg(&history, sketchlog::QUANTILE_READ),
+        read_steps,
+        read_steps_avg,
     }
 }
 
@@ -488,7 +503,7 @@ fn run_quantile(backend: Backend, n: usize, ops_per_obs: u64) -> Sample {
 /// that fails (a check inside it, or a crash) fails the run.
 fn run_child(configs: &[Config], index: usize) -> Sample {
     let c = configs[index];
-    let [partitions, keys, writes, reads, read_steps_avg, millis, runs] =
+    let [partitions, keys, writes, reads, read_steps, read_steps_avg, millis, runs] =
         bench::run_child("exp_sketch", index, &c.label());
     Sample {
         object: match c.object {
@@ -503,6 +518,7 @@ fn run_child(configs: &[Config], index: usize) -> Sample {
         reads: reads as u64,
         millis,
         runs: runs as usize,
+        read_steps: read_steps as u64,
         read_steps_avg,
     }
 }
@@ -521,8 +537,8 @@ fn main() {
         });
         let s = first.expect("median_run runs at least once");
         println!(
-            "RESULT {} {} {} {} {} {millis} {runs}",
-            s.partitions, s.keys, s.writes, s.reads, s.read_steps_avg
+            "RESULT {} {} {} {} {} {} {millis} {runs}",
+            s.partitions, s.keys, s.writes, s.reads, s.read_steps, s.read_steps_avg
         );
         return;
     }

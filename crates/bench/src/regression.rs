@@ -815,6 +815,37 @@ mod tests {
     }
 
     #[test]
+    fn coop_sketch_rows_compare_their_read_steps_exactly() {
+        // `exp_sketch` writes a coop row's total read steps as
+        // `read_steps`, an exact count; a thread row has only the
+        // volatile average, so nothing about its read steps is compared.
+        let text = r#"{
+  "bench": "sketch_workloads",
+  "mode": "full",
+  "results": [
+    {"object": "topk", "backend": "coop", "n": 4, "shards": 1, "keys": 64, "millis": 2.8, "writes_per_sec": 4215929, "read_steps_avg": 52.5, "read_steps": 315, "violations": 0},
+    {"object": "topk", "backend": "thread", "n": 4, "shards": 1, "keys": 64, "millis": 4.3, "writes_per_sec": 2808170, "read_steps_avg": 101.8, "violations": 0}
+  ]
+}"#;
+        let base = parse_bench_json(text).unwrap();
+        assert!(is_exact("read_steps") && is_volatile("read_steps_avg"));
+        assert!(!identity(&base.results[0]).contains("read_steps"));
+        let changed = text
+            .replace("\"read_steps\": 315", "\"read_steps\": 316")
+            .replace("\"read_steps_avg\": 52.5", "\"read_steps_avg\": 52.7")
+            .replace("\"read_steps_avg\": 101.8", "\"read_steps_avg\": 97.0");
+        let d = diff(&base, &parse_bench_json(&changed).unwrap(), 2.0);
+        assert_eq!(d.matched, 2, "the counts are not row identity");
+        assert_eq!(d.mismatches.len(), 1, "{:?}", d.mismatches);
+        let m = &d.mismatches[0];
+        assert!(m.row.contains("backend=coop"), "{m:?}");
+        assert_eq!(
+            (m.metric.as_str(), m.baseline, m.fresh),
+            ("read_steps", 315.0, 316.0)
+        );
+    }
+
+    #[test]
     fn checker_rows_key_on_mode() {
         // exp_checker rows key on object, engine and record count; the
         // per-row `mode` tag (offline / online) that rows carried while

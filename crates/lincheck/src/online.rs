@@ -105,11 +105,10 @@ use std::sync::OnceLock;
 /// Shared metric handles, resolved once per process. Pushes and folds
 /// are the checker's two cost centers (per-record work and the
 /// amortized compaction that keeps retained state bounded); the
-/// retained gauge mirrors the peak of every checker fed record by
-/// record, so a snapshot shows how far the streaming bound was stressed
-/// without calling [`OnlineChecker::peak_retained`] on a live checker.
-/// Post-hoc checks ([`OnlineChecker::check_sorted`]) exercise no
-/// streaming bound and leave the gauge alone.
+/// retained gauge is the high-water mark of
+/// [`OnlineChecker::peak_retained`] across every checker, fed record by
+/// record or post hoc, so a snapshot shows how far the streaming bound
+/// was stressed without holding on to any checker.
 struct CheckerMetrics {
     pushes: &'static obs::Counter,
     folds: &'static obs::Counter,
@@ -123,6 +122,18 @@ fn metrics() -> &'static CheckerMetrics {
         folds: obs::counter(obs::names::SUB_LINCHECK, obs::names::LINCHECK_FOLDS),
         retained_peak: obs::gauge(obs::names::SUB_LINCHECK, obs::names::LINCHECK_RETAINED),
     })
+}
+
+/// Raise the retained gauge to a checker's `peak` if the gauge is below
+/// it. Several checkers leave the gauge at the largest of their peaks,
+/// not at their sum.
+fn raise_retained_gauge(peak: usize) {
+    let gauge = metrics().retained_peak;
+    let peak = i64::try_from(peak).unwrap_or(i64::MAX);
+    let now = gauge.get();
+    if peak > now {
+        gauge.add(peak - now);
+    }
 }
 
 /// A relaxed counter read specification, mirroring the two closed-form
@@ -371,10 +382,8 @@ impl OnlineChecker {
             // The gauge carries the peak, not the instantaneous value:
             // the instantaneous value swings every record, while the
             // peak is the quantity the streaming bound is about.
-            metrics()
-                .retained_peak
-                .add(i64::try_from(retained - self.peak).unwrap_or(i64::MAX));
             self.peak = retained;
+            raise_retained_gauge(retained);
         }
         result
     }
@@ -392,6 +401,8 @@ impl OnlineChecker {
     /// announced and then [crashed](Self::crash): its effect stays
     /// optional and it never completes. The events are pushed in
     /// [`push_order`], so the push-order contract holds by construction.
+    /// The checker's [peak](Self::peak_retained) is taken after each
+    /// event, and raises the retained gauge once, at the end.
     ///
     /// # Panics
     /// If a completed operation has `inv ≥ resp` — a malformed window
@@ -423,11 +434,13 @@ impl OnlineChecker {
                 }
                 announced
             };
+            self.peak = self.peak.max(self.retained());
             if result.is_err() {
                 break;
             }
         }
         metrics().pushes.add(pushed);
+        raise_retained_gauge(self.peak);
         result
     }
 
@@ -898,7 +911,7 @@ mod tests {
 
     /// Push every operation of `ops` as `(kind, inv, resp)` — operation
     /// `i` on pid `i` — in stream order, the way a live run would.
-    fn stream(mut checker: OnlineChecker, ops: &[(OpKind, u64, u64)]) -> Result<(), Violation> {
+    fn stream(checker: &mut OnlineChecker, ops: &[(OpKind, u64, u64)]) -> Result<(), Violation> {
         let mut events: Vec<(u64, u8, OpRecord)> = Vec::new();
         for (pid, &(kind, inv, resp)) in ops.iter().enumerate() {
             events.push((inv, 0, announce_rec(pid, kind, inv)));
@@ -937,10 +950,10 @@ mod tests {
         };
         for (h, k) in [(&good, 1), (&bad, 1), (&bad, 2)] {
             let offline = naive::check_counter(h, k);
-            let online = stream(OnlineChecker::counter(k), &counter_ops(h));
+            let online = stream(&mut OnlineChecker::counter(k), &counter_ops(h));
             assert_eq!(offline.is_ok(), online.is_ok(), "k = {k}");
             let offline = naive::check_counter_additive(h, k - 1);
-            let online = stream(OnlineChecker::counter_additive(k - 1), &counter_ops(h));
+            let online = stream(&mut OnlineChecker::counter_additive(k - 1), &counter_ops(h));
             assert_eq!(offline.is_ok(), online.is_ok(), "additive k = {k}");
         }
     }
@@ -971,7 +984,7 @@ mod tests {
                 }))
                 .collect();
             let offline = naive::check_maxreg(h, k);
-            let online = stream(OnlineChecker::maxreg(k), &ops);
+            let online = stream(&mut OnlineChecker::maxreg(k), &ops);
             assert_eq!(offline.is_ok(), online.is_ok(), "k = {k}");
         }
     }
@@ -1149,8 +1162,31 @@ mod tests {
         h.reads.push(read(41, 70));
         assert!(naive::check_counter(&h, 1).is_err());
         assert!(crate::monotone::check_counter(&h, 1).is_err());
-        let err = stream(OnlineChecker::counter(1), &counter_ops(&h)).unwrap_err();
+        let err = stream(&mut OnlineChecker::counter(1), &counter_ops(&h)).unwrap_err();
         assert!(err.message.contains("empty window"), "{}", err.message);
+    }
+
+    #[test]
+    fn a_post_hoc_check_keeps_its_peak() {
+        // Two overlapping increments and a read inside both, then a read
+        // after them: three operations are open at once.
+        let ops = [
+            (OpKind::Inc { amount: 1 }, 0, 5),
+            (OpKind::Inc { amount: 1 }, 1, 6),
+            (OpKind::Read { returned: 0 }, 2, 3),
+            (OpKind::Read { returned: 2 }, 7, 8),
+        ];
+        let mut streamed = OnlineChecker::counter(1);
+        stream(&mut streamed, &ops).unwrap();
+        let mut post_hoc = OnlineChecker::counter(1);
+        post_hoc
+            .check_sorted(ops.len(), |i| {
+                let (kind, inv, resp) = ops[i];
+                (Some(i), kind, inv, Some(resp))
+            })
+            .unwrap();
+        assert_eq!(streamed.peak_retained(), 3);
+        assert_eq!(post_hoc.peak_retained(), streamed.peak_retained());
     }
 
     #[test]

@@ -27,20 +27,29 @@
 //! the method docs for the argument).
 
 pub(crate) struct MonotoneStack {
-    /// `(resp, diff)` in nondecreasing `resp` order; the term of a live
-    /// entry is the sum of all diffs up to and including its own.
-    entries: Vec<(u64, u128)>,
-    /// Next-live pointers: `skip[i] == i` marks a live entry; a dead
-    /// entry points at some strictly larger index (possibly
-    /// `entries.len()`). Dead entries are never revived — a same-`resp`
-    /// replacement appends a fresh entry instead — so compressed paths
-    /// stay valid forever (until a physical compaction rebuilds both
-    /// vecs from scratch).
-    skip: Vec<usize>,
+    /// Entries in nondecreasing `resp` order, each with its next-live
+    /// link; the term of a live entry is the sum of all diffs up to and
+    /// including its own.
+    entries: Vec<Entry>,
     /// Number of live entries.
     live: usize,
     /// Sum of all diffs = term of the top live entry = current maximum.
     total: u128,
+}
+
+/// One stack entry. Its next-live link shares the entry's 32 bytes
+/// with the key and the diff, so the stack is one vector.
+#[derive(Clone, Copy)]
+struct Entry {
+    resp: u64,
+    /// Next-live pointer: `skip == own index` marks a live entry; a
+    /// dead entry points at some strictly larger index (possibly
+    /// `entries.len()`). Dead entries are never revived — a
+    /// same-`resp` replacement appends a fresh entry instead — so
+    /// compressed paths stay valid until a compaction rewrites the
+    /// vector.
+    skip: usize,
+    diff: u128,
 }
 
 impl MonotoneStack {
@@ -49,7 +58,6 @@ impl MonotoneStack {
     pub(crate) fn with_capacity(cap: usize) -> Self {
         MonotoneStack {
             entries: Vec::with_capacity(cap),
-            skip: Vec::with_capacity(cap),
             live: 0,
             total: 0,
         }
@@ -69,20 +77,20 @@ impl MonotoneStack {
     /// compression over the dead chain it walked.
     fn first_live(&mut self, i: usize) -> usize {
         let mut j = i;
-        while j < self.entries.len() && self.skip[j] != j {
-            j = self.skip[j];
+        while j < self.entries.len() && self.entries[j].skip != j {
+            j = self.entries[j].skip;
         }
         let mut k = i;
-        while k < self.entries.len() && self.skip[k] != k {
-            k = std::mem::replace(&mut self.skip[k], j);
+        while k < self.entries.len() && self.entries[k].skip != k {
+            k = std::mem::replace(&mut self.entries[k].skip, j);
         }
         j
     }
 
     /// Retire entry `i`: zero diff stays in place, pointers hop past it.
     fn retire(&mut self, i: usize) {
-        self.entries[i].1 = 0;
-        self.skip[i] = i + 1;
+        self.entries[i].diff = 0;
+        self.entries[i].skip = i + 1;
         self.live -= 1;
     }
 
@@ -98,14 +106,18 @@ impl MonotoneStack {
         // it, folding its diff into the newcomer's.
         let mut folded = 0;
         if let Some(i) = self.entries.len().checked_sub(1) {
-            debug_assert!(self.entries[i].0 <= resp, "inserts arrive in resp order");
-            if self.entries[i].0 == resp && self.skip[i] == i {
-                folded = self.entries[i].1;
+            let top = self.entries[i];
+            debug_assert!(top.resp <= resp, "inserts arrive in resp order");
+            if top.resp == resp && top.skip == i {
+                folded = top.diff;
                 self.retire(i);
             }
         }
-        self.entries.push((resp, term - self.total + folded));
-        self.skip.push(self.skip.len());
+        self.entries.push(Entry {
+            resp,
+            skip: self.entries.len(),
+            diff: term - self.total + folded,
+        });
         self.live += 1;
         self.total = term;
     }
@@ -114,26 +126,26 @@ impl MonotoneStack {
     /// entries this dominates.
     pub(crate) fn raise_before(&mut self, t: u64, w: u128) {
         let first = self.first_live(0);
-        if first >= self.entries.len() || self.entries[first].0 >= t {
+        if first >= self.entries.len() || self.entries[first].resp >= t {
             return; // no live entry precedes t
         }
-        self.entries[first].1 += w;
+        self.entries[first].diff += w;
         self.total += w;
         // Restore the terms of entries at or beyond the boundary by
         // walking the deficit through their diffs; an exhausted diff
         // means the entry's term sank to its predecessor's — dominated.
         let mut deficit = w;
-        let mut i = self.entries.partition_point(|&(resp, _)| resp < t);
+        let mut i = self.entries.partition_point(|e| e.resp < t);
         loop {
             i = self.first_live(i);
             if i >= self.entries.len() {
                 break;
             }
-            let d = deficit.min(self.entries[i].1);
-            self.entries[i].1 -= d;
+            let d = deficit.min(self.entries[i].diff);
+            self.entries[i].diff -= d;
             deficit -= d;
             self.total -= d;
-            if self.entries[i].1 == 0 {
+            if self.entries[i].diff == 0 {
                 self.retire(i);
             }
             if deficit == 0 {
@@ -144,7 +156,7 @@ impl MonotoneStack {
     }
 
     /// Fold adjacent live entries whose gap is sealed, then physically
-    /// compact the backing vecs down to the surviving live entries.
+    /// compact the vector down to the surviving live entries, in place.
     ///
     /// The stack's observable behavior depends only on the term of the
     /// last live entry *below* each future `raise_before(t, ..)`
@@ -164,25 +176,32 @@ impl MonotoneStack {
     /// `protected` is asked about consecutive gaps from the bottom of
     /// the stack up, so both arguments increase from call to call.
     pub(crate) fn fold_and_compact(&mut self, mut protected: impl FnMut(u64, u64) -> bool) {
-        let mut kept: Vec<(u64, u128)> = Vec::with_capacity(self.live);
+        // Kept entries are written at `..kept`, never past the entry
+        // being read, and the next-live walk only reads ahead of it.
+        let mut kept: usize = 0;
         let mut i = self.first_live(0);
         while i < self.entries.len() {
-            let (resp, diff) = self.entries[i];
-            match kept.last().copied() {
-                Some((lo, folded)) if !protected(lo, resp) => {
-                    kept.pop();
-                    kept.push((resp, folded + diff));
+            let Entry { resp, diff, .. } = self.entries[i];
+            match kept.checked_sub(1) {
+                Some(last) if !protected(self.entries[last].resp, resp) => {
+                    self.entries[last].resp = resp;
+                    self.entries[last].diff += diff;
                 }
-                _ => kept.push((resp, diff)),
+                _ => {
+                    self.entries[kept] = Entry {
+                        resp,
+                        skip: kept,
+                        diff,
+                    };
+                    kept += 1;
+                }
             }
             i = self.first_live(i + 1);
         }
-        self.live = kept.len();
-        self.skip.clear();
-        self.skip.extend(0..kept.len());
-        self.entries = kept;
+        self.entries.truncate(kept);
+        self.live = kept;
         debug_assert_eq!(
-            self.entries.iter().map(|&(_, d)| d).sum::<u128>(),
+            self.entries.iter().map(|e| e.diff).sum::<u128>(),
             self.total
         );
     }

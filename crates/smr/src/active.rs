@@ -16,10 +16,17 @@
 //! The structure is a classic sparse-set (unordered dense vector plus a
 //! position index) fused with a 64-ary summary-bitmap tree over pid
 //! space; the dense half serves O(1) sampling, the bitmap half serves
-//! ordered queries.
+//! ordered queries. The sparse set's two halves share one allocation
+//! and every bitmap level sits in one more, so a set costs two
+//! allocation calls however many members it takes (the explorer builds
+//! one per replay).
 
 /// Sentinel in the position index: pid not present.
 const ABSENT: u32 = u32::MAX;
+
+/// Bitmap levels a set over `u32` pids can need: 2³² bits summarize to
+/// one word in six 64-ary levels.
+const MAX_LEVELS: usize = 6;
 
 /// A set of pids from `0..capacity`, supporting O(1) membership and
 /// sampling plus O(log₆₄ n) ordered queries. See the module docs in
@@ -27,14 +34,19 @@ const ABSENT: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct ActiveSet {
     capacity: usize,
-    /// Members in insertion-churn order (swap-remove on deletion).
-    dense: Vec<u32>,
-    /// pid → index into `dense`, or [`ABSENT`].
-    pos: Vec<u32>,
-    /// `levels[0]` is the membership bitmap over pid space; bit `i` of
-    /// `levels[l]` (flat indexing) is set iff word `i` of `levels[l-1]`
-    /// is non-zero. The top level is a single word.
-    levels: Vec<Vec<u64>>,
+    /// The sparse set in one allocation: `slots[..capacity]` maps each
+    /// pid to its index among the members (or [`ABSENT`]), and
+    /// `slots[capacity..]` lists the members in insertion-churn order
+    /// (swap-remove on deletion). Room for every pid is reserved at
+    /// construction.
+    slots: Vec<u32>,
+    /// Every bitmap level in one array, level `l` at
+    /// `words[level_at[l]..level_at[l + 1]]`. Level 0 is the membership
+    /// bitmap over pid space; bit `i` of level `l` is set iff word `i`
+    /// of level `l - 1` is non-zero. The top level is a single word.
+    words: Vec<u64>,
+    level_at: [u32; MAX_LEVELS + 1],
+    levels: usize,
 }
 
 fn words_for(bits: usize) -> usize {
@@ -45,21 +57,36 @@ impl ActiveSet {
     /// An empty set over pids `0..capacity`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity as u64 <= u64::from(u32::MAX), "capacity too large");
-        let mut levels = Vec::new();
+        let mut level_at = [0u32; MAX_LEVELS + 1];
+        let mut levels = 0;
         let mut words = words_for(capacity);
         loop {
-            levels.push(vec![0u64; words]);
+            level_at[levels + 1] = level_at[levels] + words as u32;
+            levels += 1;
             if words == 1 {
                 break;
             }
             words = words_for(words);
         }
+        let mut slots = Vec::with_capacity(2 * capacity);
+        slots.resize(capacity, ABSENT);
         ActiveSet {
             capacity,
-            dense: Vec::new(),
-            pos: vec![ABSENT; capacity],
+            slots,
+            words: vec![0; level_at[levels] as usize],
+            level_at,
             levels,
         }
+    }
+
+    /// Bitmap level `l`.
+    fn level(&self, l: usize) -> &[u64] {
+        &self.words[self.level_at[l] as usize..self.level_at[l + 1] as usize]
+    }
+
+    /// The word of level `l` holding bit `idx`.
+    fn word_mut(&mut self, l: usize, idx: usize) -> &mut u64 {
+        &mut self.words[self.level_at[l] as usize + idx / 64]
     }
 
     /// Largest pid the set can hold, plus one.
@@ -69,17 +96,17 @@ impl ActiveSet {
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.dense.len()
+        self.slots.len() - self.capacity
     }
 
     /// `true` if no members.
     pub fn is_empty(&self) -> bool {
-        self.dense.is_empty()
+        self.len() == 0
     }
 
     /// O(1) membership test.
     pub fn contains(&self, pid: usize) -> bool {
-        pid < self.capacity && self.pos[pid] != ABSENT
+        pid < self.capacity && self.slots[pid] != ABSENT
     }
 
     /// The `i`-th member in the set's internal (unordered but
@@ -88,20 +115,20 @@ impl ActiveSet {
     /// # Panics
     /// Panics if `i >= len()`.
     pub fn pick(&self, i: usize) -> usize {
-        self.dense[i] as usize
+        self.slots[self.capacity..][i] as usize
     }
 
     /// Insert `pid`; no-op if already present.
     pub fn insert(&mut self, pid: usize) {
         assert!(pid < self.capacity, "pid {pid} out of range");
-        if self.pos[pid] != ABSENT {
+        if self.slots[pid] != ABSENT {
             return;
         }
-        self.pos[pid] = self.dense.len() as u32;
-        self.dense.push(pid as u32);
+        self.slots[pid] = self.len() as u32;
+        self.slots.push(pid as u32);
         let mut idx = pid;
-        for level in &mut self.levels {
-            let word = &mut level[idx / 64];
+        for l in 0..self.levels {
+            let word = self.word_mut(l, idx);
             let was = *word;
             *word |= 1 << (idx % 64);
             if was != 0 {
@@ -113,19 +140,19 @@ impl ActiveSet {
 
     /// Remove `pid`; no-op if absent.
     pub fn remove(&mut self, pid: usize) {
-        if pid >= self.capacity || self.pos[pid] == ABSENT {
+        if pid >= self.capacity || self.slots[pid] == ABSENT {
             return;
         }
-        let at = self.pos[pid] as usize;
-        let last = self.dense.pop().expect("non-empty");
+        let at = self.slots[pid] as usize;
+        let last = self.slots.pop().expect("non-empty");
         if last as usize != pid {
-            self.dense[at] = last;
-            self.pos[last as usize] = at as u32;
+            self.slots[self.capacity + at] = last;
+            self.slots[last as usize] = at as u32;
         }
-        self.pos[pid] = ABSENT;
+        self.slots[pid] = ABSENT;
         let mut idx = pid;
-        for level in &mut self.levels {
-            let word = &mut level[idx / 64];
+        for l in 0..self.levels {
+            let word = self.word_mut(l, idx);
             *word &= !(1 << (idx % 64));
             if *word != 0 {
                 break; // word still summarized as non-empty above
@@ -136,13 +163,13 @@ impl ActiveSet {
 
     /// Smallest member, if any.
     pub fn min(&self) -> Option<usize> {
-        let top = self.levels.len() - 1;
-        if self.levels[top][0] == 0 {
+        let top = self.levels - 1;
+        if self.level(top)[0] == 0 {
             return None;
         }
         let mut idx = 0usize;
-        for level in self.levels.iter().rev() {
-            let w = level[idx];
+        for l in (0..self.levels).rev() {
+            let w = self.level(l)[idx];
             debug_assert!(w != 0, "summary bit set over an empty word");
             idx = idx * 64 + w.trailing_zeros() as usize;
         }
@@ -158,7 +185,7 @@ impl ActiveSet {
 
     /// Smallest flat bit index strictly greater than `x` set at `level`.
     fn succ(&self, level: usize, x: usize) -> Option<usize> {
-        let bits = &self.levels[level];
+        let bits = self.level(level);
         let word_idx = x / 64;
         if word_idx < bits.len() {
             let b = x % 64;
@@ -171,18 +198,18 @@ impl ActiveSet {
                 return Some(word_idx * 64 + rem.trailing_zeros() as usize);
             }
         }
-        if level + 1 == self.levels.len() {
+        if level + 1 == self.levels {
             return None;
         }
         // Next non-empty word of this level, strictly after `word_idx`.
         let w = self.succ(level + 1, word_idx)?;
-        Some(w * 64 + self.levels[level][w].trailing_zeros() as usize)
+        Some(w * 64 + bits[w].trailing_zeros() as usize)
     }
 
     /// Members in ascending order (walks the membership bitmap; O(n/64 +
     /// len) — for observability APIs, not the scheduling hot path).
     pub fn iter_sorted(&self) -> impl Iterator<Item = usize> + '_ {
-        self.levels[0].iter().enumerate().flat_map(|(wi, &word)| {
+        self.level(0).iter().enumerate().flat_map(|(wi, &word)| {
             let mut w = word;
             std::iter::from_fn(move || {
                 if w == 0 {

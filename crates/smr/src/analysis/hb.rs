@@ -68,28 +68,23 @@ use std::sync::Arc;
 /// A vector clock: missing entries are zero. Entries are kept sorted by
 /// pid, so a lookup is a binary search and a join is one linear merge
 /// without hashing, while memory stays proportional to the processes
-/// this clock has heard from (not to `n`). Shared with the explorer's
-/// DPOR engine (`crate::explore`), which uses the same clocks over
-/// replayed decision sequences to decide which dependent step pairs are
-/// concurrent (reversible races) rather than ordered.
+/// this clock has heard from, not to `n`: the pass runs over up to 10⁴
+/// processes, where a dense clock per process would not fit. This pass
+/// is its one user; the explorer's DPOR engine stamps its few-process
+/// replays with dense clocks of its own.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct Vc(Vec<(usize, u64)>);
+struct Vc(Vec<(usize, u64)>);
 
 impl Vc {
     fn find(&self, pid: usize) -> Result<usize, usize> {
         self.0.binary_search_by_key(&pid, |&(p, _)| p)
     }
 
-    pub(crate) fn get(&self, pid: usize) -> u64 {
+    fn get(&self, pid: usize) -> u64 {
         self.find(pid).map_or(0, |i| self.0[i].1)
     }
 
-    /// Reset to the all-zero clock, keeping the allocation.
-    pub(crate) fn clear(&mut self) {
-        self.0.clear();
-    }
-
-    pub(crate) fn set(&mut self, pid: usize, clock: u64) {
+    fn set(&mut self, pid: usize, clock: u64) {
         match self.find(pid) {
             Ok(i) => self.0[i].1 = clock,
             Err(i) => self.0.insert(i, (pid, clock)),
@@ -102,7 +97,7 @@ impl Vc {
     /// case once clocks are dense — that is all. Otherwise the clock
     /// grows once and a second pass, back to front, moves its entries
     /// up to interleave the new pids, stopping below the lowest one.
-    pub(crate) fn join(&mut self, other: &Vc) {
+    fn join(&mut self, other: &Vc) {
         let a = &mut self.0;
         let (mut i, mut missing) = (0, 0);
         for &(pid, clock) in &other.0 {

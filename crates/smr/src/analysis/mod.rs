@@ -47,7 +47,6 @@ mod poll;
 
 pub use conformance::Conformance;
 pub use hb::HappensBefore;
-pub(crate) use hb::Vc;
 pub use poll::PollDiscipline;
 
 use crate::trace::TraceEvent;

@@ -11,10 +11,19 @@
 //! At 10⁶ processes the hot loop is memory-bound, so the backend avoids
 //! pointer-chasing structurally:
 //!
-//! * **Struct-of-arrays parked state.** The per-process in-flight op is
-//!   not a boxed struct in a `Vec<Slot>`; it is split across dense
-//!   parallel arrays (`parked_data`/`parked_poll`/`parked_spec`/…), so
-//!   the poll loop streams through exactly the fields it touches.
+//! * **Hot and cold per-process arrays.** A process's in-flight op is
+//!   not a boxed struct; its state is split by how often it is read.
+//!   The hot array holds the parked task's payload pointer and poll
+//!   shim, the two fields every grant and every batch poll reads, in
+//!   16 bytes per process. The cold array holds the rest: the drop
+//!   shim, the op's [`OpSpec`], its invocation ticket, the process's
+//!   step count at the invocation and the head and tail of its
+//!   submission queue, read only when an op starts, completes, is cut
+//!   or is torn down. The two are not one struct because a gated run
+//!   over 10⁴ processes under a random schedule reads the hot fields of
+//!   a different process at every grant, from a working set larger than
+//!   L2: one struct per process would spread those reads over six times
+//!   the memory.
 //! * **Arena-allocated task state.** Task payloads live in a bump
 //!   arena ([`TaskArena`]), reached through a thin payload pointer plus
 //!   poll/drop shims instantiated for the task's concrete type.
@@ -30,7 +39,9 @@
 //!   not a MiB.
 //! * **Slab-backed submission queues.** Ops queued behind an in-flight
 //!   one live in one shared slab of intrusive list nodes (`u32` links),
-//!   not per-process `VecDeque` heap buffers.
+//!   not per-process `VecDeque` heap buffers. The slab starts with room
+//!   for one node per process, so a program that queues one op behind
+//!   each in-flight one (the explorer's) never regrows it.
 //!
 //! ## Gated and free-running modes
 //!
@@ -62,10 +73,10 @@
 //! zero-primitive operations complete immediately. Every completion a
 //! process will produce without a further grant is therefore already
 //! buffered, and every parked operation's invocation is on record in
-//! the parked arrays (`parked_spec`, `parked_inv`,
-//! `parked_steps_at_inv`), so crash and snapshot cuts drain the
-//! completions and read the pending records off those arrays: they are
-//! deterministic by construction.
+//! the cold array (its spec, invocation ticket and step count at
+//! invocation), so crash and snapshot cuts drain the completions and
+//! read the pending records off that array: they are deterministic by
+//! construction.
 //!
 //! ## Contract enforcement
 //!
@@ -119,7 +130,8 @@ use std::collections::VecDeque;
 use std::ptr::NonNull;
 use std::sync::{Arc, OnceLock};
 
-/// Null link in the queue slab and in `qhead`/`qtail`.
+/// Null link in the queue slab and in each process's queue head and
+/// tail.
 const NIL: u32 = u32::MAX;
 
 /// Shim applying one [`OpTask::poll`] to a payload in the arena.
@@ -306,13 +318,37 @@ struct QNode {
     next: u32,
 }
 
-/// Placeholder shims for idle slots in the parallel arrays; never
-/// called (the `parked_data` entry is the presence discriminant).
+/// Placeholder shims for idle processes; never called (`Hot::data` is
+/// the presence discriminant).
 unsafe fn idle_poll(_data: NonNull<u8>, _ctx: &ProcCtx) -> Poll<u128> {
     unreachable!("polled an idle slot")
 }
 unsafe fn idle_drop(_data: NonNull<u8>) {
     unreachable!("dropped an idle slot")
+}
+
+/// What every grant and batch poll reads of a process: its parked
+/// task. `data` is `None` while the process is idle.
+#[derive(Clone, Copy)]
+struct Hot {
+    data: Option<NonNull<u8>>,
+    poll: PollFn,
+}
+
+/// What a process's op needs only when it starts, completes, is cut or
+/// is torn down. The op fields are stale while the process is idle.
+#[derive(Clone, Copy)]
+struct Cold {
+    dropper: DropFn,
+    spec: OpSpec,
+    /// The parked op's invocation ticket.
+    inv: u64,
+    /// The process's cumulative step count at that invocation.
+    steps_at_inv: u64,
+    /// The process's FIFO of not-yet-started ops: head and tail indices
+    /// into the shared queue slab (`NIL`-terminated).
+    qhead: u32,
+    qtail: u32,
 }
 
 /// Fisher–Yates driven by xorshift64 — deterministic per seed, cheap
@@ -338,21 +374,11 @@ pub struct CoopBackend {
     /// [`Runtime::coop_free`]: crate::Runtime::coop_free
     gated: bool,
 
-    // Struct-of-arrays in-flight state, indexed by pid. `parked_data`
-    // is the presence discriminant; the other arrays hold the matching
-    // op's shims and record fields (stale while idle).
-    parked_data: Vec<Option<NonNull<u8>>>,
-    parked_poll: Vec<PollFn>,
-    parked_drop: Vec<DropFn>,
-    parked_spec: Vec<OpSpec>,
-    parked_inv: Vec<u64>,
-    /// Process's cumulative step count at the parked op's invocation.
-    parked_steps_at_inv: Vec<u64>,
-
-    /// Per-pid FIFO of not-yet-started ops: head/tail indices into the
-    /// shared `nodes` slab (`NIL`-terminated).
-    qhead: Vec<u32>,
-    qtail: Vec<u32>,
+    /// Per-process state, indexed by pid, split by how often it is read
+    /// (see the module docs).
+    hot: Vec<Hot>,
+    cold: Vec<Cold>,
+    /// The queue slab every process's FIFO links into.
     nodes: Vec<QNode>,
     free_node: u32,
 
@@ -450,17 +476,23 @@ impl CoopBackend {
         let n = runtime.n();
         u32::try_from(n).expect("the coop backend indexes processes with u32");
         let gated = runtime.mode() == Mode::Gated;
+        let idle_hot = Hot {
+            data: None,
+            poll: idle_poll,
+        };
+        let idle_cold = Cold {
+            dropper: idle_drop,
+            spec: OpSpec::read(),
+            inv: 0,
+            steps_at_inv: 0,
+            qhead: NIL,
+            qtail: NIL,
+        };
         CoopBackend {
             gated,
-            parked_data: vec![None; n],
-            parked_poll: vec![idle_poll as PollFn; n],
-            parked_drop: vec![idle_drop as DropFn; n],
-            parked_spec: vec![OpSpec::read(); n],
-            parked_inv: vec![0; n],
-            parked_steps_at_inv: vec![0; n],
-            qhead: vec![NIL; n],
-            qtail: vec![NIL; n],
-            nodes: Vec::new(),
+            hot: vec![idle_hot; n],
+            cold: vec![idle_cold; n],
+            nodes: Vec::with_capacity(n),
             free_node: NIL,
             arena: TaskArena::default(),
             events: VecDeque::new(),
@@ -501,25 +533,27 @@ impl CoopBackend {
             self.nodes.push(node);
             idx
         };
-        if self.qtail[pid] == NIL {
-            self.qhead[pid] = idx;
+        let cold = &mut self.cold[pid];
+        if cold.qtail == NIL {
+            cold.qhead = idx;
         } else {
-            self.nodes[self.qtail[pid] as usize].next = idx;
+            self.nodes[cold.qtail as usize].next = idx;
         }
-        self.qtail[pid] = idx;
+        cold.qtail = idx;
     }
 
     fn pop_queued(&mut self, pid: usize) -> Option<(OpSpec, NonNull<u8>, PollFn, DropFn)> {
-        let idx = self.qhead[pid];
+        let cold = &mut self.cold[pid];
+        let idx = cold.qhead;
         if idx == NIL {
             return None;
         }
         let node = &mut self.nodes[idx as usize];
         let data = node.data.take().expect("queued node holds a task");
         let out = (node.spec, data, node.poll, node.dropper);
-        self.qhead[pid] = node.next;
-        if self.qhead[pid] == NIL {
-            self.qtail[pid] = NIL;
+        cold.qhead = node.next;
+        if cold.qhead == NIL {
+            cold.qtail = NIL;
         }
         node.next = self.free_node;
         self.free_node = idx;
@@ -532,7 +566,7 @@ impl CoopBackend {
     /// The context must already point at `pid`; priming polls add to
     /// its access record without clearing it.
     fn advance(&mut self, pid: usize) {
-        debug_assert!(self.parked_data[pid].is_none());
+        debug_assert!(self.hot[pid].data.is_none());
         debug_assert_eq!(self.ctx.pid(), pid);
         while let Some((spec, data, poll, dropper)) = self.pop_queued(pid) {
             let inv = self.runtime.ticket();
@@ -579,12 +613,15 @@ impl CoopBackend {
                     unsafe { self.arena.retire(data, dropper) };
                 }
                 Poll::Pending => {
-                    self.parked_data[pid] = Some(data);
-                    self.parked_poll[pid] = poll;
-                    self.parked_drop[pid] = dropper;
-                    self.parked_spec[pid] = spec;
-                    self.parked_inv[pid] = inv;
-                    self.parked_steps_at_inv[pid] = steps_at_inv;
+                    self.hot[pid] = Hot {
+                        data: Some(data),
+                        poll,
+                    };
+                    let cold = &mut self.cold[pid];
+                    cold.dropper = dropper;
+                    cold.spec = spec;
+                    cold.inv = inv;
+                    cold.steps_at_inv = steps_at_inv;
                     return;
                 }
             }
@@ -593,8 +630,14 @@ impl CoopBackend {
 
     /// Record the parked op's completion and retire its task.
     fn complete_parked(&mut self, pid: usize, data: NonNull<u8>, ret: u128) {
-        self.parked_data[pid] = None;
-        let spec = self.parked_spec[pid];
+        self.hot[pid].data = None;
+        let Cold {
+            dropper,
+            spec,
+            inv,
+            steps_at_inv,
+            ..
+        } = self.cold[pid];
         let resp = self.runtime.ticket();
         if self.gated {
             self.ctx.trace(|| TraceEvent::Complete {
@@ -607,11 +650,10 @@ impl CoopBackend {
         self.events.push_back(OpRecord {
             pid,
             kind: spec.kind(ret),
-            inv: self.parked_inv[pid],
+            inv,
             resp: Some(resp),
-            steps: self.runtime.steps_of(pid) - self.parked_steps_at_inv[pid],
+            steps: self.runtime.steps_of(pid) - steps_at_inv,
         });
-        let dropper = self.parked_drop[pid];
         // SAFETY: the op completed; the task is never polled again.
         unsafe { self.arena.retire(data, dropper) };
     }
@@ -646,7 +688,11 @@ impl CoopBackend {
         let pid = self.runnable[self.sweep_pos] as usize;
         self.sweep_pos += 1;
         self.metrics.polls.inc();
-        let Some(data) = self.parked_data[pid] else {
+        let Hot {
+            data: Some(data),
+            poll,
+        } = self.hot[pid]
+        else {
             // Defensive: a stale entry (should not occur — entries are
             // compacted the round their pid goes idle).
             self.in_runnable[pid] = false;
@@ -655,19 +701,19 @@ impl CoopBackend {
         let before = self.runtime.steps_of(pid);
         self.ctx.begin(pid);
         // SAFETY: the parked task is live and exclusively ours.
-        let polled = unsafe { (self.parked_poll[pid])(data, &self.ctx) };
+        let polled = unsafe { poll(data, &self.ctx) };
         let applied = self.runtime.steps_of(pid) - before;
         assert!(
             applied == 1,
             "OpTask contract violation (pid {pid}, op {:?}): a granted step must \
              apply exactly one primitive, got {applied}",
-            self.parked_spec[pid].kind(0).label(),
+            self.cold[pid].spec.kind(0).label(),
         );
         if let Poll::Ready(ret) = polled {
             self.complete_parked(pid, data, ret);
             self.advance(pid);
         }
-        if self.parked_data[pid].is_some() {
+        if self.hot[pid].data.is_some() {
             self.runnable[self.sweep_keep] = pid as u32;
             self.sweep_keep += 1;
         } else {
@@ -690,21 +736,25 @@ impl CoopBackend {
     pub(crate) fn grant(&mut self, pid: usize) -> StepOutcome {
         assert!(self.gated, "step() requires a gated runtime");
         self.ctx.begin(pid);
-        let Some(data) = self.parked_data[pid] else {
-            debug_assert!(self.qhead[pid] == NIL);
+        let Hot {
+            data: Some(data),
+            poll,
+        } = self.hot[pid]
+        else {
+            debug_assert!(self.cold[pid].qhead == NIL);
             return StepOutcome::Completed;
         };
         let before = self.runtime.steps_of(pid);
         self.ctx.trace(|| TraceEvent::Grant { seq: 0, pid });
         self.metrics.polls.inc();
         // SAFETY: the parked task is live and exclusively ours.
-        let polled = unsafe { (self.parked_poll[pid])(data, &self.ctx) };
+        let polled = unsafe { poll(data, &self.ctx) };
         let applied = self.runtime.steps_of(pid) - before;
         assert!(
             applied == 1,
             "OpTask contract violation (pid {pid}, op {:?}): a granted step must \
              apply exactly one primitive, got {applied}",
-            self.parked_spec[pid].kind(0).label(),
+            self.cold[pid].spec.kind(0).label(),
         );
         if let Poll::Ready(ret) = polled {
             self.complete_parked(pid, data, ret);
@@ -731,13 +781,14 @@ impl CoopBackend {
         if !self.gated {
             return None;
         }
-        self.parked_data[pid]?;
+        self.hot[pid].data?;
+        let cold = &self.cold[pid];
         Some(OpRecord {
             pid,
-            kind: self.parked_spec[pid].kind(0),
-            inv: self.parked_inv[pid],
+            kind: cold.spec.kind(0),
+            inv: cold.inv,
             resp: None,
-            steps: self.runtime.steps_of(pid) - self.parked_steps_at_inv[pid],
+            steps: self.runtime.steps_of(pid) - cold.steps_at_inv,
         })
     }
 
@@ -761,11 +812,11 @@ impl CoopBackend {
     ) {
         self.push_queued(pid, spec, data, poll, dropper);
         self.ctx.begin(pid);
-        if self.parked_data[pid].is_none() {
+        if self.hot[pid].data.is_none() {
             self.advance(pid);
             self.flush_trace();
         }
-        if !self.gated && self.parked_data[pid].is_some() && !self.in_runnable[pid] {
+        if !self.gated && self.hot[pid].data.is_some() && !self.in_runnable[pid] {
             self.in_runnable[pid] = true;
             self.runnable.push(pid as u32);
         }
@@ -783,11 +834,11 @@ impl CoopBackend {
         // accesses.
         self.flush_trace();
         self.runtime.seal_analysis();
-        for pid in 0..self.parked_data.len() {
+        for pid in 0..self.hot.len() {
             self.ctx.begin(pid);
-            if let Some(data) = self.parked_data[pid].take() {
-                let poll = self.parked_poll[pid];
-                let dropper = self.parked_drop[pid];
+            if let Some(data) = self.hot[pid].data.take() {
+                let poll = self.hot[pid].poll;
+                let dropper = self.cold[pid].dropper;
                 // SAFETY: the parked task is live; retired right after
                 // its final poll.
                 unsafe {
@@ -840,9 +891,9 @@ impl Drop for CoopBackend {
             // tasks are suspect; re-polling them could panic again and
             // abort. Run their destructors without polling so owned
             // resources are released before the arena frees its chunks.
-            for pid in 0..self.parked_data.len() {
-                if let Some(data) = self.parked_data[pid].take() {
-                    let dropper = self.parked_drop[pid];
+            for pid in 0..self.hot.len() {
+                if let Some(data) = self.hot[pid].data.take() {
+                    let dropper = self.cold[pid].dropper;
                     // SAFETY: live parked task, dropped exactly once.
                     unsafe { self.arena.retire(data, dropper) };
                 }
@@ -944,6 +995,13 @@ mod tests {
     }
 
     #[test]
+    fn a_grant_reads_16_bytes_of_per_process_state() {
+        // The hot array's entry, what the module docs' layout argument
+        // rests on: four processes per 64-byte cache line.
+        assert_eq!(std::mem::size_of::<Hot>(), 16);
+    }
+
+    #[test]
     fn every_path_drops_each_task_exactly_once() {
         let reg = Arc::new(Register::new(0));
         let before = drops();
@@ -992,7 +1050,7 @@ mod tests {
         submit(&mut b, 0, ZstTask(DropCount));
         assert_eq!(drops() - before, 1);
         submit(&mut b, 1, probe(Wide, &reg, 2));
-        let at = b.parked_data[1].expect("parked").as_ptr() as usize;
+        let at = b.hot[1].data.expect("parked").as_ptr() as usize;
         assert_eq!(at % 128, 0, "align(128) payload misplaced");
         // Queued behind the parked task, then run.
         submit(&mut b, 1, ZstTask(DropCount));
@@ -1062,7 +1120,7 @@ mod tests {
                 for _ in 0..8 {
                     b.submit_task(pid, OpSpec::inc(), probe([0u8; 300], &reg, 2));
                 }
-                first.push(b.parked_data[pid].expect("parked").as_ptr() as usize);
+                first.push(b.hot[pid].data.expect("parked").as_ptr() as usize);
             }
             for pid in 0..4 {
                 run_out(b, pid);

@@ -48,6 +48,13 @@ use std::sync::Arc;
 
 pub use crate::backend::StepOutcome;
 
+/// One process's submitted and completed operation counts.
+#[derive(Clone, Copy, Default)]
+struct OpCounts {
+    submitted: u64,
+    completed: u64,
+}
+
 /// Trace events a gated run buffers before delivering them as one
 /// batch (about 96 KiB of events): [`Driver::run_schedule`] and
 /// [`Driver::run_solo`] flush whenever this many are waiting, and
@@ -92,8 +99,10 @@ const TRACE_BATCH: usize = 1024;
 pub struct Driver<B: ExecBackend = ThreadBackend> {
     runtime: Arc<Runtime>,
     backend: B,
-    submitted: Vec<u64>,
-    completed: Vec<u64>,
+    /// Operations submitted to and completed by each process.
+    ops: Vec<OpCounts>,
+    /// Crashed processes: a dense flag array of its own, since every
+    /// grant reads it.
     crashed: Vec<bool>,
     /// Uncrashed pids with unfinished submitted operations, maintained
     /// incrementally (no per-step rebuild).
@@ -192,7 +201,7 @@ impl Driver<CoopBackend> {
         self.active.remove(pid);
         self.drain_events();
         if let Some(rec) = self.backend.pending(pid) {
-            self.history.push(rec);
+            self.history.push_expecting(rec, self.pending_ops);
         }
     }
 
@@ -289,16 +298,32 @@ impl Driver<CoopBackend> {
     pub fn history_snapshot(&mut self) -> History {
         self.drain_events();
         let mut snap = self.history.clone();
+        self.push_suspended(&mut snap);
+        snap
+    }
+
+    /// [`history_snapshot`](Driver::history_snapshot) of a driver that is
+    /// dropped right after: the history moves into the snapshot instead
+    /// of being cloned.
+    pub(crate) fn into_history_snapshot(mut self) -> History {
+        self.drain_events();
+        let mut snap = std::mem::take(&mut self.history);
+        self.push_suspended(&mut snap);
+        snap
+    }
+
+    /// Append the pending record of every uncrashed process's parked
+    /// operation to `snap`.
+    fn push_suspended(&self, snap: &mut History) {
         for pid in 0..self.runtime.n() {
             if self.crashed[pid] {
                 // Its pending record is already in `history`.
                 continue;
             }
             if let Some(rec) = self.backend.pending(pid) {
-                snap.push(rec);
+                snap.push_expecting(rec, self.pending_ops);
             }
         }
-        snap
     }
 }
 
@@ -308,8 +333,7 @@ impl<B: ExecBackend> Driver<B> {
         Driver {
             runtime,
             backend,
-            submitted: vec![0; n],
-            completed: vec![0; n],
+            ops: vec![OpCounts::default(); n],
             crashed: vec![false; n],
             active: ActiveSet::new(n),
             pending_ops: 0,
@@ -346,14 +370,14 @@ impl<B: ExecBackend> Driver<B> {
             !self.crashed[pid],
             "submit to crashed process {pid}: a crashed process cannot run operations"
         );
-        self.submitted[pid] += 1;
+        self.ops[pid].submitted += 1;
         self.pending_ops += 1;
         self.active.insert(pid);
     }
 
     /// Operations of `pid` whose completion has been observed.
     pub fn completed_of(&self, pid: usize) -> u64 {
-        self.completed[pid]
+        self.ops[pid].completed
     }
 
     /// The incrementally-maintained set of process ids that still have
@@ -397,23 +421,19 @@ impl<B: ExecBackend> Driver<B> {
         // backend is borrowed mutably for the duration of the drain).
         let Driver {
             backend,
-            submitted,
-            completed,
+            ops,
             active,
             pending_ops,
             history,
             ..
         } = self;
-        backend.drain(&mut |rec| {
-            Self::record_fields(submitted, completed, active, pending_ops, history, rec)
-        });
+        backend.drain(&mut |rec| Self::record_fields(ops, active, pending_ops, history, rec));
     }
 
     /// Process one completion.
     fn record(&mut self, rec: OpRecord) {
         Self::record_fields(
-            &self.submitted,
-            &mut self.completed,
+            &mut self.ops,
             &mut self.active,
             &mut self.pending_ops,
             &mut self.history,
@@ -422,21 +442,20 @@ impl<B: ExecBackend> Driver<B> {
     }
 
     fn record_fields(
-        submitted: &[u64],
-        completed: &mut [u64],
+        ops: &mut [OpCounts],
         active: &mut ActiveSet,
         pending_ops: &mut u64,
         history: &mut History,
         rec: OpRecord,
     ) {
         debug_assert!(rec.resp.is_some(), "backends yield completions only");
-        let pid = rec.pid;
-        completed[pid] += 1;
-        *pending_ops -= 1;
-        if completed[pid] == submitted[pid] {
-            active.remove(pid);
+        let counts = &mut ops[rec.pid];
+        counts.completed += 1;
+        if counts.completed == counts.submitted {
+            active.remove(rec.pid);
         }
-        history.push(rec);
+        history.push_expecting(rec, *pending_ops);
+        *pending_ops -= 1;
     }
 
     /// The history recorded so far: completed operations, plus pending

@@ -17,10 +17,10 @@
 //! Exploration replays the program once per interleaving, so the cost of
 //! creating and stepping an execution is the whole game. A coop driver
 //! is a plain in-process object: no worker threads to spawn or park, one
-//! indirect call per granted step, and `history_snapshot` is a clone (the
-//! backend keeps every process at a stable point continuously). That is
-//! what makes enumerating tens of thousands of interleavings per second
-//! practical — see `exp_explore`.
+//! indirect call per granted step, and a history cut is read off its
+//! state at any time (the backend keeps every process at a stable point
+//! continuously). That is what makes enumerating tens of thousands of
+//! interleavings per second practical — see `exp_explore`.
 //!
 //! ## What a replay costs
 //!
@@ -31,14 +31,25 @@
 //! objects each decision touched into the first-touch id map (see
 //! `ObjIds`) without rebuilding the step metadata the search stack
 //! already holds. Only the steps past the prefix are stamped with
-//! clocks and scanned for races.
+//! clocks and scanned for races. At a cut the driver is dropped and its
+//! history moves into the cut the checker receives, with no clone.
+//!
+//! Building, running and dropping a program is sized for it. The
+//! runtime, the coop backend, the driver and its active set are built
+//! with two allocation calls each (four for the backend), each queue
+//! and list starts with room for one entry per process, and the history
+//! reserves room for every submitted operation at its first record.
+//! Over the two 4-process programs `perfbench`'s `explore_dpor` walks,
+//! a replay averages about 21 allocation calls, the program objects and
+//! `lincheck`'s check included; `tests/replay_allocations.rs` pins the
+//! figure for the same programs at 3 processes.
 //!
 //! The walk's own buffers outlive the replay. Popped DPOR nodes go to a
 //! spare list, and the next push refills one in place: its choice lists,
 //! sleep and done sets and vector clock keep their allocations. The
 //! first-touch map and the race list are cleared, not rebuilt. Once
 //! these buffers have reached their high-water marks, a replay allocates
-//! only for the program and for the history cut handed to the checker.
+//! only for the program and for the check of its cut.
 //!
 //! ## Independence
 //!
@@ -84,8 +95,8 @@
 //! While `prune` is on (the default), the explorer runs **dynamic
 //! partial-order reduction** in the style of
 //! Flanagan–Godefroid, with sleep sets: as each interleaving executes,
-//! every step is stamped with a vector clock (the same pid-sorted clocks
-//! as `smr::analysis::hb`) joining the clocks of its happens-before
+//! every step is stamped with a vector clock, dense with one component
+//! per process, joining the clocks of its happens-before
 //! predecessors — its process's previous step plus every earlier
 //! *dependent* step not already ordered before it. A
 //! dependent-but-concurrent pair is a race: its reversal may be a
@@ -143,7 +154,6 @@
 //! original in [`FoundViolation`].
 
 use crate::addr::AddrMap;
-use crate::analysis::Vc;
 use crate::backend::CoopBackend;
 use crate::driver::Driver;
 use crate::history::History;
@@ -247,7 +257,7 @@ impl Replay {
                 }
             }
         }
-        d.history_snapshot()
+        d.into_history_snapshot()
     }
 
     /// The schedule as a [`Scripted`] scheduler, for crash-free
@@ -540,7 +550,7 @@ fn check_cut<F, C>(
     cfg: &ExploreConfig,
     factory: &F,
     check: &mut C,
-    mut d: Driver<CoopBackend>,
+    d: Driver<CoopBackend>,
     path: impl Iterator<Item = Choice>,
     stats: &mut ExploreStats,
 ) -> bool
@@ -549,14 +559,15 @@ where
     C: FnMut(&History) -> Result<(), String>,
 {
     stats.interleavings += 1;
-    let rejected = check(&d.history_snapshot())
-        .err()
-        .or_else(|| analysis_failure(d.runtime()));
+    let rt = d.runtime().clone();
+    // The driver is dropped here, before the checker runs: its history
+    // moves into the cut instead of being cloned.
+    let cut = d.into_history_snapshot();
+    let rejected = check(&cut).err().or_else(|| analysis_failure(&rt));
     if rejected.is_some() {
         let original = Replay {
             choices: path.collect(),
         };
-        drop(d); // release the failing execution before re-running
         let (minimized, message) = minimize(factory, check, &original);
         stats.violations.push(FoundViolation {
             message,
@@ -754,7 +765,8 @@ struct DNode {
     info: Option<StepMeta>,
     pid: usize,
     local: u64,
-    clock: Vc,
+    /// The taken step's vector clock, one component per pid.
+    clock: Vec<u64>,
 }
 
 impl Default for DNode {
@@ -769,7 +781,7 @@ impl Default for DNode {
             info: None,
             pid: 0,
             local: 0,
-            clock: Vc::default(),
+            clock: Vec::new(),
         }
     }
 }
@@ -847,36 +859,38 @@ fn add_backtrack(node: &mut DNode, racer: Choice) {
 /// whole happens-before cone is now ordered before the new event), so
 /// earlier members of that cone are skipped, and exactly the immediate
 /// concurrent dependent partners are reported. Writes the new event's
-/// clock into `clock` and the stack positions of its races into
-/// `races`, and returns its per-process index.
+/// clock, `n` components wide, into `clock` and the stack positions of
+/// its races into `races`, and returns its per-process index.
 fn race_scan(
     stack: &[DNode],
+    n: usize,
     pid: usize,
     info: &Option<StepMeta>,
-    clock: &mut Vc,
+    clock: &mut Vec<u64>,
     races: &mut Vec<usize>,
 ) -> u64 {
     // Program order: start from the clock of `pid`'s latest event,
-    // joined into the recycled clock (whose allocation outlives the
-    // replay) rather than cloned: a clone is sized exactly to its
-    // source, so every clock width gets allocations of its own size,
-    // which fragments the heap.
+    // copied into the recycled clock, whose allocation outlives the
+    // replay.
     clock.clear();
-    if let Some(n) = stack.iter().rev().find(|n| n.pid == pid) {
-        clock.join(&n.clock);
+    match stack.iter().rev().find(|node| node.pid == pid) {
+        Some(node) => clock.extend_from_slice(&node.clock),
+        None => clock.resize(n, 0),
     }
-    let local = clock.get(pid) + 1;
+    let local = clock[pid] + 1;
     races.clear();
-    for (g, n) in stack.iter().enumerate().rev() {
-        if clock.get(n.pid) >= n.local {
+    for (g, node) in stack.iter().enumerate().rev() {
+        if clock[node.pid] >= node.local {
             continue; // already happens-before the new event
         }
-        if !indep_opt(&n.info, info) {
+        if !indep_opt(&node.info, info) {
             races.push(g);
-            clock.join(&n.clock);
+            for (c, &o) in clock.iter_mut().zip(&node.clock) {
+                *c = (*c).max(o);
+            }
         }
     }
-    clock.set(pid, local);
+    clock[pid] = local;
     local
 }
 
@@ -924,6 +938,9 @@ where
     'outer: loop {
         metrics().replays.inc();
         let mut d = fresh(factory, &mut stats.replays);
+        // The width of every clock: the factory builds the same program
+        // each time.
+        let n = d.runtime().n();
         let mut walk = Walk::default();
         // Replay the prefix. Metadata and clocks are already on the
         // stack, but this fresh instance's object addresses are not: the
@@ -943,7 +960,7 @@ where
             top.info = apply(&mut d, &mut ids, choice);
             walk.count(choice, &mut stats.steps_replayed);
             top.pid = acting(choice);
-            top.local = race_scan(below, top.pid, &top.info, &mut top.clock, &mut races);
+            top.local = race_scan(below, n, top.pid, &top.info, &mut top.clock, &mut races);
             for &j in &races {
                 add_backtrack(&mut below[j], choice);
             }
@@ -1017,7 +1034,7 @@ where
             node.info = apply(&mut d, &mut ids, node.taken);
             walk.count(node.taken, &mut stats.steps_replayed);
             node.pid = acting(node.taken);
-            node.local = race_scan(&stack, node.pid, &node.info, &mut node.clock, &mut races);
+            node.local = race_scan(&stack, n, node.pid, &node.info, &mut node.clock, &mut races);
             for &j in &races {
                 add_backtrack(&mut stack[j], node.taken);
             }

@@ -198,6 +198,18 @@ impl History {
         self.ops.push(op);
     }
 
+    /// Append a record to a history that expects `expected` more
+    /// records, this one included: the first record reserves room for
+    /// all of them. A driver passes its pending operation count, so a
+    /// history that records each submitted operation once allocates
+    /// once instead of doubling its way up.
+    pub(crate) fn push_expecting(&mut self, op: OpRecord, expected: u64) {
+        if self.ops.is_empty() {
+            self.ops.reserve(usize::try_from(expected).unwrap_or(0));
+        }
+        self.ops.push(op);
+    }
+
     /// All records, in insertion order.
     pub fn ops(&self) -> &[OpRecord] {
         &self.ops

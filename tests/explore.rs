@@ -21,6 +21,7 @@
 //!   (DESIGN.md §2, "Startup window").
 
 use approx_objects::{KaddCounter, KaddIncTask, KaddReadTask, SharedKaddHandle};
+use approx_objects::{KmultBoundedMaxRegister, KmultMaxReadTask, KmultMaxWriteTask};
 use approx_objects::{KmultCounter, KmultIncTask, KmultReadTask, SharedKmultHandle};
 use bench::multinomial;
 use counter::{CollectCounter, CollectIncTask, CollectReadTask};
@@ -168,6 +169,66 @@ fn tree_maxreg_is_linearizable_on_every_schedule() {
     });
     assert!(stats.interleavings > 0);
     assert!(stats.all_ok(), "violations: {:?}", stats.violations);
+}
+
+/// Algorithm 2 at k = 2 over m = 2⁴⁰: pid `p` of `n` writes
+/// 2^(5 + ⌊40p/n⌋), spreading the writes over the magnitudes, then reads.
+fn kmaxreg_program(n: usize) -> Driver<CoopBackend> {
+    let mut d = Driver::coop(Runtime::coop(n));
+    let r = Arc::new(KmultBoundedMaxRegister::new(n, 1 << 40, 2));
+    for pid in 0..n {
+        let v = 1u64 << (5 + 40 * pid / n);
+        d.submit_task(pid, OpSpec::write(v), KmultMaxWriteTask::new(r.clone(), v));
+        d.submit_task(pid, OpSpec::read(), KmultMaxReadTask::new(r.clone()));
+    }
+    d
+}
+
+#[test]
+fn kmult_maxreg_is_k_accurate_on_every_schedule() {
+    // Algorithm 2 on its own, every cut checked against the
+    // k-multiplicative max-register spec: n = 3 with one crash, and
+    // n = 4, both exhausted by DPOR. The walks are pinned by their exact
+    // counts, and the costliest completed write and read by their steps
+    // (Thm IV.2 bounds both by O(min(log₂ log_k m, n))).
+    let k = 2;
+    for (n, max_crashes, counts, most_steps) in [
+        (3, 1, [20_105, 20_105, 16_424, 261_133], (2, 3)),
+        (4, 0, [43_128, 56_641, 201_132, 1_309_731], (2, 4)),
+    ] {
+        let cfg = ExploreConfig {
+            max_crashes,
+            ..ExploreConfig::default()
+        };
+        let mut most = (0, 0);
+        let stats = explore(
+            &cfg,
+            || kmaxreg_program(n),
+            |h| {
+                for r in h.ops().iter().filter(|r| r.resp.is_some()) {
+                    match r.kind {
+                        OpKind::Write { .. } => most.0 = most.0.max(r.steps),
+                        OpKind::Read { .. } => most.1 = most.1.max(r.steps),
+                        _ => {}
+                    }
+                }
+                check_maxreg_records(h, k)
+            },
+        );
+        assert!(stats.all_ok(), "n = {n}: {:?}", stats.violations);
+        assert!(!stats.capped);
+        assert_eq!(
+            [
+                stats.interleavings,
+                stats.replays,
+                stats.pruned,
+                stats.steps_replayed
+            ],
+            counts,
+            "n = {n}: cuts, replays, pruned subtrees, steps"
+        );
+        assert_eq!(most, most_steps, "n = {n}: most steps, write / read");
+    }
 }
 
 /// Algorithm 1's startup window: `n` processes at accuracy `k`, pid `p`
