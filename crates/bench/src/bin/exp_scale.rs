@@ -1,6 +1,6 @@
 //! EXP-SCALE — the coop backend's throughput harness: steps/s and peak
-//! RSS vs process count, in both scheduling modes, bare and with each
-//! instrument the runtime carries.
+//! RSS vs process count, in both scheduling modes, bare and with metrics
+//! collection on.
 //!
 //! The paper's bounds are parameterized by the process count `n`. The
 //! coop backend drives *virtual* processes as resumable `OpTask` state
@@ -10,22 +10,19 @@
 //!
 //! * workloads — `reg`: read-then-write chains over a striped pool of
 //!   1 024 registers (2 primitives per op; pure harness overhead).
-//!   `cluster`: the same chains confined to 8-process clusters, so
-//!   communication is bounded by construction. `kmult`: Algorithm 1
-//!   increments and reads at `k = ⌈√n⌉`, where every process funnels
-//!   through the same `switch` bits.
+//!   `kmult`: Algorithm 1 increments and reads at `k = ⌈√n⌉`, where
+//!   every process funnels through the same `switch` bits.
 //! * modes — `gated`: one controller grant per primitive, round-robin
 //!   (`run_schedule`). `free`: the ungated batch-polling
 //!   `Driver::coop_free` loop, the backend's throughput ceiling.
-//! * instruments — `none`: the bare runtime. `analysis`:
-//!   `Analyzer::standard()` (access-kind conformance) consuming every
-//!   trace event inline. `metrics`:
-//!   `obs` collection on (one sharded relaxed `fetch_add` per event).
-//!   Every instrumented config directly follows its plain twin (same
-//!   workload, mode, `n` and ops), and the `instrument` column is part
-//!   of row identity, so both sides regress independently. A metrics
-//!   pair runs in three alternating rounds and keeps each side's
-//!   fastest run; every other config runs once.
+//! * instruments — `none`: the bare runtime. `metrics`: `obs`
+//!   collection on (one sharded relaxed `fetch_add` per event). Every
+//!   metrics config directly follows its plain twin (same workload,
+//!   mode, `n` and ops), and the `instrument` column is part of row
+//!   identity, so both sides regress independently. A metrics pair runs
+//!   in three alternating rounds and keeps each side's fastest run;
+//!   every other config runs once. The analysis passes are priced by
+//!   perfbench, inside the checked ops/s of its gated workloads.
 //!
 //! Every run is a fresh child process (`exp_scale --child <index>`), so
 //! a row prices its own heap alone and its peak RSS (`VmHWM` of
@@ -36,13 +33,9 @@
 //! every repeat must grant the same steps. A failing child fails the
 //! run. The gates, asserted here:
 //!
-//! * every run finishes in under 120 s (a pass diverged, not a busy box);
+//! * every run finishes in under 120 s (a runaway, not a busy box);
 //! * every gated `reg` run at `n ≥ 10⁵` finishes in under 60 s and
 //!   grants steps;
-//! * every analysis-on run finishes with no violations (a violation on
-//!   these workloads is a runtime-contract bug);
-//! * `cluster` analysis overhead stays below 10× its plain twin (the
-//!   pass stopped being O(1) amortized);
 //! * every metrics-on run counts coop polls (the hot path kept its
 //!   instrumentation);
 //! * at 10⁵ processes, metrics-on keeps ≥ 95% of its plain twin's
@@ -64,15 +57,14 @@ use approx_objects::{KmultCounter, KmultIncTask, KmultReadTask, SharedKmultHandl
 use bench::emit::{Report, Row};
 use bench::tables::{f2, Table};
 use parking_lot::Mutex;
-use smr::analysis::Analyzer;
 use smr::backend::CoopBackend;
 use smr::sched::RoundRobin;
 use smr::{Driver, OpSpec, OpTask, Poll, ProcCtx, Register, Runtime};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Processes per communication cluster in the `cluster` workload.
-const CLUSTER: usize = 8;
+/// Registers in the `reg` workload's striped pool.
+const POOL: usize = 1024;
 
 /// Alternating rounds of a metrics pair.
 const METRICS_ROUNDS: usize = 3;
@@ -111,7 +103,6 @@ impl OpTask for ChainTask {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Workload {
     Reg,
-    Cluster,
     Kmult,
 }
 
@@ -119,7 +110,6 @@ impl Workload {
     fn name(self) -> &'static str {
         match self {
             Workload::Reg => "reg",
-            Workload::Cluster => "cluster",
             Workload::Kmult => "kmult",
         }
     }
@@ -140,23 +130,14 @@ impl Workload {
             }
             return;
         }
-        let len = if self == Workload::Reg { 1024 } else { n };
-        let pool: Arc<Vec<Register>> = Arc::new((0..len).map(|_| Register::new(0)).collect());
+        let pool: Arc<Vec<Register>> = Arc::new((0..POOL).map(|_| Register::new(0)).collect());
         for pid in 0..n {
             for j in 0..ops_per_proc {
-                let (read_at, write_at) = if self == Workload::Reg {
-                    let at = pid + j as usize;
-                    (at % len, (at + 1) % len)
-                } else {
-                    // Own slot, then the ring neighbour's within the
-                    // pid's cluster.
-                    let base = pid - pid % CLUSTER;
-                    (pid, (base + (pid + 1) % CLUSTER).min(len - 1))
-                };
+                let at = pid + j as usize;
                 let task = ChainTask {
                     pool: pool.clone(),
-                    read_at,
-                    write_at,
+                    read_at: at % POOL,
+                    write_at: (at + 1) % POOL,
                     read: None,
                     primed: false,
                 };
@@ -184,7 +165,6 @@ impl Mode {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Instrument {
     None,
-    Analysis,
     Metrics,
 }
 
@@ -192,7 +172,6 @@ impl Instrument {
     fn name(self) -> &'static str {
         match self {
             Instrument::None => "none",
-            Instrument::Analysis => "analysis",
             Instrument::Metrics => "metrics",
         }
     }
@@ -208,7 +187,7 @@ struct Config {
 }
 
 impl Config {
-    /// What an instrumented config shares with its plain twin.
+    /// What a metrics config shares with its plain twin.
     fn key(&self) -> (Workload, Mode, usize, u64) {
         (self.workload, self.mode, self.n, self.ops_per_proc)
     }
@@ -228,7 +207,7 @@ impl Config {
 /// 10⁶-process `reg` rows and the 10⁵-process `kmult` rows.
 fn grid(scale: usize) -> Vec<Config> {
     use Mode::{Free, Gated};
-    use Workload::{Cluster, Kmult, Reg};
+    use Workload::{Kmult, Reg};
     let c = |workload, mode, n, ops_per_proc, instrument| Config {
         workload,
         mode,
@@ -236,7 +215,7 @@ fn grid(scale: usize) -> Vec<Config> {
         ops_per_proc,
         instrument,
     };
-    let (none, analysis, metrics) = (Instrument::None, Instrument::Analysis, Instrument::Metrics);
+    let (none, metrics) = (Instrument::None, Instrument::Metrics);
     vec![
         c(Reg, Gated, 100, 4, none),
         c(Reg, Gated, 1_000, 4, none),
@@ -249,14 +228,6 @@ fn grid(scale: usize) -> Vec<Config> {
         c(Reg, Free, METRICS_GATE_N, 4, metrics),
         c(Reg, Free, 1_000_000 * scale, 1, none),
         c(Reg, Free, 1_000_000 * scale, 1, metrics),
-        c(Cluster, Gated, 10_000, 4, none),
-        c(Cluster, Gated, 10_000, 4, analysis),
-        c(Cluster, Gated, 100_000, 4, none),
-        c(Cluster, Gated, 100_000, 4, analysis),
-        c(Kmult, Gated, 1_000, 4, none),
-        c(Kmult, Gated, 1_000, 4, analysis),
-        c(Kmult, Gated, 3_000, 4, none),
-        c(Kmult, Gated, 3_000, 4, analysis),
         c(Kmult, Gated, 10_000, 4, none),
         c(Kmult, Gated, 100_000 * scale, 2, none),
         c(Kmult, Free, 100_000 * scale, 2, none),
@@ -331,9 +302,6 @@ fn run_config(c: &Config) -> (u64, f64) {
             (rt.clone(), Driver::coop_free(rt))
         }
     };
-    if c.instrument == Instrument::Analysis {
-        rt.attach_analysis(Analyzer::standard());
-    }
     c.workload.submit(&mut d, c.n, c.ops_per_proc);
     let start = Instant::now();
     let steps = match c.mode {
@@ -348,31 +316,19 @@ fn run_config(c: &Config) -> (u64, f64) {
     // (the arena's resident bytes) rather than the drop's.
     obs::set_enabled(false);
     drop(d);
-    match c.instrument {
-        Instrument::None => {}
-        Instrument::Analysis => {
-            let violations = rt.analysis().expect("analyzer attached").finish();
-            assert!(
-                violations.is_empty(),
-                "the standard passes flagged {} — a runtime-contract bug, not noise: \
-                 {violations:?}",
-                c.label()
-            );
-        }
-        Instrument::Metrics => {
-            let snap = obs::snapshot();
-            let polls = snap
-                .get(obs::names::SUB_COOP, obs::names::COOP_POLLS)
-                .unwrap_or(0);
-            assert!(
-                polls > 0,
-                "{} recorded zero coop polls — the hot path lost its instrumentation",
-                c.label()
-            );
-            let path = "OBS_snapshot.json";
-            if let Err(e) = std::fs::write(path, snap.to_json("full")) {
-                eprintln!("could not write {path}: {e}");
-            }
+    if c.instrument == Instrument::Metrics {
+        let snap = obs::snapshot();
+        let polls = snap
+            .get(obs::names::SUB_COOP, obs::names::COOP_POLLS)
+            .unwrap_or(0);
+        assert!(
+            polls > 0,
+            "{} recorded zero coop polls — the hot path lost its instrumentation",
+            c.label()
+        );
+        let path = "OBS_snapshot.json";
+        if let Err(e) = std::fs::write(path, snap.to_json("full")) {
+            eprintln!("could not write {path}: {e}");
         }
     }
     (steps, millis)
@@ -399,7 +355,7 @@ fn run_child(configs: &[Config], index: usize) -> Sample {
     s
 }
 
-/// Measure a group — a plain config and its instrumented twin, if any
+/// Measure a group — a plain config and its metrics twin, if any
 /// (`group` indexes `configs`) — in `rounds` alternating rounds, keeping
 /// each config's fastest run. Also returns the twin-over-plain
 /// steps/s ratio: the larger of best-over-best and the best single
@@ -470,14 +426,7 @@ fn main() {
         samples.extend(best);
     }
 
-    // Each instrumented row's plain twin directly precedes it.
-    let plain_of = |i: usize| -> &Sample {
-        match samples[i].config.instrument {
-            Instrument::None => &samples[i],
-            _ => &samples[i - 1],
-        }
-    };
-    for (i, s) in samples.iter().enumerate() {
+    for s in &samples {
         let c = &s.config;
         if c.workload == Workload::Reg && c.mode == Mode::Gated && c.n >= 100_000 {
             assert!(
@@ -490,14 +439,6 @@ fn main() {
                 s.steps > 0,
                 "the {}-process gated run granted no steps",
                 c.n
-            );
-        }
-        if c.workload == Workload::Cluster && c.instrument == Instrument::Analysis {
-            let overhead = plain_of(i).steps_per_sec() / s.steps_per_sec().max(1e-9);
-            assert!(
-                overhead < 10.0,
-                "analysis overhead {overhead:.1}x on {} — a pass has regressed",
-                c.label()
             );
         }
     }
@@ -527,20 +468,20 @@ fn main() {
             format!("{:.0}", s.steps_per_sec()),
             match c.instrument {
                 Instrument::None => "—".to_string(),
-                _ => format!(
+                // A metrics row's plain twin directly precedes it.
+                Instrument::Metrics => format!(
                     "{:.2}x",
-                    plain_of(i).steps_per_sec() / s.steps_per_sec().max(1e-9)
+                    samples[i - 1].steps_per_sec() / s.steps_per_sec().max(1e-9)
                 ),
             },
             f2(s.peak_rss_bytes as f64 / (1024.0 * 1024.0)),
         ]);
     }
 
-    println!("EXP-SCALE — steps/s and peak RSS vs process count, bare and instrumented");
+    println!("EXP-SCALE — steps/s and peak RSS vs process count, bare and with metrics on");
     println!("coop = virtual processes polled on the controller thread");
     println!("       (mode gated = one grant per primitive; free = ungated batch polling).");
-    println!("instrument analysis = Analyzer::standard() (conformance), inline;");
-    println!("           metrics  = obs collection on; vs plain = the plain twin's steps/s");
+    println!("instrument metrics = obs collection on; vs plain = the plain twin's steps/s");
     println!(
         "           over this row's (metrics pairs: best of {METRICS_ROUNDS} alternating rounds)."
     );
@@ -570,12 +511,12 @@ mod tests {
     fn the_grid_pairs_every_instrument_with_a_plain_twin_and_holds_every_gated_config() {
         for scale in [1, 4] {
             let configs = grid(scale);
-            assert_eq!(configs.len(), 22);
+            assert_eq!(configs.len(), 14);
             let plain = configs.iter().filter(|c| c.instrument == Instrument::None);
-            assert_eq!(plain.count(), 15);
+            assert_eq!(plain.count(), 11);
 
-            // Every instrumented config directly follows its plain twin,
-            // which is how `main` pairs and alternates them.
+            // Every metrics config directly follows its plain twin, which
+            // is how `main` pairs and alternates them.
             for (i, c) in configs.iter().enumerate() {
                 if c.instrument != Instrument::None {
                     let twin = &configs[i - 1];
@@ -608,8 +549,6 @@ mod tests {
             };
             let metrics = of(Workload::Reg, Mode::Free, Instrument::Metrics);
             assert_eq!(metrics.filter(|c| c.n == METRICS_GATE_N).count(), 1);
-            let cluster = of(Workload::Cluster, Mode::Gated, Instrument::Analysis);
-            assert_eq!(cluster.count(), 2);
             let mut gated_reg = of(Workload::Reg, Mode::Gated, Instrument::None);
             assert!(gated_reg.any(|c| c.n >= 100_000));
         }

@@ -35,11 +35,10 @@
 //!    subsystem tags excepted) must end in a unit suffix the
 //!    `bench::regression` differ can classify (`_total`, `_per_sec`,
 //!    `_bytes`, `_entries`), and non-test call sites outside
-//!    `crates/obs` must pass those constants to
-//!    `obs::counter`/`gauge`/`histogram` — never string literals. A
-//!    literal at a call site bypasses the registry's single naming
-//!    point, and a suffixless name exports a snapshot field the differ
-//!    silently mistakes for row identity.
+//!    `crates/obs` must pass those constants to `obs::counter`/`gauge`
+//!    — never string literals. A literal at a call site bypasses the
+//!    registry's single naming point, and a suffixless name exports a
+//!    snapshot field the differ silently mistakes for row identity.
 //!
 //! Exit status 0 if clean, 1 with one `file:line: message` finding per
 //! violation — shaped like rustc output so CI annotates it. Pass the
@@ -240,7 +239,7 @@ fn main() {
             // Rule 6b: registration outside crates/obs goes through the
             // named constants, never ad-hoc string literals.
             let in_obs = f.path.components().any(|c| c.as_os_str() == "obs");
-            let registers = ["obs::counter(", "obs::gauge(", "obs::histogram("]
+            let registers = ["obs::counter(", "obs::gauge("]
                 .iter()
                 .any(|p| line.contains(p));
             if !in_obs && registers && line.contains('"') {

@@ -1,17 +1,10 @@
-//! # obs — the runtime measures itself with its own primitives
+//! # obs — the runtime measures itself
 //!
 //! A hand-rolled, vendor-policy-compatible (std-only, zero deps)
 //! lock-free observability layer:
 //!
 //! * [`Counter`] / [`Gauge`] — cache-padded sharded atomics; one
 //!   relaxed `fetch_add` on a thread-private shard per event.
-//! * [`Histogram`] — a multiplicative-bucket log-histogram using the
-//!   same bucket geometry as `sketch::quantile`, with the paper's
-//!   k-multiplicative *publication* rule applied to telemetry: a shard
-//!   republishes its exact count only when it has grown by a factor of
-//!   `k`, so reads stay within factor `k` per bucket while the write
-//!   path stays one-or-two relaxed ops. Quantile answers carry a
-//!   documented (k·b)-relative-error envelope (see [`hist`]).
 //! * [`registry`] — a static registry of typed metric handles,
 //!   registered once at startup (names are constants in [`names`];
 //!   `lint_smr` enforces the unit-suffix scheme `bench::regression`
@@ -20,6 +13,10 @@
 //!   flat-JSON row schema `bench::regression` already parses and diffs.
 //! * [`Reporter`] — samples snapshots on *scaled-step* intervals, not
 //!   wall-clock, so instrumented coop/explore runs stay deterministic.
+//!
+//! There is no histogram type. The distribution a run most needs to
+//! explain, primitive steps per operation, is a small integer, so its
+//! histogram will be an exact one, added together with its first reader.
 //!
 //! ## Zero-cost when disabled
 //!
@@ -32,16 +29,14 @@
 //! on the free-running coop backend at 10⁵ processes (its `metrics`
 //! rows against their plain twins in `BENCH_scale.json`).
 
-pub mod hist;
 pub mod names;
 pub mod registry;
 pub mod report;
 
 mod metrics;
 
-pub use hist::{Histogram, HistogramStats};
 pub use metrics::{Counter, Gauge};
-pub use registry::{counter, gauge, histogram, snapshot, MetricsSnapshot, SnapshotRow};
+pub use registry::{counter, gauge, snapshot, MetricsSnapshot, SnapshotRow};
 pub use report::Reporter;
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

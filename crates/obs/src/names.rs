@@ -8,10 +8,6 @@
 //!
 //! Subsystem tags are the `SUB_*` constants; they name snapshot rows,
 //! not metrics, and carry no unit suffix.
-//!
-//! Histogram names describe what one *sample* measures (`_entries` for
-//! depth/occupancy samples); the snapshot exporter appends the stat
-//! suffix (`_count`, `_p50`, `_p90`, `_p99`, `_max`) per exported field.
 
 // Subsystem row tags.
 pub const SUB_COOP: &str = "coop";
@@ -22,14 +18,12 @@ pub const SUB_SKETCH: &str = "sketch";
 // CoopBackend.
 pub const COOP_POLLS: &str = "polls_total";
 pub const COOP_ARENA_BYTES: &str = "arena_bytes";
-pub const COOP_RUNNABLE_DEPTH: &str = "runnable_depth_entries";
 
 // smr::explore.
 pub const EXPLORE_NODES: &str = "nodes_expanded_total";
 pub const EXPLORE_SLEEP_HITS: &str = "sleep_set_hits_total";
 pub const EXPLORE_BACKTRACKS: &str = "backtrack_points_total";
 pub const EXPLORE_REPLAYS: &str = "replays_total";
-pub const EXPLORE_FRONTIER_DEPTH: &str = "frontier_depth_entries";
 
 // lincheck::online and LinearizabilityPass.
 pub const LINCHECK_PUSHES: &str = "pushes_total";

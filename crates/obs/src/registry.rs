@@ -13,7 +13,6 @@
 //! shape `bench::regression::parse_bench_json` already parses — obs
 //! snapshots diff with the same `bench_diff` machinery as BENCH files.
 
-use crate::hist::Histogram;
 use crate::metrics::{Counter, Gauge};
 use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
@@ -27,7 +26,6 @@ pub const UNIT_SUFFIXES: &[&str] = &["_total", "_per_sec", "_bytes", "_entries"]
 enum Metric {
     Counter(&'static Counter),
     Gauge(&'static Gauge),
-    Histogram(&'static Histogram),
 }
 
 struct Entry {
@@ -104,46 +102,14 @@ pub fn gauge(subsystem: &'static str, name: &'static str) -> &'static Gauge {
     }
 }
 
-/// Register (or fetch) the histogram `subsystem/name` with bucket base
-/// `base` and publication accuracy `k`. On refetch the existing
-/// histogram is returned and `base`/`k` must match.
-///
-/// # Panics
-/// See [`counter`]; additionally panics on a parameter mismatch with an
-/// existing registration.
-pub fn histogram(
-    subsystem: &'static str,
-    name: &'static str,
-    base: u64,
-    k: u64,
-) -> &'static Histogram {
-    match lookup_or_insert(subsystem, name, || {
-        Metric::Histogram(Box::leak(Box::new(Histogram::new(base, k))))
-    })
-    .metric
-    {
-        Metric::Histogram(h) => {
-            assert!(
-                h.base() == base && h.k() == k,
-                "{subsystem}/{name} already registered with base {}/k {}",
-                h.base(),
-                h.k()
-            );
-            h
-        }
-        _ => panic!("{subsystem}/{name} is registered as a non-histogram"),
-    }
-}
-
 /// One exported row: a subsystem tag plus its metric fields in
 /// registration order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotRow {
     pub subsystem: &'static str,
-    /// `(field name, value)`; histogram stats appear as five fields
-    /// (`_count`, `_p50`, `_p90`, `_p99`, `_max` appended to the
-    /// registered name). `i128` covers both `u64` and `i64` sources.
-    pub fields: Vec<(String, i128)>,
+    /// `(field name, value)`, one field per metric under its registered
+    /// name. `i128` covers both `u64` and `i64` sources.
+    pub fields: Vec<(&'static str, i128)>,
 }
 
 /// A point-in-time export of every registered metric.
@@ -176,7 +142,7 @@ impl MetricsSnapshot {
         self.rows
             .iter()
             .find(|r| r.subsystem == subsystem)
-            .and_then(|r| r.fields.iter().find(|(n, _)| n == field).map(|&(_, v)| v))
+            .and_then(|r| r.fields.iter().find(|(n, _)| *n == field).map(|&(_, v)| v))
     }
 }
 
@@ -196,21 +162,8 @@ pub fn snapshot() -> MetricsSnapshot {
             }
         };
         match e.metric {
-            Metric::Counter(c) => row.fields.push((e.name.to_string(), i128::from(c.get()))),
-            Metric::Gauge(g) => row.fields.push((e.name.to_string(), i128::from(g.get()))),
-            Metric::Histogram(h) => {
-                let s = h.stats();
-                for (suffix, v) in [
-                    ("count", s.count),
-                    ("p50", s.p50),
-                    ("p90", s.p90),
-                    ("p99", s.p99),
-                    ("max", s.max),
-                ] {
-                    row.fields
-                        .push((format!("{}_{suffix}", e.name), i128::from(v)));
-                }
-            }
+            Metric::Counter(c) => row.fields.push((e.name, i128::from(c.get()))),
+            Metric::Gauge(g) => row.fields.push((e.name, i128::from(g.get()))),
         }
     }
     MetricsSnapshot { rows }
@@ -224,7 +177,6 @@ pub fn reset_all() {
         match e.metric {
             Metric::Counter(c) => c.reset(),
             Metric::Gauge(g) => g.reset(),
-            Metric::Histogram(h) => h.reset(),
         }
     }
 }
@@ -239,9 +191,6 @@ mod tests {
         let c1 = counter("test_reg", "events_total");
         let c2 = counter("test_reg", "events_total");
         assert!(std::ptr::eq(c1, c2), "same handle on refetch");
-        let h1 = histogram("test_reg", "depth_entries", 2, 4);
-        let h2 = histogram("test_reg", "depth_entries", 2, 4);
-        assert!(std::ptr::eq(h1, h2));
     }
 
     #[test]
@@ -262,18 +211,13 @@ mod tests {
         let _g = enabled_for_test(true);
         let c = counter("test_snap", "ticks_total");
         let g = gauge("test_snap", "live_entries");
-        let h = histogram("test_snap", "lat_entries", 2, 1);
         c.reset();
         g.reset();
-        h.reset();
         c.add(7);
         g.add(3);
-        h.record(100);
         let snap = snapshot();
         assert_eq!(snap.get("test_snap", "ticks_total"), Some(7));
         assert_eq!(snap.get("test_snap", "live_entries"), Some(3));
-        assert_eq!(snap.get("test_snap", "lat_entries_count"), Some(1));
-        assert_eq!(snap.get("test_snap", "lat_entries_max"), Some(128));
         let json = snap.to_json("smoke");
         assert!(json.contains("\"bench\": \"metrics_snapshot\""));
         assert!(json.contains("\"mode\": \"smoke\""));

@@ -37,9 +37,10 @@
 //! ([`AnalysisPass::on_events`]), one analyzer lock per batch; a gated
 //! coop run delivers every batch before a `Driver` call returns. When
 //! no analyzer is attached and the trace log is off, the event stream
-//! costs one relaxed load per primitive. `exp_scale`'s `analysis` rows
-//! price an attached standard bundle against their plain twins
-//! (`BENCH_scale.json`).
+//! costs one relaxed load per primitive. perfbench prices the passes:
+//! `kmaxreg_gated` and `kcounter_audit` run them inline, inside their
+//! end-to-end checked ops/s, and its traced ledger times them against a
+//! run with no analyzer attached (`analysis.*_s`).
 
 mod conformance;
 mod hb;
@@ -214,11 +215,6 @@ impl Analyzer {
         inner.report.clone().expect("just cached")
     }
 
-    /// `true` once [`finish`](Analyzer::finish) has run.
-    pub fn finished(&self) -> bool {
-        self.inner.lock().report.is_some()
-    }
-
     /// Operational notices from every pass
     /// ([`AnalysisPass::summary`]) — reports that are not violations,
     /// for inclusion in run summaries. Callable before or after
@@ -277,7 +273,6 @@ mod tests {
         // Events after finish are dropped; the report is stable.
         a.on_events(&[TraceEvent::Grant { seq: 1, pid: 0 }]);
         assert_eq!(a.finish(), first);
-        assert!(a.finished());
     }
 
     #[test]

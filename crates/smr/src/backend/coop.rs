@@ -167,8 +167,6 @@ struct CoopMetrics {
     /// Every task poll: priming polls in `advance`, granted polls in
     /// `step`, batch polls in `sweep_one`.
     polls: &'static obs::Counter,
-    /// Runnable-queue depth, sampled once per completed batch round.
-    runnable_depth: &'static obs::Histogram,
     /// Task-arena chunk memory currently allocated, across backends.
     arena_bytes: &'static obs::Gauge,
 }
@@ -177,7 +175,6 @@ fn metrics() -> &'static CoopMetrics {
     static M: OnceLock<CoopMetrics> = OnceLock::new();
     M.get_or_init(|| CoopMetrics {
         polls: obs::counter(obs::names::SUB_COOP, obs::names::COOP_POLLS),
-        runnable_depth: obs::histogram(obs::names::SUB_COOP, obs::names::COOP_RUNNABLE_DEPTH, 2, 4),
         arena_bytes: obs::gauge(obs::names::SUB_COOP, obs::names::COOP_ARENA_BYTES),
     })
 }
@@ -667,9 +664,6 @@ impl CoopBackend {
             // Round complete: compact away pids that went idle (the
             // survivors keep their relative order) and rewind.
             self.runnable.truncate(self.sweep_keep);
-            self.metrics
-                .runnable_depth
-                .record(self.runnable.len() as u64);
             self.sweep_pos = 0;
             self.sweep_keep = 0;
             self.round_fresh = true;

@@ -151,7 +151,8 @@
 //! rejects a cut, the explorer greedily deletes chunks of the decision
 //! sequence (ddmin-style, halving chunk sizes) while the violation
 //! persists, and reports the minimal failing schedule alongside the
-//! original in [`FoundViolation`].
+//! original in [`FoundViolation`]. The walk stops at the first
+//! rejection.
 
 use crate::addr::AddrMap;
 use crate::backend::CoopBackend;
@@ -292,8 +293,6 @@ pub struct ExploreConfig {
     pub prune: bool,
     /// Hard cap on checked interleavings (`None` = exhaust the space).
     pub max_interleavings: Option<u64>,
-    /// Stop after this many violations have been found and minimized.
-    pub max_violations: usize,
 }
 
 impl Default for ExploreConfig {
@@ -303,7 +302,6 @@ impl Default for ExploreConfig {
             max_crashes: 0,
             prune: true,
             max_interleavings: None,
-            max_violations: 1,
         }
     }
 }
@@ -350,7 +348,8 @@ pub struct ExploreStats {
     pub steps_replayed: u64,
     /// Deepest decision sequence reached.
     pub max_depth: usize,
-    /// Checker rejections, minimized.
+    /// Checker rejections, minimized: at most one, since the walk stops
+    /// at the first.
     pub violations: Vec<FoundViolation>,
     /// `true` if `max_interleavings` stopped the walk early.
     pub capped: bool,
@@ -544,8 +543,8 @@ fn fresh<F: Fn() -> Driver<CoopBackend>>(factory: &F, replays: &mut u64) -> Driv
 }
 
 /// Check the cut `d` reached along `path`: count it, minimize and record
-/// a rejection, and return `true` when the walk must stop — enough
-/// violations, or the interleaving cap reached.
+/// a rejection, and return `true` when the walk must stop — a
+/// rejection, or the interleaving cap reached.
 fn check_cut<F, C>(
     cfg: &ExploreConfig,
     factory: &F,
@@ -574,9 +573,7 @@ where
             minimized,
             original,
         });
-        if stats.violations.len() >= cfg.max_violations {
-            return true;
-        }
+        return true;
     }
     stats.capped = cfg
         .max_interleavings
@@ -801,8 +798,6 @@ struct ExploreMetrics {
     sleep_hits: &'static obs::Counter,
     /// Race reversals actually added to a backtrack set.
     backtracks: &'static obs::Counter,
-    /// Search depth at each completed interleaving.
-    frontier_depth: &'static obs::Histogram,
 }
 
 fn metrics() -> &'static ExploreMetrics {
@@ -812,12 +807,6 @@ fn metrics() -> &'static ExploreMetrics {
         nodes: obs::counter(obs::names::SUB_EXPLORE, obs::names::EXPLORE_NODES),
         sleep_hits: obs::counter(obs::names::SUB_EXPLORE, obs::names::EXPLORE_SLEEP_HITS),
         backtracks: obs::counter(obs::names::SUB_EXPLORE, obs::names::EXPLORE_BACKTRACKS),
-        frontier_depth: obs::histogram(
-            obs::names::SUB_EXPLORE,
-            obs::names::EXPLORE_FRONTIER_DEPTH,
-            2,
-            4,
-        ),
     })
 }
 
@@ -895,7 +884,7 @@ fn race_scan(
 }
 
 /// The sleep-set DPOR walk (see the [module docs](self)), minimizing
-/// each violation as it is found.
+/// the first violation it finds.
 fn explore_dpor<F, C>(cfg: &ExploreConfig, factory: &F, mut check: C) -> ExploreStats
 where
     F: Fn() -> Driver<CoopBackend>,
@@ -969,7 +958,6 @@ where
         loop {
             stats.max_depth = stats.max_depth.max(stack.len());
             if d.active_set().is_empty() || walk.steps >= cfg.max_steps {
-                metrics().frontier_depth.record(stack.len() as u64);
                 let path = stack.iter().map(|n| n.taken);
                 if check_cut(cfg, factory, &mut check, d, path, &mut stats)
                     || !next_branch(&mut stack, &mut spare, &mut stats)
@@ -1281,7 +1269,6 @@ mod tests {
         for prune in [false, true] {
             let cfg = ExploreConfig {
                 prune,
-                max_violations: usize::MAX,
                 ..ExploreConfig::default()
             };
             let stats = explore(&cfg, factory, check);

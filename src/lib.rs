@@ -26,8 +26,8 @@
 //!   handles.
 //! * [`perturb`] — the lower-bound machinery: awareness sets and
 //!   perturbing executions.
-//! * [`obs`] — the self-observability layer: lock-free counters/gauges
-//!   and k-multiplicative histograms every subsystem reports into, with
+//! * [`obs`] — the self-observability layer: lock-free counters and
+//!   gauges every subsystem reports into, a registry, snapshots and
 //!   step-scaled snapshot reporting (`exp_scale`'s `metrics` rows pin
 //!   the overhead).
 //!

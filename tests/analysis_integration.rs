@@ -1,7 +1,8 @@
 //! `smr::analysis` against the real objects: the standard bundle
 //! (access-kind conformance) must run clean over representative gated
-//! workloads, on one schedule and on every explored interleaving (any
-//! finding there would be a genuine runtime-contract bug); the
+//! workloads, on one schedule at up to 10⁴ processes and on every
+//! explored interleaving of small programs (any finding there would be
+//! a genuine runtime-contract bug); the
 //! happens-before pass's racy pairs are pinned; the analysis sink sees
 //! the same event stream as the trace log; and a test-local pass's
 //! finding surfaces from the explorer as a minimized failing schedule.
@@ -14,7 +15,9 @@ use parking_lot::Mutex;
 use smr::analysis::{AnalysisPass, Analyzer, HappensBefore, RunMeta, Violation};
 use smr::explore::{explore, Choice, ExploreConfig};
 use smr::sched::{RoundRobin, Scheduler, SeededRandom};
-use smr::{AccessKind, CoopBackend, Driver, OpSpec, Register, Runtime, TraceEvent};
+use smr::{
+    AccessKind, CoopBackend, Driver, OpSpec, OpTask, Poll, ProcCtx, Register, Runtime, TraceEvent,
+};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -88,6 +91,63 @@ fn standard_passes_run_clean_under_crashes() {
     drop(d);
     let violations = rt.analysis().unwrap().finish();
     assert!(violations.is_empty(), "crash run flagged: {violations:?}");
+}
+
+/// Read one register of a shared pool, then write the next: the chains
+/// `exp_scale`'s `reg` rows submit (2 primitives per operation).
+struct Chain {
+    pool: Arc<Vec<Register>>,
+    at: usize,
+    read: Option<u64>,
+    primed: bool,
+}
+
+impl OpTask for Chain {
+    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
+        if !std::mem::replace(&mut self.primed, true) {
+            return Poll::Pending;
+        }
+        let len = self.pool.len();
+        match self.read {
+            None => {
+                self.read = Some(self.pool[self.at % len].read(ctx));
+                Poll::Pending
+            }
+            Some(v) => {
+                self.pool[(self.at + 1) % len].write(ctx, v + 1);
+                Poll::Ready(u128::from(v))
+            }
+        }
+    }
+}
+
+#[test]
+fn standard_passes_run_clean_on_register_chains_at_ten_thousand_processes() {
+    // 10⁴ processes over 1 024 multi-writer registers, round-robin: each
+    // register is read and written by about forty processes.
+    let (n, ops) = (10_000, 4);
+    let rt = Runtime::coop(n);
+    rt.attach_analysis(Analyzer::standard());
+    let mut d = Driver::coop(rt.clone());
+    let pool: Arc<Vec<Register>> = Arc::new((0..1024).map(|_| Register::new(0)).collect());
+    for pid in 0..n {
+        for j in 0..ops {
+            let task = Chain {
+                pool: pool.clone(),
+                at: pid + j,
+                read: None,
+                primed: false,
+            };
+            d.submit_task(pid, OpSpec::custom("chain", j as u128), task);
+        }
+    }
+    assert_eq!(d.run_schedule(&mut RoundRobin::new()), 2 * (n * ops) as u64);
+    drop(d);
+    let violations = rt.analysis().unwrap().finish();
+    assert!(
+        violations.is_empty(),
+        "clean chains flagged: {violations:?}"
+    );
 }
 
 /// Forwards the stream to a shared [`HappensBefore`], so its racy-pair

@@ -1,5 +1,5 @@
 //! Observability must not perturb the explored behavior: the explorer's
-//! instrumentation (node/replay/backtrack counters, depth histogram) is
+//! instrumentation (node, replay, sleep-hit and backtrack counters) is
 //! counters-only, and this suite pins that contract operationally —
 //! the same program explored with metrics disabled and enabled reaches
 //! the **bit-identical** set of history cuts, with identical walk
