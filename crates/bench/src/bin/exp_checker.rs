@@ -36,8 +36,7 @@
 //! `peak_retained_entries` is a memory-direction metric `bench_diff`
 //! checks for growth.
 //!
-//! Run: `cargo run --release -p bench --bin exp_checker` (no arguments;
-//! `REPRO_SCALE` multiplies the three largest counter sizes)
+//! Run: `cargo run --release -p bench --bin exp_checker` (no arguments)
 //! CI:  the same, then `bench_diff` against the committed
 //! `BENCH_checker.json`.
 
@@ -262,14 +261,14 @@ impl Config {
 
 /// The grid: the counter engine at five sizes (seeded per size), the
 /// reference beside it at the two small ones, and the wide-witness row.
-fn grid(scale: usize) -> Vec<Config> {
+fn grid() -> Vec<Config> {
     // (total records, run the quadratic reference too?)
     let sizes = [
         (10_000, true),
         (30_000, true),
-        (100_000 * scale, false),
-        (300_000 * scale, false),
-        (1_000_000 * scale, false),
+        (100_000, false),
+        (300_000, false),
+        (1_000_000, false),
     ];
     let mut configs = Vec::new();
     for (idx, (records, with_naive)) in sizes.into_iter().enumerate() {
@@ -319,7 +318,7 @@ fn run_child(configs: &[Config], index: usize) -> Sample {
 }
 
 fn main() {
-    let configs = grid(bench::scale() as usize);
+    let configs = grid();
     // Child mode (internal): run one row, print one machine line.
     if let Some(index) = bench::child_index(configs.len()) {
         let (millis, runs, peak) = configs[index].run();

@@ -21,8 +21,7 @@
 //! Run: `cargo run --release -p bench --bin exp_paper` runs every claim
 //! (about 4 minutes on a 2-core host, most of it `t54`'s AACH rows);
 //! `exp_paper t42 t52` runs only the named claims, in table order. Any
-//! other argument exits 2 with a usage line. `REPRO_SCALE` multiplies
-//! the operation counts of `t39` and `tradeoff`.
+//! other argument exits 2 with a usage line.
 
 use approx_objects::accuracy::within_k;
 use approx_objects::{
@@ -31,7 +30,7 @@ use approx_objects::{
 };
 use bench::emit::{mode_str, Report, Row};
 use bench::tables::{f2, Table};
-use bench::{ceil_sqrt, log2f, scale};
+use bench::{ceil_sqrt, log2f};
 use counter::{
     AachCounter, AachIncTask, AachReadTask, CollectCounter, CollectIncTask, CollectReadTask,
     SnapshotCounter, SnapshotIncTask, SnapshotReadTask, UnboundedTreeCounter, UnboundedTreeIncTask,
@@ -274,7 +273,7 @@ fn counters(l: &mut Ledger, n: usize, k: u64, per_proc: u64) -> (Mixed, u64, [f6
 const FLAT_SPREAD: f64 = 2.0;
 
 fn t39(l: &mut Ledger) {
-    let ops = 40_000 * scale();
+    let ops: u64 = 40_000;
     let mut table = Table::new([
         "n",
         "k=⌈√n⌉",
@@ -367,7 +366,7 @@ fn length(l: &mut Ledger) {
 
 fn tradeoff(l: &mut Ledger) {
     let n = 16usize;
-    let ops_per = 20_000 * scale();
+    let ops_per: u64 = 20_000;
     let mut table = Table::new([
         "k",
         "k ≥ √n?",

@@ -16,7 +16,7 @@
 //!   (`run_schedule`). `free`: the ungated batch-polling
 //!   `Driver::coop_free` loop, the backend's throughput ceiling.
 //! * instruments — `none`: the bare runtime. `metrics`: `obs`
-//!   collection on (one sharded relaxed `fetch_add` per event). Every
+//!   collection on (one relaxed `fetch_add` per event). Every
 //!   metrics config directly follows its plain twin (same workload,
 //!   mode, `n` and ops), and the `instrument` column is part of row
 //!   identity, so both sides regress independently. A metrics pair runs
@@ -46,8 +46,7 @@
 //!
 //! Results land in `BENCH_scale.json` (cwd); each metrics-on run leaves
 //! its `obs` snapshot in `OBS_snapshot.json`, so the file holds the last
-//! one. `REPRO_SCALE` multiplies `n` of the 10⁶-process `reg` rows and
-//! the 10⁵-process `kmult` rows.
+//! one.
 //!
 //! Run: `cargo run --release -p bench --bin exp_scale` (no arguments)
 //! CI:  the same, then `bench_diff` against the committed
@@ -203,9 +202,8 @@ impl Config {
     }
 }
 
-/// The one grid. `scale` (`REPRO_SCALE`) multiplies `n` of the
-/// 10⁶-process `reg` rows and the 10⁵-process `kmult` rows.
-fn grid(scale: usize) -> Vec<Config> {
+/// The one grid, the one `BENCH_scale.json` was written from.
+fn grid() -> Vec<Config> {
     use Mode::{Free, Gated};
     use Workload::{Kmult, Reg};
     let c = |workload, mode, n, ops_per_proc, instrument| Config {
@@ -221,16 +219,16 @@ fn grid(scale: usize) -> Vec<Config> {
         c(Reg, Gated, 1_000, 4, none),
         c(Reg, Gated, 10_000, 4, none),
         c(Reg, Gated, 100_000, 4, none),
-        c(Reg, Gated, 1_000_000 * scale, 1, none),
+        c(Reg, Gated, 1_000_000, 1, none),
         c(Reg, Free, 10_000, 4, none),
         c(Reg, Free, 10_000, 4, metrics),
         c(Reg, Free, METRICS_GATE_N, 4, none),
         c(Reg, Free, METRICS_GATE_N, 4, metrics),
-        c(Reg, Free, 1_000_000 * scale, 1, none),
-        c(Reg, Free, 1_000_000 * scale, 1, metrics),
+        c(Reg, Free, 1_000_000, 1, none),
+        c(Reg, Free, 1_000_000, 1, metrics),
         c(Kmult, Gated, 10_000, 4, none),
-        c(Kmult, Gated, 100_000 * scale, 2, none),
-        c(Kmult, Free, 100_000 * scale, 2, none),
+        c(Kmult, Gated, 100_000, 2, none),
+        c(Kmult, Free, 100_000, 2, none),
     ]
 }
 
@@ -382,7 +380,7 @@ fn measure(configs: &[Config], group: &[usize], rounds: usize) -> (Vec<Sample>, 
 }
 
 fn main() {
-    let configs = grid(bench::scale() as usize);
+    let configs = grid();
     // Child mode (internal): run one config, print one machine line.
     if let Some(index) = bench::child_index(configs.len()) {
         let c = &configs[index];
@@ -509,48 +507,46 @@ mod tests {
 
     #[test]
     fn the_grid_pairs_every_instrument_with_a_plain_twin_and_holds_every_gated_config() {
-        for scale in [1, 4] {
-            let configs = grid(scale);
-            assert_eq!(configs.len(), 14);
-            let plain = configs.iter().filter(|c| c.instrument == Instrument::None);
-            assert_eq!(plain.count(), 11);
+        let configs = grid();
+        assert_eq!(configs.len(), 14);
+        let plain = configs.iter().filter(|c| c.instrument == Instrument::None);
+        assert_eq!(plain.count(), 11);
 
-            // Every metrics config directly follows its plain twin, which
-            // is how `main` pairs and alternates them.
-            for (i, c) in configs.iter().enumerate() {
-                if c.instrument != Instrument::None {
-                    let twin = &configs[i - 1];
-                    assert_eq!(twin.instrument, Instrument::None, "{}", c.label());
-                    assert_eq!(twin.key(), c.key(), "{}", c.label());
-                }
+        // Every metrics config directly follows its plain twin, which
+        // is how `main` pairs and alternates them.
+        for (i, c) in configs.iter().enumerate() {
+            if c.instrument != Instrument::None {
+                let twin = &configs[i - 1];
+                assert_eq!(twin.instrument, Instrument::None, "{}", c.label());
+                assert_eq!(twin.key(), c.key(), "{}", c.label());
             }
-
-            // Row identities are unique.
-            let mut report = Report::new("backend_scaling", "full");
-            for &config in &configs {
-                let s = Sample {
-                    config,
-                    steps: 1,
-                    millis: 1.0,
-                    runs: 1,
-                    peak_rss_bytes: 1,
-                };
-                report.row(s.row());
-            }
-            let parsed = parse_bench_json(&report.to_json()).expect("rows parse");
-            let ids: BTreeSet<String> = parsed.results.iter().map(identity).collect();
-            assert_eq!(ids.len(), configs.len(), "duplicate row identity");
-
-            // Each config a gate reads exists.
-            let of = |w: Workload, m: Mode, i: Instrument| {
-                configs
-                    .iter()
-                    .filter(move |c| (c.workload, c.mode, c.instrument) == (w, m, i))
-            };
-            let metrics = of(Workload::Reg, Mode::Free, Instrument::Metrics);
-            assert_eq!(metrics.filter(|c| c.n == METRICS_GATE_N).count(), 1);
-            let mut gated_reg = of(Workload::Reg, Mode::Gated, Instrument::None);
-            assert!(gated_reg.any(|c| c.n >= 100_000));
         }
+
+        // Row identities are unique.
+        let mut report = Report::new("backend_scaling", "full");
+        for &config in &configs {
+            let s = Sample {
+                config,
+                steps: 1,
+                millis: 1.0,
+                runs: 1,
+                peak_rss_bytes: 1,
+            };
+            report.row(s.row());
+        }
+        let parsed = parse_bench_json(&report.to_json()).expect("rows parse");
+        let ids: BTreeSet<String> = parsed.results.iter().map(identity).collect();
+        assert_eq!(ids.len(), configs.len(), "duplicate row identity");
+
+        // Each config a gate reads exists.
+        let of = |w: Workload, m: Mode, i: Instrument| {
+            configs
+                .iter()
+                .filter(move |c| (c.workload, c.mode, c.instrument) == (w, m, i))
+        };
+        let metrics = of(Workload::Reg, Mode::Free, Instrument::Metrics);
+        assert_eq!(metrics.filter(|c| c.n == METRICS_GATE_N).count(), 1);
+        let mut gated_reg = of(Workload::Reg, Mode::Gated, Instrument::None);
+        assert!(gated_reg.any(|c| c.n >= 100_000));
     }
 }

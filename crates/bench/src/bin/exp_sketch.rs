@@ -35,8 +35,7 @@
 //! row also writes its total, `read_steps`, which `bench_diff` compares
 //! exactly (a thread row's read steps vary from run to run).
 //!
-//! Run: `cargo run --release -p bench --bin exp_sketch` (no arguments;
-//! `REPRO_SCALE` multiplies the op counts)
+//! Run: `cargo run --release -p bench --bin exp_sketch` (no arguments)
 //! CI:  the same, then `bench_diff` against the committed
 //! `BENCH_sketch.json`.
 
@@ -113,21 +112,20 @@ impl Config {
 }
 
 /// The one grid: at least 4 process-count × shard-count top-k
-/// configurations on each backend, then the quantile rows. `scale`
-/// (`REPRO_SCALE`) multiplies the op counts.
-fn grid(scale: u64) -> Vec<Config> {
+/// configurations on each backend, then the quantile rows.
+fn grid() -> Vec<Config> {
     use Backend::{Coop, Thread};
     let topk = |backend, n, shards, ops: u64| Config {
         object: Object::TopK { shards },
         backend,
         n,
-        ops: ops * scale,
+        ops,
     };
     let quantile = |backend, n, ops: u64| Config {
         object: Object::Quantile,
         backend,
         n,
-        ops: ops * scale,
+        ops,
     };
     vec![
         topk(Thread, 4, 1, 2_000),
@@ -524,7 +522,7 @@ fn run_child(configs: &[Config], index: usize) -> Sample {
 }
 
 fn main() {
-    let configs = grid(bench::scale());
+    let configs = grid();
     // Child mode (internal): run one config, print one machine line.
     if let Some(index) = bench::child_index(configs.len()) {
         let c = configs[index];

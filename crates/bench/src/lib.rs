@@ -9,10 +9,6 @@
 //! This library provides the ASCII table printer, the flat-JSON emitter
 //! and regression differ for the committed `BENCH_*.json` files, and
 //! small helpers.
-//!
-//! The experiments that take an operation count honour the
-//! `REPRO_SCALE` environment variable (default 1): larger values
-//! multiply it for tighter measurements at the cost of runtime.
 
 pub mod emit;
 pub mod regression;
@@ -108,15 +104,6 @@ pub fn median_run<T: PartialEq + std::fmt::Debug>(
     (first, millis[millis.len() / 2], millis.len())
 }
 
-/// The operation-count multiplier from `REPRO_SCALE` (default 1, min 1).
-pub fn scale() -> u64 {
-    std::env::var("REPRO_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(1)
-        .max(1)
-}
-
 /// Exit 2 with a usage line if the process got any argument: each
 /// experiment bin that takes none runs its one grid.
 pub fn no_arguments(bin: &str) {
@@ -176,11 +163,6 @@ mod tests {
         assert_eq!(ceil_sqrt(10), 4);
         assert_eq!(ceil_sqrt(64), 8);
         assert_eq!(ceil_sqrt(65), 9);
-    }
-
-    #[test]
-    fn scale_defaults_to_one() {
-        assert!(scale() >= 1);
     }
 
     #[test]

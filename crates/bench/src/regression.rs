@@ -100,14 +100,9 @@ fn metric_kind(name: &str) -> Option<MetricKind> {
 
 fn is_volatile(name: &str) -> bool {
     const VOLATILE: &[&str] = &["millis", "steps", "ops", "writes", "reads", "violations"];
-    // The suffix classes cover obs metric-snapshot exports: raw event
-    // counts (`_total`, histogram `_count`) and histogram quantiles
-    // (`_p50`/`_p90`/`_p99`/`_max`) vary run to run and carry no
-    // better/worse direction, so they are neither identity nor
-    // compared metrics.
-    const VOLATILE_SUFFIXES: &[&str] = &[
-        "_avg", "_ms", "_total", "_count", "_p50", "_p90", "_p99", "_max",
-    ];
+    // `exp_sketch`'s `read_steps_avg`, which varies on thread rows, and
+    // obs event counts in a metrics snapshot.
+    const VOLATILE_SUFFIXES: &[&str] = &["_avg", "_total"];
     VOLATILE.contains(&name) || VOLATILE_SUFFIXES.iter().any(|s| name.ends_with(s))
 }
 
@@ -202,7 +197,7 @@ impl Diff {
     ///   nothing;
     /// * `fresh` is a `full`-mode run, which covers its bin's one grid,
     ///   yet some baseline rows have no fresh twin (each is named: a
-    ///   renamed identity column, a dropped config or a scaled size);
+    ///   renamed identity column or a dropped config);
     /// * `fresh` is any other run (`exp_paper`'s claim subsets write
     ///   `smoke`) and matched none of a non-empty baseline's rows, so
     ///   "no regressions" means nothing.

@@ -1,24 +1,20 @@
-//! Sharded lock-free counters and gauges.
+//! Lock-free counters and gauges: one relaxed atomic per metric.
 //!
-//! Both are arrays of cache-padded atomics; a write touches only the
-//! calling thread's shard (one relaxed RMW), a read sums all shards.
-//! Reads are therefore *not* linearizable snapshots — they are monotone
-//! (counters) or eventually-consistent (gauges) aggregates, which is the
-//! telemetry contract: exact-at-rest, approximate-in-flight.
+//! Every run that turns collection on records its metrics from one
+//! thread (the coop controller, the sequential explorer, the online
+//! checker), and the thread backend records none, so a metric has one
+//! writer and a single atomic costs that writer no contention. A write
+//! is one relaxed RMW, a read one relaxed load: exact once writers are
+//! at rest, which is when every reader takes its snapshot.
 
-use crate::{CachePadded, SHARDS};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// A monotone event counter.
-pub struct Counter {
-    shards: [CachePadded<AtomicU64>; SHARDS],
-}
+pub struct Counter(AtomicU64);
 
 impl Counter {
     pub fn new() -> Counter {
-        Counter {
-            shards: std::array::from_fn(|_| CachePadded(AtomicU64::new(0))),
-        }
+        Counter(AtomicU64::new(0))
     }
 
     /// Count one event. No-op while collection is disabled.
@@ -33,28 +29,21 @@ impl Counter {
         if !crate::enabled() {
             return;
         }
-        let shard = &self.shards[crate::shard_index()].0;
-        // relaxed-ok: the shard is thread-private for writes and reads
-        // only ever sum shards; no ordering with other memory is implied
-        // by a telemetry count.
-        shard.fetch_add(n, Ordering::Relaxed);
+        // relaxed-ok: a telemetry count publishes no other memory; the
+        // RMW alone keeps concurrent increments from being lost.
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Sum over all shards (monotone; exact once writers are at rest).
+    /// The count (exact once writers are at rest).
     pub fn get(&self) -> u64 {
-        self.shards
-            .iter()
-            // relaxed-ok: see `add` — shard sums carry no ordering.
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .fold(0u64, u64::wrapping_add)
+        // relaxed-ok: see `add` — a count carries no ordering.
+        self.0.load(Ordering::Relaxed)
     }
 
-    /// Zero every shard (experiment harness between configurations).
+    /// Zero the count (experiment harness between configurations).
     pub fn reset(&self) {
-        for s in &self.shards {
-            // relaxed-ok: reset happens at rest, between measured runs.
-            s.0.store(0, Ordering::Relaxed);
-        }
+        // relaxed-ok: reset happens at rest, between measured runs.
+        self.0.store(0, Ordering::Relaxed);
     }
 }
 
@@ -65,15 +54,11 @@ impl Default for Counter {
 }
 
 /// A signed up/down gauge (queue depths, resident bytes).
-pub struct Gauge {
-    shards: [CachePadded<AtomicI64>; SHARDS],
-}
+pub struct Gauge(AtomicI64);
 
 impl Gauge {
     pub fn new() -> Gauge {
-        Gauge {
-            shards: std::array::from_fn(|_| CachePadded(AtomicI64::new(0))),
-        }
+        Gauge(AtomicI64::new(0))
     }
 
     /// Move the gauge by `delta` (may be negative). No-op while
@@ -83,10 +68,9 @@ impl Gauge {
         if !crate::enabled() {
             return;
         }
-        let shard = &self.shards[crate::shard_index()].0;
-        // relaxed-ok: as with Counter — per-thread shard, summed reads,
-        // no ordering contract.
-        shard.fetch_add(delta, Ordering::Relaxed);
+        // relaxed-ok: as with Counter — a telemetry value, no ordering
+        // contract.
+        self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Shorthand for `add(-delta)`.
@@ -95,22 +79,16 @@ impl Gauge {
         self.add(-delta);
     }
 
-    /// Sum over all shards. Individual shards may be negative (a value
-    /// added on one thread, removed on another); the sum is the gauge.
+    /// The gauge's value (exact once writers are at rest).
     pub fn get(&self) -> i64 {
-        self.shards
-            .iter()
-            // relaxed-ok: shard sums carry no ordering.
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .fold(0i64, i64::wrapping_add)
+        // relaxed-ok: see `add`.
+        self.0.load(Ordering::Relaxed)
     }
 
-    /// Zero every shard (experiment harness between configurations).
+    /// Zero the gauge (experiment harness between configurations).
     pub fn reset(&self) {
-        for s in &self.shards {
-            // relaxed-ok: reset happens at rest, between measured runs.
-            s.0.store(0, Ordering::Relaxed);
-        }
+        // relaxed-ok: reset happens at rest, between measured runs.
+        self.0.store(0, Ordering::Relaxed);
     }
 }
 

@@ -13,14 +13,12 @@
 pub const SUB_COOP: &str = "coop";
 pub const SUB_EXPLORE: &str = "explore";
 pub const SUB_LINCHECK: &str = "lincheck";
-pub const SUB_SKETCH: &str = "sketch";
 
 // CoopBackend.
 pub const COOP_POLLS: &str = "polls_total";
 pub const COOP_ARENA_BYTES: &str = "arena_bytes";
 
 // smr::explore.
-pub const EXPLORE_NODES: &str = "nodes_expanded_total";
 pub const EXPLORE_SLEEP_HITS: &str = "sleep_set_hits_total";
 pub const EXPLORE_BACKTRACKS: &str = "backtrack_points_total";
 pub const EXPLORE_REPLAYS: &str = "replays_total";
@@ -34,7 +32,3 @@ pub const LINCHECK_RETAINED: &str = "retained_entries";
 /// per-layer ledger reads `lincheck.reorder_occupancy_p99` from it
 /// (`perfbench/src/metrics.rs`), which now reads 0.
 pub const LINCHECK_REORDER_OCCUPANCY: &str = "reorder_occupancy_entries";
-
-// sketch.
-pub const SKETCH_FLUSHES: &str = "flushes_total";
-pub const SKETCH_PRUNED_SCANS: &str = "pruned_shard_scans_total";

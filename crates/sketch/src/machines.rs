@@ -18,24 +18,6 @@ use crate::quantile::QuantileHandle;
 use crate::topk::{TopKHandle, TopKResult};
 use approx_objects::{FlushMachine, KmultMaxReadMachine, KmultMaxWriteMachine, ReadMachine};
 use smr::{Poll, ProcCtx};
-use std::sync::OnceLock;
-
-/// Shared metric handles, resolved once per process. Completed flush
-/// drains (both sketches) and shards skipped by the top-k pruning
-/// bound are the two quantities that tell whether batching and
-/// pruning are actually earning their complexity on a given workload.
-struct SketchMetrics {
-    flushes: &'static obs::Counter,
-    pruned_scans: &'static obs::Counter,
-}
-
-fn metrics() -> &'static SketchMetrics {
-    static METRICS: OnceLock<SketchMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| SketchMetrics {
-        flushes: obs::counter(obs::names::SUB_SKETCH, obs::names::SKETCH_FLUSHES),
-        pruned_scans: obs::counter(obs::names::SUB_SKETCH, obs::names::SKETCH_PRUNED_SCANS),
-    })
-}
 
 /// Resume point of a [`TopKHandle::flush`]: for every key with buffered
 /// units (ascending), batch the deferred increments into the key's
@@ -84,8 +66,6 @@ impl TopKFlushMachine {
                 FlushPhase::Seek => self.phase = FlushPhase::SeekFrom(0),
                 FlushPhase::SeekFrom(from) => match h.next_buffered_key(from) {
                     None => {
-                        // Final seek: exactly once per flush run.
-                        metrics().flushes.inc();
                         self.phase = FlushPhase::Done;
                         return Poll::Ready(());
                     }
@@ -285,10 +265,6 @@ impl TopKReadMachine {
                 // shard's maximum cannot beat the q-th candidate, no
                 // later shard can either.
                 if self.maxima[shard] < kth {
-                    // Every shard from here on is skipped unread.
-                    metrics()
-                        .pruned_scans
-                        .add((self.order.len() - self.pos) as u64);
                     return ReadPhase::Done;
                 }
             }
@@ -400,8 +376,6 @@ impl QuantileFlushMachine {
                 QFlushPhase::Seek => self.phase = QFlushPhase::SeekFrom(0),
                 QFlushPhase::SeekFrom(from) => match h.next_buffered_bucket(from) {
                     None => {
-                        // Final seek: exactly once per flush run.
-                        metrics().flushes.inc();
                         self.phase = QFlushPhase::Done;
                         return Poll::Ready(());
                     }

@@ -161,7 +161,7 @@ unsafe fn drop_shim<T>(data: NonNull<u8>) {
 
 /// The backend's registered metrics, resolved once per process (the
 /// handles are `&'static`, so the poll loop pays one relaxed flag load
-/// plus one sharded `fetch_add` per event, and building a backend pays
+/// plus one relaxed `fetch_add` per event, and building a backend pays
 /// one `OnceLock` load instead of a registry lookup per metric).
 struct CoopMetrics {
     /// Every task poll: priming polls in `advance`, granted polls in

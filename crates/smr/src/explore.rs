@@ -792,8 +792,6 @@ impl Default for DNode {
 struct ExploreMetrics {
     /// `'outer` iterations of [`explore_dpor`] — fresh-driver replays.
     replays: &'static obs::Counter,
-    /// DNodes pushed onto the search stack.
-    nodes: &'static obs::Counter,
     /// Sleep-blocked states: every continuation was asleep.
     sleep_hits: &'static obs::Counter,
     /// Race reversals actually added to a backtrack set.
@@ -804,7 +802,6 @@ fn metrics() -> &'static ExploreMetrics {
     static M: OnceLock<ExploreMetrics> = OnceLock::new();
     M.get_or_init(|| ExploreMetrics {
         replays: obs::counter(obs::names::SUB_EXPLORE, obs::names::EXPLORE_REPLAYS),
-        nodes: obs::counter(obs::names::SUB_EXPLORE, obs::names::EXPLORE_NODES),
         sleep_hits: obs::counter(obs::names::SUB_EXPLORE, obs::names::EXPLORE_SLEEP_HITS),
         backtracks: obs::counter(obs::names::SUB_EXPLORE, obs::names::EXPLORE_BACKTRACKS),
     })
@@ -1026,7 +1023,6 @@ where
             for &j in &races {
                 add_backtrack(&mut stack[j], node.taken);
             }
-            metrics().nodes.inc();
             stack.push(node);
         }
     }

@@ -27,8 +27,8 @@
 //! * [`perturb`] — the lower-bound machinery: awareness sets and
 //!   perturbing executions.
 //! * [`obs`] — the self-observability layer: lock-free counters and
-//!   gauges every subsystem reports into, a registry, snapshots and
-//!   step-scaled snapshot reporting (`exp_scale`'s `metrics` rows pin
+//!   gauges the coop backend, the explorer and the online checker report
+//!   into, a registry and snapshots (`exp_scale`'s `metrics` rows pin
 //!   the overhead).
 //!
 //! ## Where to start

@@ -1,5 +1,5 @@
 //! Observability must not perturb the explored behavior: the explorer's
-//! instrumentation (node, replay, sleep-hit and backtrack counters) is
+//! instrumentation (replay, sleep-hit and backtrack counters) is
 //! counters-only, and this suite pins that contract operationally —
 //! the same program explored with metrics disabled and enabled reaches
 //! the **bit-identical** set of history cuts, with identical walk
@@ -8,8 +8,12 @@
 //! digest sets diverge and this test names the regression.
 //!
 //! The same discipline is checked on the coop backend's hot path: a
-//! gated round-robin run must grant the same step count either way,
-//! while the enabled run's poll counter actually moves.
+//! gated round-robin run must grant the same step count either way.
+//!
+//! Both tests also pin the exact counts perfbench's ledger reads: the
+//! enabled walk counts one replay per replay, the enabled gated run one
+//! poll per granted step plus one priming poll per operation, and the
+//! disabled walk counts no replay.
 
 use counter::{CollectCounter, CollectIncTask, CollectReadTask};
 use parking_lot::Mutex;
@@ -22,6 +26,9 @@ use std::sync::Arc;
 /// Serializes the tests in this file: both toggle the process-global
 /// enabled flag, and the harness runs tests concurrently.
 static FLAG: Mutex<()> = Mutex::new(());
+
+/// Operations [`program`] submits: two on each of its 3 processes.
+const PROGRAM_OPS: u64 = 6;
 
 /// 3 processes on a collect counter: 2 increments each for two of
 /// them, an increment + read for the third. Schedule-dependent step
@@ -61,12 +68,17 @@ fn dpor_walk_is_identical_with_metrics_on_and_off() {
         ..ExploreConfig::default()
     };
 
+    let replays = || obs::counter(obs::names::SUB_EXPLORE, obs::names::EXPLORE_REPLAYS).get();
+
     obs::set_enabled(false);
+    let before_off = replays();
     let (digests_off, stats_off) = dpor_digests(&cfg);
+    let after_off = replays();
 
     obs::set_enabled(true);
     let (digests_on, stats_on) = dpor_digests(&cfg);
     obs::set_enabled(false);
+    let after_on = replays();
 
     assert!(
         stats_off.interleavings > 1,
@@ -80,6 +92,12 @@ fn dpor_walk_is_identical_with_metrics_on_and_off() {
         digests_off, digests_on,
         "the DPOR history-digest set changed when metrics were enabled — \
          instrumentation perturbed the walk"
+    );
+    assert_eq!(after_off, before_off, "a disabled walk counted replays");
+    assert_eq!(
+        after_on - after_off,
+        stats_on.replays,
+        "the enabled walk's replay counter disagrees with its replays"
     );
 }
 
@@ -105,9 +123,10 @@ fn gated_coop_grants_the_same_steps_with_metrics_on_and_off() {
         steps_off, steps_on,
         "granted step count changed when metrics were enabled"
     );
-    assert!(
-        polls_after > polls_before,
-        "the enabled run recorded no coop polls — the hot path lost its \
-         instrumentation"
+    assert_eq!(
+        polls_after - polls_before,
+        steps_on + PROGRAM_OPS,
+        "the enabled run must count one poll per granted step plus one \
+         priming poll per operation"
     );
 }
