@@ -13,17 +13,17 @@
 //! * **zero violations** — every real-object configuration must pass
 //!   its checker on every cut (the bin exits non-zero otherwise);
 //! * **throughput** — interleavings/second under the raw exhaustive DFS
-//!   (`dfs`) and sleep-set dynamic partial-order reduction (`dpor`),
-//!   plus crash injection. A row whose walk takes under
+//!   (`dfs`) and source-set dynamic partial-order reduction with sleep
+//!   sets (`dpor`), plus crash injection. A row whose walk takes under
 //!   [`bench::MIN_ROW_MILLIS`] repeats it until that much time has
 //!   passed and reports the median run; every repeat must find the same
 //!   verdict and the same exact counts (cuts, replays, pruned subtrees,
 //!   replayed steps).
 //!
 //! The `algo` column is part of each row's identity for
-//! `bench::regression` diffs; a `dpor` row counts *Mazurkiewicz trace
-//! representatives*, not raw interleavings, so counts are comparable
-//! only within one algorithm.
+//! `bench::regression` diffs; a `dpor` row counts cuts, at least one per
+//! *Mazurkiewicz trace class*, not raw interleavings, so counts are
+//! comparable only within one algorithm.
 //!
 //! Results land in `BENCH_explore.json` (cwd) for regression tracking.
 //! The grid includes the two 4-process DPOR programs `perfbench`'s
@@ -130,7 +130,7 @@ fn collect_incs() -> Factory {
 /// each plus a reader issuing 2 full collects. Exhaustive enumeration of
 /// its 20 primitives is ~4.4 × 10⁹ interleavings — far beyond DFS — but
 /// the conflict structure (each collect read races only the owning
-/// incrementer's writes) collapses to a few thousand trace classes.
+/// incrementer's writes) collapses to 29 449 trace classes.
 fn collect_4x2() -> Factory {
     Box::new(|| {
         let mut d = Driver::coop(Runtime::coop(4));
@@ -411,7 +411,7 @@ fn main() {
 
     println!("EXP-EXPLORE — schedule exploration (coop backend)");
     println!("every enumerated interleaving checked against lincheck; dpor rows");
-    println!("count Mazurkiewicz trace representatives; count-asserted configs");
+    println!("count cuts, at least one per trace class; count-asserted configs");
     println!("must match the multinomial closed form. ms is the median of `runs`");
     println!("runs, each with the same counts.");
     table.print("schedule exploration");

@@ -40,16 +40,17 @@
 //! and list starts with room for one entry per process, and the history
 //! reserves room for every submitted operation at its first record.
 //! Over the two 4-process programs `perfbench`'s `explore_dpor` walks,
-//! a replay averages about 21 allocation calls, the program objects and
-//! `lincheck`'s check included; `tests/replay_allocations.rs` pins the
-//! figure for the same programs at 3 processes.
+//! a checked cut averages about 23 allocation calls, the program
+//! objects and `lincheck`'s check included; `tests/replay_allocations.rs`
+//! pins the mean for the same programs at 3 processes.
 //!
 //! The walk's own buffers outlive the replay. Popped DPOR nodes go to a
 //! spare list, and the next push refills one in place: its choice lists,
 //! sleep and done sets and vector clock keep their allocations. The
-//! first-touch map and the race list are cleared, not rebuilt. Once
-//! these buffers have reached their high-water marks, a replay allocates
-//! only for the program and for the check of its cut.
+//! first-touch map, the race list and the initials scan's per-process
+//! buffer are cleared, not rebuilt. Once these buffers have reached
+//! their high-water marks, a replay allocates only for the program and
+//! for the check of its cut.
 //!
 //! ## Independence
 //!
@@ -90,31 +91,49 @@
 //! explorer never switches the runtime's trace log on, so with no
 //! analyzer attached every replay runs with tracing off.
 //!
-//! ## Reduction: DPOR, with the raw DFS as its oracle
+//! ## Reduction: source-set DPOR, with the raw DFS as its oracle
 //!
 //! While `prune` is on (the default), the explorer runs **dynamic
-//! partial-order reduction** in the style of
-//! Flanagan–Godefroid, with sleep sets: as each interleaving executes,
-//! every step is stamped with a vector clock, dense with one component
-//! per process, joining the clocks of its happens-before
-//! predecessors — its process's previous step plus every earlier
-//! *dependent* step not already ordered before it. A
-//! dependent-but-concurrent pair is a race: its reversal may be a
-//! distinct Mazurkiewicz trace, so the racing process is added to the
-//! *backtrack set* of the node where the earlier step ran, and the walk
-//! later re-explores that node with the reversal scheduled first. Sleep
-//! sets kill the duplicates this creates: after a choice's subtree is
-//! fully explored, the choice "sleeps" at that node and stays asleep in
-//! sibling subtrees until some executed step is dependent with it —
-//! an execution whose next step is asleep is a reordering of an
+//! partial-order reduction** with source sets and sleep sets (Abdulla,
+//! Aronis, Jonsson, Sagonas, "Optimal Dynamic Partial Order Reduction",
+//! POPL 2014, Algorithm 1). As each interleaving executes, every step
+//! is stamped with a vector clock, dense with one component per
+//! process, joining the clocks of its happens-before predecessors — its
+//! process's previous step plus every earlier *dependent* step not
+//! already ordered before it. A dependent pair with nothing between
+//! them in happens-before order is a *race*: a step e at some node and
+//! a later step e′. Reversing it gives v = notdep(e)·e′, the steps after
+//! e that do not happen after it followed by e′, which may lie in a new
+//! Mazurkiewicz trace class. The processes that can start v at e's node
+//! are its *initials*: those whose first step in v has no
+//! happens-before predecessor in v. If one of them is already in the
+//! node's backtrack set, done or asleep there, nothing is added.
+//! Otherwise one joins the node's *backtrack set* — e′'s own process
+//! when it is an initial, else the first initial found — and the walk
+//! later re-explores the node with it scheduled first. Sleep sets kill
+//! the duplicates this creates: after a choice's subtree is fully
+//! explored, the choice "sleeps" at that node and stays asleep in
+//! sibling subtrees until some executed step is dependent with it. An
+//! execution whose next step is asleep is a reordering of an
 //! already-explored one, and is skipped (counted in
 //! [`ExploreStats::pruned`]).
 //!
-//! Soundness: backtrack sets grow toward persistent sets (every
-//! reversible race found in an executed schedule schedules its
-//! reversal), and sleep sets only skip executions equivalent to
-//! explored ones (entries are dropped the moment a dependent step
-//! runs). One subtlety is
+//! Soundness: when the walk leaves a node, its backtrack set is a
+//! *source set* for the maximal executions from that node that its sleep
+//! set does not already cover — each is equivalent to one that starts
+//! with a member — and sleep sets only skip executions equivalent to
+//! explored ones (entries are dropped the moment a dependent step runs).
+//! The proof is Abdulla et al.'s: an unexplored class from a node
+//! diverges from the explored execution closest to it at a race, and
+//! that race's reversal puts an initial of the class's own order into the
+//! node's backtrack set. The initials are what make this hold with races
+//! found only between executed steps. Scheduling the racing step's own
+//! process instead (Flanagan–Godefroid, POPL 2005) is complete only when
+//! races are also checked against every process's pending step at every
+//! prefix, since that step may depend on a step between the racing
+//! pair; without that check it skips reachable histories.
+//!
+//! One subtlety is
 //! *object identity across replays*: every interleaving runs in a fresh
 //! program instance, so raw base-object addresses recorded in one
 //! replay are meaningless in the next. DPOR metadata persists across
@@ -123,10 +142,19 @@
 //! prefix, hence exact for any two events on one path — and sleep
 //! entries whose object was first touched by the sleeping step itself
 //! (no shared-prefix identity) are compared conservatively: any
-//! possibly-equal pairing counts as dependent and wakes the entry. Crash decisions are
-//! seeded into every node's backtrack set unconditionally — crash
-//! coverage stays exhaustive (one crash cut per prefix per process, as
-//! in the raw DFS); the reduction only collapses step reorderings.
+//! possibly-equal pairing counts as dependent and wakes the entry. So
+//! the walk checks one cut per trace class unless such an entry wakes
+//! early, which repeats a class: Algorithm 2 at four processes checks
+//! 30 488 cuts for its 25 724 classes.
+//!
+//! Crash decisions are seeded into every node's backtrack set
+//! unconditionally — crash coverage stays exhaustive (one crash cut per
+//! prefix per process, as in the raw DFS); the reduction only collapses
+//! step reorderings. Their races go through the same rule. A crash
+//! depends on every step, so it never lies inside a notdep; a crash e′
+//! racing with e is reversed through the initials of the steps between
+//! them, which brings the walk to a prefix where the crash lands before
+//! e.
 //!
 //! `prune: false` selects the raw depth-first walk, which explores
 //! every schedule as-is: it is the oracle the parity tests compare
@@ -336,13 +364,17 @@ pub struct FoundViolation {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExploreStats {
     /// History cuts checked (maximal interleavings plus bound cuts).
+    /// Under DPOR, at least one per Mazurkiewicz trace class, and one
+    /// per class unless a sleeping step's fresh object forces a
+    /// conservative wake-up (see the [module docs](self)).
     pub interleavings: u64,
     /// Program instances the walk built, minimization's excluded. Equal
-    /// to `interleavings` under the raw DFS; DPOR also replays into
-    /// sleep-blocked states, which end without a cut.
+    /// to `interleavings` under the raw DFS; DPOR adds the replays that
+    /// end sleep-blocked, with every continuation asleep and no cut.
     pub replays: u64,
-    /// Subtrees DPOR skipped: sleeping or never-backtracked choices (0
-    /// under the raw DFS).
+    /// Choices DPOR left unexplored at the nodes it finished: asleep
+    /// there, or never scheduled because no race reversal needed them
+    /// (0 under the raw DFS).
     pub pruned: u64,
     /// Total granted steps across all replays (the work metric).
     pub steps_replayed: u64,
@@ -742,8 +774,9 @@ fn survives(e: &SleepEntry, taken: &Option<StepMeta>) -> bool {
 struct DNode {
     /// Every choice available at this prefix, canonical order.
     enabled: Vec<Choice>,
-    /// Choices scheduled for exploration from this node (grows as races
-    /// against `taken`-descendant events are found).
+    /// Choices scheduled for exploration from this node: the first
+    /// choice not asleep, every crash choice, and one initial per race
+    /// reversal that found none covered here.
     backtrack: Vec<Choice>,
     /// Choices fully explored from this node, with the metadata their
     /// first step had (deterministic per state, object rekeyed to its
@@ -815,26 +848,64 @@ fn covered(node: &DNode, c: Choice) -> bool {
         || node.sleep.iter().any(|e| e.choice == c)
 }
 
-/// Schedule the reversal of a race at `node`: the racing event's
-/// process runs here instead. Its choice is always enabled in this
-/// model (the active set only shrinks along a path and crash budget is
-/// monotone), but fall back to scheduling everything if it is not.
-fn add_backtrack(node: &mut DNode, racer: Choice) {
-    if node.enabled.contains(&racer) {
-        if !covered(node, racer) {
-            node.backtrack.push(racer);
-            metrics().backtracks.inc();
+/// `true` if an event with vector clock `clock` has no happens-before
+/// predecessor among the events whose per-process first indices
+/// `first` holds (0: no event of that process yet).
+fn is_initial(clock: &[u64], first: &[u64]) -> bool {
+    clock.iter().zip(first).all(|(&c, &f)| f == 0 || c < f)
+}
+
+/// Schedule the reversal of the race between the step at stack
+/// position `j` (call it e) and the new event, `choice` with clock
+/// `clock`, whose predecessors are `below`.
+///
+/// The reversal is v = notdep(e)·`choice`: the steps after `j` that do
+/// not happen after e, then the new event. Its *initials* are the
+/// events of v with no happens-before predecessor in v, and some
+/// initial must be explored at node `j` for v's class to be reached.
+/// One scan of the dense node clocks finds them, keeping in `first`,
+/// reused across calls, each process's index of its first event in v.
+/// If an initial is already covered at node `j`, nothing is scheduled;
+/// otherwise the new event's own choice is when it is an initial, else
+/// the first initial found.
+fn add_backtrack(
+    below: &mut [DNode],
+    j: usize,
+    choice: Choice,
+    clock: &[u64],
+    first: &mut Vec<u64>,
+) {
+    let (pid, local) = (below[j].pid, below[j].local);
+    first.clear();
+    first.resize(clock.len(), 0);
+    let mut pick = None;
+    for node in &below[j + 1..] {
+        if node.clock[pid] >= local {
+            continue; // happens after e: not in notdep(e)
         }
-        return;
+        if is_initial(&node.clock, first) {
+            if covered(&below[j], node.taken) {
+                return;
+            }
+            pick.get_or_insert(node.taken);
+        }
+        if first[node.pid] == 0 {
+            first[node.pid] = node.local;
+        }
     }
-    let missing: Vec<Choice> = node
-        .enabled
-        .iter()
-        .copied()
-        .filter(|&c| !covered(node, c))
-        .collect();
-    metrics().backtracks.add(missing.len() as u64);
-    node.backtrack.extend(missing);
+    let c = if is_initial(clock, first) {
+        if covered(&below[j], choice) {
+            return;
+        }
+        choice
+    } else {
+        pick.expect("a preceded event has an initial predecessor in v")
+    };
+    // The active set only shrinks along a path and the crash budget is
+    // monotone, so an initial is enabled at node `j`.
+    debug_assert!(below[j].enabled.contains(&c), "initial {c:?} not enabled");
+    below[j].backtrack.push(c);
+    metrics().backtracks.inc();
 }
 
 /// Stamp a new event with its vector clock and detect its races.
@@ -880,8 +951,8 @@ fn race_scan(
     local
 }
 
-/// The sleep-set DPOR walk (see the [module docs](self)), minimizing
-/// the first violation it finds.
+/// The source-set DPOR walk with sleep sets (see the [module
+/// docs](self)), minimizing the first violation it finds.
 fn explore_dpor<F, C>(cfg: &ExploreConfig, factory: &F, mut check: C) -> ExploreStats
 where
     F: Fn() -> Driver<CoopBackend>,
@@ -893,6 +964,7 @@ where
     let mut spare: Vec<DNode> = Vec::new();
     let mut ids = ObjIds::default();
     let mut races: Vec<usize> = Vec::new();
+    let mut first: Vec<u64> = Vec::new();
     // `true` when the top node's `taken` was swapped by backtracking and
     // has not executed yet.
     let mut pending = false;
@@ -948,7 +1020,7 @@ where
             top.pid = acting(choice);
             top.local = race_scan(below, n, top.pid, &top.info, &mut top.clock, &mut races);
             for &j in &races {
-                add_backtrack(&mut below[j], choice);
+                add_backtrack(below, j, choice, &top.clock, &mut first);
             }
         }
 
@@ -1021,7 +1093,7 @@ where
             node.pid = acting(node.taken);
             node.local = race_scan(&stack, n, node.pid, &node.info, &mut node.clock, &mut races);
             for &j in &races {
-                add_backtrack(&mut stack[j], node.taken);
+                add_backtrack(&mut stack, j, node.taken, &node.clock, &mut first);
             }
             stack.push(node);
         }
@@ -1159,8 +1231,8 @@ mod tests {
         // silent read r and an emitting write w. The only dependent
         // cross-process pair is w0/w1 (both emit), so the 6 raw
         // interleavings collapse to 2 Mazurkiewicz classes — one per
-        // order of the two completions — and sleep sets make the walk
-        // optimal here (no wasted replays).
+        // order of the two completions — and the walk checks one cut per
+        // class.
         let factory = || {
             let mut d = Driver::coop(Runtime::coop(2));
             for pid in 0..2 {

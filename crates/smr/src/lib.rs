@@ -37,8 +37,9 @@
 //!   policies stay cheap at 10⁵–10⁶ pids.
 //! * **Exhaustive schedule exploration** ([`explore`](mod@explore)) — a
 //!   bounded depth-first enumerator over the coop backend that checks
-//!   *every* interleaving (one per trace class under sleep-set DPOR, or
-//!   all of them under the raw DFS; optional crash injection) and
+//!   *every* interleaving (at least one per trace class under
+//!   source-set DPOR, or all of them under the raw DFS; optional crash
+//!   injection) and
 //!   minimizes failing schedules into replayable scripts, turning
 //!   sampled schedule properties into proofs for small configurations.
 //! * **Online trace analysis** ([`analysis`]) — pluggable passes fed the

@@ -28,7 +28,9 @@ use counter::{CollectCounter, CollectIncTask, CollectReadTask};
 use lincheck::{check_counter_records, check_maxreg_records};
 use parking_lot::Mutex;
 use smr::explore::{explore, Choice, ExploreConfig, Replay};
+use smr::{AccessKind, TraceEvent};
 use smr::{CoopBackend, Driver, OpKind, OpSpec, OpTask, Poll, ProcCtx, Register, Runtime};
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -184,17 +186,45 @@ fn kmaxreg_program(n: usize) -> Driver<CoopBackend> {
     d
 }
 
+/// Algorithm 2 at k = 3 over m = 2⁶, two writers and two readers: pid
+/// 0 writes 2, pid 1 writes 4, and pids 2 and 3 each read once.
+fn kmaxreg_two_writers_two_readers() -> Driver<CoopBackend> {
+    let mut d = Driver::coop(Runtime::coop(4));
+    let r = Arc::new(KmultBoundedMaxRegister::new(4, 1 << 6, 3));
+    for (pid, v) in [(0, 2), (1, 4)] {
+        d.submit_task(pid, OpSpec::write(v), KmultMaxWriteTask::new(r.clone(), v));
+    }
+    for pid in 2..4 {
+        d.submit_task(pid, OpSpec::read(), KmultMaxReadTask::new(r.clone()));
+    }
+    d
+}
+
+/// Two writers and one reader over an 8-bounded AACH tree max register.
+fn tree_maxreg_program() -> Driver<CoopBackend> {
+    use maxreg::{TreeMaxReadTask, TreeMaxRegister, TreeMaxWriteTask};
+    let mut d = Driver::coop(Runtime::coop(3));
+    let r = Arc::new(TreeMaxRegister::new(8));
+    d.submit_task(0, OpSpec::write(5), TreeMaxWriteTask::new(r.clone(), 5));
+    d.submit_task(1, OpSpec::write(3), TreeMaxWriteTask::new(r.clone(), 3));
+    d.submit_task(2, OpSpec::read(), TreeMaxReadTask::new(r.clone()));
+    d
+}
+
 #[test]
 fn kmult_maxreg_is_k_accurate_on_every_schedule() {
     // Algorithm 2 on its own, every cut checked against the
     // k-multiplicative max-register spec: n = 3 with one crash, and
     // n = 4, both exhausted by DPOR. The walks are pinned by their exact
     // counts, and the costliest completed write and read by their steps
-    // (Thm IV.2 bounds both by O(min(log₂ log_k m, n))).
+    // (Thm IV.2 bounds both by O(min(log₂ log_k m, n))). At n = 4 the
+    // 30 488 cuts cover all 25 724 trace classes; the repeats come from
+    // objects first touched by a sleeping step, whose identity across
+    // branches the walk can only compare conservatively.
     let k = 2;
     for (n, max_crashes, counts, most_steps) in [
-        (3, 1, [20_105, 20_105, 16_424, 261_133], (2, 3)),
-        (4, 0, [43_128, 56_641, 201_132, 1_309_731], (2, 4)),
+        (3, 1, [21_474, 21_474, 17_264, 279_329], (2, 3)),
+        (4, 0, [30_488, 30_725, 79_417, 736_540], (2, 4)),
     ] {
         let cfg = ExploreConfig {
             max_crashes,
@@ -567,19 +597,9 @@ fn reductions_preserve_the_reachable_history_set() {
                 d
             }),
         ),
-        (
-            "tree-maxreg",
-            0,
-            Box::new(|| {
-                use maxreg::{TreeMaxReadTask, TreeMaxRegister, TreeMaxWriteTask};
-                let mut d = Driver::coop(Runtime::coop(3));
-                let r = Arc::new(TreeMaxRegister::new(8));
-                d.submit_task(0, OpSpec::write(5), TreeMaxWriteTask::new(r.clone(), 5));
-                d.submit_task(1, OpSpec::write(3), TreeMaxWriteTask::new(r.clone(), 3));
-                d.submit_task(2, OpSpec::read(), TreeMaxReadTask::new(r.clone()));
-                d
-            }),
-        ),
+        ("tree-maxreg", 0, Box::new(tree_maxreg_program)),
+        // The raw DFS walks 63 996 interleavings to 90 cuts here.
+        ("kmaxreg-2w2r", 0, Box::new(kmaxreg_two_writers_two_readers)),
         (
             "collect-crashes",
             2,
@@ -615,21 +635,188 @@ fn reductions_preserve_the_reachable_history_set() {
     }
 }
 
-#[test]
-fn the_interleaving_cap_stops_either_walk_after_exactly_that_many_cuts() {
-    // Collect 3×2 has 34 650 raw interleavings and 132 DPOR
-    // representatives; a cap of 5 must stop the raw DFS and DPOR alike
-    // after 5 checked cuts, and say so.
-    let factory = || {
-        let mut d = Driver::coop(Runtime::coop(3));
-        let c = Arc::new(CollectCounter::new(3));
-        for pid in 0..3 {
-            for _ in 0..2 {
-                d.submit_task(pid, OpSpec::inc(), CollectIncTask::new(c.clone()));
+/// 3 processes × 2 collect-counter increments each.
+fn collect_3x2_program() -> Driver<CoopBackend> {
+    let mut d = Driver::coop(Runtime::coop(3));
+    let c = Arc::new(CollectCounter::new(3));
+    for pid in 0..3 {
+        for _ in 0..2 {
+            d.submit_task(pid, OpSpec::inc(), CollectIncTask::new(c.clone()));
+        }
+    }
+    d
+}
+
+/// Algorithm 1 at k = 2 over 3 processes, each an increment then a read.
+fn kmult_mixed_program() -> Driver<CoopBackend> {
+    let mut d = Driver::coop(Runtime::coop(3));
+    let c = KmultCounter::new(3, 2);
+    for pid in 0..3 {
+        let h: SharedKmultHandle = Arc::new(Mutex::new(c.handle(pid)));
+        d.submit_task(pid, OpSpec::inc(), KmultIncTask::new(h.clone()));
+        d.submit_task(pid, OpSpec::read(), KmultReadTask::new(h));
+    }
+    d
+}
+
+/// A program factory.
+type ProgramFn = fn() -> Driver<CoopBackend>;
+
+/// One granted step, as the runtime's trace log records it.
+#[derive(Debug, Clone, Copy)]
+struct Traced {
+    pid: usize,
+    obj: usize,
+    kind: AccessKind,
+    /// An operation completed in this step.
+    emitted: bool,
+}
+
+/// The granted steps of a traced run, in execution order: every step
+/// applies one primitive, so each access opens a step, and a completion
+/// marks the step it happened in.
+fn traced_steps(trace: &[TraceEvent]) -> Vec<Traced> {
+    let mut steps: Vec<Traced> = Vec::new();
+    for e in trace {
+        match *e {
+            TraceEvent::Access(a) => steps.push(Traced {
+                pid: a.pid,
+                obj: a.obj,
+                kind: a.kind,
+                emitted: false,
+            }),
+            TraceEvent::Complete { pid, .. } => {
+                let step = steps.last_mut().expect("a completion inside a step");
+                assert_eq!(step.pid, pid, "a completion belongs to its step");
+                step.emitted = true;
+            }
+            _ => {}
+        }
+    }
+    steps
+}
+
+/// Two traced steps commute: different processes, at most one of them
+/// completing an operation, and different objects unless both read.
+fn commute(a: &Traced, b: &Traced) -> bool {
+    a.pid != b.pid
+        && !(a.emitted && b.emitted)
+        && (a.obj != b.obj || (a.kind == AccessKind::Read && b.kind == AccessKind::Read))
+}
+
+/// A run's trace class, named by its lexicographic normal form: the pid
+/// sequence of the class's least linearization, built by repeatedly
+/// taking the smallest-pid step that commutes with every step left
+/// before it.
+fn normal_form(steps: &[Traced]) -> Vec<usize> {
+    let mut left: Vec<Traced> = steps.to_vec();
+    let mut word = Vec::with_capacity(steps.len());
+    while !left.is_empty() {
+        let at = (0..left.len())
+            .filter(|&i| left[..i].iter().all(|b| commute(b, &left[i])))
+            .min_by_key(|&i| left[i].pid)
+            .expect("the first step left is always minimal");
+        word.push(left.remove(at).pid);
+    }
+    word
+}
+
+/// Every trace class of `program`'s maximal runs, by an oracle that
+/// shares nothing with the explorer: a depth-first walk over pid
+/// sequences that keeps only lexicographic normal forms
+/// (Anisimov–Knuth). It extends a prefix by pid `a` unless an earlier
+/// step with a larger pid commutes with `a`'s step and with every step
+/// after it. Each extension runs on a fresh program with the trace log
+/// on, which names each step's object and kind and its completions.
+fn trace_classes(program: ProgramFn) -> BTreeSet<Vec<usize>> {
+    let run = |word: &[usize]| -> (Vec<Traced>, Vec<usize>) {
+        let mut d = program();
+        d.runtime().enable_tracing();
+        for &pid in word {
+            let _ = d.step(pid);
+        }
+        let steps = traced_steps(&d.runtime().take_trace());
+        assert_eq!(steps.len(), word.len(), "one primitive per granted step");
+        (steps, d.active_set().iter_sorted().collect())
+    };
+    let mut classes = BTreeSet::new();
+    let mut stack = vec![(Vec::new(), run(&[]))];
+    while let Some((word, (steps, active))) = stack.pop() {
+        if active.is_empty() {
+            assert_eq!(normal_form(&steps), word, "the oracle keeps normal forms");
+            classes.insert(word);
+            continue;
+        }
+        for a in active {
+            let mut next = word.clone();
+            next.push(a);
+            let (steps, active) = run(&next);
+            let (last, before) = steps.split_last().expect("a step was granted");
+            let blocked = before
+                .iter()
+                .rev()
+                .take_while(|b| commute(b, last))
+                .any(|b| b.pid > a);
+            if !blocked {
+                stack.push((next, (steps, active)));
             }
         }
+    }
+    classes
+}
+
+/// DPOR's cuts of `program`, each canonicalised from the trace of its
+/// own replay: the factory keeps the runtime it built last, which is the
+/// one whose cut the checker receives. Returns the cut count and the
+/// set of normal forms.
+fn dpor_classes(program: ProgramFn) -> (u64, BTreeSet<Vec<usize>>) {
+    let built: RefCell<Option<Arc<Runtime>>> = RefCell::new(None);
+    let factory = || {
+        let d = program();
+        d.runtime().enable_tracing();
+        *built.borrow_mut() = Some(d.runtime().clone());
         d
     };
+    let mut classes = BTreeSet::new();
+    let stats = explore(&ExploreConfig::default(), factory, |_h: &smr::History| {
+        let trace = built.borrow().as_ref().expect("built").take_trace();
+        classes.insert(normal_form(&traced_steps(&trace)));
+        Ok(())
+    });
+    assert!(stats.all_ok() && !stats.capped);
+    (stats.interleavings, classes)
+}
+
+#[test]
+fn dpor_reaches_every_trace_class_the_oracle_enumerates() {
+    // Source-set DPOR explores every Mazurkiewicz class of a program's
+    // maximal runs. Where no sleeping step first touches an object the
+    // walk has not named yet, it checks one cut per class; Algorithm 2
+    // at n = 3 repeats some classes, so there only coverage is pinned.
+    let programs: [(&str, ProgramFn, usize, bool); 5] = [
+        ("kmaxreg-2w2r", kmaxreg_two_writers_two_readers, 90, true),
+        ("collect-3x2", collect_3x2_program, 90, true),
+        ("tree-maxreg", tree_maxreg_program, 17, true),
+        ("kmult-mixed", kmult_mixed_program, 354, true),
+        ("kmaxreg-3", || kmaxreg_program(3), 264, false),
+    ];
+    for (name, program, count, one_cut_per_class) in programs {
+        let oracle = trace_classes(program);
+        assert_eq!(oracle.len(), count, "{name}: trace classes");
+        let (cuts, reached) = dpor_classes(program);
+        assert_eq!(reached, oracle, "{name}: DPOR missed or invented a class");
+        if one_cut_per_class {
+            assert_eq!(cuts, count as u64, "{name}: one cut per class");
+        }
+    }
+}
+
+#[test]
+fn the_interleaving_cap_stops_either_walk_after_exactly_that_many_cuts() {
+    // Collect 3×2 has 34 650 raw interleavings and 90 trace classes; a
+    // cap of 5 must stop the raw DFS and DPOR alike after 5 checked
+    // cuts, and say so.
+    let factory = collect_3x2_program;
     for prune in [false, true] {
         let cfg = ExploreConfig {
             prune,
