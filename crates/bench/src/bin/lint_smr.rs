@@ -34,7 +34,8 @@
 //!    Every metric-name constant in `obs/src/names.rs` (the `SUB_*`
 //!    subsystem tags excepted) must end in a unit suffix the
 //!    `bench::regression` differ can classify (`_total`, `_per_sec`,
-//!    `_bytes`, `_entries`), and non-test call sites outside
+//!    `_bytes`, `_entries`; the list is `obs::registry::UNIT_SUFFIXES`,
+//!    which registration asserts too), and non-test call sites outside
 //!    `crates/obs` must pass those constants to `obs::counter`/`gauge`
 //!    — never string literals. A literal at a call site bypasses the
 //!    registry's single naming point, and a suffixless name exports a
@@ -48,6 +49,7 @@
 //! everything from a `#[cfg(test)]` marker to end of file (the repo
 //! convention is trailing test modules).
 
+use obs::registry::UNIT_SUFFIXES;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -147,11 +149,6 @@ fn crate_root(path: &Path) -> PathBuf {
 /// test: blocking-form equivalence, cross-backend equivalence, or a
 /// determinism signature check.
 const PAIRING_MARKERS: &[&str] = &["match_blocking_forms", "determinism", "equivalence"];
-
-/// The unit suffixes `bench::regression` classifies (rule 6); mirrors
-/// `UNIT_SUFFIXES` in `obs::registry`, which asserts the same set at
-/// registration time.
-const UNIT_SUFFIXES: &[&str] = &["_total", "_per_sec", "_bytes", "_entries"];
 
 /// Extract `(NAME, value)` from a `pub const NAME: &str = "value";`
 /// metric-name declaration line.

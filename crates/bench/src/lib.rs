@@ -7,10 +7,12 @@
 //! committed `BENCH_*.json` was written from, so a fresh run diffs
 //! against every committed row.
 //! This library provides the ASCII table printer, the flat-JSON emitter
-//! and regression differ for the committed `BENCH_*.json` files, and
-//! small helpers.
+//! and regression differ for the committed `BENCH_*.json` files, the
+//! explored programs ([`programs`], which `exp_explore` and the explorer
+//! suites under `tests/` share), and small helpers.
 
 pub mod emit;
+pub mod programs;
 pub mod regression;
 pub mod tables;
 

@@ -19,7 +19,7 @@ use std::sync::{Mutex, OnceLock};
 
 /// Unit suffixes a registered metric name must end with — the direction
 /// classes `bench::regression` understands plus `_total` for volatile
-/// event counts. `lint_smr` rule 6 pins the same list textually.
+/// event counts. `lint_smr` rule 6 checks `names.rs` against this list.
 pub const UNIT_SUFFIXES: &[&str] = &["_total", "_per_sec", "_bytes", "_entries"];
 
 #[derive(Clone, Copy)]

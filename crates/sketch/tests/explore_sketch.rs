@@ -57,7 +57,7 @@ fn quantile_program() -> Driver<CoopBackend> {
 #[test]
 fn quantile_program_passes_on_every_interleaving() {
     let env = SketchEnvelope::new(2, 2); // two observers share the buckets
-    let stats = explore(&ExploreConfig::exhaustive(200), quantile_program, |h| {
+    let stats = explore(&ExploreConfig::exhaustive(), quantile_program, |h| {
         sketchlog::check_quantile_records(h, &env, 2)
     });
     assert!(

@@ -453,7 +453,7 @@ mod mutant_tests {
         // The control: the same program with honest declarations passes
         // both of conformance's checks on every interleaving.
         let stats = explore(
-            &ExploreConfig::exhaustive(100),
+            &ExploreConfig::exhaustive(),
             || lying_pair(false),
             |_h| Ok(()),
         );

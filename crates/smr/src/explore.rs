@@ -335,13 +335,12 @@ impl Default for ExploreConfig {
 }
 
 impl ExploreConfig {
-    /// Exhaustive enumeration (no reduction) up to
-    /// `max_steps` granted steps — the configuration whose interleaving
-    /// count matches the multinomial closed form for programs with
-    /// schedule-independent per-process step counts.
-    pub fn exhaustive(max_steps: usize) -> Self {
+    /// Exhaustive enumeration (no reduction) under the default bounds —
+    /// the configuration whose interleaving count matches the
+    /// multinomial closed form for programs with schedule-independent
+    /// per-process step counts.
+    pub fn exhaustive() -> Self {
         ExploreConfig {
-            max_steps,
             prune: false,
             ..ExploreConfig::default()
         }
@@ -1194,7 +1193,7 @@ mod tests {
                 |_h| Ok(()),
             )
         };
-        let stats = count(&ExploreConfig::exhaustive(100));
+        let stats = count(&ExploreConfig::exhaustive());
         assert_eq!(u128::from(stats.interleavings), multinomial(&[2, 2]));
         assert_eq!(stats.replays, stats.interleavings, "one program per cut");
         assert_eq!(stats.pruned, 0, "nothing to prune on one shared object");
@@ -1214,7 +1213,7 @@ mod tests {
             }
             d
         };
-        let full = explore(&ExploreConfig::exhaustive(100), factory, |_h| Ok(()));
+        let full = explore(&ExploreConfig::exhaustive(), factory, |_h| Ok(()));
         assert_eq!(u128::from(full.interleavings), multinomial(&[2, 2]));
         let reduced = explore(&ExploreConfig::default(), factory, |_h| Ok(()));
         assert!(

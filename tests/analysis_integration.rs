@@ -458,7 +458,7 @@ fn explorer_passes_clean_programs_with_an_analyzer_attached() {
         }
         d
     };
-    let stats = explore(&ExploreConfig::exhaustive(100), factory, |_h| Ok(()));
+    let stats = explore(&ExploreConfig::exhaustive(), factory, |_h| Ok(()));
     assert!(stats.all_ok(), "violations: {:?}", stats.violations);
     assert!(stats.interleavings > 1);
 }

@@ -9,9 +9,9 @@
 //!   equal the multinomial closed form `(Σsᵢ)!/Πsᵢ!`; this pins the
 //!   enumerator itself (no duplicate, no missed branch).
 //! * **Verification** — every enumerated cut of a real object's history
-//!   (including crash cuts and step-bound suspensions) passes the
-//!   `lincheck` monotone checkers. A passing run is a *proof* of the
-//!   property for that configuration, not a sample.
+//!   (including crash cuts) passes the `lincheck` monotone checkers. A
+//!   passing run is a *proof* of the property for that configuration,
+//!   not a sample.
 //! * **Refutation** — a deliberately broken object (the collect
 //!   counter's single-writer-cell discipline dropped, so all processes
 //!   read-modify-write one shared cell) must be caught, and the failing
@@ -19,17 +19,21 @@
 //!   known gap in the real Algorithm 1: raw k-accuracy in its startup
 //!   window at k ≥ √n, whose frontier (n ≥ k + 2) is pinned beside it
 //!   (DESIGN.md §2, "Startup window").
+//!
+//! Programs that `exp_explore` walks too come from `bench::programs`,
+//! so a count pinned here and a row of `BENCH_explore.json` describe
+//! one program.
 
-use approx_objects::{KaddCounter, KaddIncTask, KaddReadTask, SharedKaddHandle};
+mod mutant;
+
 use approx_objects::{KmultBoundedMaxRegister, KmultMaxReadTask, KmultMaxWriteTask};
 use approx_objects::{KmultCounter, KmultIncTask, KmultReadTask, SharedKmultHandle};
-use bench::multinomial;
-use counter::{CollectCounter, CollectIncTask, CollectReadTask};
+use bench::{multinomial, programs};
 use lincheck::{check_counter_records, check_maxreg_records};
 use parking_lot::Mutex;
 use smr::explore::{explore, Choice, ExploreConfig, Replay};
 use smr::{AccessKind, TraceEvent};
-use smr::{CoopBackend, Driver, OpKind, OpSpec, OpTask, Poll, ProcCtx, Register, Runtime};
+use smr::{CoopBackend, Driver, OpKind, OpSpec, Runtime};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -44,18 +48,8 @@ fn kmult_3x2_interleavings_match_the_multinomial_closed_form() {
     // schedule-independent — 1 each — and the exhaustive enumeration
     // must visit exactly 3!/(1!·1!·1!) = 6 interleavings.
     let k = 3;
-    let factory = || {
-        let mut d = Driver::coop(Runtime::coop(3));
-        let c = KmultCounter::new(3, k);
-        for pid in 0..3 {
-            let h: SharedKmultHandle = Arc::new(Mutex::new(c.handle(pid)));
-            for _ in 0..2 {
-                d.submit_task(pid, OpSpec::inc(), KmultIncTask::new(h.clone()));
-            }
-        }
-        d
-    };
-    let stats = explore(&ExploreConfig::exhaustive(100), factory, |h| {
+    let factory = || programs::kmult(3, k, 2, false);
+    let stats = explore(&ExploreConfig::exhaustive(), factory, |h| {
         check_counter_records(h, k)
     });
     assert_eq!(u128::from(stats.interleavings), multinomial(&[1, 1, 1]));
@@ -67,8 +61,8 @@ fn kmult_3x2_interleavings_match_the_multinomial_closed_form() {
 fn kmult_with_reads_has_no_violating_schedule() {
     // Mixed increments and reads of Algorithm 1 at k = 2: read costs
     // are schedule-dependent (the cursor chases announced switches), so
-    // no closed form — but every interleaving, including step-bound
-    // suspension cuts, must satisfy the k-multiplicative counter spec.
+    // no closed form — but every interleaving must satisfy the
+    // k-multiplicative counter spec.
     let k = 2;
     let factory = move || {
         let mut d = Driver::coop(Runtime::coop(3));
@@ -95,15 +89,8 @@ fn collect_counter_with_reader_is_exact_on_every_schedule() {
     // 2 incrementers (2 primitives each: read + write of the own cell)
     // and 1 reader (3 cell reads): multinomial(7; 2,2,3) interleavings,
     // every one exact (k = 1).
-    let factory = || {
-        let mut d = Driver::coop(Runtime::coop(3));
-        let c = Arc::new(CollectCounter::new(3));
-        d.submit_task(0, OpSpec::inc(), CollectIncTask::new(c.clone()));
-        d.submit_task(1, OpSpec::inc(), CollectIncTask::new(c.clone()));
-        d.submit_task(2, OpSpec::read(), CollectReadTask::new(c.clone()));
-        d
-    };
-    let stats = explore(&ExploreConfig::exhaustive(100), factory, |h| {
+    let factory = || programs::collect(2, 1, 1);
+    let stats = explore(&ExploreConfig::exhaustive(), factory, |h| {
         check_counter_records(h, 1)
     });
     assert_eq!(u128::from(stats.interleavings), multinomial(&[2, 2, 3]));
@@ -126,19 +113,10 @@ fn kadd_counter_is_additively_accurate_on_every_schedule() {
     // completed read that every publish precedes sees everything
     // published. We check the cheap invariant on every cut: sum ≤
     // submitted increments (the counter never overcounts).
-    let n = 3;
-    let k = 2; // threshold ⌊k/n⌋+1 = 1: every increment publishes
-    let factory = move || {
-        let mut d = Driver::coop(Runtime::coop(n));
-        let c = KaddCounter::new(n, k);
-        for pid in 0..n {
-            let h: SharedKaddHandle = Arc::new(Mutex::new(c.handle(pid)));
-            d.submit_task(pid, OpSpec::inc(), KaddIncTask::new(h.clone()));
-        }
-        d.submit_task(0, OpSpec::read(), KaddReadTask::new(c));
-        d
-    };
-    let stats = explore(&ExploreConfig::exhaustive(100), factory, |h| {
+    // n = 3 and k = 2, so the threshold is ⌊k/n⌋+1 = 1: every increment
+    // publishes.
+    let factory = || programs::kadd(3, 2);
+    let stats = explore(&ExploreConfig::exhaustive(), factory, |h| {
         for r in h.ops() {
             if let smr::OpKind::Read { returned } = r.kind {
                 if r.resp.is_some() && returned > 3 {
@@ -173,19 +151,6 @@ fn tree_maxreg_is_linearizable_on_every_schedule() {
     assert!(stats.all_ok(), "violations: {:?}", stats.violations);
 }
 
-/// Algorithm 2 at k = 2 over m = 2⁴⁰: pid `p` of `n` writes
-/// 2^(5 + ⌊40p/n⌋), spreading the writes over the magnitudes, then reads.
-fn kmaxreg_program(n: usize) -> Driver<CoopBackend> {
-    let mut d = Driver::coop(Runtime::coop(n));
-    let r = Arc::new(KmultBoundedMaxRegister::new(n, 1 << 40, 2));
-    for pid in 0..n {
-        let v = 1u64 << (5 + 40 * pid / n);
-        d.submit_task(pid, OpSpec::write(v), KmultMaxWriteTask::new(r.clone(), v));
-        d.submit_task(pid, OpSpec::read(), KmultMaxReadTask::new(r.clone()));
-    }
-    d
-}
-
 /// Algorithm 2 at k = 3 over m = 2⁶, two writers and two readers: pid
 /// 0 writes 2, pid 1 writes 4, and pids 2 and 3 each read once.
 fn kmaxreg_two_writers_two_readers() -> Driver<CoopBackend> {
@@ -197,17 +162,6 @@ fn kmaxreg_two_writers_two_readers() -> Driver<CoopBackend> {
     for pid in 2..4 {
         d.submit_task(pid, OpSpec::read(), KmultMaxReadTask::new(r.clone()));
     }
-    d
-}
-
-/// Two writers and one reader over an 8-bounded AACH tree max register.
-fn tree_maxreg_program() -> Driver<CoopBackend> {
-    use maxreg::{TreeMaxReadTask, TreeMaxRegister, TreeMaxWriteTask};
-    let mut d = Driver::coop(Runtime::coop(3));
-    let r = Arc::new(TreeMaxRegister::new(8));
-    d.submit_task(0, OpSpec::write(5), TreeMaxWriteTask::new(r.clone(), 5));
-    d.submit_task(1, OpSpec::write(3), TreeMaxWriteTask::new(r.clone(), 3));
-    d.submit_task(2, OpSpec::read(), TreeMaxReadTask::new(r.clone()));
     d
 }
 
@@ -233,7 +187,7 @@ fn kmult_maxreg_is_k_accurate_on_every_schedule() {
         let mut most = (0, 0);
         let stats = explore(
             &cfg,
-            || kmaxreg_program(n),
+            || programs::kmaxreg(n),
             |h| {
                 for r in h.ops().iter().filter(|r| r.resp.is_some()) {
                     match r.kind {
@@ -376,83 +330,13 @@ fn the_startup_window_is_clean_beside_the_frontier() {
     assert_eq!(stats.interleavings, 840);
 }
 
-/// The seeded mutant: a "counter" whose increments all read-modify-write
-/// one shared register — the collect counter with its single-writer-cell
-/// discipline deliberately dropped. Interleaved increments lose updates.
-struct SharedCellInc {
-    cell: Arc<Register>,
-    read: Option<u64>,
-    primed: bool,
-}
-
-impl SharedCellInc {
-    fn new(cell: Arc<Register>) -> Self {
-        SharedCellInc {
-            cell,
-            read: None,
-            primed: false,
-        }
-    }
-}
-
-impl OpTask for SharedCellInc {
-    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        if !self.primed {
-            self.primed = true;
-            return Poll::Pending;
-        }
-        match self.read {
-            None => {
-                self.read = Some(self.cell.read(ctx));
-                Poll::Pending
-            }
-            Some(v) => {
-                self.cell.write(ctx, v + 1);
-                Poll::Ready(0)
-            }
-        }
-    }
-}
-
-/// One read of the mutant's shared cell.
-struct SharedCellRead {
-    cell: Arc<Register>,
-    primed: bool,
-}
-
-impl OpTask for SharedCellRead {
-    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        if !self.primed {
-            self.primed = true;
-            return Poll::Pending;
-        }
-        Poll::Ready(u128::from(self.cell.read(ctx)))
-    }
-}
-
 #[test]
 fn explorer_refutes_the_seeded_mutant_and_minimizes_the_schedule() {
     // Two increments race the shared cell; the reader queues two reads
     // so the second read's invocation (announced when the first
     // completes) can land after both increments' responses — only then
     // does real-time order force the read to count them.
-    let factory = || {
-        let mut d = Driver::coop(Runtime::coop(3));
-        let cell = Arc::new(Register::new(0));
-        d.submit_task(0, OpSpec::inc(), SharedCellInc::new(cell.clone()));
-        d.submit_task(1, OpSpec::inc(), SharedCellInc::new(cell.clone()));
-        for _ in 0..2 {
-            d.submit_task(
-                2,
-                OpSpec::read(),
-                SharedCellRead {
-                    cell: cell.clone(),
-                    primed: false,
-                },
-            );
-        }
-        d
-    };
+    let factory = || mutant::lost_update(Runtime::coop(3));
     let check = |h: &smr::History| check_counter_records(h, 1);
 
     let stats = explore(&ExploreConfig::default(), factory, check);
@@ -490,14 +374,7 @@ fn crash_injection_never_double_emits_pending_records() {
     // unique invocation timestamps, and no (pid, inv) both pending and
     // completed. This extends `history_snapshot`'s coverage to every
     // crash position the explorer reaches.
-    let factory = || {
-        let mut d = Driver::coop(Runtime::coop(3));
-        let c = Arc::new(CollectCounter::new(3));
-        d.submit_task(0, OpSpec::inc(), CollectIncTask::new(c.clone()));
-        d.submit_task(1, OpSpec::inc(), CollectIncTask::new(c.clone()));
-        d.submit_task(2, OpSpec::read(), CollectReadTask::new(c.clone()));
-        d
-    };
+    let factory = || programs::collect(2, 1, 1);
     let cfg = ExploreConfig {
         max_crashes: 2,
         ..ExploreConfig::default()
@@ -554,76 +431,37 @@ fn reductions_preserve_the_reachable_history_set() {
     // history cuts — ticket values, step counts and all — including
     // under crash injection. (Counts differ by design; the reachable
     // histories may not.)
-    type Program = (&'static str, usize, Box<dyn Fn() -> Driver<CoopBackend>>);
-    let programs: Vec<Program> = vec![
-        (
-            "collect-with-reader",
-            0,
-            Box::new(|| {
-                let mut d = Driver::coop(Runtime::coop(3));
-                let c = Arc::new(CollectCounter::new(3));
-                d.submit_task(0, OpSpec::inc(), CollectIncTask::new(c.clone()));
-                d.submit_task(1, OpSpec::inc(), CollectIncTask::new(c.clone()));
-                d.submit_task(2, OpSpec::read(), CollectReadTask::new(c.clone()));
-                d
-            }),
-        ),
-        (
-            "kmult-mixed",
-            0,
-            Box::new(|| {
-                let mut d = Driver::coop(Runtime::coop(3));
-                let c = KmultCounter::new(3, 2);
-                let hs: Vec<SharedKmultHandle> =
-                    (0..3).map(|p| Arc::new(Mutex::new(c.handle(p)))).collect();
-                d.submit_task(0, OpSpec::inc(), KmultIncTask::new(hs[0].clone()));
-                d.submit_task(1, OpSpec::inc(), KmultIncTask::new(hs[1].clone()));
-                d.submit_task(1, OpSpec::read(), KmultReadTask::new(hs[1].clone()));
-                d.submit_task(2, OpSpec::read(), KmultReadTask::new(hs[2].clone()));
-                d
-            }),
-        ),
-        (
-            "kadd",
-            0,
-            Box::new(|| {
-                let mut d = Driver::coop(Runtime::coop(3));
-                let c = KaddCounter::new(3, 2);
-                for pid in 0..3 {
-                    let h: SharedKaddHandle = Arc::new(Mutex::new(c.handle(pid)));
-                    d.submit_task(pid, OpSpec::inc(), KaddIncTask::new(h.clone()));
-                }
-                d.submit_task(0, OpSpec::read(), KaddReadTask::new(c));
-                d
-            }),
-        ),
-        ("tree-maxreg", 0, Box::new(tree_maxreg_program)),
+    let cases: [(&str, usize, ProgramFn); 6] = [
+        ("collect-with-reader", 0, || programs::collect(2, 1, 1)),
+        ("kmult-mixed", 0, || {
+            let mut d = Driver::coop(Runtime::coop(3));
+            let c = KmultCounter::new(3, 2);
+            let hs: Vec<SharedKmultHandle> =
+                (0..3).map(|p| Arc::new(Mutex::new(c.handle(p)))).collect();
+            d.submit_task(0, OpSpec::inc(), KmultIncTask::new(hs[0].clone()));
+            d.submit_task(1, OpSpec::inc(), KmultIncTask::new(hs[1].clone()));
+            d.submit_task(1, OpSpec::read(), KmultReadTask::new(hs[1].clone()));
+            d.submit_task(2, OpSpec::read(), KmultReadTask::new(hs[2].clone()));
+            d
+        }),
+        ("kadd", 0, || programs::kadd(3, 2)),
+        ("tree-maxreg", 0, programs::tree_maxreg),
         // The raw DFS walks 63 996 interleavings to 90 cuts here.
-        ("kmaxreg-2w2r", 0, Box::new(kmaxreg_two_writers_two_readers)),
-        (
-            "collect-crashes",
-            2,
-            Box::new(|| {
-                let mut d = Driver::coop(Runtime::coop(2));
-                let c = Arc::new(CollectCounter::new(2));
-                d.submit_task(0, OpSpec::inc(), CollectIncTask::new(c.clone()));
-                d.submit_task(1, OpSpec::read(), CollectReadTask::new(c.clone()));
-                d
-            }),
-        ),
+        ("kmaxreg-2w2r", 0, kmaxreg_two_writers_two_readers),
+        ("collect-crashes", 2, || programs::collect(1, 1, 1)),
     ];
-    for (name, crashes, factory) in &programs {
+    for (name, crashes, factory) in cases {
         let exhaustive = digest_set(
             &ExploreConfig {
-                max_crashes: *crashes,
-                ..ExploreConfig::exhaustive(100)
+                max_crashes: crashes,
+                ..ExploreConfig::exhaustive()
             },
             factory,
         );
         assert!(!exhaustive.is_empty(), "{name}: no cuts reached");
         let dpor = digest_set(
             &ExploreConfig {
-                max_crashes: *crashes,
+                max_crashes: crashes,
                 ..ExploreConfig::default()
             },
             factory,
@@ -633,30 +471,6 @@ fn reductions_preserve_the_reachable_history_set() {
             "{name}: DPOR changed the reachable history set"
         );
     }
-}
-
-/// 3 processes × 2 collect-counter increments each.
-fn collect_3x2_program() -> Driver<CoopBackend> {
-    let mut d = Driver::coop(Runtime::coop(3));
-    let c = Arc::new(CollectCounter::new(3));
-    for pid in 0..3 {
-        for _ in 0..2 {
-            d.submit_task(pid, OpSpec::inc(), CollectIncTask::new(c.clone()));
-        }
-    }
-    d
-}
-
-/// Algorithm 1 at k = 2 over 3 processes, each an increment then a read.
-fn kmult_mixed_program() -> Driver<CoopBackend> {
-    let mut d = Driver::coop(Runtime::coop(3));
-    let c = KmultCounter::new(3, 2);
-    for pid in 0..3 {
-        let h: SharedKmultHandle = Arc::new(Mutex::new(c.handle(pid)));
-        d.submit_task(pid, OpSpec::inc(), KmultIncTask::new(h.clone()));
-        d.submit_task(pid, OpSpec::read(), KmultReadTask::new(h));
-    }
-    d
 }
 
 /// A program factory.
@@ -791,22 +605,41 @@ fn dpor_classes(program: ProgramFn) -> (u64, BTreeSet<Vec<usize>>) {
 fn dpor_reaches_every_trace_class_the_oracle_enumerates() {
     // Source-set DPOR explores every Mazurkiewicz class of a program's
     // maximal runs. Where no sleeping step first touches an object the
-    // walk has not named yet, it checks one cut per class; Algorithm 2
-    // at n = 3 repeats some classes, so there only coverage is pinned.
-    let programs: [(&str, ProgramFn, usize, bool); 5] = [
-        ("kmaxreg-2w2r", kmaxreg_two_writers_two_readers, 90, true),
-        ("collect-3x2", collect_3x2_program, 90, true),
-        ("tree-maxreg", tree_maxreg_program, 17, true),
-        ("kmult-mixed", kmult_mixed_program, 354, true),
-        ("kmaxreg-3", || kmaxreg_program(3), 264, false),
+    // walk has not named yet, it checks one cut per class. The
+    // k-additive counter repeats 2 of its 16 classes, so its 18 cuts are
+    // pinned; Algorithm 2 at n = 3 repeats some classes, so there only
+    // coverage is pinned.
+    let cases: [(&str, ProgramFn, usize, Option<u64>); 7] = [
+        (
+            "kmaxreg-2w2r",
+            kmaxreg_two_writers_two_readers,
+            90,
+            Some(90),
+        ),
+        ("collect-3x2", || programs::collect(3, 2, 0), 90, Some(90)),
+        (
+            "collect-reader",
+            || programs::collect(2, 1, 1),
+            13,
+            Some(13),
+        ),
+        ("tree-maxreg", programs::tree_maxreg, 17, Some(17)),
+        (
+            "kmult-mixed",
+            || programs::kmult(3, 2, 1, true),
+            354,
+            Some(354),
+        ),
+        ("kadd-3", || programs::kadd(3, 2), 16, Some(18)),
+        ("kmaxreg-3", || programs::kmaxreg(3), 264, None),
     ];
-    for (name, program, count, one_cut_per_class) in programs {
+    for (name, program, count, pinned_cuts) in cases {
         let oracle = trace_classes(program);
         assert_eq!(oracle.len(), count, "{name}: trace classes");
         let (cuts, reached) = dpor_classes(program);
         assert_eq!(reached, oracle, "{name}: DPOR missed or invented a class");
-        if one_cut_per_class {
-            assert_eq!(cuts, count as u64, "{name}: one cut per class");
+        if let Some(pinned) = pinned_cuts {
+            assert_eq!(cuts, pinned, "{name}: cuts checked");
         }
     }
 }
@@ -816,7 +649,7 @@ fn the_interleaving_cap_stops_either_walk_after_exactly_that_many_cuts() {
     // Collect 3×2 has 34 650 raw interleavings and 90 trace classes; a
     // cap of 5 must stop the raw DFS and DPOR alike after 5 checked
     // cuts, and say so.
-    let factory = collect_3x2_program;
+    let factory = || programs::collect(3, 2, 0);
     for prune in [false, true] {
         let cfg = ExploreConfig {
             prune,
@@ -841,23 +674,7 @@ fn dpor_and_exhaustive_minimize_the_mutant_identically() {
     // lost update and ddmin must land on the same essential schedule —
     // same step count, and a minimized replay whose history digest
     // matches the exhaustive walk's.
-    let factory = || {
-        let mut d = Driver::coop(Runtime::coop(3));
-        let cell = Arc::new(Register::new(0));
-        d.submit_task(0, OpSpec::inc(), SharedCellInc::new(cell.clone()));
-        d.submit_task(1, OpSpec::inc(), SharedCellInc::new(cell.clone()));
-        for _ in 0..2 {
-            d.submit_task(
-                2,
-                OpSpec::read(),
-                SharedCellRead {
-                    cell: cell.clone(),
-                    primed: false,
-                },
-            );
-        }
-        d
-    };
+    let factory = || mutant::lost_update(Runtime::coop(3));
     let check = |h: &smr::History| check_counter_records(h, 1);
     let minimized_digest = |cfg: &ExploreConfig| -> (usize, String) {
         let stats = explore(cfg, factory, check);
@@ -869,7 +686,7 @@ fn dpor_and_exhaustive_minimize_the_mutant_identically() {
             format!("{:?}", v.minimized.run(factory()).ops()),
         )
     };
-    let exhaustive = minimized_digest(&ExploreConfig::exhaustive(100));
+    let exhaustive = minimized_digest(&ExploreConfig::exhaustive());
     let dpor = minimized_digest(&ExploreConfig::default());
     assert_eq!(exhaustive.0, 6, "minimized to the essential races");
     assert_eq!(
@@ -883,13 +700,7 @@ fn explored_crash_cuts_match_direct_replay() {
     // A crash-bearing schedule reported by the explorer replays to the
     // exact same cut outside the explorer (determinism of `Replay::run`
     // with crashes in the sequence).
-    let factory = || {
-        let mut d = Driver::coop(Runtime::coop(2));
-        let c = Arc::new(CollectCounter::new(2));
-        d.submit_task(0, OpSpec::inc(), CollectIncTask::new(c.clone()));
-        d.submit_task(1, OpSpec::read(), CollectReadTask::new(c.clone()));
-        d
-    };
+    let factory = || programs::collect(1, 1, 1);
     let replay = smr::Replay {
         choices: vec![
             Choice::Step(0),
@@ -926,13 +737,8 @@ fn exploration_leaves_the_trace_log_off() {
     // off and empty.
     let kept: Mutex<Vec<Arc<Runtime>>> = Mutex::new(Vec::new());
     let factory = || {
-        let rt = Runtime::coop(3);
-        kept.lock().push(rt.clone());
-        let mut d = Driver::coop(rt);
-        let c = Arc::new(CollectCounter::new(3));
-        d.submit_task(0, OpSpec::inc(), CollectIncTask::new(c.clone()));
-        d.submit_task(1, OpSpec::inc(), CollectIncTask::new(c.clone()));
-        d.submit_task(2, OpSpec::read(), CollectReadTask::new(c));
+        let d = programs::collect(2, 1, 1);
+        kept.lock().push(d.runtime().clone());
         d
     };
     let check = |h: &smr::History| check_counter_records(h, 1);
@@ -949,8 +755,5 @@ fn exploration_leaves_the_trace_log_off() {
         }
     };
     assert_log_off("dpor", explore(&ExploreConfig::default(), factory, check));
-    assert_log_off(
-        "dfs",
-        explore(&ExploreConfig::exhaustive(100), factory, check),
-    );
+    assert_log_off("dfs", explore(&ExploreConfig::exhaustive(), factory, check));
 }

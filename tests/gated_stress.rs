@@ -2,7 +2,10 @@
 //! schedules, every history checked against its specification. Each
 //! seed is a distinct, reproducible interleaving at primitive
 //! granularity, on sizes the exhaustive explorer (`tests/explore.rs`,
-//! which covers *every* schedule of small programs) cannot reach.
+//! which covers *every* schedule of small programs) cannot reach. The
+//! `*_gated` tests are the gated arms of the linearizability suites,
+//! whose free-running arms stay in `counter_linearizability.rs` and
+//! `maxreg_linearizability.rs`.
 
 use approx_objects::{
     KaddCounter, KaddIncTask, KaddReadTask, KmultBoundedMaxRegister, KmultCounter, KmultIncTask,
@@ -10,7 +13,8 @@ use approx_objects::{
 };
 use counter::{
     AachCounter, AachIncTask, AachReadTask, CollectCounter, CollectIncTask, CollectReadTask,
-    SnapshotCounter, SnapshotIncTask, SnapshotReadTask,
+    SnapshotCounter, SnapshotIncTask, SnapshotReadTask, UnboundedTreeCounter, UnboundedTreeIncTask,
+    UnboundedTreeReadTask,
 };
 use lincheck::monotone::{check_counter, check_counter_additive, check_maxreg};
 use lincheck::{CounterHistory, MaxRegHistory};
@@ -24,12 +28,13 @@ use std::sync::Arc;
 
 const SEEDS: [u64; 6] = [1, 2, 3, 0xDEAD, 0xBEEF, 0xC0FFEE];
 
-/// `ops` operations per process — every 5th a read, the rest
-/// increments — built by `inc(pid)` / `read(pid)`, run under the seeded
-/// schedule.
+/// `ops` operations per process — every `read_every`-th a read, the
+/// rest increments — built by `inc(pid)` / `read(pid)`, run under the
+/// seeded schedule.
 fn drive_counter<I, R>(
     n: usize,
     ops: u64,
+    read_every: u64,
     seed: u64,
     inc: impl Fn(usize) -> I,
     read: impl Fn(usize) -> R,
@@ -41,7 +46,7 @@ where
     let mut d = Driver::coop(Runtime::coop(n));
     for pid in 0..n {
         for i in 1..=ops {
-            if i % 5 == 0 {
+            if i % read_every == 0 {
                 d.submit_task(pid, OpSpec::read(), read(pid));
             } else {
                 d.submit_task(pid, OpSpec::inc(), inc(pid));
@@ -52,12 +57,13 @@ where
     CounterHistory::from_records(d.history()).expect("typed counter history")
 }
 
-/// `ops` operations per process — every 4th a read, the rest writes of
-/// values drawn from `[1, m)` by a generator seeded with `seed` — run
-/// under the seeded schedule.
+/// 40 operations per process — every 4th a read, the rest writes of
+/// values drawn from `[1, m)` by a generator seeded with `values_seed` —
+/// run under the schedule seeded with `seed`.
 fn drive_maxreg<W, R>(
     n: usize,
     m: u64,
+    values_seed: u64,
     seed: u64,
     write: impl Fn(u64) -> W,
     read: impl Fn() -> R,
@@ -67,7 +73,7 @@ where
     R: OpTask + 'static,
 {
     let mut d = Driver::coop(Runtime::coop(n));
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = StdRng::seed_from_u64(values_seed);
     for pid in 0..n {
         for i in 1..=40u64 {
             if i % 4 == 0 {
@@ -89,6 +95,7 @@ fn collect_counter_seed_matrix() {
         let h = drive_counter(
             4,
             40,
+            5,
             seed,
             |_| CollectIncTask::new(c.clone()),
             |_| CollectReadTask::new(c.clone()),
@@ -104,6 +111,7 @@ fn aach_counter_seed_matrix() {
         let h = drive_counter(
             3,
             30,
+            5,
             seed,
             |pid| AachIncTask::new(c.clone(), pid),
             |_| AachReadTask::new(c.clone()),
@@ -119,6 +127,7 @@ fn snapshot_counter_seed_matrix() {
         let h = drive_counter(
             3,
             25,
+            5,
             seed,
             |_| SnapshotIncTask::new(c.clone()),
             |_| SnapshotReadTask::new(c.clone()),
@@ -138,6 +147,7 @@ fn kmult_counter_seed_matrix() {
         let h = drive_counter(
             n,
             50,
+            5,
             seed,
             |pid| KmultIncTask::new(handles[pid].clone()),
             |pid| KmultReadTask::new(handles[pid].clone()),
@@ -157,6 +167,7 @@ fn kadd_counter_seed_matrix() {
         let h = drive_counter(
             n,
             50,
+            5,
             seed,
             |pid| KaddIncTask::new(handles[pid].clone()),
             |_| KaddReadTask::new(counter.clone()),
@@ -174,6 +185,7 @@ fn tree_maxreg_seed_matrix() {
             3,
             m,
             seed,
+            seed,
             |v| TreeMaxWriteTask::new(reg.clone(), v),
             || TreeMaxReadTask::new(reg.clone()),
         );
@@ -190,9 +202,93 @@ fn kmult_maxreg_seed_matrix() {
             n,
             m,
             seed,
+            seed,
             |v| KmultMaxWriteTask::new(reg.clone(), v),
             || KmultMaxReadTask::new(reg.clone()),
         );
         check_maxreg(&h, k).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
+    }
+}
+
+#[test]
+fn collect_counter_is_linearizable_gated() {
+    for seed in [1u64, 7, 42] {
+        let c = Arc::new(CollectCounter::new(4));
+        let h = drive_counter(
+            4,
+            60,
+            5,
+            seed,
+            |_| CollectIncTask::new(c.clone()),
+            |_| CollectReadTask::new(c.clone()),
+        );
+        check_counter(&h, 1).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
+    }
+}
+
+#[test]
+fn snapshot_counter_is_linearizable_gated() {
+    for seed in [3u64, 9] {
+        let c = Arc::new(SnapshotCounter::new(3));
+        let h = drive_counter(
+            3,
+            40,
+            4,
+            seed,
+            |_| SnapshotIncTask::new(c.clone()),
+            |_| SnapshotReadTask::new(c.clone()),
+        );
+        check_counter(&h, 1).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
+    }
+}
+
+#[test]
+fn aach_counter_is_linearizable_gated() {
+    for seed in [11u64, 23] {
+        let c = Arc::new(AachCounter::new(3, 1 << 16));
+        let h = drive_counter(
+            3,
+            50,
+            5,
+            seed,
+            |pid| AachIncTask::new(c.clone(), pid),
+            |_| AachReadTask::new(c.clone()),
+        );
+        check_counter(&h, 1).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
+    }
+}
+
+#[test]
+fn unbounded_tree_counter_is_linearizable_gated() {
+    for seed in [6u64, 31] {
+        let c = Arc::new(UnboundedTreeCounter::new(3));
+        let h = drive_counter(
+            3,
+            40,
+            5,
+            seed,
+            |pid| UnboundedTreeIncTask::new(c.clone(), pid),
+            |_| UnboundedTreeReadTask::new(c.clone()),
+        );
+        check_counter(&h, 1).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
+    }
+}
+
+#[test]
+fn tree_maxreg_is_linearizable_gated() {
+    // The shape of `maxreg_linearizability`'s free-running `run_exact`
+    // workload, through the tree's task forms.
+    let (n, m) = (3, 1u64 << 10);
+    for seed in [2u64, 13, 77] {
+        let reg = Arc::new(TreeMaxRegister::new(m));
+        let h = drive_maxreg(
+            n,
+            m,
+            0xACE ^ seed,
+            seed,
+            |v| TreeMaxWriteTask::new(reg.clone(), v),
+            || TreeMaxReadTask::new(reg.clone()),
+        );
+        check_maxreg(&h, 1).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
     }
 }

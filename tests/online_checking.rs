@@ -3,6 +3,8 @@
 //! and the explorer surfacing (and minimizing) a racy counter that the
 //! pass refutes inline — no `history_snapshot()` anywhere.
 
+mod mutant;
+
 use approx_objects::{KmultCounter, KmultIncTask, KmultReadTask, SharedKmultHandle};
 use counter::{CollectCounter, CollectIncTask, CollectReadTask};
 use lincheck::LinearizabilityPass;
@@ -10,7 +12,7 @@ use parking_lot::Mutex;
 use smr::analysis::Analyzer;
 use smr::explore::{explore, ExploreConfig};
 use smr::sched::{RoundRobin, SeededRandom};
-use smr::{Driver, OpSpec, OpTask, Poll, ProcCtx, Register, Runtime};
+use smr::{Driver, OpSpec, Runtime};
 use std::sync::Arc;
 
 fn lin_analyzer(k: u64) -> Arc<Analyzer> {
@@ -104,48 +106,6 @@ fn pass_checks_a_coop_kmult_run_against_two_specs() {
     }
 }
 
-/// The racy mutant from `tests/explore.rs`: increments read-modify-write
-/// one shared register, so interleaved increments lose updates.
-struct SharedCellInc {
-    cell: Arc<Register>,
-    read: Option<u64>,
-    primed: bool,
-}
-
-impl OpTask for SharedCellInc {
-    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        if !self.primed {
-            self.primed = true;
-            return Poll::Pending;
-        }
-        match self.read {
-            None => {
-                self.read = Some(self.cell.read(ctx));
-                Poll::Pending
-            }
-            Some(v) => {
-                self.cell.write(ctx, v + 1);
-                Poll::Ready(0)
-            }
-        }
-    }
-}
-
-struct SharedCellRead {
-    cell: Arc<Register>,
-    primed: bool,
-}
-
-impl OpTask for SharedCellRead {
-    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        if !self.primed {
-            self.primed = true;
-            return Poll::Pending;
-        }
-        Poll::Ready(u128::from(self.cell.read(ctx)))
-    }
-}
-
 #[test]
 fn explorer_catches_the_lost_update_through_the_pass_alone() {
     // Same racy workload the offline explorer test refutes with an
@@ -155,30 +115,7 @@ fn explorer_catches_the_lost_update_through_the_pass_alone() {
     let factory = || {
         let rt = Runtime::coop(3);
         rt.attach_analysis(lin_analyzer(1));
-        let mut d = Driver::coop(rt);
-        let cell = Arc::new(Register::new(0));
-        for pid in 0..2 {
-            d.submit_task(
-                pid,
-                OpSpec::inc(),
-                SharedCellInc {
-                    cell: cell.clone(),
-                    read: None,
-                    primed: false,
-                },
-            );
-        }
-        for _ in 0..2 {
-            d.submit_task(
-                2,
-                OpSpec::read(),
-                SharedCellRead {
-                    cell: cell.clone(),
-                    primed: false,
-                },
-            );
-        }
-        d
+        mutant::lost_update(rt)
     };
     let stats = explore(&ExploreConfig::default(), factory, |_h| Ok(()));
     assert!(
@@ -208,7 +145,7 @@ fn explorer_stays_quiet_on_the_honest_counter_with_the_pass_attached() {
         d.submit_task(1, OpSpec::read(), CollectReadTask::new(counter.clone()));
         d
     };
-    let stats = explore(&ExploreConfig::exhaustive(100), factory, |_h| Ok(()));
+    let stats = explore(&ExploreConfig::exhaustive(), factory, |_h| Ok(()));
     assert!(stats.all_ok(), "violations: {:?}", stats.violations);
     assert!(stats.interleavings > 1);
 }

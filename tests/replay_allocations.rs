@@ -12,15 +12,12 @@
 //! by other tests running concurrently in this binary do not reach the
 //! count: the walk runs entirely on the calling thread.
 
-use approx_objects::{KmultCounter, KmultIncTask, KmultReadTask, SharedKmultHandle};
-use counter::{CollectCounter, CollectIncTask, CollectReadTask};
+use bench::programs;
 use lincheck::check_counter_records;
-use parking_lot::Mutex;
 use smr::explore::{explore, ExploreConfig};
-use smr::{CoopBackend, Driver, History, OpSpec, Runtime};
+use smr::{CoopBackend, Driver, History};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
 
 thread_local! {
     /// Allocation calls made on this thread so far.
@@ -56,48 +53,20 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// `perfbench`'s collect program: `incrementers` processes × 2
-/// increments plus a reader issuing 2 collects.
-fn collect_program(incrementers: usize) -> Driver<CoopBackend> {
-    let n = incrementers + 1;
-    let mut d = Driver::coop(Runtime::coop(n));
-    let c = Arc::new(CollectCounter::new(n));
-    for pid in 0..incrementers {
-        for _ in 0..2 {
-            d.submit_task(pid, OpSpec::inc(), CollectIncTask::new(c.clone()));
-        }
-    }
-    for _ in 0..2 {
-        d.submit_task(
-            incrementers,
-            OpSpec::read(),
-            CollectReadTask::new(c.clone()),
-        );
-    }
-    d
-}
-
-/// `perfbench`'s Algorithm 1 program: `n` processes, each an increment
-/// then a read, at k = 3.
-fn kmult_program(n: usize) -> Driver<CoopBackend> {
-    let mut d = Driver::coop(Runtime::coop(n));
-    let c = KmultCounter::new(n, 3);
-    for pid in 0..n {
-        let h: SharedKmultHandle = Arc::new(Mutex::new(c.handle(pid)));
-        d.submit_task(pid, OpSpec::inc(), KmultIncTask::new(h.clone()));
-        d.submit_task(pid, OpSpec::read(), KmultReadTask::new(h));
-    }
-    d
-}
-
 /// A program factory and its checker's accuracy parameter `k`.
 type Program = (fn() -> Driver<CoopBackend>, u64);
 
 /// Walk both programs: `(cuts, replays, allocation calls)`.
 fn walk() -> (u64, u64, u64) {
-    let programs: [Program; 2] = [(|| collect_program(2), 1), (|| kmult_program(3), 3)];
+    // perfbench's collect program (incrementers × 2 increments and a
+    // reader issuing 2 collects) and its Algorithm 1 program (an
+    // increment then a read per process, at k = 3).
+    let walks: [Program; 2] = [
+        (|| programs::collect(2, 2, 2), 1),
+        (|| programs::kmult(3, 3, 1, true), 3),
+    ];
     let (mut cuts, mut replays, mut allocs) = (0, 0, 0);
-    for (factory, k) in programs {
+    for (factory, k) in walks {
         let before = calls();
         let stats = explore(&ExploreConfig::default(), factory, |h: &History| {
             check_counter_records(h, k)
