@@ -124,6 +124,12 @@ fn metrics() -> &'static CheckerMetrics {
     })
 }
 
+/// Add `n` pushes made through [`OnlineChecker::push_uncounted`] to
+/// `lincheck.pushes`.
+pub(crate) fn count_pushes(n: u64) {
+    metrics().pushes.add(n);
+}
+
 /// Raise the retained gauge to a checker's `peak` if the gauge is below
 /// it. Several checkers leave the gauge at the largest of their peaks,
 /// not at their sum.
@@ -364,6 +370,12 @@ impl OnlineChecker {
     /// subsequent call returns the same violation.
     pub fn push(&mut self, rec: &OpRecord) -> Result<(), Violation> {
         metrics().pushes.inc();
+        self.push_uncounted(rec)
+    }
+
+    /// [`push`](Self::push), leaving the count to the caller, which adds
+    /// its pushes with [`count_pushes`] in one batch.
+    pub(crate) fn push_uncounted(&mut self, rec: &OpRecord) -> Result<(), Violation> {
         if let Some(v) = &self.failed {
             return Err(v.clone());
         }

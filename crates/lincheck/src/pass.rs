@@ -27,7 +27,7 @@
 //! `Inc` in max-register mode) is a real finding — the run is
 //! exercising an object the checker was not configured for.
 
-use crate::online::{overlap_violation, CounterSpec, OnlineChecker};
+use crate::online::{count_pushes, overlap_violation, CounterSpec, OnlineChecker};
 use smr::analysis::{AnalysisPass, RunMeta, Violation};
 use smr::{OpKind, OpRecord, TraceEvent};
 
@@ -57,6 +57,9 @@ pub struct LinearizabilityPass {
     busy: Vec<bool>,
     /// First finding, sticky.
     found: Option<Violation>,
+    /// Checker pushes of the batch being delivered, added to
+    /// `lincheck.pushes` once the batch is through.
+    pushed: u64,
 }
 
 impl LinearizabilityPass {
@@ -88,6 +91,7 @@ impl LinearizabilityPass {
             released: (0, 0),
             busy: Vec::new(),
             found: None,
+            pushed: 0,
         }
     }
 
@@ -98,6 +102,31 @@ impl LinearizabilityPass {
             seq: Some(seq),
             message,
         });
+    }
+
+    /// Feed one event of the stream to the checker.
+    fn apply(&mut self, ev: &TraceEvent) {
+        match *ev {
+            TraceEvent::Invoke {
+                seq,
+                pid,
+                kind,
+                inv,
+            } => self.check(seq, pid, kind, inv, 0),
+            TraceEvent::Complete {
+                seq,
+                pid,
+                kind,
+                resp,
+            } => self.check(seq, pid, kind, resp, 1),
+            TraceEvent::Crash { pid, .. } => {
+                if let Some(busy) = self.busy.get_mut(pid) {
+                    *busy = false;
+                }
+                self.checker.crash(pid);
+            }
+            TraceEvent::Access(_) | TraceEvent::Grant { .. } => {}
+        }
     }
 
     /// Apply one announcement (`phase` 0) or completion (`phase` 1) to
@@ -127,7 +156,8 @@ impl LinearizabilityPass {
             resp: (!announcing).then_some(ts),
             steps: 0,
         };
-        if let Err(v) = self.checker.push(&rec) {
+        self.pushed += 1;
+        if let Err(v) = self.checker.push_uncounted(&rec) {
             self.fail(pid, seq, v.message);
         }
     }
@@ -172,29 +202,19 @@ impl AnalysisPass for LinearizabilityPass {
     }
 
     fn on_event(&mut self, ev: &TraceEvent) {
-        if self.found.is_some() {
-            return;
-        }
-        match *ev {
-            TraceEvent::Invoke {
-                seq,
-                pid,
-                kind,
-                inv,
-            } => self.check(seq, pid, kind, inv, 0),
-            TraceEvent::Complete {
-                seq,
-                pid,
-                kind,
-                resp,
-            } => self.check(seq, pid, kind, resp, 1),
-            TraceEvent::Crash { pid, .. } => {
-                if let Some(busy) = self.busy.get_mut(pid) {
-                    *busy = false;
-                }
-                self.checker.crash(pid);
+        self.on_events(std::slice::from_ref(ev));
+    }
+
+    fn on_events(&mut self, evs: &[TraceEvent]) {
+        for ev in evs {
+            if self.found.is_some() {
+                break;
             }
-            TraceEvent::Access(_) | TraceEvent::Grant { .. } => {}
+            self.apply(ev);
+        }
+        if self.pushed != 0 {
+            count_pushes(self.pushed);
+            self.pushed = 0;
         }
     }
 

@@ -15,18 +15,19 @@
 //!   not a boxed struct; its state is split by how often it is read.
 //!   The hot array holds the parked task's payload pointer and poll
 //!   shim, the two fields every grant and every batch poll reads, in
-//!   16 bytes per process. The cold array holds the rest: the drop
-//!   shim, the op's [`OpSpec`], its invocation ticket, the process's
-//!   step count at the invocation and the head and tail of its
-//!   submission queue, read only when an op starts, completes, is cut
-//!   or is torn down. The two are not one struct because a gated run
-//!   over 10⁴ processes under a random schedule reads the hot fields of
-//!   a different process at every grant, from a working set larger than
-//!   L2: one struct per process would spread those reads over six times
-//!   the memory.
+//!   16 bytes per process. The cold array holds the rest in 48 bytes:
+//!   the task's vtable, the op's packed spec, its invocation ticket,
+//!   the process's step count at the invocation and the head and tail
+//!   of its submission queue, read only when an op starts, completes,
+//!   is cut or is torn down. The two are not one struct because a gated
+//!   run over 10⁴ processes under a random schedule reads the hot
+//!   fields of a different process at every grant, from a working set
+//!   larger than L2: one struct per process would spread those reads
+//!   over four times the memory.
 //! * **Arena-allocated task state.** Task payloads live in a bump
 //!   arena ([`TaskArena`]), reached through a thin payload pointer plus
-//!   poll/drop shims instantiated for the task's concrete type.
+//!   one `&'static` vtable per task type ([`TaskVtable`]: the poll and
+//!   drop shims instantiated for the task's concrete type).
 //!   [`submit_task`](ExecBackend::submit_task), what
 //!   `Driver::submit_task` calls, writes the task straight into the
 //!   arena, with no transient box. Completed tasks are dropped in
@@ -39,9 +40,20 @@
 //!   not a MiB.
 //! * **Slab-backed submission queues.** Ops queued behind an in-flight
 //!   one live in one shared slab of intrusive list nodes (`u32` links),
-//!   not per-process `VecDeque` heap buffers. The slab starts with room
-//!   for one node per process, so a program that queues one op behind
-//!   each in-flight one (the explorer's) never regrows it.
+//!   not per-process `VecDeque` heap buffers: 40 bytes per queued op,
+//!   its packed spec, payload pointer, vtable and link. The slab starts
+//!   with room for one node per process, so a program that queues one
+//!   op behind each in-flight one (the explorer's) never regrows it.
+//! * **Packed specs.** A queued or parked op's [`OpSpec`] is kept in 16
+//!   bytes ([`Packed`]): `Inc`, `Read` and `Write` carry their `u64`
+//!   inline. A `Custom` op's label and `u128` argument would double
+//!   that, so they wait in the backend's slot table ([`CustomSlots`])
+//!   and the packed spec names the slot. A slot is taken at submission
+//!   and freed when its op completes, and freed slots are reused, so
+//!   the table holds one slot per queued or parked `Custom` op and
+//!   allocates nothing per submission once warm. A crashed op never
+//!   completes: it keeps its slot, from which its pending record is
+//!   built, until teardown.
 //!
 //! ## Gated and free-running modes
 //!
@@ -119,7 +131,7 @@
 //! [`Runtime::coop_free`]: crate::Runtime::coop_free
 
 use super::{ExecBackend, StepOutcome};
-use crate::history::{OpRecord, OpSpec};
+use crate::history::{OpKind, OpRecord, OpSpec};
 use crate::runtime::{Mode, Runtime};
 use crate::task::{OpTask, Poll};
 use crate::trace::{AccessKind, TraceEvent};
@@ -159,13 +171,21 @@ unsafe fn drop_shim<T>(data: NonNull<u8>) {
     unsafe { std::ptr::drop_in_place(data.cast::<T>().as_ptr()) }
 }
 
+/// A task type's shims, one `&'static` per type: what a queued or
+/// parked op stores to reach its payload's code, in one pointer.
+struct TaskVtable {
+    poll: PollFn,
+    drop: DropFn,
+}
+
 /// The backend's registered metrics, resolved once per process (the
-/// handles are `&'static`, so the poll loop pays one relaxed flag load
-/// plus one relaxed `fetch_add` per event, and building a backend pays
-/// one `OnceLock` load instead of a registry lookup per metric).
+/// handles are `&'static`, so building a backend pays one `OnceLock`
+/// load instead of a registry lookup per metric).
 struct CoopMetrics {
     /// Every task poll: priming polls in `advance`, granted polls in
-    /// `step`, batch polls in `sweep_one`.
+    /// `step`, batch polls in `sweep_one`. Counted in
+    /// `CoopBackend::polls` and added in batches, so the poll loop pays
+    /// no atomic read-modify-write.
     polls: &'static obs::Counter,
     /// Task-arena chunk memory currently allocated, across backends.
     arena_bytes: &'static obs::Gauge,
@@ -305,13 +325,105 @@ impl Drop for TaskArena {
     }
 }
 
+/// An [`OpSpec`] in 16 bytes: `Custom`'s label and argument sit in the
+/// backend's [`CustomSlots`], and the packed spec names their slot.
+#[derive(Clone, Copy)]
+enum Packed {
+    Inc { amount: u64 },
+    Read,
+    Write { value: u64 },
+    Custom { slot: u32 },
+}
+
+/// One entry of [`CustomSlots`].
+enum Slot {
+    Taken {
+        label: &'static str,
+        arg: u128,
+    },
+    /// A freed slot: the next one in the free list, or `NIL`.
+    Free {
+        next: u32,
+    },
+}
+
+/// The label and argument of every queued or parked `Custom` op, by
+/// slot. A slot is taken at submission and freed when its op completes;
+/// freed slots form a list threaded through the table and are reused
+/// first, so the table holds one slot per `Custom` op in flight, not
+/// one per op ever submitted.
+struct CustomSlots {
+    slots: Vec<Slot>,
+    /// Head of the free list (`NIL` if empty).
+    free: u32,
+}
+
+impl CustomSlots {
+    fn new() -> Self {
+        CustomSlots {
+            slots: Vec::new(),
+            free: NIL,
+        }
+    }
+
+    /// `spec` packed, taking a slot if it is `Custom`.
+    fn pack(&mut self, spec: OpSpec) -> Packed {
+        match spec {
+            OpSpec::Inc { amount } => Packed::Inc { amount },
+            OpSpec::Read => Packed::Read,
+            OpSpec::Write { value } => Packed::Write { value },
+            OpSpec::Custom { label, arg } => {
+                let taken = Slot::Taken { label, arg };
+                let slot = if self.free == NIL {
+                    let slot = u32::try_from(self.slots.len()).expect("custom slot fits u32");
+                    self.slots.push(taken);
+                    slot
+                } else {
+                    let slot = self.free;
+                    let Slot::Free { next } = self.slots[slot as usize] else {
+                        unreachable!("custom slot {slot} is on the free list but taken");
+                    };
+                    self.free = next;
+                    self.slots[slot as usize] = taken;
+                    slot
+                };
+                Packed::Custom { slot }
+            }
+        }
+    }
+
+    /// The recorded event of `spec` once its task returned `ret`
+    /// ([`OpSpec::kind`]); a `Custom` slot stays taken.
+    fn kind(&self, spec: Packed, ret: u128) -> OpKind {
+        match spec {
+            Packed::Inc { amount } => OpKind::Inc { amount },
+            Packed::Read => OpKind::Read { returned: ret },
+            Packed::Write { value } => OpKind::Write { value },
+            Packed::Custom { slot } => match self.slots[slot as usize] {
+                Slot::Taken { label, arg } => OpKind::Custom { label, arg, ret },
+                Slot::Free { .. } => unreachable!("custom slot {slot} read after it was freed"),
+            },
+        }
+    }
+
+    /// The completion record of `spec` returning `ret`: its event, with
+    /// a `Custom` slot freed, since its op will never be read again.
+    fn complete(&mut self, spec: Packed, ret: u128) -> OpKind {
+        let kind = self.kind(spec, ret);
+        if let Packed::Custom { slot } = spec {
+            self.slots[slot as usize] = Slot::Free { next: self.free };
+            self.free = slot;
+        }
+        kind
+    }
+}
+
 /// A queued (submitted, not yet started) op in the shared slab.
 /// `data: None` marks a free-list node.
 struct QNode {
-    spec: OpSpec,
+    spec: Packed,
     data: Option<NonNull<u8>>,
-    poll: PollFn,
-    dropper: DropFn,
+    vtable: &'static TaskVtable,
     next: u32,
 }
 
@@ -323,6 +435,12 @@ unsafe fn idle_poll(_data: NonNull<u8>, _ctx: &ProcCtx) -> Poll<u128> {
 unsafe fn idle_drop(_data: NonNull<u8>) {
     unreachable!("dropped an idle slot")
 }
+
+/// The vtable an idle process's entries point at.
+static IDLE: TaskVtable = TaskVtable {
+    poll: idle_poll,
+    drop: idle_drop,
+};
 
 /// What every grant and batch poll reads of a process: its parked
 /// task. `data` is `None` while the process is idle.
@@ -336,8 +454,8 @@ struct Hot {
 /// is torn down. The op fields are stale while the process is idle.
 #[derive(Clone, Copy)]
 struct Cold {
-    dropper: DropFn,
-    spec: OpSpec,
+    vtable: &'static TaskVtable,
+    spec: Packed,
     /// The parked op's invocation ticket.
     inv: u64,
     /// The process's cumulative step count at that invocation.
@@ -378,6 +496,7 @@ pub struct CoopBackend {
     /// The queue slab every process's FIFO links into.
     nodes: Vec<QNode>,
     free_node: u32,
+    custom: CustomSlots,
 
     arena: TaskArena,
     /// Produced events awaiting a drain (or a `wait_event` pop).
@@ -403,6 +522,10 @@ pub struct CoopBackend {
     /// the last `submit`, `step` or batch poll began.
     ctx: ProcCtx,
     metrics: &'static CoopMetrics,
+    /// Polls not yet added to `coop.polls_total`: counted here, not
+    /// with one atomic add per poll, and published once per batch
+    /// round, at every drain and at teardown.
+    polls: u64,
 }
 
 // SAFETY: every raw pointer (arena chunks, installed payloads, slab
@@ -475,11 +598,11 @@ impl CoopBackend {
         let gated = runtime.mode() == Mode::Gated;
         let idle_hot = Hot {
             data: None,
-            poll: idle_poll,
+            poll: IDLE.poll,
         };
         let idle_cold = Cold {
-            dropper: idle_drop,
-            spec: OpSpec::read(),
+            vtable: &IDLE,
+            spec: Packed::Read,
             inv: 0,
             steps_at_inv: 0,
             qhead: NIL,
@@ -491,6 +614,7 @@ impl CoopBackend {
             cold: vec![idle_cold; n],
             nodes: Vec::with_capacity(n),
             free_node: NIL,
+            custom: CustomSlots::new(),
             arena: TaskArena::default(),
             events: VecDeque::new(),
             runnable: Vec::new(),
@@ -500,24 +624,32 @@ impl CoopBackend {
             round_fresh: true,
             batch_rng,
             metrics: metrics(),
+            polls: 0,
             ctx: ProcCtx::recording(runtime.clone()),
             runtime,
+        }
+    }
+
+    /// Add the polls counted since the last publish to
+    /// `coop.polls_total`.
+    fn publish_polls(&mut self) {
+        if self.polls != 0 {
+            self.metrics.polls.add(self.polls);
+            self.polls = 0;
         }
     }
 
     fn push_queued(
         &mut self,
         pid: usize,
-        spec: OpSpec,
+        spec: Packed,
         data: NonNull<u8>,
-        poll: PollFn,
-        dropper: DropFn,
+        vtable: &'static TaskVtable,
     ) {
         let node = QNode {
             spec,
             data: Some(data),
-            poll,
-            dropper,
+            vtable,
             next: NIL,
         };
         let idx = if self.free_node != NIL {
@@ -539,7 +671,7 @@ impl CoopBackend {
         cold.qtail = idx;
     }
 
-    fn pop_queued(&mut self, pid: usize) -> Option<(OpSpec, NonNull<u8>, PollFn, DropFn)> {
+    fn pop_queued(&mut self, pid: usize) -> Option<(Packed, NonNull<u8>, &'static TaskVtable)> {
         let cold = &mut self.cold[pid];
         let idx = cold.qhead;
         if idx == NIL {
@@ -547,7 +679,7 @@ impl CoopBackend {
         }
         let node = &mut self.nodes[idx as usize];
         let data = node.data.take().expect("queued node holds a task");
-        let out = (node.spec, data, node.poll, node.dropper);
+        let out = (node.spec, data, node.vtable);
         cold.qhead = node.next;
         if cold.qhead == NIL {
             cold.qtail = NIL;
@@ -565,7 +697,7 @@ impl CoopBackend {
     fn advance(&mut self, pid: usize) {
         debug_assert!(self.hot[pid].data.is_none());
         debug_assert_eq!(self.ctx.pid(), pid);
-        while let Some((spec, data, poll, dropper)) = self.pop_queued(pid) {
+        while let Some((spec, data, vtable)) = self.pop_queued(pid) {
             let inv = self.runtime.ticket();
             let steps_at_inv = self.runtime.steps_of(pid);
             if self.gated {
@@ -574,48 +706,49 @@ impl CoopBackend {
                 self.ctx.trace(|| TraceEvent::Invoke {
                     seq: 0,
                     pid,
-                    kind: spec.kind(0),
+                    kind: self.custom.kind(spec, 0),
                     inv,
                 });
             }
-            self.metrics.polls.inc();
+            self.polls += 1;
             // SAFETY: `data` is the live, exclusively-owned task
             // installed for this op.
-            let polled = unsafe { poll(data, &self.ctx) };
+            let polled = unsafe { (vtable.poll)(data, &self.ctx) };
             assert!(
                 self.runtime.steps_of(pid) == steps_at_inv,
                 "OpTask contract violation (pid {pid}, op {:?}): the priming poll \
                  applied a primitive before any step was granted",
-                spec.kind(0).label(),
+                self.custom.kind(spec, 0).label(),
             );
             match polled {
                 Poll::Ready(ret) => {
                     let resp = self.runtime.ticket();
+                    let kind = self.custom.complete(spec, ret);
                     if self.gated {
                         self.ctx.trace(|| TraceEvent::Complete {
                             seq: 0,
                             pid,
-                            kind: spec.kind(ret),
+                            kind,
                             resp,
                         });
                     }
                     self.events.push_back(OpRecord {
                         pid,
-                        kind: spec.kind(ret),
+                        kind,
                         inv,
                         resp: Some(resp),
                         steps: self.runtime.steps_of(pid) - steps_at_inv,
                     });
                     // SAFETY: the op completed; never polled again.
-                    unsafe { self.arena.retire(data, dropper) };
+                    unsafe { self.arena.retire(data, vtable.drop) };
                 }
                 Poll::Pending => {
                     self.hot[pid] = Hot {
                         data: Some(data),
-                        poll,
+                        poll: vtable.poll,
                     };
                     let cold = &mut self.cold[pid];
-                    cold.dropper = dropper;
+                    cold.vtable = vtable;
                     cold.spec = spec;
                     cold.inv = inv;
                     cold.steps_at_inv = steps_at_inv;
@@ -629,30 +762,31 @@ impl CoopBackend {
     fn complete_parked(&mut self, pid: usize, data: NonNull<u8>, ret: u128) {
         self.hot[pid].data = None;
         let Cold {
-            dropper,
+            vtable,
             spec,
             inv,
             steps_at_inv,
             ..
         } = self.cold[pid];
         let resp = self.runtime.ticket();
+        let kind = self.custom.complete(spec, ret);
         if self.gated {
             self.ctx.trace(|| TraceEvent::Complete {
                 seq: 0,
                 pid,
-                kind: spec.kind(ret),
+                kind,
                 resp,
             });
         }
         self.events.push_back(OpRecord {
             pid,
-            kind: spec.kind(ret),
+            kind,
             inv,
             resp: Some(resp),
             steps: self.runtime.steps_of(pid) - steps_at_inv,
         });
         // SAFETY: the op completed; the task is never polled again.
-        unsafe { self.arena.retire(data, dropper) };
+        unsafe { self.arena.retire(data, vtable.drop) };
     }
 
     /// Free-running mode: poll the next runnable task in batch order.
@@ -661,8 +795,10 @@ impl CoopBackend {
     /// of O(n) while preserving the exact poll order of full rounds.
     fn sweep_one(&mut self) {
         if self.sweep_pos >= self.runnable.len() {
-            // Round complete: compact away pids that went idle (the
-            // survivors keep their relative order) and rewind.
+            // Round complete: publish its polls, compact away pids that
+            // went idle (the survivors keep their relative order) and
+            // rewind.
+            self.publish_polls();
             self.runnable.truncate(self.sweep_keep);
             self.sweep_pos = 0;
             self.sweep_keep = 0;
@@ -681,7 +817,7 @@ impl CoopBackend {
         }
         let pid = self.runnable[self.sweep_pos] as usize;
         self.sweep_pos += 1;
-        self.metrics.polls.inc();
+        self.polls += 1;
         let Hot {
             data: Some(data),
             poll,
@@ -701,7 +837,7 @@ impl CoopBackend {
             applied == 1,
             "OpTask contract violation (pid {pid}, op {:?}): a granted step must \
              apply exactly one primitive, got {applied}",
-            self.cold[pid].spec.kind(0).label(),
+            self.custom.kind(self.cold[pid].spec, 0).label(),
         );
         if let Poll::Ready(ret) = polled {
             self.complete_parked(pid, data, ret);
@@ -740,7 +876,7 @@ impl CoopBackend {
         };
         let before = self.runtime.steps_of(pid);
         self.ctx.trace(|| TraceEvent::Grant { seq: 0, pid });
-        self.metrics.polls.inc();
+        self.polls += 1;
         // SAFETY: the parked task is live and exclusively ours.
         let polled = unsafe { poll(data, &self.ctx) };
         let applied = self.runtime.steps_of(pid) - before;
@@ -748,7 +884,7 @@ impl CoopBackend {
             applied == 1,
             "OpTask contract violation (pid {pid}, op {:?}): a granted step must \
              apply exactly one primitive, got {applied}",
-            self.cold[pid].spec.kind(0).label(),
+            self.custom.kind(self.cold[pid].spec, 0).label(),
         );
         if let Poll::Ready(ret) = polled {
             self.complete_parked(pid, data, ret);
@@ -779,7 +915,7 @@ impl CoopBackend {
         let cold = &self.cold[pid];
         Some(OpRecord {
             pid,
-            kind: cold.spec.kind(0),
+            kind: self.custom.kind(cold.spec, 0),
             inv: cold.inv,
             resp: None,
             steps: self.runtime.steps_of(pid) - cold.steps_at_inv,
@@ -801,10 +937,10 @@ impl CoopBackend {
         pid: usize,
         spec: OpSpec,
         data: NonNull<u8>,
-        poll: PollFn,
-        dropper: DropFn,
+        vtable: &'static TaskVtable,
     ) {
-        self.push_queued(pid, spec, data, poll, dropper);
+        let spec = self.custom.pack(spec);
+        self.push_queued(pid, spec, data, vtable);
         self.ctx.begin(pid);
         if self.hot[pid].data.is_none() {
             self.advance(pid);
@@ -825,27 +961,27 @@ impl CoopBackend {
         // polls happen outside the modelled execution, so the sink is
         // sealed before the first one (and after the last modelled event
         // is delivered). The trace log still records the teardown polls'
-        // accesses.
+        // accesses. With no record built, no `Custom` slot is freed: the
+        // table drops with the backend.
         self.flush_trace();
         self.runtime.seal_analysis();
         for pid in 0..self.hot.len() {
             self.ctx.begin(pid);
             if let Some(data) = self.hot[pid].data.take() {
-                let poll = self.hot[pid].poll;
-                let dropper = self.cold[pid].dropper;
+                let vtable = self.cold[pid].vtable;
                 // SAFETY: the parked task is live; retired right after
                 // its final poll.
                 unsafe {
-                    while poll(data, &self.ctx).is_pending() {}
-                    self.arena.retire(data, dropper);
+                    while (vtable.poll)(data, &self.ctx).is_pending() {}
+                    self.arena.retire(data, vtable.drop);
                 }
             }
-            while let Some((_spec, data, poll, dropper)) = self.pop_queued(pid) {
+            while let Some((_spec, data, vtable)) = self.pop_queued(pid) {
                 // SAFETY: as above; queued tasks start from their
                 // priming poll.
                 unsafe {
-                    while poll(data, &self.ctx).is_pending() {}
-                    self.arena.retire(data, dropper);
+                    while (vtable.poll)(data, &self.ctx).is_pending() {}
+                    self.arena.retire(data, vtable.drop);
                 }
             }
         }
@@ -856,10 +992,17 @@ impl CoopBackend {
 impl ExecBackend for CoopBackend {
     fn submit_task<T: OpTask + 'static>(&mut self, pid: usize, spec: OpSpec, task: T) {
         let data = self.arena.install_value(task);
-        self.enqueue(pid, spec, data, poll_shim::<T>, drop_shim::<T>);
+        // A constant expression, so the reference is promoted to a
+        // `'static`: one vtable per task type.
+        let vtable = &TaskVtable {
+            poll: poll_shim::<T>,
+            drop: drop_shim::<T>,
+        };
+        self.enqueue(pid, spec, data, vtable);
     }
 
     fn drain(&mut self, sink: &mut dyn FnMut(OpRecord)) {
+        self.publish_polls();
         for rec in self.events.drain(..) {
             sink(rec);
         }
@@ -880,6 +1023,7 @@ impl ExecBackend for CoopBackend {
 
 impl Drop for CoopBackend {
     fn drop(&mut self) {
+        self.publish_polls();
         if std::thread::panicking() {
             // During a panic unwind (e.g. a contract violation) the
             // tasks are suspect; re-polling them could panic again and
@@ -887,13 +1031,13 @@ impl Drop for CoopBackend {
             // resources are released before the arena frees its chunks.
             for pid in 0..self.hot.len() {
                 if let Some(data) = self.hot[pid].data.take() {
-                    let dropper = self.cold[pid].dropper;
+                    let drop = self.cold[pid].vtable.drop;
                     // SAFETY: live parked task, dropped exactly once.
-                    unsafe { self.arena.retire(data, dropper) };
+                    unsafe { self.arena.retire(data, drop) };
                 }
-                while let Some((_spec, data, _poll, dropper)) = self.pop_queued(pid) {
+                while let Some((_spec, data, vtable)) = self.pop_queued(pid) {
                     // SAFETY: live queued task, dropped exactly once.
-                    unsafe { self.arena.retire(data, dropper) };
+                    unsafe { self.arena.retire(data, vtable.drop) };
                 }
             }
         } else {
@@ -928,11 +1072,12 @@ mod tests {
     }
 
     /// A task carrying `payload` that writes its register `writes` times,
-    /// one write per granted poll.
+    /// one write per granted poll, then returns `ret`.
     struct Probe<P> {
         _payload: P,
         reg: Arc<Register>,
         writes: u32,
+        ret: u128,
         primed: bool,
         _count: DropCount,
     }
@@ -942,6 +1087,7 @@ mod tests {
             _payload: payload,
             reg: reg.clone(),
             writes,
+            ret: 0,
             primed: false,
             _count: DropCount,
         }
@@ -955,7 +1101,7 @@ mod tests {
             }
             self.primed = true;
             if self.writes == 0 {
-                Poll::Ready(0)
+                Poll::Ready(self.ret)
             } else {
                 Poll::Pending
             }
@@ -993,6 +1139,97 @@ mod tests {
         // The hot array's entry, what the module docs' layout argument
         // rests on: four processes per 64-byte cache line.
         assert_eq!(std::mem::size_of::<Hot>(), 16);
+    }
+
+    #[test]
+    fn a_queued_op_takes_40_bytes_and_a_process_64() {
+        // What 10⁶ processes and a slab of 10⁵ queued ops first-touch.
+        assert_eq!(std::mem::size_of::<Packed>(), 16);
+        assert!(std::mem::size_of::<QNode>() <= 40);
+        assert!(std::mem::size_of::<Cold>() <= 48);
+        // A `Custom` op in flight adds a slot: its packed spec and slot
+        // take the 48 bytes an unpacked `OpSpec` took.
+        assert_eq!(std::mem::size_of::<Slot>(), 32);
+    }
+
+    /// The `Custom` spec of the `i`-th op submitted to `pid`: a label
+    /// and an argument wider than 64 bits, both distinct per op.
+    fn custom_spec(pid: usize, i: usize) -> OpSpec {
+        const LABELS: [&str; 3] = ["cas", "swap", "fetch-add"];
+        OpSpec::custom(LABELS[(pid + i) % 3], (1 << 100) + (pid * 1000 + i) as u128)
+    }
+
+    #[test]
+    fn custom_ops_keep_label_arg_and_ret_through_every_cut() {
+        const PER_PID: usize = 8;
+        let reg = Arc::new(Register::new(0));
+        let before = drops();
+        let mut d = crate::Driver::coop(Runtime::coop(3));
+        let ret = |pid: usize, i: usize| (pid * 1000 + i) as u128 + 7;
+        // All queued at once: each pid's first op parks, the rest wait
+        // in the slab, and every one holds a slot.
+        for pid in 0..3 {
+            for i in 0..PER_PID {
+                let task = Probe {
+                    ret: ret(pid, i),
+                    ..probe((), &reg, 2)
+                };
+                d.submit_task(pid, custom_spec(pid, i), task);
+            }
+        }
+        let expect = |pid: usize, i: usize, ret: u128| custom_spec(pid, i).kind(ret);
+        // Completion: pid 0 runs out, in submission order.
+        d.run_solo(0);
+        let done: Vec<OpKind> = d.history().ops().iter().map(|r| r.kind).collect();
+        let want: Vec<OpKind> = (0..PER_PID).map(|i| expect(0, i, ret(0, i))).collect();
+        assert_eq!(done, want);
+        // A crash: pid 1's first op, one of its two writes done.
+        assert_eq!(d.step(1), StepOutcome::Stepped);
+        d.crash(1);
+        let crashed = d.history().ops().last().expect("a pending record").clone();
+        assert_eq!((crashed.pid, crashed.resp, crashed.steps), (1, None, 1));
+        assert_eq!(crashed.kind, expect(1, 0, 0));
+        // A snapshot: pid 2 suspended mid-op, after its first op completed.
+        for _ in 0..3 {
+            assert_eq!(d.step(2), StepOutcome::Stepped);
+        }
+        let snap = d.history_snapshot();
+        let tail: Vec<(usize, OpKind, bool)> = snap.ops()[PER_PID + 1..]
+            .iter()
+            .map(|r| (r.pid, r.kind, r.resp.is_some()))
+            .collect();
+        let want = [
+            (2, expect(2, 0, ret(2, 0)), true),
+            (2, expect(2, 1, 0), false),
+        ];
+        assert_eq!(tail, want);
+        // The snapshot left the op in flight: it completes with its spec.
+        assert_eq!(d.step(2), StepOutcome::Stepped);
+        let resumed = d.history().ops().last().map(|r| r.kind);
+        assert_eq!(resumed, Some(expect(2, 1, ret(2, 1))));
+        // Teardown runs the crashed op and everything queued to its end.
+        drop(d);
+        assert_eq!(drops() - before, 3 * PER_PID, "every task dropped once");
+    }
+
+    #[test]
+    fn sequential_custom_ops_reuse_their_slot() {
+        let reg = Arc::new(Register::new(0));
+        let mut b = gated(1);
+        let mut kinds = Vec::new();
+        for i in 0..10_000 {
+            // Alternately parked at a primitive and complete at submission.
+            if i % 2 == 0 {
+                b.submit_task(0, custom_spec(0, i), probe((), &reg, 1));
+                run_out(&mut b, 0);
+            } else {
+                b.submit_task(0, custom_spec(0, i), ZstTask(DropCount));
+            }
+            b.drain(&mut |rec| kinds.push(rec.kind));
+        }
+        assert!(b.custom.slots.len() <= 2, "{} slots", b.custom.slots.len());
+        let want: Vec<OpKind> = (0..10_000).map(|i| custom_spec(0, i).kind(0)).collect();
+        assert_eq!(kinds, want);
     }
 
     #[test]

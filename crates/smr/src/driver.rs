@@ -410,6 +410,9 @@ impl<B: ExecBackend> Driver<B> {
             let rec = self.backend.wait_event();
             self.record(rec);
         }
+        // Nothing is left to drain, but a drain publishes the backend's
+        // batched counts, so they are exact once `wait_all` returns.
+        self.drain_events();
     }
 
     fn total_pending(&self) -> u64 {

@@ -433,7 +433,9 @@ fn reductions_preserve_the_reachable_history_set() {
     // histories may not.)
     let cases: [(&str, usize, ProgramFn); 6] = [
         ("collect-with-reader", 0, || programs::collect(2, 1, 1)),
-        ("kmult-mixed", 0, || {
+        // Not `programs::kmult(3, 2, 1, true)`, the oracle's and
+        // `exp_explore`'s "kmult-mixed": four operations, not six.
+        ("kmult-2inc-2read", 0, || {
             let mut d = Driver::coop(Runtime::coop(3));
             let c = KmultCounter::new(3, 2);
             let hs: Vec<SharedKmultHandle> =
