@@ -20,9 +20,12 @@
 //!   metrics config directly follows its plain twin (same workload,
 //!   mode, `n` and ops), and the `instrument` column is part of row
 //!   identity, so both sides regress independently. A metrics pair runs
-//!   in three alternating rounds and keeps each side's fastest run;
-//!   every other config runs once. The analysis passes are priced by
-//!   perfbench, inside the checked ops/s of its gated workloads.
+//!   in alternating rounds, one run of each side per round with the
+//!   side that runs first switching each round: nine rounds at the
+//!   gate's 10⁵ processes, three elsewhere. Each side's fastest run is
+//!   its row; every other config runs once. The analysis passes are
+//!   priced by perfbench, inside the checked ops/s of its gated
+//!   workloads.
 //!
 //! Every run is a fresh child process (`exp_scale --child <index>`), so
 //! a row prices its own heap alone and its peak RSS (`VmHWM` of
@@ -39,10 +42,11 @@
 //! * every metrics-on run counts coop polls (the hot path kept its
 //!   instrumentation);
 //! * at 10⁵ processes, metrics-on keeps ≥ 95% of its plain twin's
-//!   steps/s, estimated as the larger of best-on/best-off and the best
-//!   round's ratio, re-measured up to three times before the assert
-//!   fires (one scheduler hiccup at ~100 ms run lengths costs more than
-//!   the whole budget).
+//!   steps/s, estimated as the median over the nine rounds of each
+//!   round's on/off ratio. The two runs of a round see the same machine
+//!   load, so their ratio cancels drift, and the median drops the few
+//!   rounds a scheduler hiccup spoils (one costs more than the whole
+//!   budget at ~100 ms run lengths) instead of keeping the luckiest.
 //!
 //! Results land in `BENCH_scale.json` (cwd); each metrics-on run leaves
 //! its `obs` snapshot in `OBS_snapshot.json`, so the file holds the last
@@ -65,8 +69,12 @@ use std::time::Instant;
 /// Registers in the `reg` workload's striped pool.
 const POOL: usize = 1024;
 
-/// Alternating rounds of a metrics pair.
+/// Alternating rounds of a metrics pair the gate does not read.
 const METRICS_ROUNDS: usize = 3;
+
+/// Alternating rounds of the gate's metrics pair: odd, so the median is
+/// one round's ratio.
+const GATE_ROUNDS: usize = 9;
 
 /// The process count of the metrics-overhead gate.
 const METRICS_GATE_N: usize = 100_000;
@@ -354,17 +362,23 @@ fn run_child(configs: &[Config], index: usize) -> Sample {
 }
 
 /// Measure a group — a plain config and its metrics twin, if any
-/// (`group` indexes `configs`) — in `rounds` alternating rounds, keeping
-/// each config's fastest run. Also returns the twin-over-plain
-/// steps/s ratio: the larger of best-over-best and the best single
-/// round's (adjacent runs see the same machine load, so a round's ratio
-/// cancels drift the best-of-each-side quotient cannot).
-fn measure(configs: &[Config], group: &[usize], rounds: usize) -> (Vec<Sample>, f64) {
+/// (`group` indexes `configs`) — in `rounds` rounds, one run of each
+/// config per round, switching which runs first each round. Returns
+/// each config's fastest run and, sorted, every round's twin-over-plain
+/// steps/s ratio.
+fn measure(configs: &[Config], group: &[usize], rounds: usize) -> (Vec<Sample>, Vec<f64>) {
     let mut best: Vec<Sample> = Vec::new();
-    let mut ratio = 0.0f64;
-    for _ in 0..rounds {
-        let runs: Vec<Sample> = group.iter().map(|&i| run_child(configs, i)).collect();
-        ratio = ratio.max(runs[runs.len() - 1].steps_per_sec() / runs[0].steps_per_sec());
+    let mut ratios = Vec::with_capacity(rounds);
+    for round in 0..rounds {
+        let mut order = group.to_vec();
+        if round % 2 == 1 {
+            order.reverse();
+        }
+        let mut runs: Vec<Sample> = order.iter().map(|&i| run_child(configs, i)).collect();
+        if round % 2 == 1 {
+            runs.reverse();
+        }
+        ratios.push(runs[runs.len() - 1].steps_per_sec() / runs[0].steps_per_sec());
         if best.is_empty() {
             best = runs;
         } else {
@@ -375,8 +389,8 @@ fn measure(configs: &[Config], group: &[usize], rounds: usize) -> (Vec<Sample>, 
             }
         }
     }
-    ratio = ratio.max(best[best.len() - 1].steps_per_sec() / best[0].steps_per_sec());
-    (best, ratio)
+    ratios.sort_by(f64::total_cmp);
+    (best, ratios)
 }
 
 fn main() {
@@ -396,8 +410,15 @@ fn main() {
     for group in indices.chunk_by(|&a, &b| configs[a].key() == configs[b].key()) {
         let twin = configs[group[group.len() - 1]];
         let metrics = twin.instrument == Instrument::Metrics;
-        let rounds = if metrics { METRICS_ROUNDS } else { 1 };
-        let (best, mut ratio) = measure(&configs, group, rounds);
+        let gate = metrics && twin.n == METRICS_GATE_N;
+        let rounds = if gate {
+            GATE_ROUNDS
+        } else if metrics {
+            METRICS_ROUNDS
+        } else {
+            1
+        };
+        let (best, ratios) = measure(&configs, group, rounds);
         for s in &best {
             eprintln!(
                 "done: {}: {:.0} steps/s",
@@ -405,21 +426,16 @@ fn main() {
                 s.steps_per_sec()
             );
         }
-        if metrics && twin.n == METRICS_GATE_N {
-            for _ in 0..3 {
-                if ratio >= 0.95 {
-                    break;
-                }
-                eprintln!("metrics bar came in at {ratio:.3}; re-measuring");
-                ratio = ratio.max(measure(&configs, group, rounds).1);
-            }
+        if gate {
+            let ratio = ratios[GATE_ROUNDS / 2];
             assert!(
                 ratio >= 0.95,
                 "metrics-on throughput at {METRICS_GATE_N} processes is {:.1}% of its \
-                 plain twin's — the enabled path exceeds the 5% budget",
+                 plain twin's (median of {GATE_ROUNDS} alternating pairs) — the enabled \
+                 path exceeds the 5% budget",
                 100.0 * ratio
             );
-            metrics_bar = Some(ratio);
+            metrics_bar = Some((ratio, ratios[GATE_ROUNDS / 4], ratios[3 * GATE_ROUNDS / 4]));
         }
         samples.extend(best);
     }
@@ -481,14 +497,18 @@ fn main() {
     println!("       (mode gated = one grant per primitive; free = ungated batch polling).");
     println!("instrument metrics = obs collection on; vs plain = the plain twin's steps/s");
     println!(
-        "           over this row's (metrics pairs: best of {METRICS_ROUNDS} alternating rounds)."
+        "           over this row's (metrics pairs: each side's fastest of {METRICS_ROUNDS} \
+         alternating rounds, {GATE_ROUNDS} at n = {METRICS_GATE_N})."
     );
     println!(
         "ms = execution only, the median of `runs` runs (runs repeat until {} ms have passed).",
         bench::MIN_ROW_MILLIS
     );
-    if let Some(bar) = metrics_bar {
-        println!("{METRICS_GATE_N}-process metrics bar: on/off = {bar:.3} (≥ 0.950 required).");
+    if let Some((bar, q1, q3)) = metrics_bar {
+        println!(
+            "{METRICS_GATE_N}-process metrics bar: on/off = {bar:.3}, the median of \
+             {GATE_ROUNDS} alternating pairs (quartiles {q1:.3}–{q3:.3}; ≥ 0.950 required)."
+        );
     }
     table.print("coop scaling");
 

@@ -70,12 +70,14 @@ pub fn kadd(n: usize, k: u64) -> Driver<CoopBackend> {
 }
 
 /// Algorithm 2 at k = 2 over m = 2⁴⁰: pid `p` of `n` writes
-/// 2^(5 + ⌊40p/n⌋), spreading the writes over the magnitudes, then reads.
+/// 2^min(5 + ⌊40p/n⌋, 39), spreading the writes over the magnitudes,
+/// then reads. The cap keeps every write below m from n = 8 on; below
+/// that it never binds.
 pub fn kmaxreg(n: usize) -> Driver<CoopBackend> {
     let mut d = Driver::coop(Runtime::coop(n));
     let r = Arc::new(KmultBoundedMaxRegister::new(n, 1 << 40, 2));
     for pid in 0..n {
-        let v = 1u64 << (5 + 40 * pid / n);
+        let v = 1u64 << (5 + 40 * pid / n).min(39);
         d.submit_task(pid, OpSpec::write(v), KmultMaxWriteTask::new(r.clone(), v));
         d.submit_task(pid, OpSpec::read(), KmultMaxReadTask::new(r.clone()));
     }

@@ -386,4 +386,13 @@ mod tests {
         let x = r.read(&ctx);
         assert!(within_k(u128::from(m - 1), x, k));
     }
+
+    #[test]
+    fn a_task_holds_its_whole_state_in_40_bytes() {
+        // The register's `Arc` plus a tree machine whose turn path is
+        // one word: nothing on the heap, so the coop arena's payload is
+        // the whole operation.
+        assert!(std::mem::size_of::<KmultMaxWriteTask>() <= 40);
+        assert!(std::mem::size_of::<KmultMaxReadTask>() <= 40);
+    }
 }

@@ -39,13 +39,19 @@
 //! path taken and re-walks it from the root on each step (pointer
 //! navigation only, no primitives) — so machines are plain safe values;
 //! each [`step`](TreeWriteMachine::step) borrows the register it
-//! operates on for the duration of the call. The O(depth) re-walk per
-//! step is a deliberate trade: a constant wall-clock factor on deep
-//! trees buys machines with no raw pointers to keep alive and ordinary
-//! struct-nesting composition (the AACH counters embed these directly).
-//! Step *counts* — the quantity the theorems bound and the experiments
-//! measure — are identical to the recursive forms', pinned by the
-//! task-vs-blocking determinism tests.
+//! operates on for the duration of the call. The path is one word: a
+//! `u64` whose bit `i` is set for a right turn at depth `i`, and a `u8`
+//! depth, enough for any tree on `m ≤ 2⁶⁴` values. So a machine's whole
+//! state sits inline in its owner, and an operation costs no allocation
+//! once the nodes on its path exist; the unwind finds the deepest pending
+//! right turn with a mask and a leading-zeros count. The O(depth) re-walk
+//! per step is a deliberate trade: caching the current node would need a
+//! raw pointer tied to the register's identity, and pays only on deep
+//! trees, while the re-walk keeps machines free of pointers to keep alive
+//! and composable by ordinary struct nesting (the AACH counters embed
+//! these directly). Step *counts* — the quantity the theorems bound and
+//! the experiments measure — are identical to the recursive forms',
+//! pinned by the task-vs-blocking determinism tests.
 
 use crate::spec::MaxRegister;
 use smr::{OpTask, Poll, ProcCtx, Register};
@@ -155,15 +161,17 @@ impl TreeMaxRegister {
         depth
     }
 
-    /// The node reached by following `path` from the root (allocating
-    /// lazily, as the recursive forms do). Pointer navigation only — no
+    /// The node reached by following the first `depth` turns of `turns`
+    /// from the root (bit `i` set: right at depth `i`), allocating
+    /// lazily, as the recursive forms do. Pointer navigation only — no
     /// primitives.
-    fn navigate(&self, path: &[Turn]) -> &Node {
+    fn navigate(&self, turns: u64, depth: u8) -> &Node {
         let mut node = &self.root;
-        for &turn in path {
-            node = Node::child(match turn {
-                Turn::Left => &node.left,
-                Turn::Right => &node.right,
+        for i in 0..depth {
+            node = Node::child(if (turns >> i) & 1 == 1 {
+                &node.right
+            } else {
+                &node.left
             });
         }
         node
@@ -190,13 +198,6 @@ impl MaxRegister for TreeMaxRegister {
     }
 }
 
-/// A turn of the descent path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Turn {
-    Left,
-    Right,
-}
-
 /// Resume point of a `TreeMaxRegister::write` — one primitive per
 /// [`step`](TreeWriteMachine::step), priming step free, exactly the
 /// primitive sequence of the recursive transcription. See
@@ -204,9 +205,13 @@ enum Turn {
 /// forms share it.
 #[derive(Debug)]
 pub struct TreeWriteMachine {
-    /// Turns committed so far from the root. Right turns are the
-    /// ancestors whose switches remain to be set on the unwind.
-    path: Vec<Turn>,
+    /// Turns committed so far from the root, one bit per depth: bit `i`
+    /// set is a right turn at depth `i`, and bits from `depth` up are
+    /// clear. Right turns are the ancestors whose switches remain to be
+    /// set on the unwind.
+    turns: u64,
+    /// Turns taken; at most 64, the depth of a tree on `m ≤ 2⁶⁴` values.
+    depth: u8,
     /// Value and span relative to the current node's subrange.
     v: u64,
     span: u64,
@@ -220,10 +225,10 @@ enum WritePhase {
     /// About to read the current node's switch (a left turn).
     ReadSwitch,
     /// Descent finished or abandoned; about to set the switch of the
-    /// deepest right-turn ancestor strictly above `path[upto..]`.
+    /// deepest right-turn ancestor above depth `upto`.
     Unwind {
-        /// Right turns at indices `< upto` are still pending.
-        upto: usize,
+        /// Right turns at depths `< upto` are still pending.
+        upto: u8,
     },
 }
 
@@ -235,7 +240,8 @@ impl TreeWriteMachine {
     pub fn new(reg: &TreeMaxRegister, v: u64) -> Self {
         assert!(v < reg.bound, "value {v} out of range (m = {})", reg.bound);
         TreeWriteMachine {
-            path: Vec::new(),
+            turns: 0,
+            depth: 0,
             v,
             span: reg.bound,
             phase: WritePhase::Start,
@@ -252,18 +258,20 @@ impl TreeWriteMachine {
                 self.phase = WritePhase::ReadSwitch;
                 return;
             }
-            self.path.push(Turn::Right);
+            self.turns |= 1 << self.depth;
+            self.depth += 1;
             self.v -= half;
             self.span -= half;
         }
-        self.phase = WritePhase::Unwind {
-            upto: self.path.len(),
-        };
+        self.phase = WritePhase::Unwind { upto: self.depth };
     }
 
     /// The deepest pending right turn strictly below `upto`, if any.
-    fn next_unwind(&self, upto: usize) -> Option<usize> {
-        self.path[..upto].iter().rposition(|&t| t == Turn::Right)
+    fn next_unwind(&self, upto: u8) -> Option<u8> {
+        // Keep bits `0..upto`: all 64 at `upto = 64`, where the shift
+        // would overflow.
+        let below = self.turns & !u64::MAX.checked_shl(u32::from(upto)).unwrap_or(0);
+        (below != 0).then(|| 63 - below.leading_zeros() as u8)
     }
 
     /// Advance the write by at most one primitive against `reg` — which
@@ -283,17 +291,15 @@ impl TreeWriteMachine {
                 Poll::Pending
             }
             WritePhase::ReadSwitch => {
-                let node = reg.navigate(&self.path);
+                let node = reg.navigate(self.turns, self.depth);
                 if node.switch.read(ctx) == 0 {
-                    self.path.push(Turn::Left);
+                    self.depth += 1; // a left turn: its bit stays clear
                     self.descend();
                 } else {
                     // Dominated: abandon the descent and unwind what is
                     // stacked (ancestors' right-subtree writes are
                     // complete by construction).
-                    self.phase = WritePhase::Unwind {
-                        upto: self.path.len(),
-                    };
+                    self.phase = WritePhase::Unwind { upto: self.depth };
                 }
                 match self.phase {
                     WritePhase::Unwind { upto } if self.next_unwind(upto).is_none() => {
@@ -304,7 +310,7 @@ impl TreeWriteMachine {
             }
             WritePhase::Unwind { upto } => {
                 let at = self.next_unwind(upto).expect("pending right turn");
-                reg.navigate(&self.path[..at]).switch.write(ctx, 1);
+                reg.navigate(self.turns, at).switch.write(ctx, 1);
                 self.phase = WritePhase::Unwind { upto: at };
                 if self.next_unwind(at).is_none() {
                     Poll::Ready(())
@@ -322,7 +328,11 @@ impl TreeWriteMachine {
 /// [`TreeWriteMachine`].
 #[derive(Debug)]
 pub struct TreeReadMachine {
-    path: Vec<Turn>,
+    /// Switches followed so far from the root, one bit per depth (bit
+    /// `i` set: right at depth `i`), as in [`TreeWriteMachine`].
+    turns: u64,
+    /// Switches read so far.
+    depth: u8,
     span: u64,
     acc: u64,
     primed: bool,
@@ -332,7 +342,8 @@ impl TreeReadMachine {
     /// A machine reading `reg`.
     pub fn new(reg: &TreeMaxRegister) -> Self {
         TreeReadMachine {
-            path: Vec::new(),
+            turns: 0,
+            depth: 0,
             span: reg.bound,
             acc: 0,
             primed: false,
@@ -350,15 +361,15 @@ impl TreeReadMachine {
             return Poll::Pending;
         }
         let half = self.span.div_ceil(2);
-        let node = reg.navigate(&self.path);
+        let node = reg.navigate(self.turns, self.depth);
         if node.switch.read(ctx) == 1 {
             self.acc += half;
             self.span -= half;
-            self.path.push(Turn::Right);
+            self.turns |= 1 << self.depth;
         } else {
             self.span = half;
-            self.path.push(Turn::Left);
         }
+        self.depth += 1;
         if self.span <= 1 {
             Poll::Ready(self.acc)
         } else {
@@ -496,6 +507,47 @@ mod tests {
         reg.write(&ctx, m - 1);
         reg.write(&ctx, 123_456_789);
         assert_eq!(reg.read(&ctx), m - 1);
+    }
+
+    /// `f`'s result and the primitives it applied through `ctx`.
+    fn counted<T>(ctx: &ProcCtx, f: impl FnOnce() -> T) -> (T, u64) {
+        let s0 = ctx.steps_taken();
+        let out = f();
+        (out, ctx.steps_taken() - s0)
+    }
+
+    #[test]
+    fn the_turn_word_holds_a_64_deep_path() {
+        // m = 2⁶⁴ − 1: the leftmost leaves sit at depth 64 and the
+        // rightmost, m − 1, at depth 63. 1 turns right only at depth 63
+        // (the word's top bit), 2⁶³ only at depth 0, and m − 1 at every
+        // depth below 63, so its unwind starts from bit 62.
+        let m = u64::MAX;
+        let reg = TreeMaxRegister::new(m);
+        let rt = Runtime::free_running(1);
+        let ctx = rt.ctx(0);
+        assert_eq!(reg.worst_case_steps(), 64);
+        for (v, steps) in [(1, 64), (1 << 63, 64), (m - 1, 63)] {
+            assert_eq!(
+                counted(&ctx, || reg.write(&ctx, v)),
+                ((), steps),
+                "write {v}"
+            );
+            assert_eq!(
+                counted(&ctx, || reg.read(&ctx)),
+                (v, steps),
+                "read after {v}"
+            );
+        }
+        // Dominated rewrites give up at the first set switch.
+        for (v, steps) in [(1 << 63, 2), (1, 1)] {
+            assert_eq!(
+                counted(&ctx, || reg.write(&ctx, v)),
+                ((), steps),
+                "rewrite {v}"
+            );
+        }
+        assert_eq!(counted(&ctx, || reg.read(&ctx)), (m - 1, 63));
     }
 
     #[test]

@@ -11,13 +11,14 @@ use approx_objects::{
     KaddCounter, KaddIncTask, KaddReadTask, KmultBoundedMaxRegister, KmultCounter, KmultIncTask,
     KmultMaxReadTask, KmultMaxWriteTask, KmultReadTask, SharedKaddHandle, SharedKmultHandle,
 };
+use bench::programs;
 use counter::{
     AachCounter, AachIncTask, AachReadTask, CollectCounter, CollectIncTask, CollectReadTask,
     SnapshotCounter, SnapshotIncTask, SnapshotReadTask, UnboundedTreeCounter, UnboundedTreeIncTask,
     UnboundedTreeReadTask,
 };
 use lincheck::monotone::{check_counter, check_counter_additive, check_maxreg};
-use lincheck::{CounterHistory, MaxRegHistory};
+use lincheck::{check_maxreg_records, CounterHistory, MaxRegHistory};
 use maxreg::{TreeMaxReadTask, TreeMaxRegister, TreeMaxWriteTask};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -207,6 +208,29 @@ fn kmult_maxreg_seed_matrix() {
             || KmultMaxReadTask::new(reg.clone()),
         );
         check_maxreg(&h, k).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
+    }
+}
+
+#[test]
+fn explored_kmult_maxreg_program_at_8_and_16_processes() {
+    // `exp_explore`'s Algorithm 2 program beyond DPOR's reach: 200 seeded
+    // schedules each at n = 8 and 16. Both take the tree arm, whose 42
+    // magnitude indices of m = 2⁴⁰, k = 2 sit in a tree 6 deep, so no
+    // completed operation may take more than ⌈log₂ 42⌉ = 6 steps; some
+    // take all 6.
+    for n in [8, 16] {
+        let mut most = 0;
+        for seed in 0..200 {
+            let mut d = programs::kmaxreg(n);
+            d.run_schedule(&mut SeededRandom::new(seed));
+            let h = d.history();
+            check_maxreg_records(h, 2).unwrap_or_else(|v| panic!("n = {n}, seed {seed}: {v}"));
+            for r in h.ops().iter().filter(|r| r.resp.is_some()) {
+                assert!(r.steps <= 6, "n = {n}, seed {seed}: {r:?}");
+                most = most.max(r.steps);
+            }
+        }
+        assert_eq!(most, 6, "n = {n}");
     }
 }
 

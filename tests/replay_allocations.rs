@@ -8,50 +8,16 @@
 //! mean allocation calls (`alloc` plus `realloc`) per checked cut as an
 //! upper bound.
 //!
-//! The counting allocator counts on a thread-local, so allocations made
-//! by other tests running concurrently in this binary do not reach the
-//! count: the walk runs entirely on the calling thread.
+//! The walk runs entirely on the calling thread, which is the thread
+//! `counting_alloc` counts.
+
+mod counting_alloc;
 
 use bench::programs;
+use counting_alloc::calls;
 use lincheck::check_counter_records;
 use smr::explore::{explore, ExploreConfig};
 use smr::{CoopBackend, Driver, History};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    /// Allocation calls made on this thread so far.
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn calls() -> u64 {
-    CALLS.with(Cell::get)
-}
-
-/// The system allocator, counting `alloc` and `realloc` calls per
-/// thread (`alloc_zeroed` defaults to `alloc`).
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to the system
-// allocator, whose contract is the one `GlobalAlloc` asks of callers.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.with(|c| c.set(c.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.with(|c| c.set(c.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 /// A program factory and its checker's accuracy parameter `k`.
 type Program = (fn() -> Driver<CoopBackend>, u64);
