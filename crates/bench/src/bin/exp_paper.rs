@@ -41,7 +41,7 @@ use maxreg::{
 };
 use parking_lot::Mutex;
 use perturb::awareness::AwarenessReport;
-use perturb::counter::{perturb_counter, CounterPerturbConfig, KmultTarget, SharedCounter};
+use perturb::counter::{perturb_counter, CounterPerturbConfig, KmultTarget};
 use perturb::maxreg::{perturb_maxreg, MaxRegTarget, PerturbConfig};
 use smr::sched::RoundRobin;
 use smr::{Driver, OpSpec, OpTask, ProcCtx, Runtime};
@@ -987,12 +987,12 @@ fn t54(l: &mut Ledger) {
             max_rounds: 128,
         };
         let kmult = KmultCounter::new(writers + 1, k);
-        let aach = Arc::new(AachCounter::new(writers + 1, (m * 2) as u64));
-        let collect = Arc::new(CollectCounter::new(writers + 1));
+        let aach = AachCounter::new(writers + 1, (m * 2) as u64);
+        let collect = CollectCounter::new(writers + 1);
         let runs = [
             ("kmult", perturb_counter(&KmultTarget::new(&kmult), cfg)),
-            ("aach", perturb_counter(&SharedCounter(aach), cfg)),
-            ("collect", perturb_counter(&SharedCounter(collect), cfg)),
+            ("aach", perturb_counter(&aach, cfg)),
+            ("collect", perturb_counter(&collect, cfg)),
         ];
         let sizes = [("k", k), ("m_bits", u64::from(bits))];
         for (object, r) in runs {

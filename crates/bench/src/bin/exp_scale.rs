@@ -23,7 +23,9 @@
 //!   in alternating rounds, one run of each side per round with the
 //!   side that runs first switching each round: nine rounds at the
 //!   gate's 10⁵ processes, three elsewhere. Each side's fastest run is
-//!   its row; every other config runs once. The analysis passes are
+//!   its row, and the table's `on/off` column prints the median of the
+//!   pair's per-round metrics-on/plain ratios, the gate's estimate;
+//!   every other config runs once. The analysis passes are
 //!   priced by perfbench, inside the checked ops/s of its gated
 //!   workloads.
 //!
@@ -405,6 +407,8 @@ fn main() {
     bench::no_arguments("exp_scale");
 
     let mut samples: Vec<Sample> = Vec::new();
+    // Per sample: a metrics row's median per-round on/off ratio.
+    let mut on_off: Vec<Option<f64>> = Vec::new();
     let mut metrics_bar = None;
     let indices: Vec<usize> = (0..configs.len()).collect();
     for group in indices.chunk_by(|&a, &b| configs[a].key() == configs[b].key()) {
@@ -426,17 +430,21 @@ fn main() {
                 s.steps_per_sec()
             );
         }
+        let median = ratios[ratios.len() / 2];
         if gate {
-            let ratio = ratios[GATE_ROUNDS / 2];
             assert!(
-                ratio >= 0.95,
+                median >= 0.95,
                 "metrics-on throughput at {METRICS_GATE_N} processes is {:.1}% of its \
                  plain twin's (median of {GATE_ROUNDS} alternating pairs) — the enabled \
                  path exceeds the 5% budget",
-                100.0 * ratio
+                100.0 * median
             );
-            metrics_bar = Some((ratio, ratios[GATE_ROUNDS / 4], ratios[3 * GATE_ROUNDS / 4]));
+            metrics_bar = Some((median, ratios[GATE_ROUNDS / 4], ratios[3 * GATE_ROUNDS / 4]));
         }
+        on_off.extend(
+            best.iter()
+                .map(|s| (s.config.instrument == Instrument::Metrics).then_some(median)),
+        );
         samples.extend(best);
     }
 
@@ -466,10 +474,10 @@ fn main() {
         "ms",
         "runs",
         "steps/s",
-        "vs plain",
+        "on/off",
         "peak MB",
     ]);
-    for (i, s) in samples.iter().enumerate() {
+    for (s, on_off) in samples.iter().zip(on_off) {
         let c = &s.config;
         table.row([
             c.workload.name().to_string(),
@@ -480,14 +488,7 @@ fn main() {
             f2(s.millis),
             s.runs.to_string(),
             format!("{:.0}", s.steps_per_sec()),
-            match c.instrument {
-                Instrument::None => "—".to_string(),
-                // A metrics row's plain twin directly precedes it.
-                Instrument::Metrics => format!(
-                    "{:.2}x",
-                    samples[i - 1].steps_per_sec() / s.steps_per_sec().max(1e-9)
-                ),
-            },
+            on_off.map_or("—".to_string(), |r| format!("{r:.3}")),
             f2(s.peak_rss_bytes as f64 / (1024.0 * 1024.0)),
         ]);
     }
@@ -495,10 +496,10 @@ fn main() {
     println!("EXP-SCALE — steps/s and peak RSS vs process count, bare and with metrics on");
     println!("coop = virtual processes polled on the controller thread");
     println!("       (mode gated = one grant per primitive; free = ungated batch polling).");
-    println!("instrument metrics = obs collection on; vs plain = the plain twin's steps/s");
+    println!("instrument metrics = obs collection on; on/off = the median over the pair's");
     println!(
-        "           over this row's (metrics pairs: each side's fastest of {METRICS_ROUNDS} \
-         alternating rounds, {GATE_ROUNDS} at n = {METRICS_GATE_N})."
+        "           {METRICS_ROUNDS} alternating rounds ({GATE_ROUNDS} at n = {METRICS_GATE_N}) \
+         of each round's metrics-on/plain steps/s ratio."
     );
     println!(
         "ms = execution only, the median of `runs` runs (runs repeat until {} ms have passed).",

@@ -2,7 +2,9 @@
 //!
 //! `increment` bumps the invoking process's own cell (`read` + `write`,
 //! two steps — the cell is single-writer so the pair cannot lose
-//! updates); `read` collects all `n` cells and returns their sum.
+//! updates); `read` collects all `n` cells and returns their sum. Both
+//! exist once, as the machines below, which the blocking methods and the
+//! task forms in [`tasks`](crate::tasks) drive.
 //!
 //! Linearizability for unit increments: let `S₀` be the sum of completed
 //! increments when a read begins and `S₁` the sum of started increments
@@ -12,7 +14,7 @@
 //! linearization point.
 
 use crate::spec::Counter;
-use smr::{ProcCtx, Register};
+use smr::{Poll, ProcCtx, Register};
 
 /// An exact counter with `O(1)` increments and `O(n)` reads.
 pub struct CollectCounter {
@@ -32,23 +34,107 @@ impl CollectCounter {
     pub fn n(&self) -> usize {
         self.cells.len()
     }
-
-    /// Cell `i` — for the task forms in [`tasks`](crate::tasks), which
-    /// walk the cells one primitive per poll.
-    pub(crate) fn cell(&self, i: usize) -> &Register {
-        &self.cells[i]
-    }
 }
 
 impl Counter for CollectCounter {
     fn increment(&self, ctx: &ProcCtx) {
-        let cell = &self.cells[ctx.pid()];
-        let v = cell.read(ctx);
-        cell.write(ctx, v + 1);
+        let mut m = CollectIncMachine::new(self);
+        while m.step(self, ctx).is_pending() {}
     }
 
     fn read(&self, ctx: &ProcCtx) -> u128 {
-        self.cells.iter().map(|c| u128::from(c.read(ctx))).sum()
+        let mut m = CollectReadMachine::new(self);
+        loop {
+            if let Poll::Ready(v) = m.step(self, ctx) {
+                return v;
+            }
+        }
+    }
+}
+
+/// Resume point of a `CollectCounter::increment`: read the invoking
+/// process's own cell, then write it back incremented — one primitive
+/// per [`step`](CollectIncMachine::step), priming step free. The single
+/// transcription driven by the blocking method and the task wrapper (see
+/// `maxreg::tree`'s module docs for the machine convention).
+#[derive(Debug)]
+pub struct CollectIncMachine {
+    phase: CollectIncPhase,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CollectIncPhase {
+    Start,
+    ReadOwn,
+    /// The own cell read this value.
+    WriteOwn(u64),
+}
+
+impl CollectIncMachine {
+    /// A machine incrementing `counter`.
+    pub fn new(_counter: &CollectCounter) -> Self {
+        CollectIncMachine {
+            phase: CollectIncPhase::Start,
+        }
+    }
+
+    /// Advance the increment by at most one primitive against `counter`
+    /// — which must be the counter the machine was created for.
+    pub fn step(&mut self, counter: &CollectCounter, ctx: &ProcCtx) -> Poll<()> {
+        match self.phase {
+            CollectIncPhase::Start => {
+                self.phase = CollectIncPhase::ReadOwn;
+                Poll::Pending
+            }
+            CollectIncPhase::ReadOwn => {
+                let v = counter.cells[ctx.pid()].read(ctx);
+                self.phase = CollectIncPhase::WriteOwn(v);
+                Poll::Pending
+            }
+            CollectIncPhase::WriteOwn(v) => {
+                // Single-writer: only this process writes this cell, so
+                // the read-then-write pair cannot lose updates.
+                counter.cells[ctx.pid()].write(ctx, v + 1);
+                Poll::Ready(())
+            }
+        }
+    }
+}
+
+/// Resume point of a `CollectCounter::read`: collect the `n` cells, one
+/// primitive per [`step`](CollectReadMachine::step), resolving to their
+/// sum. Machine convention as in [`CollectIncMachine`].
+#[derive(Debug)]
+pub struct CollectReadMachine {
+    next: usize,
+    sum: u128,
+    primed: bool,
+}
+
+impl CollectReadMachine {
+    /// A machine reading `counter`.
+    pub fn new(_counter: &CollectCounter) -> Self {
+        CollectReadMachine {
+            next: 0,
+            sum: 0,
+            primed: false,
+        }
+    }
+
+    /// Advance the read by at most one primitive against `counter` —
+    /// which must be the counter the machine was created for.
+    pub fn step(&mut self, counter: &CollectCounter, ctx: &ProcCtx) -> Poll<u128> {
+        if !self.primed {
+            self.primed = true;
+            return Poll::Pending;
+        }
+        self.sum += u128::from(counter.cells[self.next].read(ctx));
+        self.next += 1;
+        if self.next == counter.cells.len() {
+            Poll::Ready(self.sum)
+        } else {
+            Poll::Pending
+        }
     }
 }
 

@@ -41,7 +41,7 @@ pub mod tasks;
 mod unbounded_tree;
 
 pub use aach::{AachCounter, AachIncMachine, AachReadMachine};
-pub use collect::CollectCounter;
+pub use collect::{CollectCounter, CollectIncMachine, CollectReadMachine};
 pub use fetch_add::FaaCounter;
 pub use reference::LockCounter;
 pub use snapshot::{

@@ -1,8 +1,7 @@
 //! [`OpTask`] forms of the baseline counters' operations, for the coop
 //! execution backend (they run unchanged on the thread backend).
 //!
-//! [`CollectCounter`]'s operations are rewritten as one-primitive-per-
-//! poll state machines; [`SnapshotCounter`], [`AachCounter`] and
+//! [`CollectCounter`], [`SnapshotCounter`], [`AachCounter`] and
 //! [`UnboundedTreeCounter`] expose their operations as resumable
 //! machines next to the objects themselves (the single transcription
 //! their blocking methods drive — see `maxreg::tree`'s module docs for
@@ -12,7 +11,7 @@
 //! poll.
 
 use crate::aach::{AachCounter, AachIncMachine, AachReadMachine};
-use crate::collect::CollectCounter;
+use crate::collect::{CollectCounter, CollectIncMachine, CollectReadMachine};
 use crate::reference::LockCounter;
 use crate::snapshot::{SnapshotCounter, SnapshotIncMachine, SnapshotReadMachine};
 use crate::spec::Counter;
@@ -26,39 +25,20 @@ use std::sync::Arc;
 /// process's cell, then write it back incremented — two primitives.
 pub struct CollectIncTask {
     counter: Arc<CollectCounter>,
-    /// `None` until primed; then the value read from the own cell.
-    read: Option<u64>,
-    primed: bool,
+    machine: CollectIncMachine,
 }
 
 impl CollectIncTask {
     /// An increment against `counter`.
     pub fn new(counter: Arc<CollectCounter>) -> Self {
-        CollectIncTask {
-            counter,
-            read: None,
-            primed: false,
-        }
+        let machine = CollectIncMachine::new(&counter);
+        CollectIncTask { counter, machine }
     }
 }
 
 impl OpTask for CollectIncTask {
     fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        if !self.primed {
-            self.primed = true;
-            return Poll::Pending;
-        }
-        let cell = self.counter.cell(ctx.pid());
-        match self.read {
-            None => {
-                self.read = Some(cell.read(ctx));
-                Poll::Pending
-            }
-            Some(v) => {
-                cell.write(ctx, v + 1);
-                Poll::Ready(0)
-            }
-        }
+        self.machine.step(&self.counter, ctx).map(|()| 0)
     }
 }
 
@@ -66,36 +46,20 @@ impl OpTask for CollectIncTask {
 /// one primitive per poll, resolving to their sum.
 pub struct CollectReadTask {
     counter: Arc<CollectCounter>,
-    next: usize,
-    sum: u128,
-    primed: bool,
+    machine: CollectReadMachine,
 }
 
 impl CollectReadTask {
     /// A read against `counter`.
     pub fn new(counter: Arc<CollectCounter>) -> Self {
-        CollectReadTask {
-            counter,
-            next: 0,
-            sum: 0,
-            primed: false,
-        }
+        let machine = CollectReadMachine::new(&counter);
+        CollectReadTask { counter, machine }
     }
 }
 
 impl OpTask for CollectReadTask {
     fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        if !self.primed {
-            self.primed = true;
-            return Poll::Pending;
-        }
-        self.sum += u128::from(self.counter.cell(self.next).read(ctx));
-        self.next += 1;
-        if self.next == self.counter.n() {
-            Poll::Ready(self.sum)
-        } else {
-            Poll::Pending
-        }
+        self.machine.step(&self.counter, ctx)
     }
 }
 
@@ -253,25 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn collect_tasks_match_blocking_costs_and_values() {
-        let n = 5;
-        let rt = Runtime::free_running(n);
-        let c = Arc::new(CollectCounter::new(n));
-        for pid in 0..n {
-            let ctx = rt.ctx(pid);
-            let s0 = ctx.steps_taken();
-            let _ = run(CollectIncTask::new(c.clone()), &ctx);
-            assert_eq!(ctx.steps_taken() - s0, 2, "increment: 2 primitives");
-        }
-        let ctx = rt.ctx(0);
-        let s0 = ctx.steps_taken();
-        let sum = run(CollectReadTask::new(c.clone()), &ctx);
-        assert_eq!(ctx.steps_taken() - s0, n as u64, "read: n primitives");
-        assert_eq!(sum, n as u128);
-        assert_eq!(c.read(&ctx), n as u128, "blocking read agrees");
-    }
-
-    #[test]
     fn oracle_tasks_apply_no_primitives() {
         let rt = Runtime::free_running(1);
         let ctx = rt.ctx(0);
@@ -316,6 +261,20 @@ mod tests {
                 rt_a.steps_of(pid),
                 rt_b.steps_of(pid),
                 "round {round}: primitive counts diverged"
+            );
+        }
+    }
+
+    #[test]
+    fn collect_tasks_match_blocking_costs_and_values() {
+        for n in [1usize, 2, 5] {
+            pin_task_form_to_blocking_form(
+                n,
+                30,
+                CollectCounter::new(n),
+                Arc::new(CollectCounter::new(n)),
+                &|c, _pid| Box::new(CollectIncTask::new(c)),
+                &|c| Box::new(CollectReadTask::new(c)),
             );
         }
     }

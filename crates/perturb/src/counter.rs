@@ -1,12 +1,14 @@
 //! Perturbing executions for (bounded) counters — Lemma V.3 made
 //! executable.
 //!
-//! Round `r` performs `I_r = (k²−1)·Σ_{j<r} I_j + r` increments through a
-//! fresh writer process; by Lemma V.3 this forces the reader's response
-//! past `k·Σ_{j<r} I_j`, i.e. every round perturbs the reader. As in
-//! [`maxreg`](crate::maxreg), the reader's solo run is traced and its
-//! distinct-base-object count recorded — the quantity Theorem V.4 bounds
-//! by `Ω(min(log₂ log_k m, n))`.
+//! Round `r` raises the increment total to `k²·Σ_{j<r} I_j + r` through
+//! a fresh writer process, i.e. performs `I_r = (k²−1)·Σ_{j<r} I_j + r`
+//! increments; by Lemma V.3 this forces the reader's response past
+//! `k·Σ_{j<r} I_j`, i.e. every round perturbs the reader. The run stops
+//! once the total would exceed the bound `m`. The round loop and the
+//! reader's distinct-base-object count — the quantity Theorem V.4
+//! bounds by `Ω(min(log₂ log_k m, n))` — are the ones both lemmas share
+//! (see [`PerturbReport`]).
 //!
 //! Note the asymmetry with max registers: the paper gives **no**
 //! worst-case-optimal bounded k-multiplicative counter (it is an open
@@ -14,31 +16,29 @@
 //! probe counts *above* the lower-bound curve, while the k-multiplicative
 //! max register sits *on* its matching bound.
 
+use crate::{execution, PerturbReport};
 use approx_objects::{KmultCounter, KmultCounterHandle};
 use counter::Counter;
 use parking_lot::Mutex;
-use smr::{ProcCtx, Runtime};
-use std::collections::HashSet;
+use smr::ProcCtx;
 use std::sync::Arc;
 
-/// Anything that looks like a counter to the perturber: per-process
-/// increment and read entry points.
+/// Anything that looks like a counter to the perturber: increment and
+/// read on behalf of the process behind `ctx`.
 pub trait CounterTarget: Send + Sync {
-    /// One increment on behalf of process `pid`.
-    fn increment(&self, pid: usize, ctx: &ProcCtx);
-    /// A read on behalf of process `pid`.
-    fn read(&self, pid: usize, ctx: &ProcCtx) -> u128;
+    /// One increment.
+    fn increment(&self, ctx: &ProcCtx);
+    /// A read.
+    fn read(&self, ctx: &ProcCtx) -> u128;
 }
 
-/// Adapter for the handle-free exact counters of the `counter` crate.
-pub struct SharedCounter<C: Counter>(pub Arc<C>);
-
-impl<C: Counter> CounterTarget for SharedCounter<C> {
-    fn increment(&self, _pid: usize, ctx: &ProcCtx) {
-        self.0.increment(ctx);
+/// The handle-free exact counters of the `counter` crate.
+impl<C: Counter> CounterTarget for C {
+    fn increment(&self, ctx: &ProcCtx) {
+        Counter::increment(self, ctx);
     }
-    fn read(&self, _pid: usize, ctx: &ProcCtx) -> u128 {
-        self.0.read(ctx)
+    fn read(&self, ctx: &ProcCtx) -> u128 {
+        Counter::read(self, ctx)
     }
 }
 
@@ -62,11 +62,11 @@ impl KmultTarget {
 }
 
 impl CounterTarget for KmultTarget {
-    fn increment(&self, pid: usize, ctx: &ProcCtx) {
-        self.handles[pid].lock().increment(ctx);
+    fn increment(&self, ctx: &ProcCtx) {
+        self.handles[ctx.pid()].lock().increment(ctx);
     }
-    fn read(&self, pid: usize, ctx: &ProcCtx) -> u128 {
-        self.handles[pid].lock().read(ctx)
+    fn read(&self, ctx: &ProcCtx) -> u128 {
+        self.handles[ctx.pid()].lock().read(ctx)
     }
 }
 
@@ -84,123 +84,24 @@ pub struct CounterPerturbConfig {
     pub max_rounds: u64,
 }
 
-/// One round's measurements.
-#[derive(Debug, Clone, Copy)]
-pub struct CounterPerturbRound {
-    /// Round number, starting at 1.
-    pub round: u64,
-    /// Increments performed this round (`I_r`).
-    pub increments: u128,
-    /// Cumulative increments after this round.
-    pub total_increments: u128,
-    /// The reader's solo response after the round.
-    pub reader_value: u128,
-    /// Distinct base objects the reader's solo run accessed.
-    pub distinct_objects: usize,
-    /// Steps the reader's solo run took.
-    pub reader_steps: u64,
-}
-
-/// The full report of a counter perturbation run.
-#[derive(Debug, Clone)]
-pub struct CounterPerturbReport {
-    /// Per-round measurements.
-    pub rounds: Vec<CounterPerturbRound>,
-    /// Stopped by writer exhaustion (the `n` arm).
-    pub saturated: bool,
-    /// Stopped by the bound `m` (the `log` arm).
-    pub value_exhausted: bool,
-    /// `true` iff every round moved the reader's response strictly up.
-    pub every_round_perturbed: bool,
-}
-
-impl CounterPerturbReport {
-    /// Largest distinct-object count over all reader runs.
-    pub fn max_distinct_objects(&self) -> usize {
-        self.rounds
-            .iter()
-            .map(|r| r.distinct_objects)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Number of rounds achieved.
-    pub fn rounds_achieved(&self) -> u64 {
-        self.rounds.len() as u64
-    }
-}
-
-/// Run the counter perturbation construction against `target`.
-pub fn perturb_counter<T: CounterTarget>(
-    target: &T,
-    cfg: CounterPerturbConfig,
-) -> CounterPerturbReport {
-    assert!(cfg.writers >= 1);
+/// Run the counter perturbation construction against `target`. Each
+/// round's [`level`](crate::PerturbRound::level) is the increment total
+/// after it, so its batch `I_r` is the difference of consecutive levels.
+pub fn perturb_counter<T: CounterTarget>(target: &T, cfg: CounterPerturbConfig) -> PerturbReport {
     assert!(cfg.k >= 1);
-    let rt = Runtime::free_running(cfg.writers + 1);
-    let reader_pid = cfg.writers;
-    let reader_ctx = rt.ctx(reader_pid);
-
-    let mut rounds = Vec::new();
-    let mut prev_value = target.read(reader_pid, &reader_ctx);
-    let mut total: u128 = 0;
-    let mut every_round_perturbed = true;
-    let mut saturated = false;
-    let mut value_exhausted = false;
-    let ksq_minus_1 = u128::from(cfg.k) * u128::from(cfg.k) - 1;
-
-    for round in 1..=cfg.max_rounds {
-        let batch = ksq_minus_1 * total + u128::from(round);
-        if total + batch > cfg.m {
-            value_exhausted = true;
-            break;
-        }
-        if round as usize > cfg.writers {
-            saturated = true;
-            break;
-        }
-        let writer_pid = round as usize - 1;
-        let writer_ctx = rt.ctx(writer_pid);
-        for _ in 0..batch {
-            target.increment(writer_pid, &writer_ctx);
-        }
-        total += batch;
-
-        let _ = rt.take_trace();
-        rt.enable_tracing();
-        let steps_before = reader_ctx.steps_taken();
-        let value = target.read(reader_pid, &reader_ctx);
-        let reader_steps = reader_ctx.steps_taken() - steps_before;
-        rt.disable_tracing();
-        let trace = rt.take_trace();
-        let distinct_objects: usize = trace
-            .iter()
-            .filter_map(|e| e.access())
-            .filter(|a| a.pid == reader_pid)
-            .map(|a| a.obj)
-            .collect::<HashSet<_>>()
-            .len();
-
-        if value <= prev_value {
-            every_round_perturbed = false;
-        }
-        prev_value = value;
-        rounds.push(CounterPerturbRound {
-            round,
-            increments: batch,
-            total_increments: total,
-            reader_value: value,
-            distinct_objects,
-            reader_steps,
-        });
-    }
-
-    CounterPerturbReport {
-        rounds,
-        saturated,
-        value_exhausted,
-        every_round_perturbed,
-    }
+    let ksq = u128::from(cfg.k) * u128::from(cfg.k);
+    execution::run(
+        cfg.writers,
+        cfg.max_rounds,
+        cfg.m,
+        |total, round| ksq * total + u128::from(round),
+        |ctx| target.read(ctx),
+        |ctx, total, next| {
+            for _ in total..next {
+                target.increment(ctx);
+            }
+        },
+    )
 }
 
 #[cfg(test)]
@@ -210,10 +111,9 @@ mod tests {
 
     #[test]
     fn exact_aach_counter_is_perturbed() {
-        let c = Arc::new(AachCounter::new(9, 1 << 22));
-        let target = SharedCounter(c);
+        let c = AachCounter::new(9, 1 << 22);
         let report = perturb_counter(
-            &target,
+            &c,
             CounterPerturbConfig {
                 writers: 8,
                 k: 2,
@@ -229,7 +129,7 @@ mod tests {
         );
         // Exact reads return the exact total.
         for r in &report.rounds {
-            assert_eq!(r.reader_value, r.total_increments);
+            assert_eq!(r.reader_value, r.level);
         }
     }
 
@@ -249,7 +149,7 @@ mod tests {
         );
         assert!(report.every_round_perturbed);
         for r in &report.rounds {
-            let v = r.total_increments;
+            let v = r.level;
             let x = r.reader_value;
             assert!(
                 v <= x * u128::from(k) && x <= v * u128::from(k),
@@ -262,10 +162,9 @@ mod tests {
     #[test]
     fn batches_follow_lemma_v3() {
         // I_1 = 1, I_r = (k²−1)·ΣI_j + r.
-        let c = Arc::new(AachCounter::new(5, 1 << 30));
-        let target = SharedCounter(c);
+        let c = AachCounter::new(5, 1 << 30);
         let report = perturb_counter(
-            &target,
+            &c,
             CounterPerturbConfig {
                 writers: 4,
                 k: 2,
@@ -273,7 +172,9 @@ mod tests {
                 max_rounds: 4,
             },
         );
-        let incs: Vec<u128> = report.rounds.iter().map(|r| r.increments).collect();
+        let mut totals = vec![0];
+        totals.extend(report.rounds.iter().map(|r| r.level));
+        let incs: Vec<u128> = totals.windows(2).map(|w| w[1] - w[0]).collect();
         assert_eq!(incs[0], 1);
         assert_eq!(incs[1], 3 + 2);
         assert_eq!(incs[2], 3 * 6 + 3);

@@ -12,13 +12,15 @@
 //! * [`maxreg`] / [`counter`] — *perturbing executions* (\[5\],
 //!   Definition 2, as instantiated by Lemmas V.1/V.3): a designated
 //!   reader is repeatedly perturbed by fresh writers writing
-//!   `v_r = k²·v_{r−1} + 1` (respectively, performing
-//!   `I_r = (k²−1)·ΣI_j + r` increments); every round forces the reader's
-//!   solo response to change. The builders realize the full
-//!   `Θ(log_k m)` perturbation count and measure how many **distinct base
-//!   objects** the reader's solo operation accesses as rounds accumulate —
-//!   the quantity Theorems V.2/V.4 bound from below by
-//!   `Ω(min(log₂ L, n))`.
+//!   `v_r = k²·v_{r−1} + 1` (respectively, raising the increment total to
+//!   `k²·ΣI_j + r`); every round forces the reader's solo response to
+//!   change. Both builders run one round loop and return one
+//!   [`PerturbReport`]; each supplies only its lemma's part: the
+//!   recurrence that sets the next level, the bound that stops it, and
+//!   what the round's writer does. They realize the full `Θ(log_k m)`
+//!   perturbation count and measure how many **distinct base objects**
+//!   the reader's solo operation accesses as rounds accumulate — the
+//!   quantity Theorems V.2/V.4 bound from below by `Ω(min(log₂ L, n))`.
 //!
 //! The perturbation builders instantiate the framework with *complete*
 //! perturbing operations (the `λ = ∅` case of Definition 2): each round's
@@ -28,7 +30,9 @@
 
 pub mod awareness;
 pub mod counter;
+mod execution;
 pub mod maxreg;
 
 mod bitset;
 pub use bitset::BitSet;
+pub use execution::{PerturbReport, PerturbRound};

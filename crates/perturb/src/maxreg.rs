@@ -4,18 +4,15 @@
 //! Round `r` writes `v_r = F·v_{r−1} + 1` through a **fresh** writer
 //! process (`F = k²` for a k-multiplicative register: the smallest jump
 //! that forces the reader's admissible response window to move; `F = 1`
-//! degenerates to the exact register's `+1` perturbation). After each
-//! round the designated reader performs a solo `Read` under tracing and
-//! we record its return value, step count and the number of **distinct
-//! base objects** it accessed — the quantity [5, Theorem 1] bounds by
-//! `Ω(min(log₂ L, n))` for an `L`-perturbable object.
-//!
-//! The construction stops when it *saturates* (one event per available
-//! writer — the `n` arm of the bound) or when the next value would exceed
-//! the bound `m − 1` (the `log L` arm, `L = Θ(log_k m)` by Lemma V.1).
+//! degenerates to the exact register's `+1` perturbation). The run stops
+//! once the next value would exceed the bound `m − 1` (the `log L` arm,
+//! `L = Θ(log_k m)` by Lemma V.1). The round loop, its stop rules and
+//! the reader's measurements are the ones both lemmas share (see
+//! [`PerturbReport`]).
 
-use smr::{ProcCtx, Runtime};
-use std::collections::HashSet;
+use crate::{execution, PerturbReport};
+use approx_objects::KmultBoundedMaxRegister;
+use smr::ProcCtx;
 
 /// Anything that looks like a bounded max register to the perturber.
 pub trait MaxRegTarget: Send + Sync {
@@ -51,7 +48,7 @@ impl MaxRegTarget for maxreg::AdaptiveMaxRegister {
     }
 }
 
-impl MaxRegTarget for approx_objects::KmultBoundedMaxRegister {
+impl MaxRegTarget for KmultBoundedMaxRegister {
     fn write(&self, ctx: &ProcCtx, v: u64) {
         KmultBoundedMaxRegister::write(self, ctx, v);
     }
@@ -62,7 +59,6 @@ impl MaxRegTarget for approx_objects::KmultBoundedMaxRegister {
         self.m()
     }
 }
-use approx_objects::KmultBoundedMaxRegister;
 
 /// Configuration of a perturbation run.
 #[derive(Debug, Clone, Copy)]
@@ -75,54 +71,8 @@ pub struct PerturbConfig {
     pub max_rounds: u64,
 }
 
-/// One perturbation round's measurements.
-#[derive(Debug, Clone, Copy)]
-pub struct PerturbRound {
-    /// Round number, starting at 1.
-    pub round: u64,
-    /// The value the perturbing writer wrote.
-    pub written: u64,
-    /// What the reader's solo run returned afterwards.
-    pub reader_value: u128,
-    /// Distinct base objects the reader's solo run accessed.
-    pub distinct_objects: usize,
-    /// Steps the reader's solo run took.
-    pub reader_steps: u64,
-}
-
-/// The full report of a perturbation run.
-#[derive(Debug, Clone)]
-pub struct PerturbReport {
-    /// Per-round measurements.
-    pub rounds: Vec<PerturbRound>,
-    /// `true` if the run stopped because it consumed every writer
-    /// (the `n` arm of `Ω(min(log L, n))`).
-    pub saturated: bool,
-    /// `true` if the run stopped because the next value would exceed
-    /// `m − 1` (the `log L` arm).
-    pub value_exhausted: bool,
-    /// `true` iff every round strictly changed the reader's response —
-    /// the witness that each round really was a perturbation.
-    pub every_round_perturbed: bool,
-}
-
-impl PerturbReport {
-    /// Largest number of distinct base objects any reader run accessed.
-    pub fn max_distinct_objects(&self) -> usize {
-        self.rounds
-            .iter()
-            .map(|r| r.distinct_objects)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Number of rounds achieved.
-    pub fn rounds_achieved(&self) -> u64 {
-        self.rounds.len() as u64
-    }
-}
-
-/// Run the perturbation construction against `target`.
+/// Run the perturbation construction against `target`. Each round's
+/// [`level`](crate::PerturbRound::level) is the value its writer wrote.
 ///
 /// ```
 /// use maxreg::TreeMaxRegister;
@@ -137,68 +87,16 @@ impl PerturbReport {
 /// assert!(report.max_distinct_objects() >= 10); // Ω(log₂ m) probes
 /// ```
 pub fn perturb_maxreg<T: MaxRegTarget>(target: &T, cfg: PerturbConfig) -> PerturbReport {
-    assert!(cfg.writers >= 1);
-    let m = target.m();
-    let rt = Runtime::free_running(cfg.writers + 1);
-    let reader_pid = cfg.writers;
-    let reader_ctx = rt.ctx(reader_pid);
-
-    let mut rounds = Vec::new();
-    let mut prev_value = target.read(&reader_ctx);
-    let mut v: u64 = 0;
-    let mut every_round_perturbed = true;
-    let mut saturated = false;
-    let mut value_exhausted = false;
-
-    for round in 1..=cfg.max_rounds {
-        let next = v.saturating_mul(cfg.factor).saturating_add(1);
-        if next > m - 1 {
-            value_exhausted = true;
-            break;
-        }
-        if round as usize > cfg.writers {
-            saturated = true;
-            break;
-        }
-        v = next;
-        let writer_ctx = rt.ctx(round as usize - 1);
-        target.write(&writer_ctx, v);
-
-        // Reader's solo run, traced.
-        let _ = rt.take_trace();
-        rt.enable_tracing();
-        let steps_before = reader_ctx.steps_taken();
-        let value = target.read(&reader_ctx);
-        let reader_steps = reader_ctx.steps_taken() - steps_before;
-        rt.disable_tracing();
-        let trace = rt.take_trace();
-        let distinct_objects: usize = trace
-            .iter()
-            .filter_map(|e| e.access())
-            .filter(|a| a.pid == reader_pid)
-            .map(|a| a.obj)
-            .collect::<HashSet<_>>()
-            .len();
-
-        if value <= prev_value {
-            every_round_perturbed = false;
-        }
-        prev_value = value;
-        rounds.push(PerturbRound {
-            round,
-            written: v,
-            reader_value: value,
-            distinct_objects,
-            reader_steps,
-        });
-    }
-
-    PerturbReport {
-        rounds,
-        saturated,
-        value_exhausted,
-        every_round_perturbed,
-    }
+    let factor = u128::from(cfg.factor);
+    execution::run(
+        cfg.writers,
+        cfg.max_rounds,
+        u128::from(target.m()) - 1,
+        |v, _| factor * v + 1,
+        |ctx| target.read(ctx),
+        // A level never passes m − 1, so it fits the register's `u64`.
+        |ctx, _, v| target.write(ctx, v as u64),
+    )
 }
 
 #[cfg(test)]
@@ -221,6 +119,14 @@ mod tests {
         assert!(report.value_exhausted, "values should hit the bound");
         // factor 2: v_r = 2^r − 1, so ~19 rounds before exceeding 2^20−1.
         assert!(report.rounds_achieved() >= 18);
+        for r in &report.rounds {
+            assert_eq!(
+                r.level,
+                (1 << r.round) - 1,
+                "Lemma V.1 at round {}",
+                r.round
+            );
+        }
         // The reader probes Ω(log L) distinct objects.
         assert!(report.max_distinct_objects() >= 10);
     }
@@ -230,7 +136,7 @@ mod tests {
         let m = 1u64 << 40;
         let k = 2u64;
         let exact = TreeMaxRegister::new(m);
-        let approx = approx_objects::KmultBoundedMaxRegister::new(8, m, k);
+        let approx = KmultBoundedMaxRegister::new(8, m, k);
         let cfg = PerturbConfig {
             writers: 64,
             factor: k * k,
@@ -261,5 +167,24 @@ mod tests {
         );
         assert!(report.saturated);
         assert_eq!(report.rounds_achieved(), 3);
+    }
+
+    #[test]
+    fn the_bound_outranks_writer_exhaustion() {
+        // m − 1 = 7 admits v = 1, 3, 7 and three writers write them; in
+        // round 4 the next value 15 passes the bound and the writers are
+        // used up at once. The bound is checked first.
+        let reg = TreeMaxRegister::new(8);
+        let report = perturb_maxreg(
+            &reg,
+            PerturbConfig {
+                writers: 3,
+                factor: 2,
+                max_rounds: 100,
+            },
+        );
+        assert_eq!(report.rounds_achieved(), 3);
+        assert!(report.value_exhausted, "the next value passes m − 1");
+        assert!(!report.saturated, "the bound stops the run first");
     }
 }

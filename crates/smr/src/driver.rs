@@ -487,7 +487,7 @@ impl<B: ExecBackend> Driver<B> {
 mod tests {
     use super::*;
     use crate::history::OpKind;
-    use crate::sched::{RoundRobin, Scripted, SeededRandom};
+    use crate::sched::{RoundRobin, SeededRandom};
     use crate::task::{ImmediateOp, Poll};
     use crate::trace::TraceEvent;
     use crate::{Analyzer, Register, Runtime};
@@ -723,8 +723,8 @@ mod tests {
             d.submit_task(pid, OpSpec::custom("rmw", 0), RmwTask::new(reg.clone(), 10));
         }
         // p0 fully, then p1 fully: no lost update.
-        let mut s = Scripted::new([0, 0, 1, 1]);
-        d.run_schedule(&mut s);
+        d.run_solo(0);
+        d.run_solo(1);
         assert_eq!(reg.peek(), 20);
     }
 

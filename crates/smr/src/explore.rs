@@ -1,16 +1,16 @@
-//! Bounded exhaustive schedule exploration over the coop backend —
-//! stateless model checking for gated executions.
+//! Exhaustive schedule exploration over the coop backend — stateless
+//! model checking for gated executions.
 //!
 //! Property tests sample schedules (`SeededRandom` over a few hundred
 //! seeds); this module *enumerates* them. [`explore`] replays a program
 //! over a fresh [`Driver<CoopBackend>`] once per interleaving, walking
 //! the tree of scheduling decisions depth-first: at every prefix each
 //! active process can be granted the next step, and (optionally) each
-//! active process can be crashed. Every maximal interleaving — or every
-//! prefix cut off by the step bound — is turned into a history cut via
-//! [`Driver::history_snapshot`] and handed to a caller-supplied checker,
-//! so a schedule-quantified claim ("for every gated schedule …") becomes
-//! a finite, checkable statement for small configurations.
+//! active process can be crashed. Every maximal interleaving is turned
+//! into a history cut via [`Driver::history_snapshot`] and handed to a
+//! caller-supplied checker, so a schedule-quantified claim ("for every
+//! gated schedule …") becomes a finite, checkable statement for small
+//! configurations.
 //!
 //! ## Why the coop backend
 //!
@@ -163,30 +163,28 @@
 //!
 //! ## Bounds
 //!
-//! [`ExploreConfig`] bounds the walk two ways: `max_steps` (granted
-//! steps per interleaving — prefixes at the bound are checked as cuts,
-//! exactly like a suspension) and `max_crashes` (crash-point injection:
-//! at every prefix, each active process may be crashed, surfacing its
-//! in-flight operation as a pending record). An optional
-//! `max_interleavings` cap stops runaway configurations and is reported
-//! via [`ExploreStats::capped`].
+//! An interleaving has no depth bound: it runs until every process has
+//! finished or crashed, so every submitted operation must be wait-free.
+//! [`ExploreConfig`] bounds the walk two ways: `max_crashes` (crash-point
+//! injection: at every prefix, each active process may be crashed,
+//! surfacing its in-flight operation as a pending record) and an
+//! optional `max_interleavings` cap on the cuts checked, which stops
+//! runaway configurations and is reported via [`ExploreStats::capped`].
 //!
 //! ## Replay and minimization
 //!
-//! Every decision sequence is a [`Replay`]: it can be re-run against a
-//! fresh driver ([`Replay::run`]) and, when crash-free, converted into a
-//! [`Scripted`] scheduler ([`Replay::to_scripted`]). When the checker
-//! rejects a cut, the explorer greedily deletes chunks of the decision
-//! sequence (ddmin-style, halving chunk sizes) while the violation
-//! persists, and reports the minimal failing schedule alongside the
-//! original in [`FoundViolation`]. The walk stops at the first
-//! rejection.
+//! Every decision sequence is a [`Replay`]: re-running it against a
+//! fresh driver ([`Replay::run`]) reproduces the exact cut, crashes
+//! included. When the checker rejects a cut, the explorer greedily
+//! deletes chunks of the decision sequence (ddmin-style, halving chunk
+//! sizes) while the violation persists, and reports the minimal failing
+//! schedule alongside the original in [`FoundViolation`]. The walk stops
+//! at the first rejection.
 
 use crate::addr::AddrMap;
 use crate::backend::CoopBackend;
 use crate::driver::Driver;
 use crate::history::History;
-use crate::sched::Scripted;
 use crate::trace::AccessKind;
 use std::sync::OnceLock;
 
@@ -288,31 +286,11 @@ impl Replay {
         }
         d.into_history_snapshot()
     }
-
-    /// The schedule as a [`Scripted`] scheduler, for crash-free
-    /// schedules (`None` if the replay contains a crash, which no
-    /// `Scheduler` can express). Note `Scripted` drives an execution to
-    /// *completion* (falling back to round-robin when the script runs
-    /// dry); to reproduce a bounded prefix cut exactly, use
-    /// [`Replay::run`].
-    pub fn to_scripted(&self) -> Option<Scripted> {
-        let mut pids = Vec::with_capacity(self.choices.len());
-        for &c in &self.choices {
-            match c {
-                Choice::Step(pid) => pids.push(pid),
-                Choice::Crash(_) => return None,
-            }
-        }
-        Some(Scripted::new(pids))
-    }
 }
 
 /// Bounds and options for one [`explore`] call.
 #[derive(Debug, Clone)]
 pub struct ExploreConfig {
-    /// Granted steps per interleaving; prefixes that hit the bound are
-    /// checked as suspension cuts.
-    pub max_steps: usize,
     /// Crash decisions per interleaving (0 disables crash injection).
     pub max_crashes: usize,
     /// Run DPOR: skip interleavings equivalent to an already-visited one
@@ -326,7 +304,6 @@ pub struct ExploreConfig {
 impl Default for ExploreConfig {
     fn default() -> Self {
         ExploreConfig {
-            max_steps: 10_000,
             max_crashes: 0,
             prune: true,
             max_interleavings: None,
@@ -362,7 +339,7 @@ pub struct FoundViolation {
 /// What one [`explore`] call did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExploreStats {
-    /// History cuts checked (maximal interleavings plus bound cuts).
+    /// History cuts checked, one per maximal interleaving walked.
     /// Under DPOR, at least one per Mazurkiewicz trace class, and one
     /// per class unless a sleeping step's fresh object forces a
     /// conservative wake-up (see the [module docs](self)).
@@ -377,8 +354,6 @@ pub struct ExploreStats {
     pub pruned: u64,
     /// Total granted steps across all replays (the work metric).
     pub steps_replayed: u64,
-    /// Deepest decision sequence reached.
-    pub max_depth: usize,
     /// Checker rejections, minimized: at most one, since the walk stops
     /// at the first.
     pub violations: Vec<FoundViolation>,
@@ -448,35 +423,28 @@ fn indep_opt(a: &Option<StepMeta>, b: &Option<StepMeta>) -> bool {
     }
 }
 
-/// Mutable walk state threaded through one replay/extension pass.
-#[derive(Default)]
-struct Walk {
-    steps: usize,
-    crashes: usize,
-}
-
-impl Walk {
-    /// Count an applied decision; a granted step also adds to the work
-    /// metric `replayed`.
-    fn count(&mut self, choice: Choice, replayed: &mut u64) {
-        match choice {
-            Choice::Step(_) => {
-                self.steps += 1;
-                *replayed += 1;
-            }
-            Choice::Crash(_) => self.crashes += 1,
-        }
+/// Count a decision applied to the current prefix: a granted step adds
+/// to the work metric `replayed`, a crash to the prefix's `crashes`.
+fn count(choice: Choice, crashes: &mut usize, replayed: &mut u64) {
+    match choice {
+        Choice::Step(_) => *replayed += 1,
+        Choice::Crash(_) => *crashes += 1,
     }
 }
 
-/// Fill `alts` with the alternatives at the current prefix, in canonical
-/// order: step decisions for each active pid ascending, then crash
-/// decisions.
-fn alternatives(d: &Driver<CoopBackend>, cfg: &ExploreConfig, walk: &Walk, alts: &mut Vec<Choice>) {
+/// Fill `alts` with the alternatives at the current prefix, which holds
+/// `crashes` crash decisions, in canonical order: step decisions for
+/// each active pid ascending, then crash decisions.
+fn alternatives(
+    d: &Driver<CoopBackend>,
+    cfg: &ExploreConfig,
+    crashes: usize,
+    alts: &mut Vec<Choice>,
+) {
     let active = d.active_set();
     alts.clear();
     alts.extend(active.iter_sorted().map(Choice::Step));
-    if walk.crashes < cfg.max_crashes {
+    if crashes < cfg.max_crashes {
         alts.extend(active.iter_sorted().map(Choice::Crash));
     }
 }
@@ -540,10 +508,12 @@ where
 ///
 /// `factory` must build a fresh, fully-submitted coop driver per call
 /// and be deterministic — every invocation must produce the same program
-/// (the explorer replays it once per interleaving). `check` receives the
+/// (the explorer replays it once per interleaving). Every submitted
+/// operation must be wait-free: an interleaving has no depth bound and
+/// runs until each process has finished or crashed. `check` receives the
 /// [`Driver::history_snapshot`] of each cut: completed operations plus
-/// pending records for operations still in flight at the cut (crashed or
-/// suspended by the bound).
+/// pending records for the crashed operations still in flight at the
+/// cut.
 ///
 /// With `prune` on (the default) this runs the DPOR walk; otherwise it
 /// runs the raw exhaustive depth-first walk, the oracle DPOR is tested
@@ -638,26 +608,25 @@ where
     loop {
         // Replay the current prefix on a fresh driver.
         let mut d = fresh(factory, &mut stats.replays);
-        let mut walk = Walk::default();
+        let mut crashes = 0;
         for f in &path {
             let choice = f.alts[f.idx];
             exec(&mut d, choice);
-            walk.count(choice, &mut stats.steps_replayed);
+            count(choice, &mut crashes, &mut stats.steps_replayed);
         }
 
         // Extend depth-first along each node's first alternative.
         loop {
-            stats.max_depth = stats.max_depth.max(path.len());
-            if d.active_set().is_empty() || walk.steps >= cfg.max_steps {
+            if d.active_set().is_empty() {
                 break;
             }
             let mut alts = Vec::new();
-            alternatives(&d, cfg, &walk, &mut alts);
+            alternatives(&d, cfg, crashes, &mut alts);
             debug_assert!(!alts.is_empty(), "active set non-empty but no alternatives");
             let choice = alts[0];
             path.push(Frame { alts, idx: 0 });
             exec(&mut d, choice);
-            walk.count(choice, &mut stats.steps_replayed);
+            count(choice, &mut crashes, &mut stats.steps_replayed);
         }
         let choices = path.iter().map(|f| f.alts[f.idx]);
         if check_cut(cfg, factory, &mut check, d, choices, &mut stats) || !backtrack(&mut path) {
@@ -998,7 +967,7 @@ where
         // The width of every clock: the factory builds the same program
         // each time.
         let n = d.runtime().n();
-        let mut walk = Walk::default();
+        let mut crashes = 0;
         // Replay the prefix. Metadata and clocks are already on the
         // stack, but this fresh instance's object addresses are not: the
         // objects the prefix touches rebuild the first-touch id map.
@@ -1007,7 +976,7 @@ where
         for node in &stack[..exec_upto] {
             exec(&mut d, node.taken);
             ids.feed(&d, node.taken);
-            walk.count(node.taken, &mut stats.steps_replayed);
+            count(node.taken, &mut crashes, &mut stats.steps_replayed);
         }
 
         if std::mem::take(&mut pending) {
@@ -1015,7 +984,7 @@ where
             let top = &mut top[0];
             let choice = top.taken;
             top.info = apply(&mut d, &mut ids, choice);
-            walk.count(choice, &mut stats.steps_replayed);
+            count(choice, &mut crashes, &mut stats.steps_replayed);
             top.pid = acting(choice);
             top.local = race_scan(below, n, top.pid, &top.info, &mut top.clock, &mut races);
             for &j in &races {
@@ -1024,8 +993,7 @@ where
         }
 
         loop {
-            stats.max_depth = stats.max_depth.max(stack.len());
-            if d.active_set().is_empty() || walk.steps >= cfg.max_steps {
+            if d.active_set().is_empty() {
                 let path = stack.iter().map(|n| n.taken);
                 if check_cut(cfg, factory, &mut check, d, path, &mut stats)
                     || !next_branch(&mut stack, &mut spare, &mut stats)
@@ -1042,7 +1010,7 @@ where
             // choice seeded, every crash choice seeded (crash coverage
             // is never reduced).
             let mut node = spare.pop().unwrap_or_default();
-            alternatives(&d, cfg, &walk, &mut node.enabled);
+            alternatives(&d, cfg, crashes, &mut node.enabled);
             debug_assert!(
                 !node.enabled.is_empty(),
                 "active set non-empty but no choices"
@@ -1088,7 +1056,7 @@ where
             node.taken = node.backtrack[0];
             node.objs_seen = ids.len();
             node.info = apply(&mut d, &mut ids, node.taken);
-            walk.count(node.taken, &mut stats.steps_replayed);
+            count(node.taken, &mut crashes, &mut stats.steps_replayed);
             node.pid = acting(node.taken);
             node.local = race_scan(&stack, n, node.pid, &node.info, &mut node.clock, &mut races);
             for &j in &races {
@@ -1310,8 +1278,6 @@ mod tests {
         assert_eq!(v.minimized.crashes(), 0);
         // The minimized schedule replays to a failing cut.
         assert!(check(&v.minimized.run(factory())).is_err());
-        // And converts to a Scripted scheduler (crash-free).
-        assert!(v.minimized.to_scripted().is_some());
     }
 
     #[test]
@@ -1406,28 +1372,6 @@ mod tests {
         });
         assert_eq!(stats.interleavings, 3, "ss, c, sc — exactly as raw DFS");
         assert!(stats.all_ok());
-    }
-
-    #[test]
-    fn step_bound_checks_prefix_cuts() {
-        let factory = || {
-            let mut d = Driver::coop(Runtime::coop(1));
-            let reg = Arc::new(Register::new(0));
-            d.submit_task(0, OpSpec::inc(), Rmw::new(reg, 1));
-            d
-        };
-        let cfg = ExploreConfig {
-            max_steps: 1,
-            prune: false,
-            ..ExploreConfig::default()
-        };
-        let mut pendings = 0;
-        let stats = explore(&cfg, factory, |h| {
-            pendings += h.ops().iter().filter(|r| r.resp.is_none()).count();
-            Ok(())
-        });
-        assert_eq!(stats.interleavings, 1, "one prefix of length 1");
-        assert_eq!(pendings, 1, "the suspended op surfaces as pending");
     }
 
     #[test]

@@ -32,16 +32,18 @@
 //!   concurrency. Either way the controller submits operations and
 //!   records a timestamped operation history for linearizability
 //!   checking.
-//! * **Schedulers** ([`sched`]) — round-robin, seeded-random and
-//!   scripted, picking from an incrementally-maintained [`ActiveSet`] so
-//!   policies stay cheap at 10⁵–10⁶ pids.
+//! * **Schedulers** ([`sched`]) — round-robin and seeded-random,
+//!   picking from an incrementally-maintained [`ActiveSet`] so policies
+//!   stay cheap at 10⁵–10⁶ pids. An exact schedule is granted step by
+//!   step ([`Driver::step`](driver::Driver::step)) or replayed as an
+//!   [`explore::Replay`].
 //! * **Exhaustive schedule exploration** ([`explore`](mod@explore)) — a
-//!   bounded depth-first enumerator over the coop backend that checks
-//!   *every* interleaving (at least one per trace class under
-//!   source-set DPOR, or all of them under the raw DFS; optional crash
-//!   injection) and
-//!   minimizes failing schedules into replayable scripts, turning
-//!   sampled schedule properties into proofs for small configurations.
+//!   depth-first enumerator over the coop backend that checks *every*
+//!   interleaving of wait-free operations (at least one per trace class
+//!   under source-set DPOR, or all of them under the raw DFS; optional
+//!   crash injection) and minimizes failing schedules into replayable
+//!   decision sequences, turning sampled schedule properties into proofs
+//!   for small configurations.
 //! * **Online trace analysis** ([`analysis`]) — pluggable passes fed the
 //!   live trace-event stream of any gated run. The standard bundle
 //!   checks access-kind conformance against recorded state digests, the

@@ -2,21 +2,25 @@
 //! execution.
 //!
 //! The asynchronous model places no fairness constraints on the adversary;
-//! these schedulers span the space the experiments need: fair round-robin,
-//! seeded pseudo-random (reproducible "chaotic" interleavings), and fully
-//! scripted (the lower-bound constructions and the Figure 1 scenarios).
+//! these schedulers span the space the experiments need: fair round-robin
+//! and seeded pseudo-random (reproducible "chaotic" interleavings). An
+//! exact schedule is not a policy: the lower-bound constructions and the
+//! Figure 1 scenarios grant steps one at a time ([`Driver::step`]) or run
+//! blocking operations, and an explored schedule replays as a
+//! [`Replay`](crate::explore::Replay), crashes included.
 //!
 //! Policies pick from the driver's incrementally-maintained
 //! [`ActiveSet`] rather than a per-step pid slice, so every decision
 //! stays O(1)–O(log n) and schedules remain practical at 10⁵–10⁶
 //! virtual processes (the coop backend's territory): round-robin uses
-//! the set's ordered successor query, the seeded-random policy its O(1)
-//! dense sampling, and scripted replay its O(1) membership test.
+//! the set's ordered successor query, and the seeded-random policy its
+//! O(1) dense sampling.
+//!
+//! [`Driver::step`]: crate::Driver::step
 
 use crate::active::ActiveSet;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::VecDeque;
 
 /// A policy choosing the next process to step among those with work.
 pub trait Scheduler {
@@ -70,49 +74,6 @@ impl Scheduler for SeededRandom {
     fn next(&mut self, active: &ActiveSet) -> usize {
         assert!(!active.is_empty());
         active.pick(self.rng.random_range(0..active.len()))
-    }
-}
-
-/// A fully scripted schedule: an explicit pid sequence, as the adversary
-/// constructions require. If a scripted pid is no longer active (its ops
-/// all completed), it is skipped; if the script runs dry, scheduling falls
-/// back to round-robin so executions always finish.
-#[derive(Debug)]
-pub struct Scripted {
-    script: VecDeque<usize>,
-    fallback: RoundRobin,
-}
-
-impl Scripted {
-    /// A schedule that replays `script` step by step.
-    pub fn new<I: IntoIterator<Item = usize>>(script: I) -> Self {
-        Scripted {
-            script: script.into_iter().collect(),
-            fallback: RoundRobin::new(),
-        }
-    }
-}
-
-impl Scheduler for Scripted {
-    fn next(&mut self, active: &ActiveSet) -> usize {
-        while let Some(pid) = self.script.pop_front() {
-            if active.contains(pid) {
-                return pid;
-            }
-        }
-        self.fallback.next(active)
-    }
-}
-
-/// Run the lowest-pid active process exclusively until it finishes, then
-/// move on — a "one at a time" sequential schedule useful for sanity
-/// checks.
-#[derive(Debug, Default)]
-pub struct Sequential;
-
-impl Scheduler for Sequential {
-    fn next(&mut self, active: &ActiveSet) -> usize {
-        active.min().expect("non-empty active set")
     }
 }
 
@@ -187,30 +148,5 @@ mod tests {
             (0..50).map(|_| s.next(&active)).collect()
         };
         assert_eq!(picks1, picks2);
-    }
-
-    #[test]
-    fn scripted_replays_then_falls_back() {
-        let mut s = Scripted::new([1, 1, 0]);
-        let active = set(&[0, 1]);
-        assert_eq!(s.next(&active), 1);
-        assert_eq!(s.next(&active), 1);
-        assert_eq!(s.next(&active), 0);
-        // script dry: round robin
-        assert_eq!(s.next(&active), 0);
-        assert_eq!(s.next(&active), 1);
-    }
-
-    #[test]
-    fn scripted_skips_finished_processes() {
-        let mut s = Scripted::new([3, 0]);
-        let active = set(&[0, 1]);
-        assert_eq!(s.next(&active), 0); // 3 not active, skipped
-    }
-
-    #[test]
-    fn sequential_picks_minimum() {
-        let mut s = Sequential;
-        assert_eq!(s.next(&set(&[4, 9])), 4);
     }
 }

@@ -358,9 +358,6 @@ fn explorer_refutes_the_seeded_mutant_and_minimizes_the_schedule() {
 
     // The minimized schedule is replayable and still violating.
     assert!(check(&v.minimized.run(factory())).is_err());
-    // Crash-free, so it also converts to a Scripted scheduler.
-    let script = v.minimized.to_scripted();
-    assert!(script.is_some(), "crash-free schedules export as Scripted");
 
     // And the exact counter checker names the stale read.
     assert!(!v.message.is_empty());
@@ -725,10 +722,6 @@ fn explored_crash_cuts_match_direct_replay() {
     assert_eq!(norm(&a), norm(&b));
     // The crashed increment is pending; the read completed.
     assert_eq!(a.pending().len(), 1);
-    assert!(
-        replay.to_scripted().is_none(),
-        "crash schedules have no Scripted form"
-    );
 }
 
 #[test]
