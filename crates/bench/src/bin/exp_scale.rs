@@ -19,13 +19,11 @@
 //!   collection on (one relaxed `fetch_add` per event). Every
 //!   metrics config directly follows its plain twin (same workload,
 //!   mode, `n` and ops), and the `instrument` column is part of row
-//!   identity, so both sides regress independently. A metrics pair runs
-//!   in alternating rounds, one run of each side per round with the
-//!   side that runs first switching each round: nine rounds at the
-//!   gate's 10⁵ processes, three elsewhere. Each side's fastest run is
-//!   its row, and the table's `on/off` column prints the median of the
-//!   pair's per-round metrics-on/plain ratios, the gate's estimate;
-//!   every other config runs once. The analysis passes are
+//!   identity, so both sides regress independently. The gate's pair,
+//!   at 10⁵ processes, runs in nine alternating rounds, one run of each
+//!   side per round with the side that runs first switching each round,
+//!   and each side's fastest run is its row; every other config, the
+//!   other metrics pairs included, runs once. The analysis passes are
 //!   priced by perfbench, inside the checked ops/s of its gated
 //!   workloads.
 //!
@@ -70,9 +68,6 @@ use std::time::Instant;
 
 /// Registers in the `reg` workload's striped pool.
 const POOL: usize = 1024;
-
-/// Alternating rounds of a metrics pair the gate does not read.
-const METRICS_ROUNDS: usize = 3;
 
 /// Alternating rounds of the gate's metrics pair: odd, so the median is
 /// one round's ratio.
@@ -407,22 +402,12 @@ fn main() {
     bench::no_arguments("exp_scale");
 
     let mut samples: Vec<Sample> = Vec::new();
-    // Per sample: a metrics row's median per-round on/off ratio.
-    let mut on_off: Vec<Option<f64>> = Vec::new();
     let mut metrics_bar = None;
     let indices: Vec<usize> = (0..configs.len()).collect();
     for group in indices.chunk_by(|&a, &b| configs[a].key() == configs[b].key()) {
         let twin = configs[group[group.len() - 1]];
-        let metrics = twin.instrument == Instrument::Metrics;
-        let gate = metrics && twin.n == METRICS_GATE_N;
-        let rounds = if gate {
-            GATE_ROUNDS
-        } else if metrics {
-            METRICS_ROUNDS
-        } else {
-            1
-        };
-        let (best, ratios) = measure(&configs, group, rounds);
+        let gate = twin.instrument == Instrument::Metrics && twin.n == METRICS_GATE_N;
+        let (best, ratios) = measure(&configs, group, if gate { GATE_ROUNDS } else { 1 });
         for s in &best {
             eprintln!(
                 "done: {}: {:.0} steps/s",
@@ -430,8 +415,8 @@ fn main() {
                 s.steps_per_sec()
             );
         }
-        let median = ratios[ratios.len() / 2];
         if gate {
+            let median = ratios[GATE_ROUNDS / 2];
             assert!(
                 median >= 0.95,
                 "metrics-on throughput at {METRICS_GATE_N} processes is {:.1}% of its \
@@ -441,10 +426,6 @@ fn main() {
             );
             metrics_bar = Some((median, ratios[GATE_ROUNDS / 4], ratios[3 * GATE_ROUNDS / 4]));
         }
-        on_off.extend(
-            best.iter()
-                .map(|s| (s.config.instrument == Instrument::Metrics).then_some(median)),
-        );
         samples.extend(best);
     }
 
@@ -474,10 +455,9 @@ fn main() {
         "ms",
         "runs",
         "steps/s",
-        "on/off",
         "peak MB",
     ]);
-    for (s, on_off) in samples.iter().zip(on_off) {
+    for s in &samples {
         let c = &s.config;
         table.row([
             c.workload.name().to_string(),
@@ -488,7 +468,6 @@ fn main() {
             f2(s.millis),
             s.runs.to_string(),
             format!("{:.0}", s.steps_per_sec()),
-            on_off.map_or("—".to_string(), |r| format!("{r:.3}")),
             f2(s.peak_rss_bytes as f64 / (1024.0 * 1024.0)),
         ]);
     }
@@ -496,11 +475,7 @@ fn main() {
     println!("EXP-SCALE — steps/s and peak RSS vs process count, bare and with metrics on");
     println!("coop = virtual processes polled on the controller thread");
     println!("       (mode gated = one grant per primitive; free = ungated batch polling).");
-    println!("instrument metrics = obs collection on; on/off = the median over the pair's");
-    println!(
-        "           {METRICS_ROUNDS} alternating rounds ({GATE_ROUNDS} at n = {METRICS_GATE_N}) \
-         of each round's metrics-on/plain steps/s ratio."
-    );
+    println!("instrument metrics = obs collection on.");
     println!(
         "ms = execution only, the median of `runs` runs (runs repeat until {} ms have passed).",
         bench::MIN_ROW_MILLIS

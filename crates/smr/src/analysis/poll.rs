@@ -30,24 +30,6 @@ struct PidState {
     grant_seq: u64,
     /// Primitives applied under the open grant.
     in_grant: u32,
-    /// Totals, for the accounting report.
-    grants: u64,
-    accesses: u64,
-    ops: u64,
-}
-
-/// Per-pid accounting the pass accumulated — one row per process that
-/// appeared in the stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PollStats {
-    /// The process.
-    pub pid: usize,
-    /// Grants observed.
-    pub grants: u64,
-    /// Primitive applications observed.
-    pub accesses: u64,
-    /// Invocations observed.
-    pub ops: u64,
 }
 
 /// The poll-discipline pass. See the module docs in `analysis/poll.rs`
@@ -69,20 +51,6 @@ impl PollDiscipline {
             violations: Vec::new(),
             max_violations: 64,
         }
-    }
-
-    /// Per-pid accounting rows (pids in ascending order).
-    pub fn stats(&self) -> Vec<PollStats> {
-        self.pids
-            .iter()
-            .enumerate()
-            .map(|(pid, st)| PollStats {
-                pid,
-                grants: st.grants,
-                accesses: st.accesses,
-                ops: st.ops,
-            })
-            .collect()
     }
 
     fn pid_mut(&mut self, pid: usize) -> &mut PidState {
@@ -149,9 +117,7 @@ impl AnalysisPass for PollDiscipline {
         match *ev {
             TraceEvent::Invoke { seq, pid, kind, .. } => {
                 let label = kind.label();
-                let st = self.pid_mut(pid);
-                st.ops += 1;
-                if let Some(open) = st.label {
+                if let Some(open) = self.pid_mut(pid).label {
                     self.violate(
                         pid,
                         seq,
@@ -164,7 +130,7 @@ impl AnalysisPass for PollDiscipline {
                 self.pids[pid].label = Some(label);
             }
             TraceEvent::Grant { seq, pid } => {
-                self.pid_mut(pid).grants += 1;
+                self.pid_mut(pid);
                 self.close_grant(pid, "the next grant");
                 let st = &mut self.pids[pid];
                 st.open_grant = true;
@@ -172,12 +138,10 @@ impl AnalysisPass for PollDiscipline {
                 st.in_grant = 0;
             }
             TraceEvent::Access(a) => {
-                let gated = self.gated;
-                let st = self.pid_mut(a.pid);
-                st.accesses += 1;
-                if !gated {
+                if !self.gated {
                     return; // free-running: no grants exist to pair with
                 }
+                let st = self.pid_mut(a.pid);
                 if !st.open_grant {
                     let label = Self::op_label(st);
                     self.violate(
@@ -289,10 +253,6 @@ mod tests {
             resp: 1,
         });
         assert!(p.finish().is_empty());
-        let stats = p.stats();
-        assert_eq!(stats[0].grants, 2);
-        assert_eq!(stats[0].accesses, 2);
-        assert_eq!(stats[0].ops, 1);
     }
 
     #[test]
