@@ -248,13 +248,13 @@ fn counters(l: &mut Ledger, n: usize, k: u64, per_proc: u64) -> (Mixed, u64, [f6
         mixed(
             n,
             per_proc,
-            |p| AachIncTask::new(aach.clone(), p),
+            |_| AachIncTask::new(aach.clone()),
             |_| AachReadTask::new(aach.clone()),
         ),
         mixed(
             n,
             per_proc,
-            |p| UnboundedTreeIncTask::new(tree.clone(), p),
+            |_| UnboundedTreeIncTask::new(tree.clone()),
             |_| UnboundedTreeReadTask::new(tree.clone()),
         ),
     ];
@@ -483,7 +483,7 @@ fn t311(l: &mut Ledger) {
         let aach = Arc::new(AachCounter::new(n, 1 << 20));
         let (aach_steps, _) = one_shot_workload(
             n,
-            |pid| AachIncTask::new(aach.clone(), pid),
+            |_| AachIncTask::new(aach.clone()),
             |_| AachReadTask::new(aach.clone()),
         );
         let snap = Arc::new(SnapshotCounter::new(n));

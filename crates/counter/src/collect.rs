@@ -3,8 +3,9 @@
 //! `increment` bumps the invoking process's own cell (`read` + `write`,
 //! two steps — the cell is single-writer so the pair cannot lose
 //! updates); `read` collects all `n` cells and returns their sum. Both
-//! exist once, as the machines below, which the blocking methods and the
-//! task forms in [`tasks`](crate::tasks) drive.
+//! exist once, as the machines below, which the blocking form and the
+//! task forms in [`tasks`](crate::tasks) drive through
+//! [`MachineCounter`].
 //!
 //! Linearizability for unit increments: let `S₀` be the sum of completed
 //! increments when a read begins and `S₁` the sum of started increments
@@ -13,7 +14,7 @@
 //! true count at some instant inside the read's window — a valid
 //! linearization point.
 
-use crate::spec::Counter;
+use crate::spec::MachineCounter;
 use smr::{Poll, ProcCtx, Register};
 
 /// An exact counter with `O(1)` increments and `O(n)` reads.
@@ -36,27 +37,32 @@ impl CollectCounter {
     }
 }
 
-impl Counter for CollectCounter {
-    fn increment(&self, ctx: &ProcCtx) {
-        let mut m = CollectIncMachine::new(self);
-        while m.step(self, ctx).is_pending() {}
+impl MachineCounter for CollectCounter {
+    type IncMachine = CollectIncMachine;
+    type ReadMachine = CollectReadMachine;
+
+    fn inc_machine(&self) -> CollectIncMachine {
+        CollectIncMachine::new(self)
     }
 
-    fn read(&self, ctx: &ProcCtx) -> u128 {
-        let mut m = CollectReadMachine::new(self);
-        loop {
-            if let Poll::Ready(v) = m.step(self, ctx) {
-                return v;
-            }
-        }
+    fn read_machine(&self) -> CollectReadMachine {
+        CollectReadMachine::new(self)
+    }
+
+    fn step_inc(&self, m: &mut CollectIncMachine, ctx: &ProcCtx) -> Poll<()> {
+        m.step(self, ctx)
+    }
+
+    fn step_read(&self, m: &mut CollectReadMachine, ctx: &ProcCtx) -> Poll<u128> {
+        m.step(self, ctx)
     }
 }
 
 /// Resume point of a `CollectCounter::increment`: read the invoking
 /// process's own cell, then write it back incremented — one primitive
 /// per [`step`](CollectIncMachine::step), priming step free. The single
-/// transcription driven by the blocking method and the task wrapper (see
-/// `maxreg::tree`'s module docs for the machine convention).
+/// transcription that both the blocking form and the task form drive
+/// (see `maxreg::tree`'s module docs for the machine convention).
 #[derive(Debug)]
 pub struct CollectIncMachine {
     phase: CollectIncPhase,
@@ -141,7 +147,7 @@ impl CollectReadMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::testutil;
+    use crate::spec::{testutil, Counter};
     use smr::Runtime;
     use std::sync::Arc;
 

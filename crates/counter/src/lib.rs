@@ -25,11 +25,21 @@
 //! * [`UnboundedTreeCounter`] — the same tree over *unbounded* max
 //!   registers: a long-lived polylog exact counter standing in for Baig
 //!   et al. (DISC '19), the baseline §I-B compares against (see
-//!   DESIGN.md's substitution notes).
+//!   DESIGN.md's substitution notes). It and [`AachCounter`] are two
+//!   aliases of one generic [`AachTree`], so the ascent and the read
+//!   exist once for both node types.
 //! * [`FaaCounter`] — a single `fetch&add` register. **Outside** the
 //!   paper's primitive set (`fetch&add` is not historyless); included as
 //!   the hardware baseline.
 //! * [`LockCounter`] — mutex-based oracle for tests; charges no steps.
+//!
+//! The collect, snapshot and tree counters write their operations once,
+//! as an increment and a read machine, and name them through
+//! [`MachineCounter`]. Everything else is written once over that trait:
+//! the blocking [`Counter`] form (a blanket impl driving the machines to
+//! completion) and the task pair in [`tasks`] ([`CounterIncTask`] /
+//! [`CounterReadTask`], with one alias per counter). `FaaCounter` and
+//! `LockCounter` have no machines and implement [`Counter`] directly.
 
 mod aach;
 mod collect;
@@ -40,7 +50,7 @@ mod spec;
 pub mod tasks;
 mod unbounded_tree;
 
-pub use aach::{AachCounter, AachIncMachine, AachReadMachine};
+pub use aach::{AachCounter, AachIncMachine, AachReadMachine, AachTree};
 pub use collect::{CollectCounter, CollectIncMachine, CollectReadMachine};
 pub use fetch_add::FaaCounter;
 pub use reference::LockCounter;
@@ -48,9 +58,9 @@ pub use snapshot::{
     AtomicSnapshot, ScanMachine, SnapshotCounter, SnapshotIncMachine, SnapshotReadMachine,
     UpdateMachine,
 };
-pub use spec::Counter;
+pub use spec::{Counter, MachineCounter};
 pub use tasks::{
-    AachIncTask, AachReadTask, CollectIncTask, CollectReadTask, SnapshotIncTask, SnapshotReadTask,
-    UnboundedTreeIncTask, UnboundedTreeReadTask,
+    AachIncTask, AachReadTask, CollectIncTask, CollectReadTask, CounterIncTask, CounterReadTask,
+    SnapshotIncTask, SnapshotReadTask, UnboundedTreeIncTask, UnboundedTreeReadTask,
 };
-pub use unbounded_tree::{UnboundedTreeCounter, UnboundedTreeIncMachine, UnboundedTreeReadMachine};
+pub use unbounded_tree::UnboundedTreeCounter;

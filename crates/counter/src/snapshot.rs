@@ -13,7 +13,7 @@
 //! bumps the invoker's segment; `read` scans and sums. It is the "wait-free
 //! exact counter from atomic snapshot" of the paper's introduction.
 
-use crate::spec::Counter;
+use crate::spec::MachineCounter;
 use smr::{Poll, ProcCtx, WideRegister};
 
 /// One snapshot segment: the process's value, its update count and the
@@ -217,19 +217,24 @@ impl SnapshotCounter {
     }
 }
 
-impl Counter for SnapshotCounter {
-    fn increment(&self, ctx: &ProcCtx) {
-        let mut m = SnapshotIncMachine::new(self);
-        while m.step(self, ctx).is_pending() {}
+impl MachineCounter for SnapshotCounter {
+    type IncMachine = SnapshotIncMachine;
+    type ReadMachine = SnapshotReadMachine;
+
+    fn inc_machine(&self) -> SnapshotIncMachine {
+        SnapshotIncMachine::new(self)
     }
 
-    fn read(&self, ctx: &ProcCtx) -> u128 {
-        let mut m = SnapshotReadMachine::new(self);
-        loop {
-            if let Poll::Ready(v) = m.step(self, ctx) {
-                return v;
-            }
-        }
+    fn read_machine(&self) -> SnapshotReadMachine {
+        SnapshotReadMachine::new(self)
+    }
+
+    fn step_inc(&self, m: &mut SnapshotIncMachine, ctx: &ProcCtx) -> Poll<()> {
+        m.step(self, ctx)
+    }
+
+    fn step_read(&self, m: &mut SnapshotReadMachine, ctx: &ProcCtx) -> Poll<u128> {
+        m.step(self, ctx)
     }
 }
 

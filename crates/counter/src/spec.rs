@@ -1,16 +1,60 @@
-//! The [`Counter`] object interface.
+//! The [`Counter`] object interface, and [`MachineCounter`], the hooks
+//! from which every machine counter's blocking form is built.
 
-use smr::ProcCtx;
+use smr::{Poll, ProcCtx};
 
-/// A linearizable counter: `read` returns the number of increments that
-/// precede it (exactly, for the implementations in this crate; within a
-/// factor of `k`, for the relaxed counter in `approx-objects`).
+/// A linearizable exact counter: `read` returns the number of
+/// increments that precede it.
 pub trait Counter: Send + Sync {
     /// Apply one increment.
     fn increment(&self, ctx: &ProcCtx);
 
-    /// Read the (possibly approximate) number of preceding increments.
+    /// Read the number of preceding increments.
     fn read(&self, ctx: &ProcCtx) -> u128;
+}
+
+/// A counter whose operations exist as resumable machines (the
+/// convention of `maxreg::tree`'s module docs): the hooks name its two
+/// machines, build them and step them. Each implementation delegates
+/// to the machines' inherent `new` and `step`. The blocking [`Counter`]
+/// form below drives the machines to completion, and the task forms in
+/// [`tasks`](crate::tasks) poll them one step at a time.
+pub trait MachineCounter: Send + Sync {
+    /// Resume point of an increment.
+    type IncMachine: Send;
+    /// Resume point of a read.
+    type ReadMachine: Send;
+
+    /// A machine incrementing the counter on behalf of the process that
+    /// steps it.
+    fn inc_machine(&self) -> Self::IncMachine;
+
+    /// A machine reading the counter.
+    fn read_machine(&self) -> Self::ReadMachine;
+
+    /// Advance `m`, a machine built by this counter, by at most one
+    /// primitive.
+    fn step_inc(&self, m: &mut Self::IncMachine, ctx: &ProcCtx) -> Poll<()>;
+
+    /// Advance `m`, a machine built by this counter, by at most one
+    /// primitive.
+    fn step_read(&self, m: &mut Self::ReadMachine, ctx: &ProcCtx) -> Poll<u128>;
+}
+
+impl<C: MachineCounter> Counter for C {
+    fn increment(&self, ctx: &ProcCtx) {
+        let mut m = self.inc_machine();
+        while self.step_inc(&mut m, ctx).is_pending() {}
+    }
+
+    fn read(&self, ctx: &ProcCtx) -> u128 {
+        let mut m = self.read_machine();
+        loop {
+            if let Poll::Ready(v) = self.step_read(&mut m, ctx) {
+                return v;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

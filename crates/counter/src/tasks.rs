@@ -4,209 +4,92 @@
 //! [`CollectCounter`], [`SnapshotCounter`], [`AachCounter`] and
 //! [`UnboundedTreeCounter`] expose their operations as resumable
 //! machines next to the objects themselves (the single transcription
-//! their blocking methods drive — see `maxreg::tree`'s module docs for
-//! the convention), wrapped here into owning [`OpTask`]s; the
-//! lock-based [`LockCounter`] oracle applies no primitives at all, so
-//! its task forms are [`ImmediateOp`] adapters completing on the priming
-//! poll.
+//! their blocking forms drive — see `maxreg::tree`'s module docs for
+//! the convention) and name them through [`MachineCounter`]. The one
+//! task pair here, [`CounterIncTask`] and [`CounterReadTask`], owns an
+//! `Arc` of any such counter and polls its machine; the per-counter
+//! names are aliases of it. The lock-based [`LockCounter`](crate::LockCounter)
+//! oracle and [`FaaCounter`](crate::FaaCounter) have no machines and no
+//! task form.
 
-use crate::aach::{AachCounter, AachIncMachine, AachReadMachine};
-use crate::collect::{CollectCounter, CollectIncMachine, CollectReadMachine};
-use crate::reference::LockCounter;
-use crate::snapshot::{SnapshotCounter, SnapshotIncMachine, SnapshotReadMachine};
-use crate::spec::Counter;
-use crate::unbounded_tree::{
-    UnboundedTreeCounter, UnboundedTreeIncMachine, UnboundedTreeReadMachine,
-};
-use smr::{ImmediateOp, OpTask, Poll, ProcCtx};
+use crate::aach::AachCounter;
+use crate::collect::CollectCounter;
+use crate::snapshot::SnapshotCounter;
+use crate::spec::MachineCounter;
+use crate::unbounded_tree::UnboundedTreeCounter;
+use smr::{OpTask, Poll, ProcCtx};
 use std::sync::Arc;
 
-/// `CollectCounter::increment` as a resumable task: read the invoking
-/// process's cell, then write it back incremented — two primitives.
-pub struct CollectIncTask {
-    counter: Arc<CollectCounter>,
-    machine: CollectIncMachine,
+/// A counter's `increment` as a resumable [`OpTask`]: an owning wrapper
+/// around its increment machine, resolving to 0.
+pub struct CounterIncTask<C: MachineCounter> {
+    counter: Arc<C>,
+    machine: C::IncMachine,
 }
 
-impl CollectIncTask {
-    /// An increment against `counter`.
-    pub fn new(counter: Arc<CollectCounter>) -> Self {
-        let machine = CollectIncMachine::new(&counter);
-        CollectIncTask { counter, machine }
+impl<C: MachineCounter> CounterIncTask<C> {
+    /// An increment against `counter`, on behalf of the process the
+    /// task is submitted to.
+    pub fn new(counter: Arc<C>) -> Self {
+        let machine = counter.inc_machine();
+        CounterIncTask { counter, machine }
     }
 }
 
-impl OpTask for CollectIncTask {
+impl<C: MachineCounter> OpTask for CounterIncTask<C> {
     fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        self.machine.step(&self.counter, ctx).map(|()| 0)
+        self.counter.step_inc(&mut self.machine, ctx).map(|()| 0)
     }
 }
 
-/// `CollectCounter::read` as a resumable task: collect the `n` cells,
-/// one primitive per poll, resolving to their sum.
-pub struct CollectReadTask {
-    counter: Arc<CollectCounter>,
-    machine: CollectReadMachine,
+/// A counter's `read` as a resumable [`OpTask`]: an owning wrapper
+/// around its read machine.
+pub struct CounterReadTask<C: MachineCounter> {
+    counter: Arc<C>,
+    machine: C::ReadMachine,
 }
 
-impl CollectReadTask {
+impl<C: MachineCounter> CounterReadTask<C> {
     /// A read against `counter`.
-    pub fn new(counter: Arc<CollectCounter>) -> Self {
-        let machine = CollectReadMachine::new(&counter);
-        CollectReadTask { counter, machine }
+    pub fn new(counter: Arc<C>) -> Self {
+        let machine = counter.read_machine();
+        CounterReadTask { counter, machine }
     }
 }
 
-impl OpTask for CollectReadTask {
+impl<C: MachineCounter> OpTask for CounterReadTask<C> {
     fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        self.machine.step(&self.counter, ctx)
+        self.counter.step_read(&mut self.machine, ctx)
     }
 }
 
-/// `SnapshotCounter::increment` as a resumable task: read the own
-/// component, then the embedded Afek-et-al. update (scan + own read +
-/// own write).
-pub struct SnapshotIncTask {
-    counter: Arc<SnapshotCounter>,
-    machine: SnapshotIncMachine,
-}
-
-impl SnapshotIncTask {
-    /// An increment against `counter`.
-    pub fn new(counter: Arc<SnapshotCounter>) -> Self {
-        let machine = SnapshotIncMachine::new(&counter);
-        SnapshotIncTask { counter, machine }
-    }
-}
-
-impl OpTask for SnapshotIncTask {
-    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        self.machine.step(&self.counter, ctx).map(|()| 0)
-    }
-}
-
-/// `SnapshotCounter::read` as a resumable task: a full atomic scan, one
-/// segment read per poll, resolving to the summed view.
-pub struct SnapshotReadTask {
-    counter: Arc<SnapshotCounter>,
-    machine: SnapshotReadMachine,
-}
-
-impl SnapshotReadTask {
-    /// A read against `counter`.
-    pub fn new(counter: Arc<SnapshotCounter>) -> Self {
-        let machine = SnapshotReadMachine::new(&counter);
-        SnapshotReadTask { counter, machine }
-    }
-}
-
-impl OpTask for SnapshotReadTask {
-    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        self.machine.step(&self.counter, ctx)
-    }
-}
-
-/// `AachCounter::increment` as a resumable task (the monotone-circuit
-/// ascent, one primitive per poll).
-pub struct AachIncTask {
-    counter: Arc<AachCounter>,
-    machine: AachIncMachine,
-}
-
-impl AachIncTask {
-    /// An increment against `counter` on behalf of process `pid` (the
-    /// pid the task will be submitted to).
-    pub fn new(counter: Arc<AachCounter>, pid: usize) -> Self {
-        let machine = AachIncMachine::new(&counter, pid);
-        AachIncTask { counter, machine }
-    }
-}
-
-impl OpTask for AachIncTask {
-    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        self.machine.step(&self.counter, ctx).map(|()| 0)
-    }
-}
-
-/// `AachCounter::read` as a resumable task (the root max register).
-pub struct AachReadTask {
-    counter: Arc<AachCounter>,
-    machine: AachReadMachine,
-}
-
-impl AachReadTask {
-    /// A read against `counter`.
-    pub fn new(counter: Arc<AachCounter>) -> Self {
-        let machine = AachReadMachine::new(&counter);
-        AachReadTask { counter, machine }
-    }
-}
-
-impl OpTask for AachReadTask {
-    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        self.machine.step(&self.counter, ctx)
-    }
-}
-
-/// `UnboundedTreeCounter::increment` as a resumable task.
-pub struct UnboundedTreeIncTask {
-    counter: Arc<UnboundedTreeCounter>,
-    machine: UnboundedTreeIncMachine,
-}
-
-impl UnboundedTreeIncTask {
-    /// An increment against `counter` on behalf of process `pid` (the
-    /// pid the task will be submitted to).
-    pub fn new(counter: Arc<UnboundedTreeCounter>, pid: usize) -> Self {
-        let machine = UnboundedTreeIncMachine::new(&counter, pid);
-        UnboundedTreeIncTask { counter, machine }
-    }
-}
-
-impl OpTask for UnboundedTreeIncTask {
-    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        self.machine.step(&self.counter, ctx).map(|()| 0)
-    }
-}
-
-/// `UnboundedTreeCounter::read` as a resumable task.
-pub struct UnboundedTreeReadTask {
-    counter: Arc<UnboundedTreeCounter>,
-    machine: UnboundedTreeReadMachine,
-}
-
-impl UnboundedTreeReadTask {
-    /// A read against `counter`.
-    pub fn new(counter: Arc<UnboundedTreeCounter>) -> Self {
-        let machine = UnboundedTreeReadMachine::new(&counter);
-        UnboundedTreeReadTask { counter, machine }
-    }
-}
-
-impl OpTask for UnboundedTreeReadTask {
-    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        self.machine.step(&self.counter, ctx)
-    }
-}
-
-/// `LockCounter::increment` as a task (zero primitives: completes on the
-/// priming poll, like the closure form completes without grants).
-pub fn lock_inc_task(oracle: Arc<LockCounter>) -> impl OpTask {
-    ImmediateOp::new(move |ctx| {
-        oracle.increment(ctx);
-        0
-    })
-}
-
-/// `LockCounter::read` as a task (zero primitives).
-pub fn lock_read_task(oracle: Arc<LockCounter>) -> impl OpTask {
-    ImmediateOp::new(move |ctx| oracle.read(ctx))
-}
+/// `CollectCounter::increment` as a task: read the invoking process's
+/// cell, then write it back incremented — two primitives.
+pub type CollectIncTask = CounterIncTask<CollectCounter>;
+/// `CollectCounter::read` as a task: collect the `n` cells, one
+/// primitive per poll, resolving to their sum.
+pub type CollectReadTask = CounterReadTask<CollectCounter>;
+/// `SnapshotCounter::increment` as a task: read the own component, then
+/// the embedded Afek-et-al. update (scan + own read + own write).
+pub type SnapshotIncTask = CounterIncTask<SnapshotCounter>;
+/// `SnapshotCounter::read` as a task: a full atomic scan, one segment
+/// read per poll, resolving to the summed view.
+pub type SnapshotReadTask = CounterReadTask<SnapshotCounter>;
+/// `AachCounter::increment` as a task (the monotone-circuit ascent).
+pub type AachIncTask = CounterIncTask<AachCounter>;
+/// `AachCounter::read` as a task (the root max register).
+pub type AachReadTask = CounterReadTask<AachCounter>;
+/// `UnboundedTreeCounter::increment` as a task.
+pub type UnboundedTreeIncTask = CounterIncTask<UnboundedTreeCounter>;
+/// `UnboundedTreeCounter::read` as a task.
+pub type UnboundedTreeReadTask = CounterReadTask<UnboundedTreeCounter>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smr::Runtime;
+    use crate::spec::Counter;
+    use crate::LockCounter;
+    use smr::{ImmediateOp, Runtime};
 
     fn run<T: OpTask>(mut t: T, ctx: &ProcCtx) -> u128 {
         loop {
@@ -218,43 +101,37 @@ mod tests {
 
     #[test]
     fn oracle_tasks_apply_no_primitives() {
+        // The oracle has no machines: submitted as tasks, its
+        // operations are `ImmediateOp`s over its blocking form.
         let rt = Runtime::free_running(1);
         let ctx = rt.ctx(0);
         let oracle = Arc::new(LockCounter::new());
-        let _ = run(lock_inc_task(oracle.clone()), &ctx);
-        assert_eq!(run(lock_read_task(oracle), &ctx), 1);
+        let inc = oracle.clone();
+        let _ = run(
+            ImmediateOp::new(move |ctx| {
+                inc.increment(ctx);
+                0
+            }),
+            &ctx,
+        );
+        assert_eq!(run(ImmediateOp::new(move |ctx| oracle.read(ctx)), &ctx), 1);
         assert_eq!(ctx.steps_taken(), 0);
-    }
-
-    fn run_boxed(mut t: Box<dyn OpTask>, ctx: &ProcCtx) -> u128 {
-        loop {
-            if let Poll::Ready(v) = t.poll(ctx) {
-                return v;
-            }
-        }
     }
 
     /// Drive the same sequential inc/read mix through the blocking form
     /// (counter `a`) and the task form (counter `b`), asserting values
     /// and per-process primitive counts stay identical throughout.
-    fn pin_task_form_to_blocking_form<C: Counter>(
-        n: usize,
-        rounds: u64,
-        a: C,
-        b: Arc<C>,
-        inc_task: &dyn Fn(Arc<C>, usize) -> Box<dyn OpTask>,
-        read_task: &dyn Fn(Arc<C>) -> Box<dyn OpTask>,
-    ) {
+    fn pin_task_form_to_blocking_form<C: MachineCounter>(n: usize, rounds: u64, a: C, b: Arc<C>) {
         let rt_a = Runtime::free_running(n);
         let rt_b = Runtime::free_running(n);
         for round in 0..rounds {
             let pid = (round % n as u64) as usize;
             let (ctx_a, ctx_b) = (rt_a.ctx(pid), rt_b.ctx(pid));
             a.increment(&ctx_a);
-            let _ = run_boxed(inc_task(b.clone(), pid), &ctx_b);
+            let _ = run(CounterIncTask::new(b.clone()), &ctx_b);
             if round % 3 == 0 {
                 let va = a.read(&ctx_a);
-                let vb = run_boxed(read_task(b.clone()), &ctx_b);
+                let vb = run(CounterReadTask::new(b.clone()), &ctx_b);
                 assert_eq!(va, vb, "round {round}: values diverged");
             }
             assert_eq!(
@@ -268,56 +145,32 @@ mod tests {
     #[test]
     fn collect_tasks_match_blocking_costs_and_values() {
         for n in [1usize, 2, 5] {
-            pin_task_form_to_blocking_form(
-                n,
-                30,
-                CollectCounter::new(n),
-                Arc::new(CollectCounter::new(n)),
-                &|c, _pid| Box::new(CollectIncTask::new(c)),
-                &|c| Box::new(CollectReadTask::new(c)),
-            );
+            let (a, b) = (CollectCounter::new(n), CollectCounter::new(n));
+            pin_task_form_to_blocking_form(n, 30, a, Arc::new(b));
         }
     }
 
     #[test]
     fn snapshot_tasks_match_blocking_forms() {
         for n in [1usize, 2, 5] {
-            pin_task_form_to_blocking_form(
-                n,
-                30,
-                SnapshotCounter::new(n),
-                Arc::new(SnapshotCounter::new(n)),
-                &|c, _pid| Box::new(SnapshotIncTask::new(c)),
-                &|c| Box::new(SnapshotReadTask::new(c)),
-            );
+            let (a, b) = (SnapshotCounter::new(n), SnapshotCounter::new(n));
+            pin_task_form_to_blocking_form(n, 30, a, Arc::new(b));
         }
     }
 
     #[test]
     fn aach_tasks_match_blocking_forms() {
         for n in [1usize, 2, 3, 8] {
-            pin_task_form_to_blocking_form(
-                n,
-                40,
-                AachCounter::new(n, 1 << 16),
-                Arc::new(AachCounter::new(n, 1 << 16)),
-                &|c, pid| Box::new(AachIncTask::new(c, pid)),
-                &|c| Box::new(AachReadTask::new(c)),
-            );
+            let (a, b) = (AachCounter::new(n, 1 << 16), AachCounter::new(n, 1 << 16));
+            pin_task_form_to_blocking_form(n, 40, a, Arc::new(b));
         }
     }
 
     #[test]
     fn unbounded_tree_tasks_match_blocking_forms() {
         for n in [1usize, 2, 3, 6] {
-            pin_task_form_to_blocking_form(
-                n,
-                40,
-                UnboundedTreeCounter::new(n),
-                Arc::new(UnboundedTreeCounter::new(n)),
-                &|c, pid| Box::new(UnboundedTreeIncTask::new(c, pid)),
-                &|c| Box::new(UnboundedTreeReadTask::new(c)),
-            );
+            let (a, b) = (UnboundedTreeCounter::new(n), UnboundedTreeCounter::new(n));
+            pin_task_form_to_blocking_form(n, 40, a, Arc::new(b));
         }
     }
 }

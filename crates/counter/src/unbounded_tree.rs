@@ -6,9 +6,10 @@
 //! `O(log² n)` amortized steps for executions of arbitrary length. Their
 //! construction is a full paper; as documented in DESIGN.md we substitute
 //! the same *shape* with simpler parts: the AACH monotone-circuit tree
-//! with every internal cache being an **unbounded** max register (the
-//! level-doubling chain of [`maxreg::UnboundedMaxRegister`]), giving an
-//! unbounded, long-lived exact counter at
+//! ([`AachTree`], the same code as `AachCounter`) with every internal
+//! cache an **unbounded** max register (the level-doubling chain of
+//! [`maxreg::UnboundedMaxRegister`]), giving an unbounded, long-lived
+//! exact counter at
 //!
 //! * `increment`: `O(log n · log v)` steps (`v` = current count);
 //! * `read`: `O(log v)` steps.
@@ -17,259 +18,36 @@
 //! exhibit §I-B's point: the best exact counters sit a logarithmic
 //! factor above the relaxed counter's `O(1)` (EXP-T3.9 / EXP-LENGTH).
 
-use crate::spec::Counter;
-use maxreg::{UnboundedMaxRegister, UnboundedReadMachine, UnboundedWriteMachine};
-use smr::{Poll, ProcCtx, Register};
+use crate::aach::AachTree;
+use maxreg::UnboundedMaxRegister;
 
-/// An unbounded exact counter for `n` processes with polylog steps.
-pub struct UnboundedTreeCounter {
-    n: usize,
-    p: usize,
-    /// Heap-ordered internal nodes, indices `1..p`; node `v`'s children
-    /// are `2v` and `2v+1`; leaves live at `p..2p`.
-    inner: Vec<UnboundedMaxRegister>,
-    /// Per-process exact counts (single-writer).
-    leaves: Vec<Register>,
-}
+/// An unbounded exact counter for `n` processes with polylog steps: the
+/// AACH tree over [`UnboundedMaxRegister`] nodes.
+pub type UnboundedTreeCounter = AachTree<UnboundedMaxRegister>;
 
 impl UnboundedTreeCounter {
-    /// A counter for `n` processes; no capacity bound.
+    /// A counter for `n` processes; no capacity bound below the
+    /// `u64::MAX` its nodes reserve.
     pub fn new(n: usize) -> Self {
-        assert!(n > 0, "need at least one process");
-        let p = n.next_power_of_two();
-        UnboundedTreeCounter {
-            n,
-            p,
-            inner: (0..p).map(|_| UnboundedMaxRegister::new()).collect(),
-            leaves: (0..n).map(|_| Register::new(0)).collect(),
-        }
-    }
-}
-
-impl Counter for UnboundedTreeCounter {
-    fn increment(&self, ctx: &ProcCtx) {
-        let mut m = UnboundedTreeIncMachine::new(self, ctx.pid());
-        while m.step(self, ctx).is_pending() {}
-    }
-
-    fn read(&self, ctx: &ProcCtx) -> u128 {
-        let mut m = UnboundedTreeReadMachine::new(self);
-        loop {
-            if let Poll::Ready(v) = m.step(self, ctx) {
-                return v;
-            }
-        }
-    }
-}
-
-/// Reading one heap slot: an embedded unbounded-register read for
-/// internal nodes, a single register read for live leaves, nothing for
-/// padding leaves.
-#[derive(Debug)]
-enum SlotRead {
-    Inner(UnboundedReadMachine),
-    Leaf,
-    Padding,
-}
-
-impl SlotRead {
-    fn new(c: &UnboundedTreeCounter, idx: usize) -> Self {
-        if idx < c.p {
-            SlotRead::Inner(UnboundedReadMachine::new(&c.inner[idx]))
-        } else if idx - c.p < c.n {
-            SlotRead::Leaf
-        } else {
-            SlotRead::Padding
-        }
-    }
-}
-
-/// Resume point of an `UnboundedTreeCounter::increment` — the AACH
-/// ascent with every internal cache an unbounded max register. One
-/// primitive per [`step`](UnboundedTreeIncMachine::step), priming step
-/// free (the machine convention of `maxreg::tree`'s module docs);
-/// padding-leaf slots and sub-machine priming are absorbed into the
-/// surrounding step.
-#[derive(Debug)]
-pub struct UnboundedTreeIncMachine {
-    pid: usize,
-    phase: IncPhase,
-}
-
-#[derive(Debug)]
-enum IncPhase {
-    Start,
-    ReadLeaf,
-    WriteLeaf {
-        mine: u64,
-    },
-    ReadSlot {
-        node: usize,
-        /// `false` while reading child `2·node`, `true` for `2·node+1`.
-        right: bool,
-        left_val: u64,
-        sub: SlotRead,
-    },
-    WriteNode {
-        node: usize,
-        sub: UnboundedWriteMachine,
-    },
-}
-
-impl UnboundedTreeIncMachine {
-    /// A machine incrementing `counter` on behalf of process `pid`.
-    pub fn new(_counter: &UnboundedTreeCounter, pid: usize) -> Self {
-        UnboundedTreeIncMachine {
-            pid,
-            phase: IncPhase::Start,
-        }
-    }
-
-    /// Advance the increment by at most one primitive against `counter`
-    /// — which must be the counter the machine was created for.
-    pub fn step(&mut self, c: &UnboundedTreeCounter, ctx: &ProcCtx) -> Poll<()> {
-        loop {
-            let before = ctx.steps_taken();
-            match &mut self.phase {
-                IncPhase::Start => {
-                    self.phase = IncPhase::ReadLeaf;
-                    return Poll::Pending; // priming step: no primitive
-                }
-                IncPhase::ReadLeaf => {
-                    let mine = c.leaves[self.pid].read(ctx) + 1;
-                    self.phase = IncPhase::WriteLeaf { mine };
-                }
-                IncPhase::WriteLeaf { mine } => {
-                    c.leaves[self.pid].write(ctx, *mine);
-                    if c.p == 1 {
-                        return Poll::Ready(());
-                    }
-                    let node = (c.p + self.pid) / 2;
-                    self.phase = IncPhase::ReadSlot {
-                        node,
-                        right: false,
-                        left_val: 0,
-                        sub: SlotRead::new(c, 2 * node),
-                    };
-                }
-                IncPhase::ReadSlot {
-                    node,
-                    right,
-                    left_val,
-                    sub,
-                } => {
-                    let idx = 2 * *node + usize::from(*right);
-                    let val = match sub {
-                        SlotRead::Inner(m) => match m.step(&c.inner[idx], ctx) {
-                            Poll::Pending => None,
-                            Poll::Ready(v) => Some(v),
-                        },
-                        SlotRead::Leaf => Some(c.leaves[idx - c.p].read(ctx)),
-                        SlotRead::Padding => Some(0),
-                    };
-                    if let Some(val) = val {
-                        if !*right {
-                            self.phase = IncPhase::ReadSlot {
-                                node: *node,
-                                right: true,
-                                left_val: val,
-                                sub: SlotRead::new(c, 2 * *node + 1),
-                            };
-                        } else {
-                            let sum = *left_val + val;
-                            self.phase = IncPhase::WriteNode {
-                                node: *node,
-                                sub: UnboundedWriteMachine::new(&c.inner[*node], sum),
-                            };
-                        }
-                    }
-                }
-                IncPhase::WriteNode { node, sub } => {
-                    if sub.step(&c.inner[*node], ctx).is_ready() {
-                        if *node == 1 {
-                            return Poll::Ready(());
-                        }
-                        let parent = *node / 2;
-                        self.phase = IncPhase::ReadSlot {
-                            node: parent,
-                            right: false,
-                            left_val: 0,
-                            sub: SlotRead::new(c, 2 * parent),
-                        };
-                    }
-                }
-            }
-            if ctx.steps_taken() != before {
-                return Poll::Pending;
-            }
-        }
-    }
-}
-
-/// Resume point of an `UnboundedTreeCounter::read`: the root unbounded
-/// max register (or the single leaf when `n = 1`). Machine convention
-/// as in [`UnboundedTreeIncMachine`].
-#[derive(Debug)]
-pub struct UnboundedTreeReadMachine {
-    /// `n = 1`: the single leaf is the whole tree (one register read).
-    leaf: bool,
-    root: Option<UnboundedReadMachine>,
-    primed: bool,
-}
-
-impl UnboundedTreeReadMachine {
-    /// A machine reading `counter`.
-    pub fn new(counter: &UnboundedTreeCounter) -> Self {
-        let leaf = counter.p == 1;
-        UnboundedTreeReadMachine {
-            leaf,
-            root: (!leaf).then(|| UnboundedReadMachine::new(&counter.inner[1])),
-            primed: false,
-        }
-    }
-
-    /// Advance the read by at most one primitive against `counter` —
-    /// which must be the counter the machine was created for.
-    pub fn step(&mut self, c: &UnboundedTreeCounter, ctx: &ProcCtx) -> Poll<u128> {
-        if !self.primed {
-            self.primed = true;
-            return Poll::Pending; // a read always applies a primitive
-        }
-        if self.leaf {
-            return Poll::Ready(u128::from(c.leaves[0].read(ctx)));
-        }
-        let m = self.root.as_mut().expect("root machine for p > 1");
-        loop {
-            let before = ctx.steps_taken();
-            if let Poll::Ready(v) = m.step(&c.inner[1], ctx) {
-                return Poll::Ready(u128::from(v));
-            }
-            if ctx.steps_taken() != before {
-                return Poll::Pending;
-            }
-        }
+        AachTree::with_nodes(n, UnboundedMaxRegister::new)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::testutil;
+    use crate::aach::tests::{check_tree_concurrent, check_tree_sequential};
+    use crate::spec::Counter;
     use smr::Runtime;
-    use std::sync::Arc;
 
     #[test]
     fn sequential_conformance() {
-        for n in [1usize, 2, 3, 6] {
-            let c = UnboundedTreeCounter::new(n);
-            testutil::check_sequential_exact(&c, 80);
-        }
+        check_tree_sequential(UnboundedTreeCounter::new);
     }
 
     #[test]
     fn concurrent_increments_are_exact() {
-        let c = Arc::new(UnboundedTreeCounter::new(6));
-        testutil::check_concurrent_exact(c, 6, 400);
+        check_tree_concurrent(UnboundedTreeCounter::new);
     }
 
     #[test]

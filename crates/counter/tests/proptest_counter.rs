@@ -1,7 +1,10 @@
 //! Property-based tests: exact counters agree with the oracle on
 //! arbitrary sequential sequences and preserve sums under concurrency.
 
-use counter::{AachCounter, CollectCounter, Counter, FaaCounter, LockCounter, SnapshotCounter};
+use counter::{
+    AachCounter, CollectCounter, Counter, FaaCounter, LockCounter, SnapshotCounter,
+    UnboundedTreeCounter,
+};
 use proptest::prelude::*;
 use smr::Runtime;
 use std::sync::Arc;
@@ -47,7 +50,9 @@ proptest! {
 
     #[test]
     fn aach_matches_oracle(n in 1usize..9, ops in ops_strategy(60)) {
+        // Both aliases of the one AACH tree.
         check_against_oracle(&AachCounter::new(n, 1 << 16), &ops);
+        check_against_oracle(&UnboundedTreeCounter::new(n), &ops);
     }
 
     #[test]

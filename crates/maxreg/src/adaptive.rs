@@ -7,10 +7,9 @@
 //! same convention the paper uses when quoting the bound in Theorem IV.2.
 
 use crate::collect::{CollectMaxRegister, CollectReadMachine, CollectWriteMachine};
-use crate::spec::MaxRegister;
+use crate::spec::MachineMaxRegister;
 use crate::tree::{TreeMaxRegister, TreeReadMachine, TreeWriteMachine};
-use smr::{OpTask, Poll, ProcCtx};
-use std::sync::Arc;
+use smr::{Poll, ProcCtx};
 
 enum Arm {
     Tree(TreeMaxRegister),
@@ -43,25 +42,30 @@ impl AdaptiveMaxRegister {
     }
 }
 
-impl MaxRegister for AdaptiveMaxRegister {
-    fn write(&self, ctx: &ProcCtx, v: u64) {
-        match &self.arm {
-            Arm::Tree(t) => t.write(ctx, v),
-            Arm::Collect(c) => c.write(ctx, v),
-        }
+impl MachineMaxRegister for AdaptiveMaxRegister {
+    type WriteMachine = AdaptiveWriteMachine;
+    type ReadMachine = AdaptiveReadMachine;
+
+    fn write_machine(&self, v: u64) -> AdaptiveWriteMachine {
+        AdaptiveWriteMachine::new(self, v)
     }
 
-    fn read(&self, ctx: &ProcCtx) -> u64 {
-        match &self.arm {
-            Arm::Tree(t) => t.read(ctx),
-            Arm::Collect(c) => c.read(ctx),
-        }
+    fn read_machine(&self) -> AdaptiveReadMachine {
+        AdaptiveReadMachine::new(self)
     }
 
-    fn bound(&self) -> Option<u64> {
+    fn step_write(&self, m: &mut AdaptiveWriteMachine, ctx: &ProcCtx) -> Poll<()> {
+        m.step(self, ctx)
+    }
+
+    fn step_read(&self, m: &mut AdaptiveReadMachine, ctx: &ProcCtx) -> Poll<u64> {
+        m.step(self, ctx)
+    }
+
+    fn value_bound(&self) -> Option<u64> {
         match &self.arm {
-            Arm::Tree(t) => t.bound(),
-            Arm::Collect(c) => c.bound(),
+            Arm::Tree(t) => t.value_bound(),
+            Arm::Collect(c) => c.value_bound(),
         }
     }
 }
@@ -131,55 +135,10 @@ impl AdaptiveReadMachine {
     }
 }
 
-/// `AdaptiveMaxRegister::write` as a resumable [`OpTask`] for the coop
-/// backend.
-pub struct AdaptiveMaxWriteTask {
-    reg: Arc<AdaptiveMaxRegister>,
-    machine: AdaptiveWriteMachine,
-}
-
-impl AdaptiveMaxWriteTask {
-    /// A write of `v`.
-    ///
-    /// # Panics
-    /// Panics if `v` is out of range, like the blocking write.
-    pub fn new(reg: Arc<AdaptiveMaxRegister>, v: u64) -> Self {
-        let machine = AdaptiveWriteMachine::new(&reg, v);
-        AdaptiveMaxWriteTask { reg, machine }
-    }
-}
-
-impl OpTask for AdaptiveMaxWriteTask {
-    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        self.machine.step(&self.reg, ctx).map(|()| 0)
-    }
-}
-
-/// `AdaptiveMaxRegister::read` as a resumable [`OpTask`] for the coop
-/// backend.
-pub struct AdaptiveMaxReadTask {
-    reg: Arc<AdaptiveMaxRegister>,
-    machine: AdaptiveReadMachine,
-}
-
-impl AdaptiveMaxReadTask {
-    /// A read.
-    pub fn new(reg: Arc<AdaptiveMaxRegister>) -> Self {
-        let machine = AdaptiveReadMachine::new(&reg);
-        AdaptiveMaxReadTask { reg, machine }
-    }
-}
-
-impl OpTask for AdaptiveMaxReadTask {
-    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        self.machine.step(&self.reg, ctx).map(u128::from)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::testutil;
+    use crate::spec::{testutil, MaxRegister};
     use smr::Runtime;
     use std::sync::Arc;
 

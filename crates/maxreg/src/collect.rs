@@ -10,7 +10,7 @@
 //! This is the `n`-side of AACH's `O(min(log m, n))` bound: cheaper than
 //! the tree whenever `n < log₂ m`.
 
-use crate::spec::MaxRegister;
+use crate::spec::MachineMaxRegister;
 use smr::{Poll, ProcCtx, Register};
 
 /// An unbounded (full `u64` domain) max register with `O(1)` writes and
@@ -48,22 +48,27 @@ impl CollectMaxRegister {
     }
 }
 
-impl MaxRegister for CollectMaxRegister {
-    fn write(&self, ctx: &ProcCtx, v: u64) {
-        let mut m = CollectWriteMachine::new(self, v);
-        while m.step(self, ctx).is_pending() {}
+impl MachineMaxRegister for CollectMaxRegister {
+    type WriteMachine = CollectWriteMachine;
+    type ReadMachine = CollectReadMachine;
+
+    fn write_machine(&self, v: u64) -> CollectWriteMachine {
+        CollectWriteMachine::new(self, v)
     }
 
-    fn read(&self, ctx: &ProcCtx) -> u64 {
-        let mut m = CollectReadMachine::new(self);
-        loop {
-            if let Poll::Ready(v) = m.step(self, ctx) {
-                return v;
-            }
-        }
+    fn read_machine(&self) -> CollectReadMachine {
+        CollectReadMachine::new(self)
     }
 
-    fn bound(&self) -> Option<u64> {
+    fn step_write(&self, m: &mut CollectWriteMachine, ctx: &ProcCtx) -> Poll<()> {
+        m.step(self, ctx)
+    }
+
+    fn step_read(&self, m: &mut CollectReadMachine, ctx: &ProcCtx) -> Poll<u64> {
+        m.step(self, ctx)
+    }
+
+    fn value_bound(&self) -> Option<u64> {
         self.bound
     }
 }
@@ -72,7 +77,7 @@ impl MaxRegister for CollectMaxRegister {
 /// then overwrite it if the new value is larger — one primitive per
 /// [`step`](CollectWriteMachine::step), priming step free; dominated
 /// writes complete on the read. The single transcription driven by the
-/// blocking method, the task wrappers and the composites (see
+/// blocking form, the task form and the composites (see
 /// `maxreg::tree`'s module docs for the machine convention).
 #[derive(Debug)]
 pub struct CollectWriteMachine {
@@ -169,7 +174,7 @@ impl CollectReadMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::testutil;
+    use crate::spec::{testutil, MaxRegister};
     use smr::Runtime;
     use std::sync::Arc;
 

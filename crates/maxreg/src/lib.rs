@@ -31,6 +31,15 @@
 //! All real implementations apply only `read`/`write` primitives through
 //! [`smr`]'s instrumented base objects, so per-process step counts measure
 //! exactly the complexity the theorems talk about.
+//!
+//! Each of the four real registers writes its operations once, as a
+//! write and a read machine, and names them through
+//! [`MachineMaxRegister`]. Everything else is written once over that
+//! trait: the blocking [`MaxRegister`] form (a blanket impl driving the
+//! machines to completion) and the task pair in [`tasks`]
+//! ([`MaxRegWriteTask`] / [`MaxRegReadTask`], with one alias per
+//! register). Only the lock oracle, which has no machines, implements
+//! [`MaxRegister`] directly.
 
 mod adaptive;
 mod collect;
@@ -40,16 +49,13 @@ pub mod tasks;
 mod tree;
 mod unbounded;
 
-pub use adaptive::{
-    AdaptiveMaxReadTask, AdaptiveMaxRegister, AdaptiveMaxWriteTask, AdaptiveReadMachine,
-    AdaptiveWriteMachine,
-};
+pub use adaptive::{AdaptiveMaxRegister, AdaptiveReadMachine, AdaptiveWriteMachine};
 pub use collect::{CollectMaxRegister, CollectReadMachine, CollectWriteMachine};
 pub use reference::LockMaxRegister;
-pub use spec::MaxRegister;
-pub use tasks::{TreeMaxReadTask, TreeMaxWriteTask};
-pub use tree::{TreeMaxRegister, TreeReadMachine, TreeWriteMachine};
-pub use unbounded::{
-    UnboundedMaxReadTask, UnboundedMaxRegister, UnboundedMaxWriteTask, UnboundedReadMachine,
-    UnboundedWriteMachine,
+pub use spec::{MachineMaxRegister, MaxRegister};
+pub use tasks::{
+    AdaptiveMaxReadTask, AdaptiveMaxWriteTask, MaxRegReadTask, MaxRegWriteTask, TreeMaxReadTask,
+    TreeMaxWriteTask, UnboundedMaxReadTask, UnboundedMaxWriteTask,
 };
+pub use tree::{TreeMaxRegister, TreeReadMachine, TreeWriteMachine};
+pub use unbounded::{UnboundedMaxRegister, UnboundedReadMachine, UnboundedWriteMachine};

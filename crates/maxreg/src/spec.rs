@@ -1,6 +1,8 @@
-//! The [`MaxRegister`] object interface.
+//! The [`MaxRegister`] object interface, and [`MachineMaxRegister`],
+//! the hooks from which every machine register's blocking form is
+//! built.
 
-use smr::ProcCtx;
+use smr::{Poll, ProcCtx};
 
 /// A linearizable max register: `read` returns the largest value
 /// previously written (0 if none).
@@ -22,6 +24,60 @@ pub trait MaxRegister: Send + Sync {
     /// `Some(m)` if this register only represents values in `{0,…,m−1}`,
     /// `None` if unbounded (full `u64` domain).
     fn bound(&self) -> Option<u64>;
+}
+
+/// A max register whose operations exist as resumable machines (the
+/// convention of `maxreg::tree`'s module docs): the hooks name its two
+/// machines, build them and step them. Each implementation delegates
+/// to the machines' inherent `new` and `step`. The blocking
+/// [`MaxRegister`] form below drives the machines to completion, the
+/// task forms in [`tasks`](crate::tasks) poll them one step at a time,
+/// and composites (the AACH tree counters in `counter`) embed them.
+pub trait MachineMaxRegister: Send + Sync {
+    /// Resume point of a write.
+    type WriteMachine: Send;
+    /// Resume point of a read.
+    type ReadMachine: Send;
+
+    /// A machine writing `v`.
+    ///
+    /// # Panics
+    /// Panics if `v` is out of range, like the blocking write.
+    fn write_machine(&self, v: u64) -> Self::WriteMachine;
+
+    /// A machine reading the register.
+    fn read_machine(&self) -> Self::ReadMachine;
+
+    /// Advance `m`, a machine built by this register, by at most one
+    /// primitive.
+    fn step_write(&self, m: &mut Self::WriteMachine, ctx: &ProcCtx) -> Poll<()>;
+
+    /// Advance `m`, a machine built by this register, by at most one
+    /// primitive.
+    fn step_read(&self, m: &mut Self::ReadMachine, ctx: &ProcCtx) -> Poll<u64>;
+
+    /// The answer of [`MaxRegister::bound`].
+    fn value_bound(&self) -> Option<u64>;
+}
+
+impl<R: MachineMaxRegister> MaxRegister for R {
+    fn write(&self, ctx: &ProcCtx, v: u64) {
+        let mut m = self.write_machine(v);
+        while self.step_write(&mut m, ctx).is_pending() {}
+    }
+
+    fn read(&self, ctx: &ProcCtx) -> u64 {
+        let mut m = self.read_machine();
+        loop {
+            if let Poll::Ready(v) = self.step_read(&mut m, ctx) {
+                return v;
+            }
+        }
+    }
+
+    fn bound(&self) -> Option<u64> {
+        self.value_bound()
+    }
 }
 
 #[cfg(test)]

@@ -28,12 +28,17 @@
 //! unrolled into a turn path (descending, one switch *read* per left
 //! turn) plus an unwind walk (ascending, one switch *write* per right
 //! turn, deepest first) — one primitive per granted step, priming step
-//! free. The blocking [`write`](TreeMaxRegister::write) /
-//! [`read`](TreeMaxRegister::read) methods drive a machine to
-//! completion; the [`OpTask`] wrappers ([`TreeMaxWriteTask`] /
-//! [`TreeMaxReadTask`]) poll one step at a time; composite objects
-//! (`AachCounter`, `UnboundedMaxRegister`, Algorithm 2) embed machines
-//! directly. Zero drift between forms by construction.
+//! free. The register names its machines through
+//! [`MachineMaxRegister`], and both other forms come from that trait:
+//! the blocking [`MaxRegister`](crate::MaxRegister) form drives a
+//! machine to completion, and the task form
+//! ([`TreeMaxWriteTask`](crate::TreeMaxWriteTask) /
+//! [`TreeMaxReadTask`](crate::TreeMaxReadTask), aliases of the one
+//! generic pair in [`tasks`](crate::tasks)) polls one step at a time.
+//! Every other machine register in this crate follows the same shape.
+//! Composite objects (the AACH tree counters, `UnboundedMaxRegister`,
+//! Algorithm 2) embed machines directly. Zero drift between forms by
+//! construction.
 //!
 //! A machine holds no reference into the register — it records the turn
 //! path taken and re-walks it from the root on each step (pointer
@@ -53,10 +58,9 @@
 //! the experiments measure — are identical to the recursive forms',
 //! pinned by the task-vs-blocking determinism tests.
 
-use crate::spec::MaxRegister;
-use smr::{OpTask, Poll, ProcCtx, Register};
+use crate::spec::MachineMaxRegister;
+use smr::{Poll, ProcCtx, Register};
 use std::sync::atomic::{AtomicPtr, Ordering};
-use std::sync::Arc;
 
 struct Node {
     switch: Register,
@@ -178,22 +182,27 @@ impl TreeMaxRegister {
     }
 }
 
-impl MaxRegister for TreeMaxRegister {
-    fn write(&self, ctx: &ProcCtx, v: u64) {
-        let mut m = TreeWriteMachine::new(self, v);
-        while m.step(self, ctx).is_pending() {}
+impl MachineMaxRegister for TreeMaxRegister {
+    type WriteMachine = TreeWriteMachine;
+    type ReadMachine = TreeReadMachine;
+
+    fn write_machine(&self, v: u64) -> TreeWriteMachine {
+        TreeWriteMachine::new(self, v)
     }
 
-    fn read(&self, ctx: &ProcCtx) -> u64 {
-        let mut m = TreeReadMachine::new(self);
-        loop {
-            if let Poll::Ready(v) = m.step(self, ctx) {
-                return v;
-            }
-        }
+    fn read_machine(&self) -> TreeReadMachine {
+        TreeReadMachine::new(self)
     }
 
-    fn bound(&self) -> Option<u64> {
+    fn step_write(&self, m: &mut TreeWriteMachine, ctx: &ProcCtx) -> Poll<()> {
+        m.step(self, ctx)
+    }
+
+    fn step_read(&self, m: &mut TreeReadMachine, ctx: &ProcCtx) -> Poll<u64> {
+        m.step(self, ctx)
+    }
+
+    fn value_bound(&self) -> Option<u64> {
         Some(self.bound)
     }
 }
@@ -378,51 +387,6 @@ impl TreeReadMachine {
     }
 }
 
-/// `TreeMaxRegister::write` as a resumable [`OpTask`] for the coop
-/// backend: an owning wrapper around [`TreeWriteMachine`].
-pub struct TreeMaxWriteTask {
-    reg: Arc<TreeMaxRegister>,
-    machine: TreeWriteMachine,
-}
-
-impl TreeMaxWriteTask {
-    /// A write of `v`.
-    ///
-    /// # Panics
-    /// Panics if `v` is out of range, like the blocking write.
-    pub fn new(reg: Arc<TreeMaxRegister>, v: u64) -> Self {
-        let machine = TreeWriteMachine::new(&reg, v);
-        TreeMaxWriteTask { reg, machine }
-    }
-}
-
-impl OpTask for TreeMaxWriteTask {
-    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        self.machine.step(&self.reg, ctx).map(|()| 0)
-    }
-}
-
-/// `TreeMaxRegister::read` as a resumable [`OpTask`]: an owning wrapper
-/// around [`TreeReadMachine`].
-pub struct TreeMaxReadTask {
-    reg: Arc<TreeMaxRegister>,
-    machine: TreeReadMachine,
-}
-
-impl TreeMaxReadTask {
-    /// A read.
-    pub fn new(reg: Arc<TreeMaxRegister>) -> Self {
-        let machine = TreeReadMachine::new(&reg);
-        TreeMaxReadTask { reg, machine }
-    }
-}
-
-impl OpTask for TreeMaxReadTask {
-    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        self.machine.step(&self.reg, ctx).map(u128::from)
-    }
-}
-
 impl Drop for TreeMaxRegister {
     fn drop(&mut self) {
         // relaxed-ok: exclusive teardown; no concurrent accessors.
@@ -442,7 +406,7 @@ impl Drop for TreeMaxRegister {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::testutil;
+    use crate::spec::{testutil, MaxRegister};
     use smr::Runtime;
     use std::sync::Arc;
 

@@ -20,10 +20,9 @@
 //! in `approx-objects` stores only MSB indices and therefore runs in
 //! `O(log₂ log_k v)` — the paper's sub-logarithmic extension.
 
-use crate::spec::MaxRegister;
+use crate::spec::MachineMaxRegister;
 use crate::tree::{TreeMaxRegister, TreeReadMachine, TreeWriteMachine};
-use smr::{OpTask, Poll, ProcCtx};
-use std::sync::Arc;
+use smr::{Poll, ProcCtx};
 
 /// Number of doubling levels needed so the last level covers all of `u64`:
 /// bounds 2^1, 2^2, 2^4, 2^8, 2^16, 2^32, then the full domain.
@@ -76,22 +75,27 @@ impl UnboundedMaxRegister {
     }
 }
 
-impl MaxRegister for UnboundedMaxRegister {
-    fn write(&self, ctx: &ProcCtx, v: u64) {
-        let mut m = UnboundedWriteMachine::new(self, v);
-        while m.step(self, ctx).is_pending() {}
+impl MachineMaxRegister for UnboundedMaxRegister {
+    type WriteMachine = UnboundedWriteMachine;
+    type ReadMachine = UnboundedReadMachine;
+
+    fn write_machine(&self, v: u64) -> UnboundedWriteMachine {
+        UnboundedWriteMachine::new(self, v)
     }
 
-    fn read(&self, ctx: &ProcCtx) -> u64 {
-        let mut m = UnboundedReadMachine::new(self);
-        loop {
-            if let Poll::Ready(v) = m.step(self, ctx) {
-                return v;
-            }
-        }
+    fn read_machine(&self) -> UnboundedReadMachine {
+        UnboundedReadMachine::new(self)
     }
 
-    fn bound(&self) -> Option<u64> {
+    fn step_write(&self, m: &mut UnboundedWriteMachine, ctx: &ProcCtx) -> Poll<()> {
+        m.step(self, ctx)
+    }
+
+    fn step_read(&self, m: &mut UnboundedReadMachine, ctx: &ProcCtx) -> Poll<u64> {
+        m.step(self, ctx)
+    }
+
+    fn value_bound(&self) -> Option<u64> {
         None
     }
 }
@@ -286,55 +290,10 @@ impl UnboundedReadMachine {
     }
 }
 
-/// `UnboundedMaxRegister::write` as a resumable [`OpTask`] for the coop
-/// backend.
-pub struct UnboundedMaxWriteTask {
-    reg: Arc<UnboundedMaxRegister>,
-    machine: UnboundedWriteMachine,
-}
-
-impl UnboundedMaxWriteTask {
-    /// A write of `v`.
-    ///
-    /// # Panics
-    /// Panics if `v == u64::MAX` (reserved), like the blocking write.
-    pub fn new(reg: Arc<UnboundedMaxRegister>, v: u64) -> Self {
-        let machine = UnboundedWriteMachine::new(&reg, v);
-        UnboundedMaxWriteTask { reg, machine }
-    }
-}
-
-impl OpTask for UnboundedMaxWriteTask {
-    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        self.machine.step(&self.reg, ctx).map(|()| 0)
-    }
-}
-
-/// `UnboundedMaxRegister::read` as a resumable [`OpTask`] for the coop
-/// backend.
-pub struct UnboundedMaxReadTask {
-    reg: Arc<UnboundedMaxRegister>,
-    machine: UnboundedReadMachine,
-}
-
-impl UnboundedMaxReadTask {
-    /// A read.
-    pub fn new(reg: Arc<UnboundedMaxRegister>) -> Self {
-        let machine = UnboundedReadMachine::new(&reg);
-        UnboundedMaxReadTask { reg, machine }
-    }
-}
-
-impl OpTask for UnboundedMaxReadTask {
-    fn poll(&mut self, ctx: &ProcCtx) -> Poll<u128> {
-        self.machine.step(&self.reg, ctx).map(u128::from)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::testutil;
+    use crate::spec::{testutil, MaxRegister};
     use smr::Runtime;
     use std::sync::Arc;
 

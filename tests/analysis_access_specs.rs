@@ -12,15 +12,15 @@
 
 use parking_lot::Mutex;
 use smr::analysis::Analyzer;
-use smr::{AccessKind, Driver, OpSpec, OpTask, Runtime};
+use smr::{AccessKind, Driver, ImmediateOp, OpSpec, OpTask, Runtime};
 use std::sync::Arc;
 
-use counter::tasks::{lock_inc_task, lock_read_task};
 use counter::{
     AachCounter, AachIncTask, AachReadTask, CollectCounter, CollectIncTask, CollectReadTask,
     Counter, FaaCounter, LockCounter, SnapshotCounter, SnapshotIncTask, SnapshotReadTask,
     UnboundedTreeCounter, UnboundedTreeIncTask, UnboundedTreeReadTask,
 };
+use maxreg::MaxRegister;
 
 /// Run `task` solo (pid 0) on a fresh `n`-process coop driver with the
 /// standard analyzer attached, returning the primitive kinds it applied.
@@ -136,7 +136,7 @@ fn snapshot_counter_machines_match_their_specs() {
 fn aach_counter_machines_match_their_specs() {
     let n = 4;
     let c = Arc::new(AachCounter::new(n, 64));
-    let kinds = observed_kinds(n, "aach-inc", AachIncTask::new(c.clone(), 0));
+    let kinds = observed_kinds(n, "aach-inc", AachIncTask::new(c.clone()));
     assert_mutates("aach-inc", &kinds, RW);
     let kinds = observed_kinds(n, "aach-read", AachReadTask::new(c));
     assert_read_only("aach-read", &kinds, 1);
@@ -146,7 +146,7 @@ fn aach_counter_machines_match_their_specs() {
 fn unbounded_tree_counter_machines_match_their_specs() {
     let n = 4;
     let c = Arc::new(UnboundedTreeCounter::new(n));
-    let kinds = observed_kinds(n, "utree-inc", UnboundedTreeIncTask::new(c.clone(), 0));
+    let kinds = observed_kinds(n, "utree-inc", UnboundedTreeIncTask::new(c.clone()));
     assert_mutates("utree-inc", &kinds, RW);
     let kinds = observed_kinds(n, "utree-read", UnboundedTreeReadTask::new(c));
     assert_read_only("utree-read", &kinds, 1);
@@ -154,20 +154,45 @@ fn unbounded_tree_counter_machines_match_their_specs() {
 
 #[test]
 fn lock_oracles_apply_no_primitives() {
+    // The oracles have no machines: as tasks they are zero-primitive
+    // `ImmediateOp`s, completing on the priming poll. Each read checks
+    // the value it returns, which the driver only records.
     let oracle = Arc::new(LockCounter::new());
-    let kinds = observed_kinds(1, "lock-inc", lock_inc_task(oracle.clone()));
+    let inc = oracle.clone();
+    let kinds = observed_kinds(
+        1,
+        "lock-inc",
+        ImmediateOp::new(move |ctx| {
+            inc.increment(ctx);
+            0
+        }),
+    );
     assert!(kinds.is_empty(), "lock inc applied {kinds:?}");
-    let kinds = observed_kinds(1, "lock-read", lock_read_task(oracle));
+    let read = ImmediateOp::new(move |ctx| {
+        let v = oracle.read(ctx);
+        assert_eq!(v, 1, "lock read after one increment");
+        v
+    });
+    let kinds = observed_kinds(1, "lock-read", read);
     assert!(kinds.is_empty(), "lock read applied {kinds:?}");
 
     let oracle = Arc::new(maxreg::LockMaxRegister::new());
+    let write = oracle.clone();
     let kinds = observed_kinds(
         1,
         "lock-maxw",
-        maxreg::tasks::lock_write_task(oracle.clone(), 7),
+        ImmediateOp::new(move |ctx| {
+            write.write(ctx, 7);
+            0
+        }),
     );
     assert!(kinds.is_empty(), "lock max write applied {kinds:?}");
-    let kinds = observed_kinds(1, "lock-maxr", maxreg::tasks::lock_read_task(oracle));
+    let read = ImmediateOp::new(move |ctx| {
+        let v = u128::from(oracle.read(ctx));
+        assert_eq!(v, 7, "lock max read after writing 7");
+        v
+    });
+    let kinds = observed_kinds(1, "lock-maxr", read);
     assert!(kinds.is_empty(), "lock max read applied {kinds:?}");
 }
 

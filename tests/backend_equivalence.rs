@@ -461,11 +461,7 @@ fn newly_ported_object_tasks_are_backend_equivalent() {
                         Box::new(SnapshotReadTask::new(snap.clone())),
                     ),
                     2 => {
-                        d(
-                            pid,
-                            OpSpec::inc(),
-                            Box::new(AachIncTask::new(aach.clone(), pid)),
-                        );
+                        d(pid, OpSpec::inc(), Box::new(AachIncTask::new(aach.clone())));
                         d(
                             pid,
                             OpSpec::read(),
@@ -476,7 +472,7 @@ fn newly_ported_object_tasks_are_backend_equivalent() {
                         d(
                             pid,
                             OpSpec::inc(),
-                            Box::new(UnboundedTreeIncTask::new(utree.clone(), pid)),
+                            Box::new(UnboundedTreeIncTask::new(utree.clone())),
                         );
                         d(
                             pid,

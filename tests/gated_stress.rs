@@ -114,7 +114,7 @@ fn aach_counter_seed_matrix() {
             30,
             5,
             seed,
-            |pid| AachIncTask::new(c.clone(), pid),
+            |_| AachIncTask::new(c.clone()),
             |_| AachReadTask::new(c.clone()),
         );
         check_counter(&h, 1).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
@@ -275,7 +275,7 @@ fn aach_counter_is_linearizable_gated() {
             50,
             5,
             seed,
-            |pid| AachIncTask::new(c.clone(), pid),
+            |_| AachIncTask::new(c.clone()),
             |_| AachReadTask::new(c.clone()),
         );
         check_counter(&h, 1).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
@@ -291,7 +291,7 @@ fn unbounded_tree_counter_is_linearizable_gated() {
             40,
             5,
             seed,
-            |pid| UnboundedTreeIncTask::new(c.clone(), pid),
+            |_| UnboundedTreeIncTask::new(c.clone()),
             |_| UnboundedTreeReadTask::new(c.clone()),
         );
         check_counter(&h, 1).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
